@@ -1,14 +1,15 @@
 """Exact integer linear algebra: Smith normal form and cellular homology.
 
-All arithmetic is arbitrary-precision int (Fractions only inside the
-inverse helper). The Smith reduction uses a fixed pivot rule, smallest
-nonzero absolute value with row-major tie break, so results are
-reproducible bit for bit.
+All arithmetic is arbitrary-precision int. The Smith reduction uses a
+fixed pivot rule, smallest nonzero absolute value with row-major tie
+break, so results are reproducible bit for bit. It also applies the
+inverse of every elementary operation, so the transforms U and V come
+with their exact inverses.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from .errors import InternalInvariantError
 
@@ -65,39 +66,8 @@ class IntMatrix:
         if k != k2:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         cols = [other.column(j) for j in range(c)]
-        return IntMatrix(tuple(tuple(sum(a * b for a, b in zip(row, col))
-                                     for col in cols)
+        return IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in cols)
                                for row in self.entries), (r, c))
-
-    def det(self) -> int:
-        # Bareiss fraction-free elimination
-        n, m = self.shape
-        if n != m:
-            raise ValueError("determinant of a non-square matrix")
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
-    def is_unimodular(self) -> bool:
-        r, c = self.shape
-        return r == c and abs(self.det()) == 1
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.shape)))
@@ -105,9 +75,13 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SnfResult:
+    """U @ A @ V = D, with the exact inverses of U and V tracked alongside."""
+
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
+    u_inv: IntMatrix
+    v_inv: IntMatrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -121,32 +95,37 @@ class SnfResult:
 def _smith_tracked(a: IntMatrix):
     nr, nc = a.shape
     m = [list(r) for r in a.entries]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def eye(n):
+        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    # U and V^-1 are stored as they are, V and U^-1 transposed (vt, ut), so
+    # every transform only takes row operations: a row op E on U puts E^-1
+    # on the right of U^-1, a column op F on V puts F^-1 on the left of V^-1
+    u, ut, vt, vi = eye(nr), eye(nr), eye(nc), eye(nc)
 
     def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
+        for x in (m, u, ut):
+            x[i], x[j] = x[j], x[i]
 
     def col_swap(i, j):
         for r in m:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        for x in (vt, vi):
+            x[i], x[j] = x[j], x[i]
 
     def row_sub(i, q, k):
-        mi, mk = m[i], m[k]
-        for j in range(nc):
-            mi[j] -= q * mk[j]
-        ui, uk = u[i], u[k]
-        for j in range(nr):
-            ui[j] -= q * uk[j]
+        # row i -= q * row k, undone by column k += q * column i
+        for x in (m, u):
+            x[i] = [y - q * z for y, z in zip(x[i], x[k])]
+        ut[k] = [y + q * z for y, z in zip(ut[k], ut[i])]
 
     def col_sub(j, q, k):
+        # column j -= q * column k, undone by row k += q * row j
         for r in m:
             r[j] -= q * r[k]
-        for r in v:
-            r[j] -= q * r[k]
+        vt[j] = [y - q * z for y, z in zip(vt[j], vt[k])]
+        vi[k] = [y + q * z for y, z in zip(vi[k], vi[j])]
 
     t = 0
     while True:
@@ -173,6 +152,12 @@ def _smith_tracked(a: IntMatrix):
                     if m[i][t]:
                         row_swap(t, i)
                         dirty = True
+            if dirty:
+                # finish the column before the row: column ops taken while
+                # entries remain below the pivot multiply them into the
+                # rest of the matrix, and dense 6x6 inputs then grow to
+                # millions of bits
+                continue
             for j in range(t + 1, nc):
                 if m[t][j]:
                     q = m[t][j] // m[t][t]
@@ -193,35 +178,30 @@ def _smith_tracked(a: IntMatrix):
             if offender is None:
                 break
             # pull a non-divisible entry into the working row and repeat
-            mi = m[offender]
-            mt = m[t]
-            for j in range(nc):
-                mt[j] += mi[j]
-            ui, ut = u[offender], u[t]
-            for j in range(nr):
-                ut[j] += ui[j]
+            row_sub(t, -1, offender)
         t += 1
     for i in range(min(nr, nc)):
         if m[i][i] < 0:
-            for j in range(nc):
-                m[i][j] = -m[i][j]
-            for j in range(nr):
-                u[i][j] = -u[i][j]
-    return m, u, v
+            for row in (m[i], u[i], ut[i]):
+                row[:] = [-x for x in row]
+    return m, u, vt, ut, vi
 
 
-# above this size the O(n^3) determinant checks dominate, so only the
-# cheap product identity is verified; the acceptance sweep runs tiny
+# above this size the O(n^3) inverse products dominate, so only the cheap
+# factorization identity is verified; the acceptance sweep runs tiny
 # matrices through the full check
 _FULL_CHECK_LIMIT = 80
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     """U @ A @ V = D with U, V unimodular and D a divisibility diagonal."""
-    m, u, v = _smith_tracked(a)
-    res = SnfResult(IntMatrix.from_rows(u, cols=a.shape[0]),
-                    IntMatrix.from_rows(m, cols=a.shape[1]),
-                    IntMatrix.from_rows(v, cols=a.shape[1]))
+    m, u, vt, ut, vi = _smith_tracked(a)
+    nr, nc = a.shape
+    res = SnfResult(IntMatrix.from_rows(u, cols=nr),
+                    IntMatrix.from_rows(m, cols=nc),
+                    IntMatrix.from_rows(zip(*vt), cols=nc),
+                    IntMatrix.from_rows(zip(*ut), cols=nr),
+                    IntMatrix.from_rows(vi, cols=nc))
     d = res.d
     for i in range(d.shape[0]):
         for j in range(d.shape[1]):
@@ -237,40 +217,26 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         raise InternalInvariantError("negative Smith diagonal entry")
     if (res.u @ a @ res.v).entries != d.entries:
         raise InternalInvariantError("Smith factorization identity failed")
-    if max(a.shape, default=0) <= _FULL_CHECK_LIMIT:
-        if not res.u.is_unimodular() or not res.v.is_unimodular():
-            raise InternalInvariantError("Smith transform is not unimodular")
+    if max(a.shape) <= _FULL_CHECK_LIMIT:
+        # integer matrices with integer inverses are unimodular
+        if ((res.u @ res.u_inv).entries != IntMatrix.identity(nr).entries
+                or (res.v @ res.v_inv).entries != IntMatrix.identity(nc).entries):
+            raise InternalInvariantError("Smith transform disagrees with its tracked inverse")
     return res
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
+    """Exact inverse of an integer matrix with determinant +-1.
+
+    U @ m @ V = I gives m^-1 = V @ U.
+    """
     n, c = m.shape
     if n != c:
         raise ValueError("inverse of a non-square matrix")
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m.entries)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            x = a[i][j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular over the integers")
-            row.append(int(x))
-        out.append(tuple(row))
-    return IntMatrix.from_rows(out, cols=n)
+    res = smith_normal_form(m)
+    if any(x != 1 for x in res.diagonal):
+        raise ValueError("matrix is not unimodular over the integers")
+    return res.v @ res.u
 
 
 @dataclass(frozen=True)
@@ -320,7 +286,7 @@ class _ChainBasis:
         self.d1, self.d2 = d1, d2
         self.s1 = smith_normal_form(d1)
         self.r1 = self.s1.rank
-        self.v1_inv = unimodular_inverse(self.s1.v)
+        self.v1_inv = self.s1.v_inv
         folded = self.v1_inv @ d2
         for i in range(self.r1):
             if any(folded.entries[i]):
@@ -329,7 +295,7 @@ class _ChainBasis:
         self.s2 = smith_normal_form(self.b_mat)
         self.r2 = self.s2.rank
         self.u2 = self.s2.u
-        self.u2_inv = unimodular_inverse(self.u2)
+        self.u2_inv = self.s2.u_inv
         self.kernel_rank = n1 - self.r1
 
     def torsion1(self) -> tuple[int, ...]:
@@ -383,36 +349,26 @@ def cellular_homology(p) -> HomologySummary:
     return chain_homology(p.boundary_1, p.boundary_2)
 
 
-def _signed_permutation_matrices(p, a):
-    n0 = len(p.zero_cells)
-    n1 = len(p.one_cells)
-    n2 = len(p.two_cells)
-    p0 = [[0] * n0 for _ in range(n0)]
-    for j in range(n0):
-        p0[a.perm0[j]][j] = 1
-    p1 = [[0] * n1 for _ in range(n1)]
-    for j in range(n1):
-        img, sign = a.perm1[j]
-        p1[img][j] = sign
-    p2 = [[0] * n2 for _ in range(n2)]
-    for j in range(n2):
-        p2[a.perm2[j]][j] = 1
-    return (IntMatrix.from_rows(p0, cols=n0),
-            IntMatrix.from_rows(p1, cols=n1),
-            IntMatrix.from_rows(p2, cols=n2))
-
-
 def h1_action(p, a) -> IntMatrix:
     """Matrix of a cell automorphism on free H1, in the basis chain_homology uses.
 
     The automorphism must be a chain map: commuting with both boundary
-    operators is asserted before any quotient is taken.
+    operators is asserted before any quotient is taken. Its signed
+    permutations act on the chains directly.
     """
-    m0, m1, m2 = _signed_permutation_matrices(p, a)
-    if (m0 @ p.boundary_1).entries != (p.boundary_1 @ m1).entries:
-        raise InternalInvariantError("automorphism does not commute with boundary_1")
-    if (m1 @ p.boundary_2).entries != (p.boundary_2 @ m2).entries:
-        raise InternalInvariantError("automorphism does not commute with boundary_2")
-    basis = _ChainBasis(p.boundary_1, p.boundary_2)
+    d1, d2 = p.boundary_1.entries, p.boundary_2.entries
+    # arc j maps to sg * arc img, so the image of its boundary must be
+    # sg times the boundary of arc img (and likewise for 2-cells)
+    for j, (img, sg) in enumerate(a.perm1):
+        if any(sg * d1[a.perm0[i]][img] != d1[i][j] for i in range(len(d1))):
+            raise InternalInvariantError("automorphism does not commute with boundary_1")
+    for j, (img, sg) in enumerate(a.perm1):
+        row, image_row = d2[j], d2[img]
+        if any(image_row[a.perm2[c]] != sg * row[c] for c in range(len(row))):
+            raise InternalInvariantError("automorphism does not commute with boundary_2")
+    basis = p.chain_basis
     h = basis.free_h1_chains()
-    return basis.h1_coords(m1 @ h)
+    moved = [None] * h.shape[0]
+    for j, (img, sg) in enumerate(a.perm1):
+        moved[img] = tuple(sg * x for x in h.row(j))
+    return basis.h1_coords(IntMatrix.from_rows(moved, cols=h.shape[1]))

@@ -13,9 +13,10 @@ fields and are handled as first-class V-edges, not as an error case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputRejected, InternalInvariantError
-from .homology import IntMatrix, chain_homology
+from .homology import IntMatrix, _ChainBasis, chain_homology
 from .reeb import Branch, ReebGraph, _UnionFind, level_structure, triangle_level_pieces
 from .surface import SurfaceField, vertex_classes
 
@@ -71,6 +72,11 @@ class CellPartition:
     @property
     def counts(self) -> tuple[int, int, int]:
         return (len(self.zero_cells), len(self.one_cells), len(self.two_cells))
+
+    @cached_property
+    def chain_basis(self) -> _ChainBasis:
+        """Smith bases of the boundary matrices, built on first use only."""
+        return _ChainBasis(self.boundary_1, self.boundary_2)
 
 
 def branch_signature(g: ReebGraph, node_id: int, branch: Branch) -> tuple:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InputRejected, InternalInvariantError
 from .partition import CellPartition, build_partition
-from .reeb import branch_euler, compute_reeb, find_special_vertex
+from .reeb import _UnionFind, branch_euler, compute_reeb, find_special_vertex
 from .surface import SurfaceField, dump_surface, validate_closed_orientable
 from .symmetry import enumerate_symmetries, group_structure, index_orbits
 from .wreath import (DirectProductGroup, WreathGroup, check_exact_sequence,
@@ -171,26 +171,10 @@ def extract_disk_field(s: SurfaceField, p: CellPartition, orbit_table, i: int) -
     # refined vertex merge only when two region triangles share an edge
     # that is not part of the cell's boundary walk; each walk visit then
     # gets its own copy of the vertex.
-    parent: dict = {}
-
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    uf = _UnionFind()
     edge_tris: dict[tuple[int, int], list[int]] = {}
     for ti in region:
         a, b, c = p.refined_triangles[ti]
-        for x in (a, b, c):
-            find((ti, x))
         for u, w in ((a, b), (b, c), (c, a)):
             key = (u, w) if u < w else (w, u)
             if u in walkset and w in walkset:
@@ -201,18 +185,18 @@ def extract_disk_field(s: SurfaceField, p: CellPartition, orbit_table, i: int) -
             raise InternalInvariantError(
                 f"interior edge {u}-{w} of a region has {len(tris_here)} triangles")
         t1, t2 = tris_here
-        union((t1, u), (t2, u))
-        union((t1, w), (t2, w))
+        uf.union((t1, u), (t2, u))
+        uf.union((t1, w), (t2, w))
 
     corner_ids: dict = {}
     sources: list[int] = []
     for ti in region:
         for x in p.refined_triangles[ti]:
-            root = find((ti, x))
+            root = uf.find((ti, x))
             if root not in corner_ids:
                 corner_ids[root] = len(sources)
                 sources.append(x)
-    tris = [tuple(corner_ids[find((ti, x))] for x in p.refined_triangles[ti])
+    tris = [tuple(corner_ids[uf.find((ti, x))] for x in p.refined_triangles[ti])
             for ti in region]
     values = [p.refined_values[u] for u in sources]
     coords = ([p.refined_coords[u] for u in sources]

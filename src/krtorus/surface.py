@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 
 from .errors import InputRejected, InternalInvariantError
 
@@ -60,6 +61,8 @@ class SurfaceField:
         for x in vals:
             if not isinstance(x, (int, float, Fraction)) or isinstance(x, bool):
                 raise InputRejected("malformed-input", f"unsupported scalar {x!r}")
+            if not isfinite(x):
+                raise InputRejected("malformed-input", f"non-finite scalar {x!r}")
         tris = []
         seen: set[frozenset] = set()
         for raw in triangles:

@@ -19,6 +19,7 @@ from math import lcm
 from .errors import InternalInvariantError
 from .homology import IntMatrix, cokernel_invariants, h1_action
 from .partition import CellPartition
+from .reeb import _UnionFind
 from .surface import SurfaceField, vertex_classes
 
 
@@ -331,22 +332,13 @@ def _cyclic_span(mul, ident: int, i: int) -> set:
 
 def _cell_orbits(elements, count: int) -> list[list[int]]:
     """Orbits on 2-cells under every element's permutation, sorted by least member."""
-    parent = list(range(count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind()
     for a in elements:
         for j in range(count):
-            ra, rb = find(j), find(a.perm2[j])
-            if ra != rb:
-                parent[ra] = rb
+            uf.union(j, a.perm2[j])
     groups: dict[int, list[int]] = {}
     for j in range(count):
-        groups.setdefault(find(j), []).append(j)
+        groups.setdefault(uf.find(j), []).append(j)
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 

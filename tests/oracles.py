@@ -155,3 +155,55 @@ def permutation_orbits(perms, count):
     for x in range(count):
         orbits.setdefault(uf.find(x), set()).add(x)
     return sorted(orbits.values(), key=min)
+
+
+def det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free elimination."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def matmul(a, b):
+    """Product of two integer matrices given as nonempty row lists."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def signed_permutation_matrices(perm0, perm1, perm2):
+    """Dense chain maps of a cell automorphism: column j holds the image of cell j.
+
+    perm1 entries are (image arc, +-1); perm0 and perm2 are plain images.
+    """
+    n0, n1, n2 = len(perm0), len(perm1), len(perm2)
+    p0 = [[0] * n0 for _ in range(n0)]
+    for j in range(n0):
+        p0[perm0[j]][j] = 1
+    p1 = [[0] * n1 for _ in range(n1)]
+    for j in range(n1):
+        img, sign = perm1[j]
+        p1[img][j] = sign
+    p2 = [[0] * n2 for _ in range(n2)]
+    for j in range(n2):
+        p2[perm2[j]][j] = 1
+    return p0, p1, p2

@@ -134,6 +134,7 @@ def test_snf_json(capsys):
     u, d, v = data["u"], data["d"], data["v"]
     assert d == [[2, 0], [0, 4]]
     assert u is not None and v is not None
+    assert sorted(data) == ["d", "diagonal", "u", "v"]
 
 
 def test_snf_bad_matrix(capsys):
@@ -163,6 +164,18 @@ def test_gen_grid_size(tmp_path, capsys):
 def test_gen_rejects_unknown_preset(capsys):
     assert main(["gen", "--preset", "nonsense"]) == 1
     assert "bad-request" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_scalar_rejected(two_cell_file, tmp_path, capsys, token):
+    lines = open(two_cell_file).read().splitlines()
+    lines[2] = token  # value of vertex 0
+    path = tmp_path / "nonfinite.tf"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"]["code"] == "malformed-input"
+    assert "Traceback" not in err
 
 
 def test_usage_errors_exit_one(capsys):

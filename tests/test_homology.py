@@ -2,11 +2,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from krtorus.errors import InternalInvariantError
+from krtorus.fields import pullback_cosine_field
 from krtorus.homology import (CokernelInvariants, IntMatrix, cellular_homology,
                               chain_homology, cokernel_invariants, h1_action,
                               smith_normal_form, unimodular_inverse)
-from krtorus.symmetry import identity_automorphism
+from krtorus.partition import build_partition
+from krtorus.reeb import compute_reeb, find_special_vertex
+from krtorus.surface import vertex_classes
+from krtorus.symmetry import (CellAutomorphism, _attempt, _finalize,
+                              enumerate_symmetries, identity_automorphism)
 
 import oracles
 
@@ -14,7 +22,8 @@ import oracles
 def snf_ok(rows):
     a = IntMatrix.from_rows(rows)
     res = smith_normal_form(a)
-    assert res.u.is_unimodular() and res.v.is_unimodular()
+    assert abs(oracles.det(res.u.to_lists())) == 1
+    assert abs(oracles.det(res.v.to_lists())) == 1
     assert (res.u @ a @ res.v).to_lists() == res.d.to_lists()
     diag = res.diagonal
     for i in range(len(diag) - 1):
@@ -48,9 +57,9 @@ def test_snf_negative_entries():
 
 def test_det_and_identity():
     a = IntMatrix.from_rows([[2, 2], [0, 4]])
-    assert a.det() == 8
+    assert oracles.det(a.to_lists()) == 8
     i3 = IntMatrix.identity(3)
-    assert i3.det() == 1 and i3.is_unimodular()
+    assert oracles.det(i3.to_lists()) == 1
     assert (a @ IntMatrix.identity(2)).to_lists() == a.to_lists()
 
 
@@ -61,6 +70,44 @@ def test_unimodular_inverse():
     assert (w @ u).to_lists() == IntMatrix.identity(2).to_lists()
     with pytest.raises(ValueError):
         unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
+    with pytest.raises(ValueError):
+        unimodular_inverse(IntMatrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError):
+        unimodular_inverse(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+
+
+@st.composite
+def small_matrices(draw):
+    """Integer matrices up to 6x7, entries in [-9, 9]; some rows are made dependent."""
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 7))
+    m = draw(st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    if rows >= 2 and draw(st.booleans()):
+        # overwrite the last row with a combination of the first two
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return IntMatrix.from_rows(m, cols=cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+@example(IntMatrix.zeros(3, 4))
+@example(IntMatrix.from_rows([[2, 4, 6], [1, 2, 3], [3, 6, 9]]))
+@example(IntMatrix.zeros(0, 3))
+# a dense case whose entries once grew to millions of bits mid-reduction
+@example(IntMatrix.from_rows([[0, 3, -8, 2, 7, 6], [-3, 4, 5, -7, 4, -4],
+                              [-3, -7, -6, 8, 8, 8], [5, -2, -5, 0, 9, -3],
+                              [3, -5, 2, 9, 2, 7], [2, -2, -6, 3, -4, -9]]))
+def test_snf_tracks_exact_inverses(a):
+    res = smith_normal_form(a)
+    nr, nc = a.shape
+    assert (res.u @ a @ res.v).entries == res.d.entries
+    for w, w_inv, n in ((res.u, res.u_inv, nr), (res.v, res.v_inv, nc)):
+        ident = IntMatrix.identity(n).entries
+        assert (w @ w_inv).entries == ident
+        assert (w_inv @ w).entries == ident
+        assert abs(oracles.det(w.to_lists())) == 1
 
 
 def test_cokernel_against_oracle_spot():
@@ -123,3 +170,79 @@ def test_h1_action_identity(stage):
     st = stage("z2xz2-sym")
     a = identity_automorphism(st.part)
     assert h1_action(st.part, a).to_lists() == IntMatrix.identity(2).to_lists()
+
+
+def _finalized_candidates(s, p):
+    """Every automorphism _finalize accepts, before the H1 and freeness filters."""
+    classes = vertex_classes(s)
+    cells = p.two_cells
+    occ = {c.id: [] for c in p.one_cells}
+    for cell in cells:
+        for pos, (aid, sgn) in enumerate(cell.boundary):
+            occ[aid].append((cell.id, pos, sgn))
+    found = {}
+    for t in range(len(cells)):
+        for r in range(len(cells[0].boundary)):
+            cand = _attempt(cells, occ, t, r)
+            a = _finalize(p, classes, *cand) if cand is not None else None
+            if a is not None:
+                found[a.key] = a
+    return list(found.values())
+
+
+def _dense_h1_action(p, a):
+    """Reference route: dense signed-permutation matrices, None if not a chain map."""
+    m0, m1, m2 = oracles.signed_permutation_matrices(a.perm0, a.perm1, a.perm2)
+    b1, b2 = p.boundary_1.to_lists(), p.boundary_2.to_lists()
+    if (oracles.matmul(m0, b1) != oracles.matmul(b1, m1)
+            or oracles.matmul(m1, b2) != oracles.matmul(b2, m2)):
+        return None
+    h = p.chain_basis.free_h1_chains().to_lists()
+    return p.chain_basis.h1_coords(IntMatrix.from_rows(oracles.matmul(m1, h))).to_lists()
+
+
+@pytest.mark.parametrize("case", ["z2xz2-sym", "pullback-2-2"])
+def test_h1_action_matches_dense_reference(stage, case):
+    if case == "z2xz2-sym":
+        s, p = stage(case).surface, stage(case).part
+    else:
+        s = pullback_cosine_field(32, ((2, 0), (0, 2)))
+        g = compute_reeb(s)
+        p = build_partition(s, g, find_special_vertex(g))
+    cands = _finalized_candidates(s, p)
+    # rejected candidates are compared too, not only the kept symmetries
+    assert len(cands) > len(enumerate_symmetries(s, p))
+    for a in cands:
+        want = _dense_h1_action(p, a)
+        if want is None:
+            with pytest.raises(InternalInvariantError):
+                h1_action(p, a)
+        else:
+            assert h1_action(p, a).to_lists() == want
+
+
+def test_h1_action_rejects_sign_flipped_arc(stage):
+    p = stage("z2xz2-sym").part
+    ident = identity_automorphism(p)
+    arc = next(j for j, row in enumerate(p.boundary_2.entries) if any(row))
+    perm1 = list(ident.perm1)
+    perm1[arc] = (arc, -1)
+    bad = CellAutomorphism(ident.perm0, tuple(perm1), ident.perm2)
+    assert _dense_h1_action(p, bad) is None
+    with pytest.raises(InternalInvariantError, match="boundary_1"):
+        h1_action(p, bad)
+
+
+def test_h1_action_rejects_mismatched_two_cells(stage):
+    # 0- and 1-cells fixed, two 2-cells with different boundaries swapped:
+    # only the boundary_2 square fails
+    p = stage("z2xz2-sym").part
+    ident = identity_automorphism(p)
+    b2 = p.boundary_2
+    other = next(c for c in range(1, b2.shape[1]) if b2.column(c) != b2.column(0))
+    perm2 = list(ident.perm2)
+    perm2[0], perm2[other] = other, 0
+    bad = CellAutomorphism(ident.perm0, ident.perm1, tuple(perm2))
+    assert _dense_h1_action(p, bad) is None
+    with pytest.raises(InternalInvariantError, match="boundary_2"):
+        h1_action(p, bad)

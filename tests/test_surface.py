@@ -148,3 +148,10 @@ def test_load_rejects_mixed_vertex_forms():
         load_surface("torus-field v1\n4 4\n0\n1 0.0 0.0 0.0\n2\n3\n"
                      "0 1 2\n0 3 1\n1 3 2\n2 3 0\n")
     assert exc.value.code == "malformed-input"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_constructor_rejects_non_finite_values(bad):
+    with pytest.raises(InputRejected) as exc:
+        tetra_field((0, bad, 2, 3))
+    assert exc.value.code == "malformed-input"
