@@ -1,19 +1,26 @@
 """Kronrod-Reeb graph of a generic PL field on a closed oriented surface.
 
 Nodes are connected components of critical level sets; edges are the
-annulus families of regular contours between consecutive critical
-values. Everything is combinatorial:
+annulus families of regular contours between them. Everything is
+combinatorial, and the work is proportional to the node components and
+the cuts they make, never to levels x triangles:
 
 - a level set is a union of pieces (on-level vertices and edges whose
   endpoints strictly straddle the level) glued by the segments that the
   level cuts inside triangles; a triangle meets at most one component
   of a given level, so gluing pieces within triangles is sound;
-- a band is the part of the surface strictly between two consecutive
-  critical values; its components are unions of triangles glued across
-  edges whose interiors meet the open band;
-- graph edges arise by chaining band components through the regular
-  level components they share; every chain ends at critical components
-  on both sides.
+- node components are found by a local traversal from their critical
+  vertices, through the triangles around each on-level vertex and the
+  two triangles of each crossing edge; regular level components are
+  never built;
+- graph edges are the connected components of the surface cut along
+  the node components. Each triangle splits into slabs at the node
+  levels that cross its interior. Slabs of the two triangles at a mesh
+  edge are glued once per stretch of that edge between consecutive
+  node crossings; a flat edge glues its two sides unless it lies in a
+  node component. A component's lower and upper node are read off the
+  cuts and corner vertices that bound its slabs, and there must be
+  exactly one of each.
 
 Each node stores two independently computed Euler numbers: the census
 of its level component (pieces minus segments) and the sum of PL
@@ -21,7 +28,9 @@ indices of its critical vertices. Downstream consumers compare them.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InputRejected, InternalInvariantError
 from .surface import SurfaceField, format_scalar, vertex_classes
@@ -227,139 +236,159 @@ class ReebGraph:
         return tuple(sorted(branches, key=lambda b: b.root_edges[0]))
 
 
+def _node_component(s: SurfaceField, level, start: int, classes,
+                    vertex_tris, edge_tris) -> LevelComponent:
+    """The component of one level set through vertex start, found locally.
+
+    Pieces are reached through the triangles around them: all triangles
+    at an on-level vertex, the two triangles of a crossing edge.
+    """
+    pieces = {("v", start)}
+    stack = [("v", start)]
+    segments = set()
+    tris = set()
+    while stack:
+        p = stack.pop()
+        for idx in (vertex_tris[p[1]] if p[0] == "v" else edge_tris[p[1:]]):
+            if idx in tris:
+                continue
+            tris.add(idx)
+            tp = triangle_level_pieces(s, s.triangles[idx], level)
+            if len(tp) == 2:
+                segments.add(frozenset(tp))
+            for q in tp:
+                if q not in pieces:
+                    pieces.add(q)
+                    stack.append(q)
+    crit = tuple(sorted(p[1] for p in pieces
+                        if p[0] == "v" and classes[p[1]].is_critical))
+    return LevelComponent(level, frozenset(pieces), frozenset(segments),
+                          tuple(sorted(tris)), crit)
+
+
 def compute_reeb(s: SurfaceField) -> ReebGraph:
     classes = vertex_classes(s)
+    values = s.values
     crit = [v for v, c in enumerate(classes) if c.is_critical]
     if not crit:
         raise InternalInvariantError("closed surface field with no critical vertex")
-    levels = sorted({s.values[v] for v in crit})
+    levels = sorted({values[v] for v in crit})
+    rank = {c: t for t, c in enumerate(levels)}
+    # a flat triangle at a critical level is rejected by triangle_level_pieces;
+    # report the one on the lowest such level, lowest index first
+    flat = min(((rank[values[a]], idx) for idx, (a, b, c) in enumerate(s.triangles)
+                if values[a] == values[b] == values[c] and values[a] in rank), default=None)
+    if flat is not None:
+        triangle_level_pieces(s, s.triangles[flat[1]], levels[flat[0]])
 
-    per_level = []
-    for c in levels:
-        per_level.append(level_structure(s, c, classes))
-
-    # node ids in (level, component key) order
-    nodes = []
-    node_ref: dict[tuple[int, int], int] = {}
-    vertex_node = {}
-    for t, (comps, _) in enumerate(per_level):
-        for ci, comp in enumerate(comps):
-            if not comp.is_node:
-                continue
-            nid = len(nodes)
-            node_ref[(t, ci)] = nid
-            kinds = tuple(sorted(classes[v].label() for v in comp.critical_vertices))
-            idx_sum = sum(classes[v].index for v in comp.critical_vertices)
-            nodes.append(ReebNode(nid, comp.level, kinds, comp.critical_vertices,
-                                  comp.census_euler, idx_sum))
-            for v in comp.critical_vertices:
-                vertex_node[v] = nid
-
-    tmin = [min(s.values[v] for v in tri) for tri in s.triangles]
-    tmax = [max(s.values[v] for v in tri) for tri in s.triangles]
-    edge_tris: dict = {}
+    vertex_tris: list[list[int]] = [[] for _ in values]
+    edge_tris: dict[tuple[int, int], list[int]] = {}
     for idx, (a, b, c) in enumerate(s.triangles):
         for u, w in ((a, b), (b, c), (c, a)):
-            edge_tris.setdefault((min(u, w), max(u, w)), []).append(idx)
+            vertex_tris[u].append(idx)
+            edge_tris.setdefault((u, w) if u < w else (w, u), []).append(idx)
 
-    # band components per critical-value gap
-    band_comps = []  # (t, member triangles tuple)
-    tri_bands: dict[int, list[int]] = {}
-    band_sides = []  # per band comp: ((t, ci) of lower attachment, (t+1, ci) of upper)
-    for t in range(len(levels) - 1):
-        lo, hi = levels[t], levels[t + 1]
-        members = [i for i in range(s.triangle_count)
-                   if tmax[i] > lo and tmin[i] < hi]
-        uf = _UnionFind()
-        for i in members:
-            uf.find(i)
-        for (u, w), tris in edge_tris.items():
-            eu, ew = s.values[u], s.values[w]
-            if max(eu, ew) > lo and min(eu, ew) < hi and len(tris) == 2:
-                uf.union(tris[0], tris[1])
-        groups: dict = {}
-        for i in members:
-            groups.setdefault(uf.find(i), []).append(i)
-        for root in sorted(groups, key=lambda r: min(groups[r])):
-            tris = tuple(sorted(groups[root]))
-            bi = len(band_comps)
-            band_comps.append((t, tris))
-            for i in tris:
-                tri_bands.setdefault(i, []).append(bi)
-            lower_refs = {per_level[t][1][i] for i in tris if tmin[i] <= lo}
-            upper_refs = {per_level[t + 1][1][i] for i in tris if tmax[i] >= hi}
-            if len(lower_refs) != 1 or len(upper_refs) != 1:
-                raise InternalInvariantError(
-                    f"band component between {lo} and {hi} has ambiguous attachments")
-            band_sides.append(((t, lower_refs.pop()), (t + 1, upper_refs.pop())))
+    comps = []
+    covered = set()
+    for v in crit:
+        if v not in covered:
+            comp = _node_component(s, levels[rank[values[v]]], v, classes,
+                                   vertex_tris, edge_tris)
+            covered.update(comp.critical_vertices)
+            comps.append(comp)
+    comps.sort(key=lambda c: (rank[c.level], c.sort_key))
 
-    # chain bands through regular components into graph edges
-    glue = _UnionFind()
-    reg_band_count: dict = {}
-    for bi, ((lt, lc), (ut, uc)) in enumerate(band_sides):
-        glue.find(("b", bi))
-        for ref, t in (((lt, lc), lt), ((ut, uc), ut)):
-            if ref in node_ref:
+    nodes = []
+    vertex_node = {}
+    on_node: dict[int, int] = {}  # every vertex lying in a node component
+    tri_node: dict[int, int] = {}  # smallest node meeting each triangle
+    tri_cuts: dict[int, list] = {}  # (level, node) of node segments across the interior
+    edge_cuts: dict[tuple[int, int], list] = {}  # (level, node) of node crossings
+    for nid, comp in enumerate(comps):
+        level = comp.level
+        nodes.append(ReebNode(nid, level,
+                              tuple(sorted(classes[v].label() for v in comp.critical_vertices)),
+                              comp.critical_vertices, comp.census_euler,
+                              sum(classes[v].index for v in comp.critical_vertices)))
+        for v in comp.critical_vertices:
+            vertex_node[v] = nid
+        for p in comp.pieces:
+            if p[0] == "v":
+                on_node[p[1]] = nid
+            else:
+                edge_cuts.setdefault(p[1:], []).append((level, nid))
+        for idx in comp.triangles:
+            tri_node.setdefault(idx, nid)
+            tv = [values[v] for v in s.triangles[idx]]
+            if min(tv) < level < max(tv):
+                tri_cuts.setdefault(idx, []).append((level, nid))
+
+    # slabs: triangle idx is split at its cut levels into slabs base[idx] + i
+    slab_cuts = [sorted(tri_cuts.get(idx, ())) for idx in range(s.triangle_count)]
+    cut_levels = [[c for c, _ in cuts] for cuts in slab_cuts]
+    base = list(accumulate((len(cuts) + 1 for cuts in slab_cuts), initial=0))
+
+    def slab_above(idx, x):
+        return base[idx] + bisect_right(cut_levels[idx], x)
+
+    # glue slabs across each mesh edge, one cut-free stretch of it at a time
+    uf = _UnionFind()
+    for key, (t1, t2) in edge_tris.items():
+        fu, fw = values[key[0]], values[key[1]]
+        if fu == fw:
+            if key[0] in on_node:
                 continue
-            glue.union(("b", bi), ("r", ref))
-            reg_band_count[ref] = reg_band_count.get(ref, 0) + 1
-    for ref, count in reg_band_count.items():
-        if count != 2:
-            raise InternalInvariantError(
-                f"regular level component {ref} does not continue on both sides")
+            starts = (fu,)
+        else:
+            starts = [min(fu, fw)] + [c for c, _ in edge_cuts.get(key, ())]
+        for x in starts:
+            uf.union(slab_above(t1, x), slab_above(t2, x))
 
-    chains: dict = {}
-    for bi in range(len(band_comps)):
-        chains.setdefault(glue.find(("b", bi)), []).append(bi)
+    # each cut-surface component: its bounding nodes and smallest triangle
+    ends: dict = {}
+    for idx, tri in enumerate(s.triangles):
+        cuts = slab_cuts[idx]
+        lowest = min(tri, key=lambda v: values[v])
+        highest = max(tri, key=lambda v: values[v])
+        for i in range(len(cuts) + 1):
+            lower = cuts[i - 1][1] if i else on_node.get(lowest)
+            upper = cuts[i][1] if i < len(cuts) else on_node.get(highest)
+            lows, ups, _ = ends.setdefault(uf.find(base[idx] + i), (set(), set(), idx))
+            if lower is not None:
+                lows.add(lower)
+            if upper is not None:
+                ups.add(upper)
     edge_raw = []
-    for root, bis in chains.items():
-        lowers = []
-        uppers = []
-        for bi in bis:
-            (lref, uref) = band_sides[bi]
-            if lref in node_ref:
-                lowers.append(node_ref[lref])
-            if uref in node_ref:
-                uppers.append(node_ref[uref])
-        if len(lowers) != 1 or len(uppers) != 1:
-            raise InternalInvariantError("contour family does not end at exactly two nodes")
-        a, b = lowers[0], uppers[0]
-        min_tri = min(min(band_comps[bi][1]) for bi in bis)
-        edge_raw.append((a, b, min_tri, tuple(sorted(bis))))
-    edge_raw.sort(key=lambda r: (r[0], r[1], r[2]))
+    for root, (lows, ups, first) in ends.items():
+        if len(lows) != 1 or len(ups) != 1:
+            raise InternalInvariantError(
+                "cut-surface component does not end at exactly one lower and one upper node")
+        edge_raw.append((lows.pop(), ups.pop(), first, root))
+    edge_raw.sort(key=lambda r: r[:3])
     edges = []
-    band_edge = {}
-    for eid, (a, b, _, bis) in enumerate(edge_raw):
+    root_edge = {}
+    for eid, (a, b, _, root) in enumerate(edge_raw):
         la, lb = nodes[a].level, nodes[b].level
         if not la < lb:
             raise InternalInvariantError("edge interval is not increasing")
         edges.append(ReebEdge(eid, a, b, (la, lb)))
-        for bi in bis:
-            band_edge[bi] = eid
+        root_edge[root] = eid
 
-    # exclusive triangle ownership: node carriers first, then the unique edge
-    tri_nodes: dict[int, list[int]] = {}
-    for t, (comps, tri_comp) in enumerate(per_level):
-        for idx, ci in tri_comp.items():
-            if (t, ci) in node_ref:
-                tri_nodes.setdefault(idx, []).append(node_ref[(t, ci)])
+    # exclusive triangle ownership: node carriers first, then the edge of the only slab
     node_map: dict[int, list[int]] = {n.id: [] for n in nodes}
     band_map: dict[int, list[int]] = {e.id: [] for e in edges}
     for idx in range(s.triangle_count):
-        if idx in tri_nodes:
-            node_map[min(tri_nodes[idx])].append(idx)
-            continue
-        owners = {band_edge[bi] for bi in tri_bands.get(idx, [])}
-        if len(owners) != 1:
-            raise InternalInvariantError(f"triangle {idx} is not owned by exactly one edge")
-        band_map[owners.pop()].append(idx)
+        if idx in tri_node:
+            node_map[tri_node[idx]].append(idx)
+        else:
+            band_map[root_edge[uf.find(base[idx])]].append(idx)
 
     g = ReebGraph(nodes,
                   edges,
                   {k: tuple(v) for k, v in node_map.items()},
                   {k: tuple(v) for k, v in band_map.items()},
                   vertex_node,
-                  surface_chi=s.vertex_count - len(s.undirected_edges()) + s.triangle_count)
+                  surface_chi=s.vertex_count - len(edge_tris) + s.triangle_count)
 
     # connectivity of the graph itself
     uf = _UnionFind()

@@ -189,9 +189,10 @@ def enumerate_symmetries(s: SurfaceField, p: CellPartition) -> tuple[CellAutomor
     ident2 = IntMatrix.identity(2)
     kept = []
     for a in sorted(found.values(), key=lambda x: x.key):
-        if h1_action(p, a) != ident2:
-            continue
+        # freeness is the cheap filter; h1_action only runs on its survivors
         if not a.is_identity() and a.fixes_some_cell():
+            continue
+        if h1_action(p, a) != ident2:
             continue
         kept.append(a)
 

@@ -1,0 +1,162 @@
+"""Reference contour graph: the all-levels sweep.
+
+This is the construction ``compute_reeb`` used before it moved to node
+components and the cut surface. It rebuilds every component of every
+critical level with ``level_structure``, unions the triangles of every
+open band between consecutive critical values, and chains bands through
+the regular components they share. It costs O(levels x triangles), so
+it only serves as the oracle for the differential test.
+"""
+from __future__ import annotations
+
+from krtorus.errors import InternalInvariantError
+from krtorus.reeb import ReebEdge, ReebGraph, ReebNode, _UnionFind, level_structure
+from krtorus.surface import SurfaceField, vertex_classes
+
+
+def compute_reeb_sweep(s: SurfaceField) -> ReebGraph:
+    classes = vertex_classes(s)
+    crit = [v for v, c in enumerate(classes) if c.is_critical]
+    if not crit:
+        raise InternalInvariantError("closed surface field with no critical vertex")
+    levels = sorted({s.values[v] for v in crit})
+
+    per_level = []
+    for c in levels:
+        per_level.append(level_structure(s, c, classes))
+
+    # node ids in (level, component key) order
+    nodes = []
+    node_ref: dict[tuple[int, int], int] = {}
+    vertex_node = {}
+    for t, (comps, _) in enumerate(per_level):
+        for ci, comp in enumerate(comps):
+            if not comp.is_node:
+                continue
+            nid = len(nodes)
+            node_ref[(t, ci)] = nid
+            kinds = tuple(sorted(classes[v].label() for v in comp.critical_vertices))
+            idx_sum = sum(classes[v].index for v in comp.critical_vertices)
+            nodes.append(ReebNode(nid, comp.level, kinds, comp.critical_vertices,
+                                  comp.census_euler, idx_sum))
+            for v in comp.critical_vertices:
+                vertex_node[v] = nid
+
+    tmin = [min(s.values[v] for v in tri) for tri in s.triangles]
+    tmax = [max(s.values[v] for v in tri) for tri in s.triangles]
+    edge_tris: dict = {}
+    for idx, (a, b, c) in enumerate(s.triangles):
+        for u, w in ((a, b), (b, c), (c, a)):
+            edge_tris.setdefault((min(u, w), max(u, w)), []).append(idx)
+
+    # band components per critical-value gap
+    band_comps = []  # (t, member triangles tuple)
+    tri_bands: dict[int, list[int]] = {}
+    band_sides = []  # per band comp: ((t, ci) of lower attachment, (t+1, ci) of upper)
+    for t in range(len(levels) - 1):
+        lo, hi = levels[t], levels[t + 1]
+        members = [i for i in range(s.triangle_count)
+                   if tmax[i] > lo and tmin[i] < hi]
+        uf = _UnionFind()
+        for i in members:
+            uf.find(i)
+        for (u, w), tris in edge_tris.items():
+            eu, ew = s.values[u], s.values[w]
+            if max(eu, ew) > lo and min(eu, ew) < hi and len(tris) == 2:
+                uf.union(tris[0], tris[1])
+        groups: dict = {}
+        for i in members:
+            groups.setdefault(uf.find(i), []).append(i)
+        for root in sorted(groups, key=lambda r: min(groups[r])):
+            tris = tuple(sorted(groups[root]))
+            bi = len(band_comps)
+            band_comps.append((t, tris))
+            for i in tris:
+                tri_bands.setdefault(i, []).append(bi)
+            lower_refs = {per_level[t][1][i] for i in tris if tmin[i] <= lo}
+            upper_refs = {per_level[t + 1][1][i] for i in tris if tmax[i] >= hi}
+            if len(lower_refs) != 1 or len(upper_refs) != 1:
+                raise InternalInvariantError(
+                    f"band component between {lo} and {hi} has ambiguous attachments")
+            band_sides.append(((t, lower_refs.pop()), (t + 1, upper_refs.pop())))
+
+    # chain bands through regular components into graph edges
+    glue = _UnionFind()
+    reg_band_count: dict = {}
+    for bi, ((lt, lc), (ut, uc)) in enumerate(band_sides):
+        glue.find(("b", bi))
+        for ref in ((lt, lc), (ut, uc)):
+            if ref in node_ref:
+                continue
+            glue.union(("b", bi), ("r", ref))
+            reg_band_count[ref] = reg_band_count.get(ref, 0) + 1
+    for ref, count in reg_band_count.items():
+        if count != 2:
+            raise InternalInvariantError(
+                f"regular level component {ref} does not continue on both sides")
+
+    chains: dict = {}
+    for bi in range(len(band_comps)):
+        chains.setdefault(glue.find(("b", bi)), []).append(bi)
+    edge_raw = []
+    for bis in chains.values():
+        lowers = []
+        uppers = []
+        for bi in bis:
+            (lref, uref) = band_sides[bi]
+            if lref in node_ref:
+                lowers.append(node_ref[lref])
+            if uref in node_ref:
+                uppers.append(node_ref[uref])
+        if len(lowers) != 1 or len(uppers) != 1:
+            raise InternalInvariantError("contour family does not end at exactly two nodes")
+        a, b = lowers[0], uppers[0]
+        min_tri = min(min(band_comps[bi][1]) for bi in bis)
+        edge_raw.append((a, b, min_tri, tuple(sorted(bis))))
+    edge_raw.sort(key=lambda r: (r[0], r[1], r[2]))
+    edges = []
+    band_edge = {}
+    for eid, (a, b, _, bis) in enumerate(edge_raw):
+        la, lb = nodes[a].level, nodes[b].level
+        if not la < lb:
+            raise InternalInvariantError("edge interval is not increasing")
+        edges.append(ReebEdge(eid, a, b, (la, lb)))
+        for bi in bis:
+            band_edge[bi] = eid
+
+    # exclusive triangle ownership: node carriers first, then the unique edge
+    tri_nodes: dict[int, list[int]] = {}
+    for t, (comps, tri_comp) in enumerate(per_level):
+        for idx, ci in tri_comp.items():
+            if (t, ci) in node_ref:
+                tri_nodes.setdefault(idx, []).append(node_ref[(t, ci)])
+    node_map: dict[int, list[int]] = {n.id: [] for n in nodes}
+    band_map: dict[int, list[int]] = {e.id: [] for e in edges}
+    for idx in range(s.triangle_count):
+        if idx in tri_nodes:
+            node_map[min(tri_nodes[idx])].append(idx)
+            continue
+        owners = {band_edge[bi] for bi in tri_bands.get(idx, [])}
+        if len(owners) != 1:
+            raise InternalInvariantError(f"triangle {idx} is not owned by exactly one edge")
+        band_map[owners.pop()].append(idx)
+
+    g = ReebGraph(nodes,
+                  edges,
+                  {k: tuple(v) for k, v in node_map.items()},
+                  {k: tuple(v) for k, v in band_map.items()},
+                  vertex_node,
+                  surface_chi=s.vertex_count - len(s.undirected_edges()) + s.triangle_count)
+
+    uf = _UnionFind()
+    for n in g.nodes:
+        uf.find(n.id)
+    for e in g.edges:
+        uf.union(e.lower, e.upper)
+    if len({uf.find(n.id) for n in g.nodes}) != 1:
+        raise InternalInvariantError("graph is disconnected for a connected surface")
+    if sum(n.census_euler for n in g.nodes) != g.surface_chi:
+        raise InternalInvariantError("node census does not add up to the surface Euler number")
+    if sum(n.index_sum for n in g.nodes) != g.surface_chi:
+        raise InternalInvariantError("index sum does not add up to the surface Euler number")
+    return g

@@ -1,12 +1,17 @@
 """Contour graph construction, the tree test and branch decompositions."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krtorus.errors import InputRejected
+from krtorus.fields import grid_field
 from krtorus.reeb import (branch_euler, compute_reeb, find_special_vertex,
                           is_tree, level_structure, reeb_to_dot)
-from krtorus.surface import vertex_classes
+from krtorus.surface import SurfaceField, vertex_classes
 
 import oracles
 
@@ -139,3 +144,44 @@ def test_dot_output(stage):
     assert dot.rstrip().endswith("}")
     assert dot.count("--") == 2
     assert "minimum" in dot and "maximum" in dot
+
+
+@st.composite
+def integer_grids(draw):
+    """Grid torus of side 3-6 with integer values; small ranges force ties."""
+    n = draw(st.integers(3, 6))
+    top = draw(st.sampled_from((3, 6, 12, 1000)))
+    vals = draw(st.lists(st.integers(0, top), min_size=n * n, max_size=n * n))
+    return grid_field(n, lambda i, j: vals[j * n + i])
+
+
+def shape(s):
+    """compute_reeb as (graph without levels, node levels), or (rejection code, None)."""
+    try:
+        g = compute_reeb(s)
+    except InputRejected as exc:
+        return exc.code, None
+    return ([(n.id, n.kinds, n.critical_vertices, n.census_euler, n.index_sum)
+             for n in g.nodes],
+            [(e.id, e.lower, e.upper) for e in g.edges],
+            g.node_map, g.band_map, g.vertex_node), [n.level for n in g.nodes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_grids(), st.fractions(min_value=Fraction(1, 7), max_value=7),
+       st.integers(-9, 9))
+def test_graph_invariant_under_positive_affine_rescaling(s, a, b):
+    graph, levels = shape(s)
+    scaled_graph, scaled_levels = shape(SurfaceField(s.triangles, [a * v + b for v in s.values]))
+    assert scaled_graph == graph
+    if levels is not None:
+        assert scaled_levels == [a * x + b for x in levels]
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_grids(), st.data())
+def test_graph_invariant_under_triangle_rotation(s, data):
+    shifts = data.draw(st.lists(st.integers(0, 2), min_size=s.triangle_count,
+                                max_size=s.triangle_count))
+    rotated = [tri[k:] + tri[:k] for tri, k in zip(s.triangles, shifts)]
+    assert shape(SurfaceField(rotated, s.values)) == shape(s)

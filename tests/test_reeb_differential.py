@@ -1,0 +1,100 @@
+"""The cut-surface contour graph against the all-levels sweep.
+
+Both constructions must agree on nodes, edges, triangle ownership and
+the critical-vertex map, and must reject the same inputs with the same
+code and message. The quantized grids carry exact value ties: flat
+edges, flat triangles at non-critical values, and flat triangles at
+critical values, which both reject as ``degenerate-level``.
+"""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from krtorus.errors import InputRejected
+from krtorus.fields import (PRESET_NAMES, grid_field, preset_field, pullback_cosine_field,
+                            random_field)
+from krtorus.reeb import compute_reeb
+from krtorus.surface import vertex_classes
+
+from reeb_sweep import compute_reeb_sweep
+
+PULLBACKS = ((((2, 0), (0, 2)), 32), (((3, 0), (0, 3)), 48),
+             (((2, 1), (-1, 2)), 40), (((4, 0), (0, 4)), 32))
+
+
+def outcome(build, s):
+    try:
+        g = build(s)
+    except InputRejected as exc:
+        return ("rejected", exc.code, str(exc), exc.details)
+    return (g.nodes, g.edges, g.node_map, g.band_map, g.vertex_node)
+
+
+def agree(s) -> bool:
+    return outcome(compute_reeb, s) == outcome(compute_reeb_sweep, s)
+
+
+def quantized_grid(seed: int):
+    """Grid torus of side 4-8 with small integer values, four tie patterns.
+
+    By seed mod 4: i.i.d. values in range(q); one value in range(q) per
+    grid row; a row value plus a column value, each in range(q); and a
+    terrace, whose rows rise with ties and then fall strictly. Equal rows
+    on the way up give flat triangles that the index tie-break turns into
+    regular terraces.
+    """
+    rng = random.Random(seed)
+    n, q = rng.randint(4, 8), rng.randint(2, 7)
+    kind = seed % 4
+    if kind == 0:
+        vals = [rng.randrange(q) for _ in range(n * n)]
+        return grid_field(n, lambda i, j: vals[j * n + i])
+    rows = [rng.randrange(q) for _ in range(n)]
+    if kind == 3:
+        fall = rng.randint(1, n // 2)
+        rise = sorted(rows[:n - fall])
+        rows = rise + [rise[-1] + fall - k for k in range(fall)]
+    cols = [rng.randrange(q) if kind == 2 else 0 for _ in range(n)]
+    return grid_field(n, lambda i, j: rows[j] + cols[i])
+
+
+@pytest.mark.parametrize("grid", (8, 16, 32))
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_agree(name, grid):
+    assert agree(preset_field(name, grid))
+
+
+@pytest.mark.parametrize("mat,grid", PULLBACKS)
+def test_pullbacks_agree(mat, grid):
+    assert agree(pullback_cosine_field(grid, mat))
+
+
+def test_random_fields_agree():
+    sizes = (8, 10, 12)
+    mismatched = [seed for seed in range(42)
+                  if not agree(random_field(sizes[seed % 3], seed))]
+    assert mismatched == []
+
+
+def test_quantized_grids_agree():
+    mismatched = []
+    rejected = flat_edges = flat_triangles = 0
+    for seed in range(160):
+        s = quantized_grid(seed)
+        ours = outcome(compute_reeb, s)
+        if ours != outcome(compute_reeb_sweep, s):
+            mismatched.append(seed)
+        if ours[0] == "rejected":
+            assert ours[1] == "degenerate-level"
+            rejected += 1
+            continue
+        vals = s.values
+        flat_edges += any(vals[u] == vals[w] for u, w in s.undirected_edges())
+        crit_levels = {vals[v] for v, c in enumerate(vertex_classes(s)) if c.is_critical}
+        flat_triangles += any(vals[a] == vals[b] == vals[c] not in crit_levels
+                              for a, b, c in s.triangles)
+    assert mismatched == []
+    # the pool reaches every tie pattern the sweep handles specially
+    assert rejected >= 20 and flat_edges >= 20 and flat_triangles >= 5
