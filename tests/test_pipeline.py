@@ -179,6 +179,14 @@ def test_verify_extension_catches_corruption(surface):
     assert "wreath-axioms-exactness" in bad
 
 
+def test_verify_extension_catches_corruption_on_sampled_kernel(surface):
+    # |Z3 x Z4|^(2*2) = 20736 grids: the pool and the exactness pairs are sampled
+    rep = report_for(surface, "z2xz2-sym")
+    rec = verify_extension(rep, parse_atoms("Z3,Z4"), corrupt_shift=True)
+    assert [c.name for c in rec.checks if not c.passed] == ["wreath-axioms-exactness"]
+    assert "kernel too large" in rec.checks[2].detail
+
+
 def test_verify_extension_checks_atom_count(surface):
     rep = report_for(surface, "two-cell")
     with pytest.raises(InputRejected) as exc:
