@@ -361,17 +361,13 @@ def verify_extension(report: AnalysisReport, atoms, corrupt_shift: bool = False,
     checks = []
 
     window = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
-    grid_iter = wg.grids()
-    grids = []
-    for grid in grid_iter:
-        grids.append(grid)
-        if len(grids) >= 81:
-            break
-    pool = [wg.element(grid, sh) for grid in grids for sh in window]
+    kernel = wg.kernel_size()
+    ranks = range(kernel) if kernel <= 81 else rng.sample(range(kernel), 81)
+    pool = [wg.element(wg.grid_at(rank), sh) for rank in ranks for sh in window]
     fail = check_group_axioms(wg, pool, rng=rng, samples=1500)
     if fail is None:
         fail = check_exact_sequence(
-            wg, rng=rng if wg.kernel_size() > 10_000 else None)
+            wg, rng=rng if kernel > 10_000 else None)
     checks.append(CheckResult(
         "wreath-axioms-exactness", fail is None,
         fail or f"group laws and ker(proj) = im(sigma) hold over {len(pool)} elements"))

@@ -184,6 +184,19 @@ class WreathGroup:
             yield tuple(flat[i * self.cols:(i + 1) * self.cols]
                         for i in range(self.rows))
 
+    def grid_at(self, rank: int):
+        """The grid at position rank of grids(), decoded without enumerating."""
+        if not 0 <= rank < self.kernel_size():
+            raise IndexError(f"grid rank {rank} outside 0..{self.kernel_size() - 1}")
+        elements = list(self.base.elements())
+        flat = []
+        for _ in range(self.rows * self.cols):
+            rank, digit = divmod(rank, len(elements))
+            flat.append(elements[digit])
+        flat.reverse()  # grids() varies the last cell fastest
+        return tuple(tuple(flat[i * self.cols:(i + 1) * self.cols])
+                     for i in range(self.rows))
+
     def kernel_size(self) -> int:
         return self.base.order ** (self.rows * self.cols)
 
@@ -212,8 +225,12 @@ def check_group_axioms(wg: WreathGroup, pool, *, rng=None,
     """Identity, inverse, and associativity laws over a pool of elements.
 
     Associativity runs over all pool triples when that fits the budget,
-    otherwise over seeded random triples. Returns None when every law
-    holds, else a description of the first violated identity.
+    otherwise over seeded random triples. Elements are interned as ids
+    and products memoised by id pair, so each distinct product goes
+    through wg.multiply once; the triples, their order and the rng draws
+    are those of recomputing both sides of every triple. Returns None
+    when every law holds, else a description of the first violated
+    identity.
     """
     pool = list(pool)
     e = wg.identity()
@@ -227,16 +244,38 @@ def check_group_axioms(wg: WreathGroup, pool, *, rng=None,
             return f"inverse law fails at x = {wg.render(x)}"
     n = len(pool)
     if n ** 3 <= triple_budget:
-        triples = itertools.product(pool, repeat=3)
+        triples = itertools.product(range(n), repeat=3)
     else:
         if rng is None:
             raise ValueError("pool too large for exhaustive triples; pass rng")
-        triples = [(rng.choice(pool), rng.choice(pool), rng.choice(pool))
+        # randrange(n) draws exactly what choice(pool) would
+        triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n))
                    for _ in range(samples)]
-    for x, y, z in triples:
-        if wg.multiply(wg.multiply(x, y), z) != wg.multiply(x, wg.multiply(y, z)):
+    ids: dict = {}
+    elements: list = []
+    table: list = []  # table[a][b] = id of elements[a] * elements[b]
+
+    def intern(x) -> int:
+        i = ids.get(x)
+        if i is None:
+            i = ids[x] = len(elements)
+            elements.append(x)
+            table.append({})
+        return i
+
+    def mul(a: int, b: int) -> int:
+        row = table[a]
+        c = row.get(b)
+        if c is None:
+            c = row[b] = intern(wg.multiply(elements[a], elements[b]))
+        return c
+
+    pool_ids = [intern(x) for x in pool]
+    for i, j, k in triples:
+        x, y, z = pool_ids[i], pool_ids[j], pool_ids[k]
+        if mul(mul(x, y), z) != mul(x, mul(y, z)):
             return ("associativity fails at "
-                    f"{wg.render(x)}, {wg.render(y)}, {wg.render(z)}")
+                    f"{wg.render(pool[i])}, {wg.render(pool[j])}, {wg.render(pool[k])}")
     return None
 
 
@@ -246,15 +285,16 @@ def check_exact_sequence(wg: WreathGroup, *, max_enum=10_000, rng=None, samples=
     Checks: sigma lands in ker(proj) and is injective; sigma is a
     homomorphism (uses multiply, so a corrupted shift action surfaces
     here); proj is additive; the kernel count equals |base|^(rows*cols).
-    Returns None or the violated identity.
+    A kernel over max_enum grids is checked on `samples` distinct grids
+    drawn uniformly by rank. Returns None or the violated identity.
     """
     if wg.kernel_size() <= max_enum:
         all_grids = list(wg.grids())
     else:
         if rng is None:
             raise ValueError("kernel too large to enumerate; pass rng")
-        pool_iter = wg.grids()
-        all_grids = [next(pool_iter) for _ in range(samples)]
+        all_grids = [wg.grid_at(rank)
+                     for rank in rng.sample(range(wg.kernel_size()), samples)]
     seen = set()
     for grid in all_grids:
         x = wg.sigma(grid)

@@ -7,6 +7,7 @@ spelled out at the point of use.
 """
 from __future__ import annotations
 
+import itertools
 from math import gcd, lcm
 
 
@@ -207,3 +208,35 @@ def signed_permutation_matrices(perm0, perm1, perm2):
     for j in range(n2):
         p2[perm2[j]][j] = 1
     return p0, p1, p2
+
+
+def group_axioms(wg, pool, *, rng=None, triple_budget=300_000, samples=2_000):
+    """Group-law check by recomputing both sides of every triple.
+
+    The reference for `krtorus.wreath.check_group_axioms`: the same laws,
+    triples, draws and messages, with no product shared between triples.
+    Only the engine passed in is used.
+    """
+    pool = list(pool)
+    e = wg.identity()
+    for x in pool:
+        if wg.multiply(e, x) != x:
+            return f"identity law e*x = x fails at x = {wg.render(x)}"
+        if wg.multiply(x, e) != x:
+            return f"identity law x*e = x fails at x = {wg.render(x)}"
+        ix = wg.inverse(x)
+        if wg.multiply(x, ix) != e or wg.multiply(ix, x) != e:
+            return f"inverse law fails at x = {wg.render(x)}"
+    n = len(pool)
+    if n ** 3 <= triple_budget:
+        triples = itertools.product(pool, repeat=3)
+    else:
+        if rng is None:
+            raise ValueError("pool too large for exhaustive triples; pass rng")
+        triples = [(rng.choice(pool), rng.choice(pool), rng.choice(pool))
+                   for _ in range(samples)]
+    for x, y, z in triples:
+        if wg.multiply(wg.multiply(x, y), z) != wg.multiply(x, wg.multiply(y, z)):
+            return ("associativity fails at "
+                    f"{wg.render(x)}, {wg.render(y)}, {wg.render(z)}")
+    return None

@@ -4,10 +4,13 @@ from __future__ import annotations
 import itertools
 import random
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krtorus.errors import InputRejected
-from krtorus.wreath import (CyclicGroup, DirectProductGroup, WreathGroup,
+from krtorus.wreath import (BaseGroup, CyclicGroup, DirectProductGroup, WreathGroup,
                             check_exact_sequence, check_group_axioms,
                             corrupted_wreath, parse_atoms, pointwise_product,
                             tau_reindex)
@@ -98,6 +101,118 @@ def test_corrupted_engine_invisible_on_single_cell():
     # a 1 x 1 grid cannot see a column shift: the control needs cols > 1
     wg = corrupted_wreath(CyclicGroup(2), 1, 1)
     assert check_group_axioms(wg, small_pool(wg)) is None
+
+
+def cubic_wreath(base: BaseGroup, rows: int, cols: int) -> WreathGroup:
+    """Translates by (k, l + k**3): identity and inverse laws hold, associativity not.
+
+    Composing the moves for shifts k1 and k2 translates the columns by
+    k1**3 + k2**3, not (k1 + k2)**3, so the action is no homomorphism
+    once cols does not divide 3*k1*k2*(k1 + k2).
+    """
+    reference = WreathGroup(base, rows, cols)
+
+    def rule(grid, shift):
+        k, l = shift
+        return reference.shift_action(grid, (k, l + k ** 3))
+
+    return WreathGroup(base, rows, cols, shift_rule=rule)
+
+
+WINDOW = list(itertools.product((-1, 0, 1), repeat=2))
+ENGINES = {"correct": WreathGroup, "corrupted": corrupted_wreath, "cubic": cubic_wreath}
+
+
+def _both_routes(wg, pool, seed=20260819, **kw):
+    """check_group_axioms and the recomputing reference, with their rng states."""
+    rng, rng_ref = random.Random(seed), random.Random(seed)
+    got = check_group_axioms(wg, pool, rng=rng, **kw)
+    want = oracles.group_axioms(wg, pool, rng=rng_ref, **kw)
+    return got, want, rng.getstate() == rng_ref.getstate()
+
+
+def _pool(wg, ranks):
+    return [wg.element(wg.grid_at(rank), sh) for rank in ranks for sh in WINDOW]
+
+
+# (engine, base order, rows, cols, grid ranks, samples, outcome)
+AXIOM_CASES = {
+    "correct exhaustive": ("correct", 2, 1, 2, range(3), 2_000, None),
+    "correct sampled": ("correct", 3, 2, 2, range(81), 500, None),
+    "correct repeated": ("correct", 3, 1, 2, [4, 0, 4], 2_000, None),
+    "corrupted exhaustive": ("corrupted", 2, 1, 2, range(4), 2_000, "identity law"),
+    "corrupted sampled": ("corrupted", 3, 2, 2, range(81), 500, "identity law"),
+    # 36 elements, every triple: passes the identity and inverse laws first
+    "cubic exhaustive": ("cubic", 2, 1, 4, range(4), 2_000, "associativity"),
+    "cubic sampled": ("cubic", 2, 1, 4, range(16), 1_500, "associativity"),
+    "cubic repeated": ("cubic", 2, 1, 4, [3, 1, 3, 0, 1], 2_000, "associativity"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AXIOM_CASES))
+def test_axioms_match_reference(case):
+    engine, order, rows, cols, ranks, samples, outcome = AXIOM_CASES[case]
+    wg = ENGINES[engine](CyclicGroup(order), rows, cols)
+    pool = _pool(wg, ranks)
+    got, want, same_draws = _both_routes(wg, pool, samples=samples)
+    assert got == want and same_draws
+    assert (got is None) if outcome is None else got.startswith(outcome)
+
+
+@st.composite
+def axiom_inputs(draw):
+    engine = draw(st.sampled_from(sorted(ENGINES)))
+    base = draw(st.sampled_from((CyclicGroup(1), CyclicGroup(2), CyclicGroup(3),
+                                 DirectProductGroup((CyclicGroup(2), CyclicGroup(2))))))
+    wg = ENGINES[engine](base, draw(st.integers(1, 2)), draw(st.integers(1, 4)))
+    elements = st.builds(wg.element,
+                         st.integers(0, wg.kernel_size() - 1).map(wg.grid_at),
+                         st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    pool = draw(st.lists(elements, max_size=12))
+    if pool:  # repeats, in place and shuffled in
+        pool += draw(st.lists(st.sampled_from(pool), max_size=6))
+        pool = draw(st.permutations(pool))
+    budget = draw(st.sampled_from((300_000, 0, 100)))
+    return wg, pool, budget, draw(st.integers(0, 200)), draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(axiom_inputs())
+def test_axioms_match_reference_property(case):
+    wg, pool, budget, samples, seed = case
+    got, want, same_draws = _both_routes(wg, pool, seed, triple_budget=budget,
+                                         samples=samples)
+    assert got == want and same_draws
+
+
+def test_axioms_multiply_each_product_once():
+    calls = []
+
+    class Recording(WreathGroup):
+        def multiply(self, x, y):
+            calls.append((x, y))
+            return super().multiply(x, y)
+
+    wg = Recording(CyclicGroup(2), 1, 2)
+    pool = small_pool(wg)
+    pool += pool[:5]
+    assert check_group_axioms(wg, pool) is None
+    triple_calls = calls[4 * len(pool):]  # four per element for identity and inverse
+    assert len(set(triple_calls)) == len(triple_calls)
+    assert len(triple_calls) < len(pool) ** 3
+
+
+@pytest.mark.parametrize("base,rows,cols", [
+    (CyclicGroup(3), 1, 2), (CyclicGroup(2), 2, 2), (CyclicGroup(1), 2, 3),
+    (CyclicGroup(4), 1, 1), (DirectProductGroup((CyclicGroup(2), CyclicGroup(3))), 1, 2),
+    (DirectProductGroup((CyclicGroup(2), CyclicGroup(2))), 2, 1),
+])
+def test_grid_at_decodes_grids_order(base, rows, cols):
+    wg = WreathGroup(base, rows, cols)
+    assert [wg.grid_at(i) for i in range(wg.kernel_size())] == list(wg.grids())
+    for rank in (-1, wg.kernel_size()):
+        with pytest.raises(IndexError):
+            wg.grid_at(rank)
 
 
 def test_exact_sequence_good_and_bad():
