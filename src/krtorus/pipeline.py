@@ -19,7 +19,7 @@ from .reeb import _UnionFind, branch_euler, compute_reeb, find_special_vertex
 from .surface import SurfaceField, dump_surface, validate_closed_orientable
 from .symmetry import enumerate_symmetries, group_structure, index_orbits
 from .wreath import (DirectProductGroup, WreathGroup, check_exact_sequence,
-                     check_group_axioms, corrupted_wreath)
+                     check_group_axioms, corrupted_wreath, distinct_ranks)
 
 
 # ---------------------------------------------------------------- GroupExpr
@@ -362,8 +362,8 @@ def verify_extension(report: AnalysisReport, atoms, corrupt_shift: bool = False,
 
     window = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
     kernel = wg.kernel_size()
-    ranks = range(kernel) if kernel <= 81 else rng.sample(range(kernel), 81)
-    pool = [wg.element(wg.grid_at(rank), sh) for rank in ranks for sh in window]
+    pool = [wg.element(wg.grid_at(rank), sh)
+            for rank in distinct_ranks(rng, kernel, 81) for sh in window]
     fail = check_group_axioms(wg, pool, rng=rng, samples=1500)
     if fail is None:
         fail = check_exact_sequence(

@@ -30,6 +30,10 @@ class BaseGroup(ABC):
     @abstractmethod
     def elements(self): ...
 
+    @abstractmethod
+    def element_at(self, rank: int):
+        """The element at position rank of elements()."""
+
     @property
     @abstractmethod
     def order(self) -> int: ...
@@ -56,6 +60,9 @@ class CyclicGroup(BaseGroup):
 
     def elements(self):
         return range(self.k)
+
+    def element_at(self, rank: int):
+        return rank
 
     @property
     def order(self) -> int:
@@ -88,6 +95,13 @@ class DirectProductGroup(BaseGroup):
 
     def elements(self):
         return itertools.product(*(f.elements() for f in self.factors))
+
+    def element_at(self, rank: int):
+        slots = []
+        for f in reversed(self.factors):  # the last factor varies fastest
+            rank, digit = divmod(rank, f.order)
+            slots.append(f.element_at(digit))
+        return tuple(reversed(slots))
 
     @property
     def order(self) -> int:
@@ -177,25 +191,25 @@ class WreathGroup:
         """Projection onto the shift part."""
         return x.shift
 
+    def _rows(self, flat):
+        """Cut a row-major sequence of cell values into the grid's rows."""
+        return tuple(tuple(flat[i * self.cols:(i + 1) * self.cols])
+                     for i in range(self.rows))
+
     def grids(self):
         """All grids over a finite base, deterministic order."""
         cells = self.rows * self.cols
         for flat in itertools.product(self.base.elements(), repeat=cells):
-            yield tuple(flat[i * self.cols:(i + 1) * self.cols]
-                        for i in range(self.rows))
+            yield self._rows(flat)
 
     def grid_at(self, rank: int):
         """The grid at position rank of grids(), decoded without enumerating."""
-        if not 0 <= rank < self.kernel_size():
-            raise IndexError(f"grid rank {rank} outside 0..{self.kernel_size() - 1}")
-        elements = list(self.base.elements())
         flat = []
         for _ in range(self.rows * self.cols):
-            rank, digit = divmod(rank, len(elements))
-            flat.append(elements[digit])
+            rank, digit = divmod(rank, self.base.order)
+            flat.append(self.base.element_at(digit))
         flat.reverse()  # grids() varies the last cell fastest
-        return tuple(tuple(flat[i * self.cols:(i + 1) * self.cols])
-                     for i in range(self.rows))
+        return self._rows(flat)
 
     def kernel_size(self) -> int:
         return self.base.order ** (self.rows * self.cols)
@@ -203,6 +217,20 @@ class WreathGroup:
     def render(self, x: WreathElement) -> str:
         flat = ", ".join(str(v) for row in x.grid for v in row)
         return f"({flat}; ({x.shift[0]},{x.shift[1]}))"
+
+
+def distinct_ranks(rng, size: int, count: int) -> list:
+    """count distinct ranks from range(size), uniformly, in draw order.
+
+    Every rank, in order, when size <= count. Draws with randrange, which
+    takes any int size, so kernels past sys.maxsize sample like small ones.
+    """
+    if size <= count:
+        return list(range(size))
+    picked = {}
+    while len(picked) < count:
+        picked[rng.randrange(size)] = None
+    return list(picked)
 
 
 def corrupted_wreath(base: BaseGroup, rows: int, cols: int) -> WreathGroup:
@@ -294,7 +322,7 @@ def check_exact_sequence(wg: WreathGroup, *, max_enum=10_000, rng=None, samples=
         if rng is None:
             raise ValueError("kernel too large to enumerate; pass rng")
         all_grids = [wg.grid_at(rank)
-                     for rank in rng.sample(range(wg.kernel_size()), samples)]
+                     for rank in distinct_ranks(rng, wg.kernel_size(), samples)]
     seen = set()
     for grid in all_grids:
         x = wg.sigma(grid)

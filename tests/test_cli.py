@@ -117,6 +117,16 @@ def test_verify_json(two_cell_file, capsys):
         "wreath-axioms-exactness", "index-lattice-exactness", "kernel-size"]
 
 
+def test_verify_large_atoms(tmp_path, capsys):
+    # a kernel of 10^24 grids must sample, not overflow
+    path = tmp_path / "z2xz2-sym.tf"
+    path.write_text(dump_surface(preset_field("z2xz2-sym")))
+    assert main(["verify", str(path), "--atoms", "Z1000,Z1000",
+                 "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["passed"] is True
+
+
 def test_verify_wrong_atom_count(two_cell_file, capsys):
     assert main(["verify", two_cell_file, "--atoms", "Z2"]) == 1
     assert "bad-request" in capsys.readouterr().err

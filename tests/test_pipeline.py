@@ -180,11 +180,24 @@ def test_verify_extension_catches_corruption(surface):
 
 
 def test_verify_extension_catches_corruption_on_sampled_kernel(surface):
-    # |Z3 x Z4|^(2*2) = 20736 grids: the pool and the exactness pairs are sampled
+    # |Z3 x Z4|^(2*2) = 20736 grids: the pool holds 81 sampled grids, and the
+    # identity law already fails on it; the sampled exactness branch is
+    # covered by test_sampled_exact_sequence_catches_corrupted_shift
     rep = report_for(surface, "z2xz2-sym")
     rec = verify_extension(rep, parse_atoms("Z3,Z4"), corrupt_shift=True)
     assert [c.name for c in rec.checks if not c.passed] == ["wreath-axioms-exactness"]
     assert "kernel too large" in rec.checks[2].detail
+
+
+def test_verify_extension_large_atoms(surface):
+    # kernel (10^6)^4 = 10^24 grids, past sys.maxsize: ranks are still drawn
+    rep = report_for(surface, "z2xz2-sym")
+    rec = verify_extension(rep, parse_atoms("Z1000,Z1000"))
+    assert rec.passed
+    assert rec.checks[0].detail == \
+        "group laws and ker(proj) = im(sigma) hold over 729 elements"
+    assert rec.checks[2].detail == ("kernel too large to enumerate "
+                                    f"({10 ** 24}); size identity is definitional")
 
 
 def test_verify_extension_checks_atom_count(surface):

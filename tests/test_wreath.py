@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from krtorus.errors import InputRejected
 from krtorus.wreath import (BaseGroup, CyclicGroup, DirectProductGroup, WreathGroup,
                             check_exact_sequence, check_group_axioms,
-                            corrupted_wreath, parse_atoms, pointwise_product,
-                            tau_reindex)
+                            corrupted_wreath, distinct_ranks, parse_atoms,
+                            pointwise_product, tau_reindex)
 
 
 def small_pool(wg, shifts=(-1, 0, 1)):
@@ -210,9 +210,39 @@ def test_axioms_multiply_each_product_once():
 def test_grid_at_decodes_grids_order(base, rows, cols):
     wg = WreathGroup(base, rows, cols)
     assert [wg.grid_at(i) for i in range(wg.kernel_size())] == list(wg.grids())
-    for rank in (-1, wg.kernel_size()):
-        with pytest.raises(IndexError):
-            wg.grid_at(rank)
+
+
+def test_grid_at_does_not_list_the_base(monkeypatch):
+    # a 10^9-element atom: listing the base per call would exhaust memory
+    base = DirectProductGroup((CyclicGroup(10 ** 9), CyclicGroup(2)))
+    for cls in (CyclicGroup, DirectProductGroup):
+        monkeypatch.setattr(cls, "elements", None)
+    wg = WreathGroup(base, 1, 2)
+    last = wg.kernel_size() - 1
+    assert wg.grid_at(0) == (((0, 0), (0, 0)),)
+    assert wg.grid_at(last) == (((10 ** 9 - 1, 1), (10 ** 9 - 1, 1)),)
+    assert wg.grid_at(2 * 10 ** 9 + 3) == (((0, 1), (1, 1)),)
+
+
+def test_distinct_ranks():
+    rng = random.Random(7)
+    assert distinct_ranks(rng, 5, 81) == [0, 1, 2, 3, 4]
+    assert distinct_ranks(rng, 81, 81) == list(range(81))
+    assert rng.getstate() == random.Random(7).getstate()  # no draws spent
+    for size in (82, 10 ** 24):  # the second is past sys.maxsize
+        ranks = distinct_ranks(rng, size, 81)
+        assert len(set(ranks)) == 81 and all(0 <= r < size for r in ranks)
+    assert distinct_ranks(random.Random(3), 10 ** 6, 50) == \
+        distinct_ranks(random.Random(3), 10 ** 6, 50)
+
+
+def test_sampled_exact_sequence_catches_corrupted_shift():
+    # 12^4 = 20736 grids, over max_enum: 400 distinct ranks and 400 pairs drawn
+    wg = corrupted_wreath(DirectProductGroup((CyclicGroup(3), CyclicGroup(4))), 2, 2)
+    assert check_exact_sequence(wg, rng=random.Random(20260819)) == \
+        "sigma is not a homomorphism under the installed shift action"
+    good = WreathGroup(wg.base, 2, 2)
+    assert check_exact_sequence(good, rng=random.Random(20260819)) is None
 
 
 def test_exact_sequence_good_and_bad():
