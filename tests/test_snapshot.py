@@ -2,7 +2,9 @@
 
 The digests were frozen from the canonical JSON the pipeline produced
 before the exact-algebra core was reworked; any change to a report byte
-on these inputs fails here.
+on these inputs fails here. The grid-64 preset digests equal the
+`bench/pins.json` pins of the same inputs; at that size region
+numbering and corner splitting run over thousands of triangles.
 """
 from __future__ import annotations
 
@@ -17,6 +19,12 @@ PRESET_DIGESTS = {
     "two-cell": "e3a3a094fccdd29a2752ae8c203ce81e4c286fae8ef6cc432af97ba1dea91cbe",
     "z2-sym": "5a9ab73027e502e91676268d9de1545688ec8289f58ea3798635353937b7c242",
     "z2xz2-sym": "10eff6b91206bf552d3353f400cedf4dd816022f477824c04f78ad121b286125",
+}
+
+LARGE_PRESET_DIGESTS = {
+    "two-cell": "e64e7fbd1cd1a8840a6146afba794e5a3074c511d864218433ed1d3b24004b02",
+    "z2-sym": "a4472cdfc2d8eea6853e5bc5c8e2ccee882a3ae04ccd92658c7383737a055f25",
+    "z2xz2-sym": "b642bde7baec08b6fb0fe388cfbfbb70b517d16539bb47765d300699c41c5017",
 }
 
 # (matrix, grid) -> digest
@@ -37,6 +45,11 @@ def _digest(s) -> str:
 @pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
 def test_preset_report_bytes(name):
     assert _digest(preset_field(name, 16)) == PRESET_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_PRESET_DIGESTS))
+def test_preset_report_bytes_grid_64(name):
+    assert _digest(preset_field(name, 64)) == LARGE_PRESET_DIGESTS[name]
 
 
 @pytest.mark.parametrize("mat,grid", sorted(PULLBACK_DIGESTS))
