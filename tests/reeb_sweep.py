@@ -10,8 +10,9 @@ it only serves as the oracle for the differential test.
 from __future__ import annotations
 
 from krtorus.errors import InternalInvariantError
-from krtorus.reeb import ReebEdge, ReebGraph, ReebNode, _UnionFind, level_structure
+from krtorus.reeb import ReebEdge, ReebGraph, ReebNode, level_structure
 from krtorus.surface import SurfaceField, vertex_classes
+from oracles import UnionFind
 
 
 def compute_reeb_sweep(s: SurfaceField) -> ReebGraph:
@@ -57,7 +58,7 @@ def compute_reeb_sweep(s: SurfaceField) -> ReebGraph:
         lo, hi = levels[t], levels[t + 1]
         members = [i for i in range(s.triangle_count)
                    if tmax[i] > lo and tmin[i] < hi]
-        uf = _UnionFind()
+        uf = UnionFind()
         for i in members:
             uf.find(i)
         for (u, w), tris in edge_tris.items():
@@ -81,7 +82,7 @@ def compute_reeb_sweep(s: SurfaceField) -> ReebGraph:
             band_sides.append(((t, lower_refs.pop()), (t + 1, upper_refs.pop())))
 
     # chain bands through regular components into graph edges
-    glue = _UnionFind()
+    glue = UnionFind()
     reg_band_count: dict = {}
     for bi, ((lt, lc), (ut, uc)) in enumerate(band_sides):
         glue.find(("b", bi))
@@ -148,7 +149,7 @@ def compute_reeb_sweep(s: SurfaceField) -> ReebGraph:
                   vertex_node,
                   surface_chi=s.vertex_count - len(s.undirected_edges()) + s.triangle_count)
 
-    uf = _UnionFind()
+    uf = UnionFind()
     for n in g.nodes:
         uf.find(n.id)
     for e in g.edges:
