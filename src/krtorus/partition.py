@@ -90,19 +90,30 @@ def branch_signature(g: ReebGraph, node_id: int, branch: Branch) -> tuple:
     root = e.upper if e.lower == node_id else e.lower
     side = "up" if e.lower == node_id else "down"
 
-    def canon(w: int, via_edge: int) -> tuple:
+    # (node, edge it is reached by) in breadth-first order from the root;
+    # the forms are built in reverse, so children come before parents and
+    # the depth of the tree never reaches the interpreter stack
+    order = [(root, eid)]
+    seen = {node_id, root}
+    for w, via in order:
+        for eid2 in g.edges_at(w):
+            if eid2 != via:
+                e2 = g.edge(eid2)
+                other = e2.upper if e2.lower == w else e2.lower
+                if other in seen:
+                    raise InternalInvariantError(f"branch at node {node_id} is not a tree")
+                seen.add(other)
+                order.append((other, eid2))
+    form: dict[int, tuple] = {}  # edge -> canonical form of the subtree it reaches
+    for w, via in reversed(order):
         subs = []
         for eid2 in g.edges_at(w):
-            if eid2 == via_edge:
-                continue
-            e2 = g.edge(eid2)
-            other = e2.upper if e2.lower == w else e2.lower
-            direction = "up" if e2.lower == w else "down"
-            subs.append((direction, canon(other, eid2)))
+            if eid2 != via:
+                direction = "up" if g.edge(eid2).lower == w else "down"
+                subs.append((direction, form.pop(eid2)))
         node = g.node(w)
-        return (node.level, node.kinds, tuple(sorted(subs)))
-
-    return (side, canon(root, eid))
+        form[via] = (node.level, node.kinds, tuple(sorted(subs)))
+    return (side, form[eid])
 
 
 def _norm(u: int, w: int) -> tuple[int, int]:
@@ -202,7 +213,6 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         refined_coords = s.coords + tuple(ext)
 
     # refined topology
-    edge_tris: dict[tuple[int, int], list[int]] = {}
     directed_tri: dict[tuple[int, int], int] = {}
     succ: dict[int, dict[int, int]] = {}
     for ti, (a, b, c) in enumerate(refined):
@@ -210,12 +220,17 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             if (x, y) in directed_tri:
                 raise InternalInvariantError("refined complex repeats a directed edge")
             directed_tri[(x, y)] = ti
-            edge_tris.setdefault(_norm(x, y), []).append(ti)
             if x in vv:
                 succ.setdefault(x, {})[y] = z
-    for key, tris in edge_tris.items():
-        if len(tris) != 2:
-            raise InternalInvariantError(f"refined edge {key} is not shared by two triangles")
+    # each edge, smaller end first, with the triangles on its two sides
+    edge_tris: dict[tuple[int, int], tuple[int, int]] = {}
+    for (x, y), ti in directed_tri.items():
+        other = directed_tri.get((y, x))
+        if other is None:
+            raise InternalInvariantError(
+                f"refined edge {_norm(x, y)} is not shared by two triangles")
+        if x < y:
+            edge_tris[(x, y)] = (ti, other)
 
     fan_of: dict[int, tuple[int, ...]] = {}
     for w in vv:
@@ -233,19 +248,21 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         fan_of[w] = tuple(cyc)
 
     # complement regions: glue refined triangles across non-V edges
-    ruf = _UnionFind()
-    for ti in range(len(refined)):
-        ruf.find(ti)
+    ruf = _UnionFind(len(refined))
     for key, (t1, t2) in edge_tris.items():
         if key not in vedges:
             ruf.union(t1, t2)
-    roots = sorted({ruf.find(ti) for ti in range(len(refined))},
-                   key=lambda r: min(ti for ti in range(len(refined)) if ruf.find(ti) == r))
-    region_ids = {r: i for i, r in enumerate(roots)}
-    region_of = [region_ids[ruf.find(ti)] for ti in range(len(refined))]
-    region_tris: list[list[int]] = [[] for _ in roots]
-    for ti, rid in enumerate(region_of):
+    # regions are numbered by their smallest refined triangle
+    region_ids: dict[int, int] = {}
+    region_of: list[int] = []
+    region_tris: list[list[int]] = []
+    for ti in range(len(refined)):
+        rid = region_ids.setdefault(ruf.find(ti), len(region_tris))
+        if rid == len(region_tris):
+            region_tris.append([])
+        region_of.append(rid)
         region_tris[rid].append(ti)
+    n_regions = len(region_tris)
 
     # match regions to branches through the critical vertices they contain
     branches = g.branches_at(node_id)
@@ -261,14 +278,14 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
                     region_vertex[u] = region_of[ti]
                 elif prev != region_of[ti]:
                     raise InternalInvariantError(f"vertex {u} lies in two regions")
-    region_crit: list[set[int]] = [set() for _ in roots]
+    region_crit: list[set[int]] = [set() for _ in range(n_regions)]
     for u, rid in region_vertex.items():
         if u < nv and classes[u].is_critical:
             region_crit[rid].add(u)
-    if len(branches) != len(roots):
+    if len(branches) != n_regions:
         raise InternalInvariantError(
-            f"{len(roots)} regions for {len(branches)} branches at node {node_id}")
-    region_branch = [None] * len(roots)
+            f"{n_regions} regions for {len(branches)} branches at node {node_id}")
+    region_branch = [None] * n_regions
     for rid, crit in enumerate(region_crit):
         hits = [bi for bi, bc in enumerate(branch_crit) if bc == crit]
         if len(hits) != 1:
@@ -280,17 +297,17 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     cell_region = [region_branch.index(bi) for bi in range(len(branches))]
 
     # census Euler characteristic of each open region must be 1
-    region_edge_count = [0] * len(roots)
+    region_edge_count = [0] * n_regions
     for key, (t1, t2) in edge_tris.items():
         if key in vedges:
             continue
         if region_of[t1] != region_of[t2]:
             raise InternalInvariantError("non-V edge separates two regions")
         region_edge_count[region_of[t1]] += 1
-    region_vert_count = [0] * len(roots)
+    region_vert_count = [0] * n_regions
     for u, rid in region_vertex.items():
         region_vert_count[rid] += 1
-    for rid in range(len(roots)):
+    for rid in range(n_regions):
         chi = region_vert_count[rid] - region_edge_count[rid] + len(region_tris[rid])
         if chi != 1:
             raise InternalInvariantError(
@@ -362,7 +379,7 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     boundary_1 = IntMatrix.from_rows(d1, cols=len(one_cells))
 
     # boundary walk of each region, region kept on the left
-    region_darts: list[set[tuple[int, int]]] = [set() for _ in roots]
+    region_darts: list[set[tuple[int, int]]] = [set() for _ in range(n_regions)]
     for (u, w) in vedges:
         for dart in ((u, w), (w, u)):
             region_darts[region_of[directed_tri[dart]]].add(dart)

@@ -171,52 +171,55 @@ def extract_disk_field(s: SurfaceField, p: CellPartition, orbit_table, i: int) -
     # refined vertex merge only when two region triangles share an edge
     # that is not part of the cell's boundary walk; each walk visit then
     # gets its own copy of the vertex.
-    uf = _UnionFind()
-    edge_tris: dict[tuple[int, int], list[int]] = {}
-    for ti in region:
-        a, b, c = p.refined_triangles[ti]
-        for u, w in ((a, b), (b, c), (c, a)):
-            key = (u, w) if u < w else (w, u)
+    # Corner 3*j + k is corner k of the region's j-th triangle.
+    region_tris = [p.refined_triangles[ti] for ti in region]
+    uf = _UnionFind(3 * len(region_tris))
+    edge_corners: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for j, (a, b, c) in enumerate(region_tris):
+        k = 3 * j
+        for u, w, cu, cw in ((a, b, k, k + 1), (b, c, k + 1, k + 2), (c, a, k + 2, k)):
             if u in walkset and w in walkset:
                 continue  # boundary edge: stays cut
-            edge_tris.setdefault(key, []).append(ti)
-    for (u, w), tris_here in edge_tris.items():
-        if len(tris_here) != 2:
+            if u < w:
+                edge_corners.setdefault((u, w), []).append((cu, cw))
+            else:
+                edge_corners.setdefault((w, u), []).append((cw, cu))
+    for (u, w), sides in edge_corners.items():
+        if len(sides) != 2:
             raise InternalInvariantError(
-                f"interior edge {u}-{w} of a region has {len(tris_here)} triangles")
-        t1, t2 = tris_here
-        uf.union((t1, u), (t2, u))
-        uf.union((t1, w), (t2, w))
+                f"interior edge {u}-{w} of a region has {len(sides)} triangles")
+        (u1, w1), (u2, w2) = sides
+        uf.union(u1, u2)
+        uf.union(w1, w2)
 
-    corner_ids: dict = {}
+    # disk vertices are numbered in order of their first corner
+    roots = [uf.find(corner) for corner in range(3 * len(region_tris))]
+    disk_vertex = [-1] * len(roots)
     sources: list[int] = []
-    for ti in region:
-        for x in p.refined_triangles[ti]:
-            root = uf.find((ti, x))
-            if root not in corner_ids:
-                corner_ids[root] = len(sources)
-                sources.append(x)
-    tris = [tuple(corner_ids[uf.find((ti, x))] for x in p.refined_triangles[ti])
-            for ti in region]
+    for corner, root in enumerate(roots):
+        if disk_vertex[root] < 0:
+            disk_vertex[root] = len(sources)
+            sources.append(region_tris[corner // 3][corner % 3])
+    corner_vertex = [disk_vertex[root] for root in roots]
+    tris = list(zip(corner_vertex[0::3], corner_vertex[1::3], corner_vertex[2::3]))
     values = [p.refined_values[u] for u in sources]
     coords = ([p.refined_coords[u] for u in sources]
               if p.refined_coords is not None else None)
     sub = SurfaceField(tris, values, coords)
 
-    # the cut must be an honest closed disk
-    all_edges = {(min(u, w), max(u, w))
-                 for a, b, c in tris for u, w in ((a, b), (b, c), (c, a))}
-    if len(sources) - len(all_edges) + len(tris) != 1:
+    # the cut must be an honest closed disk; interior edges appear in
+    # both directions, rim edges in one
+    directed = {(u, w) for a, b, c in tris for u, w in ((a, b), (b, c), (c, a))}
+    rim = [(u, w) for u, w in directed if (w, u) not in directed]
+    if len(sources) - (len(directed) + len(rim)) // 2 + len(tris) != 1:
         raise InternalInvariantError(f"cut cell {rep} is not a disk")
 
     # boundary cycle of the cut mesh, disk kept on the left
-    directed = {(u, w) for a, b, c in tris for u, w in ((a, b), (b, c), (c, a))}
     step = {}
-    for u, w in directed:
-        if (w, u) not in directed:
-            if u in step:
-                raise InternalInvariantError("cut boundary is not a simple cycle")
-            step[u] = w
+    for u, w in rim:
+        if u in step:
+            raise InternalInvariantError("cut boundary is not a simple cycle")
+        step[u] = w
     start = min(step)
     cycle = [start]
     cur = step[start]

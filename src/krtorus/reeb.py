@@ -37,24 +37,23 @@ from .surface import SurfaceField, format_scalar, vertex_classes
 
 
 class _UnionFind:
+    """Disjoint sets over 0..n-1: a parent list with path halving.
+
+    union(a, b) hangs the root of a under the root of b.
+    """
+
     __slots__ = ("parent",)
 
-    def __init__(self):
-        self.parent = {}
+    def __init__(self, n: int):
+        self.parent = list(range(n))
 
-    def find(self, x):
+    def find(self, x: int) -> int:
         p = self.parent
-        if x not in p:
-            p[x] = x
-            return x
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
+        while p[x] != x:
+            p[x] = x = p[p[x]]
+        return x
 
-    def union(self, a, b):
+    def union(self, a: int, b: int) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
@@ -104,29 +103,29 @@ def level_structure(s: SurfaceField, level, classes):
     Returns (components, triangle_component) where triangle_component
     maps each triangle meeting the level to its component index.
     """
-    uf = _UnionFind()
     segments = set()
     tri_pieces = {}
+    piece_id: dict = {}  # piece -> dense id, in first-appearance order
     for idx, tri in enumerate(s.triangles):
         pieces = triangle_level_pieces(s, tri, level)
         if not pieces:
             continue
-        tri_pieces[idx] = pieces
-        first = pieces[0]
-        uf.find(first)
-        for p in pieces[1:]:
-            uf.union(first, p)
+        tri_pieces[idx] = [piece_id.setdefault(p, len(piece_id)) for p in pieces]
         if len(pieces) == 2:
             segments.add(frozenset(pieces))
+    uf = _UnionFind(len(piece_id))
+    for ids in tri_pieces.values():
+        for i in ids[1:]:
+            uf.union(ids[0], i)
     groups: dict = {}
-    for p in list(uf.parent):
-        groups.setdefault(uf.find(p), set()).add(p)
+    for p, i in piece_id.items():
+        groups.setdefault(uf.find(i), set()).add(p)
     roots = sorted(groups, key=lambda r: min(groups[r]))
     comp_index = {r: i for i, r in enumerate(roots)}
     comp_tris: list[list[int]] = [[] for _ in roots]
     triangle_component = {}
-    for idx, pieces in tri_pieces.items():
-        ci = comp_index[uf.find(pieces[0])]
+    for idx, ids in tri_pieces.items():
+        ci = comp_index[uf.find(ids[0])]
         comp_tris[ci].append(idx)
         triangle_component[idx] = ci
     components = []
@@ -204,13 +203,10 @@ class ReebGraph:
 
     def branches_at(self, node_id: int) -> tuple[Branch, ...]:
         """Components of the graph minus one vertex, ordered by smallest root edge."""
-        uf = _UnionFind()
+        uf = _UnionFind(len(self.nodes))
         for e in self.edges:
             if e.lower != node_id and e.upper != node_id:
                 uf.union(e.lower, e.upper)
-        for n in self.nodes:
-            if n.id != node_id:
-                uf.find(n.id)
         comp_nodes: dict = {}
         for n in self.nodes:
             if n.id != node_id:
@@ -323,41 +319,50 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
             if min(tv) < level < max(tv):
                 tri_cuts.setdefault(idx, []).append((level, nid))
 
-    # slabs: triangle idx is split at its cut levels into slabs base[idx] + i
-    slab_cuts = [sorted(tri_cuts.get(idx, ())) for idx in range(s.triangle_count)]
-    cut_levels = [[c for c, _ in cuts] for cuts in slab_cuts]
-    base = list(accumulate((len(cuts) + 1 for cuts in slab_cuts), initial=0))
+    # slabs: triangle idx is split at its cut levels into slabs base[idx] + i;
+    # only the few cut triangles have more than one
+    slab_cuts = {idx: sorted(cuts) for idx, cuts in tri_cuts.items()}
+    cut_levels = {idx: [c for c, _ in cuts] for idx, cuts in slab_cuts.items()}
+    base = list(accumulate((len(slab_cuts.get(idx, ())) + 1
+                            for idx in range(s.triangle_count)), initial=0))
 
     def slab_above(idx, x):
-        return base[idx] + bisect_right(cut_levels[idx], x)
+        return base[idx] + bisect_right(cut_levels.get(idx, ()), x)
 
-    # glue slabs across each mesh edge, one cut-free stretch of it at a time
-    uf = _UnionFind()
+    # glue slabs across each mesh edge, one cut-free stretch of it at a time;
+    # a crossed edge cuts both its triangles, so an edge between two uncut
+    # triangles is a single stretch
+    uf = _UnionFind(base[-1])
     for key, (t1, t2) in edge_tris.items():
         fu, fw = values[key[0]], values[key[1]]
-        if fu == fw:
-            if key[0] in on_node:
-                continue
-            starts = (fu,)
-        else:
-            starts = [min(fu, fw)] + [c for c, _ in edge_cuts.get(key, ())]
-        for x in starts:
+        if fu == fw and key[0] in on_node:
+            continue
+        if t1 not in slab_cuts and t2 not in slab_cuts:
+            uf.union(base[t1], base[t2])
+            continue
+        for x in [min(fu, fw)] + [c for c, _ in edge_cuts.get(key, ())]:
             uf.union(slab_above(t1, x), slab_above(t2, x))
 
     # each cut-surface component: its bounding nodes and smallest triangle
     ends: dict = {}
     for idx, tri in enumerate(s.triangles):
-        cuts = slab_cuts[idx]
-        lowest = min(tri, key=lambda v: values[v])
-        highest = max(tri, key=lambda v: values[v])
+        cuts = slab_cuts.get(idx, ())
+        # nodes at the lowest and highest corner, if any corner is on a node
+        bottom = top = None
+        if cuts or tri[0] in on_node or tri[1] in on_node or tri[2] in on_node:
+            bottom = on_node.get(min(tri, key=values.__getitem__))
+            top = on_node.get(max(tri, key=values.__getitem__))
         for i in range(len(cuts) + 1):
-            lower = cuts[i - 1][1] if i else on_node.get(lowest)
-            upper = cuts[i][1] if i < len(cuts) else on_node.get(highest)
-            lows, ups, _ = ends.setdefault(uf.find(base[idx] + i), (set(), set(), idx))
+            root = uf.find(base[idx] + i)
+            entry = ends.get(root)
+            if entry is None:
+                entry = ends[root] = (set(), set(), idx)
+            lower = cuts[i - 1][1] if i else bottom
+            upper = cuts[i][1] if i < len(cuts) else top
             if lower is not None:
-                lows.add(lower)
+                entry[0].add(lower)
             if upper is not None:
-                ups.add(upper)
+                entry[1].add(upper)
     edge_raw = []
     for root, (lows, ups, first) in ends.items():
         if len(lows) != 1 or len(ups) != 1:
@@ -391,9 +396,7 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
                   surface_chi=s.vertex_count - len(edge_tris) + s.triangle_count)
 
     # connectivity of the graph itself
-    uf = _UnionFind()
-    for n in g.nodes:
-        uf.find(n.id)
+    uf = _UnionFind(len(g.nodes))
     for e in g.edges:
         uf.union(e.lower, e.upper)
     if len({uf.find(n.id) for n in g.nodes}) != 1:

@@ -63,6 +63,7 @@ class SurfaceField:
                 raise InputRejected("malformed-input", f"unsupported scalar {x!r}")
             if not isfinite(x):
                 raise InputRejected("malformed-input", f"non-finite scalar {x!r}")
+        nv = len(vals)
         tris = []
         seen: set[frozenset] = set()
         for raw in triangles:
@@ -70,11 +71,11 @@ class SurfaceField:
             if len(t) != 3:
                 raise InputRejected("malformed-input", f"triangle {t} does not have 3 vertices")
             for i in t:
-                if not isinstance(i, int) or isinstance(i, bool) or i < 0 or i >= len(vals):
+                if not isinstance(i, int) or isinstance(i, bool) or i < 0 or i >= nv:
                     raise InputRejected("malformed-input", f"vertex index {i!r} out of range")
-            if len(set(t)) != 3:
-                raise InputRejected("malformed-input", f"triangle {t} repeats a vertex")
             key = frozenset(t)
+            if len(key) != 3:
+                raise InputRejected("malformed-input", f"triangle {t} repeats a vertex")
             if key in seen:
                 raise InputRejected("malformed-input", f"duplicate triangle {sorted(t)}")
             seen.add(key)
@@ -167,14 +168,10 @@ def validate_closed_orientable(s: SurfaceField) -> dict:
     Returns {"chi": ..., "genus": ...} on success, raises InputRejected otherwise.
     """
     succ = s._corner_successors()
-    directed = set()
-    for a, b, c in s.triangles:
-        directed.add((a, b))
-        directed.add((b, c))
-        directed.add((c, a))
-    for u, w in directed:
-        if (w, u) not in directed:
-            raise InputRejected("not-a-surface", f"boundary edge {u}-{w}: no opposite triangle")
+    for u, d in enumerate(succ):
+        for w in d:
+            if u not in succ[w]:
+                raise InputRejected("not-a-surface", f"boundary edge {u}-{w}: no opposite triangle")
     for v in range(s.vertex_count):
         s.vertex_fan(v)
     seen = {0}
@@ -187,9 +184,11 @@ def validate_closed_orientable(s: SurfaceField) -> dict:
                 stack.append(w)
     if len(seen) != s.vertex_count:
         raise InputRejected("not-a-surface", "surface is disconnected")
-    if len(directed) % 2:
+    # every triangle has three directed edges, none repeated
+    directed = 3 * s.triangle_count
+    if directed % 2:
         raise InternalInvariantError("odd directed edge count on a closed complex")
-    chi = s.vertex_count - len(directed) // 2 + s.triangle_count
+    chi = s.vertex_count - directed // 2 + s.triangle_count
     if chi % 2 or chi > 2:
         raise InternalInvariantError(f"impossible Euler characteristic {chi}")
     return {"chi": chi, "genus": (2 - chi) // 2}
@@ -306,7 +305,7 @@ def load_surface(source) -> SurfaceField:
         if len(toks) != 3:
             raise InputRejected("malformed-input", f"triangle line {ln!r} must hold 3 indices")
         try:
-            tris.append(tuple(int(t) for t in toks))
+            tris.append(tuple(map(int, toks)))
         except ValueError:
             raise InputRejected("malformed-input", f"bad triangle indices in line {ln!r}")
     return SurfaceField(tris, values, coords if have_coords else None)

@@ -333,7 +333,7 @@ def _cyclic_span(mul, ident: int, i: int) -> set:
 
 def _cell_orbits(elements, count: int) -> list[list[int]]:
     """Orbits on 2-cells under every element's permutation, sorted by least member."""
-    uf = _UnionFind()
+    uf = _UnionFind(count)
     for a in elements:
         for j in range(count):
             uf.union(j, a.perm2[j])

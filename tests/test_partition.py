@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import pytest
 
-from krtorus.errors import InputRejected
+from krtorus.errors import InputRejected, InternalInvariantError
 from krtorus.fields import pullback_cosine_field
 from krtorus.homology import IntMatrix
 from krtorus.partition import branch_signature, build_partition
-from krtorus.reeb import compute_reeb, find_special_vertex
+from krtorus.reeb import ReebEdge, ReebGraph, ReebNode, compute_reeb, find_special_vertex
 from krtorus.surface import SurfaceField, vertex_classes
 
 import oracles
@@ -132,6 +132,73 @@ def test_signatures_label_two_cells(stage):
     assert {c.level_signature for c in st.part.two_cells} == sigs
     sides = sorted(c.level_signature[0] for c in st.part.two_cells)
     assert sides == ["down", "down", "up", "up"]
+
+
+def recursive_signature(g, node_id, branch):
+    """The recursive form of branch_signature, kept as the reference."""
+    eid = branch.root_edges[0]
+    e = g.edge(eid)
+    root = e.upper if e.lower == node_id else e.lower
+    side = "up" if e.lower == node_id else "down"
+
+    def canon(w, via_edge):
+        subs = []
+        for eid2 in g.edges_at(w):
+            if eid2 == via_edge:
+                continue
+            e2 = g.edge(eid2)
+            other = e2.upper if e2.lower == w else e2.lower
+            direction = "up" if e2.lower == w else "down"
+            subs.append((direction, canon(other, eid2)))
+        node = g.node(w)
+        return (node.level, node.kinds, tuple(sorted(subs)))
+
+    return (side, canon(root, eid))
+
+
+def _path_graph(n: int) -> ReebGraph:
+    nodes = [ReebNode(i, i, ("minimum",) if i == 0 else ("node",), (i,), 0, 0)
+             for i in range(n)]
+    edges = [ReebEdge(i, i, i + 1, (i, i + 1)) for i in range(n - 1)]
+    return ReebGraph(nodes, edges, {}, {}, {}, surface_chi=0)
+
+
+@pytest.mark.parametrize("name", ["two-cell", "z2-sym", "z2xz2-sym", "twin-peaks"])
+def test_signature_matches_recursive_form(stage, twin_peaks, name):
+    if name == "twin-peaks":
+        g = compute_reeb(twin_peaks)
+        node = find_special_vertex(g)
+    else:
+        g, node = stage(name).graph, stage(name).node
+    for b in g.branches_at(node):
+        assert branch_signature(g, node, b) == recursive_signature(g, node, b)
+
+
+def test_signature_of_deep_path():
+    # far past the default recursion limit of 1,000
+    n = 3000
+    g = _path_graph(n)
+    (branch,) = g.branches_at(0)
+    side, form = branch_signature(g, 0, branch)
+    assert side == "up"
+    # walk the nested form with a loop: comparing it whole would recurse in C
+    for level in range(1, n):
+        node_level, kinds, subs = form
+        assert (node_level, kinds) == (level, ("node",))
+        if level == n - 1:
+            assert subs == ()
+        else:
+            ((direction, form),) = subs
+            assert direction == "up"
+
+
+def test_signature_rejects_a_cyclic_branch():
+    nodes = [ReebNode(i, i, ("node",), (i,), 0, 0) for i in range(3)]
+    edges = [ReebEdge(0, 0, 1, (0, 1)), ReebEdge(1, 0, 2, (0, 2)), ReebEdge(2, 1, 2, (1, 2))]
+    g = ReebGraph(nodes, edges, {}, {}, {}, surface_chi=0)
+    (branch,) = g.branches_at(0)
+    with pytest.raises(InternalInvariantError):
+        branch_signature(g, 0, branch)
 
 
 def test_twin_peaks_partition(twin_peaks):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from krtorus.errors import InputRejected
 from krtorus.fields import grid_field
-from krtorus.reeb import (branch_euler, compute_reeb, find_special_vertex,
+from krtorus.reeb import (_UnionFind, branch_euler, compute_reeb, find_special_vertex,
                           is_tree, level_structure, reeb_to_dot)
 from krtorus.surface import SurfaceField, vertex_classes
 
@@ -185,3 +185,28 @@ def test_graph_invariant_under_triangle_rotation(s, data):
                                 max_size=s.triangle_count))
     rotated = [tri[k:] + tri[:k] for tri, k in zip(s.triangles, shifts)]
     assert shape(SurfaceField(rotated, s.values)) == shape(s)
+
+
+@st.composite
+def union_sequences(draw):
+    n = draw(st.integers(1, 40))
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("union"), st.integers(0, n - 1), st.integers(0, n - 1)),
+        st.tuples(st.just("find"), st.integers(0, n - 1))), max_size=80))
+    return n, ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(union_sequences())
+def test_union_find_matches_oracle(case):
+    # both hang the root of a under the root of b, and path compression
+    # never moves a root, so every find must agree, not just the blocks
+    n, ops = case
+    uf, ref = _UnionFind(n), oracles.UnionFind()
+    for op in ops:
+        if op[0] == "union":
+            uf.union(op[1], op[2])
+            ref.union(op[1], op[2])
+        else:
+            assert uf.find(op[1]) == ref.find(op[1])
+    assert [uf.find(x) for x in range(n)] == [ref.find(x) for x in range(n)]

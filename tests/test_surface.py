@@ -36,11 +36,13 @@ def test_validate_torus(surface):
 
 
 def test_validate_rejects_boundary():
-    # drop one face: two directed edges lose their partners
+    # drop one face: three directed edges lose their partners; the first
+    # in vertex order is 0->3 (from triangle (0, 3, 1))
     s = SurfaceField(TETRA[:3], [0, 1, 2, 3])
     with pytest.raises(InputRejected) as exc:
         validate_closed_orientable(s)
     assert exc.value.code == "not-a-surface"
+    assert str(exc.value) == "boundary edge 0-3: no opposite triangle"
 
 
 def test_validate_rejects_inconsistent_orientation():
