@@ -5,6 +5,9 @@ before the exact-algebra core was reworked; any change to a report byte
 on these inputs fails here. The grid-64 preset digests equal the
 `bench/pins.json` pins of the same inputs; at that size region
 numbering and corner splitting run over thousands of triangles.
+The diag(4,4)@32 digest equals its `bench/pins.json` pin; it and the
+diag(6,6)@48 and diag(8,8)@32 digests (groups of order 16, 36 and 64)
+were taken while the group stage still read the whole Cayley table.
 """
 from __future__ import annotations
 
@@ -35,6 +38,12 @@ PULLBACK_DIGESTS = {
         "e5742683a7e7d0ea00b7d121a7b517d6cd7424f45449d5b43ba6bddc97833872",
     (((3, 0), (0, 3)), 48):
         "b22ecf3a8f96dbb6ff108dfc7d70c8df0d4dac8871563d686701af42f169106a",
+    (((4, 0), (0, 4)), 32):
+        "d05eeeb19ad601c90c36ce70cd2166bd877a7291109d7f87d12df18539a80f01",
+    (((6, 0), (0, 6)), 48):
+        "d87f5684716bed03c76ee5ab2701cdbae45c9778f0af2ae2de3fdb5896480b8f",
+    (((8, 0), (0, 8)), 32):
+        "1fa346e1596ba2d0bd24ee44a6498196182be77a68ce2c73025c9b8b1c3e2885",
 }
 
 
