@@ -9,6 +9,7 @@ with their exact inverses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 from .errors import InternalInvariantError
@@ -306,6 +307,11 @@ class _ChainBasis:
         n2 = self.d2.shape[1]
         return (n0 - self.r1, self.kernel_rank - self.r2, n2 - self.r2)
 
+    def summary(self) -> HomologySummary:
+        t0 = tuple(d for d in self.s1.diagonal if d > 1)
+        return HomologySummary(self.betti(), (t0, self.torsion1(), ()))
+
+    @cached_property
     def free_h1_chains(self) -> IntMatrix:
         """Columns are 1-chains whose classes form a basis of free H1."""
         k = self.kernel_rank
@@ -339,14 +345,15 @@ class _ChainBasis:
 
 def chain_homology(d1: IntMatrix, d2: IntMatrix) -> HomologySummary:
     """Homology of a 2-complex straight from its boundary matrices."""
-    basis = _ChainBasis(d1, d2)
-    t0 = tuple(d for d in basis.s1.diagonal if d > 1)
-    return HomologySummary(basis.betti(), (t0, basis.torsion1(), ()))
+    return _ChainBasis(d1, d2).summary()
 
 
 def cellular_homology(p) -> HomologySummary:
-    """Homology of a cell partition; (1, 2, 1) betti and no torsion on a torus."""
-    return chain_homology(p.boundary_1, p.boundary_2)
+    """Homology of a cell partition; (1, 2, 1) betti and no torsion on a torus.
+
+    Reads the partition's cached chain basis, so h1_action reuses it.
+    """
+    return p.chain_basis.summary()
 
 
 def h1_action(p, a) -> IntMatrix:
@@ -367,7 +374,7 @@ def h1_action(p, a) -> IntMatrix:
         if any(image_row[a.perm2[c]] != sg * row[c] for c in range(len(row))):
             raise InternalInvariantError("automorphism does not commute with boundary_2")
     basis = p.chain_basis
-    h = basis.free_h1_chains()
+    h = basis.free_h1_chains
     moved = [None] * h.shape[0]
     for j, (img, sg) in enumerate(a.perm1):
         moved[img] = tuple(sg * x for x in h.row(j))

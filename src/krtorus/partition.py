@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputRejected, InternalInvariantError
-from .homology import IntMatrix, _ChainBasis, chain_homology
+# chain_homology stays bound here because bench/tracer.py wraps this binding
+from .homology import IntMatrix, _ChainBasis, cellular_homology, chain_homology  # noqa: F401
 from .reeb import Branch, ReebGraph, _UnionFind, level_structure, triangle_level_pieces
 from .surface import SurfaceField, vertex_classes
 
@@ -75,7 +76,7 @@ class CellPartition:
 
     @cached_property
     def chain_basis(self) -> _ChainBasis:
-        """Smith bases of the boundary matrices, built on first use only."""
+        """Smith bases of the boundary matrices; the homology check and h1_action share it."""
         return _ChainBasis(self.boundary_1, self.boundary_2)
 
 
@@ -470,12 +471,7 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         raise InternalInvariantError(f"alternating cell count {n0 - n1 + n2} is not zero")
     if n2 != g.degree(node_id):
         raise InternalInvariantError("two-cell count differs from the vertex degree")
-    summary = chain_homology(boundary_1, boundary_2)
-    if summary.betti != (1, 2, 1) or any(summary.torsion):
-        raise InternalInvariantError(
-            f"partition homology {summary.betti} torsion {summary.torsion}, expected torus")
-
-    return CellPartition(
+    p = CellPartition(
         node=node_id,
         level=level,
         zero_cells=zero_cells,
@@ -488,3 +484,9 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         refined_parent=tuple(parent),
         refined_coords=refined_coords,
         vertex_sources=vertex_sources)
+    # builds the chain basis that h1_action reads later
+    summary = cellular_homology(p)
+    if summary.betti != (1, 2, 1) or any(summary.torsion):
+        raise InternalInvariantError(
+            f"partition homology {summary.betti} torsion {summary.torsion}, expected torus")
+    return p

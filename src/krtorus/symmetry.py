@@ -253,9 +253,14 @@ class SymmetryGroup:
 def group_structure(elements) -> SymmetryGroup:
     """Invariant factors (n, nm) by two routes, plus canonical generators.
 
-    Route one: Smith form of the relation lattice of the full
-    multiplication table. Route two: element orders (the exponent is nm,
-    the order forces n). Disagreement is an internal error.
+    Route one: Smith form of the Cayley-graph presentation on greedy
+    generators. An element is a generator when the earlier generators do
+    not span it. A breadth-first spanning tree of the Cayley graph on
+    those generators gives every element a word in Z^s, and each
+    non-tree edge (x, g_t) the relation word(x) + e_t - word(x g_t)
+    (Schreier); zero and repeated relations are dropped, as they leave
+    the lattice unchanged. Route two: element orders (the exponent is
+    nm, the order forces n). Disagreement is an internal error.
     """
     k = len(elements)
     if not elements[0].is_identity():
@@ -267,18 +272,30 @@ def group_structure(elements) -> SymmetryGroup:
             if mul[i][j] != mul[j][i]:
                 raise InternalInvariantError("symmetry group is not abelian")
 
-    rows = []
+    gens = []
+    span = {ident}
     for i in range(k):
-        for j in range(k):
-            row = [0] * k
-            row[i] += 1
-            row[j] += 1
-            row[mul[i][j]] -= 1
-            rows.append(row)
-    row0 = [0] * k
-    row0[ident] = 1
-    rows.append(row0)
-    rel = IntMatrix.from_rows(rows, cols=k).transpose()
+        if i not in span:
+            gens.append(i)
+            span = {mul[x][y] for x in span for y in _cyclic_span(mul, ident, i)}
+    s = len(gens)
+    word = {ident: (0,) * s}
+    queue = [ident]
+    relations = set()
+    for x in queue:
+        for t, g in enumerate(gens):
+            y = mul[x][g]
+            w = word[x][:t] + (word[x][t] + 1,) + word[x][t + 1:]
+            if y not in word:
+                word[y] = w
+                queue.append(y)
+            elif w != word[y]:
+                relations.add(tuple(a - b for a, b in zip(w, word[y])))
+    if len(word) != k:
+        raise InternalInvariantError(
+            f"Cayley graph on {s} generators reaches {len(word)} of {k} elements")
+    cols = sorted(relations)
+    rel = IntMatrix.from_rows([[c[t] for c in cols] for t in range(s)], cols=len(cols))
     inv = cokernel_invariants(rel)
     if inv.free_rank:
         raise InternalInvariantError("finite symmetry group presented an infinite lattice")

@@ -240,3 +240,114 @@ def group_axioms(wg, pool, *, rng=None, triple_budget=300_000, samples=2_000):
             return ("associativity fails at "
                     f"{wg.render(x)}, {wg.render(y)}, {wg.render(z)}")
     return None
+
+
+def permutation_table(perms):
+    """Multiplication table of a group of permutations: entry (i, j) is perms[i] after perms[j]."""
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]
+
+
+def cayley_relation_matrix(mul):
+    """The k x (k^2 + 1) presentation of a group read off its whole table.
+
+    Column i*k + j is the relation e_i + e_j - e_{i*j} of the ordered pair
+    (i, j); the last column is e_0 for the identity, element 0.
+    """
+    k = len(mul)
+    cols = []
+    for i in range(k):
+        for j in range(k):
+            col = [0] * k
+            col[i] += 1
+            col[j] += 1
+            col[mul[i][j]] -= 1
+            cols.append(col)
+    cols.append([1] + [0] * (k - 1))
+    return [list(r) for r in zip(*cols)]
+
+
+def _axpy(v, q, b):
+    """v - q * b on sparse vectors {position: nonzero entry}."""
+    out = dict(v)
+    for i, x in b.items():
+        y = out.get(i, 0) - q * x
+        if y:
+            out[i] = y
+        else:
+            out.pop(i, None)
+    return out
+
+
+def cokernel_factors(rows):
+    """Invariant factors > 1 of Z^r / column span, or None if it is infinite.
+
+    The columns go one at a time into a sparse echelon lattice basis:
+    each entry at a pivot position is removed by the pivot's vector, or
+    replaces it by a gcd step, and every basis vector is kept reduced
+    modulo the pivots after its own. The square basis is then
+    diagonalised by repeated gcd steps on rows and columns. No
+    transforms are kept.
+    """
+    dim = len(rows)
+    basis = {}  # pivot position -> vector with nothing before it, pivot > 0
+
+    def reduced(v, start):
+        for q in sorted(v):
+            b = basis.get(q)
+            if q > start and q in v and b is not None:
+                v = _axpy(v, v[q] // b[q], b)
+        return v
+
+    for col in sorted(set(zip(*rows))):
+        v = {i: x for i, x in enumerate(col) if x}
+        while v:
+            p = min(v)
+            b = basis.get(p)
+            if b is None:
+                new, v = v, {}
+            elif v[p] % b[p] == 0:
+                v = _axpy(v, v[p] // b[p], b)
+                continue
+            else:
+                while v.get(p):
+                    b, v = v, _axpy(b, b[p] // v[p], v)
+                new = b
+            if new[p] < 0:
+                new = {i: -x for i, x in new.items()}
+            basis[p] = reduced(new, p)
+            for q, c in list(basis.items()):
+                if q < p and p in c:
+                    basis[q] = reduced(c, q)
+    if len(basis) < dim:
+        return None
+    # row p holds the p-th basis vector
+    a = [[basis[p].get(i, 0) for i in range(dim)] for p in range(dim)]
+    diag = []
+    for t in range(dim):
+        while True:
+            e, i, j = min((abs(a[i][j]), i, j) for i in range(t, dim)
+                          for j in range(t, dim) if a[i][j])
+            a[t], a[i] = a[i], a[t]
+            for r in a:
+                r[t], r[j] = r[j], r[t]
+            piv = a[t][t]
+            clean = True
+            for i in range(t + 1, dim):
+                q = a[i][t] // piv
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                clean = clean and not a[i][t]
+            for j in range(t + 1, dim):
+                q = a[t][j] // piv
+                for r in a:
+                    r[j] -= q * r[t]
+                clean = clean and not a[t][j]
+            if clean and all(a[i][j] % piv == 0 for i in range(t + 1, dim)
+                             for j in range(t + 1, dim)):
+                break
+            if clean:
+                i = next(i for i in range(t + 1, dim)
+                         if any(a[i][j] % piv for j in range(t + 1, dim)))
+                a[t] = [x + y for x, y in zip(a[t], a[i])]
+        diag.append(abs(a[t][t]))
+    return tuple(d for d in diag if d > 1)

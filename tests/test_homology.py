@@ -118,6 +118,15 @@ def test_cokernel_against_oracle_spot():
         assert inv.pair_nm() == oracles.cokernel_pair(rows)
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_matrices())
+def test_cokernel_factor_oracle_matches_smith(a):
+    # the Cayley-table oracle in tests/test_symmetry.py relies on this one
+    inv = cokernel_invariants(a)
+    want = None if inv.free_rank else inv.factors
+    assert oracles.cokernel_factors(a.to_lists()) == want
+
+
 def test_cokernel_with_free_part():
     inv = cokernel_invariants(IntMatrix.from_rows([[2, 0], [0, 0]]))
     assert inv.free_rank == 1
@@ -197,7 +206,7 @@ def _dense_h1_action(p, a):
     if (oracles.matmul(m0, b1) != oracles.matmul(b1, m1)
             or oracles.matmul(m1, b2) != oracles.matmul(b2, m2)):
         return None
-    h = p.chain_basis.free_h1_chains().to_lists()
+    h = p.chain_basis.free_h1_chains.to_lists()
     return p.chain_basis.h1_coords(IntMatrix.from_rows(oracles.matmul(m1, h))).to_lists()
 
 

@@ -6,6 +6,8 @@ import json
 import pytest
 
 from krtorus.errors import InputRejected
+from krtorus.fields import pullback_cosine_field
+from krtorus.homology import _ChainBasis
 from krtorus.pipeline import (AnalysisReport, Atom, DirectProduct, FreeAbelian,
                               TrivialGroup, WreathOver, analyze,
                               build_group_expr, canonical_json,
@@ -205,3 +207,18 @@ def test_verify_extension_checks_atom_count(surface):
     with pytest.raises(InputRejected) as exc:
         verify_extension(rep, parse_atoms("Z2"))
     assert exc.value.code == "bad-request"
+
+
+def test_one_chain_basis_per_analyze(monkeypatch):
+    # the partition's homology check and every h1_action share one basis
+    built = []
+    init = _ChainBasis.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(_ChainBasis, "__init__", counting_init)
+    report = analyze(pullback_cosine_field(32, ((2, 0), (0, 2))))
+    assert (report.symmetry["n"], report.symmetry["m"]) == (2, 1)
+    assert len(built) == 1

@@ -3,11 +3,15 @@ from __future__ import annotations
 
 import pytest
 
+import krtorus.symmetry
+from krtorus.errors import InternalInvariantError
+from krtorus.homology import CokernelInvariants, IntMatrix
 from krtorus.partition import build_partition
 from krtorus.reeb import compute_reeb, find_special_vertex
-from krtorus.symmetry import (compose, element_order, enumerate_symmetries,
-                              group_structure, identity_automorphism,
-                              index_orbits, inverse_of, multiplication_table)
+from krtorus.symmetry import (CellAutomorphism, compose, element_order,
+                              enumerate_symmetries, group_structure,
+                              identity_automorphism, index_orbits, inverse_of,
+                              multiplication_table)
 
 import oracles
 
@@ -149,3 +153,91 @@ def test_asymmetric_field_is_trivial(twin_peaks):
     assert (sg.n, sg.m) == (1, 1)
     table, r = index_orbits(sg, p)
     assert r == 2 and table == ((1, 0, 0), (2, 0, 0))
+
+
+def regular_representation(a, b):
+    """Z_a x Z_b acting on itself by translation, sorted by key, identity first.
+
+    Element (x, y) is cell x*b + y; every element moves 0-, 1- and
+    2-cells alike, with orientation kept.
+    """
+    k = a * b
+    out = []
+    for x in range(a):
+        for y in range(b):
+            perm = tuple((x + i // b) % a * b + (y + i) % b for i in range(k))
+            out.append(CellAutomorphism(perm, tuple((j, 1) for j in perm), perm))
+    return tuple(sorted(out, key=lambda e: e.key))
+
+
+# every Z_a x Z_b with a | b up to order 64
+FACTOR_PAIRS = [(a, b) for a in range(1, 9) for b in range(a, 65, a) if a * b <= 64]
+
+
+def _record_presentations(monkeypatch):
+    seen = []
+    smith = krtorus.symmetry.cokernel_invariants
+
+    def recording(m):
+        inv = smith(m)
+        seen.append((m, inv))
+        return inv
+
+    monkeypatch.setattr(krtorus.symmetry, "cokernel_invariants", recording)
+    return seen
+
+
+def _table_factors(elements):
+    mul = oracles.permutation_table([e.perm2 for e in elements])
+    return oracles.cokernel_factors(oracles.cayley_relation_matrix(mul))
+
+
+@pytest.mark.parametrize("a,b", FACTOR_PAIRS, ids=[f"Z{a}xZ{b}" for a, b in FACTOR_PAIRS])
+def test_presentation_matches_cayley_table(monkeypatch, a, b):
+    els = regular_representation(a, b)
+    seen = _record_presentations(monkeypatch)
+    sg = group_structure(els)
+    assert (sg.n, sg.nm) == (a, b)
+    (_, inv), = seen
+    assert inv.factors == _table_factors(els)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_pool_presentation_matches_cayley_table(monkeypatch, stage, name):
+    els = stage(name).elements
+    seen = _record_presentations(monkeypatch)
+    sg = group_structure(els)
+    assert (sg.n, sg.m) == (EXPECTED[name]["n"], EXPECTED[name]["m"])
+    (_, inv), = seen
+    assert inv.factors == _table_factors(els)
+
+
+def test_presentation_size_is_linear_in_the_order(monkeypatch):
+    # a size bound, not a timing bound: the Cayley table gave 64 x 4097
+    els = regular_representation(8, 8)
+    seen = _record_presentations(monkeypatch)
+    group_structure(els)
+    (m, _), = seen
+    rows, cols = m.shape
+    assert rows <= 3 and cols <= 3 * len(els)
+
+
+def test_dropped_relation_is_caught(monkeypatch):
+    smith = krtorus.symmetry.cokernel_invariants
+
+    def drop_last_relation(m):
+        rows, cols = m.shape
+        return smith(IntMatrix.from_rows([r[:-1] for r in m.entries], cols=cols - 1))
+
+    monkeypatch.setattr(krtorus.symmetry, "cokernel_invariants", drop_last_relation)
+    with pytest.raises(InternalInvariantError):
+        group_structure(regular_representation(8, 8))
+
+
+def test_element_orders_catch_a_wrong_split(monkeypatch):
+    # right order, wrong invariant factors: only the element-order route sees it
+    monkeypatch.setattr(krtorus.symmetry, "cokernel_invariants",
+                        lambda m: CokernelInvariants((4, 16), free_rank=0))
+    with pytest.raises(InternalInvariantError,
+                       match=r"element orders give \(8, 8\), Smith form gives \(4, 16\)"):
+        group_structure(regular_representation(8, 8))
