@@ -1,7 +1,10 @@
 """Byte-level snapshot of the contour graph on random and cyclic fields.
 
-The digests were frozen from the all-levels sweep that built the graph
-before the construction moved to node components and the cut surface.
+The digests up to size 24 were frozen from the all-levels sweep that
+built the graph before the construction moved to node components and
+the cut surface. Those of sizes 32 and 48, where the node components
+near the median level grow large, were taken from the node-component
+construction before its components were stored compactly.
 Two digests per input: the ``krtorus reeb --format json`` bytes, and the
 triangle ownership (``node_map`` and ``band_map``) hashed the same way
 as the benchmark's ownership pin.
@@ -36,6 +39,14 @@ CASES = {
         lambda: random_field(24, 2),
         "55fb4a6df5fcdb74da3438f93054a444d4d019645e8b12ae9082c5886b6b5a9d",
         "b262b1711218d30e30861b0dbbca42cb8abcf2bde7d23ed47e462f2fe661f591"),
+    "random_field(32, 1)": (
+        lambda: random_field(32, 1),
+        "2b5b9f01d6e0abb1f8a11cf34a9e17da4a318b2137190296d91ef774e22252fb",
+        "f63148c34ae3891eafc6932252113e4a892e644d28012b0f7b88855d6352a5fc"),
+    "random_field(48, 1)": (
+        lambda: random_field(48, 1),
+        "76c2aead8929662fc7a3ea55184d88b52f9f398470cacd6fc4f713b87981a3d9",
+        "aed62894ec5817f3c52de8b41a8d6ae964e2881b6b9bc6698b5fc8e9417adea7"),
     "cyclic-height@16": (
         lambda: preset_field("cyclic-height", 16),
         "70036a5eb346dcf2e205b9b348bfa48fca2db96453f2ef3b05271a53ad45b6e2",
