@@ -35,10 +35,6 @@ class OneCell:
     def edge_count(self) -> int:
         return len(self.path) - 1
 
-    @property
-    def is_loop(self) -> bool:
-        return self.tail == self.head
-
 
 @dataclass(frozen=True)
 class TwoCell:

@@ -25,12 +25,17 @@ the cuts they make, never to levels x triangles:
 Each node stores two independently computed Euler numbers: the census
 of its level component (pieces minus segments) and the sum of PL
 indices of its critical vertices. Downstream consumers compare them.
+Segments are counted, never stored: a flat segment (a mesh edge in the
+level) is met from both of its triangles and counted once, every other
+segment lies in one triangle. A node component is folded into the cut
+lists, by node id, as soon as its level is done.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 
 from .errors import InputRejected, InternalInvariantError
 from .surface import SurfaceField, format_scalar, vertex_classes
@@ -76,10 +81,6 @@ class LevelComponent:
     @property
     def is_node(self) -> bool:
         return bool(self.critical_vertices)
-
-    @property
-    def sort_key(self):
-        return min(self.pieces)
 
 
 def triangle_level_pieces(s: SurfaceField, tri: tuple[int, int, int], level) -> list:
@@ -232,50 +233,51 @@ class ReebGraph:
         return tuple(sorted(branches, key=lambda b: b.root_edges[0]))
 
 
-def _node_component(s: SurfaceField, level, start: int, classes,
-                    vertex_tris, edge_tris) -> LevelComponent:
+def _node_component(s: SurfaceField, level, start: int, classes, vertex_tris, edge_tris):
     """The component of one level set through vertex start, found locally.
 
     Pieces are reached through the triangles around them: all triangles
-    at an on-level vertex, the two triangles of a crossing edge.
+    at an on-level vertex, the two triangles of a crossing edge. Returns
+    (sort key, census, critical vertices, on-level vertices, crossing
+    edge keys, triangles); the sort key is the smallest piece.
     """
-    pieces = {("v", start)}
-    stack = [("v", start)]
-    segments = set()
-    tris = set()
+    verts, edges, tris = {start}, set(), set()
+    stack = [vertex_tris[start]]
+    segments = 0  # doubled: a flat segment is met from both of its triangles
     while stack:
-        p = stack.pop()
-        for idx in (vertex_tris[p[1]] if p[0] == "v" else edge_tris[p[1:]]):
+        for idx in stack.pop():
             if idx in tris:
                 continue
             tris.add(idx)
             tp = triangle_level_pieces(s, s.triangles[idx], level)
             if len(tp) == 2:
-                segments.add(frozenset(tp))
+                segments += 1 if tp[1][0] == "v" else 2
             for q in tp:
-                if q not in pieces:
-                    pieces.add(q)
-                    stack.append(q)
-    crit = tuple(sorted(p[1] for p in pieces
-                        if p[0] == "v" and classes[p[1]].is_critical))
-    return LevelComponent(level, frozenset(pieces), frozenset(segments),
-                          tuple(sorted(tris)), crit)
+                if q[0] == "v":
+                    if q[1] not in verts:
+                        verts.add(q[1])
+                        stack.append(vertex_tris[q[1]])
+                elif q[1:] not in edges:
+                    edges.add(q[1:])
+                    stack.append(edge_tris[q[1:]])
+    crit = tuple(sorted(v for v in verts if classes[v].is_critical))
+    key = ("e", *min(edges)) if edges else ("v", min(verts))
+    return key, len(verts) + len(edges) - segments // 2, crit, verts, edges, tris
 
 
 def compute_reeb(s: SurfaceField) -> ReebGraph:
     classes = vertex_classes(s)
     values = s.values
-    crit = [v for v, c in enumerate(classes) if c.is_critical]
+    crit = sorted((v for v, c in enumerate(classes) if c.is_critical), key=values.__getitem__)
     if not crit:
         raise InternalInvariantError("closed surface field with no critical vertex")
-    levels = sorted({values[v] for v in crit})
-    rank = {c: t for t, c in enumerate(levels)}
     # a flat triangle at a critical level is rejected by triangle_level_pieces;
     # report the one on the lowest such level, lowest index first
-    flat = min(((rank[values[a]], idx) for idx, (a, b, c) in enumerate(s.triangles)
-                if values[a] == values[b] == values[c] and values[a] in rank), default=None)
+    crit_level = {x: x for x, _ in groupby(crit, key=values.__getitem__)}
+    flat = min(((values[a], idx) for idx, (a, b, c) in enumerate(s.triangles)
+                if values[a] == values[b] == values[c] and values[a] in crit_level), default=None)
     if flat is not None:
-        triangle_level_pieces(s, s.triangles[flat[1]], levels[flat[0]])
+        triangle_level_pieces(s, s.triangles[flat[1]], crit_level[flat[0]])
 
     vertex_tris: list[list[int]] = [[] for _ in values]
     edge_tris: dict[tuple[int, int], list[int]] = {}
@@ -284,50 +286,47 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
             vertex_tris[u].append(idx)
             edge_tris.setdefault((u, w) if u < w else (w, u), []).append(idx)
 
-    comps = []
-    covered = set()
-    for v in crit:
-        if v not in covered:
-            comp = _node_component(s, levels[rank[values[v]]], v, classes,
-                                   vertex_tris, edge_tris)
-            covered.update(comp.critical_vertices)
-            comps.append(comp)
-    comps.sort(key=lambda c: (rank[c.level], c.sort_key))
-
+    # node ids ascend with their levels, and a triangle meets at most one
+    # component of a level, so every cut list below is in level order
     nodes = []
     vertex_node = {}
     on_node: dict[int, int] = {}  # every vertex lying in a node component
     tri_node: dict[int, int] = {}  # smallest node meeting each triangle
-    tri_cuts: dict[int, list] = {}  # (level, node) of node segments across the interior
-    edge_cuts: dict[tuple[int, int], list] = {}  # (level, node) of node crossings
-    for nid, comp in enumerate(comps):
-        level = comp.level
-        nodes.append(ReebNode(nid, level,
-                              tuple(sorted(classes[v].label() for v in comp.critical_vertices)),
-                              comp.critical_vertices, comp.census_euler,
-                              sum(classes[v].index for v in comp.critical_vertices)))
-        for v in comp.critical_vertices:
-            vertex_node[v] = nid
-        for p in comp.pieces:
-            if p[0] == "v":
-                on_node[p[1]] = nid
-            else:
-                edge_cuts.setdefault(p[1:], []).append((level, nid))
-        for idx in comp.triangles:
-            tri_node.setdefault(idx, nid)
-            tv = [values[v] for v in s.triangles[idx]]
-            if min(tv) < level < max(tv):
-                tri_cuts.setdefault(idx, []).append((level, nid))
+    tri_cuts: dict[int, list[int]] = {}  # nodes with a segment across the interior
+    edge_cuts: dict[tuple[int, int], list[int]] = {}  # nodes crossing each edge
+    for level, group in groupby(crit, key=values.__getitem__):
+        comps = []
+        covered = set()
+        for v in group:
+            if v not in covered:
+                comp = _node_component(s, level, v, classes, vertex_tris, edge_tris)
+                covered.update(comp[2])
+                comps.append(comp)
+        comps.sort(key=itemgetter(0))
+        for _, census, cv, verts, edges, tris in comps:
+            nid = len(nodes)
+            nodes.append(ReebNode(nid, level, tuple(sorted(classes[v].label() for v in cv)),
+                                  cv, census, sum(classes[v].index for v in cv)))
+            for v in cv:
+                vertex_node[v] = nid
+            for v in verts:
+                on_node[v] = nid
+            for key in edges:
+                edge_cuts.setdefault(key, []).append(nid)
+            for idx in tris:
+                tri_node.setdefault(idx, nid)
+                tv = [values[v] for v in s.triangles[idx]]
+                if min(tv) < level < max(tv):
+                    tri_cuts.setdefault(idx, []).append(nid)
 
     # slabs: triangle idx is split at its cut levels into slabs base[idx] + i;
     # only the few cut triangles have more than one
-    slab_cuts = {idx: sorted(cuts) for idx, cuts in tri_cuts.items()}
-    cut_levels = {idx: [c for c, _ in cuts] for idx, cuts in slab_cuts.items()}
-    base = list(accumulate((len(slab_cuts.get(idx, ())) + 1
+    node_level = [n.level for n in nodes]
+    base = list(accumulate((len(tri_cuts.get(idx, ())) + 1
                             for idx in range(s.triangle_count)), initial=0))
 
     def slab_above(idx, x):
-        return base[idx] + bisect_right(cut_levels.get(idx, ()), x)
+        return base[idx] + bisect_right(tri_cuts.get(idx, ()), x, key=node_level.__getitem__)
 
     # glue slabs across each mesh edge, one cut-free stretch of it at a time;
     # a crossed edge cuts both its triangles, so an edge between two uncut
@@ -337,16 +336,16 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
         fu, fw = values[key[0]], values[key[1]]
         if fu == fw and key[0] in on_node:
             continue
-        if t1 not in slab_cuts and t2 not in slab_cuts:
+        if t1 not in tri_cuts and t2 not in tri_cuts:
             uf.union(base[t1], base[t2])
             continue
-        for x in [min(fu, fw)] + [c for c, _ in edge_cuts.get(key, ())]:
+        for x in [min(fu, fw)] + [node_level[n] for n in edge_cuts.get(key, ())]:
             uf.union(slab_above(t1, x), slab_above(t2, x))
 
     # each cut-surface component: its bounding nodes and smallest triangle
     ends: dict = {}
     for idx, tri in enumerate(s.triangles):
-        cuts = slab_cuts.get(idx, ())
+        cuts = tri_cuts.get(idx, ())
         # nodes at the lowest and highest corner, if any corner is on a node
         bottom = top = None
         if cuts or tri[0] in on_node or tri[1] in on_node or tri[2] in on_node:
@@ -357,8 +356,8 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
             entry = ends.get(root)
             if entry is None:
                 entry = ends[root] = (set(), set(), idx)
-            lower = cuts[i - 1][1] if i else bottom
-            upper = cuts[i][1] if i < len(cuts) else top
+            lower = cuts[i - 1] if i else bottom
+            upper = cuts[i] if i < len(cuts) else top
             if lower is not None:
                 entry[0].add(lower)
             if upper is not None:
@@ -373,7 +372,7 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
     edges = []
     root_edge = {}
     for eid, (a, b, _, root) in enumerate(edge_raw):
-        la, lb = nodes[a].level, nodes[b].level
+        la, lb = node_level[a], node_level[b]
         if not la < lb:
             raise InternalInvariantError("edge interval is not increasing")
         edges.append(ReebEdge(eid, a, b, (la, lb)))

@@ -1,6 +1,7 @@
 """Contour graph construction, the tree test and branch decompositions."""
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krtorus.errors import InputRejected
-from krtorus.fields import grid_field
+from krtorus.fields import grid_field, random_field
 from krtorus.reeb import (_UnionFind, branch_euler, compute_reeb, find_special_vertex,
                           is_tree, level_structure, reeb_to_dot)
 from krtorus.surface import SurfaceField, vertex_classes
@@ -59,6 +60,30 @@ def test_node_census_routes_agree(stage, surface):
     for g in graphs:
         for nd in g.nodes:
             assert nd.census_euler == nd.index_sum
+
+
+def test_node_level_is_the_scalar_of_its_lowest_critical_vertex(surface):
+    s = surface("two-cell")
+    first, second = compute_reeb(s).nodes[1].critical_vertices  # two saddles at 0.0
+    vals = list(s.values)
+    vals[second] = 0
+    assert repr(compute_reeb(SurfaceField(s.triangles, vals)).nodes[1].level) == "0.0"
+    vals[first] = Fraction(0)
+    node = compute_reeb(SurfaceField(s.triangles, vals)).nodes[1]
+    assert type(node.level) is Fraction and node.critical_vertices == (first, second)
+
+
+def test_compute_reeb_memory_stays_compact():
+    # the node components near the median level percolate at this size;
+    # holding their piece and segment sets until the end peaked at 33 MiB
+    s = random_field(32, 1)
+    tracemalloc.start()
+    try:
+        compute_reeb(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_contour_counts_match_oracle(surface):
