@@ -239,9 +239,11 @@ def _node_component(s: SurfaceField, level, start: int, classes, vertex_tris, ed
     Pieces are reached through the triangles around them: all triangles
     at an on-level vertex, the two triangles of a crossing edge. Returns
     (sort key, census, critical vertices, on-level vertices, crossing
-    edge keys, triangles); the sort key is the smallest piece.
+    edge keys, triangles, cut triangles); the sort key is the smallest
+    piece, and a triangle is cut across its interior iff it has a
+    crossing edge.
     """
-    verts, edges, tris = {start}, set(), set()
+    verts, edges, tris, cut = {start}, set(), set(), []
     stack = [vertex_tris[start]]
     segments = 0  # doubled: a flat segment is met from both of its triangles
     while stack:
@@ -252,6 +254,8 @@ def _node_component(s: SurfaceField, level, start: int, classes, vertex_tris, ed
             tp = triangle_level_pieces(s, s.triangles[idx], level)
             if len(tp) == 2:
                 segments += 1 if tp[1][0] == "v" else 2
+            if tp[-1][0] == "e":
+                cut.append(idx)
             for q in tp:
                 if q[0] == "v":
                     if q[1] not in verts:
@@ -262,7 +266,7 @@ def _node_component(s: SurfaceField, level, start: int, classes, vertex_tris, ed
                     stack.append(edge_tris[q[1:]])
     crit = tuple(sorted(v for v in verts if classes[v].is_critical))
     key = ("e", *min(edges)) if edges else ("v", min(verts))
-    return key, len(verts) + len(edges) - segments // 2, crit, verts, edges, tris
+    return key, len(verts) + len(edges) - segments // 2, crit, verts, edges, tris, cut
 
 
 def compute_reeb(s: SurfaceField) -> ReebGraph:
@@ -303,7 +307,7 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
                 covered.update(comp[2])
                 comps.append(comp)
         comps.sort(key=itemgetter(0))
-        for _, census, cv, verts, edges, tris in comps:
+        for _, census, cv, verts, edges, tris, cut in comps:
             nid = len(nodes)
             nodes.append(ReebNode(nid, level, tuple(sorted(classes[v].label() for v in cv)),
                                   cv, census, sum(classes[v].index for v in cv)))
@@ -315,9 +319,8 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
                 edge_cuts.setdefault(key, []).append(nid)
             for idx in tris:
                 tri_node.setdefault(idx, nid)
-                tv = [values[v] for v in s.triangles[idx]]
-                if min(tv) < level < max(tv):
-                    tri_cuts.setdefault(idx, []).append(nid)
+            for idx in cut:
+                tri_cuts.setdefault(idx, []).append(nid)
 
     # slabs: triangle idx is split at its cut levels into slabs base[idx] + i;
     # only the few cut triangles have more than one

@@ -74,8 +74,8 @@ def test_node_level_is_the_scalar_of_its_lowest_critical_vertex(surface):
 
 
 def test_compute_reeb_memory_stays_compact():
-    # the node components near the median level percolate at this size;
-    # holding their piece and segment sets until the end peaked at 33 MiB
+    # the node components near the median level percolate at this size, so
+    # any per-piece or per-segment object kept for every node shows up here
     s = random_field(32, 1)
     tracemalloc.start()
     try:
