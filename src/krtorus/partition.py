@@ -7,8 +7,12 @@ so that V becomes a subcomplex: every contour segment inside a triangle
 turns into real edges, crossing points on straddled edges become new
 vertices at the critical level.
 
-Full-edge segments (both endpoints on the level) do occur in the model
-fields and are handled as first-class V-edges, not as an error case.
+V is not swept again: ``reeb.level_structure`` reads its on-level
+vertices and the triangles it crosses or runs along off the cut maps
+that ``compute_reeb`` keeps, and only those triangles are cut into
+level pieces. Full-edge segments (both endpoints on the level) do occur
+in the model fields and are handled as first-class V-edges, not as an
+error case.
 """
 from __future__ import annotations
 
@@ -121,18 +125,15 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     classes = vertex_classes(s)
     node = g.node(node_id)
     level = node.level
-    comps, tri_comp = level_structure(s, level, classes)
-    comp_idx = None
-    for ci, comp in enumerate(comps):
-        if comp.critical_vertices == node.critical_vertices:
-            comp_idx = ci
-            break
-    if comp_idx is None:
-        raise InternalInvariantError(f"level component of node {node_id} not found")
-    comp = comps[comp_idx]
+    verts, tris = level_structure(s, g, node_id)
+    if tuple(v for v in verts if classes[v].is_critical) != node.critical_vertices:
+        raise InternalInvariantError(
+            f"level component of node {node_id} does not hold exactly its critical vertices")
+    tri_pieces = {idx: triangle_level_pieces(s, s.triangles[idx], level) for idx in tris}
 
-    vset = {p[1] for p in comp.pieces if p[0] == "v"}
-    xlist = sorted((p[1], p[2]) for p in comp.pieces if p[0] == "e")
+    vset = set(verts)
+    xlist = sorted({(p[1], p[2]) for pieces in tri_pieces.values() for p in pieces
+                    if p[0] == "e"})
     nv = s.vertex_count
     xid = {e: nv + k for k, e in enumerate(xlist)}
 
@@ -140,18 +141,14 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     parent: list[int] = []
     vedges: set[tuple[int, int]] = set()
     for idx, tri in enumerate(s.triangles):
-        if tri_comp.get(idx) != comp_idx:
+        pieces = tri_pieces.get(idx)
+        if pieces is None:
             refined.append(tri)
             parent.append(idx)
             continue
-        pieces = triangle_level_pieces(s, tri, level)
         vparts = [p for p in pieces if p[0] == "v"]
         eparts = [(p[1], p[2]) for p in pieces if p[0] == "e"]
-        if len(pieces) == 1:
-            # corner touch: nothing to cut
-            refined.append(tri)
-            parent.append(idx)
-        elif len(vparts) == 2 and not eparts:
+        if len(vparts) == 2 and not eparts:
             u, w = vparts[0][1], vparts[1][1]
             vedges.add(_norm(u, w))
             refined.append(tri)

@@ -28,7 +28,11 @@ indices of its critical vertices. Downstream consumers compare them.
 Segments are counted, never stored: a flat segment (a mesh edge in the
 level) is met from both of its triangles and counted once, every other
 segment lies in one triangle. A node component is folded into the cut
-lists, by node id, as soon as its level is done.
+maps, by node id, as soon as its level is done. The graph keeps two of
+them: ``on_node``, the node of every on-level vertex of a node
+component, and ``tri_cuts``, the nodes that cut each triangle's
+interior. ``level_structure`` reads one node's component back off
+them, so the cell partition never sweeps a level again.
 """
 from __future__ import annotations
 
@@ -64,25 +68,6 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-@dataclass(frozen=True)
-class LevelComponent:
-    """One connected component of one level set, with its census data."""
-
-    level: object
-    pieces: frozenset
-    segments: frozenset
-    triangles: tuple[int, ...]
-    critical_vertices: tuple[int, ...]
-
-    @property
-    def census_euler(self) -> int:
-        return len(self.pieces) - len(self.segments)
-
-    @property
-    def is_node(self) -> bool:
-        return bool(self.critical_vertices)
-
-
 def triangle_level_pieces(s: SurfaceField, tri: tuple[int, int, int], level) -> list:
     a, b, c = tri
     pieces = [("v", v) for v in tri if s.values[v] == level]
@@ -96,52 +81,6 @@ def triangle_level_pieces(s: SurfaceField, tri: tuple[int, int, int], level) -> 
         if (fu < level < fw) or (fw < level < fu):
             pieces.append(("e", min(u, w), max(u, w)))
     return pieces
-
-
-def level_structure(s: SurfaceField, level, classes):
-    """All components of one level set.
-
-    Returns (components, triangle_component) where triangle_component
-    maps each triangle meeting the level to its component index.
-    """
-    segments = set()
-    tri_pieces = {}
-    piece_id: dict = {}  # piece -> dense id, in first-appearance order
-    for idx, tri in enumerate(s.triangles):
-        pieces = triangle_level_pieces(s, tri, level)
-        if not pieces:
-            continue
-        tri_pieces[idx] = [piece_id.setdefault(p, len(piece_id)) for p in pieces]
-        if len(pieces) == 2:
-            segments.add(frozenset(pieces))
-    uf = _UnionFind(len(piece_id))
-    for ids in tri_pieces.values():
-        for i in ids[1:]:
-            uf.union(ids[0], i)
-    groups: dict = {}
-    for p, i in piece_id.items():
-        groups.setdefault(uf.find(i), set()).add(p)
-    roots = sorted(groups, key=lambda r: min(groups[r]))
-    comp_index = {r: i for i, r in enumerate(roots)}
-    comp_tris: list[list[int]] = [[] for _ in roots]
-    triangle_component = {}
-    for idx, ids in tri_pieces.items():
-        ci = comp_index[uf.find(ids[0])]
-        comp_tris[ci].append(idx)
-        triangle_component[idx] = ci
-    components = []
-    for r in roots:
-        pieces = groups[r]
-        segs = frozenset(sg for sg in segments if sg <= pieces)
-        crit = tuple(sorted(p[1] for p in pieces
-                            if p[0] == "v" and classes[p[1]].is_critical))
-        components.append(LevelComponent(
-            level=level,
-            pieces=frozenset(pieces),
-            segments=segs,
-            triangles=tuple(sorted(comp_tris[comp_index[r]])),
-            critical_vertices=crit))
-    return components, triangle_component
 
 
 @dataclass(frozen=True)
@@ -174,12 +113,15 @@ class Branch:
 
 
 class ReebGraph:
-    def __init__(self, nodes, edges, node_map, band_map, vertex_node, surface_chi):
+    def __init__(self, nodes, edges, node_map, band_map, on_node, tri_cuts, surface_chi):
         self.nodes: tuple[ReebNode, ...] = tuple(nodes)
         self.edges: tuple[ReebEdge, ...] = tuple(edges)
         self.node_map: dict[int, tuple[int, ...]] = dict(node_map)
         self.band_map: dict[int, tuple[int, ...]] = dict(band_map)
-        self.vertex_node: dict[int, int] = dict(vertex_node)
+        # the node of every vertex lying in a node component
+        self.on_node: dict[int, int] = dict(on_node)
+        # the nodes cutting each triangle's interior, in level order
+        self.tri_cuts: dict[int, list[int]] = dict(tri_cuts)
         self.surface_chi = surface_chi
         adj: dict[int, list[int]] = {n.id: [] for n in self.nodes}
         for e in self.edges:
@@ -231,6 +173,22 @@ class ReebGraph:
             side = sides.pop() if len(sides) == 1 else "mixed"
             branches.append(Branch(tuple(sorted(roots_edges)), nodes, inner, side))
         return tuple(sorted(branches, key=lambda b: b.root_edges[0]))
+
+
+def level_structure(s: SurfaceField, g: ReebGraph, node_id: int):
+    """The level component of one node, read off the graph's cut maps.
+
+    Returns (vertices, triangles): the component's on-level vertices,
+    and the triangles it crosses (the node cuts their interior) or runs
+    along (two of their corners lie in it), both in index order.
+    Triangles it only touches at a corner are left out.
+    """
+    verts = sorted(v for v, nid in g.on_node.items() if nid == node_id)
+    on = set(verts)
+    crossed = {idx for idx, cuts in g.tri_cuts.items() if node_id in cuts}
+    tris = [idx for idx, (a, b, c) in enumerate(s.triangles)
+            if idx in crossed or (a in on) + (b in on) + (c in on) >= 2]
+    return tuple(verts), tuple(tris)
 
 
 def _node_component(s: SurfaceField, level, start: int, classes, vertex_tris, edge_tris):
@@ -293,7 +251,6 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
     # node ids ascend with their levels, and a triangle meets at most one
     # component of a level, so every cut list below is in level order
     nodes = []
-    vertex_node = {}
     on_node: dict[int, int] = {}  # every vertex lying in a node component
     tri_node: dict[int, int] = {}  # smallest node meeting each triangle
     tri_cuts: dict[int, list[int]] = {}  # nodes with a segment across the interior
@@ -311,8 +268,6 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
             nid = len(nodes)
             nodes.append(ReebNode(nid, level, tuple(sorted(classes[v].label() for v in cv)),
                                   cv, census, sum(classes[v].index for v in cv)))
-            for v in cv:
-                vertex_node[v] = nid
             for v in verts:
                 on_node[v] = nid
             for key in edges:
@@ -394,7 +349,8 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
                   edges,
                   {k: tuple(v) for k, v in node_map.items()},
                   {k: tuple(v) for k, v in band_map.items()},
-                  vertex_node,
+                  on_node,
+                  tri_cuts,
                   surface_chi=s.vertex_count - len(edge_tris) + s.triangle_count)
 
     # connectivity of the graph itself

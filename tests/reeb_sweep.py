@@ -1,18 +1,85 @@
-"""Reference contour graph: the all-levels sweep.
+"""Reference contour graph and level sets: the all-levels sweep.
 
-This is the construction ``compute_reeb`` used before it moved to node
-components and the cut surface. It rebuilds every component of every
-critical level with ``level_structure``, unions the triangles of every
-open band between consecutive critical values, and chains bands through
-the regular components they share. It costs O(levels x triangles), so
-it only serves as the oracle for the differential test.
+``compute_reeb_sweep`` is the construction ``compute_reeb`` used before
+it moved to node components and the cut surface. It rebuilds every
+component of every critical level with ``level_sweep``, unions the
+triangles of every open band between consecutive critical values, and
+chains bands through the regular components they share. It costs
+O(levels x triangles), so it only serves as the oracle for the
+differential tests; ``level_sweep`` is also the oracle for the node
+components that ``krtorus.reeb.level_structure`` reads off the graph.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from krtorus.errors import InternalInvariantError
-from krtorus.reeb import ReebEdge, ReebGraph, ReebNode, level_structure
+from krtorus.reeb import ReebEdge, ReebGraph, ReebNode, triangle_level_pieces
 from krtorus.surface import SurfaceField, vertex_classes
 from oracles import UnionFind
+
+
+@dataclass(frozen=True)
+class LevelComponent:
+    """One connected component of one level set, with its census data."""
+
+    level: object
+    pieces: frozenset
+    segments: frozenset
+    triangles: tuple[int, ...]
+    critical_vertices: tuple[int, ...]
+
+    @property
+    def census_euler(self) -> int:
+        return len(self.pieces) - len(self.segments)
+
+    @property
+    def is_node(self) -> bool:
+        return bool(self.critical_vertices)
+
+
+def level_sweep(s: SurfaceField, level, classes):
+    """All components of one level set, from the pieces of every triangle.
+
+    Returns (components, triangle_component) where triangle_component
+    maps each triangle meeting the level to its component index.
+    Components are ordered by their smallest piece.
+    """
+    segments = set()
+    tri_pieces = {}
+    uf = UnionFind()
+    for idx, tri in enumerate(s.triangles):
+        pieces = triangle_level_pieces(s, tri, level)
+        if not pieces:
+            continue
+        tri_pieces[idx] = pieces
+        if len(pieces) == 2:
+            segments.add(frozenset(pieces))
+        for p in pieces:
+            uf.union(p, pieces[0])
+    groups: dict = {}
+    for pieces in tri_pieces.values():
+        for p in pieces:
+            groups.setdefault(uf.find(p), set()).add(p)
+    roots = sorted(groups, key=lambda r: min(groups[r]))
+    comp_index = {r: i for i, r in enumerate(roots)}
+    triangle_component = {idx: comp_index[uf.find(pieces[0])]
+                          for idx, pieces in tri_pieces.items()}
+    comp_tris: list[list[int]] = [[] for _ in roots]
+    for idx, ci in triangle_component.items():
+        comp_tris[ci].append(idx)
+    components = []
+    for ci, r in enumerate(roots):
+        pieces = groups[r]
+        crit = tuple(sorted(p[1] for p in pieces
+                            if p[0] == "v" and classes[p[1]].is_critical))
+        components.append(LevelComponent(
+            level=level,
+            pieces=frozenset(pieces),
+            segments=frozenset(sg for sg in segments if sg <= pieces),
+            triangles=tuple(comp_tris[ci]),
+            critical_vertices=crit))
+    return components, triangle_component
 
 
 def compute_reeb_sweep(s: SurfaceField) -> ReebGraph:
@@ -24,12 +91,15 @@ def compute_reeb_sweep(s: SurfaceField) -> ReebGraph:
 
     per_level = []
     for c in levels:
-        per_level.append(level_structure(s, c, classes))
+        per_level.append(level_sweep(s, c, classes))
 
     # node ids in (level, component key) order
+    tmin = [min(s.values[v] for v in tri) for tri in s.triangles]
+    tmax = [max(s.values[v] for v in tri) for tri in s.triangles]
     nodes = []
     node_ref: dict[tuple[int, int], int] = {}
-    vertex_node = {}
+    on_node = {}
+    tri_cuts: dict[int, list[int]] = {}
     for t, (comps, _) in enumerate(per_level):
         for ci, comp in enumerate(comps):
             if not comp.is_node:
@@ -40,11 +110,14 @@ def compute_reeb_sweep(s: SurfaceField) -> ReebGraph:
             idx_sum = sum(classes[v].index for v in comp.critical_vertices)
             nodes.append(ReebNode(nid, comp.level, kinds, comp.critical_vertices,
                                   comp.census_euler, idx_sum))
-            for v in comp.critical_vertices:
-                vertex_node[v] = nid
+            for p in comp.pieces:
+                if p[0] == "v":
+                    on_node[p[1]] = nid
+            # the level cuts a triangle's interior iff it lies strictly inside
+            for idx in comp.triangles:
+                if tmin[idx] < comp.level < tmax[idx]:
+                    tri_cuts.setdefault(idx, []).append(nid)
 
-    tmin = [min(s.values[v] for v in tri) for tri in s.triangles]
-    tmax = [max(s.values[v] for v in tri) for tri in s.triangles]
     edge_tris: dict = {}
     for idx, (a, b, c) in enumerate(s.triangles):
         for u, w in ((a, b), (b, c), (c, a)):
@@ -146,7 +219,8 @@ def compute_reeb_sweep(s: SurfaceField) -> ReebGraph:
                   edges,
                   {k: tuple(v) for k, v in node_map.items()},
                   {k: tuple(v) for k, v in band_map.items()},
-                  vertex_node,
+                  on_node,
+                  tri_cuts,
                   surface_chi=s.vertex_count - len(s.undirected_edges()) + s.triangle_count)
 
     uf = UnionFind()

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from krtorus.errors import InputRejected
 from krtorus.fields import grid_field, random_field
 from krtorus.reeb import (_UnionFind, branch_euler, compute_reeb, find_special_vertex,
-                          is_tree, level_structure, reeb_to_dot)
+                          is_tree, reeb_to_dot)
 from krtorus.surface import SurfaceField, vertex_classes
 
 import oracles
+from reeb_sweep import level_sweep
 
 
 def test_two_cell_graph(stage):
@@ -93,7 +94,7 @@ def test_contour_counts_match_oracle(surface):
         g = compute_reeb(s)
         classes = vertex_classes(s)
         for level in (-1.11, -0.33, 0.27, 0.81):
-            comps, _ = level_structure(s, level, classes)
+            comps, _ = level_sweep(s, level, classes)
             expected = oracles.count_contours(s.triangles, s.values, level)
             assert len(comps) == expected
             # every band at a regular level is a single circle
@@ -104,7 +105,7 @@ def test_contour_counts_match_oracle(surface):
 def test_level_euler_matches_oracle(surface):
     s = surface("z2-sym")
     classes = vertex_classes(s)
-    comps, _ = level_structure(s, 0.0, classes)
+    comps, _ = level_sweep(s, 0.0, classes)
     ours = sorted(c.census_euler for c in comps)
     oracle = sorted(oracles.component_euler(c)
                     for c in oracles.level_components(s.triangles, s.values, 0.0))
@@ -189,7 +190,7 @@ def shape(s):
     return ([(n.id, n.kinds, n.critical_vertices, n.census_euler, n.index_sum)
              for n in g.nodes],
             [(e.id, e.lower, e.upper) for e in g.edges],
-            g.node_map, g.band_map, g.vertex_node), [n.level for n in g.nodes]
+            g.node_map, g.band_map, g.on_node), [n.level for n in g.nodes]
 
 
 @settings(max_examples=150, deadline=None)

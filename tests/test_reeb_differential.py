@@ -1,10 +1,12 @@
 """The cut-surface contour graph against the all-levels sweep.
 
 Both constructions must agree on nodes, edges, triangle ownership and
-the critical-vertex map, and must reject the same inputs with the same
-code and message. The quantized grids carry exact value ties: flat
-edges, flat triangles at non-critical values, and flat triangles at
-critical values, which both reject as ``degenerate-level``.
+the two cut maps, and must reject the same inputs with the same code
+and message. The component that ``level_structure`` reads off the
+graph must be the sweep's component of the same node, for every node.
+The quantized grids carry exact value ties: flat edges, flat triangles
+at non-critical values, and flat triangles at critical values, which
+both reject as ``degenerate-level``.
 """
 from __future__ import annotations
 
@@ -15,10 +17,10 @@ import pytest
 from krtorus.errors import InputRejected
 from krtorus.fields import (PRESET_NAMES, grid_field, preset_field, pullback_cosine_field,
                             random_field)
-from krtorus.reeb import compute_reeb
+from krtorus.reeb import compute_reeb, level_structure, triangle_level_pieces
 from krtorus.surface import vertex_classes
 
-from reeb_sweep import compute_reeb_sweep
+from reeb_sweep import compute_reeb_sweep, level_sweep
 
 PULLBACKS = ((((2, 0), (0, 2)), 32), (((3, 0), (0, 3)), 48),
              (((2, 1), (-1, 2)), 40), (((4, 0), (0, 4)), 32))
@@ -29,11 +31,32 @@ def outcome(build, s):
         g = build(s)
     except InputRejected as exc:
         return ("rejected", exc.code, str(exc), exc.details)
-    return (g.nodes, g.edges, g.node_map, g.band_map, g.vertex_node)
+    return (g.nodes, g.edges, g.node_map, g.band_map, g.on_node, g.tri_cuts)
 
 
 def agree(s) -> bool:
     return outcome(compute_reeb, s) == outcome(compute_reeb_sweep, s)
+
+
+def misread_nodes(s) -> list[int]:
+    """Nodes whose level_structure differs from the sweep's component of that node.
+
+    The sweep's side is the component's on-level vertices and its
+    triangles with two or more pieces, both in index order.
+    """
+    g = compute_reeb(s)
+    classes = vertex_classes(s)
+    swept = {}
+    for level in dict.fromkeys(n.level for n in g.nodes):
+        comps, _ = level_sweep(s, level, classes)
+        for comp in comps:
+            if comp.is_node:
+                swept[comp.critical_vertices] = (
+                    tuple(sorted(p[1] for p in comp.pieces if p[0] == "v")),
+                    tuple(idx for idx in comp.triangles
+                          if len(triangle_level_pieces(s, s.triangles[idx], level)) >= 2))
+    return [n.id for n in g.nodes
+            if level_structure(s, g, n.id) != swept[n.critical_vertices]]
 
 
 def quantized_grid(seed: int):
@@ -98,3 +121,34 @@ def test_quantized_grids_agree():
     assert mismatched == []
     # the pool reaches every tie pattern the sweep handles specially
     assert rejected >= 20 and flat_edges >= 20 and flat_triangles >= 5
+
+
+@pytest.mark.parametrize("grid", (8, 16, 32))
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_read_every_node_component(name, grid):
+    assert misread_nodes(preset_field(name, grid)) == []
+
+
+@pytest.mark.parametrize("mat,grid", PULLBACKS)
+def test_pullbacks_read_every_node_component(mat, grid):
+    assert misread_nodes(pullback_cosine_field(grid, mat)) == []
+
+
+def test_random_fields_read_every_node_component():
+    sizes = (8, 10, 12)
+    misread = {seed: misread_nodes(random_field(sizes[seed % 3], seed)) for seed in range(12)}
+    assert {seed: ids for seed, ids in misread.items() if ids} == {}
+
+
+def test_quantized_grids_read_every_node_component():
+    misread = {}
+    read = 0
+    for seed in range(160):
+        s = quantized_grid(seed)
+        try:
+            misread[seed] = misread_nodes(s)
+        except InputRejected:
+            continue
+        read += 1
+    assert {seed: ids for seed, ids in misread.items() if ids} == {}
+    assert read >= 40
