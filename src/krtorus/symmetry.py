@@ -196,15 +196,10 @@ def enumerate_symmetries(s: SurfaceField, p: CellPartition) -> tuple[CellAutomor
             continue
         kept.append(a)
 
-    keys = {a.key for a in kept}
-    if identity_automorphism(p).key not in keys:
+    # closure under composition is checked once, by multiplication_table in
+    # group_structure; in a finite set of bijections it gives every inverse
+    if identity_automorphism(p).key not in {a.key for a in kept}:
         raise InternalInvariantError("identity is missing from the symmetry set")
-    for a in kept:
-        if inverse_of(a).key not in keys:
-            raise InternalInvariantError("symmetry set is not closed under inverse")
-        for b in kept:
-            if compose(a, b).key not in keys:
-                raise InternalInvariantError("symmetry set is not closed under composition")
     if len({a.perm2 for a in kept}) != len(kept):
         raise InternalInvariantError("two distinct symmetries induce the same 2-cell permutation")
     return tuple(kept)
@@ -212,7 +207,10 @@ def enumerate_symmetries(s: SurfaceField, p: CellPartition) -> tuple[CellAutomor
 
 def multiplication_table(elements) -> list[list[int]]:
     keys = {a.key: i for i, a in enumerate(elements)}
-    return [[keys[compose(a, b).key] for b in elements] for a in elements]
+    try:
+        return [[keys[compose(a, b).key] for b in elements] for a in elements]
+    except KeyError:
+        raise InternalInvariantError("symmetry set is not closed under composition") from None
 
 
 def element_order(mul: list[list[int]], ident: int, i: int) -> int:

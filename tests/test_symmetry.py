@@ -241,3 +241,11 @@ def test_element_orders_catch_a_wrong_split(monkeypatch):
     with pytest.raises(InternalInvariantError,
                        match=r"element orders give \(8, 8\), Smith form gives \(4, 16\)"):
         group_structure(regular_representation(8, 8))
+
+
+def test_missing_product_is_caught():
+    # Z2 x Z4 without one element: the products that land on it are missing
+    els = regular_representation(2, 4)
+    with pytest.raises(InternalInvariantError,
+                       match="symmetry set is not closed under composition"):
+        group_structure(els[:3] + els[4:])
