@@ -56,11 +56,6 @@ class IntMatrix:
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
 
-    def transpose(self) -> "IntMatrix":
-        r, c = self.shape
-        return IntMatrix(tuple(tuple(self.entries[i][j] for i in range(r))
-                               for j in range(c)), (c, r))
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         r, k = self.shape
         k2, c = other.shape

@@ -104,9 +104,6 @@ class SurfaceField:
     def triangle_count(self) -> int:
         return len(self.triangles)
 
-    def value(self, v: int):
-        return self.values[v]
-
     def order_key(self, v: int):
         """Strict total order simulating genericity: value first, index breaks ties."""
         return (self.values[v], v)
