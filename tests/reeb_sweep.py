@@ -55,7 +55,7 @@ def level_sweep(s: SurfaceField, level, classes):
         tri_pieces[idx] = pieces
         if len(pieces) == 2:
             segments.add(frozenset(pieces))
-        for p in pieces:
+        for p in pieces[1:]:
             uf.union(p, pieces[0])
     groups: dict = {}
     for pieces in tri_pieces.values():
