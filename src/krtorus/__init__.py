@@ -24,7 +24,7 @@ from .surface import (SurfaceField, VertexClass, classify_vertex, dump_surface,
                       vertex_classes)
 from .symmetry import (CellAutomorphism, SymmetryGroup, compose,
                        enumerate_symmetries, group_structure,
-                       identity_automorphism, index_orbits, inverse_of)
+                       identity_automorphism, index_orbits)
 from .wreath import (BaseGroup, CyclicGroup, DirectProductGroup, WreathElement,
                      WreathGroup, check_exact_sequence, check_group_axioms,
                      corrupted_wreath, parse_atoms, tau_reindex)

@@ -309,22 +309,12 @@ class _ChainBasis:
     @cached_property
     def free_h1_chains(self) -> IntMatrix:
         """Columns are 1-chains whose classes form a basis of free H1."""
+        # V[:, r1:] @ U2^-1[:, r2:]: kernel basis times the free-class coefficients
         k = self.kernel_rank
-        n1 = self.d1.shape[1]
-        kernel_cols = [self.s1.v.column(self.r1 + t) for t in range(k)]
-        coeff = self.u2_inv
-        cols = []
-        for t in range(self.r2, k):
-            col = [0] * n1
-            for i in range(k):
-                ci = coeff[i, t]
-                if ci:
-                    for x in range(n1):
-                        col[x] += ci * kernel_cols[i][x]
-            cols.append(col)
-        return IntMatrix.from_rows(
-            tuple(tuple(col[x] for col in cols) for x in range(n1)),
-            cols=len(cols))
+        kernel = IntMatrix.from_rows((r[self.r1:] for r in self.s1.v.entries), cols=k)
+        coeff = IntMatrix.from_rows((r[self.r2:] for r in self.u2_inv.entries),
+                                    cols=k - self.r2)
+        return kernel @ coeff
 
     def h1_coords(self, chains: IntMatrix) -> IntMatrix:
         """Coordinates of cycle columns in the free H1 basis."""

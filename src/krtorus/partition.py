@@ -45,8 +45,6 @@ class TwoCell:
     """An open disk of the complement, tied to one branch of the graph."""
 
     id: int
-    branch_root_edge: int
-    branch_nodes: tuple[int, ...]
     level_signature: tuple
     boundary: tuple[tuple[int, int], ...]  # (one-cell id, +-1) in walk order
     boundary_vertices: tuple[int, ...]  # refined vertex cycle under the walk
@@ -434,18 +432,15 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     two_cells = []
     d2 = [[0] * len(branches) for _ in one_cells]
     arc_uses = {c.id: 0 for c in one_cells}
-    for cell_id, bi in enumerate(range(len(branches))):
-        rid = cell_region[bi]
+    for cell_id, br in enumerate(branches):
+        rid = cell_region[cell_id]
         cycle = walk(rid)
         items = to_items(cycle)
         for aid, sign in items:
             d2[aid][cell_id] += sign
             arc_uses[aid] += 1
-        br = branches[bi]
         two_cells.append(TwoCell(
             id=cell_id,
-            branch_root_edge=br.root_edges[0],
-            branch_nodes=tuple(sorted(br.nodes)),
             level_signature=branch_signature(g, node_id, br),
             boundary=items,
             boundary_vertices=tuple(d[0] for d in cycle),

@@ -256,8 +256,6 @@ def analyze(s: SurfaceField) -> AnalysisReport:
     elements = enumerate_symmetries(s, p)
     sg = group_structure(elements)
     table, r = index_orbits(sg, p)
-    if r * sg.n * sg.nm != len(p.two_cells):
-        raise InternalInvariantError("orbit cardinality law fails")
 
     branches = g.branches_at(v)
     chis = [branch_euler(g, v, br) for br in branches]

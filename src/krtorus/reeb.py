@@ -91,7 +91,6 @@ class ReebNode:
     critical_vertices: tuple[int, ...]
     census_euler: int
     index_sum: int
-    is_critical: bool = True
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,6 @@ class Branch:
 
     root_edges: tuple[int, ...]
     nodes: frozenset
-    inner_edges: frozenset
     side: str  # "up", "down", or "mixed" relative to the removed vertex
 
 
@@ -166,12 +164,9 @@ class ReebGraph:
             raise InternalInvariantError("graph minus a vertex has an unreachable component")
         branches = []
         for root, roots_edges in comp_roots.items():
-            nodes = frozenset(comp_nodes[root])
-            inner = frozenset(e.id for e in self.edges
-                              if e.lower in nodes and e.upper in nodes)
             sides = comp_sides[root]
             side = sides.pop() if len(sides) == 1 else "mixed"
-            branches.append(Branch(tuple(sorted(roots_edges)), nodes, inner, side))
+            branches.append(Branch(tuple(sorted(roots_edges)), frozenset(comp_nodes[root]), side))
         return tuple(sorted(branches, key=lambda b: b.root_edges[0]))
 
 

@@ -10,6 +10,11 @@ Enumeration seeds on 2-cell number 0: each candidate image and boundary
 rotation is propagated across shared arcs until the whole complex is
 matched or a contradiction appears. Orientation reversal never enters
 because boundary walks are only ever aligned forward.
+
+The group stage works on the 2-cell permutations: the action is free
+on 2-cells, so they tell the symmetries apart. multiplication_table
+checks that they do, and group_structure checks on the Cayley edges
+that the whole automorphisms are closed under composition.
 """
 from __future__ import annotations
 
@@ -62,20 +67,6 @@ def compose(a: CellAutomorphism, b: CellAutomorphism) -> CellAutomorphism:
         p1.append((img2, sg * sg2))
     p2 = tuple(a.perm2[x] for x in b.perm2)
     return CellAutomorphism(p0, tuple(p1), p2)
-
-
-def inverse_of(a: CellAutomorphism) -> CellAutomorphism:
-    n0, n1, n2 = len(a.perm0), len(a.perm1), len(a.perm2)
-    p0 = [0] * n0
-    for j, img in enumerate(a.perm0):
-        p0[img] = j
-    p1 = [None] * n1
-    for j, (img, sg) in enumerate(a.perm1):
-        p1[img] = (j, sg)
-    p2 = [0] * n2
-    for j, img in enumerate(a.perm2):
-        p2[img] = j
-    return CellAutomorphism(tuple(p0), tuple(p1), tuple(p2))
 
 
 def _attempt(cells, occ, t0: int, r0: int):
@@ -196,19 +187,25 @@ def enumerate_symmetries(s: SurfaceField, p: CellPartition) -> tuple[CellAutomor
             continue
         kept.append(a)
 
-    # closure under composition is checked once, by multiplication_table in
-    # group_structure; in a finite set of bijections it gives every inverse
+    # the 2-cell permutations must tell the symmetries apart, and the set must
+    # be closed under composition: group_structure checks both
     if identity_automorphism(p).key not in {a.key for a in kept}:
         raise InternalInvariantError("identity is missing from the symmetry set")
-    if len({a.perm2 for a in kept}) != len(kept):
-        raise InternalInvariantError("two distinct symmetries induce the same 2-cell permutation")
     return tuple(kept)
 
 
 def multiplication_table(elements) -> list[list[int]]:
-    keys = {a.key: i for i, a in enumerate(elements)}
+    """Products of the elements' 2-cell permutations, by index.
+
+    Checks that the 2-cell permutations tell the elements apart; closure
+    of the whole automorphisms is checked by group_structure.
+    """
+    perms = [a.perm2 for a in elements]
+    index = {q: i for i, q in enumerate(perms)}
+    if len(index) != len(perms):
+        raise InternalInvariantError("two distinct symmetries induce the same 2-cell permutation")
     try:
-        return [[keys[compose(a, b).key] for b in elements] for a in elements]
+        return [[index[tuple(a[x] for x in b)] for b in perms] for a in perms]
     except KeyError:
         raise InternalInvariantError("symmetry set is not closed under composition") from None
 
@@ -259,6 +256,14 @@ def group_structure(elements) -> SymmetryGroup:
     (Schreier); zero and repeated relations are dropped, as they leave
     the lattice unchanged. Route two: element orders (the exponent is
     nm, the order forces n). Disagreement is an internal error.
+
+    The table works on the 2-cell permutations, which
+    multiplication_table checks to be faithful. Whole automorphisms are
+    composed only on the Cayley edges (x, g_t), k*s compositions, each
+    checked against the table. That proves the set closed: the identity
+    is in it, every x g_t lands in it, and the generators span the
+    2-cell permutations, so by faithfulness every element is a product
+    of generators, and a b = a g_1 ... g_j lies in the set.
     """
     k = len(elements)
     if not elements[0].is_identity():
@@ -283,6 +288,8 @@ def group_structure(elements) -> SymmetryGroup:
     for x in queue:
         for t, g in enumerate(gens):
             y = mul[x][g]
+            if compose(elements[x], elements[g]).key != elements[y].key:
+                raise InternalInvariantError("symmetry set is not closed under composition")
             w = word[x][:t] + (word[x][t] + 1,) + word[x][t + 1:]
             if y not in word:
                 word[y] = w
@@ -381,7 +388,7 @@ def index_orbits(sg: SymmetryGroup, p: CellPartition):
     if r * sg.n * sg.nm != size:
         raise InternalInvariantError("orbit count times group order misses the 2-cell count")
 
-    gl, gm = elements[sg.gen_l], elements[sg.gen_m]
+    gl, gm = elements[sg.gen_l].perm2, elements[sg.gen_m].perm2
     table: dict[int, tuple[int, int, int]] = {}
     for oi, orb in enumerate(orbits):
         rep = orb[0]
@@ -393,23 +400,23 @@ def index_orbits(sg: SymmetryGroup, p: CellPartition):
                     raise InternalInvariantError(
                         "generator powers revisit a 2-cell; indexing is not bijective")
                 table[cur] = (oi + 1, j, k)
-                cur = gm.perm2[cur]
-            cur_l = gl.perm2[cur_l]
+                cur = gm[cur]
+            cur_l = gl[cur_l]
     if len(table) != size:
         raise InternalInvariantError("orbit indexing does not cover every 2-cell")
 
     # equivariance: L^a M^b sends (i, j, k) to (i, j+a mod n, k+b mod nm)
-    ga = identity_automorphism(p)
+    ga = tuple(range(size))
     for a in range(sg.n):
         gb = ga
         for b in range(sg.nm):
             for cell in range(size):
                 i, j, k = table[cell]
-                i2, j2, k2 = table[gb.perm2[cell]]
+                i2, j2, k2 = table[gb[cell]]
                 if (i2, j2, k2) != (i, (j + a) % sg.n, (k + b) % sg.nm):
                     raise InternalInvariantError(
                         f"equivariance fails for L^{a} M^{b} at cell {cell}")
-            gb = compose(gm, gb)
-        ga = compose(gl, ga)
+            gb = tuple(gm[x] for x in gb)
+        ga = tuple(gl[x] for x in ga)
 
     return tuple(table[c] for c in range(size)), r

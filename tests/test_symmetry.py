@@ -10,7 +10,7 @@ from krtorus.partition import build_partition
 from krtorus.reeb import compute_reeb, find_special_vertex
 from krtorus.symmetry import (CellAutomorphism, compose, element_order,
                               enumerate_symmetries, group_structure,
-                              identity_automorphism, index_orbits, inverse_of,
+                              identity_automorphism, index_orbits,
                               multiplication_table)
 
 import oracles
@@ -50,8 +50,9 @@ def test_elements_form_abelian_group(stage):
     for name in EXPECTED:
         els = stage(name).elements
         keys = {a.key for a in els}
-        for a in els:
-            assert inverse_of(a).key in keys
+        mul = multiplication_table(els)
+        for i, a in enumerate(els):
+            assert compose(a, els[mul[i].index(0)]).key == els[0].key
             for b in els:
                 ab = compose(a, b)
                 assert ab.key in keys
@@ -68,9 +69,11 @@ def test_action_is_free(stage):
 def test_compose_inverse_round_trip(stage):
     st = stage("z2xz2-sym")
     ident = identity_automorphism(st.part)
-    for a in st.elements:
-        assert compose(a, inverse_of(a)).key == ident.key
-        assert compose(inverse_of(a), a).key == ident.key
+    mul = multiplication_table(st.elements)
+    for i, a in enumerate(st.elements):
+        inv = st.elements[mul[i].index(0)]
+        assert compose(a, inv).key == ident.key
+        assert compose(inv, a).key == ident.key
 
 
 def test_multiplication_table_and_orders(stage):
@@ -249,3 +252,36 @@ def test_missing_product_is_caught():
     with pytest.raises(InternalInvariantError,
                        match="symmetry set is not closed under composition"):
         group_structure(els[:3] + els[4:])
+
+
+def test_closure_is_checked_on_whole_automorphisms():
+    # a swaps the two 2-cells, so its 2-cell table is Z2, but a composed
+    # with itself turns the 0-cells by a 3-cycle squared, not the identity
+    ident = CellAutomorphism((0, 1, 2), (), (0, 1))
+    a = CellAutomorphism((1, 2, 0), (), (1, 0))
+    with pytest.raises(InternalInvariantError,
+                       match="symmetry set is not closed under composition"):
+        group_structure((ident, a))
+
+
+def test_shared_two_cell_permutation_is_caught():
+    ident = CellAutomorphism((0, 1, 2), (), (0, 1))
+    a = CellAutomorphism((1, 2, 0), (), (0, 1))
+    with pytest.raises(InternalInvariantError, match="same 2-cell permutation"):
+        group_structure((ident, a))
+
+
+def test_whole_automorphisms_compose_only_on_cayley_edges(monkeypatch):
+    # the k x k table composes 2-cell permutations; whole automorphisms are
+    # composed once per Cayley edge, k*s with s <= 3 here (the table took k^2)
+    calls = []
+    real = krtorus.symmetry.compose
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(krtorus.symmetry, "compose", counting)
+    els = regular_representation(8, 8)
+    group_structure(els)
+    assert 0 < len(calls) <= 3 * len(els)
