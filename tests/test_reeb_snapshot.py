@@ -4,7 +4,8 @@ The digests up to size 24 were frozen from the all-levels sweep that
 built the graph before the construction moved to node components and
 the cut surface. Those of sizes 32 and 48, where the node components
 near the median level grow large, were taken from the node-component
-construction before its components were stored compactly.
+construction before its components were stored compactly, and those of
+size 64 from it before its traversal stopped rebuilding piece tuples.
 Two digests per input: the ``krtorus reeb --format json`` bytes, and the
 triangle ownership (``node_map`` and ``band_map``) hashed the same way
 as the benchmark's ownership pin.
@@ -47,6 +48,10 @@ CASES = {
         lambda: random_field(48, 1),
         "76c2aead8929662fc7a3ea55184d88b52f9f398470cacd6fc4f713b87981a3d9",
         "aed62894ec5817f3c52de8b41a8d6ae964e2881b6b9bc6698b5fc8e9417adea7"),
+    "random_field(64, 1)": (
+        lambda: random_field(64, 1),
+        "34247bb40c80ef505800bcbc3522c5360743dca8b4f7bcbeb46e27cb9c8eec54",
+        "4405bc6a6b88c200cdca90e01a4b72dbceb9eaf69f84c94229eeb3be9e8ee4e4"),
     "cyclic-height@16": (
         lambda: preset_field("cyclic-height", 16),
         "70036a5eb346dcf2e205b9b348bfa48fca2db96453f2ef3b05271a53ad45b6e2",
