@@ -66,13 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise InputRejected("bad-request", f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputRejected("malformed-input", f"{path} is not UTF-8 text: {exc}")
 
 
 def _write_text(text: str, out_path, stdout) -> None:
@@ -81,8 +83,11 @@ def _write_text(text: str, out_path, stdout) -> None:
         if not text.endswith("\n"):
             stdout.write("\n")
         return
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputRejected("bad-request", f"cannot write {out_path}: {exc}")
 
 
 def _emit_error(payload: dict, fmt: str, stderr) -> None:

@@ -11,13 +11,15 @@ the cuts they make, never to levels x triangles:
   of a given level, so gluing pieces within triangles is sound;
 - node components are found by a local traversal from their critical
   vertices, through the triangles around each on-level vertex and the
-  two triangles of each crossing edge; regular level components are
-  never built;
+  two triangles of each crossing edge. A triangle met is read off its
+  corner values, with no piece list, and only crossing edges get a key.
+  Regular level components are never built;
 - graph edges are the connected components of the surface cut along
   the node components. Each triangle splits into slabs at the node
   levels that cross its interior. Slabs of the two triangles at a mesh
   edge are glued once per stretch of that edge between consecutive
-  node crossings; a flat edge glues its two sides unless it lies in a
+  node crossings, each slab found by its node's id in the triangle's
+  cut list; a flat edge glues its two sides unless it lies in a
   node component. A component's lower and upper node are read off the
   cuts and corner vertices that bound its slabs, and there must be
   exactly one of each.
@@ -190,12 +192,14 @@ def _node_component(s: SurfaceField, level, start: int, classes, vertex_tris, ed
     """The component of one level set through vertex start, found locally.
 
     Pieces are reached through the triangles around them: all triangles
-    at an on-level vertex, the two triangles of a crossing edge. Returns
-    (sort key, census, critical vertices, on-level vertices, crossing
-    edge keys, triangles, cut triangles); the sort key is the smallest
-    piece, and a triangle is cut across its interior iff it has a
-    crossing edge.
+    at an on-level vertex, the two triangles of a crossing edge. Each is
+    read off its corner values (it meets the level and is not flat): two
+    on-level corners make a flat segment, and a crossing edge an interior
+    one that cuts the triangle. Returns (sort key, census, critical
+    vertices, on-level vertices, crossing edge keys, triangles, cut
+    triangles); the sort key is the smallest piece.
     """
+    values, triangles = s.values, s.triangles
     verts, edges, tris, cut = {start}, set(), set(), []
     stack = [vertex_tris[start]]
     segments = 0  # doubled: a flat segment is met from both of its triangles
@@ -204,19 +208,30 @@ def _node_component(s: SurfaceField, level, start: int, classes, vertex_tris, ed
             if idx in tris:
                 continue
             tris.add(idx)
-            tp = triangle_level_pieces(s, s.triangles[idx], level)
-            if len(tp) == 2:
-                segments += 1 if tp[1][0] == "v" else 2
-            if tp[-1][0] == "e":
-                cut.append(idx)
-            for q in tp:
-                if q[0] == "v":
-                    if q[1] not in verts:
-                        verts.add(q[1])
-                        stack.append(vertex_tris[q[1]])
-                elif q[1:] not in edges:
-                    edges.add(q[1:])
-                    stack.append(edge_tris[q[1:]])
+            a, b, c = triangles[idx]
+            fa, fb, fc = values[a], values[b], values[c]
+            if fa != level and fb != level and fc != level:
+                # the corner alone on its side ends both crossing edges
+                x, ends = ((c, (a, b)) if (fa < level) == (fb < level) else
+                           (b, (a, c)) if (fa < level) == (fc < level) else (a, (b, c)))
+            else:
+                on = [v for v in (a, b, c) if values[v] == level]
+                for v in on:
+                    if v not in verts:
+                        verts.add(v)
+                        stack.append(vertex_tris[v])
+                x, w = (v for v in (a, b, c) if v != on[0])
+                if len(on) == 2 or (values[x] < level) == (values[w] < level):
+                    segments += len(on) - 1  # a flat segment, or none
+                    continue
+                ends = (w,)
+            segments += 2
+            cut.append(idx)
+            for w in ends:
+                key = (x, w) if x < w else (w, x)
+                if key not in edges:
+                    edges.add(key)
+                    stack.append(edge_tris[key])
     crit = tuple(sorted(v for v in verts if classes[v].is_critical))
     key = ("e", *min(edges)) if edges else ("v", min(verts))
     return key, len(verts) + len(edges) - segments // 2, crit, verts, edges, tris, cut
@@ -263,12 +278,10 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
             nid = len(nodes)
             nodes.append(ReebNode(nid, level, tuple(sorted(classes[v].label() for v in cv)),
                                   cv, census, sum(classes[v].index for v in cv)))
-            for v in verts:
-                on_node[v] = nid
+            on_node.update(dict.fromkeys(verts, nid))
             for key in edges:
                 edge_cuts.setdefault(key, []).append(nid)
-            for idx in tris:
-                tri_node.setdefault(idx, nid)
+            tri_node.update(dict.fromkeys(tris.difference(tri_node), nid))
             for idx in cut:
                 tri_cuts.setdefault(idx, []).append(nid)
 
@@ -278,12 +291,11 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
     base = list(accumulate((len(tri_cuts.get(idx, ())) + 1
                             for idx in range(s.triangle_count)), initial=0))
 
-    def slab_above(idx, x):
-        return base[idx] + bisect_right(tri_cuts.get(idx, ()), x, key=node_level.__getitem__)
-
     # glue slabs across each mesh edge, one cut-free stretch of it at a time;
     # a crossed edge cuts both its triangles, so an edge between two uncut
-    # triangles is a single stretch
+    # triangles is a single stretch. Each stretch starts above a node: the
+    # last one at or below the edge's lower end, then each node crossing
+    # it. Cut lists ascend in id as in level, so slabs are found by node id
     uf = _UnionFind(base[-1])
     for key, (t1, t2) in edge_tris.items():
         fu, fw = values[key[0]], values[key[1]]
@@ -292,10 +304,13 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
         if t1 not in tri_cuts and t2 not in tri_cuts:
             uf.union(base[t1], base[t2])
             continue
-        for x in [min(fu, fw)] + [node_level[n] for n in edge_cuts.get(key, ())]:
-            uf.union(slab_above(t1, x), slab_above(t2, x))
+        c1, c2 = tri_cuts.get(t1, ()), tri_cuts.get(t2, ())
+        for n in [bisect_right(node_level, min(fu, fw)) - 1, *edge_cuts.get(key, ())]:
+            uf.union(base[t1] + bisect_right(c1, n), base[t2] + bisect_right(c2, n))
 
-    # each cut-surface component: its bounding nodes and smallest triangle
+    # each cut-surface component: its bounding nodes, smallest triangle and
+    # the uncut triangles it owns; node carriers own the rest
+    node_map: dict[int, list[int]] = {n.id: [] for n in nodes}
     ends: dict = {}
     for idx, tri in enumerate(s.triangles):
         cuts = tri_cuts.get(idx, ())
@@ -308,42 +323,35 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
             root = uf.find(base[idx] + i)
             entry = ends.get(root)
             if entry is None:
-                entry = ends[root] = (set(), set(), idx)
+                entry = ends[root] = (set(), set(), idx, [])
             lower = cuts[i - 1] if i else bottom
             upper = cuts[i] if i < len(cuts) else top
             if lower is not None:
                 entry[0].add(lower)
             if upper is not None:
                 entry[1].add(upper)
+        if idx in tri_node:
+            node_map[tri_node[idx]].append(idx)
+        else:
+            entry[3].append(idx)  # an uncut triangle's only slab
     edge_raw = []
-    for root, (lows, ups, first) in ends.items():
+    for lows, ups, first, owned in ends.values():
         if len(lows) != 1 or len(ups) != 1:
             raise InternalInvariantError(
                 "cut-surface component does not end at exactly one lower and one upper node")
-        edge_raw.append((lows.pop(), ups.pop(), first, root))
+        edge_raw.append((lows.pop(), ups.pop(), first, owned))
     edge_raw.sort(key=lambda r: r[:3])
     edges = []
-    root_edge = {}
-    for eid, (a, b, _, root) in enumerate(edge_raw):
+    for eid, (a, b, _, _) in enumerate(edge_raw):
         la, lb = node_level[a], node_level[b]
         if not la < lb:
             raise InternalInvariantError("edge interval is not increasing")
         edges.append(ReebEdge(eid, a, b, (la, lb)))
-        root_edge[root] = eid
-
-    # exclusive triangle ownership: node carriers first, then the edge of the only slab
-    node_map: dict[int, list[int]] = {n.id: [] for n in nodes}
-    band_map: dict[int, list[int]] = {e.id: [] for e in edges}
-    for idx in range(s.triangle_count):
-        if idx in tri_node:
-            node_map[tri_node[idx]].append(idx)
-        else:
-            band_map[root_edge[uf.find(base[idx])]].append(idx)
 
     g = ReebGraph(nodes,
                   edges,
                   {k: tuple(v) for k, v in node_map.items()},
-                  {k: tuple(v) for k, v in band_map.items()},
+                  {eid: tuple(r[3]) for eid, r in enumerate(edge_raw)},
                   on_node,
                   tri_cuts,
                   surface_chi=s.vertex_count - len(edge_tris) + s.triangle_count)

@@ -1,6 +1,7 @@
 """Command line behavior: formats, files, exit codes."""
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -37,7 +38,6 @@ def test_validate_json(two_cell_file, capsys):
 
 
 def test_validate_stdin(two_cell_file, capsys, monkeypatch):
-    import io
     monkeypatch.setattr("sys.stdin", io.StringIO(
         open(two_cell_file).read()))
     assert main(["validate", "-"]) == 0
@@ -204,3 +204,44 @@ def test_sphere_input_rejected(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["code"] == "not-a-torus"
     assert err["error"]["chi"] == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "reeb"])
+def test_non_utf8_file_rejected(two_cell_file, tmp_path, capsys, command):
+    path = tmp_path / "latin1.tf"
+    path.write_bytes(open(two_cell_file, "rb").read() + "# caf\xe9\n".encode("latin-1"))
+    assert main([command, str(path), "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"]["code"] == "malformed-input"
+    assert "Traceback" not in err
+
+
+def test_non_utf8_stdin_rejected(two_cell_file, capsys, monkeypatch):
+    # a strict UTF-8 stdin, as under a UTF-8 locale, raises on the first bad byte
+    data = open(two_cell_file, "rb").read() + "# caf\xe9\n".encode("latin-1")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert main(["reeb", "-", "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"]["code"] == "malformed-input"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "reeb"])
+def test_out_into_missing_directory_rejected(two_cell_file, tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out.json"
+    assert main([command, two_cell_file, "--format", "json", "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    payload = json.loads(err)["error"]
+    assert payload["code"] == "bad-request"
+    assert payload["message"].startswith(f"cannot write {target}")
+    assert "Traceback" not in err
+    assert not target.parent.exists()
+
+
+def test_gen_out_into_missing_directory_rejected(tmp_path, capsys):
+    # gen has no --format, so its error line is the text form of the payload
+    target = tmp_path / "missing" / "field.tf"
+    assert main(["gen", "--preset", "two-cell", "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[bad-request]: cannot write {target}")
+    assert "Traceback" not in err

@@ -6,21 +6,26 @@ and message. The component that ``level_structure`` reads off the
 graph must be the sweep's component of the same node, for every node.
 The quantized grids carry exact value ties: flat edges, flat triangles
 at non-critical values, and flat triangles at critical values, which
-both reject as ``degenerate-level``.
+both reject as ``degenerate-level``. Hypothesis draws integer grids, and
+their exact ``Fraction`` rescalings, with corners tied to the level.
 """
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krtorus.errors import InputRejected
 from krtorus.fields import (PRESET_NAMES, grid_field, preset_field, pullback_cosine_field,
                             random_field)
 from krtorus.reeb import compute_reeb, level_structure, triangle_level_pieces
-from krtorus.surface import vertex_classes
+from krtorus.surface import SurfaceField, vertex_classes
 
 from reeb_sweep import compute_reeb_sweep, level_sweep
+from test_reeb import integer_grids
 
 PULLBACKS = ((((2, 0), (0, 2)), 32), (((3, 0), (0, 3)), 48),
              (((2, 1), (-1, 2)), 40), (((4, 0), (0, 4)), 32))
@@ -121,6 +126,16 @@ def test_quantized_grids_agree():
     assert mismatched == []
     # the pool reaches every tie pattern the sweep handles specially
     assert rejected >= 20 and flat_edges >= 20 and flat_triangles >= 5
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_grids(), st.fractions(min_value=Fraction(1, 7), max_value=7),
+       st.integers(-9, 9))
+def test_integer_grids_agree_before_and_after_affine_rescaling(s, a, b):
+    # small value ranges tie corners to the level and lay segments along
+    # flat edges; exact rescaling keeps every tie
+    assert agree(s)
+    assert agree(SurfaceField(s.triangles, [a * v + b for v in s.values]))
 
 
 @pytest.mark.parametrize("grid", (8, 16, 32))
