@@ -9,8 +9,8 @@ from .errors import InputRejected, InternalInvariantError, KrTorusError
 from .fields import (PRESET_NAMES, grid_field, preset_field,
                      pullback_cosine_field, random_field)
 from .homology import (CokernelInvariants, HomologySummary, IntMatrix, SnfResult,
-                       cellular_homology, chain_homology, cokernel_invariants,
-                       h1_action, smith_normal_form, unimodular_inverse)
+                       chain_homology, cokernel_invariants, h1_action,
+                       smith_normal_form, unimodular_inverse)
 from .partition import (CellPartition, OneCell, TwoCell, branch_signature,
                         build_partition)
 from .pipeline import (AnalysisReport, Atom, DirectProduct, DiskField, FreeAbelian,

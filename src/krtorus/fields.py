@@ -93,8 +93,10 @@ def pullback_cosine_field(n: int, mat, scale: float = 1.0, offset: float = 0.0) 
     """Two-argument cosine model field pulled back along an integer matrix.
 
     Samples scale*(cos 2 pi u + cos 2 pi v) + offset at (u, v) = mat @ (x, y).
-    A nonsingular matrix gives a finite covering of the two-argument model,
-    so the induced graph is always a tree.
+    A nonsingular matrix gives a finite covering of the smooth two-argument
+    model, whose graph is a tree. The PL sample need not keep that: many
+    sheared matrices give degenerate saddles, flat critical triangles or a
+    cyclic graph at every grid size, and are rejected.
     """
     (a, b), (c, d) = mat
     if a * d - b * c == 0:

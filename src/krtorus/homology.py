@@ -1,15 +1,15 @@
-"""Exact integer linear algebra: Smith normal form and cellular homology.
+"""Exact integer linear algebra: Smith normal form, cokernels, H1 of a partition.
 
 All arithmetic is arbitrary-precision int. The Smith reduction uses a
 fixed pivot rule, smallest nonzero absolute value with row-major tie
 break, so results are reproducible bit for bit. It also applies the
 inverse of every elementary operation, so the transforms U and V come
-with their exact inverses.
+with their exact inverses. H1 takes no Smith form: a tree-cotree
+decomposition gives its basis, and a cell map's action is read off it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 
 from .errors import InternalInvariantError
@@ -46,9 +46,6 @@ class IntMatrix:
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
@@ -268,99 +265,125 @@ class HomologySummary:
     torsion: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-class _ChainBasis:
-    """Shared machinery for H1 of a 2-complex given boundary matrices."""
-
-    def __init__(self, d1: IntMatrix, d2: IntMatrix):
-        n0, n1 = d1.shape
-        n1b, n2 = d2.shape
-        if n1 != n1b:
-            raise ValueError("boundary matrices do not compose")
-        prod = d1 @ d2
-        if any(x for row in prod.entries for x in row):
-            raise ValueError("d1 @ d2 is not zero")
-        self.d1, self.d2 = d1, d2
-        self.s1 = smith_normal_form(d1)
-        self.r1 = self.s1.rank
-        self.v1_inv = self.s1.v_inv
-        folded = self.v1_inv @ d2
-        for i in range(self.r1):
-            if any(folded.entries[i]):
-                raise InternalInvariantError("image of d2 leaks outside the kernel of d1")
-        self.b_mat = IntMatrix.from_rows(folded.entries[self.r1:], cols=n2)
-        self.s2 = smith_normal_form(self.b_mat)
-        self.r2 = self.s2.rank
-        self.u2 = self.s2.u
-        self.u2_inv = self.s2.u_inv
-        self.kernel_rank = n1 - self.r1
-
-    def torsion1(self) -> tuple[int, ...]:
-        return tuple(d for d in self.s2.diagonal if d > 1)
-
-    def betti(self) -> tuple[int, int, int]:
-        n0 = self.d1.shape[0]
-        n2 = self.d2.shape[1]
-        return (n0 - self.r1, self.kernel_rank - self.r2, n2 - self.r2)
-
-    def summary(self) -> HomologySummary:
-        t0 = tuple(d for d in self.s1.diagonal if d > 1)
-        return HomologySummary(self.betti(), (t0, self.torsion1(), ()))
-
-    @cached_property
-    def free_h1_chains(self) -> IntMatrix:
-        """Columns are 1-chains whose classes form a basis of free H1."""
-        # V[:, r1:] @ U2^-1[:, r2:]: kernel basis times the free-class coefficients
-        k = self.kernel_rank
-        kernel = IntMatrix.from_rows((r[self.r1:] for r in self.s1.v.entries), cols=k)
-        coeff = IntMatrix.from_rows((r[self.r2:] for r in self.u2_inv.entries),
-                                    cols=k - self.r2)
-        return kernel @ coeff
-
-    def h1_coords(self, chains: IntMatrix) -> IntMatrix:
-        """Coordinates of cycle columns in the free H1 basis."""
-        folded = self.v1_inv @ chains
-        for i in range(self.r1):
-            if any(folded.entries[i]):
-                raise InternalInvariantError("chain is not a cycle")
-        kern = IntMatrix.from_rows(folded.entries[self.r1:], cols=chains.shape[1])
-        w = self.u2 @ kern
-        # torsion/image coordinates (rows below r2 survive)
-        return IntMatrix.from_rows(w.entries[self.r2:], cols=chains.shape[1])
-
-
 def chain_homology(d1: IntMatrix, d2: IntMatrix) -> HomologySummary:
-    """Homology of a 2-complex straight from its boundary matrices."""
-    return _ChainBasis(d1, d2).summary()
+    """Homology of a 2-complex straight from its boundary matrices.
 
-
-def cellular_homology(p) -> HomologySummary:
-    """Homology of a cell partition; (1, 2, 1) betti and no torsion on a torus.
-
-    Reads the partition's cached chain basis, so h1_action reuses it.
+    Only the Smith diagonals are read: Z^n1 / ker d1 is free, so the
+    torsion of H1 = ker d1 / im d2 is the torsion of coker d2.
     """
-    return p.chain_basis.summary()
+    if any(x for row in (d1 @ d2).entries for x in row):
+        raise ValueError("d1 @ d2 is not zero")
+    (n0, n1), n2 = d1.shape, d2.shape[1]
+    s1, s2 = smith_normal_form(d1), smith_normal_form(d2)
+    t0, t1 = (tuple(d for d in s.diagonal if d > 1) for s in (s1, s2))
+    return HomologySummary((n0 - s1.rank, n1 - s1.rank - s2.rank, n2 - s2.rank), (t0, t1, ()))
+
+
+def _pairing(walk, phi) -> int:
+    """The 1-cochain phi summed along a signed boundary walk: (delta phi)(cell)."""
+    return sum(s * phi[a] for a, s in walk)
+
+
+def _spanning_tree(count: int, ends, arcs) -> list[tuple[int, int | None]]:
+    """Breadth-first tree from node 0 over the given arcs, as (node, arc to its parent)."""
+    at: list[list[int]] = [[] for _ in range(count)]
+    for aid in arcs:
+        for v in ends[aid]:
+            at[v].append(aid)
+    order, seen = [(0, None)], {0}
+    for v, _ in order:
+        for aid in at[v]:
+            u, w = ends[aid]
+            x = w if u == v else u
+            if x not in seen:
+                seen.add(x)
+                order.append((x, aid))
+    return order
+
+
+def tree_cotree(zero_cells, one_cells, walks):
+    """Torus check and H1 basis of a 2-complex in O(cells).
+
+    A spanning tree T of the 1-skeleton and a spanning tree C of the
+    dual graph on the arcs outside T must leave exactly two arcs over.
+    Contracting T and eliminating 2-cells at the leaves of C are
+    unimodular steps, so H1 = Z^2 on the leftover arcs, with no torsion
+    (Erickson and Whittlesey, SODA 2005). Returns (cycles, cocycles):
+    gamma_j closes leftover arc j in T, and phi_i is 0 on T, 1 on
+    leftover arc i, 0 on the other, and is solved leaves-first in C on
+    the cotree arcs; the equation at C's root is checked.
+    """
+    zc = {v: i for i, v in enumerate(zero_cells)}
+    ends = [(zc[c.tail], zc[c.head]) for c in one_cells]
+    occ: list[list[tuple[int, int]]] = [[] for _ in one_cells]
+    for cid, walk in enumerate(walks):
+        for k, (aid, sign) in enumerate(walk):
+            occ[aid].append((cid, sign))
+            a2, s2 = walk[(k + 1) % len(walk)]
+            # the head of this arc, after its sign, is the tail of the next
+            if ends[aid][sign > 0] != ends[a2][s2 < 0]:
+                raise InternalInvariantError(f"boundary walk of 2-cell {cid} does not close up")
+    for aid, uses in enumerate(occ):
+        if len(uses) != 2 or uses[0][1] + uses[1][1]:
+            raise InternalInvariantError(
+                f"arc {aid} is not traversed twice with opposite signs: {uses}")
+    arcs = range(len(one_cells))
+    tree = _spanning_tree(len(zero_cells), ends, arcs)
+    tree_arcs = {aid for _, aid in tree}
+    cotree = _spanning_tree(len(walks), [(c1, c2) for (c1, _), (c2, _) in occ],
+                            [aid for aid in arcs if aid not in tree_arcs])
+    for span, count, what in ((tree, len(zero_cells), "0-cells"), (cotree, len(walks), "2-cells")):
+        if len(span) != count:
+            raise InternalInvariantError(f"spanning tree reaches {len(span)} of {count} {what}")
+    left = sorted(set(arcs) - tree_arcs - {aid for _, aid in cotree})
+    if len(left) != 2:
+        raise InternalInvariantError(
+            f"{len(left)} arcs are left over by the tree and the cotree, expected 2")
+
+    up = dict(tree[1:])
+    cycles, cocycles = [], []
+    for j in left:
+        chain = {j: 1}
+        for v, sign in ((ends[j][1], 1), (ends[j][0], -1)):
+            while v in up:  # walk to the root of T
+                aid = up[v]
+                t, h = ends[aid]
+                chain[aid] = chain.get(aid, 0) + (sign if t == v else -sign)
+                v = h if t == v else t
+        cycles.append(tuple(sorted((a, x) for a, x in chain.items() if x)))
+        phi = [0] * len(one_cells)
+        phi[j] = 1
+        for c, aid in reversed(cotree[1:]):
+            phi[aid] = -dict(occ[aid])[c] * _pairing(walks[c], phi)
+        if _pairing(walks[0], phi):
+            raise InternalInvariantError(
+                f"cocycle of leftover arc {j} fails the equation at the cotree root")
+        cocycles.append(tuple(phi))
+    return tuple(cycles), tuple(cocycles)
 
 
 def h1_action(p, a) -> IntMatrix:
-    """Matrix of a cell automorphism on free H1, in the basis chain_homology uses.
+    """Matrix of a cell automorphism on H1 = Z^2, in the basis of p.cycles.
 
-    The automorphism must be a chain map: commuting with both boundary
-    operators is asserted before any quotient is taken. Its signed
-    permutations act on the chains directly.
+    The automorphism must be a chain map, checked in O(cells): each arc's
+    endpoints map onto its image's, after the sign (the boundary_1
+    square), and each 2-cell's signed walk maps onto its image's walk up
+    to rotation (the boundary_2 square). Entry (i, j) is the cocycle
+    phi_i read on the image of the cycle gamma_j.
     """
-    d1, d2 = p.boundary_1.entries, p.boundary_2.entries
-    # arc j maps to sg * arc img, so the image of its boundary must be
-    # sg times the boundary of arc img (and likewise for 2-cells)
-    for j, (img, sg) in enumerate(a.perm1):
-        if any(sg * d1[a.perm0[i]][img] != d1[i][j] for i in range(len(d1))):
+    zc = {v: i for i, v in enumerate(p.zero_cells)}
+    arcs, p0, p1 = p.one_cells, a.perm0, a.perm1
+    for arc, (img, sg) in zip(arcs, p1):
+        dst = arcs[img]
+        want = (dst.tail, dst.head) if sg > 0 else (dst.head, dst.tail)
+        if (p0[zc[arc.tail]], p0[zc[arc.head]]) != (zc[want[0]], zc[want[1]]):
             raise InternalInvariantError("automorphism does not commute with boundary_1")
-    for j, (img, sg) in enumerate(a.perm1):
-        row, image_row = d2[j], d2[img]
-        if any(image_row[a.perm2[c]] != sg * row[c] for c in range(len(row))):
+    cells = p.two_cells
+    for cell, t in zip(cells, a.perm2):
+        moved = tuple((p1[x][0], p1[x][1] * s) for x, s in cell.boundary)
+        walk = cells[t].boundary
+        k = walk.index(moved[0]) if moved[0] in walk else None
+        if k is None or walk[k:] + walk[:k] != moved:
             raise InternalInvariantError("automorphism does not commute with boundary_2")
-    basis = p.chain_basis
-    h = basis.free_h1_chains
-    moved = [None] * h.shape[0]
-    for j, (img, sg) in enumerate(a.perm1):
-        moved[img] = tuple(sg * x for x in h.row(j))
-    return basis.h1_coords(IntMatrix.from_rows(moved, cols=h.shape[1]))
+    return IntMatrix.from_rows([[sum(c * p1[x][1] * phi[p1[x][0]] for x, c in gamma)
+                                 for gamma in p.cycles] for phi in p.cocycles], cols=2)

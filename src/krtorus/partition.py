@@ -17,11 +17,10 @@ error case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InputRejected, InternalInvariantError
 # chain_homology stays bound here because bench/tracer.py wraps this binding
-from .homology import IntMatrix, _ChainBasis, cellular_homology, chain_homology  # noqa: F401
+from .homology import chain_homology, tree_cotree  # noqa: F401
 from .reeb import Branch, ReebGraph, _UnionFind, level_structure, triangle_level_pieces
 from .surface import SurfaceField, vertex_classes
 
@@ -59,8 +58,11 @@ class CellPartition:
     zero_cells: tuple[int, ...]
     one_cells: tuple[OneCell, ...]
     two_cells: tuple[TwoCell, ...]
-    boundary_1: IntMatrix
-    boundary_2: IntMatrix
+    # H1 = Z^2: gamma_j is the cycle of leftover arc j closed up in the
+    # spanning tree, as (arc id, +-1) pairs; cocycle phi_i reads 1 on
+    # gamma_i and 0 on gamma_j (one integer per arc)
+    cycles: tuple[tuple[tuple[int, int], ...], ...]
+    cocycles: tuple[tuple[int, ...], ...]
     # refined complex data, used by disk extraction
     refined_values: tuple
     refined_triangles: tuple[tuple[int, int, int], ...]
@@ -71,11 +73,6 @@ class CellPartition:
     @property
     def counts(self) -> tuple[int, int, int]:
         return (len(self.zero_cells), len(self.one_cells), len(self.two_cells))
-
-    @cached_property
-    def chain_basis(self) -> _ChainBasis:
-        """Smith bases of the boundary matrices; the homology check and h1_action share it."""
-        return _ChainBasis(self.boundary_1, self.boundary_2)
 
 
 def branch_signature(g: ReebGraph, node_id: int, branch: Branch) -> tuple:
@@ -363,13 +360,6 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             dart_info[(p[t], p[t + 1])] = (cell.id, 1, t)
             dart_info[(p[t + 1], p[t])] = (cell.id, -1, t)
 
-    zc_index = {v: i for i, v in enumerate(zero_cells)}
-    d1 = [[0] * len(one_cells) for _ in zero_cells]
-    for cell in one_cells:
-        d1[zc_index[cell.head]][cell.id] += 1
-        d1[zc_index[cell.tail]][cell.id] -= 1
-    boundary_1 = IntMatrix.from_rows(d1, cols=len(one_cells))
-
     # boundary walk of each region, region kept on the left
     region_darts: list[set[tuple[int, int]]] = [set() for _ in range(n_regions)]
     for (u, w) in vedges:
@@ -430,51 +420,29 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         return tuple(items)
 
     two_cells = []
-    d2 = [[0] * len(branches) for _ in one_cells]
-    arc_uses = {c.id: 0 for c in one_cells}
     for cell_id, br in enumerate(branches):
         rid = cell_region[cell_id]
         cycle = walk(rid)
-        items = to_items(cycle)
-        for aid, sign in items:
-            d2[aid][cell_id] += sign
-            arc_uses[aid] += 1
         two_cells.append(TwoCell(
             id=cell_id,
             level_signature=branch_signature(g, node_id, br),
-            boundary=items,
+            boundary=to_items(cycle),
             boundary_vertices=tuple(d[0] for d in cycle),
             support=tuple(sorted({parent[ti] for ti in region_tris[rid]})),
             refined_triangles=tuple(region_tris[rid])))
-    for aid, uses in arc_uses.items():
-        if uses != 2:
-            raise InternalInvariantError(f"arc {aid} is traversed {uses} times, expected 2")
-    boundary_2 = IntMatrix.from_rows(d2, cols=len(branches))
-
-    prod = boundary_1 @ boundary_2
-    if any(x for row in prod.entries for x in row):
-        raise InternalInvariantError("boundary of a boundary is nonzero")
-    n0, n1, n2 = len(zero_cells), len(one_cells), len(two_cells)
-    if n0 - n1 + n2 != 0:
-        raise InternalInvariantError(f"alternating cell count {n0 - n1 + n2} is not zero")
-    if n2 != g.degree(node_id):
+    if len(two_cells) != g.degree(node_id):
         raise InternalInvariantError("two-cell count differs from the vertex degree")
-    p = CellPartition(
+    cycles, cocycles = tree_cotree(zero_cells, one_cells, [c.boundary for c in two_cells])
+    return CellPartition(
         node=node_id,
         level=level,
         zero_cells=zero_cells,
         one_cells=one_cells,
         two_cells=tuple(two_cells),
-        boundary_1=boundary_1,
-        boundary_2=boundary_2,
+        cycles=cycles,
+        cocycles=cocycles,
         refined_values=tuple(refined_values),
         refined_triangles=tuple(refined),
         refined_parent=tuple(parent),
         refined_coords=refined_coords,
         vertex_sources=vertex_sources)
-    # builds the chain basis that h1_action reads later
-    summary = cellular_homology(p)
-    if summary.betti != (1, 2, 1) or any(summary.torsion):
-        raise InternalInvariantError(
-            f"partition homology {summary.betti} torsion {summary.torsion}, expected torus")
-    return p

@@ -6,6 +6,15 @@ over the matched branches agree), preserves the boundary walk
 orientation, acts as the identity on first homology, and moves every
 cell (freeness, vacuous for the identity).
 
+The H1 test is sparse: h1_action checks the chain map on arc
+endpoints and boundary walks, then reads the cocycles of the
+partition's tree-cotree basis on the images of its two cycles. On a
+free candidate it always gives the identity. Such a map moves every
+cell, so its trace is 0 on every chain group and its Lefschetz number
+1 - tr(H1) + 1 is 0 (Hatcher, Algebraic Topology, 2.C): tr(H1) = 2.
+It keeps orientation, so its H1 matrix is a finite-order element of
+SL(2, Z) with trace 2, which is the identity.
+
 Enumeration seeds on 2-cell number 0: each candidate image and boundary
 rotation is propagated across shared arcs until the whole complex is
 matched or a contradiction appears. Orientation reversal never enters
@@ -70,7 +79,11 @@ def compose(a: CellAutomorphism, b: CellAutomorphism) -> CellAutomorphism:
 
 
 def _attempt(cells, occ, t0: int, r0: int):
-    """Propagate the seed (cell 0 -> t0, rotation r0) across shared arcs."""
+    """Propagate the seed (cell 0 -> t0, rotation r0) across shared arcs.
+
+    The partition passed the tree-cotree check: every arc lies on two
+    walks, shared arcs connect all 2-cells, and every 0-cell ends an arc.
+    """
     cell_map = {0: (t0, r0)}
     arc_map: dict[int, tuple[int, int]] = {}
     work = [0]
@@ -94,8 +107,6 @@ def _attempt(cells, occ, t0: int, r0: int):
             me = (c, pos, s)
             ime = (t, ipos, s2)
             oa, oa2 = occ[a], occ[a2]
-            if me not in oa or ime not in oa2:
-                raise InternalInvariantError("occurrence table out of sync with boundaries")
             other = oa[1] if oa[0] == me else oa[0]
             iother = oa2[1] if oa2[0] == ime else oa2[0]
             d, q, sd = other
@@ -112,8 +123,6 @@ def _attempt(cells, occ, t0: int, r0: int):
                 work.append(d)
             elif prevc != (t2, rd):
                 return None
-    if len(cell_map) != len(cells):
-        raise InternalInvariantError("2-cell adjacency graph is disconnected")
     return cell_map, arc_map
 
 
@@ -137,8 +146,6 @@ def _finalize(p: CellPartition, classes, cell_map, arc_map):
             elif prev != w:
                 raise InternalInvariantError(
                     "consistent arc map induced conflicting vertex images")
-    if len(vmap) != len(p.zero_cells):
-        raise InternalInvariantError("a 0-cell is not an endpoint of any arc")
     if sorted(vmap.values()) != sorted(vmap):
         return None
     for v, w in vmap.items():
@@ -159,9 +166,6 @@ def enumerate_symmetries(s: SurfaceField, p: CellPartition) -> tuple[CellAutomor
     for cell in cells:
         for pos, (aid, sgn) in enumerate(cell.boundary):
             occ[aid].append((cell.id, pos, sgn))
-    for aid, lst in occ.items():
-        if len(lst) != 2:
-            raise InternalInvariantError(f"arc {aid} has {len(lst)} boundary occurrences")
 
     sig0 = cells[0].level_signature
     ln0 = len(cells[0].boundary)

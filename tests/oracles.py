@@ -8,6 +8,7 @@ spelled out at the point of use.
 from __future__ import annotations
 
 import itertools
+import math
 from math import gcd, lcm
 
 
@@ -351,3 +352,65 @@ def cokernel_factors(rows):
                 a[t] = [x + y for x, y in zip(a[t], a[i])]
         diag.append(abs(a[t][t]))
     return tuple(d for d in diag if d > 1)
+
+
+def _egcd(a, b):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, t0, s1, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def symmetric_cosines(n):
+    """cos(2 pi k / n) for k < n with t[n - k] == t[k], t[n/2 + k] == -t[k]
+    and exact zeros at n/4 and 3n/4, so mirrored lattice points tie exactly."""
+    if n % 4:
+        raise ValueError("the table size must be a multiple of 4")
+    t = [0.0] * n
+    for k in range(n // 4):
+        v = math.cos(2.0 * math.pi * k / n)
+        t[k] = t[(n - k) % n] = v
+        t[n // 2 - k] = t[n // 2 + k] = -v
+    t[n // 4] = t[3 * n // 4] = 0.0
+    return t
+
+
+def covering_field(n, mat):
+    """The two-cell grid field lifted through the covering of degree |det A|.
+
+    The base is the n x n grid torus Z^2 / nZ^2 with values
+    cos(2 pi i / n) + cos(2 pi j / n) and the diagonal split of each
+    square into (A, B, C), (A, C, D), A = (i, j), B = (i+1, j),
+    C = (i+1, j+1), D = (i, j+1). The cover is Z^2 / L with L spanned by
+    the columns of n*A. L has the basis (w, 0), (x0, h) (Hermite form,
+    from one gcd step on the second row), so each vertex has one
+    representative (i, j) with 0 <= i < w, 0 <= j < h, numbered j*w + i.
+    Triangles are the lifted diagonal split, and a vertex's value is read
+    at any lift, which is well defined since L lies in nZ^2. The deck
+    group nZ^2 / L is Z^2 / AZ^2. Returns (triangles, values).
+    """
+    (a, b), (c, d) = mat
+    det = a * d - b * c
+    if det == 0:
+        raise ValueError("matrix is singular")
+    h, s, t = _egcd(n * c, n * d)
+    x0 = n * (s * a + t * b)
+    w = n * n * abs(det) // h
+
+    def vid(i, j):
+        q = j // h
+        return (j - q * h) * w + (i - q * x0) % w
+
+    cos = symmetric_cosines(n)
+    triangles, values = [], [0.0] * (w * h)
+    for j in range(h):
+        for i in range(w):
+            values[vid(i, j)] = cos[i % n] + cos[j % n]
+            va, vb, vc, vd = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            triangles.append((va, vb, vc))
+            triangles.append((va, vc, vd))
+    return triangles, values

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from krtorus.errors import InternalInvariantError
 from krtorus.fields import pullback_cosine_field
-from krtorus.homology import (CokernelInvariants, IntMatrix, cellular_homology,
-                              chain_homology, cokernel_invariants, h1_action,
-                              smith_normal_form, unimodular_inverse)
+from krtorus.homology import (CokernelInvariants, IntMatrix, chain_homology,
+                              cokernel_invariants, h1_action, smith_normal_form,
+                              unimodular_inverse)
 from krtorus.partition import build_partition
 from krtorus.reeb import compute_reeb, find_special_vertex
 from krtorus.surface import vertex_classes
@@ -17,6 +17,7 @@ from krtorus.symmetry import (CellAutomorphism, _attempt, _finalize,
                               enumerate_symmetries, identity_automorphism)
 
 import oracles
+from dense_h1 import DenseH1, cellular_homology
 
 
 def snf_ok(rows):
@@ -199,59 +200,57 @@ def _finalized_candidates(s, p):
     return list(found.values())
 
 
-def _dense_h1_action(p, a):
-    """Reference route: dense signed-permutation matrices, None if not a chain map."""
-    m0, m1, m2 = oracles.signed_permutation_matrices(a.perm0, a.perm1, a.perm2)
-    b1, b2 = p.boundary_1.to_lists(), p.boundary_2.to_lists()
-    if (oracles.matmul(m0, b1) != oracles.matmul(b1, m1)
-            or oracles.matmul(m1, b2) != oracles.matmul(b2, m2)):
-        return None
-    h = p.chain_basis.free_h1_chains.to_lists()
-    return p.chain_basis.h1_coords(IntMatrix.from_rows(oracles.matmul(m1, h))).to_lists()
+PULLBACKS = {"pullback-2-2": ((2, 0), (0, 2)), "pullback-4-4": ((4, 0), (0, 4))}
 
 
-@pytest.mark.parametrize("case", ["z2xz2-sym", "pullback-2-2"])
+@pytest.mark.parametrize("case", ["z2xz2-sym", "pullback-2-2", "pullback-4-4"])
 def test_h1_action_matches_dense_reference(stage, case):
+    # the sparse action in the basis of p.cycles against the dense one in
+    # the Smith basis: with P the dense coordinates of the two cycles,
+    # D @ P == P @ M, and P is unimodular, so the cycles do span H1
     if case == "z2xz2-sym":
         s, p = stage(case).surface, stage(case).part
     else:
-        s = pullback_cosine_field(32, ((2, 0), (0, 2)))
+        s = pullback_cosine_field(32, PULLBACKS[case])
         g = compute_reeb(s)
         p = build_partition(s, g, find_special_vertex(g))
+    dense = DenseH1.of(p)
+    basis = dense.cycle_coords(p.cycles)
+    assert abs(oracles.det(basis)) == 1
     cands = _finalized_candidates(s, p)
     # rejected candidates are compared too, not only the kept symmetries
     assert len(cands) > len(enumerate_symmetries(s, p))
     for a in cands:
-        want = _dense_h1_action(p, a)
-        if want is None:
-            with pytest.raises(InternalInvariantError):
-                h1_action(p, a)
-        else:
-            assert h1_action(p, a).to_lists() == want
+        want = dense.action(a)
+        assert want is not None
+        got = h1_action(p, a).to_lists()
+        assert oracles.matmul(want, basis) == oracles.matmul(basis, got)
 
 
 def test_h1_action_rejects_sign_flipped_arc(stage):
     p = stage("z2xz2-sym").part
     ident = identity_automorphism(p)
-    arc = next(j for j, row in enumerate(p.boundary_2.entries) if any(row))
+    # a loop keeps its endpoints when flipped, so take an arc that is not one
+    arc = next(c.id for c in p.one_cells if c.tail != c.head)
     perm1 = list(ident.perm1)
     perm1[arc] = (arc, -1)
     bad = CellAutomorphism(ident.perm0, tuple(perm1), ident.perm2)
-    assert _dense_h1_action(p, bad) is None
+    assert DenseH1.of(p).action(bad) is None
     with pytest.raises(InternalInvariantError, match="boundary_1"):
         h1_action(p, bad)
 
 
 def test_h1_action_rejects_mismatched_two_cells(stage):
-    # 0- and 1-cells fixed, two 2-cells with different boundaries swapped:
-    # only the boundary_2 square fails
+    # 0- and 1-cells fixed, two 2-cells with different walks swapped:
+    # only the boundary_2 check fails
     p = stage("z2xz2-sym").part
     ident = identity_automorphism(p)
-    b2 = p.boundary_2
-    other = next(c for c in range(1, b2.shape[1]) if b2.column(c) != b2.column(0))
+    cells = p.two_cells
+    other = next(c for c in range(1, len(cells))
+                 if sorted(cells[c].boundary) != sorted(cells[0].boundary))
     perm2 = list(ident.perm2)
     perm2[0], perm2[other] = other, 0
     bad = CellAutomorphism(ident.perm0, ident.perm1, tuple(perm2))
-    assert _dense_h1_action(p, bad) is None
+    assert DenseH1.of(p).action(bad) is None
     with pytest.raises(InternalInvariantError, match="boundary_2"):
         h1_action(p, bad)

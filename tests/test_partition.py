@@ -3,14 +3,16 @@ from __future__ import annotations
 
 import pytest
 
+import krtorus.homology
 from krtorus.errors import InputRejected, InternalInvariantError
 from krtorus.fields import pullback_cosine_field
-from krtorus.homology import IntMatrix
-from krtorus.partition import branch_signature, build_partition
+from krtorus.homology import IntMatrix, tree_cotree
+from krtorus.partition import OneCell, branch_signature, build_partition
 from krtorus.reeb import ReebEdge, ReebGraph, ReebNode, compute_reeb, find_special_vertex
 from krtorus.surface import SurfaceField, vertex_classes
 
 import oracles
+from dense_h1 import dense_boundaries
 
 EXPECTED_COUNTS = {
     "two-cell": (2, 4, 2),
@@ -60,8 +62,73 @@ def test_boundary_composition_vanishes(stage):
     for name in EXPECTED_COUNTS:
         p = stage(name).part
         z, o, t = p.counts
-        prod = p.boundary_1 @ p.boundary_2
-        assert prod.to_lists() == IntMatrix.zeros(z, t).to_lists()
+        d1, d2 = dense_boundaries(p)
+        assert (d1 @ d2).to_lists() == IntMatrix.zeros(z, t).to_lists()
+
+
+def test_cocycles_pair_with_cycles(stage):
+    # phi_i is a cocycle (0 on every 2-cell walk) with phi_i(gamma_j) = delta_ij,
+    # and gamma_j is a cycle (its dense boundary vanishes)
+    for name in EXPECTED_COUNTS:
+        p = stage(name).part
+        d1, _ = dense_boundaries(p)
+        for phi in p.cocycles:
+            assert len(phi) == len(p.one_cells)
+            assert all(sum(s * phi[a] for a, s in c.boundary) == 0 for c in p.two_cells)
+        for i, phi in enumerate(p.cocycles):
+            for j, gamma in enumerate(p.cycles):
+                assert sum(c * phi[a] for a, c in gamma) == (i == j)
+        for gamma in p.cycles:
+            assert all(sum(row[a] * c for a, c in gamma) == 0 for row in d1.entries)
+
+
+def _loops(count):
+    # arcs 0..count-1, each a loop at the single 0-cell 0
+    return [OneCell(i, 0, 0, (0, 0)) for i in range(count)]
+
+
+def test_tree_cotree_of_the_square_torus():
+    cycles, cocycles = tree_cotree((0,), _loops(2), [((0, 1), (1, 1), (0, -1), (1, -1))])
+    assert cycles == (((0, 1),), ((1, 1),))
+    assert cocycles == ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("zero_cells, arcs, walks, message", [
+    # three leftover arcs: a torus square with one more loop folded into its walk
+    ((0,), _loops(3), [((0, 1), (1, 1), (0, -1), (1, -1), (2, 1), (2, -1))],
+     "3 arcs are left over"),
+    # two square tori sharing only their 0-cell: the dual graph is disconnected
+    ((0,), _loops(4), [((0, 1), (1, 1), (0, -1), (1, -1)), ((2, 1), (3, 1), (2, -1), (3, -1))],
+     "reaches 1 of 2 2-cells"),
+    # arc 0 used twice with the same sign
+    ((0,), _loops(2), [((0, 1), (1, 1), (0, 1), (1, -1))], "opposite signs"),
+    # two arcs 0 -> 1 walked head to head
+    ((0, 1), [OneCell(0, 0, 1, (0, 1)), OneCell(1, 0, 1, (0, 1))],
+     [((0, 1), (1, 1)), ((1, -1), (0, -1))], "does not close up"),
+    # a 0-cell no arc reaches
+    ((0, 1), _loops(2), [((0, 1), (1, 1), (0, -1), (1, -1))], "reaches 1 of 2 0-cells"),
+], ids=["three-leftover", "disconnected-dual", "same-sign", "open-walk", "unreached-0-cell"])
+def test_tree_cotree_rejects(zero_cells, arcs, walks, message):
+    with pytest.raises(InternalInvariantError, match=message):
+        tree_cotree(zero_cells, arcs, walks)
+
+
+def test_corrupted_cotree_value_fails_the_root_equation(stage, monkeypatch):
+    p = stage("z2xz2-sym").part
+    walks = [c.boundary for c in p.two_cells]
+    assert tree_cotree(p.zero_cells, p.one_cells, walks) == (p.cycles, p.cocycles)
+    pairing = krtorus.homology._pairing
+    calls = []
+
+    def off_by_one_once(walk, phi):
+        calls.append(walk)
+        # the first call solves a leaf of the cotree; the value it gives is off by one
+        return pairing(walk, phi) + (len(calls) == 1)
+
+    monkeypatch.setattr(krtorus.homology, "_pairing", off_by_one_once)
+    with pytest.raises(InternalInvariantError, match="cotree root"):
+        tree_cotree(p.zero_cells, p.one_cells, walks)
+    assert len(calls) == len(walks)
 
 
 def test_each_arc_borders_two_cell_sides(stage):

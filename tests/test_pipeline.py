@@ -5,9 +5,10 @@ import json
 
 import pytest
 
+import krtorus.homology
+import krtorus.symmetry
 from krtorus.errors import InputRejected
 from krtorus.fields import pullback_cosine_field
-from krtorus.homology import _ChainBasis
 from krtorus.pipeline import (AnalysisReport, Atom, DirectProduct, FreeAbelian,
                               TrivialGroup, WreathOver, analyze,
                               build_group_expr, canonical_json,
@@ -209,16 +210,25 @@ def test_verify_extension_checks_atom_count(surface):
     assert exc.value.code == "bad-request"
 
 
-def test_one_chain_basis_per_analyze(monkeypatch):
-    # the partition's homology check and every h1_action share one basis
-    built = []
-    init = _ChainBasis.__init__
+def test_smith_calls_per_analyze(monkeypatch):
+    # the torus check and the H1 action take no Smith form: the only one
+    # left is the cokernel of the group presentation in group_structure
+    inside, calls = [], []
+    smith, cokernel = krtorus.homology.smith_normal_form, krtorus.symmetry.cokernel_invariants
 
-    def counting_init(self, *args):
-        built.append(args)
-        init(self, *args)
+    def counting_smith(a):
+        calls.append(bool(inside))
+        return smith(a)
 
-    monkeypatch.setattr(_ChainBasis, "__init__", counting_init)
+    def marking_cokernel(a):
+        inside.append(a)
+        try:
+            return cokernel(a)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(krtorus.homology, "smith_normal_form", counting_smith)
+    monkeypatch.setattr(krtorus.symmetry, "cokernel_invariants", marking_cokernel)
     report = analyze(pullback_cosine_field(32, ((2, 0), (0, 2))))
     assert (report.symmetry["n"], report.symmetry["m"]) == (2, 1)
-    assert len(built) == 1
+    assert calls == [True]
