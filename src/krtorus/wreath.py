@@ -8,6 +8,7 @@ factor is the free abelian group of rank 2, not the finite grid.
 from __future__ import annotations
 
 import itertools
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -105,10 +106,7 @@ class DirectProductGroup(BaseGroup):
 
     @property
     def order(self) -> int:
-        n = 1
-        for f in self.factors:
-            n *= f.order
-        return n
+        return math.prod(f.order for f in self.factors)
 
     def describe(self) -> str:
         return " x ".join(f.describe() for f in self.factors)
@@ -133,6 +131,17 @@ def parse_atoms(text: str):
     return tuple(groups)
 
 
+class Memo(dict):
+    """key -> fn(key), computed on the first lookup of key."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
+
+
 @dataclass(frozen=True)
 class WreathElement:
     grid: tuple  # rows x cols nested tuples of base elements
@@ -153,6 +162,7 @@ class WreathGroup:
         self.rows = rows
         self.cols = cols
         self._shift_rule = shift_rule if shift_rule is not None else self.shift_action
+        self.products = Memo(lambda pair: base.op(*pair))  # (a, b) -> a*b: <= |base|^2 entries
 
     def element(self, grid, shift=(0, 0)) -> WreathElement:
         grid = tuple(tuple(row) for row in grid)
@@ -167,15 +177,15 @@ class WreathGroup:
                                    for _ in range(self.rows)), (0, 0))
 
     def shift_action(self, grid, shift):
-        k, l = shift
-        return tuple(tuple(grid[(i + k) % self.rows][(j + l) % self.cols]
-                           for j in range(self.cols))
-                     for i in range(self.rows))
+        """moved[i][j] = grid[(i + k) % rows][(j + l) % cols], as rotations."""
+        k, l = shift[0] % self.rows, shift[1] % self.cols
+        return tuple([row[l:] + row[:l] for row in grid[k:] + grid[:k]]) if k or l else grid
 
     def multiply(self, x: WreathElement, y: WreathElement) -> WreathElement:
+        """Cellwise x.grid * (y.grid moved by x.shift), read off self.products; shifts add."""
         moved = self._shift_rule(y.grid, x.shift)
-        grid = tuple(tuple(self.base.op(a, b) for a, b in zip(ra, rb))
-                     for ra, rb in zip(x.grid, moved))
+        get = self.products.__getitem__
+        grid = tuple([tuple(map(get, zip(ra, rb))) for ra, rb in zip(x.grid, moved)])
         return WreathElement(grid, (x.shift[0] + y.shift[0], x.shift[1] + y.shift[1]))
 
     def inverse(self, x: WreathElement) -> WreathElement:
@@ -198,9 +208,8 @@ class WreathGroup:
 
     def grids(self):
         """All grids over a finite base, deterministic order."""
-        cells = self.rows * self.cols
-        for flat in itertools.product(self.base.elements(), repeat=cells):
-            yield self._rows(flat)
+        return map(self._rows, itertools.product(self.base.elements(),
+                                                 repeat=self.rows * self.cols))
 
     def grid_at(self, rank: int):
         """The grid at position rank of grids(), decoded without enumerating."""
@@ -254,11 +263,11 @@ def check_group_axioms(wg: WreathGroup, pool, *, rng=None,
 
     Associativity runs over all pool triples when that fits the budget,
     otherwise over seeded random triples. Elements are interned as ids
-    and products memoised by id pair, so each distinct product goes
-    through wg.multiply once; the triples, their order and the rng draws
+    keyed by (grid, shift) and products memoised by id pair, so each
+    distinct product goes through wg.multiply once; x*y is looked up once
+    per (x, y) run of triples. The triples, their order and the rng draws
     are those of recomputing both sides of every triple. Returns None
-    when every law holds, else a description of the first violated
-    identity.
+    when every law holds, else a description of the first violated one.
     """
     pool = list(pool)
     e = wg.identity()
@@ -271,39 +280,32 @@ def check_group_axioms(wg: WreathGroup, pool, *, rng=None,
         if wg.multiply(x, ix) != e or wg.multiply(ix, x) != e:
             return f"inverse law fails at x = {wg.render(x)}"
     n = len(pool)
-    if n ** 3 <= triple_budget:
-        triples = itertools.product(range(n), repeat=3)
-    else:
-        if rng is None:
-            raise ValueError("pool too large for exhaustive triples; pass rng")
-        # randrange(n) draws exactly what choice(pool) would
-        triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(samples)]
-    ids: dict = {}
-    elements: list = []
-    table: list = []  # table[a][b] = id of elements[a] * elements[b]
+    if n ** 3 <= triple_budget:  # (i, j, every k), in product order
+        runs = itertools.product(range(n), range(n), [range(n)])
+    elif rng is None:
+        raise ValueError("pool too large for exhaustive triples; pass rng")
+    else:  # randrange(n) draws exactly what choice(pool) would
+        runs = [(rng.randrange(n), rng.randrange(n), (rng.randrange(n),))
+                for _ in range(samples)]
+    ids, elements = {}, []  # ids[(grid, shift)] = position in elements
 
     def intern(x) -> int:
-        i = ids.get(x)
-        if i is None:
-            i = ids[x] = len(elements)
+        i = ids.setdefault((x.grid, x.shift), len(elements))
+        if i == len(elements):  # first seen
             elements.append(x)
-            table.append({})
         return i
 
-    def mul(a: int, b: int) -> int:
-        row = table[a]
-        c = row.get(b)
-        if c is None:
-            c = row[b] = intern(wg.multiply(elements[a], elements[b]))
-        return c
-
+    # product[a, b] = id of elements[a] * elements[b]
+    product = Memo(lambda ab: intern(wg.multiply(elements[ab[0]], elements[ab[1]])))
     pool_ids = [intern(x) for x in pool]
-    for i, j, k in triples:
-        x, y, z = pool_ids[i], pool_ids[j], pool_ids[k]
-        if mul(mul(x, y), z) != mul(x, mul(y, z)):
-            return ("associativity fails at "
-                    f"{wg.render(pool[i])}, {wg.render(pool[j])}, {wg.render(pool[k])}")
+    for i, j, ks in runs:
+        x, y = pool_ids[i], pool_ids[j]
+        xy = product[x, y]
+        for k in ks:
+            z = pool_ids[k]
+            if product[xy, z] != product[x, product[y, z]]:
+                return ("associativity fails at "
+                        f"{wg.render(pool[i])}, {wg.render(pool[j])}, {wg.render(pool[k])}")
     return None
 
 
@@ -314,42 +316,40 @@ def check_exact_sequence(wg: WreathGroup, *, max_enum=10_000, rng=None, samples=
     homomorphism (uses multiply, so a corrupted shift action surfaces
     here); proj is additive; the kernel count equals |base|^(rows*cols).
     A kernel over max_enum grids is checked on `samples` distinct grids
-    drawn uniformly by rank. Returns None or the violated identity.
+    drawn uniformly by rank. The homomorphism check multiplies the sigma
+    images made once per grid against pointwise_product, which calls
+    base.op, not wg.products. Returns None or the violated identity.
     """
     if wg.kernel_size() <= max_enum:
         all_grids = list(wg.grids())
+    elif rng is None:
+        raise ValueError("kernel too large to enumerate; pass rng")
     else:
-        if rng is None:
-            raise ValueError("kernel too large to enumerate; pass rng")
         all_grids = [wg.grid_at(rank)
                      for rank in distinct_ranks(rng, wg.kernel_size(), samples)]
-    seen = set()
-    for grid in all_grids:
-        x = wg.sigma(grid)
-        if wg.proj(x) != (0, 0):
-            return "sigma image escapes ker(proj)"
-        seen.add(x)
+    images = [wg.sigma(grid) for grid in all_grids]
+    if any(wg.proj(x) != (0, 0) for x in images):
+        return "sigma image escapes ker(proj)"
+    seen = set(images)
     if len(seen) != len(all_grids):
         return "sigma is not injective"
     if wg.kernel_size() <= max_enum and len(seen) != wg.kernel_size():
         return (f"kernel count {len(seen)} differs from "
                 f"|base|^(rows*cols) = {wg.kernel_size()}")
+    at = range(len(all_grids))  # choice(at) draws what choice(all_grids) would
     if rng is None:
-        pairs = itertools.product(all_grids, repeat=2) \
-            if len(all_grids) ** 2 <= 40_000 else \
-            zip(all_grids, reversed(all_grids))
+        pairs = itertools.product(at, repeat=2) \
+            if len(at) ** 2 <= 40_000 else zip(at, reversed(at))
     else:
-        pairs = [(rng.choice(all_grids), rng.choice(all_grids)) for _ in range(samples)]
-    for g1, g2 in pairs:
-        lhs = wg.multiply(wg.sigma(g1), wg.sigma(g2))
-        rhs = wg.sigma(pointwise_product(wg.base, g1, g2))
-        if lhs != rhs:
+        pairs = [(rng.choice(at), rng.choice(at)) for _ in range(samples)]
+    for i, j in pairs:
+        rhs = wg.sigma(pointwise_product(wg.base, all_grids[i], all_grids[j]))
+        if wg.multiply(images[i], images[j]) != rhs:
             return "sigma is not a homomorphism under the installed shift action"
+    e = wg.identity().grid
     probe = [(0, 0), (1, 0), (0, 1), (2, -3), (-1, 4)]
-    for (a1, a2), (b1, b2) in itertools.product(probe, repeat=2):
-        x = wg.element(wg.identity().grid, (a1, a2))
-        y = wg.element(wg.identity().grid, (b1, b2))
-        if wg.proj(wg.multiply(x, y)) != (a1 + b1, a2 + b2):
+    for a, b in itertools.product(probe, repeat=2):
+        if wg.proj(wg.multiply(wg.element(e, a), wg.element(e, b))) != (a[0] + b[0], a[1] + b[1]):
             return "proj is not additive on shifts"
     return None
 

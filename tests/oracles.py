@@ -211,6 +211,20 @@ def signed_permutation_matrices(perm0, perm1, perm2):
     return p0, p1, p2
 
 
+def shift_cells(grid, shift):
+    """grid moved by shift, one cell at a time: moved[i][j] = grid[(i+k) % rows][(j+l) % cols]."""
+    rows, cols = len(grid), len(grid[0])
+    k, l = shift
+    return tuple(tuple(grid[(i + k) % rows][(j + l) % cols] for j in range(cols))
+                 for i in range(rows))
+
+
+def wreath_cells(op, x_grid, x_shift, y_grid):
+    """Grid part of (x_grid, x_shift) * (y_grid, _): op(x, y moved by x_shift) per cell."""
+    moved = shift_cells(y_grid, x_shift)
+    return tuple(tuple(op(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(x_grid, moved))
+
+
 def group_axioms(wg, pool, *, rng=None, triple_budget=300_000, samples=2_000):
     """Group-law check by recomputing both sides of every triple.
 

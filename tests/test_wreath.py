@@ -6,7 +6,7 @@ import random
 
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krtorus.errors import InputRejected
@@ -30,6 +30,34 @@ def test_shift_action_frozen():
     assert wg.shift_action(grid, (0, 0)) == grid
     assert wg.shift_action(grid, (2, 3)) == grid  # full wrap
     assert wg.shift_action(grid, (-1, 0)) == wg.shift_action(grid, (1, 0))
+
+
+@st.composite
+def shift_cases(draw):
+    """A grid of distinct cells, so a misplaced cell changes the result."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    flat = draw(st.permutations(range(rows * cols)))
+    grid = tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows))
+    return grid, draw(st.tuples(st.integers(-12, 12), st.integers(-12, 12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shift_cases())
+@example((((0, 1, 2), (3, 4, 5)), (2, 3)))  # full wrap on both axes
+@example((((0, 1, 2), (3, 4, 5)), (-12, -12)))  # negative multiple of both sides
+@example((((0, 1, 2), (3, 4, 5)), (-1, -4)))
+@example((((0,), (1,), (2,)), (5, 12)))  # one column: every column shift is a wrap
+def test_shift_action_matches_cell_formula(case):
+    grid, shift = case
+    rows, cols = len(grid), len(grid[0])
+    wg = WreathGroup(CyclicGroup(rows * cols), rows, cols)
+    assert wg.shift_action(grid, shift) == oracles.shift_cells(grid, shift)
+    # the corrupted engine moves y by one column more than x.shift says
+    bad = corrupted_wreath(wg.base, rows, cols)
+    x = bad.element(bad.identity().grid, shift)
+    moved = bad.multiply(x, bad.element(grid)).grid
+    assert moved == oracles.shift_cells(grid, (shift[0], shift[1] + 1))
+    assert (moved == wg.shift_action(grid, shift)) == (cols == 1)
 
 
 def test_multiply_frozen():
@@ -202,6 +230,67 @@ def test_axioms_multiply_each_product_once():
     assert len(triple_calls) < len(pool) ** 3
 
 
+class RecordingProduct(DirectProductGroup):
+    """Direct product that logs every op call."""
+
+    def __init__(self, factors):
+        super().__init__(factors)
+        self.calls = []
+
+    def op(self, a, b):
+        self.calls.append((a, b))
+        return super().op(a, b)
+
+
+def test_product_table_calls_base_op_once_per_pair():
+    base = RecordingProduct((CyclicGroup(2), CyclicGroup(3)))
+    pool = _pool(WreathGroup(base, 2, 2), range(0, 1296, 97))
+    for _ in range(2):  # each engine has its own table
+        base.calls.clear()
+        wg = WreathGroup(base, 2, 2)
+        for x, y in itertools.product(pool, repeat=2):
+            wg.multiply(x, y)
+        assert base.calls and len(set(base.calls)) == len(base.calls) <= base.order ** 2
+        assert len(wg.products) == len(base.calls)
+
+
+def test_axioms_on_729_elements_stay_within_base_square():
+    # the verify pool shape: 81 seeded grid ranks x 9 shifts, sampled triples
+    base = RecordingProduct((CyclicGroup(3), CyclicGroup(4)))
+    wg = WreathGroup(base, 1, 2)
+    rng = random.Random(20260819)
+    pool = _pool(wg, distinct_ranks(rng, wg.kernel_size(), 81))
+    assert len(pool) == 729
+    assert check_group_axioms(wg, pool, rng=rng, samples=1500) is None
+    assert len(set(base.calls)) == len(base.calls) <= 12 ** 2
+
+
+def _cyclic_product_op(orders):
+    return lambda a, b: tuple((p + q) % k for p, q, k in zip(a, b, orders))
+
+
+@st.composite
+def product_pools(draw):
+    orders = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    base = DirectProductGroup(tuple(CyclicGroup(k) for k in orders))
+    wg = WreathGroup(base, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    elements = st.builds(wg.element,
+                         st.integers(0, wg.kernel_size() - 1).map(wg.grid_at),
+                         st.tuples(st.integers(-7, 7), st.integers(-7, 7)))
+    return wg, orders, draw(st.lists(elements, min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_pools())
+def test_multiply_matches_cell_reference(case):
+    wg, orders, pool = case
+    op = _cyclic_product_op(orders)
+    for x, y in itertools.product(pool, repeat=2):
+        xy = wg.multiply(x, y)
+        assert xy.grid == oracles.wreath_cells(op, x.grid, x.shift, y.grid)
+        assert xy.shift == (x.shift[0] + y.shift[0], x.shift[1] + y.shift[1])
+
+
 @pytest.mark.parametrize("base,rows,cols", [
     (CyclicGroup(3), 1, 2), (CyclicGroup(2), 2, 2), (CyclicGroup(1), 2, 3),
     (CyclicGroup(4), 1, 1), (DirectProductGroup((CyclicGroup(2), CyclicGroup(3))), 1, 2),
@@ -243,6 +332,22 @@ def test_sampled_exact_sequence_catches_corrupted_shift():
         "sigma is not a homomorphism under the installed shift action"
     good = WreathGroup(wg.base, 2, 2)
     assert check_exact_sequence(good, rng=random.Random(20260819)) is None
+
+
+@pytest.mark.parametrize("base,rows,cols,pair,wrong,seed", [
+    (CyclicGroup(3), 1, 2, (1, 1), 0, None),  # 9 grids, every pair
+    (DirectProductGroup((CyclicGroup(3), CyclicGroup(4))), 2, 2,  # 400 drawn pairs
+     ((1, 1), (1, 1)), (0, 0), 20260819),
+])
+def test_poisoned_product_table_breaks_homomorphism(base, rows, cols, pair, wrong, seed):
+    # the reference side, pointwise_product, must not read the engine's table
+    rng = lambda: None if seed is None else random.Random(seed)
+    assert check_exact_sequence(WreathGroup(base, rows, cols), rng=rng()) is None
+    wg = WreathGroup(base, rows, cols)
+    assert base.op(*pair) != wrong
+    wg.products[pair] = wrong
+    assert check_exact_sequence(wg, rng=rng()) == \
+        "sigma is not a homomorphism under the installed shift action"
 
 
 def test_exact_sequence_good_and_bad():
