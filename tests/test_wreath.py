@@ -265,10 +265,6 @@ def test_axioms_on_729_elements_stay_within_base_square():
     assert len(set(base.calls)) == len(base.calls) <= 12 ** 2
 
 
-def _cyclic_product_op(orders):
-    return lambda a, b: tuple((p + q) % k for p, q, k in zip(a, b, orders))
-
-
 @st.composite
 def product_pools(draw):
     orders = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
@@ -284,7 +280,7 @@ def product_pools(draw):
 @given(product_pools())
 def test_multiply_matches_cell_reference(case):
     wg, orders, pool = case
-    op = _cyclic_product_op(orders)
+    op = lambda a, b: tuple((p + q) % k for p, q, k in zip(a, b, orders))
     for x, y in itertools.product(pool, repeat=2):
         xy = wg.multiply(x, y)
         assert xy.grid == oracles.wreath_cells(op, x.grid, x.shift, y.grid)
