@@ -7,12 +7,16 @@ factor is the free abelian group of rank 2, not the finite grid.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import math
+import operator
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import InputRejected
+
+call = getattr(operator, "call", lambda f, *args: f(*args))  # operator.call: Python 3.11+
 
 
 class BaseGroup(ABC):
@@ -83,13 +87,14 @@ class DirectProductGroup(BaseGroup):
         self.factors = tuple(factors)
         if not self.factors:
             raise ValueError("direct product needs at least one factor")
+        self._ops = tuple(f.op for f in self.factors)
 
     @property
     def identity(self):
         return tuple(f.identity for f in self.factors)
 
     def op(self, a, b):
-        return tuple(f.op(x, y) for f, x, y in zip(self.factors, a, b))
+        return tuple(map(call, self._ops, a, b))
 
     def inv(self, a):
         return tuple(f.inv(x) for f, x in zip(self.factors, a))
@@ -106,7 +111,10 @@ class DirectProductGroup(BaseGroup):
 
     @property
     def order(self) -> int:
-        return math.prod(f.order for f in self.factors)
+        n = 1
+        for f in self.factors:
+            n *= f.order
+        return n
 
     def describe(self) -> str:
         return " x ".join(f.describe() for f in self.factors)
@@ -131,18 +139,7 @@ def parse_atoms(text: str):
     return tuple(groups)
 
 
-class Memo(dict):
-    """key -> fn(key), computed on the first lookup of key."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        self[key] = value = self.fn(key)
-        return value
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WreathElement:
     grid: tuple  # rows x cols nested tuples of base elements
     shift: tuple[int, int]
@@ -162,7 +159,6 @@ class WreathGroup:
         self.rows = rows
         self.cols = cols
         self._shift_rule = shift_rule if shift_rule is not None else self.shift_action
-        self.products = Memo(lambda pair: base.op(*pair))  # (a, b) -> a*b: <= |base|^2 entries
 
     def element(self, grid, shift=(0, 0)) -> WreathElement:
         grid = tuple(tuple(row) for row in grid)
@@ -177,15 +173,17 @@ class WreathGroup:
                                    for _ in range(self.rows)), (0, 0))
 
     def shift_action(self, grid, shift):
-        """moved[i][j] = grid[(i + k) % rows][(j + l) % cols], as rotations."""
+        """moved[i][j] = grid[(i + k) % rows][(j + l) % cols], grid a tuple of row tuples.
+
+        By rotation; a shift that wraps on both axes returns grid itself."""
         k, l = shift[0] % self.rows, shift[1] % self.cols
         return tuple([row[l:] + row[:l] for row in grid[k:] + grid[:k]]) if k or l else grid
 
     def multiply(self, x: WreathElement, y: WreathElement) -> WreathElement:
-        """Cellwise x.grid * (y.grid moved by x.shift), read off self.products; shifts add."""
+        """Cellwise x.grid * (y.grid moved by x.shift), one base.op per cell; shifts add."""
         moved = self._shift_rule(y.grid, x.shift)
-        get = self.products.__getitem__
-        grid = tuple([tuple(map(get, zip(ra, rb))) for ra, rb in zip(x.grid, moved)])
+        op = self.base.op
+        grid = tuple([tuple(map(op, ra, rb)) for ra, rb in zip(x.grid, moved)])
         return WreathElement(grid, (x.shift[0] + y.shift[0], x.shift[1] + y.shift[1]))
 
     def inverse(self, x: WreathElement) -> WreathElement:
@@ -208,8 +206,9 @@ class WreathGroup:
 
     def grids(self):
         """All grids over a finite base, deterministic order."""
-        return map(self._rows, itertools.product(self.base.elements(),
-                                                 repeat=self.rows * self.cols))
+        cells = self.rows * self.cols
+        for flat in itertools.product(self.base.elements(), repeat=cells):
+            yield self._rows(flat)
 
     def grid_at(self, rank: int):
         """The grid at position rank of grids(), decoded without enumerating."""
@@ -253,8 +252,7 @@ def corrupted_wreath(base: BaseGroup, rows: int, cols: int) -> WreathGroup:
 
 
 def pointwise_product(base: BaseGroup, g1, g2):
-    return tuple(tuple(base.op(a, b) for a, b in zip(r1, r2))
-                 for r1, r2 in zip(g1, g2))
+    return tuple(tuple(map(base.op, r1, r2)) for r1, r2 in zip(g1, g2))
 
 
 def check_group_axioms(wg: WreathGroup, pool, *, rng=None,
@@ -263,7 +261,7 @@ def check_group_axioms(wg: WreathGroup, pool, *, rng=None,
 
     Associativity runs over all pool triples when that fits the budget,
     otherwise over seeded random triples. Elements are interned as ids
-    keyed by (grid, shift) and products memoised by id pair, so each
+    keyed by shift and grid, and products memoised by id pair, so each
     distinct product goes through wg.multiply once; x*y is looked up once
     per (x, y) run of triples. The triples, their order and the rng draws
     are those of recomputing both sides of every triple. Returns None
@@ -287,23 +285,25 @@ def check_group_axioms(wg: WreathGroup, pool, *, rng=None,
     else:  # randrange(n) draws exactly what choice(pool) would
         runs = [(rng.randrange(n), rng.randrange(n), (rng.randrange(n),))
                 for _ in range(samples)]
-    ids, elements = {}, []  # ids[(grid, shift)] = position in elements
+    ids, elements = defaultdict(dict), []  # ids[shift][grid] = position in elements
 
     def intern(x) -> int:
-        i = ids.setdefault((x.grid, x.shift), len(elements))
+        i = ids[x.shift].setdefault(x.grid, len(elements))
         if i == len(elements):  # first seen
             elements.append(x)
         return i
 
-    # product[a, b] = id of elements[a] * elements[b]
-    product = Memo(lambda ab: intern(wg.multiply(elements[ab[0]], elements[ab[1]])))
+    @functools.cache  # one cache per call, freed on return
+    def mul(a: int, b: int) -> int:  # id of elements[a] * elements[b]
+        return intern(wg.multiply(elements[a], elements[b]))
+
     pool_ids = [intern(x) for x in pool]
     for i, j, ks in runs:
         x, y = pool_ids[i], pool_ids[j]
-        xy = product[x, y]
+        xy = mul(x, y)
         for k in ks:
             z = pool_ids[k]
-            if product[xy, z] != product[x, product[y, z]]:
+            if mul(xy, z) != mul(x, mul(y, z)):
                 return ("associativity fails at "
                         f"{wg.render(pool[i])}, {wg.render(pool[j])}, {wg.render(pool[k])}")
     return None
@@ -316,40 +316,39 @@ def check_exact_sequence(wg: WreathGroup, *, max_enum=10_000, rng=None, samples=
     homomorphism (uses multiply, so a corrupted shift action surfaces
     here); proj is additive; the kernel count equals |base|^(rows*cols).
     A kernel over max_enum grids is checked on `samples` distinct grids
-    drawn uniformly by rank. The homomorphism check multiplies the sigma
-    images made once per grid against pointwise_product, which calls
-    base.op, not wg.products. Returns None or the violated identity.
+    drawn uniformly by rank; the homomorphism check reuses those grids'
+    sigma images. Returns None or the violated identity.
     """
     if wg.kernel_size() <= max_enum:
-        all_grids = list(wg.grids())
+        grids = wg.grids()
     elif rng is None:
         raise ValueError("kernel too large to enumerate; pass rng")
     else:
-        all_grids = [wg.grid_at(rank)
-                     for rank in distinct_ranks(rng, wg.kernel_size(), samples)]
-    images = [wg.sigma(grid) for grid in all_grids]
+        grids = map(wg.grid_at, distinct_ranks(rng, wg.kernel_size(), samples))
+    images = [wg.sigma(grid) for grid in grids]
     if any(wg.proj(x) != (0, 0) for x in images):
         return "sigma image escapes ker(proj)"
-    seen = set(images)
-    if len(seen) != len(all_grids):
+    distinct = len(set(images))
+    if distinct != len(images):
         return "sigma is not injective"
-    if wg.kernel_size() <= max_enum and len(seen) != wg.kernel_size():
-        return (f"kernel count {len(seen)} differs from "
+    if wg.kernel_size() <= max_enum and distinct != wg.kernel_size():
+        return (f"kernel count {distinct} differs from "
                 f"|base|^(rows*cols) = {wg.kernel_size()}")
-    at = range(len(all_grids))  # choice(at) draws what choice(all_grids) would
+    at = range(len(images))  # choice(at) draws what choice(images) would
     if rng is None:
         pairs = itertools.product(at, repeat=2) \
             if len(at) ** 2 <= 40_000 else zip(at, reversed(at))
     else:
         pairs = [(rng.choice(at), rng.choice(at)) for _ in range(samples)]
     for i, j in pairs:
-        rhs = wg.sigma(pointwise_product(wg.base, all_grids[i], all_grids[j]))
-        if wg.multiply(images[i], images[j]) != rhs:
+        x, y = images[i], images[j]
+        if wg.multiply(x, y) != wg.sigma(pointwise_product(wg.base, x.grid, y.grid)):
             return "sigma is not a homomorphism under the installed shift action"
-    e = wg.identity().grid
     probe = [(0, 0), (1, 0), (0, 1), (2, -3), (-1, 4)]
-    for a, b in itertools.product(probe, repeat=2):
-        if wg.proj(wg.multiply(wg.element(e, a), wg.element(e, b))) != (a[0] + b[0], a[1] + b[1]):
+    for (a1, a2), (b1, b2) in itertools.product(probe, repeat=2):
+        x = wg.element(wg.identity().grid, (a1, a2))
+        y = wg.element(wg.identity().grid, (b1, b2))
+        if wg.proj(wg.multiply(x, y)) != (a1 + b1, a2 + b2):
             return "proj is not additive on shifts"
     return None
 
