@@ -20,20 +20,20 @@ rotation is propagated across shared arcs until the whole complex is
 matched or a contradiction appears. Orientation reversal never enters
 because boundary walks are only ever aligned forward.
 
-The group stage works on the 2-cell permutations: the action is free
-on 2-cells, so they tell the symmetries apart. multiplication_table
-checks that they do, and group_structure checks on the Cayley edges
-that the whole automorphisms are closed under composition.
+The group stage names each symmetry by its image of 2-cell 0. The
+action on 2-cells is free, so one cell is a base (Seress, Permutation
+Group Algorithms, ch. 4) and distinct symmetries have distinct names;
+group_structure checks that they do, and composes whole automorphisms
+only on the Cayley edges to prove the set closed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 
 from .errors import InternalInvariantError
 from .homology import IntMatrix, cokernel_invariants, h1_action
 from .partition import CellPartition
-from .reeb import _UnionFind
 from .surface import SurfaceField, vertex_classes
 
 
@@ -191,38 +191,11 @@ def enumerate_symmetries(s: SurfaceField, p: CellPartition) -> tuple[CellAutomor
             continue
         kept.append(a)
 
-    # the 2-cell permutations must tell the symmetries apart, and the set must
-    # be closed under composition: group_structure checks both
+    # the names (images of 2-cell 0) must tell the symmetries apart, and the
+    # set must be closed under composition: group_structure checks both
     if identity_automorphism(p).key not in {a.key for a in kept}:
         raise InternalInvariantError("identity is missing from the symmetry set")
     return tuple(kept)
-
-
-def multiplication_table(elements) -> list[list[int]]:
-    """Products of the elements' 2-cell permutations, by index.
-
-    Checks that the 2-cell permutations tell the elements apart; closure
-    of the whole automorphisms is checked by group_structure.
-    """
-    perms = [a.perm2 for a in elements]
-    index = {q: i for i, q in enumerate(perms)}
-    if len(index) != len(perms):
-        raise InternalInvariantError("two distinct symmetries induce the same 2-cell permutation")
-    try:
-        return [[index[tuple(a[x] for x in b)] for b in perms] for a in perms]
-    except KeyError:
-        raise InternalInvariantError("symmetry set is not closed under composition") from None
-
-
-def element_order(mul: list[list[int]], ident: int, i: int) -> int:
-    cur = i
-    order = 1
-    while cur != ident:
-        cur = mul[cur][i]
-        order += 1
-        if order > len(mul):
-            raise InternalInvariantError("element order exceeds the group order")
-    return order
 
 
 @dataclass(frozen=True)
@@ -261,38 +234,56 @@ def group_structure(elements) -> SymmetryGroup:
     the lattice unchanged. Route two: element orders (the exponent is
     nm, the order forces n). Disagreement is an internal error.
 
-    The table works on the 2-cell permutations, which
-    multiplication_table checks to be faithful. Whole automorphisms are
-    composed only on the Cayley edges (x, g_t), k*s compositions, each
-    checked against the table. That proves the set closed: the identity
-    is in it, every x g_t lands in it, and the generators span the
-    2-cell permutations, so by faithfulness every element is a product
-    of generators, and a b = a g_1 ... g_j lies in the set.
+    Each element is named by its image of 2-cell 0. On a free action
+    the names are distinct (if a and b shared one, b^-1 a would fix
+    2-cell 0), and that is checked. a b is the element named
+    a.perm2[name of b], and the cycle of 2-cell 0 under a.perm2 names
+    the powers of a. Whole automorphisms are composed only on the Cayley
+    edges (x, g_t), k*s compositions: the identity is in the set, every
+    x g_t lands in it and the walk reaches every element, so
+    a b = a g_1 ... g_j lies in the set. The g_t then generate the
+    group, so it is abelian when they commute pairwise.
     """
     k = len(elements)
     if not elements[0].is_identity():
         raise InternalInvariantError("elements are not sorted with the identity first")
-    mul = multiplication_table(elements)
-    ident = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            if mul[i][j] != mul[j][i]:
-                raise InternalInvariantError("symmetry group is not abelian")
+    at = {a.perm2[0]: i for i, a in enumerate(elements)}
+    if len(at) != k:
+        raise InternalInvariantError("two distinct symmetries send 2-cell 0 to the same 2-cell")
+
+    def named(cell: int) -> int:
+        if cell not in at:
+            raise InternalInvariantError("symmetry set is not closed under composition")
+        return at[cell]
+
+    def mul(i: int, j: int) -> int:
+        return named(elements[i].perm2[elements[j].perm2[0]])
+
+    powers = []  # powers[i]: the indices of 1, a, a^2, ... for a = elements[i]
+    for a in elements:
+        cyc, cell = [0], a.perm2[0]
+        while cell != 0:
+            if len(cyc) == k:
+                raise InternalInvariantError("element order exceeds the group order")
+            cyc.append(named(cell))
+            cell = a.perm2[cell]
+        powers.append(cyc)
 
     gens = []
-    span = {ident}
+    span = {0}
     for i in range(k):
         if i not in span:
             gens.append(i)
-            span = {mul[x][y] for x in span for y in _cyclic_span(mul, ident, i)}
+            span = {mul(x, y) for x in span for y in powers[i]}
     s = len(gens)
-    word = {ident: (0,) * s}
-    queue = [ident]
+    word = {0: (0,) * s}
+    queue = [0]
     relations = set()
     for x in queue:
         for t, g in enumerate(gens):
-            y = mul[x][g]
-            if compose(elements[x], elements[g]).key != elements[y].key:
+            xg = compose(elements[x], elements[g])
+            y = named(xg.perm2[0])
+            if xg.key != elements[y].key:
                 raise InternalInvariantError("symmetry set is not closed under composition")
             w = word[x][:t] + (word[x][t] + 1,) + word[x][t + 1:]
             if y not in word:
@@ -303,70 +294,52 @@ def group_structure(elements) -> SymmetryGroup:
     if len(word) != k:
         raise InternalInvariantError(
             f"Cayley graph on {s} generators reaches {len(word)} of {k} elements")
+    if any(mul(g, h) != mul(h, g) for t, g in enumerate(gens) for h in gens[t + 1:]):
+        raise InternalInvariantError("symmetry group is not abelian")
     cols = sorted(relations)
     rel = IntMatrix.from_rows([[c[t] for c in cols] for t in range(s)], cols=len(cols))
     inv = cokernel_invariants(rel)
     if inv.free_rank:
         raise InternalInvariantError("finite symmetry group presented an infinite lattice")
-    order = 1
-    for f in inv.factors:
-        order *= f
+    order = prod(inv.factors)
     if order != k:
-        raise InternalInvariantError(
-            f"presentation gives order {order} for {k} elements")
+        raise InternalInvariantError(f"presentation gives order {order} for {k} elements")
     try:
         n, nm = inv.pair_nm()
     except ValueError as exc:
         raise InternalInvariantError(f"more than two invariant factors: {exc}")
 
-    orders = [element_order(mul, ident, i) for i in range(k)]
-    exponent = 1
-    for o in orders:
-        exponent = lcm(exponent, o)
+    orders = [len(cyc) for cyc in powers]
+    exponent = lcm(*orders)
     if exponent != nm or n * nm != k:
         raise InternalInvariantError(
             f"element orders give ({k // exponent}, {exponent}), "
             f"Smith form gives ({n}, {nm})")
 
-    m_idx = min(i for i in range(k) if orders[i] == nm)
+    m_idx = orders.index(nm)
     if n == 1:
-        l_idx = ident
+        l_idx = 0
     else:
-        m_cyc = _cyclic_span(mul, ident, m_idx)
-        l_idx = None
-        for i in range(k):
-            if orders[i] != n:
-                continue
-            if _cyclic_span(mul, ident, i) & m_cyc == {ident}:
-                l_idx = i
-                break
+        m_cyc = set(powers[m_idx])
+        l_idx = next((i for i in range(k)
+                      if orders[i] == n and m_cyc.isdisjoint(powers[i][1:])), None)
         if l_idx is None:
             raise InternalInvariantError("no order-n complement to the maximal cyclic factor")
-        span = {mul[a][b] for a in _cyclic_span(mul, ident, l_idx) for b in m_cyc}
+        span = {mul(a, b) for a in powers[l_idx] for b in m_cyc}
         if len(span) != k:
             raise InternalInvariantError("chosen generators do not span the group")
     return SymmetryGroup(tuple(elements), n, nm, l_idx, m_idx)
 
 
-def _cyclic_span(mul, ident: int, i: int) -> set:
-    out = {ident}
-    cur = i
-    while cur != ident:
-        out.add(cur)
-        cur = mul[cur][i]
-    return out
-
-
 def _cell_orbits(elements, count: int) -> list[list[int]]:
-    """Orbits on 2-cells under every element's permutation, sorted by least member."""
-    uf = _UnionFind(count)
-    for a in elements:
-        for j in range(count):
-            uf.union(j, a.perm2[j])
-    groups: dict[int, list[int]] = {}
-    for j in range(count):
-        groups.setdefault(uf.find(j), []).append(j)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    """Orbits on 2-cells, sorted by least member: the elements form a group."""
+    seen: set[int] = set()
+    orbits = []
+    for c in range(count):
+        if c not in seen:
+            orbits.append(sorted({a.perm2[c] for a in elements}))
+            seen.update(orbits[-1])
+    return orbits
 
 
 def index_orbits(sg: SymmetryGroup, p: CellPartition):

@@ -32,6 +32,41 @@ def _matrices():
     return mats
 
 
+def _product(u, a):
+    return tuple(tuple(sum(u[i][t] * a[t][j] for t in range(2)) for j in range(2))
+                 for i in range(2))
+
+
+def _left_factor(rng, mat):
+    """Seeded unimodular U = [[1, a], [0, 1]] [[1, 0], [b, 1]] other than I.
+
+    Unless A is scalar, U is drawn again until U A spans another lattice
+    than A, so that the covering itself changes.
+    """
+    (p, q), (r, s) = mat
+    scalar = q == r == 0 and p == s
+    while True:
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        u = ((1 + a * b, a), (b, 1))
+        # U A spans the lattice of A iff adj(A) U A = 0 mod det A
+        adj_ua = _product(((s, -q), (-r, p)), _product(u, mat))
+        same = all(x % (p * s - q * r) == 0 for row in adj_ua for x in row)
+        if (a or b) and (scalar or not same):
+            return u
+
+
+# the hand-picked head of _matrices(): seven non-cyclic groups and the trivial one
+_rng = random.Random(13)
+LEFT_FACTOR_CASES = [(mat, _left_factor(_rng, mat)) for mat in _matrices()[:8]]
+
+
+def _group_summary(mat):
+    report = analyze(SurfaceField(*oracles.covering_field(BASE, mat)))
+    sym = report.symmetry
+    return ((sym["n"], sym["m"], sym["r"]), sym["order"],
+            report.special["two_cells"], report.group["expr"])
+
+
 def test_covering_field_is_a_torus_of_the_right_size():
     for mat in ((2, 0), (0, 2)), ((3, -4), (0, 2)):
         tris, values = oracles.covering_field(BASE, mat)
@@ -54,3 +89,12 @@ def test_covering_group_is_the_deck_group(mat):
     assert sym["order"] == det
     assert sym["r"] == 2
     assert report.special["two_cells"] == 2 * det
+
+
+@pytest.mark.parametrize("mat,u", LEFT_FACTOR_CASES, ids=str)
+def test_unimodular_left_factor_keeps_the_group(mat, u):
+    # UA Z^2 = U(A Z^2): another covering (unless A is scalar) whose deck
+    # group is isomorphic to that of A
+    ua = _product(u, mat)
+    assert ua != mat
+    assert _group_summary(ua) == _group_summary(mat)

@@ -8,10 +8,8 @@ from krtorus.errors import InternalInvariantError
 from krtorus.homology import CokernelInvariants, IntMatrix
 from krtorus.partition import build_partition
 from krtorus.reeb import compute_reeb, find_special_vertex
-from krtorus.symmetry import (CellAutomorphism, compose, element_order,
-                              enumerate_symmetries, group_structure,
-                              identity_automorphism, index_orbits,
-                              multiplication_table)
+from krtorus.symmetry import (CellAutomorphism, compose, enumerate_symmetries,
+                              group_structure, identity_automorphism, index_orbits)
 
 import oracles
 
@@ -27,6 +25,18 @@ FROZEN_TABLES = {
     "z2xz2-sym": ((1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1),
                   (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1)),
 }
+
+
+def _table(elements):
+    return oracles.permutation_table([a.perm2 for a in elements])
+
+
+def _powers(mul, i):
+    """Indices of the powers 1, x, x^2, ... of element i; their count is its order."""
+    out = [0]
+    while mul[out[-1]][i] != 0:
+        out.append(mul[out[-1]][i])
+    return out
 
 
 def test_group_orders(stage):
@@ -50,7 +60,7 @@ def test_elements_form_abelian_group(stage):
     for name in EXPECTED:
         els = stage(name).elements
         keys = {a.key for a in els}
-        mul = multiplication_table(els)
+        mul = _table(els)
         for i, a in enumerate(els):
             assert compose(a, els[mul[i].index(0)]).key == els[0].key
             for b in els:
@@ -69,7 +79,7 @@ def test_action_is_free(stage):
 def test_compose_inverse_round_trip(stage):
     st = stage("z2xz2-sym")
     ident = identity_automorphism(st.part)
-    mul = multiplication_table(st.elements)
+    mul = _table(st.elements)
     for i, a in enumerate(st.elements):
         inv = st.elements[mul[i].index(0)]
         assert compose(a, inv).key == ident.key
@@ -78,21 +88,21 @@ def test_compose_inverse_round_trip(stage):
 
 def test_multiplication_table_and_orders(stage):
     st = stage("z2xz2-sym")
-    mul = multiplication_table(st.elements)
+    mul = _table(st.elements)
     k = len(st.elements)
     for i in range(k):
         assert sorted(mul[i]) == list(range(k))  # latin square rows
         assert mul[0][i] == i and mul[i][0] == i
-    orders = sorted(element_order(mul, 0, i) for i in range(k))
+    orders = sorted(len(_powers(mul, i)) for i in range(k))
     assert orders == [1, 2, 2, 2]  # Z2 x Z2
 
 
 def test_generators(stage):
     for name, want in EXPECTED.items():
         st = stage(name)
-        mul = multiplication_table(st.elements)
-        assert element_order(mul, 0, st.group.gen_m) == st.group.nm
-        assert element_order(mul, 0, st.group.gen_l) == st.group.n
+        mul = _table(st.elements)
+        assert len(_powers(mul, st.group.gen_m)) == st.group.nm
+        assert len(_powers(mul, st.group.gen_l)) == st.group.n
         if st.group.n == 1:
             assert st.group.gen_l == 0
         # L-powers times M-powers sweep the whole group
@@ -190,8 +200,7 @@ def _record_presentations(monkeypatch):
     return seen
 
 
-def _table_factors(elements):
-    mul = oracles.permutation_table([e.perm2 for e in elements])
+def _table_factors(mul):
     return oracles.cokernel_factors(oracles.cayley_relation_matrix(mul))
 
 
@@ -202,7 +211,14 @@ def test_presentation_matches_cayley_table(monkeypatch, a, b):
     sg = group_structure(els)
     assert (sg.n, sg.nm) == (a, b)
     (_, inv), = seen
-    assert inv.factors == _table_factors(els)
+    mul = _table(els)
+    assert inv.factors == _table_factors(mul)
+    # the generators fix the orbit table: gen_m is the first element of
+    # order nm, gen_l has order n and meets <gen_m> only in the identity
+    powers = [_powers(mul, i) for i in range(len(els))]
+    assert sg.gen_m == min(i for i, p in enumerate(powers) if len(p) == b)
+    assert len(powers[sg.gen_l]) == a
+    assert set(powers[sg.gen_l]) & set(powers[sg.gen_m]) == {0}
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -212,7 +228,7 @@ def test_pool_presentation_matches_cayley_table(monkeypatch, stage, name):
     sg = group_structure(els)
     assert (sg.n, sg.m) == (EXPECTED[name]["n"], EXPECTED[name]["m"])
     (_, inv), = seen
-    assert inv.factors == _table_factors(els)
+    assert inv.factors == _table_factors(_table(els))
 
 
 def test_presentation_size_is_linear_in_the_order(monkeypatch):
@@ -267,13 +283,22 @@ def test_closure_is_checked_on_whole_automorphisms():
 def test_shared_two_cell_permutation_is_caught():
     ident = CellAutomorphism((0, 1, 2), (), (0, 1))
     a = CellAutomorphism((1, 2, 0), (), (0, 1))
-    with pytest.raises(InternalInvariantError, match="same 2-cell permutation"):
+    with pytest.raises(InternalInvariantError, match="send 2-cell 0 to the same 2-cell"):
+        group_structure((ident, a))
+
+
+def test_symmetry_fixing_two_cell_zero_is_caught():
+    # a is not the identity and its 2-cell permutation is a Z2 with the
+    # identity's, but it fixes 2-cell 0, so the two share a name
+    ident = CellAutomorphism((0, 1, 2), (), (0, 1, 2))
+    a = CellAutomorphism((0, 1, 2), (), (0, 2, 1))
+    with pytest.raises(InternalInvariantError, match="send 2-cell 0 to the same 2-cell"):
         group_structure((ident, a))
 
 
 def test_whole_automorphisms_compose_only_on_cayley_edges(monkeypatch):
-    # the k x k table composes 2-cell permutations; whole automorphisms are
-    # composed once per Cayley edge, k*s with s <= 3 here (the table took k^2)
+    # products are read off the names; whole automorphisms are composed
+    # once per Cayley edge, k*s with s <= 3 here (a full table takes k^2)
     calls = []
     real = krtorus.symmetry.compose
 
