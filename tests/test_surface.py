@@ -157,3 +157,62 @@ def test_constructor_rejects_non_finite_values(bad):
     with pytest.raises(InputRejected) as exc:
         tetra_field((0, bad, 2, 3))
     assert exc.value.code == "malformed-input"
+
+
+class _Index(int):
+    """An int subclass other than bool: accepted as a vertex index."""
+
+
+@pytest.mark.parametrize("tris, message", [
+    ([(0, 1, 2), (0, 1)], "triangle (0, 1) does not have 3 vertices"),
+    ([(0, 1, 2), (0, 3, 1, 2)], "triangle (0, 3, 1, 2) does not have 3 vertices"),
+    ([(0, True, 2)], "vertex index True out of range"),
+    ([(0, 1.0, 2)], "vertex index 1.0 out of range"),
+    ([(0, -1, 2)], "vertex index -1 out of range"),
+    ([(0, 1, 4)], "vertex index 4 out of range"),
+    ([(0, 1, 1)], "triangle (0, 1, 1) repeats a vertex"),
+    ([(2, 0, 2)], "triangle (2, 0, 2) repeats a vertex"),
+    ([(0, 1, 2), (1, 2, 0)], "duplicate triangle [0, 1, 2]"),
+    ([(0, 1, 2), (0, 2, 1)], "duplicate triangle [0, 1, 2]"),
+    # the first offender in triangle order is named
+    ([(0, 1, 2), (0, 1, 1), (0, 1, 9)], "triangle (0, 1, 1) repeats a vertex"),
+    ([(0, 1, 2), (0, 1, 9), (0, 1, 1)], "vertex index 9 out of range"),
+    ([(0, 1, 2), (3, 2, 1), (3, 2, 1), (0, 9, 1)], "duplicate triangle [1, 2, 3]"),
+])
+def test_constructor_names_the_first_bad_triangle(tris, message):
+    with pytest.raises(InputRejected) as exc:
+        SurfaceField(tris, [0, 1, 2, 3])
+    assert exc.value.code == "malformed-input"
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("values, message", [
+    ((0, True, 2, 3), "unsupported scalar True"),
+    ((0, 1, "2", 3), "unsupported scalar '2'"),
+    ((0, None, 2, 3), "unsupported scalar None"),
+    ((0, float("nan"), 2, 3), "non-finite scalar nan"),
+    ((0, 1, float("-inf"), 3), "non-finite scalar -inf"),
+    # values are checked before triangles, and the first offender is named
+    ((float("inf"), False, 2, 3), "non-finite scalar inf"),
+    ((False, float("inf"), 2, 3), "unsupported scalar False"),
+])
+def test_constructor_names_the_first_bad_value(values, message):
+    with pytest.raises(InputRejected) as exc:
+        SurfaceField([(0, 1), (0, 1, 1)], values)
+    assert exc.value.code == "malformed-input"
+    assert str(exc.value) == message
+
+
+def test_constructor_rejects_empty_input():
+    with pytest.raises(InputRejected, match="surface has no vertices"):
+        SurfaceField(TETRA, [])
+    with pytest.raises(InputRejected, match="surface has no triangles"):
+        SurfaceField([], [0, 1, 2, 3])
+
+
+def test_constructor_accepts_int_subclasses_and_exact_scalars():
+    s = SurfaceField([tuple(map(_Index, t)) for t in TETRA],
+                     [Fraction(1, 2), 1, 2.5, _Index(3)])
+    assert s.triangles == tuple(TETRA)
+    assert s.values == (Fraction(1, 2), 1, 2.5, 3)
+    assert validate_closed_orientable(s)["chi"] == 2
