@@ -134,8 +134,10 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
 
     refined: list[tuple[int, int, int]] = []
     parent: list[int] = []
+    first: list[int] = []  # first refined index of each original triangle
     vedges: set[tuple[int, int]] = set()
     for idx, tri in enumerate(s.triangles):
+        first.append(len(refined))
         pieces = tri_pieces.get(idx)
         if pieces is None:
             refined.append(tri)
@@ -186,6 +188,7 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             vedges.add(_norm(x1, x2))
         else:
             raise InternalInvariantError(f"unexpected level piece pattern in triangle {tri}")
+    first.append(len(refined))
 
     vv = vset | set(xid.values())
     refined_values = list(s.values) + [level] * len(xlist)
@@ -201,25 +204,56 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
                              for cu, cw in zip(s.coords[u], s.coords[w])))
         refined_coords = s.coords + tuple(ext)
 
-    # refined topology
+    # refined topology: only V's triangles are new, so only their pieces get
+    # a directed-edge map. A seam is an original edge of one of V's
+    # triangles whose other side is untouched; its piece is glued through
+    # the surface map, as is every edge between two untouched triangles
+    left = s.left_triangles()
+    seam: dict[tuple[int, int], int] = {}
+    for idx in tri_pieces:
+        a, b, c = s.triangles[idx]
+        for x, y in ((a, b), (b, c), (c, a)):
+            t = left[y][x]
+            if t not in tri_pieces:
+                seam[(x, y)] = first[t]
     directed_tri: dict[tuple[int, int], int] = {}
-    succ: dict[int, dict[int, int]] = {}
-    for ti, (a, b, c) in enumerate(refined):
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            if (x, y) in directed_tri:
-                raise InternalInvariantError("refined complex repeats a directed edge")
-            directed_tri[(x, y)] = ti
-            if x in vv:
-                succ.setdefault(x, {})[y] = z
-    # each edge, smaller end first, with the triangles on its two sides
-    edge_tris: dict[tuple[int, int], tuple[int, int]] = {}
+    succ: dict[int, dict[int, int]] = {w: {} for w in vv}
+    for idx in tri_pieces:
+        for ti in range(first[idx], first[idx + 1]):
+            a, b, c = refined[ti]
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                if (x, y) in directed_tri:
+                    raise InternalInvariantError("refined complex repeats a directed edge")
+                directed_tri[(x, y)] = ti
+                if x in vv:
+                    succ[x][y] = z
+    for w in verts:
+        for y, t in left[w].items():
+            if t not in tri_pieces:
+                succ[w][y] = sum(s.triangles[t]) - w - y
+
+    ruf = _UnionFind(len(refined))
     for (x, y), ti in directed_tri.items():
         other = directed_tri.get((y, x))
         if other is None:
-            raise InternalInvariantError(
-                f"refined edge {_norm(x, y)} is not shared by two triangles")
-        if x < y:
-            edge_tris[(x, y)] = (ti, other)
+            other = seam.pop((x, y), None)
+            if other is None:
+                raise InternalInvariantError(
+                    f"refined edge {_norm(x, y)} is not shared by two triangles")
+        elif x < nv and y in left[x] and left[x][y] not in tri_pieces:
+            # an untouched triangle holds x->y as well
+            raise InternalInvariantError("refined complex repeats a directed edge")
+        if _norm(x, y) not in vedges:
+            ruf.union(ti, other)
+    if seam:
+        raise InternalInvariantError(
+            f"refined edge {_norm(*min(seam))} is not shared by two triangles")
+    for u, d in enumerate(left):
+        for w, t1 in d.items():
+            if u < w:
+                t2 = left[w][u]
+                if t1 not in tri_pieces and t2 not in tri_pieces:
+                    ruf.union(first[t1], first[t2])
 
     fan_of: dict[int, tuple[int, ...]] = {}
     for w in vv:
@@ -236,12 +270,7 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             raise InternalInvariantError(f"refined fan at {w} is not a single cycle")
         fan_of[w] = tuple(cyc)
 
-    # complement regions: glue refined triangles across non-V edges
-    ruf = _UnionFind(len(refined))
-    for key, (t1, t2) in edge_tris.items():
-        if key not in vedges:
-            ruf.union(t1, t2)
-    # regions are numbered by their smallest refined triangle
+    # complement regions, numbered by their smallest refined triangle
     region_ids: dict[int, int] = {}
     region_of: list[int] = []
     region_tris: list[list[int]] = []
@@ -252,6 +281,11 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         region_of.append(rid)
         region_tris[rid].append(ti)
     n_regions = len(region_tris)
+    # the darts of V, each on the side of the region to its left
+    region_darts: list[set[tuple[int, int]]] = [set() for _ in range(n_regions)]
+    for (u, w) in vedges:
+        for dart in ((u, w), (w, u)):
+            region_darts[region_of[directed_tri[dart]]].add(dart)
 
     # match regions to branches through the critical vertices they contain
     branches = g.branches_at(node_id)
@@ -285,19 +319,14 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         raise InternalInvariantError("region/branch matching is not a bijection")
     cell_region = [region_branch.index(bi) for bi in range(len(branches))]
 
-    # census Euler characteristic of each open region must be 1
-    region_edge_count = [0] * n_regions
-    for key, (t1, t2) in edge_tris.items():
-        if key in vedges:
-            continue
-        if region_of[t1] != region_of[t2]:
-            raise InternalInvariantError("non-V edge separates two regions")
-        region_edge_count[region_of[t1]] += 1
+    # census Euler characteristic of each open region must be 1; the darts
+    # of its triangles not on V pair up into its open edges
     region_vert_count = [0] * n_regions
     for u, rid in region_vertex.items():
         region_vert_count[rid] += 1
     for rid in range(n_regions):
-        chi = region_vert_count[rid] - region_edge_count[rid] + len(region_tris[rid])
+        n_tris = len(region_tris[rid])
+        chi = region_vert_count[rid] - (3 * n_tris - len(region_darts[rid])) // 2 + n_tris
         if chi != 1:
             raise InternalInvariantError(
                 f"region {rid} has open Euler characteristic {chi}, not a disk")
@@ -361,11 +390,6 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             dart_info[(p[t + 1], p[t])] = (cell.id, -1, t)
 
     # boundary walk of each region, region kept on the left
-    region_darts: list[set[tuple[int, int]]] = [set() for _ in range(n_regions)]
-    for (u, w) in vedges:
-        for dart in ((u, w), (w, u)):
-            region_darts[region_of[directed_tri[dart]]].add(dart)
-
     def walk(rid: int) -> list[tuple[int, int]]:
         darts = region_darts[rid]
         start = min(darts)

@@ -182,13 +182,15 @@ def level_structure(s: SurfaceField, g: ReebGraph, node_id: int):
     """
     verts = sorted(v for v, nid in g.on_node.items() if nid == node_id)
     on = set(verts)
-    crossed = {idx for idx, cuts in g.tri_cuts.items() if node_id in cuts}
-    tris = [idx for idx, (a, b, c) in enumerate(s.triangles)
-            if idx in crossed or (a in on) + (b in on) + (c in on) >= 2]
-    return tuple(verts), tuple(tris)
+    left, triangles = s.left_triangles(), s.triangles
+    tris = {idx for idx, cuts in g.tri_cuts.items() if node_id in cuts}
+    for v in verts:
+        tris.update(idx for idx in left[v].values()
+                    if sum(u in on for u in triangles[idx]) >= 2)
+    return tuple(verts), tuple(sorted(tris))
 
 
-def _node_component(s: SurfaceField, level, start: int, classes, vertex_tris, edge_tris):
+def _node_component(s: SurfaceField, level, start: int, classes, left):
     """The component of one level set through vertex start, found locally.
 
     Pieces are reached through the triangles around them: all triangles
@@ -201,7 +203,7 @@ def _node_component(s: SurfaceField, level, start: int, classes, vertex_tris, ed
     """
     values, triangles = s.values, s.triangles
     verts, edges, tris, cut = {start}, set(), set(), []
-    stack = [vertex_tris[start]]
+    stack = [left[start].values()]
     segments = 0  # doubled: a flat segment is met from both of its triangles
     while stack:
         for idx in stack.pop():
@@ -219,7 +221,7 @@ def _node_component(s: SurfaceField, level, start: int, classes, vertex_tris, ed
                 for v in on:
                     if v not in verts:
                         verts.add(v)
-                        stack.append(vertex_tris[v])
+                        stack.append(left[v].values())
                 x, w = (v for v in (a, b, c) if v != on[0])
                 if len(on) == 2 or (values[x] < level) == (values[w] < level):
                     segments += len(on) - 1  # a flat segment, or none
@@ -231,7 +233,7 @@ def _node_component(s: SurfaceField, level, start: int, classes, vertex_tris, ed
                 key = (x, w) if x < w else (w, x)
                 if key not in edges:
                     edges.add(key)
-                    stack.append(edge_tris[key])
+                    stack.append((left[x][w], left[w][x]))
     crit = tuple(sorted(v for v in verts if classes[v].is_critical))
     key = ("e", *min(edges)) if edges else ("v", min(verts))
     return key, len(verts) + len(edges) - segments // 2, crit, verts, edges, tris, cut
@@ -251,12 +253,9 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
     if flat is not None:
         triangle_level_pieces(s, s.triangles[flat[1]], crit_level[flat[0]])
 
-    vertex_tris: list[list[int]] = [[] for _ in values]
-    edge_tris: dict[tuple[int, int], list[int]] = {}
-    for idx, (a, b, c) in enumerate(s.triangles):
-        for u, w in ((a, b), (b, c), (c, a)):
-            vertex_tris[u].append(idx)
-            edge_tris.setdefault((u, w) if u < w else (w, u), []).append(idx)
+    # every fan closed in vertex_classes, so left[u][w] and left[w][u] are
+    # the two triangles of each mesh edge
+    left = s.left_triangles()
 
     # node ids ascend with their levels, and a triangle meets at most one
     # component of a level, so every cut list below is in level order
@@ -270,7 +269,7 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
         covered = set()
         for v in group:
             if v not in covered:
-                comp = _node_component(s, level, v, classes, vertex_tris, edge_tris)
+                comp = _node_component(s, level, v, classes, left)
                 covered.update(comp[2])
                 comps.append(comp)
         comps.sort(key=itemgetter(0))
@@ -297,16 +296,23 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
     # last one at or below the edge's lower end, then each node crossing
     # it. Cut lists ascend in id as in level, so slabs are found by node id
     uf = _UnionFind(base[-1])
-    for key, (t1, t2) in edge_tris.items():
-        fu, fw = values[key[0]], values[key[1]]
-        if fu == fw and key[0] in on_node:
-            continue
-        if t1 not in tri_cuts and t2 not in tri_cuts:
-            uf.union(base[t1], base[t2])
-            continue
-        c1, c2 = tri_cuts.get(t1, ()), tri_cuts.get(t2, ())
-        for n in [bisect_right(node_level, min(fu, fw)) - 1, *edge_cuts.get(key, ())]:
-            uf.union(base[t1] + bisect_right(c1, n), base[t2] + bisect_right(c2, n))
+    n_edges = 0
+    for u, d in enumerate(left):
+        fu = values[u]
+        for w, t1 in d.items():
+            if w < u:
+                continue  # each edge once, from its smaller end
+            n_edges += 1
+            fw = values[w]
+            if fu == fw and u in on_node:
+                continue
+            t2 = left[w][u]
+            if t1 not in tri_cuts and t2 not in tri_cuts:
+                uf.union(base[t1], base[t2])
+                continue
+            c1, c2 = tri_cuts.get(t1, ()), tri_cuts.get(t2, ())
+            for n in [bisect_right(node_level, min(fu, fw)) - 1, *edge_cuts.get((u, w), ())]:
+                uf.union(base[t1] + bisect_right(c1, n), base[t2] + bisect_right(c2, n))
 
     # each cut-surface component: its bounding nodes, smallest triangle and
     # the uncut triangles it owns; node carriers own the rest
@@ -354,7 +360,7 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
                   {eid: tuple(r[3]) for eid, r in enumerate(edge_raw)},
                   on_node,
                   tri_cuts,
-                  surface_chi=s.vertex_count - len(edge_tris) + s.triangle_count)
+                  surface_chi=s.vertex_count - n_edges + s.triangle_count)
 
     # connectivity of the graph itself
     uf = _UnionFind(len(g.nodes))

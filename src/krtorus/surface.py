@@ -92,7 +92,7 @@ class SurfaceField:
         self.triangles: tuple[tuple[int, int, int], ...] = tuple(tris)
         self.values = vals
         self.coords = coords
-        self._succ = None
+        self._left = None
         self._fans: list | None = None
         self._classes = None
 
@@ -115,21 +115,25 @@ class SurfaceField:
                 out.add((u, w) if u < w else (w, u))
         return out
 
-    def _corner_successors(self):
-        # succ[a][b] = c for each CCW triangle (a, b, c); doubled directed
-        # edges mean inconsistent orientation or a non-surface gluing
-        if self._succ is None:
-            succ = [dict() for _ in range(len(self.values))]
-            for a, b, c in self.triangles:
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    if y in succ[x]:
+    def left_triangles(self) -> list[dict[int, int]]:
+        """The mesh adjacency: left[u][w] is the triangle with u->w on its CCW boundary.
+
+        Built once and shared. A directed edge used twice is rejected here;
+        the fan walks of vertex_fan prove that every left[u][w] has its
+        left[w][u], so the map also names each edge's two triangles.
+        """
+        if self._left is None:
+            left = [dict() for _ in range(len(self.values))]
+            for idx, (a, b, c) in enumerate(self.triangles):
+                for x, y in ((a, b), (b, c), (c, a)):
+                    if y in left[x]:
                         raise InputRejected(
                             "not-a-surface",
                             f"directed edge {x}->{y} used by two triangles; "
                             "orientations are inconsistent or the gluing is not orientable")
-                    succ[x][y] = z
-            self._succ = succ
-        return self._succ
+                    left[x][y] = idx
+            self._left = left
+        return self._left
 
     def vertex_fan(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in CCW cyclic order. Rejects pinched or boundary vertices."""
@@ -137,12 +141,14 @@ class SurfaceField:
             self._fans = [None] * len(self.values)
         fan = self._fans[v]
         if fan is None:
-            d = self._corner_successors()[v]
+            d = self.left_triangles()[v]
             if not d:
                 raise InputRejected("not-a-surface", f"vertex {v} has no incident triangle")
+            tris = self.triangles
             start = min(d)
             cyc = [start]
-            cur = d[start]
+            # the triangle left of v->w is (v, w, next), so next is its third corner
+            cur = sum(tris[d[start]]) - v - start
             while cur != start:
                 if cur not in d:
                     raise InputRejected("not-a-surface",
@@ -150,7 +156,7 @@ class SurfaceField:
                 cyc.append(cur)
                 if len(cyc) > len(d):
                     raise InternalInvariantError(f"fan walk at vertex {v} does not terminate")
-                cur = d[cur]
+                cur = sum(tris[d[cur]]) - v - cur
             if len(cyc) != len(d):
                 raise InputRejected("not-a-surface",
                                     f"vertex {v} is pinched: its link is not a single cycle")
@@ -164,10 +170,10 @@ def validate_closed_orientable(s: SurfaceField) -> dict:
 
     Returns {"chi": ..., "genus": ...} on success, raises InputRejected otherwise.
     """
-    succ = s._corner_successors()
-    for u, d in enumerate(succ):
+    left = s.left_triangles()
+    for u, d in enumerate(left):
         for w in d:
-            if u not in succ[w]:
+            if u not in left[w]:
                 raise InputRejected("not-a-surface", f"boundary edge {u}-{w}: no opposite triangle")
     for v in range(s.vertex_count):
         s.vertex_fan(v)
@@ -175,7 +181,7 @@ def validate_closed_orientable(s: SurfaceField) -> dict:
     stack = [0]
     while stack:
         v = stack.pop()
-        for w in succ[v]:
+        for w in left[v]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
