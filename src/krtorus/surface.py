@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import isfinite
 
 from .errors import InputRejected, InternalInvariantError
@@ -58,28 +59,35 @@ class SurfaceField:
         vals = tuple(values)
         if not vals:
             raise InputRejected("malformed-input", "surface has no vertices")
-        for x in vals:
-            if not isinstance(x, (int, float, Fraction)) or isinstance(x, bool):
-                raise InputRejected("malformed-input", f"unsupported scalar {x!r}")
-            if not isfinite(x):
-                raise InputRejected("malformed-input", f"non-finite scalar {x!r}")
+        # whole-sequence checks first; the per-item loops run only on a
+        # failure, to name the first offender
+        if not (set(map(type, vals)) <= {float, int} and all(map(isfinite, vals))):
+            for x in vals:
+                if not isinstance(x, (int, float, Fraction)) or isinstance(x, bool):
+                    raise InputRejected("malformed-input", f"unsupported scalar {x!r}")
+                if not isfinite(x):
+                    raise InputRejected("malformed-input", f"non-finite scalar {x!r}")
         nv = len(vals)
-        tris = []
-        seen: set[frozenset] = set()
-        for raw in triangles:
-            t = tuple(raw)
-            if len(t) != 3:
-                raise InputRejected("malformed-input", f"triangle {t} does not have 3 vertices")
-            for i in t:
-                if not isinstance(i, int) or isinstance(i, bool) or i < 0 or i >= nv:
-                    raise InputRejected("malformed-input", f"vertex index {i!r} out of range")
-            key = frozenset(t)
-            if len(key) != 3:
-                raise InputRejected("malformed-input", f"triangle {t} repeats a vertex")
-            if key in seen:
-                raise InputRejected("malformed-input", f"duplicate triangle {sorted(t)}")
-            seen.add(key)
-            tris.append(t)
+        tris = list(map(tuple, triangles))
+        flat = list(chain.from_iterable(tris))
+        if not (set(map(len, tris)) == {3} and set(map(type, flat)) == {int}
+                and 0 <= min(flat) and max(flat) < nv
+                and all(a != b != c != a for a, b, c in tris)
+                and len(set(map(tuple, map(sorted, tris)))) == len(tris)):
+            seen: set[frozenset] = set()
+            for t in tris:
+                if len(t) != 3:
+                    raise InputRejected("malformed-input",
+                                        f"triangle {t} does not have 3 vertices")
+                for i in t:
+                    if not isinstance(i, int) or isinstance(i, bool) or i < 0 or i >= nv:
+                        raise InputRejected("malformed-input", f"vertex index {i!r} out of range")
+                key = frozenset(t)
+                if len(key) != 3:
+                    raise InputRejected("malformed-input", f"triangle {t} repeats a vertex")
+                if key in seen:
+                    raise InputRejected("malformed-input", f"duplicate triangle {sorted(t)}")
+                seen.add(key)
         if not tris:
             raise InputRejected("malformed-input", "surface has no triangles")
         if coords is not None:
