@@ -18,7 +18,7 @@ from .partition import CellPartition, build_partition
 from .reeb import _UnionFind, branch_euler, compute_reeb, find_special_vertex
 from .surface import SurfaceField, dump_surface, validate_closed_orientable
 from .symmetry import enumerate_symmetries, group_structure, index_orbits
-from .wreath import (DirectProductGroup, WreathGroup, check_exact_sequence,
+from .wreath import (DirectProductGroup, WreathElement, WreathGroup, check_exact_sequence,
                      check_group_axioms, corrupted_wreath, distinct_ranks)
 
 
@@ -363,8 +363,9 @@ def verify_extension(report: AnalysisReport, atoms, corrupt_shift: bool = False,
 
     window = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
     kernel = wg.kernel_size()
-    pool = [wg.element(wg.grid_at(rank), sh)
-            for rank in distinct_ranks(rng, kernel, 81) for sh in window]
+    # each grid is decoded and shape-checked once, then paired with every shift
+    grids = [wg.element(wg.grid_at(rank)).grid for rank in distinct_ranks(rng, kernel, 81)]
+    pool = [WreathElement(grid, sh) for grid in grids for sh in window]
     fail = check_group_axioms(wg, pool, rng=rng, samples=1500)
     if fail is None:
         fail = check_exact_sequence(
