@@ -62,6 +62,50 @@ def triangle_component_count(triangles):
     return len({uf.find(i) for i in range(len(triangles))})
 
 
+def cut_regions(triangles, cut_edges):
+    """Regions of a closed oriented complex cut along an edge set, by a whole-mesh rebuild.
+
+    Every directed edge of every triangle is mapped to its triangle; a
+    repeated directed edge, or one without its reverse, raises
+    ValueError. Triangles are glued across every edge not in cut_edges
+    (pairs, smaller end first). Returns one (triangles, (V, E, T), darts)
+    per region, ordered by smallest triangle: V counts the region's
+    vertices off the cut, E its edges off the cut, and darts are the
+    directed cut edges that have the region on their left.
+    """
+    directed = {}
+    for ti, (a, b, c) in enumerate(triangles):
+        for x, y in ((a, b), (b, c), (c, a)):
+            if (x, y) in directed:
+                raise ValueError(f"directed edge {x}->{y} is repeated")
+            directed[(x, y)] = ti
+    uf = UnionFind()
+    for (x, y), ti in directed.items():
+        if (y, x) not in directed:
+            raise ValueError(f"edge {x}-{y} has a triangle on one side only")
+        uf.find(ti)
+        if (min(x, y), max(x, y)) not in cut_edges:
+            uf.union(ti, directed[(y, x)])
+    groups = {}
+    for ti in range(len(triangles)):
+        groups.setdefault(uf.find(ti), []).append(ti)
+    on_cut = {v for e in cut_edges for v in e}
+    out = []
+    for tris in sorted(groups.values()):
+        verts, edges, darts = set(), set(), set()
+        for ti in tris:
+            a, b, c = triangles[ti]
+            verts.update(v for v in (a, b, c) if v not in on_cut)
+            for x, y in ((a, b), (b, c), (c, a)):
+                key = (min(x, y), max(x, y))
+                if key in cut_edges:
+                    darts.add((x, y))
+                else:
+                    edges.add(key)
+        out.append((tris, (len(verts), len(edges), len(tris)), darts))
+    return out
+
+
 def triangle_level_pieces(tri, values, level):
     """Pieces of one level set inside one triangle.
 

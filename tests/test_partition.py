@@ -5,10 +5,11 @@ import pytest
 
 import krtorus.homology
 from krtorus.errors import InputRejected, InternalInvariantError
-from krtorus.fields import pullback_cosine_field
+from krtorus.fields import preset_field, pullback_cosine_field
 from krtorus.homology import IntMatrix, tree_cotree
 from krtorus.partition import OneCell, branch_signature, build_partition
-from krtorus.reeb import ReebEdge, ReebGraph, ReebNode, compute_reeb, find_special_vertex
+from krtorus.reeb import (ReebEdge, ReebGraph, ReebNode, compute_reeb, find_special_vertex,
+                         level_structure)
 from krtorus.surface import SurfaceField, vertex_classes
 
 import oracles
@@ -304,3 +305,70 @@ def test_coarse_sample_with_collapsed_rays_rejected():
         build_partition(s, g, node)
     assert exc.value.code == "degenerate-level"
     assert "level rays" in str(exc.value)
+
+
+def _partition_of(s: SurfaceField):
+    g = compute_reeb(s)
+    return g, find_special_vertex(g)
+
+
+DIFFERENTIAL_FIELDS = (
+    [(f"{name}@{grid}", lambda name=name, grid=grid: preset_field(name, grid))
+     for name in EXPECTED_COUNTS for grid in (16, 32)]
+    + [(f"pullback {mat}@{grid}", lambda mat=mat, grid=grid: pullback_cosine_field(grid, mat))
+       for mat, grid in ((((2, 0), (0, 2)), 32), (((3, 0), (0, 3)), 48),
+                         (((2, 1), (-1, 2)), 40), (((4, 0), (0, 4)), 32))]
+    + [(f"covering {mat}", lambda mat=mat: SurfaceField(*oracles.covering_field(8, mat)))
+       for mat in (((2, 0), (0, 2)), ((3, 0), (0, 3)), ((2, 0), (0, 4)), ((2, 2), (-2, 2)))])
+
+
+@pytest.mark.parametrize("make", [m for _, m in DIFFERENTIAL_FIELDS],
+                         ids=[label for label, _ in DIFFERENTIAL_FIELDS])
+def test_patched_refined_complex_matches_a_whole_mesh_rebuild(make):
+    # build_partition glues only V's pieces and their seams itself and
+    # reads the rest off the surface's adjacency; the oracle rebuilds the
+    # directed-edge map of the whole refined complex from raw triangles
+    s = make()
+    g, node = _partition_of(s)
+    p = build_partition(s, g, node)
+    v_edges = {(min(x, y), max(x, y))
+               for cell in p.one_cells for x, y in zip(cell.path, cell.path[1:])}
+    on_v = {v for e in v_edges for v in e}
+    regions = oracles.cut_regions(p.refined_triangles, v_edges)
+    cells = sorted(p.two_cells, key=lambda c: c.refined_triangles[0])
+    assert len(regions) == len(cells) == g.degree(node)
+    for (tris, (nv, ne, nt), darts), cell in zip(regions, cells):
+        assert tuple(tris) == cell.refined_triangles
+        assert nt == len(cell.refined_triangles)
+        assert nv == len({v for ti in tris for v in p.refined_triangles[ti]} - on_v)
+        assert nv - ne + nt == 1
+        walk = cell.boundary_vertices
+        assert darts == set(zip(walk, walk[1:] + walk[:1]))
+
+
+def _flipped(s: SurfaceField, flip) -> tuple:
+    return tuple((a, c, b) if idx in flip else (a, b, c)
+                 for idx, (a, b, c) in enumerate(s.triangles))
+
+
+def test_flipped_piece_repeats_a_directed_edge(monkeypatch):
+    # the surface's adjacency is built from the true triangles; one of V's
+    # triangles is then reversed, so its refined pieces flip orientation
+    # and each repeats a directed edge of a neighboring piece
+    s = preset_field("z2-sym", 16)
+    g, node = _partition_of(s)
+    _, tris = level_structure(s, g, node)
+    monkeypatch.setattr(s, "triangles", _flipped(s, {tris[0]}))
+    with pytest.raises(InternalInvariantError, match="refined complex repeats a directed edge"):
+        build_partition(s, g, node)
+
+
+def test_flipped_level_pieces_lose_their_seams(monkeypatch):
+    # all of V's triangles reversed: the pieces agree with each other, but
+    # not with the untouched triangles across their seams
+    s = preset_field("z2-sym", 16)
+    g, node = _partition_of(s)
+    _, tris = level_structure(s, g, node)
+    monkeypatch.setattr(s, "triangles", _flipped(s, set(tris)))
+    with pytest.raises(InternalInvariantError, match=r"refined edge \(\d+, \d+\) is not shared"):
+        build_partition(s, g, node)
