@@ -13,9 +13,20 @@ that ``compute_reeb`` keeps, and only those triangles are cut into
 level pieces. Full-edge segments (both endpoints on the level) do occur
 in the model fields and are handled as first-class V-edges, not as an
 error case.
+
+The refined complex shares the surface's adjacency. Only the pieces of
+V's triangles get a directed-edge map, which also holds the untouched
+side of each seam (an edge between one of V's triangles and an untouched
+one); edges between untouched triangles are glued through
+``SurfaceField.left_triangles``. Repeated directed edges and edges with
+one triangle are checked on the pieces and their seams only: validation
+and the fan walks of ``vertex_classes`` proved the untouched triangles
+closed and consistently oriented, and a piece edge between two original
+vertices is an edge of its own triangle.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputRejected, InternalInvariantError
@@ -116,6 +127,12 @@ def _norm(u: int, w: int) -> tuple[int, int]:
     return (u, w) if u < w else (w, u)
 
 
+def _after(tri: tuple[int, int, int], v: int) -> tuple[int, int]:
+    """The two corners that follow corner v of tri in CCW order."""
+    a, b, c = tri
+    return (b, c) if v == a else (c, a) if v == b else (a, b)
+
+
 def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartition:
     classes = vertex_classes(s)
     node = g.node(node_id)
@@ -133,7 +150,6 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     xid = {e: nv + k for k, e in enumerate(xlist)}
 
     refined: list[tuple[int, int, int]] = []
-    parent: list[int] = []
     first: list[int] = []  # first refined index of each original triangle
     vedges: set[tuple[int, int]] = set()
     for idx, tri in enumerate(s.triangles):
@@ -141,7 +157,6 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         pieces = tri_pieces.get(idx)
         if pieces is None:
             refined.append(tri)
-            parent.append(idx)
             continue
         vparts = [p for p in pieces if p[0] == "v"]
         eparts = [(p[1], p[2]) for p in pieces if p[0] == "e"]
@@ -149,46 +164,32 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             u, w = vparts[0][1], vparts[1][1]
             vedges.add(_norm(u, w))
             refined.append(tri)
-            parent.append(idx)
         elif len(vparts) == 1 and len(eparts) == 1:
             v0 = vparts[0][1]
             e = eparts[0]
             x = xid[e]
-            a, b, c = tri
-            if a == v0:
-                p_, q_ = b, c
-            elif b == v0:
-                p_, q_ = c, a
-            else:
-                p_, q_ = a, b
+            p_, q_ = _after(tri, v0)
             if {p_, q_} != set(e):
                 raise InternalInvariantError("crossing edge is not opposite the on-level corner")
             refined.append((v0, p_, x))
             refined.append((v0, x, q_))
-            parent.extend((idx, idx))
             vedges.add(_norm(v0, x))
         elif len(eparts) == 2 and not vparts:
             shared = set(eparts[0]) & set(eparts[1])
             if len(shared) != 1:
                 raise InternalInvariantError("crossing edges do not share one corner")
             a0 = shared.pop()
-            a, b, c = tri
-            if a == a0:
-                p_, q_ = b, c
-            elif b == a0:
-                p_, q_ = c, a
-            else:
-                p_, q_ = a, b
+            p_, q_ = _after(tri, a0)
             x1 = xid[_norm(a0, p_)]
             x2 = xid[_norm(a0, q_)]
             refined.append((a0, x1, x2))
             refined.append((x1, p_, q_))
             refined.append((x1, q_, x2))
-            parent.extend((idx, idx, idx))
             vedges.add(_norm(x1, x2))
         else:
             raise InternalInvariantError(f"unexpected level piece pattern in triangle {tri}")
     first.append(len(refined))
+    parent = [idx for idx in range(len(s.triangles)) for _ in range(first[idx], first[idx + 1])]
 
     vv = vset | set(xid.values())
     refined_values = list(s.values) + [level] * len(xlist)
@@ -204,19 +205,14 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
                              for cu, cw in zip(s.coords[u], s.coords[w])))
         refined_coords = s.coords + tuple(ext)
 
-    # refined topology: only V's triangles are new, so only their pieces get
-    # a directed-edge map. A seam is an original edge of one of V's
-    # triangles whose other side is untouched; its piece is glued through
-    # the surface map, as is every edge between two untouched triangles
+    # refined topology: a directed-edge map of V's pieces and their seams
     left = s.left_triangles()
-    seam: dict[tuple[int, int], int] = {}
+    directed_tri: dict[tuple[int, int], int] = {}
     for idx in tri_pieces:
         a, b, c = s.triangles[idx]
         for x, y in ((a, b), (b, c), (c, a)):
-            t = left[y][x]
-            if t not in tri_pieces:
-                seam[(x, y)] = first[t]
-    directed_tri: dict[tuple[int, int], int] = {}
+            if left[y][x] not in tri_pieces:
+                directed_tri[(y, x)] = first[left[y][x]]
     succ: dict[int, dict[int, int]] = {w: {} for w in vv}
     for idx in tri_pieces:
         for ti in range(first[idx], first[idx + 1]):
@@ -231,29 +227,19 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         for y, t in left[w].items():
             if t not in tri_pieces:
                 succ[w][y] = sum(s.triangles[t]) - w - y
-
+    # glue across every edge off V, between untouched triangles by the surface map
     ruf = _UnionFind(len(refined))
     for (x, y), ti in directed_tri.items():
         other = directed_tri.get((y, x))
         if other is None:
-            other = seam.pop((x, y), None)
-            if other is None:
-                raise InternalInvariantError(
-                    f"refined edge {_norm(x, y)} is not shared by two triangles")
-        elif x < nv and y in left[x] and left[x][y] not in tri_pieces:
-            # an untouched triangle holds x->y as well
-            raise InternalInvariantError("refined complex repeats a directed edge")
+            raise InternalInvariantError(
+                f"refined edge {_norm(x, y)} is not shared by two triangles")
         if _norm(x, y) not in vedges:
             ruf.union(ti, other)
-    if seam:
-        raise InternalInvariantError(
-            f"refined edge {_norm(*min(seam))} is not shared by two triangles")
     for u, d in enumerate(left):
-        for w, t1 in d.items():
-            if u < w:
-                t2 = left[w][u]
-                if t1 not in tri_pieces and t2 not in tri_pieces:
-                    ruf.union(first[t1], first[t2])
+        for w, t in d.items():
+            if u < w and t not in tri_pieces and left[w][u] not in tri_pieces:
+                ruf.union(first[t], first[left[w][u]])
 
     fan_of: dict[int, tuple[int, ...]] = {}
     for w in vv:
@@ -321,9 +307,7 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
 
     # census Euler characteristic of each open region must be 1; the darts
     # of its triangles not on V pair up into its open edges
-    region_vert_count = [0] * n_regions
-    for u, rid in region_vertex.items():
-        region_vert_count[rid] += 1
+    region_vert_count = Counter(region_vertex.values())
     for rid in range(n_regions):
         n_tris = len(region_tris[rid])
         chi = region_vert_count[rid] - (3 * n_tris - len(region_darts[rid])) // 2 + n_tris

@@ -11,16 +11,19 @@ the cuts they make, never to levels x triangles:
   of a given level, so gluing pieces within triangles is sound;
 - node components are found by a local traversal from their critical
   vertices, through the triangles around each on-level vertex and the
-  two triangles of each crossing edge. A triangle met is read off its
+  two triangles of each crossing edge, all read off the surface's
+  ``left_triangles`` map (``vertex_classes`` has closed every fan, so it
+  names both triangles of each edge). A triangle met is read off its
   corner values, with no piece list, and only crossing edges get a key.
   Regular level components are never built;
 - graph edges are the connected components of the surface cut along
   the node components. Each triangle splits into slabs at the node
-  levels that cross its interior. Slabs of the two triangles at a mesh
-  edge are glued once per stretch of that edge between consecutive
-  node crossings, each slab found by its node's id in the triangle's
-  cut list; a flat edge glues its two sides unless it lies in a
-  node component. A component's lower and upper node are read off the
+  levels that cross its interior. Each mesh edge is taken once from the
+  same map, and the slabs of its two triangles are glued once per
+  stretch of that edge between consecutive node crossings, each slab
+  found by its node's id in the triangle's cut list; a flat edge glues
+  its two sides unless it lies in a node component. A component's
+  lower and upper node are read off the
   cuts and corner vertices that bound its slabs, and there must be
   exactly one of each.
 
@@ -173,7 +176,7 @@ class ReebGraph:
 
 
 def level_structure(s: SurfaceField, g: ReebGraph, node_id: int):
-    """The level component of one node, read off the graph's cut maps.
+    """The level component of one node, read off the cut maps and its vertices' fans.
 
     Returns (vertices, triangles): the component's on-level vertices,
     and the triangles it crosses (the node cuts their interior) or runs
@@ -182,11 +185,9 @@ def level_structure(s: SurfaceField, g: ReebGraph, node_id: int):
     """
     verts = sorted(v for v, nid in g.on_node.items() if nid == node_id)
     on = set(verts)
-    left, triangles = s.left_triangles(), s.triangles
     tris = {idx for idx, cuts in g.tri_cuts.items() if node_id in cuts}
-    for v in verts:
-        tris.update(idx for idx in left[v].values()
-                    if sum(u in on for u in triangles[idx]) >= 2)
+    tris.update(idx for v in verts for idx in s.left_triangles()[v].values()
+                if sum(u in on for u in s.triangles[idx]) >= 2)
     return tuple(verts), tuple(sorted(tris))
 
 
@@ -253,8 +254,6 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
     if flat is not None:
         triangle_level_pieces(s, s.triangles[flat[1]], crit_level[flat[0]])
 
-    # every fan closed in vertex_classes, so left[u][w] and left[w][u] are
-    # the two triangles of each mesh edge
     left = s.left_triangles()
 
     # node ids ascend with their levels, and a triangle meets at most one
@@ -296,13 +295,11 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
     # last one at or below the edge's lower end, then each node crossing
     # it. Cut lists ascend in id as in level, so slabs are found by node id
     uf = _UnionFind(base[-1])
-    n_edges = 0
     for u, d in enumerate(left):
         fu = values[u]
         for w, t1 in d.items():
             if w < u:
                 continue  # each edge once, from its smaller end
-            n_edges += 1
             fw = values[w]
             if fu == fw and u in on_node:
                 continue
@@ -360,7 +357,7 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
                   {eid: tuple(r[3]) for eid, r in enumerate(edge_raw)},
                   on_node,
                   tri_cuts,
-                  surface_chi=s.vertex_count - n_edges + s.triangle_count)
+                  surface_chi=s.vertex_count - sum(map(len, left)) // 2 + s.triangle_count)
 
     # connectivity of the graph itself
     uf = _UnionFind(len(g.nodes))

@@ -5,6 +5,14 @@ sets are polygonal. Genericity is simulated: criticality decisions break
 value ties by vertex index, which makes the vertex order strictly total.
 Level-set geometry (which edges a contour crosses) always compares raw
 values; only the local classification uses the tie-broken order.
+
+The mesh adjacency is built once per surface, by ``left_triangles``:
+left[u][w] is the triangle with u->w on its CCW boundary. Building it
+rejects a directed edge used twice. The fan walks of ``vertex_fan``, run
+at every vertex by ``validate_closed_orientable`` and ``vertex_classes``,
+reject boundary and pinched vertices, which proves that each left[u][w]
+has its left[w][u]. The Reeb graph and the cell partition read this map
+and build no adjacency of their own.
 """
 from __future__ import annotations
 
@@ -59,8 +67,7 @@ class SurfaceField:
         vals = tuple(values)
         if not vals:
             raise InputRejected("malformed-input", "surface has no vertices")
-        # whole-sequence checks first; the per-item loops run only on a
-        # failure, to name the first offender
+        # whole-sequence checks; the per-item loops only name an offender
         if not (set(map(type, vals)) <= {float, int} and all(map(isfinite, vals))):
             for x in vals:
                 if not isinstance(x, (int, float, Fraction)) or isinstance(x, bool):
@@ -77,8 +84,7 @@ class SurfaceField:
             seen: set[frozenset] = set()
             for t in tris:
                 if len(t) != 3:
-                    raise InputRejected("malformed-input",
-                                        f"triangle {t} does not have 3 vertices")
+                    raise InputRejected("malformed-input", f"triangle {t} does not have 3 vertices")
                 for i in t:
                     if not isinstance(i, int) or isinstance(i, bool) or i < 0 or i >= nv:
                         raise InputRejected("malformed-input", f"vertex index {i!r} out of range")
@@ -124,12 +130,7 @@ class SurfaceField:
         return out
 
     def left_triangles(self) -> list[dict[int, int]]:
-        """The mesh adjacency: left[u][w] is the triangle with u->w on its CCW boundary.
-
-        Built once and shared. A directed edge used twice is rejected here;
-        the fan walks of vertex_fan prove that every left[u][w] has its
-        left[w][u], so the map also names each edge's two triangles.
-        """
+        """left[u][w]: the triangle with u->w on its CCW boundary, built once."""
         if self._left is None:
             left = [dict() for _ in range(len(self.values))]
             for idx, (a, b, c) in enumerate(self.triangles):
@@ -152,11 +153,10 @@ class SurfaceField:
             d = self.left_triangles()[v]
             if not d:
                 raise InputRejected("not-a-surface", f"vertex {v} has no incident triangle")
-            tris = self.triangles
             start = min(d)
             cyc = [start]
             # the triangle left of v->w is (v, w, next), so next is its third corner
-            cur = sum(tris[d[start]]) - v - start
+            cur = sum(self.triangles[d[start]]) - v - start
             while cur != start:
                 if cur not in d:
                     raise InputRejected("not-a-surface",
@@ -164,7 +164,7 @@ class SurfaceField:
                 cyc.append(cur)
                 if len(cyc) > len(d):
                     raise InternalInvariantError(f"fan walk at vertex {v} does not terminate")
-                cur = sum(tris[d[cur]]) - v - cur
+                cur = sum(self.triangles[d[cur]]) - v - cur
             if len(cyc) != len(d):
                 raise InputRejected("not-a-surface",
                                     f"vertex {v} is pinched: its link is not a single cycle")
