@@ -185,8 +185,9 @@ def level_structure(s: SurfaceField, g: ReebGraph, node_id: int):
     """
     verts = sorted(v for v, nid in g.on_node.items() if nid == node_id)
     on = set(verts)
+    left = s.left_triangles()
     tris = {idx for idx, cuts in g.tri_cuts.items() if node_id in cuts}
-    tris.update(idx for v in verts for idx in s.left_triangles()[v].values()
+    tris.update(idx for v in verts for idx in left[v].values()
                 if sum(u in on for u in s.triangles[idx]) >= 2)
     return tuple(verts), tuple(sorted(tris))
 
