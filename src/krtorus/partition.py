@@ -150,6 +150,7 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     xid = {e: nv + k for k, e in enumerate(xlist)}
 
     refined: list[tuple[int, int, int]] = []
+    parent: list[int] = []
     first: list[int] = []  # first refined index of each original triangle
     vedges: set[tuple[int, int]] = set()
     for idx, tri in enumerate(s.triangles):
@@ -157,6 +158,7 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         pieces = tri_pieces.get(idx)
         if pieces is None:
             refined.append(tri)
+            parent.append(idx)
             continue
         vparts = [p for p in pieces if p[0] == "v"]
         eparts = [(p[1], p[2]) for p in pieces if p[0] == "e"]
@@ -164,6 +166,7 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             u, w = vparts[0][1], vparts[1][1]
             vedges.add(_norm(u, w))
             refined.append(tri)
+            parent.append(idx)
         elif len(vparts) == 1 and len(eparts) == 1:
             v0 = vparts[0][1]
             e = eparts[0]
@@ -173,6 +176,7 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
                 raise InternalInvariantError("crossing edge is not opposite the on-level corner")
             refined.append((v0, p_, x))
             refined.append((v0, x, q_))
+            parent.extend((idx, idx))
             vedges.add(_norm(v0, x))
         elif len(eparts) == 2 and not vparts:
             shared = set(eparts[0]) & set(eparts[1])
@@ -185,11 +189,11 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             refined.append((a0, x1, x2))
             refined.append((x1, p_, q_))
             refined.append((x1, q_, x2))
+            parent.extend((idx, idx, idx))
             vedges.add(_norm(x1, x2))
         else:
             raise InternalInvariantError(f"unexpected level piece pattern in triangle {tri}")
     first.append(len(refined))
-    parent = [idx for idx in range(len(s.triangles)) for _ in range(first[idx], first[idx + 1])]
 
     vv = vset | set(xid.values())
     refined_values = list(s.values) + [level] * len(xlist)

@@ -185,9 +185,8 @@ def level_structure(s: SurfaceField, g: ReebGraph, node_id: int):
     """
     verts = sorted(v for v, nid in g.on_node.items() if nid == node_id)
     on = set(verts)
-    left = s.left_triangles()
     tris = {idx for idx, cuts in g.tri_cuts.items() if node_id in cuts}
-    tris.update(idx for v in verts for idx in left[v].values()
+    tris.update(idx for v in verts for idx in s.left_triangles()[v].values()
                 if sum(u in on for u in s.triangles[idx]) >= 2)
     return tuple(verts), tuple(sorted(tris))
 
@@ -299,11 +298,9 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
     for u, d in enumerate(left):
         fu = values[u]
         for w, t1 in d.items():
-            if w < u:
-                continue  # each edge once, from its smaller end
             fw = values[w]
-            if fu == fw and u in on_node:
-                continue
+            if w < u or fu == fw and u in on_node:
+                continue  # each edge once, from its smaller end; none across a node
             t2 = left[w][u]
             if t1 not in tri_cuts and t2 not in tri_cuts:
                 uf.union(base[t1], base[t2])
