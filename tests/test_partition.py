@@ -307,7 +307,7 @@ def test_coarse_sample_with_collapsed_rays_rejected():
     assert "level rays" in str(exc.value)
 
 
-def _partition_of(s: SurfaceField):
+def _graph_and_node(s: SurfaceField):
     g = compute_reeb(s)
     return g, find_special_vertex(g)
 
@@ -329,7 +329,7 @@ def test_patched_refined_complex_matches_a_whole_mesh_rebuild(make):
     # reads the rest off the surface's adjacency; the oracle rebuilds the
     # directed-edge map of the whole refined complex from raw triangles
     s = make()
-    g, node = _partition_of(s)
+    g, node = _graph_and_node(s)
     p = build_partition(s, g, node)
     v_edges = {(min(x, y), max(x, y))
                for cell in p.one_cells for x, y in zip(cell.path, cell.path[1:])}
@@ -356,7 +356,7 @@ def test_flipped_piece_repeats_a_directed_edge(monkeypatch):
     # triangles is then reversed, so its refined pieces flip orientation
     # and each repeats a directed edge of a neighboring piece
     s = preset_field("z2-sym", 16)
-    g, node = _partition_of(s)
+    g, node = _graph_and_node(s)
     _, tris = level_structure(s, g, node)
     monkeypatch.setattr(s, "triangles", _flipped(s, {tris[0]}))
     with pytest.raises(InternalInvariantError, match="refined complex repeats a directed edge"):
@@ -367,7 +367,7 @@ def test_flipped_level_pieces_lose_their_seams(monkeypatch):
     # all of V's triangles reversed: the pieces agree with each other, but
     # not with the untouched triangles across their seams
     s = preset_field("z2-sym", 16)
-    g, node = _partition_of(s)
+    g, node = _graph_and_node(s)
     _, tris = level_structure(s, g, node)
     monkeypatch.setattr(s, "triangles", _flipped(s, set(tris)))
     with pytest.raises(InternalInvariantError, match=r"refined edge \(\d+, \d+\) is not shared"):
