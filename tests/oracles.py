@@ -472,3 +472,47 @@ def covering_field(n, mat):
             triangles.append((va, vb, vc))
             triangles.append((va, vc, vd))
     return triangles, values
+
+
+def cut_disk(refined_triangles, refined_values, region, walk):
+    """A 2-cell cut free of the torus by a whole-region corner union-find.
+
+    Corner 3*j + k is corner k of the region's j-th triangle. The corners
+    at both ends of every region edge that does not join two walk
+    vertices are glued to the corners across it; each class becomes one
+    disk vertex, numbered in order of its first corner. Returns
+    (triangles, values, boundary, sources): boundary is the rim cycle of
+    the cut, disk on its left, started at its smallest vertex, and
+    sources maps each disk vertex to its refined vertex.
+    """
+    walkset = set(walk)
+    tris = [refined_triangles[ti] for ti in region]
+    uf = UnionFind()
+    sides = {}
+    for j, (a, b, c) in enumerate(tris):
+        k = 3 * j
+        for u, w, cu, cw in ((a, b, k, k + 1), (b, c, k + 1, k + 2), (c, a, k + 2, k)):
+            if u in walkset and w in walkset:
+                continue
+            key = (min(u, w), max(u, w))
+            sides.setdefault(key, []).append((cu, cw) if u < w else (cw, cu))
+    for key, pairs in sides.items():
+        if len(pairs) != 2:
+            raise ValueError(f"edge {key} has {len(pairs)} triangles in the region")
+        (u1, w1), (u2, w2) = pairs
+        uf.union(u1, u2)
+        uf.union(w1, w2)
+    number, sources, corner_vertex = {}, [], []
+    for corner in range(3 * len(tris)):
+        root = uf.find(corner)
+        if root not in number:
+            number[root] = len(sources)
+            sources.append(tris[corner // 3][corner % 3])
+        corner_vertex.append(number[root])
+    disk = [tuple(corner_vertex[3 * j:3 * j + 3]) for j in range(len(tris))]
+    directed = {(u, w) for a, b, c in disk for u, w in ((a, b), (b, c), (c, a))}
+    step = {u: w for u, w in directed if (w, u) not in directed}
+    boundary = [min(step)]
+    while step[boundary[-1]] != boundary[0]:
+        boundary.append(step[boundary[-1]])
+    return disk, [refined_values[u] for u in sources], boundary, sources
