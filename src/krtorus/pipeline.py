@@ -157,51 +157,73 @@ class DiskField:
 
 
 def extract_disk_field(s: SurfaceField, p: CellPartition, orbit_table, i: int) -> DiskField:
+    """The representative 2-cell of orbit i, cut free of the torus as a closed disk.
+
+    In the torus the closure self-identifies along the level graph; the
+    cut undoes that at the cell's boundary walk only. A region corner at
+    a vertex off the walk keeps its refined vertex: ``vertex_classes``
+    closed every original fan, and ``build_partition`` closed every
+    refined fan at V, put each vertex off V in one region and walked all
+    of the region's darts on V. So every vertex of V in the cell is on
+    the walk, and all the corners at a vertex off it make one disk
+    vertex. A corner at a walk vertex u is glued only across an edge u-x
+    with x off the walk, to u's corner on the other side; edges between
+    two walk vertices stay cut, so each walk visit gets its own copy of
+    u. Disk vertices are numbered in order of their first corner.
+
+    The edges at walk vertices must each have one region triangle on
+    either side, and the cut must be a disk (Euler characteristic 1)
+    whose rim is one simple cycle and, read back in refined vertices, a
+    rotation of the cell's walk.
+    """
     table = [tuple(t) for t in orbit_table]
     r = max(t[0] for t in table)
     if not 1 <= i <= r:
         raise ValueError(f"disk index {i} out of range 1..{r}")
     rep = next(c for c, t in enumerate(table) if t == (i, 0, 0))
     cell = p.two_cells[rep]
-    region = cell.refined_triangles
     walkset = set(cell.boundary_vertices)
+    region_tris = [p.refined_triangles[ti] for ti in cell.refined_triangles]
 
-    # Cut the closed region free of the torus. In the torus the closure
-    # self-identifies along the level graph, so triangle corners at one
-    # refined vertex merge only when two region triangles share an edge
-    # that is not part of the cell's boundary walk; each walk visit then
-    # gets its own copy of the vertex.
-    # Corner 3*j + k is corner k of the region's j-th triangle.
-    region_tris = [p.refined_triangles[ti] for ti in region]
-    uf = _UnionFind(3 * len(region_tris))
-    edge_corners: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for j, (a, b, c) in enumerate(region_tris):
-        k = 3 * j
-        for u, w, cu, cw in ((a, b, k, k + 1), (b, c, k + 1, k + 2), (c, a, k + 2, k)):
-            if u in walkset and w in walkset:
-                continue  # boundary edge: stays cut
-            if u < w:
-                edge_corners.setdefault((u, w), []).append((cu, cw))
-            else:
-                edge_corners.setdefault((w, u), []).append((cw, cu))
-    for (u, w), sides in edge_corners.items():
-        if len(sides) != 2:
-            raise InternalInvariantError(
-                f"interior edge {u}-{w} of a region has {len(sides)} triangles")
-        (u1, w1), (u2, w2) = sides
-        uf.union(u1, u2)
-        uf.union(w1, w2)
+    # The corners at walk vertices, numbered in corner order: u's corner
+    # in the triangle left of u->x and in the one left of x->u, x off the walk.
+    after: dict[tuple[int, int], int] = {}
+    before: dict[tuple[int, int], int] = {}
+    n = 0
+    for a, b, c in region_tris:
+        for y, u, x in ((c, a, b), (a, b, c), (b, c, a)):
+            if u in walkset:
+                if x not in walkset and after.setdefault((u, x), n) != n:
+                    raise InternalInvariantError(
+                        f"directed edge {u}->{x} repeats in cut cell {rep}")
+                if y not in walkset and before.setdefault((y, u), n) != n:
+                    raise InternalInvariantError(
+                        f"directed edge {y}->{u} repeats in cut cell {rep}")
+                n += 1
+    unpaired = after.keys() ^ {(u, y) for y, u in before}
+    if unpaired:
+        u, x = min(unpaired)
+        raise InternalInvariantError(
+            f"interior edge {u}-{x} at the walk of cut cell {rep} has one triangle")
+    uf = _UnionFind(n)
+    for (u, x), corner in after.items():
+        uf.union(corner, before[(x, u)])
 
-    # disk vertices are numbered in order of their first corner
-    roots = [uf.find(corner) for corner in range(3 * len(region_tris))]
-    disk_vertex = [-1] * len(roots)
+    # a disk vertex is keyed by its refined vertex off the walk, and by
+    # ~root of its glued corners at the walk, met in the order numbered above
+    number: dict[int, int] = {}
     sources: list[int] = []
-    for corner, root in enumerate(roots):
-        if disk_vertex[root] < 0:
-            disk_vertex[root] = len(sources)
-            sources.append(region_tris[corner // 3][corner % 3])
-    corner_vertex = [disk_vertex[root] for root in roots]
-    tris = list(zip(corner_vertex[0::3], corner_vertex[1::3], corner_vertex[2::3]))
+    walk_corner = iter(range(n))
+
+    def vertex(u: int) -> int:
+        key = ~uf.find(next(walk_corner)) if u in walkset else u
+        k = number.get(key)
+        if k is None:
+            k = number[key] = len(sources)
+            sources.append(u)
+        return k
+
+    tris = [(vertex(a), vertex(b), vertex(c)) for a, b, c in region_tris]
     values = [p.refined_values[u] for u in sources]
     coords = ([p.refined_coords[u] for u in sources]
               if p.refined_coords is not None else None)

@@ -153,10 +153,12 @@ class SurfaceField:
             d = self.left_triangles()[v]
             if not d:
                 raise InputRejected("not-a-surface", f"vertex {v} has no incident triangle")
+            tris = self.triangles
             start = min(d)
             cyc = [start]
-            # the triangle left of v->w is (v, w, next), so next is its third corner
-            cur = sum(self.triangles[d[start]]) - v - start
+            # the triangle left of v->w is a rotation of (v, w, next)
+            a, b, c = tris[d[start]]
+            cur = c if a == v else a if b == v else b
             while cur != start:
                 if cur not in d:
                     raise InputRejected("not-a-surface",
@@ -164,7 +166,8 @@ class SurfaceField:
                 cyc.append(cur)
                 if len(cyc) > len(d):
                     raise InternalInvariantError(f"fan walk at vertex {v} does not terminate")
-                cur = sum(self.triangles[d[cur]]) - v - cur
+                a, b, c = tris[d[cur]]
+                cur = c if a == v else a if b == v else b
             if len(cyc) != len(d):
                 raise InputRejected("not-a-surface",
                                     f"vertex {v} is pinched: its link is not a single cycle")

@@ -24,20 +24,21 @@ def _surface(name: str, n: int = 16) -> SurfaceField:
     return _surfaces[key]
 
 
-def _stage(name: str) -> SimpleNamespace:
-    # one full pipeline run per preset, shared across the whole session
-    if name not in _stages:
-        s = _surface(name)
+def _stage(name: str, n: int = 16) -> SimpleNamespace:
+    # one full pipeline run per preset and grid, shared across the whole session
+    key = (name, n)
+    if key not in _stages:
+        s = _surface(name, n)
         g = compute_reeb(s)
         node = find_special_vertex(g)
         p = build_partition(s, g, node)
         elements = enumerate_symmetries(s, p)
         sg = group_structure(elements)
         table, r = index_orbits(sg, p)
-        _stages[name] = SimpleNamespace(
+        _stages[key] = SimpleNamespace(
             surface=s, graph=g, node=node, part=p,
             elements=elements, group=sg, table=table, r=r)
-    return _stages[name]
+    return _stages[key]
 
 
 @pytest.fixture(scope="session")

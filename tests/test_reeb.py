@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from krtorus.errors import InputRejected
 from krtorus.fields import grid_field, random_field
+from krtorus.pipeline import extract_disk_field
 from krtorus.reeb import (_UnionFind, branch_euler, compute_reeb, find_special_vertex,
                           is_tree, reeb_to_dot)
 from krtorus.surface import SurfaceField, vertex_classes
@@ -85,6 +86,19 @@ def test_compute_reeb_memory_stays_compact():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+def test_extract_disk_field_memory_stays_compact(stage):
+    # the cut glues corners at the boundary walk only, so it keeps nothing
+    # per region corner beyond the disk it returns
+    st = stage("two-cell", 64)
+    tracemalloc.start()
+    try:
+        extract_disk_field(st.surface, st.part, st.table, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 def test_contour_counts_match_oracle(surface):
