@@ -156,7 +156,7 @@ class DiskField:
     cell: int  # the representative 2-cell id
 
 
-def extract_disk_field(s: SurfaceField, p: CellPartition, orbit_table, i: int) -> DiskField:
+def extract_disk_field(p: CellPartition, orbit_table, i: int) -> DiskField:
     """The representative 2-cell of orbit i, cut free of the torus as a closed disk.
 
     In the torus the closure self-identifies along the level graph; the
@@ -285,7 +285,7 @@ def analyze(s: SurfaceField) -> AnalysisReport:
     atoms_json = []
     disks_json = []
     for i in range(1, r + 1):
-        disk = extract_disk_field(s, p, table, i)
+        disk = extract_disk_field(p, table, i)
         subtree = _signature_json(p.two_cells[disk.cell].level_signature)
         atom_objs.append(Atom(i, subtree))
         atoms_json.append({"id": i, "kr_subtree": subtree})

@@ -15,10 +15,15 @@ cell, so its trace is 0 on every chain group and its Lefschetz number
 It keeps orientation, so its H1 matrix is a finite-order element of
 SL(2, Z) with trace 2, which is the identity.
 
-Enumeration seeds on 2-cell number 0: each candidate image and boundary
-rotation is propagated across shared arcs until the whole complex is
-matched or a contradiction appears. Orientation reversal never enters
-because boundary walks are only ever aligned forward.
+Enumeration seeds on 2-cell number 0: a flag (t, r), an image t and a
+boundary rotation r, is propagated across shared arcs until the whole
+complex is matched or a contradiction appears, so a flag fixes its
+automorphism. Orientation reversal never enters because boundary walks
+are only ever aligned forward. The automorphisms act regularly on the
+flags they reach, so the flags are closed as an orbit (Seress,
+Permutation Group Algorithms, 2.1 and 4.1): a flag that is reached
+already is never attempted, a success becomes a generator, and each
+newly reached flag costs one composition.
 
 The group stage names each symmetry by its image of 2-cell 0. The
 action on 2-cells is free, so one cell is a base (Seress, Permutation
@@ -158,8 +163,13 @@ def _finalize(p: CellPartition, classes, cell_map, arc_map):
     return CellAutomorphism(perm0, perm1, perm2)
 
 
-def enumerate_symmetries(s: SurfaceField, p: CellPartition) -> tuple[CellAutomorphism, ...]:
-    """All symmetries of the partition, sorted by their permutation key."""
+def _automorphisms(s: SurfaceField, p: CellPartition) -> list[CellAutomorphism]:
+    """Every automorphism of the partition, by flag-orbit closure from the identity.
+
+    Flag (t, r) names the automorphism that sends position 0 of 2-cell
+    0's walk to position r of t's walk. A generator keeps the walk
+    rotation of every 2-cell, so it moves a flag in O(1).
+    """
     classes = vertex_classes(s)
     cells = p.two_cells
     occ: dict[int, list] = {c.id: [] for c in p.one_cells}
@@ -169,21 +179,43 @@ def enumerate_symmetries(s: SurfaceField, p: CellPartition) -> tuple[CellAutomor
 
     sig0 = cells[0].level_signature
     ln0 = len(cells[0].boundary)
-    found: dict = {}
+    arc0, sgn0 = cells[0].boundary[0]
+    elem = {(0, 0): identity_automorphism(p)}
+    reached = [(0, 0)]  # elem's flags in filing order; the closure walks it as it grows
+    gens = []  # (automorphism, walk rotation of each 2-cell)
     for t in range(len(cells)):
         if cells[t].level_signature != sig0 or len(cells[t].boundary) != ln0:
             continue
         for r in range(ln0):
-            cand = _attempt(cells, occ, t, r)
-            if cand is None:
+            if (t, r) in elem:
                 continue
-            a = _finalize(p, classes, *cand)
-            if a is not None:
-                found[a.key] = a
+            cand = _attempt(cells, occ, t, r)
+            g = _finalize(p, classes, *cand) if cand is not None else None
+            if g is None:
+                continue
+            gens.append((g, [cand[0][c][1] for c in range(len(cells))]))
+            for t1, r1 in reached:
+                for h, rot in gens:
+                    flag = (h.perm2[t1], (r1 + rot[t1]) % ln0)
+                    if flag in elem:
+                        continue
+                    a = elem[flag] = compose(h, elem[t1, r1])
+                    # a must carry its flag: its image of 2-cell 0, and the
+                    # place of the image of that cell's first (arc, sign)
+                    img, eps = a.perm1[arc0]
+                    if a.perm2[0] != flag[0] or next(
+                            ((c, q) for c, q, sg in occ[img] if sg == sgn0 * eps), None) != flag:
+                        raise InternalInvariantError(
+                            f"automorphism filed under flag {flag} carries another")
+                    reached.append(flag)
+    return list(elem.values())
 
+
+def enumerate_symmetries(s: SurfaceField, p: CellPartition) -> tuple[CellAutomorphism, ...]:
+    """All symmetries of the partition, sorted by their permutation key."""
     ident2 = IntMatrix.identity(2)
     kept = []
-    for a in sorted(found.values(), key=lambda x: x.key):
+    for a in sorted(_automorphisms(s, p), key=lambda x: x.key):
         # freeness is the cheap filter; h1_action only runs on its survivors
         if not a.is_identity() and a.fixes_some_cell():
             continue

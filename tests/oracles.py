@@ -1,9 +1,11 @@
 """Independent brute-force reference implementations.
 
 Everything here works on raw triangle/value data and never imports the
-package under test. Expected values in the suite are either computed
-against these functions or frozen from hand calculations that are
-spelled out at the point of use.
+package under test, except ``all_flag_automorphisms``: the plain
+every-flag search that the symmetry stage's orbit closure replaced,
+built on the package's own seed propagation. Expected values in the
+suite are either computed against these functions or frozen from hand
+calculations that are spelled out at the point of use.
 """
 from __future__ import annotations
 
@@ -516,3 +518,30 @@ def cut_disk(refined_triangles, refined_values, region, walk):
     while step[boundary[-1]] != boundary[0]:
         boundary.append(step[boundary[-1]])
     return disk, [refined_values[u] for u in sources], boundary, sources
+
+
+def all_flag_automorphisms(s, p):
+    """Every automorphism found by seeding each flag (t, r) of 2-cell 0.
+
+    The reference for ``krtorus.symmetry._automorphisms``: one
+    propagation per flag, in the order t, then r, with no flag skipped
+    for being reached already. Returns {key: automorphism}, before the
+    freeness and H1 filters.
+    """
+    from krtorus.surface import vertex_classes
+    from krtorus.symmetry import _attempt, _finalize
+
+    classes = vertex_classes(s)
+    cells = p.two_cells
+    occ = {c.id: [] for c in p.one_cells}
+    for cell in cells:
+        for pos, (aid, sgn) in enumerate(cell.boundary):
+            occ[aid].append((cell.id, pos, sgn))
+    found = {}
+    for t in range(len(cells)):
+        for r in range(len(cells[0].boundary)):
+            cand = _attempt(cells, occ, t, r)
+            a = _finalize(p, classes, *cand) if cand is not None else None
+            if a is not None:
+                found[a.key] = a
+    return found

@@ -48,7 +48,7 @@ def test_disk_matches_whole_region_cut(make):
     s = make()
     p, table, r = _partition(s)
     for i in range(1, r + 1):
-        disk = extract_disk_field(s, p, table, i)
+        disk = extract_disk_field(p, table, i)
         rep = _representative(table, i)
         cell = p.two_cells[rep]
         tris, values, boundary, sources = oracles.cut_disk(
@@ -78,7 +78,7 @@ def test_cell_missing_a_triangle_is_rejected(stage, at_walk):
     kept = tuple(ti for ti in cell.refined_triangles if ti != lost)
     broken = _with_cell(st.part, rep, refined_triangles=kept)
     with pytest.raises(InternalInvariantError):
-        extract_disk_field(st.surface, broken, st.table, 1)
+        extract_disk_field(broken, st.table, 1)
 
 
 def test_cell_with_reversed_walk_is_rejected(stage):
@@ -87,7 +87,7 @@ def test_cell_with_reversed_walk_is_rejected(stage):
     walk = st.part.two_cells[rep].boundary_vertices
     broken = _with_cell(st.part, rep, boundary_vertices=tuple(reversed(walk)))
     with pytest.raises(InternalInvariantError, match="disagrees with the cell walk"):
-        extract_disk_field(st.surface, broken, st.table, 2)
+        extract_disk_field(broken, st.table, 2)
 
 
 def _torus_embedding(n, big=2.0, small=1.0):
@@ -114,7 +114,7 @@ def test_coordinates_ride_along_to_the_disks():
     p, table, r = _partition(s)
     crossings = 0
     for i, text in zip(range(1, r + 1), fields, strict=True):
-        disk = extract_disk_field(s, p, table, i)
+        disk = extract_disk_field(p, table, i)
         assert text == dump_surface(disk.surface)
         assert disk.surface.coords == tuple(p.refined_coords[u] for u in disk.source_vertices)
         crossings += sum(u >= s.vertex_count for u in disk.source_vertices)

@@ -12,9 +12,7 @@ from krtorus.homology import (CokernelInvariants, IntMatrix, chain_homology,
                               unimodular_inverse)
 from krtorus.partition import build_partition
 from krtorus.reeb import compute_reeb, find_special_vertex
-from krtorus.surface import vertex_classes
-from krtorus.symmetry import (CellAutomorphism, _attempt, _finalize,
-                              enumerate_symmetries, identity_automorphism)
+from krtorus.symmetry import CellAutomorphism, enumerate_symmetries, identity_automorphism
 
 import oracles
 from dense_h1 import DenseH1, cellular_homology
@@ -182,24 +180,6 @@ def test_h1_action_identity(stage):
     assert h1_action(st.part, a).to_lists() == IntMatrix.identity(2).to_lists()
 
 
-def _finalized_candidates(s, p):
-    """Every automorphism _finalize accepts, before the H1 and freeness filters."""
-    classes = vertex_classes(s)
-    cells = p.two_cells
-    occ = {c.id: [] for c in p.one_cells}
-    for cell in cells:
-        for pos, (aid, sgn) in enumerate(cell.boundary):
-            occ[aid].append((cell.id, pos, sgn))
-    found = {}
-    for t in range(len(cells)):
-        for r in range(len(cells[0].boundary)):
-            cand = _attempt(cells, occ, t, r)
-            a = _finalize(p, classes, *cand) if cand is not None else None
-            if a is not None:
-                found[a.key] = a
-    return list(found.values())
-
-
 PULLBACKS = {"pullback-2-2": ((2, 0), (0, 2)), "pullback-4-4": ((4, 0), (0, 4))}
 
 
@@ -217,7 +197,7 @@ def test_h1_action_matches_dense_reference(stage, case):
     dense = DenseH1.of(p)
     basis = dense.cycle_coords(p.cycles)
     assert abs(oracles.det(basis)) == 1
-    cands = _finalized_candidates(s, p)
+    cands = list(oracles.all_flag_automorphisms(s, p).values())
     # rejected candidates are compared too, not only the kept symmetries
     assert len(cands) > len(enumerate_symmetries(s, p))
     for a in cands:

@@ -104,7 +104,7 @@ def test_disk_extraction(stage):
     for name in EXPECTED_EXPR:
         st = stage(name)
         for i in (1, 2):
-            disk = extract_disk_field(st.surface, st.part, st.table, i)
+            disk = extract_disk_field(st.part, st.table, i)
             tris = disk.surface.triangles
             assert oracles.euler_characteristic(tris) == 1
             assert oracles.triangle_component_count(tris) == 1
@@ -126,20 +126,20 @@ def test_disk_interiors_match_branch_kinds(stage):
 
     # up disk of the plain model holds exactly one critical point, a maximum
     st = stage("two-cell")
-    kinds = interior_kinds(extract_disk_field(st.surface, st.part, st.table, 2))
+    kinds = interior_kinds(extract_disk_field(st.part, st.table, 2))
     assert kinds.count("maximum") == 1
     assert set(kinds) <= {"maximum", "regular"}
 
     # min-orbit representative of the doubled model: one interior minimum
     st2 = stage("z2-sym")
-    kinds = interior_kinds(extract_disk_field(st2.surface, st2.part, st2.table, 1))
+    kinds = interior_kinds(extract_disk_field(st2.part, st2.table, 1))
     assert kinds.count("minimum") == 1
     assert set(kinds) <= {"minimum", "regular"}
 
 
 def test_disk_fields_serialize(stage):
     st = stage("two-cell")
-    disk = extract_disk_field(st.surface, st.part, st.table, 1)
+    disk = extract_disk_field(st.part, st.table, 1)
     text = dump_surface(disk.surface)
     again = load_surface(text)
     assert again.values == disk.surface.values
@@ -150,7 +150,7 @@ def test_disk_index_out_of_range(stage):
     st = stage("two-cell")
     for bad in (0, 3, -1):
         with pytest.raises(ValueError):
-            extract_disk_field(st.surface, st.part, st.table, bad)
+            extract_disk_field(st.part, st.table, bad)
 
 
 def test_report_embeds_disks(surface):

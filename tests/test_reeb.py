@@ -94,7 +94,7 @@ def test_extract_disk_field_memory_stays_compact(stage):
     st = stage("two-cell", 64)
     tracemalloc.start()
     try:
-        extract_disk_field(st.surface, st.part, st.table, 2)
+        extract_disk_field(st.part, st.table, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
