@@ -20,8 +20,7 @@ from .pipeline import (AnalysisReport, Atom, DirectProduct, DiskField, FreeAbeli
 from .reeb import (Branch, ReebEdge, ReebGraph, ReebNode, branch_euler,
                    compute_reeb, find_special_vertex, is_tree, reeb_to_dot)
 from .surface import (SurfaceField, VertexClass, classify_vertex, dump_surface,
-                      load_surface, total_index, validate_closed_orientable,
-                      vertex_classes)
+                      load_surface, validate_closed_orientable, vertex_classes)
 from .symmetry import (CellAutomorphism, SymmetryGroup, compose,
                        enumerate_symmetries, group_structure,
                        identity_automorphism, index_orbits)

@@ -277,11 +277,19 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
             nodes.append(ReebNode(nid, level, tuple(sorted(classes[v].label() for v in cv)),
                                   cv, census, sum(classes[v].index for v in cv)))
             on_node.update(dict.fromkeys(verts, nid))
-            for key in edges:
-                edge_cuts.setdefault(key, []).append(nid)
+            for key in edges:  # not setdefault: most keys are hits, and it builds a list each call
+                cuts = edge_cuts.get(key)
+                if cuts is None:
+                    edge_cuts[key] = [nid]
+                else:
+                    cuts.append(nid)
             tri_node.update(dict.fromkeys(tris.difference(tri_node), nid))
             for idx in cut:
-                tri_cuts.setdefault(idx, []).append(nid)
+                cuts = tri_cuts.get(idx)
+                if cuts is None:
+                    tri_cuts[idx] = [nid]
+                else:
+                    cuts.append(nid)
 
     # slabs: triangle idx is split at its cut levels into slabs base[idx] + i;
     # only the few cut triangles have more than one

@@ -8,18 +8,20 @@ values; only the local classification uses the tie-broken order.
 
 The mesh adjacency is built once per surface, by ``left_triangles``:
 left[u][w] is the triangle with u->w on its CCW boundary. Building it
-rejects a directed edge used twice. The fan walks of ``vertex_fan``, run
-at every vertex by ``validate_closed_orientable`` and ``vertex_classes``,
-reject boundary and pinched vertices, which proves that each left[u][w]
-has its left[w][u]. The Reeb graph and the cell partition read this map
-and build no adjacency of their own.
+rejects a directed edge used twice. ``SurfaceField.fans`` walks all fans
+in one loop, once per surface; ``vertex_fan`` can also walk one vertex of
+a surface with boundary. The walks reject boundary and pinched vertices,
+which proves that each left[u][w] has its left[w][u]. The Reeb graph and
+the cell partition read this map and build no adjacency of their own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import cache
+from itertools import chain, islice, repeat
 from math import isfinite
+from operator import gt, lt
 
 from .errors import InputRejected, InternalInvariantError
 
@@ -68,11 +70,19 @@ class SurfaceField:
         if not vals:
             raise InputRejected("malformed-input", "surface has no vertices")
         # whole-sequence checks; the per-item loops only name an offender
-        if not (set(map(type, vals)) <= {float, int} and all(map(isfinite, vals))):
+        try:
+            ok = set(map(type, vals)) <= {float, int} and all(map(isfinite, vals))
+        except OverflowError:  # an int beyond float range
+            ok = False
+        if not ok:
             for x in vals:
                 if not isinstance(x, (int, float, Fraction)) or isinstance(x, bool):
                     raise InputRejected("malformed-input", f"unsupported scalar {x!r}")
-                if not isfinite(x):
+                try:
+                    finite = isfinite(x)
+                except OverflowError:
+                    raise InputRejected("malformed-input", f"out-of-range scalar {x!r}")
+                if not finite:
                     raise InputRejected("malformed-input", f"non-finite scalar {x!r}")
         nv = len(vals)
         tris = list(map(tuple, triangles))
@@ -118,42 +128,39 @@ class SurfaceField:
     def triangle_count(self) -> int:
         return len(self.triangles)
 
-    def order_key(self, v: int):
-        """Strict total order simulating genericity: value first, index breaks ties."""
-        return (self.values[v], v)
-
-    def undirected_edges(self) -> set[tuple[int, int]]:
-        out = set()
-        for a, b, c in self.triangles:
-            for u, w in ((a, b), (b, c), (c, a)):
-                out.add((u, w) if u < w else (w, u))
-        return out
-
     def left_triangles(self) -> list[dict[int, int]]:
         """left[u][w]: the triangle with u->w on its CCW boundary, built once."""
         if self._left is None:
-            left = [dict() for _ in range(len(self.values))]
+            left = [{} for _ in self.values]
             for idx, (a, b, c) in enumerate(self.triangles):
-                for x, y in ((a, b), (b, c), (c, a)):
-                    if y in left[x]:
-                        raise InputRejected(
-                            "not-a-surface",
-                            f"directed edge {x}->{y} used by two triangles; "
-                            "orientations are inconsistent or the gluing is not orientable")
-                    left[x][y] = idx
+                left[a][b] = left[b][c] = left[c][a] = idx
+            if sum(map(len, left)) != 3 * len(self.triangles):  # an edge was overwritten
+                seen = set()  # the first edge met a second time; set.add returns None
+                x, y = next(e for a, b, c in self.triangles for e in ((a, b), (b, c), (c, a))
+                            if e in seen or seen.add(e))
+                raise InputRejected(
+                    "not-a-surface",
+                    f"directed edge {x}->{y} used by two triangles; "
+                    "orientations are inconsistent or the gluing is not orientable")
             self._left = left
         return self._left
 
     def vertex_fan(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in CCW cyclic order. Rejects pinched or boundary vertices."""
-        if self._fans is None:
-            self._fans = [None] * len(self.values)
-        fan = self._fans[v]
-        if fan is None:
-            d = self.left_triangles()[v]
+        return self._fans[v] if self._fans is not None else self.fans((v,))[0]
+
+    def fans(self, verts=None) -> list[tuple[int, ...]]:
+        """vertex_fan of each of verts in one loop; by default of all, walked once and kept."""
+        if verts is None:
+            if self._fans is None:
+                self._fans = self.fans(range(len(self.values)))
+            return self._fans
+        left, tris = self.left_triangles(), self.triangles
+        out = []
+        for v in verts:
+            d = left[v]
             if not d:
                 raise InputRejected("not-a-surface", f"vertex {v} has no incident triangle")
-            tris = self.triangles
             start = min(d)
             cyc = [start]
             # the triangle left of v->w is a rotation of (v, w, next)
@@ -171,9 +178,8 @@ class SurfaceField:
             if len(cyc) != len(d):
                 raise InputRejected("not-a-surface",
                                     f"vertex {v} is pinched: its link is not a single cycle")
-            fan = tuple(cyc)
-            self._fans[v] = fan
-        return fan
+            out.append(tuple(cyc))
+        return out
 
 
 def validate_closed_orientable(s: SurfaceField) -> dict:
@@ -186,8 +192,7 @@ def validate_closed_orientable(s: SurfaceField) -> dict:
         for w in d:
             if u not in left[w]:
                 raise InputRejected("not-a-surface", f"boundary edge {u}-{w}: no opposite triangle")
-    for v in range(s.vertex_count):
-        s.vertex_fan(v)
+    s.fans()
     seen = {0}
     stack = [0]
     while stack:
@@ -208,46 +213,48 @@ def validate_closed_orientable(s: SurfaceField) -> dict:
     return {"chi": chi, "genus": (2 - chi) // 2}
 
 
-def classify_vertex(s: SurfaceField, v: int) -> VertexClass:
-    """PL type of vertex v: counts cyclic runs of below/above neighbors in the fan."""
-    fan = s.vertex_fan(v)
-    kv = s.order_key(v)
-    below = [s.order_key(u) < kv for u in fan]
-    if not any(below):
-        return VertexClass("minimum")
-    if all(below):
-        return VertexClass("maximum")
-    n = len(fan)
-    c_minus = sum(1 for i in range(n) if below[i] and not below[i - 1])
-    c_plus = sum(1 for i in range(n) if not below[i] and below[i - 1])
+_shared = cache(VertexClass)  # one instance per class, e.g. _shared("saddle", 2)
+
+
+def _fan_class(v: int, below: tuple) -> VertexClass:
+    """Class of vertex v from its fan's below flags: counts their cyclic runs."""
+    prev = below[-1:] + below[:-1]
+    c_minus, c_plus = sum(map(gt, below, prev)), sum(map(lt, below, prev))
     if c_minus != c_plus:
         raise InternalInvariantError(f"run counts disagree at vertex {v}")
-    if c_minus == 1:
-        return VertexClass("regular")
-    return VertexClass("saddle", c_minus - 1)
+    if not c_minus:
+        return _shared("maximum" if below[0] else "minimum")
+    return _shared("regular") if c_minus == 1 else _shared("saddle", c_minus - 1)
+
+
+def classify_vertex(s: SurfaceField, v: int) -> VertexClass:
+    """PL type of vertex v: counts cyclic runs of below/above neighbors in the fan."""
+    key = (s.values[v], v)
+    return _fan_class(v, tuple([(s.values[u], u) < key for u in s.vertex_fan(v)]))
 
 
 def vertex_classes(s: SurfaceField) -> tuple[VertexClass, ...]:
+    """Every vertex's class against one rank array: a stable sort by value
+    breaks ties by index. Equal below flags share one class."""
     if s._classes is None:
-        s._classes = tuple(classify_vertex(s, v) for v in range(s.vertex_count))
+        n, fans = s.vertex_count, s.fans()
+        order = sorted(range(n), key=s.values.__getitem__)
+        rank = sorted(range(n), key=order.__getitem__)
+        below = map(gt, chain.from_iterable(map(repeat, rank, map(len, fans))),
+                    map(rank.__getitem__, chain.from_iterable(fans)))
+        keys = list(map(tuple, map(islice, repeat(below), map(len, fans))))
+        first = dict(zip(reversed(keys), range(n - 1, -1, -1)))  # pattern -> first vertex
+        memo = {key: _fan_class(v, key) for key, v in first.items()}
+        s._classes = tuple(map(memo.__getitem__, keys))
     return s._classes
 
 
-def total_index(s: SurfaceField) -> int:
-    """Sum of PL indices over all vertices; equals chi on valid closed surfaces."""
-    return sum(c.index for c in vertex_classes(s))
-
-
 def parse_scalar(tok: str):
-    if "/" in tok:
-        try:
-            return Fraction(tok)
-        except (ValueError, ZeroDivisionError):
-            raise InputRejected("malformed-input", f"bad rational literal {tok!r}")
     try:
-        return int(tok)
-    except ValueError:
-        pass
+        return Fraction(tok) if "/" in tok else int(tok)
+    except (ValueError, ZeroDivisionError):
+        if "/" in tok:
+            raise InputRejected("malformed-input", f"bad rational literal {tok!r}")
     try:
         return float(tok)
     except ValueError:
@@ -268,18 +275,10 @@ def load_surface(source) -> SurfaceField:
     triangle (three 0-based CCW indices). Lines starting with '#' are
     comments. Accepts a string, bytes, or a readable object.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = source
+    text = source.read() if hasattr(source, "read") else source
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        lines.append(stripped)
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines or lines[0] != HEADER:
         raise InputRejected("malformed-input", f"missing or wrong header; expected {HEADER!r}")
     if len(lines) < 2:
@@ -295,34 +294,43 @@ def load_surface(source) -> SurfaceField:
     if len(body) != nv + nt:
         raise InputRejected("malformed-input",
                             f"expected {nv + nt} data lines, found {len(body)}")
-    values = []
-    coords = []
-    have_coords = None
-    for ln in body[:nv]:
-        toks = ln.split()
-        if len(toks) not in (1, 4):
-            raise InputRejected("malformed-input", f"vertex line {ln!r} must hold 1 or 4 numbers")
-        values.append(parse_scalar(toks[0]))
-        with_xyz = len(toks) == 4
-        if have_coords is None:
-            have_coords = with_xyz
-        elif have_coords != with_xyz:
-            raise InputRejected("malformed-input", "vertex lines mix bare and coordinate forms")
-        if with_xyz:
+    # whole columns if all lines are single-spaced and all tokens parse; else the
+    # per-line loops name the first bad line, or read other spacings and inf, nan
+    # or very long digit runs, which only int-then-float accepts
+    vertex_lines, tri_lines = body[:nv], body[nv:]
+    width = vertex_lines[0].count(" ") + 1
+    try:
+        if not (width in (1, 4) and set(map(str.count, vertex_lines, repeat(" "))) == {width - 1}
+                and set(map(str.count, tri_lines, repeat(" "))) == {2}):
+            raise ValueError("not single-spaced")
+        toks = " ".join(vertex_lines).split(" ")
+        values = [Fraction(t) if "/" in t else float(t) if "." in t or "e" in t or "E" in t
+                  else int(t) for t in toks[::width]]
+        coords = list(zip(*(map(float, toks[k::width]) for k in range(1, width))))
+        flat = list(map(int, " ".join(tri_lines).split(" ")))
+    except (ValueError, ZeroDivisionError):
+        values, coords, flat = [], [], []
+        width = len(vertex_lines[0].split())
+        for ln in vertex_lines:
+            toks = ln.split()
+            if len(toks) not in (1, 4):
+                raise InputRejected("malformed-input", f"vertex line {ln!r} must hold 1 or 4 numbers")
+            values.append(parse_scalar(toks[0]))
+            if len(toks) != width:
+                raise InputRejected("malformed-input", "vertex lines mix bare and coordinate forms")
             try:
-                coords.append(tuple(float(t) for t in toks[1:]))
+                coords.append(tuple(map(float, toks[1:])))
             except ValueError:
                 raise InputRejected("malformed-input", f"bad coordinates in line {ln!r}")
-    tris = []
-    for ln in body[nv:]:
-        toks = ln.split()
-        if len(toks) != 3:
-            raise InputRejected("malformed-input", f"triangle line {ln!r} must hold 3 indices")
-        try:
-            tris.append(tuple(map(int, toks)))
-        except ValueError:
-            raise InputRejected("malformed-input", f"bad triangle indices in line {ln!r}")
-    return SurfaceField(tris, values, coords if have_coords else None)
+        for ln in tri_lines:
+            toks = ln.split()
+            if len(toks) != 3:
+                raise InputRejected("malformed-input", f"triangle line {ln!r} must hold 3 indices")
+            try:
+                flat += map(int, toks)
+            except ValueError:
+                raise InputRejected("malformed-input", f"bad triangle indices in line {ln!r}")
+    return SurfaceField(list(zip(*[iter(flat)] * 3)), values, coords if width == 4 else None)
 
 
 def dump_surface(s: SurfaceField) -> str:

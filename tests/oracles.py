@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -37,6 +38,7 @@ class UnionFind:
 
 
 def surface_edges(triangles):
+    """Undirected edges of a triangle list, smaller end first."""
     out = set()
     for a, b, c in triangles:
         for u, w in ((a, b), (b, c), (c, a)):
@@ -545,3 +547,116 @@ def all_flag_automorphisms(s, p):
             if a is not None:
                 found[a.key] = a
     return found
+
+
+class Rejected(Exception):
+    """An oracle's refusal, with the code and message the package must give."""
+
+    def __init__(self, code, message):
+        super().__init__(code, message)
+        self.code, self.message = code, message
+
+
+def parse_scalar(tok):
+    """A value token the slow way: Fraction with a '/', else int, else float."""
+    if "/" in tok:
+        try:
+            return Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            raise Rejected("malformed-input", f"bad rational literal {tok!r}")
+    try:
+        return int(tok)
+    except ValueError:
+        pass
+    try:
+        return float(tok)
+    except ValueError:
+        raise Rejected("malformed-input", f"bad scalar literal {tok!r}")
+
+
+def parse_field_text(text):
+    """The torus-field v1 text, read one line at a time.
+
+    Returns (triangles, values, coords) for the surface constructor, or
+    raises Rejected naming the first bad line. Every check runs on each
+    line in file order: token count, value, form, coordinates.
+    """
+    lines = []
+    for raw in text.splitlines():
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            lines.append(stripped)
+    if not lines or lines[0] != "torus-field v1":
+        raise Rejected("malformed-input", "missing or wrong header; expected 'torus-field v1'")
+    if len(lines) < 2:
+        raise Rejected("malformed-input", "missing count line")
+    try:
+        nv, nt = (int(h) for h in lines[1].split())
+    except ValueError:
+        raise Rejected("malformed-input", f"count line must hold two integers, got {lines[1]!r}")
+    if nv <= 0 or nt <= 0:
+        raise Rejected("malformed-input", "vertex and triangle counts must be positive")
+    body = lines[2:]
+    if len(body) != nv + nt:
+        raise Rejected("malformed-input", f"expected {nv + nt} data lines, found {len(body)}")
+    values, coords, have_coords = [], [], None
+    for ln in body[:nv]:
+        toks = ln.split()
+        if len(toks) not in (1, 4):
+            raise Rejected("malformed-input", f"vertex line {ln!r} must hold 1 or 4 numbers")
+        values.append(parse_scalar(toks[0]))
+        with_xyz = len(toks) == 4
+        if have_coords is None:
+            have_coords = with_xyz
+        elif have_coords != with_xyz:
+            raise Rejected("malformed-input", "vertex lines mix bare and coordinate forms")
+        if with_xyz:
+            try:
+                coords.append(tuple(float(t) for t in toks[1:]))
+            except ValueError:
+                raise Rejected("malformed-input", f"bad coordinates in line {ln!r}")
+    triangles = []
+    for ln in body[nv:]:
+        toks = ln.split()
+        if len(toks) != 3:
+            raise Rejected("malformed-input", f"triangle line {ln!r} must hold 3 indices")
+        try:
+            triangles.append(tuple(map(int, toks)))
+        except ValueError:
+            raise Rejected("malformed-input", f"bad triangle indices in line {ln!r}")
+    return triangles, values, coords if have_coords else None
+
+
+def order_key(values, v):
+    """Strict total order simulating genericity: value first, index breaks ties."""
+    return (values[v], v)
+
+
+def vertex_classes(triangles, values):
+    """(kind, multiplicity) of each vertex, from cyclic below/above runs of its fan.
+
+    Fans are rebuilt from the triangles: each CCW triangle (v, w, x)
+    steps w -> x around v, and every fan must be one closed cycle.
+    """
+    steps = [{} for _ in values]
+    for a, b, c in triangles:
+        for v, w, x in ((a, b, c), (b, c, a), (c, a, b)):
+            steps[v][w] = x
+    out = []
+    for v, step in enumerate(steps):
+        fan = [min(step)]
+        while step[fan[-1]] != fan[0]:
+            fan.append(step[fan[-1]])
+        assert len(fan) == len(step), f"fan of vertex {v} is not one cycle"
+        below = [order_key(values, u) < order_key(values, v) for u in fan]
+        n = len(fan)
+        c_minus = sum(1 for i in range(n) if below[i] and not below[i - 1])
+        c_plus = sum(1 for i in range(n) if not below[i] and below[i - 1])
+        assert c_minus == c_plus
+        if not any(below):
+            out.append(("minimum", 0))
+        elif all(below):
+            out.append(("maximum", 0))
+        else:
+            out.append(("regular", 0) if c_minus == 1 else ("saddle", c_minus - 1))
+    return out

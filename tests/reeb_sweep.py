@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from krtorus.errors import InternalInvariantError
 from krtorus.reeb import ReebEdge, ReebGraph, ReebNode, triangle_level_pieces
 from krtorus.surface import SurfaceField, vertex_classes
-from oracles import UnionFind
+from oracles import UnionFind, surface_edges
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,7 @@ def compute_reeb_sweep(s: SurfaceField) -> ReebGraph:
                   {k: tuple(v) for k, v in band_map.items()},
                   on_node,
                   tri_cuts,
-                  surface_chi=s.vertex_count - len(s.undirected_edges()) + s.triangle_count)
+                  surface_chi=s.vertex_count - len(surface_edges(s.triangles)) + s.triangle_count)
 
     uf = UnionFind()
     for n in g.nodes:

@@ -188,6 +188,25 @@ def test_non_finite_scalar_rejected(two_cell_file, tmp_path, capsys, token):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "reeb", "analyze", "verify"])
+@pytest.mark.parametrize("token, shown", [
+    ("9" * 400, "9" * 400),
+    ("-" + "9" * 400, "-" + "9" * 400),
+    ("9" * 400 + "/7", f"Fraction({'9' * 400}, 7)"),
+], ids=["int", "negative-int", "fraction"])
+def test_exact_scalar_beyond_float_range_rejected(two_cell_file, tmp_path, capsys, command, token, shown):
+    lines = open(two_cell_file).read().splitlines()
+    lines[3] = token  # value of vertex 1
+    path = tmp_path / "huge.tf"
+    path.write_text("\n".join(lines) + "\n")
+    argv = [command, str(path), "--format", "json"] + (["--atoms", "Z2,Z3"] if command == "verify" else [])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": {"code": "malformed-input",
+                                         "message": f"out-of-range scalar {shown}"}}
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1

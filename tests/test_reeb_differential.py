@@ -24,6 +24,7 @@ from krtorus.fields import (PRESET_NAMES, grid_field, preset_field, pullback_cos
 from krtorus.reeb import compute_reeb, level_structure, triangle_level_pieces
 from krtorus.surface import SurfaceField, vertex_classes
 
+from oracles import surface_edges
 from reeb_sweep import compute_reeb_sweep, level_sweep
 from test_reeb import integer_grids
 
@@ -119,7 +120,7 @@ def test_quantized_grids_agree():
             rejected += 1
             continue
         vals = s.values
-        flat_edges += any(vals[u] == vals[w] for u, w in s.undirected_edges())
+        flat_edges += any(vals[u] == vals[w] for u, w in surface_edges(s.triangles))
         crit_levels = {vals[v] for v, c in enumerate(vertex_classes(s)) if c.is_critical}
         flat_triangles += any(vals[a] == vals[b] == vals[c] not in crit_levels
                               for a, b, c in s.triangles)

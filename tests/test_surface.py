@@ -9,8 +9,7 @@ from krtorus.errors import InputRejected
 from krtorus.fields import grid_vertex
 from krtorus.surface import (SurfaceField, classify_vertex, dump_surface,
                              format_scalar, load_surface, parse_scalar,
-                             total_index, validate_closed_orientable,
-                             vertex_classes)
+                             validate_closed_orientable, vertex_classes)
 
 import oracles
 
@@ -20,6 +19,11 @@ TETRA = [(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0)]
 
 def tetra_field(values=(0, 1, 2, 3)) -> SurfaceField:
     return SurfaceField(TETRA, list(values))
+
+
+def total_index(s: SurfaceField) -> int:
+    """Sum of PL indices over all vertices; equals chi on valid closed surfaces."""
+    return sum(c.index for c in vertex_classes(s))
 
 
 def test_validate_sphere():
@@ -71,7 +75,7 @@ def test_fan_is_cyclic(surface):
     fan = s.vertex_fan(grid_vertex(16, 5, 7))
     assert len(fan) == 6
     assert len(set(fan)) == 6
-    edges = s.undirected_edges()
+    edges = oracles.surface_edges(s.triangles)
     for u in fan:
         v = grid_vertex(16, 5, 7)
         assert (min(u, v), max(u, v)) in edges
@@ -195,6 +199,13 @@ def test_constructor_names_the_first_bad_triangle(tris, message):
     # values are checked before triangles, and the first offender is named
     ((float("inf"), False, 2, 3), "non-finite scalar inf"),
     ((False, float("inf"), 2, 3), "unsupported scalar False"),
+    # an exact value that float() cannot hold
+    pytest.param((0, 10 ** 400, 2, 3), f"out-of-range scalar {10 ** 400}", id="huge-int"),
+    pytest.param((0, 1, Fraction(-10 ** 400, 3), 3), f"out-of-range scalar Fraction({-10 ** 400}, 3)",
+                 id="huge-fraction"),
+    pytest.param((10 ** 400, float("nan"), 2, 3), f"out-of-range scalar {10 ** 400}",
+                 id="huge-int-before-nan"),
+    pytest.param((float("nan"), 10 ** 400, 2, 3), "non-finite scalar nan", id="nan-before-huge-int"),
 ])
 def test_constructor_names_the_first_bad_value(values, message):
     with pytest.raises(InputRejected) as exc:
