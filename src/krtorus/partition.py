@@ -92,35 +92,21 @@ def branch_signature(g: ReebGraph, node_id: int, branch: Branch) -> tuple:
     Equal signatures mean the branches look identical to any level
     preserving symmetry; the signature is the f-data attached to 2-cells.
     """
-    eid = branch.root_edges[0]
-    e = g.edge(eid)
+    (eid,) = branch.root_edges
+    e = g.edges[eid]
     root = e.upper if e.lower == node_id else e.lower
-    side = "up" if e.lower == node_id else "down"
-
-    # (node, edge it is reached by) in breadth-first order from the root;
-    # the forms are built in reverse, so children come before parents and
-    # the depth of the tree never reaches the interpreter stack
-    order = [(root, eid)]
-    seen = {node_id, root}
-    for w, via in order:
-        for eid2 in g.edges_at(w):
-            if eid2 != via:
-                e2 = g.edge(eid2)
-                other = e2.upper if e2.lower == w else e2.lower
-                if other in seen:
-                    raise InternalInvariantError(f"branch at node {node_id} is not a tree")
-                seen.add(other)
-                order.append((other, eid2))
+    # the forms are built in reverse walk order, so children come before
+    # parents and the depth of the tree never reaches the interpreter stack
     form: dict[int, tuple] = {}  # edge -> canonical form of the subtree it reaches
-    for w, via in reversed(order):
+    for w, via in reversed(g.walk(root, eid)):
         subs = []
         for eid2 in g.edges_at(w):
             if eid2 != via:
-                direction = "up" if g.edge(eid2).lower == w else "down"
+                direction = "up" if g.edges[eid2].lower == w else "down"
                 subs.append((direction, form.pop(eid2)))
-        node = g.node(w)
+        node = g.nodes[w]
         form[via] = (node.level, node.kinds, tuple(sorted(subs)))
-    return (side, form[eid])
+    return (branch.side, form[eid])
 
 
 def _norm(u: int, w: int) -> tuple[int, int]:
@@ -135,7 +121,7 @@ def _after(tri: tuple[int, int, int], v: int) -> tuple[int, int]:
 
 def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartition:
     classes = vertex_classes(s)
-    node = g.node(node_id)
+    node = g.nodes[node_id]
     level = node.level
     verts, tris = level_structure(s, g, node_id)
     if tuple(v for v in verts if classes[v].is_critical) != node.critical_vertices:
@@ -442,8 +428,6 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             boundary_vertices=tuple(d[0] for d in cycle),
             support=tuple(sorted({parent[ti] for ti in region_tris[rid]})),
             refined_triangles=tuple(region_tris[rid])))
-    if len(two_cells) != g.degree(node_id):
-        raise InternalInvariantError("two-cell count differs from the vertex degree")
     cycles, cocycles = tree_cotree(zero_cells, one_cells, [c.boundary for c in two_cells])
     return CellPartition(
         node=node_id,

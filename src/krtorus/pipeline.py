@@ -295,7 +295,7 @@ def analyze(s: SurfaceField) -> AnalysisReport:
                            "field": dump_surface(disk.surface)})
     expr = build_group_expr(atom_objs, sg.n, sg.nm)
 
-    node = g.node(v)
+    node = g.nodes[v]
     return AnalysisReport(
         format="kr-torus/1",
         surface={"vertices": s.vertex_count, "triangles": s.triangle_count,

@@ -108,11 +108,11 @@ class ReebEdge:
 
 @dataclass(frozen=True)
 class Branch:
-    """One component of the graph minus a vertex, with its attaching edges."""
+    """One component of the tree minus a vertex, with the edge that attaches it."""
 
     root_edges: tuple[int, ...]
     nodes: frozenset
-    side: str  # "up", "down", or "mixed" relative to the removed vertex
+    side: str  # "up" or "down" relative to the removed vertex
 
 
 class ReebGraph:
@@ -132,47 +132,41 @@ class ReebGraph:
             adj[e.upper].append(e.id)
         self._adj = {k: tuple(sorted(v)) for k, v in adj.items()}
 
-    def node(self, node_id: int) -> ReebNode:
-        return self.nodes[node_id]
-
-    def edge(self, edge_id: int) -> ReebEdge:
-        return self.edges[edge_id]
-
     def edges_at(self, node_id: int) -> tuple[int, ...]:
         return self._adj[node_id]
-
-    def degree(self, node_id: int) -> int:
-        return len(self._adj[node_id])
 
     def b1(self) -> int:
         return len(self.edges) - len(self.nodes) + 1
 
+    def walk(self, start: int, via: int | None = None) -> list[tuple[int, int | None]]:
+        """(node, edge it is reached by) breadth-first from start, never crossing via.
+
+        A node met twice closes a cycle and raises, so the nodes walked form a tree.
+        """
+        order = [(start, via)]
+        seen = {start}
+        for w, arrived in order:
+            for eid in self._adj[w]:
+                if eid != arrived:
+                    e = self.edges[eid]
+                    other = e.upper if e.lower == w else e.lower
+                    if other in seen:
+                        raise InternalInvariantError(f"branch at node {start} is not a tree")
+                    seen.add(other)
+                    order.append((other, eid))
+        return order
+
     def branches_at(self, node_id: int) -> tuple[Branch, ...]:
-        """Components of the graph minus one vertex, ordered by smallest root edge."""
-        uf = _UnionFind(len(self.nodes))
-        for e in self.edges:
-            if e.lower != node_id and e.upper != node_id:
-                uf.union(e.lower, e.upper)
-        comp_nodes: dict = {}
-        for n in self.nodes:
-            if n.id != node_id:
-                comp_nodes.setdefault(uf.find(n.id), set()).add(n.id)
-        comp_roots: dict = {}
-        comp_sides: dict = {}
+        """The branches of a tree at one vertex, one per edge, in edge-id order."""
+        branches = []
         for eid in self._adj[node_id]:
             e = self.edges[eid]
-            other = e.upper if e.lower == node_id else e.lower
-            root = uf.find(other)
-            comp_roots.setdefault(root, []).append(eid)
-            comp_sides.setdefault(root, set()).add("up" if e.lower == node_id else "down")
-        if set(comp_roots) != set(comp_nodes):
-            raise InternalInvariantError("graph minus a vertex has an unreachable component")
-        branches = []
-        for root, roots_edges in comp_roots.items():
-            sides = comp_sides[root]
-            side = sides.pop() if len(sides) == 1 else "mixed"
-            branches.append(Branch(tuple(sorted(roots_edges)), frozenset(comp_nodes[root]), side))
-        return tuple(sorted(branches, key=lambda b: b.root_edges[0]))
+            up = e.lower == node_id
+            nodes = frozenset(w for w, _ in self.walk(e.upper if up else e.lower, eid))
+            branches.append(Branch((eid,), nodes, "up" if up else "down"))
+        if sum(len(b.nodes) for b in branches) != len(self.nodes) - 1:
+            raise InternalInvariantError(f"graph at node {node_id} is not a tree")
+        return tuple(branches)
 
 
 def level_structure(s: SurfaceField, g: ReebGraph, node_id: int):
@@ -397,6 +391,14 @@ def reeb_to_dot(g: ReebGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _agreed_euler(node_id: int, census: int, index: int) -> int:
+    if census != index:
+        raise InternalInvariantError(
+            f"branch Euler computations disagree at node {node_id}: "
+            f"census {census} vs index sum {index}")
+    return index
+
+
 def branch_euler(g: ReebGraph, node_id: int, branch: Branch) -> int:
     """Euler characteristic of the part of the surface over one branch.
 
@@ -405,26 +407,39 @@ def branch_euler(g: ReebGraph, node_id: int, branch: Branch) -> int:
     zero), and summing PL indices of the critical vertices over the
     branch. A mismatch is an internal error, never silently resolved.
     """
-    route_census = sum(g.nodes[w].census_euler for w in branch.nodes)
-    route_index = sum(g.nodes[w].index_sum for w in branch.nodes)
-    if route_census != route_index:
-        raise InternalInvariantError(
-            f"branch Euler computations disagree at node {node_id}: "
-            f"census {route_census} vs index sum {route_index}")
-    return route_index
+    return _agreed_euler(node_id,
+                         sum(g.nodes[w].census_euler for w in branch.nodes),
+                         sum(g.nodes[w].index_sum for w in branch.nodes))
 
 
 def find_special_vertex(g: ReebGraph) -> int:
-    """The unique tree vertex all of whose branches carry Euler number 1."""
+    """The unique tree vertex all of whose branches carry Euler number 1.
+
+    One walk from node 0 sums both Euler routes over every subtree. A
+    branch across a child edge is that subtree, the one across the
+    parent edge is the rest of the tree.
+    """
     if not is_tree(g):
         raise InputRejected("not-a-tree",
                             f"graph has first Betti number {g.b1()}, expected a tree",
                             b1=g.b1())
-    winners = []
-    for n in g.nodes:
-        branches = g.branches_at(n.id)
-        if branches and all(branch_euler(g, n.id, b) == 1 for b in branches):
-            winners.append(n.id)
+    order = g.walk(0)
+    if len(order) != len(g.nodes):
+        raise InternalInvariantError("graph is disconnected")
+    parent_edge = dict(order)  # node -> the edge it is reached by; None at node 0
+    census, index = {}, {}  # edge -> sums over the subtree below it; None -> the whole tree
+    for w, via in reversed(order):
+        below = [eid for eid in g.edges_at(w) if eid != via]
+        census[via] = g.nodes[w].census_euler + sum(census[eid] for eid in below)
+        index[via] = g.nodes[w].index_sum + sum(index[eid] for eid in below)
+
+    def euler(node_id: int, eid: int) -> int:
+        if eid != parent_edge[node_id]:
+            return _agreed_euler(node_id, census[eid], index[eid])
+        return _agreed_euler(node_id, census[None] - census[eid], index[None] - index[eid])
+
+    winners = [n.id for n in g.nodes if g.edges_at(n.id)
+               and all(euler(n.id, eid) == 1 for eid in g.edges_at(n.id))]
     if not winners:
         raise InputRejected(
             "no-special-vertex",

@@ -557,6 +557,56 @@ class Rejected(Exception):
         self.code, self.message = code, message
 
 
+def special_vertex(g):
+    """The tree vertex all of whose branches carry Euler number 1, by brute force.
+
+    The reference for ``krtorus.reeb.find_special_vertex``, reading only
+    ``g.nodes`` and ``g.edges``. For every node in id order, one
+    union-find over the other edges splits the rest of the graph into
+    branches; both Euler routes (census and index sum) are summed over
+    each branch's nodes, in order of the smallest edge attaching it,
+    up to the first branch whose Euler number is not 1. That is
+    O(nodes x edges). Raises Rejected with the code and message the
+    package gives; its internal errors carry the code the CLI reports.
+    """
+    b1 = len(g.edges) - len(g.nodes) + 1
+    if b1 != 0:
+        raise Rejected("not-a-tree", f"graph has first Betti number {b1}, expected a tree")
+    winners = []
+    for n in g.nodes:
+        uf = UnionFind()
+        for e in g.edges:
+            if n.id not in (e.lower, e.upper):
+                uf.union(e.lower, e.upper)
+        attach = {}  # component root -> its smallest attaching edge
+        for e in g.edges:
+            if n.id in (e.lower, e.upper):
+                attach.setdefault(uf.find(e.upper if e.lower == n.id else e.lower), e.id)
+        if any(uf.find(m.id) not in attach for m in g.nodes if m.id != n.id):
+            raise Rejected("internal-invariant", "graph is disconnected")
+        eulers = []
+        for root in sorted(attach, key=attach.get):
+            branch = [m for m in g.nodes if m.id != n.id and uf.find(m.id) == root]
+            census = sum(m.census_euler for m in branch)
+            index = sum(m.index_sum for m in branch)
+            if census != index:
+                raise Rejected("internal-invariant",
+                               f"branch Euler computations disagree at node {n.id}: "
+                               f"census {census} vs index sum {index}")
+            eulers.append(index)
+            if index != 1:
+                break
+        if eulers and all(x == 1 for x in eulers):
+            winners.append(n.id)
+    if not winners:
+        raise Rejected("no-special-vertex",
+                       "no vertex has all branches of Euler number 1; "
+                       "the torus/tree hypotheses do not hold for this input")
+    if len(winners) > 1:
+        raise Rejected("internal-invariant", f"multiple special vertices {winners}")
+    return winners[0]
+
+
 def parse_scalar(tok):
     """A value token the slow way: Fraction with a '/', else int, else float."""
     if "/" in tok:

@@ -8,8 +8,8 @@ from krtorus.errors import InputRejected, InternalInvariantError
 from krtorus.fields import preset_field, pullback_cosine_field
 from krtorus.homology import IntMatrix, tree_cotree
 from krtorus.partition import OneCell, branch_signature, build_partition
-from krtorus.reeb import (ReebEdge, ReebGraph, ReebNode, compute_reeb, find_special_vertex,
-                         level_structure)
+from krtorus.reeb import (Branch, ReebEdge, ReebGraph, ReebNode, compute_reeb,
+                          find_special_vertex, level_structure)
 from krtorus.surface import SurfaceField, vertex_classes
 
 import oracles
@@ -205,7 +205,7 @@ def test_signatures_label_two_cells(stage):
 def recursive_signature(g, node_id, branch):
     """The recursive form of branch_signature, kept as the reference."""
     eid = branch.root_edges[0]
-    e = g.edge(eid)
+    e = g.edges[eid]
     root = e.upper if e.lower == node_id else e.lower
     side = "up" if e.lower == node_id else "down"
 
@@ -214,11 +214,11 @@ def recursive_signature(g, node_id, branch):
         for eid2 in g.edges_at(w):
             if eid2 == via_edge:
                 continue
-            e2 = g.edge(eid2)
+            e2 = g.edges[eid2]
             other = e2.upper if e2.lower == w else e2.lower
             direction = "up" if e2.lower == w else "down"
             subs.append((direction, canon(other, eid2)))
-        node = g.node(w)
+        node = g.nodes[w]
         return (node.level, node.kinds, tuple(sorted(subs)))
 
     return (side, canon(root, eid))
@@ -260,13 +260,36 @@ def test_signature_of_deep_path():
             assert direction == "up"
 
 
-def test_signature_rejects_a_cyclic_branch():
+def _triangle_graph() -> ReebGraph:
     nodes = [ReebNode(i, i, ("node",), (i,), 0, 0) for i in range(3)]
     edges = [ReebEdge(0, 0, 1, (0, 1)), ReebEdge(1, 0, 2, (0, 2)), ReebEdge(2, 1, 2, (1, 2))]
+    return ReebGraph(nodes, edges, {}, {}, {}, {}, surface_chi=0)
+
+
+def test_signature_rejects_a_cyclic_branch():
+    # branches_at refuses this graph, so the branch is built by hand
+    branch = Branch((0,), frozenset({1, 2}), "up")
+    with pytest.raises(InternalInvariantError, match="is not a tree"):
+        branch_signature(_triangle_graph(), 0, branch)
+
+
+@pytest.mark.parametrize("node", [0, 1, 2])
+def test_branches_at_rejects_a_cycle(node):
+    with pytest.raises(InternalInvariantError, match="is not a tree"):
+        _triangle_graph().branches_at(node)
+
+
+def test_branches_at_rejects_a_cycle_out_of_reach():
+    # an edge 0-1 beside a triangle 2-3-4: as many edges as a tree, but
+    # the walks from node 0 never meet the cycle
+    nodes = [ReebNode(i, i, ("node",), (i,), 0, 0) for i in range(5)]
+    edges = [ReebEdge(0, 0, 1, (0, 1)), ReebEdge(1, 2, 3, (2, 3)),
+             ReebEdge(2, 2, 4, (2, 4)), ReebEdge(3, 3, 4, (3, 4))]
     g = ReebGraph(nodes, edges, {}, {}, {}, {}, surface_chi=0)
-    (branch,) = g.branches_at(0)
-    with pytest.raises(InternalInvariantError):
-        branch_signature(g, 0, branch)
+    with pytest.raises(InternalInvariantError, match="is not a tree"):
+        g.branches_at(0)
+    with pytest.raises(InternalInvariantError, match="disconnected"):
+        find_special_vertex(g)
 
 
 def test_twin_peaks_partition(twin_peaks):
@@ -336,7 +359,7 @@ def test_patched_refined_complex_matches_a_whole_mesh_rebuild(make):
     on_v = {v for e in v_edges for v in e}
     regions = oracles.cut_regions(p.refined_triangles, v_edges)
     cells = sorted(p.two_cells, key=lambda c: c.refined_triangles[0])
-    assert len(regions) == len(cells) == g.degree(node)
+    assert len(regions) == len(cells) == len(g.edges_at(node))
     for (tris, (nv, ne, nt), darts), cell in zip(regions, cells):
         assert tuple(tris) == cell.refined_triangles
         assert nt == len(cell.refined_triangles)

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krtorus.errors import InputRejected
+from krtorus.errors import InputRejected, InternalInvariantError
 from krtorus.fields import grid_field, random_field
 from krtorus.pipeline import extract_disk_field
-from krtorus.reeb import (_UnionFind, branch_euler, compute_reeb, find_special_vertex,
-                          is_tree, reeb_to_dot)
+from krtorus.reeb import (ReebEdge, ReebGraph, ReebNode, _UnionFind, branch_euler, compute_reeb,
+                          find_special_vertex, is_tree, reeb_to_dot)
 from krtorus.surface import SurfaceField, vertex_classes
 
 import oracles
@@ -28,7 +28,7 @@ def test_two_cell_graph(stage):
     assert [nd.kinds for nd in g.nodes] == [
         ("minimum",), ("saddle", "saddle"), ("maximum",)]
     # the unique 2-fold node is a path vertex of degree 2
-    assert g.degree(1) == 2
+    assert len(g.edges_at(1)) == 2
 
 
 def test_z2_sym_graph(stage):
@@ -37,7 +37,7 @@ def test_z2_sym_graph(stage):
     assert is_tree(g)
     center = [nd for nd in g.nodes if nd.level == 0.0]
     assert len(center) == 1 and len(center[0].kinds) == 4
-    assert g.degree(center[0].id) == 4
+    assert len(g.edges_at(center[0].id)) == 4
 
 
 def test_z2xz2_sym_graph(stage):
@@ -46,7 +46,7 @@ def test_z2xz2_sym_graph(stage):
     assert is_tree(g)
     center = [nd for nd in g.nodes if len(nd.kinds) > 1]
     assert len(center) == 1 and len(center[0].kinds) == 8
-    assert g.degree(center[0].id) == 8
+    assert len(g.edges_at(center[0].id)) == 8
 
 
 def test_cyclic_height_graph(surface):
@@ -131,15 +131,15 @@ def test_band_count_between_nodes(stage):
     g = stage("two-cell").graph
     assert [(e.lower, e.upper) for e in g.edges] == [(0, 1), (1, 2)]
     for e in g.edges:
-        lo = g.node(e.lower).level
-        hi = g.node(e.upper).level
+        lo = g.nodes[e.lower].level
+        hi = g.nodes[e.upper].level
         assert e.interval == (lo, hi)
 
 
 def test_special_vertex(stage):
     for name, expected_kinds in (("two-cell", 2), ("z2-sym", 4), ("z2xz2-sym", 8)):
         st = stage(name)
-        nd = st.graph.node(st.node)
+        nd = st.graph.nodes[st.node]
         assert nd.level == 0.0
         assert len(nd.kinds) == expected_kinds
         assert set(nd.kinds) == {"saddle"}
@@ -164,7 +164,7 @@ def test_branches(stage, twin_peaks):
     node = find_special_vertex(g)
     up = [b for b in g.branches_at(node) if b.side == "up"]
     assert len(up) == 1
-    kinds = sorted(k for nid in up[0].nodes for k in g.node(nid).kinds)
+    kinds = sorted(k for nid in up[0].nodes for k in g.nodes[nid].kinds)
     assert kinds == ["maximum", "maximum", "saddle"]
     assert branch_euler(g, node, up[0]) == 1
 
@@ -176,6 +176,128 @@ def test_branch_euler_multi_node_subtree(twin_peaks):
     node = find_special_vertex(g)
     for b in g.branches_at(node):
         assert branch_euler(g, node, b) == 1
+
+
+def _hand_tree(pairs, census, index=None) -> ReebGraph:
+    """A graph with edge k joining pairs[k], node i carrying census[i] and index[i]."""
+    index = census if index is None else index
+    nodes = [ReebNode(i, i, ("node",), (i,), c, x) for i, (c, x) in enumerate(zip(census, index))]
+    edges = [ReebEdge(k, a, b, (a, b)) for k, (a, b) in enumerate(pairs)]
+    return ReebGraph(nodes, edges, {}, {}, {}, {}, surface_chi=sum(census))
+
+
+def test_special_vertex_rejects_a_tree_without_one():
+    g = _hand_tree([(0, 1), (1, 2)], [0, 0, 0])
+    with pytest.raises(InputRejected) as exc:
+        find_special_vertex(g)
+    assert exc.value.code == "no-special-vertex"
+
+
+def test_special_vertex_refuses_two_winners():
+    g = _hand_tree([(0, 1)], [1, 1])
+    with pytest.raises(InternalInvariantError) as exc:
+        find_special_vertex(g)
+    assert str(exc.value) == "multiple special vertices [0, 1]"
+
+
+def test_special_vertex_refuses_disagreeing_routes():
+    # node 2's census says 1, its index sum 0: node 0's one branch disagrees first
+    g = _hand_tree([(0, 1), (1, 2)], [1, -1, 1], [1, -1, 0])
+    with pytest.raises(InternalInvariantError) as exc:
+        find_special_vertex(g)
+    assert str(exc.value) == "branch Euler computations disagree at node 0: census 0 vs index sum -1"
+
+
+def test_special_vertex_search_builds_no_branches(stage, monkeypatch):
+    g = stage("z2-sym").graph
+
+    def refuse(self, node_id):
+        raise AssertionError("branches_at called")
+
+    monkeypatch.setattr(ReebGraph, "branches_at", refuse)
+    assert find_special_vertex(g) == stage("z2-sym").node
+
+
+def test_special_vertex_on_a_long_path():
+    # a per-node union-find search would take about 4e8 steps here
+    n = 20_001
+    euler = [0] * n
+    euler[0] = euler[-1] = 1
+    euler[n // 2] = -2
+    g = _hand_tree([(i, i + 1) for i in range(n - 1)], euler)
+    assert find_special_vertex(g) == n // 2
+    branches = g.branches_at(n // 2)
+    assert [b.root_edges for b in branches] == [(n // 2 - 1,), (n // 2,)]
+    assert [branch_euler(g, n // 2, b) for b in branches] == [1, 1]
+
+
+def _prufer_pairs(seq, n):
+    """The edges of the labelled tree on n nodes with Pruefer sequence seq."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    pairs = []
+    for x in seq:
+        leaf = min(v for v in range(n) if degree[v] == 1)
+        pairs.append((leaf, x))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    pairs.append(tuple(v for v in range(n) if degree[v] == 1))
+    return pairs
+
+
+@st.composite
+def euler_trees(draw, skewed=False):
+    """Trees of 2-40 nodes with Euler numbers in [-3, 1], in any edge order and orientation.
+
+    Half the draws plant Euler 2 - degree on every node, which makes each
+    branch carry 1, then lower one node by 0-2: a tree where every node,
+    one node or none is special. The rest draw every number freely.
+    With skewed=True one node's census differs from its index sum.
+    """
+    n = draw(st.integers(2, 40))
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    pairs = draw(st.permutations(_prufer_pairs(seq, n)))
+    pairs = [(b, a) if draw(st.booleans()) else (a, b) for a, b in pairs]
+    if draw(st.booleans()):
+        degree = [0] * n
+        for a, b in pairs:
+            degree[a] += 1
+            degree[b] += 1
+        census = [2 - d for d in degree]
+        census[draw(st.integers(0, n - 1))] -= draw(st.integers(0, 2))
+        census = [min(1, max(-3, c)) for c in census]
+    else:
+        census = draw(st.lists(st.integers(-3, 1), min_size=n, max_size=n))
+    index = list(census)
+    if skewed:
+        v = draw(st.integers(0, n - 1))
+        index[v] += draw(st.sampled_from([-1, 1]))
+    return _hand_tree(pairs, census, index)
+
+
+def _special_outcome(search, g):
+    """(winner, None, None), or the code and message of a refusal."""
+    try:
+        return search(g), None, None
+    except InputRejected as exc:
+        return None, exc.code, str(exc)
+    except InternalInvariantError as exc:
+        return None, "internal-invariant", str(exc)
+    except oracles.Rejected as exc:
+        return None, exc.code, exc.message
+
+
+@settings(max_examples=300, deadline=None)
+@given(euler_trees())
+def test_special_vertex_matches_the_quadratic_oracle(g):
+    assert _special_outcome(find_special_vertex, g) == _special_outcome(oracles.special_vertex, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(euler_trees(skewed=True))
+def test_special_vertex_disagreement_matches_the_quadratic_oracle(g):
+    assert _special_outcome(find_special_vertex, g) == _special_outcome(oracles.special_vertex, g)
 
 
 def test_dot_output(stage):
