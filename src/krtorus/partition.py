@@ -14,20 +14,25 @@ level pieces. Full-edge segments (both endpoints on the level) do occur
 in the model fields and are handled as first-class V-edges, not as an
 error case.
 
-The refined complex shares the surface's adjacency. Only the pieces of
-V's triangles get a directed-edge map, which also holds the untouched
+The 2-cells are read off the graph: each branch at the chosen vertex
+owns what ``compute_reeb`` files under its nodes and edges. Only V's
+carrier (what is filed under V, and the triangles V crosses or runs
+along) is glued, across edges off V, to itself and to the owners on the
+other side. Each class of that gluing is a region, matched to a branch
+by its critical vertices; on coarse samples it may hold pieces alone.
+
+Only the pieces get a directed-edge map, which also holds the untouched
 side of each seam (an edge between one of V's triangles and an untouched
-one); edges between untouched triangles are glued through
-``SurfaceField.left_triangles``. Repeated directed edges and edges with
-one triangle are checked on the pieces and their seams only: validation
-and the fan walks of ``vertex_classes`` proved the untouched triangles
-closed and consistently oriented, and a piece edge between two original
-vertices is an edge of its own triangle.
+one). Repeated directed edges and edges with one triangle are checked on
+the pieces and their seams only: validation and the fan walks of
+``vertex_classes`` proved the untouched triangles closed and
+consistently oriented, and a piece edge between two original vertices is
+an edge of its own triangle.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, combinations, compress, filterfalse, repeat
 
 from .errors import InputRejected, InternalInvariantError
 # chain_homology stays bound here because bench/tracer.py wraps this binding
@@ -92,7 +97,7 @@ def branch_signature(g: ReebGraph, node_id: int, branch: Branch) -> tuple:
     Equal signatures mean the branches look identical to any level
     preserving symmetry; the signature is the f-data attached to 2-cells.
     """
-    (eid,) = branch.root_edges
+    eid = branch.root_edge
     e = g.edges[eid]
     root = e.upper if e.lower == node_id else e.lower
     # the forms are built in reverse walk order, so children come before
@@ -135,34 +140,22 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     nv = s.vertex_count
     xid = {e: nv + k for k, e in enumerate(xlist)}
 
-    refined: list[tuple[int, int, int]] = []
-    parent: list[int] = []
-    first: list[int] = []  # first refined index of each original triangle
+    split: dict[int, list[tuple[int, int, int]]] = {}  # V's triangles cut into pieces
     vedges: set[tuple[int, int]] = set()
-    for idx, tri in enumerate(s.triangles):
-        first.append(len(refined))
-        pieces = tri_pieces.get(idx)
-        if pieces is None:
-            refined.append(tri)
-            parent.append(idx)
-            continue
+    for idx, pieces in tri_pieces.items():
+        tri = s.triangles[idx]
         vparts = [p for p in pieces if p[0] == "v"]
         eparts = [(p[1], p[2]) for p in pieces if p[0] == "e"]
         if len(vparts) == 2 and not eparts:
-            u, w = vparts[0][1], vparts[1][1]
-            vedges.add(_norm(u, w))
-            refined.append(tri)
-            parent.append(idx)
+            vedges.add(_norm(vparts[0][1], vparts[1][1]))
+            split[idx] = [tri]
         elif len(vparts) == 1 and len(eparts) == 1:
-            v0 = vparts[0][1]
-            e = eparts[0]
+            v0, e = vparts[0][1], eparts[0]
             x = xid[e]
             p_, q_ = _after(tri, v0)
             if {p_, q_} != set(e):
                 raise InternalInvariantError("crossing edge is not opposite the on-level corner")
-            refined.append((v0, p_, x))
-            refined.append((v0, x, q_))
-            parent.extend((idx, idx))
+            split[idx] = [(v0, p_, x), (v0, x, q_)]
             vedges.add(_norm(v0, x))
         elif len(eparts) == 2 and not vparts:
             shared = set(eparts[0]) & set(eparts[1])
@@ -172,19 +165,28 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             p_, q_ = _after(tri, a0)
             x1 = xid[_norm(a0, p_)]
             x2 = xid[_norm(a0, q_)]
-            refined.append((a0, x1, x2))
-            refined.append((x1, p_, q_))
-            refined.append((x1, q_, x2))
-            parent.extend((idx, idx, idx))
+            split[idx] = [(a0, x1, x2), (x1, p_, q_), (x1, q_, x2)]
             vedges.add(_norm(x1, x2))
         else:
             raise InternalInvariantError(f"unexpected level piece pattern in triangle {tri}")
-    first.append(len(refined))
+    # the untouched triangles are copied in slices between V's triangles
+    nt = s.triangle_count
+    # first: the first refined index of each original triangle, then the end
+    refined, parent, first, done = [], [], [], 0
+    for idx, pieces in split.items():  # in index order
+        first += range(len(refined), len(refined) + idx - done + 1)
+        refined += s.triangles[done:idx]
+        refined += pieces
+        parent += range(done, idx)
+        parent += [idx] * len(pieces)
+        done = idx + 1
+    first += range(len(refined), len(refined) + nt - done + 1)
+    refined += s.triangles[done:]
+    parent += range(done, nt)
 
     vv = vset | set(xid.values())
     refined_values = list(s.values) + [level] * len(xlist)
-    vertex_sources = tuple([("v", v) for v in range(nv)]
-                           + [("x", u, w) for (u, w) in xlist])
+    vertex_sources = (*zip(repeat("v"), range(nv)), *(("x", u, w) for (u, w) in xlist))
     refined_coords = None
     if s.coords is not None:
         ext = []
@@ -194,6 +196,22 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             ext.append(tuple(cu + t * (cw - cu)
                              for cu, cw in zip(s.coords[u], s.coords[w])))
         refined_coords = s.coords + tuple(ext)
+
+    # each branch owns what the graph files under its nodes and edges; V's
+    # carrier is what it files under V and the triangles V crosses or runs along
+    branches = g.branches_at(node_id)
+    nb = len(branches)
+    owned = [list(chain.from_iterable([g.node_map[w] for w in br.nodes] + [
+        g.band_map[e.id] for e in g.edges if e.lower in br.nodes or e.upper in br.nodes]))
+        for br in branches] + [g.node_map[node_id]]
+    owner: list = [None] * nt  # the branch of each triangle, nb in the carrier
+    for bi, ts in enumerate(owned):
+        for t in ts:
+            owner[t] = bi
+    if sum(map(len, owned)) != nt or None in owner:
+        raise InternalInvariantError("the graph does not file every triangle exactly once")
+    for t in tris:
+        owner[t] = nb
 
     # refined topology: a directed-edge map of V's pieces and their seams
     left = s.left_triangles()
@@ -217,19 +235,27 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         for y, t in left[w].items():
             if t not in tri_pieces:
                 succ[w][y] = sum(s.triangles[t]) - w - y
-    # glue across every edge off V, between untouched triangles by the surface map
-    ruf = _UnionFind(len(refined))
+    # glue the carrier across its edges off V: a carrier triangle to itself,
+    # an owned one to its branch's unit, numbered after the refined triangles
+    nr = len(refined)
+    ruf = _UnionFind(nr + nb)
+
+    def unit(ti: int) -> int:
+        return ti if owner[parent[ti]] == nb else nr + owner[parent[ti]]
+
     for (x, y), ti in directed_tri.items():
         other = directed_tri.get((y, x))
         if other is None:
             raise InternalInvariantError(
                 f"refined edge {_norm(x, y)} is not shared by two triangles")
-        if _norm(x, y) not in vedges:
-            ruf.union(ti, other)
-    for u, d in enumerate(left):
-        for w, t in d.items():
-            if u < w and t not in tri_pieces and left[w][u] not in tri_pieces:
-                ruf.union(first[t], first[left[w][u]])
+        if x < y and (x, y) not in vedges:
+            ruf.union(unit(ti), unit(other))
+    for t in owned[nb]:
+        if t not in tri_pieces:
+            a, b, c = s.triangles[t]
+            for x, y in ((a, b), (b, c), (c, a)):
+                if left[y][x] not in tri_pieces:
+                    ruf.union(first[t], unit(first[left[y][x]]))
 
     fan_of: dict[int, tuple[int, ...]] = {}
     for w in vv:
@@ -246,41 +272,41 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             raise InternalInvariantError(f"refined fan at {w} is not a single cycle")
         fan_of[w] = tuple(cyc)
 
-    # complement regions, numbered by their smallest refined triangle
-    region_ids: dict[int, int] = {}
-    region_of: list[int] = []
-    region_tris: list[list[int]] = []
-    for ti in range(len(refined)):
-        rid = region_ids.setdefault(ruf.find(ti), len(region_tris))
-        if rid == len(region_tris):
-            region_tris.append([])
-        region_of.append(rid)
-        region_tris[rid].append(ti)
+    # complement regions: the classes of the gluing, a unit with the
+    # carrier pieces glued to it, or pieces alone where the branch owns no
+    # triangle off the carrier; numbered by their smallest refined triangle
+    members: dict[int, list[int]] = {}
+    for t in sorted(set(owned[nb]).union(tri_pieces)):
+        for ti in range(first[t], first[t + 1]):
+            members.setdefault(ruf.find(ti), []).append(ti)
+    roots = [ruf.find(nr + bi) for bi in range(nb)]
+    if len(set(roots)) != nb:
+        raise InternalInvariantError(f"two branches at node {node_id} share a region")
+    for bi, root in enumerate(roots):
+        kept = compress(owned[bi], map(bi.__eq__, map(owner.__getitem__, owned[bi])))
+        members[root] = sorted(chain(members.get(root, ()), map(first.__getitem__, kept)))
+    regions = sorted(((root, rt) for root, rt in members.items() if rt), key=lambda kv: kv[1][0])
+    region_id = {root: rid for rid, (root, _) in enumerate(regions)}
+    region_tris = [rt for _, rt in regions]
     n_regions = len(region_tris)
     # the darts of V, each on the side of the region to its left
     region_darts: list[set[tuple[int, int]]] = [set() for _ in range(n_regions)]
     for (u, w) in vedges:
         for dart in ((u, w), (w, u)):
-            region_darts[region_of[directed_tri[dart]]].add(dart)
+            region_darts[region_id[ruf.find(directed_tri[dart])]].add(dart)
 
     # match regions to branches through the critical vertices they contain
-    branches = g.branches_at(node_id)
     branch_crit = [frozenset(v for w in br.nodes
                              for v in g.nodes[w].critical_vertices)
                    for br in branches]
-    region_vertex: dict[int, int] = {}
-    for ti, tri in enumerate(refined):
-        for u in tri:
-            if u not in vv:
-                prev = region_vertex.get(u)
-                if prev is None:
-                    region_vertex[u] = region_of[ti]
-                elif prev != region_of[ti]:
-                    raise InternalInvariantError(f"vertex {u} lies in two regions")
-    region_crit: list[set[int]] = [set() for _ in range(n_regions)]
-    for u, rid in region_vertex.items():
-        if u < nv and classes[u].is_critical:
-            region_crit[rid].add(u)
+    region_verts = [set(filterfalse(vv.__contains__, chain.from_iterable(
+        map(refined.__getitem__, rt)))) for rt in region_tris]
+    # every vertex off V is in some region, so a larger count puts one in two
+    if sum(map(len, region_verts)) != nv - len(vset):
+        u = min(u for a, b in combinations(region_verts, 2) for u in a & b)
+        raise InternalInvariantError(f"vertex {u} lies in two regions")
+    crit_off_v = frozenset().union(*branch_crit)
+    region_crit = [vs & crit_off_v for vs in region_verts]
     if len(branches) != n_regions:
         raise InternalInvariantError(
             f"{n_regions} regions for {len(branches)} branches at node {node_id}")
@@ -294,16 +320,20 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     if sorted(region_branch) != list(range(len(branches))):
         raise InternalInvariantError("region/branch matching is not a bijection")
     cell_region = [region_branch.index(bi) for bi in range(len(branches))]
+    for bi, root in enumerate(roots):
+        if region_id.get(root, cell_region[bi]) != cell_region[bi]:
+            raise InternalInvariantError(
+                f"branch {bi} owns triangles off its region {cell_region[bi]}")
 
     # census Euler characteristic of each open region must be 1; the darts
     # of its triangles not on V pair up into its open edges
-    region_vert_count = Counter(region_vertex.values())
     for rid in range(n_regions):
         n_tris = len(region_tris[rid])
-        chi = region_vert_count[rid] - (3 * n_tris - len(region_darts[rid])) // 2 + n_tris
+        chi = len(region_verts[rid]) - (3 * n_tris - len(region_darts[rid])) // 2 + n_tris
         if chi != 1:
             raise InternalInvariantError(
                 f"region {rid} has open Euler characteristic {chi}, not a disk")
+    del owned, owner, region_verts  # per-triangle and per-vertex state, no longer read
 
     # V as a graph: arcs between critical vertices
     vadj: dict[int, set[int]] = {w: set() for w in vv}
@@ -426,7 +456,7 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             level_signature=branch_signature(g, node_id, br),
             boundary=to_items(cycle),
             boundary_vertices=tuple(d[0] for d in cycle),
-            support=tuple(sorted({parent[ti] for ti in region_tris[rid]})),
+            support=tuple(dict.fromkeys(map(parent.__getitem__, region_tris[rid]))),
             refined_triangles=tuple(region_tris[rid])))
     cycles, cocycles = tree_cotree(zero_cells, one_cells, [c.boundary for c in two_cells])
     return CellPartition(

@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, count
 
 from .errors import InputRejected, InternalInvariantError
 from .partition import CellPartition, build_partition
@@ -183,47 +184,42 @@ def extract_disk_field(p: CellPartition, orbit_table, i: int) -> DiskField:
     rep = next(c for c, t in enumerate(table) if t == (i, 0, 0))
     cell = p.two_cells[rep]
     walkset = set(cell.boundary_vertices)
-    region_tris = [p.refined_triangles[ti] for ti in cell.refined_triangles]
+    corners = list(chain.from_iterable(map(p.refined_triangles.__getitem__,
+                                            cell.refined_triangles)))
 
     # The corners at walk vertices, numbered in corner order: u's corner
     # in the triangle left of u->x and in the one left of x->u, x off the walk.
+    at_walk = list(compress(range(len(corners)), map(walkset.__contains__, corners)))
     after: dict[tuple[int, int], int] = {}
     before: dict[tuple[int, int], int] = {}
-    n = 0
-    for a, b, c in region_tris:
-        for y, u, x in ((c, a, b), (a, b, c), (b, c, a)):
-            if u in walkset:
-                if x not in walkset and after.setdefault((u, x), n) != n:
-                    raise InternalInvariantError(
-                        f"directed edge {u}->{x} repeats in cut cell {rep}")
-                if y not in walkset and before.setdefault((y, u), n) != n:
-                    raise InternalInvariantError(
-                        f"directed edge {y}->{u} repeats in cut cell {rep}")
-                n += 1
+    for n, k in enumerate(at_walk):
+        j = k - k % 3
+        u, x, y = corners[k], corners[j + (k + 1) % 3], corners[j + (k + 2) % 3]
+        if x not in walkset and after.setdefault((u, x), n) != n:
+            raise InternalInvariantError(
+                f"directed edge {u}->{x} repeats in cut cell {rep}")
+        if y not in walkset and before.setdefault((y, u), n) != n:
+            raise InternalInvariantError(
+                f"directed edge {y}->{u} repeats in cut cell {rep}")
     unpaired = after.keys() ^ {(u, y) for y, u in before}
     if unpaired:
         u, x = min(unpaired)
         raise InternalInvariantError(
             f"interior edge {u}-{x} at the walk of cut cell {rep} has one triangle")
-    uf = _UnionFind(n)
+    uf = _UnionFind(len(at_walk))
     for (u, x), corner in after.items():
         uf.union(corner, before[(x, u)])
 
     # a disk vertex is keyed by its refined vertex off the walk, and by
-    # ~root of its glued corners at the walk, met in the order numbered above
-    number: dict[int, int] = {}
-    sources: list[int] = []
-    walk_corner = iter(range(n))
-
-    def vertex(u: int) -> int:
-        key = ~uf.find(next(walk_corner)) if u in walkset else u
-        k = number.get(key)
-        if k is None:
-            k = number[key] = len(sources)
-            sources.append(u)
-        return k
-
-    tris = [(vertex(a), vertex(b), vertex(c)) for a, b, c in region_tris]
+    # ~root of its glued corners at the walk, numbered by first corner
+    walk_vertex = list(map(corners.__getitem__, at_walk))
+    for n, k in enumerate(at_walk):
+        corners[k] = ~uf.find(n)
+    number = dict(zip(dict.fromkeys(corners), count()))
+    sources = [key if key >= 0 else walk_vertex[~key] for key in number]
+    numbered = map(number.__getitem__, corners)
+    tris = list(zip(numbered, numbered, numbered))
+    del corners  # three entries per triangle; the checks below build their own
     values = [p.refined_values[u] for u in sources]
     coords = ([p.refined_coords[u] for u in sources]
               if p.refined_coords is not None else None)

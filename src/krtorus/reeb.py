@@ -110,7 +110,7 @@ class ReebEdge:
 class Branch:
     """One component of the tree minus a vertex, with the edge that attaches it."""
 
-    root_edges: tuple[int, ...]
+    root_edge: int
     nodes: frozenset
     side: str  # "up" or "down" relative to the removed vertex
 
@@ -119,6 +119,7 @@ class ReebGraph:
     def __init__(self, nodes, edges, node_map, band_map, on_node, tri_cuts, surface_chi):
         self.nodes: tuple[ReebNode, ...] = tuple(nodes)
         self.edges: tuple[ReebEdge, ...] = tuple(edges)
+        # every triangle is filed once: under the lowest node meeting it, else its band's edge
         self.node_map: dict[int, tuple[int, ...]] = dict(node_map)
         self.band_map: dict[int, tuple[int, ...]] = dict(band_map)
         # the node of every vertex lying in a node component
@@ -163,7 +164,7 @@ class ReebGraph:
             e = self.edges[eid]
             up = e.lower == node_id
             nodes = frozenset(w for w, _ in self.walk(e.upper if up else e.lower, eid))
-            branches.append(Branch((eid,), nodes, "up" if up else "down"))
+            branches.append(Branch(eid, nodes, "up" if up else "down"))
         if sum(len(b.nodes) for b in branches) != len(self.nodes) - 1:
             raise InternalInvariantError(f"graph at node {node_id} is not a tree")
         return tuple(branches)

@@ -188,11 +188,14 @@ def validate_closed_orientable(s: SurfaceField) -> dict:
     Returns {"chi": ..., "genus": ...} on success, raises InputRejected otherwise.
     """
     left = s.left_triangles()
-    for u, d in enumerate(left):
-        for w in d:
-            if u not in left[w]:
-                raise InputRejected("not-a-surface", f"boundary edge {u}-{w}: no opposite triangle")
-    s.fans()
+    try:
+        s.fans()  # closed fans give every directed edge its reverse
+    except InputRejected:  # name the first boundary edge, if there is one
+        edge = next(((u, w) for u, d in enumerate(left) for w in d if u not in left[w]), None)
+        if edge:
+            u, w = edge
+            raise InputRejected("not-a-surface", f"boundary edge {u}-{w}: no opposite triangle")
+        raise
     seen = {0}
     stack = [0]
     while stack:

@@ -1,14 +1,16 @@
 """The special level set as a CW structure on the torus."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import krtorus.homology
 from krtorus.errors import InputRejected, InternalInvariantError
-from krtorus.fields import preset_field, pullback_cosine_field
+from krtorus.fields import preset_field, pullback_cosine_field, random_field
 from krtorus.homology import IntMatrix, tree_cotree
 from krtorus.partition import OneCell, branch_signature, build_partition
-from krtorus.reeb import (Branch, ReebEdge, ReebGraph, ReebNode, compute_reeb,
+from krtorus.reeb import (Branch, ReebEdge, ReebGraph, ReebNode, _UnionFind, compute_reeb,
                           find_special_vertex, level_structure)
 from krtorus.surface import SurfaceField, vertex_classes
 
@@ -204,7 +206,7 @@ def test_signatures_label_two_cells(stage):
 
 def recursive_signature(g, node_id, branch):
     """The recursive form of branch_signature, kept as the reference."""
-    eid = branch.root_edges[0]
+    eid = branch.root_edge
     e = g.edges[eid]
     root = e.upper if e.lower == node_id else e.lower
     side = "up" if e.lower == node_id else "down"
@@ -268,7 +270,7 @@ def _triangle_graph() -> ReebGraph:
 
 def test_signature_rejects_a_cyclic_branch():
     # branches_at refuses this graph, so the branch is built by hand
-    branch = Branch((0,), frozenset({1, 2}), "up")
+    branch = Branch(0, frozenset({1, 2}), "up")
     with pytest.raises(InternalInvariantError, match="is not a tree"):
         branch_signature(_triangle_graph(), 0, branch)
 
@@ -345,14 +347,10 @@ DIFFERENTIAL_FIELDS = (
        for mat in (((2, 0), (0, 2)), ((3, 0), (0, 3)), ((2, 0), (0, 4)), ((2, 2), (-2, 2)))])
 
 
-@pytest.mark.parametrize("make", [m for _, m in DIFFERENTIAL_FIELDS],
-                         ids=[label for label, _ in DIFFERENTIAL_FIELDS])
-def test_patched_refined_complex_matches_a_whole_mesh_rebuild(make):
-    # build_partition glues only V's pieces and their seams itself and
-    # reads the rest off the surface's adjacency; the oracle rebuilds the
-    # directed-edge map of the whole refined complex from raw triangles
-    s = make()
-    g, node = _graph_and_node(s)
+def _check_against_whole_mesh_rebuild(s: SurfaceField, g: ReebGraph, node: int) -> None:
+    # build_partition glues only V's carrier itself and reads the rest of
+    # each region off the graph's triangle ownership; the oracle rebuilds
+    # the directed-edge map of the whole refined complex from raw triangles
     p = build_partition(s, g, node)
     v_edges = {(min(x, y), max(x, y))
                for cell in p.one_cells for x, y in zip(cell.path, cell.path[1:])}
@@ -365,8 +363,111 @@ def test_patched_refined_complex_matches_a_whole_mesh_rebuild(make):
         assert nt == len(cell.refined_triangles)
         assert nv == len({v for ti in tris for v in p.refined_triangles[ti]} - on_v)
         assert nv - ne + nt == 1
+        assert cell.support == tuple(sorted({p.refined_parent[ti] for ti in tris}))
         walk = cell.boundary_vertices
         assert darts == set(zip(walk, walk[1:] + walk[:1]))
+
+
+@pytest.mark.parametrize("make", [m for _, m in DIFFERENTIAL_FIELDS],
+                         ids=[label for label, _ in DIFFERENTIAL_FIELDS])
+def test_patched_refined_complex_matches_a_whole_mesh_rebuild(make):
+    s = make()
+    _check_against_whole_mesh_rebuild(s, *_graph_and_node(s))
+
+
+def _coarse_pool(kind: str):
+    """The grid-8 fields of the acceptance pool: pullbacks along its seeded
+    matrix draws (the first 40 distinct ones hold the pool's 17), or the
+    random_field(8, seed) draws."""
+    if kind == "random":
+        yield from (random_field(8, seed) for seed in range(120))
+        return
+    rng = random.Random(20260819)
+    seen: set = set()
+    while len(seen) < 40:
+        mat = ((rng.randint(-2, 2), rng.randint(-2, 2)),
+               (rng.randint(-2, 2), rng.randint(-2, 2)))
+        det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+        if det != 0 and abs(det) <= 4 and mat not in seen:
+            seen.add(mat)
+            yield pullback_cosine_field(8, mat)
+
+
+@pytest.mark.parametrize("kind,floor", [("pullback", 17), ("random", 3)])
+def test_patched_refined_complex_matches_a_whole_mesh_rebuild_on_coarse_fields(kind, floor):
+    # coarse samples have branches that own no triangle off V's carrier,
+    # so their regions are made of carrier pieces alone
+    checked = 0
+    for s in _coarse_pool(kind):
+        try:
+            g, node = _graph_and_node(s)
+            build_partition(s, g, node)
+        except InputRejected:
+            continue  # cyclic graph or tie degeneracy, as the tool rejects it
+        _check_against_whole_mesh_rebuild(s, g, node)
+        checked += 1
+    assert checked >= floor
+
+
+@pytest.mark.parametrize("name,k,message", [
+    ("two-cell", 0, "share a region"), ("two-cell", -1, "share a region"),
+    ("z2-sym", 36, "lies in two regions")])
+def test_band_triangle_filed_under_another_branch_is_caught(name, k, message):
+    # the triangle still lies in the first branch's region: next to the
+    # carrier its pieces join the two units, further in its vertices are
+    # in both regions
+    s = preset_field(name, 16)
+    g, node = _graph_and_node(s)
+    first, second = [b.root_edge for b in g.branches_at(node)][:2]
+    band = list(g.band_map[first])
+    g.band_map[second] += (band.pop(k),)
+    g.band_map[first] = tuple(band)
+    with pytest.raises(InternalInvariantError, match=message):
+        build_partition(s, g, node)
+
+
+def test_band_triangle_filed_nowhere_is_caught():
+    s = preset_field("z2-sym", 16)
+    g, node = _graph_and_node(s)
+    eid = g.branches_at(node)[0].root_edge
+    g.band_map[eid] = g.band_map[eid][1:]
+    with pytest.raises(InternalInvariantError, match="does not file every triangle exactly once"):
+        build_partition(s, g, node)
+
+
+def test_branches_with_swapped_triangles_are_caught():
+    # every triangle of the two branches changes hands: the gluing is
+    # consistent, but each unit lands in the region of the other branch's
+    # critical vertices
+    s = preset_field("two-cell", 16)
+    g, node = _graph_and_node(s)
+    e1, e2 = (b.root_edge for b in g.branches_at(node))
+    (w1,), (w2,) = (b.nodes for b in g.branches_at(node))
+    g.band_map[e1], g.band_map[e2] = g.band_map[e2], g.band_map[e1]
+    g.node_map[w1], g.node_map[w2] = g.node_map[w2], g.node_map[w1]
+    with pytest.raises(InternalInvariantError, match="owns triangles off its region"):
+        build_partition(s, g, node)
+
+
+def test_partition_glues_only_the_carrier(monkeypatch):
+    # the union-find sees V's carrier and its pieces, never the whole mesh
+    s = preset_field("two-cell", 64)
+    g, node = _graph_and_node(s)
+    unions = 0
+    union = _UnionFind.union
+
+    def counting(self, a, b):
+        nonlocal unions
+        unions += 1
+        return union(self, a, b)
+
+    monkeypatch.setattr(_UnionFind, "union", counting)
+    p = build_partition(s, g, node)
+    _, tris = level_structure(s, g, node)
+    carrier = len(set(g.node_map[node]).union(tris))
+    pieces = len(p.refined_triangles) - (s.triangle_count - len(tris))
+    assert 0 < unions <= 3 * (carrier + pieces)
+    assert 3 * (carrier + pieces) < s.triangle_count / 2
 
 
 def _flipped(s: SurfaceField, flip) -> tuple:

@@ -227,7 +227,7 @@ def test_special_vertex_on_a_long_path():
     g = _hand_tree([(i, i + 1) for i in range(n - 1)], euler)
     assert find_special_vertex(g) == n // 2
     branches = g.branches_at(n // 2)
-    assert [b.root_edges for b in branches] == [(n // 2 - 1,), (n // 2,)]
+    assert [b.root_edge for b in branches] == [n // 2 - 1, n // 2]
     assert [branch_euler(g, n // 2, b) for b in branches] == [1, 1]
 
 

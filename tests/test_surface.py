@@ -49,6 +49,36 @@ def test_validate_rejects_boundary():
     assert str(exc.value) == "boundary edge 0-3: no opposite triangle"
 
 
+def test_validate_names_the_boundary_edge_of_a_dropped_torus_triangle(surface):
+    # the fans are walked first; only when one fails is the first boundary
+    # edge in vertex order looked for. The three edges left without a
+    # partner run against the dropped triangle, so the first starts at its
+    # smallest corner and ends at the corner before it
+    s0 = surface("two-cell")
+    drop = 137
+    a, b, c = s0.triangles[drop]
+    u = min(a, b, c)
+    w = {a: c, b: a, c: b}[u]
+    s = SurfaceField(s0.triangles[:drop] + s0.triangles[drop + 1:], s0.values)
+    with pytest.raises(InputRejected) as exc:
+        validate_closed_orientable(s)
+    assert exc.value.code == "not-a-surface"
+    assert str(exc.value) == f"boundary edge {u}-{w}: no opposite triangle"
+
+
+def test_validate_names_a_pinched_torus_vertex(surface):
+    # a vertex far from vertex 0 is renamed 0: no edge repeats and no edge
+    # loses its partner, but the link of vertex 0 is now two cycles
+    s0 = surface("two-cell")
+    far = s0.vertex_count // 2 + 8
+    assert not set(s0.vertex_fan(0)) & set(s0.vertex_fan(far))
+    tris = [tuple(0 if v == far else v for v in t) for t in s0.triangles]
+    with pytest.raises(InputRejected) as exc:
+        validate_closed_orientable(SurfaceField(tris, s0.values))
+    assert exc.value.code == "not-a-surface"
+    assert str(exc.value) == "vertex 0 is pinched: its link is not a single cycle"
+
+
 def test_validate_rejects_inconsistent_orientation():
     bad = [(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 0, 3)]
     with pytest.raises(InputRejected) as exc:
