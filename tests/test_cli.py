@@ -1,8 +1,10 @@
 """Command line behavior: formats, files, exit codes."""
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -264,3 +266,25 @@ def test_gen_out_into_missing_directory_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error[bad-request]: cannot write {target}")
     assert "Traceback" not in err
+
+
+def _snf_pool():
+    """About 200 seeded matrices, 1-8 x 1-8 with entries in [-9, 9], as --matrix strings."""
+    rng = random.Random(20261019)
+    pool = ["2,2;0,4"]
+    for k in range(200):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        zero = 0.4 if k % 2 else 0.0
+        pool.append(";".join(
+            ",".join(str(0 if rng.random() < zero else rng.randint(-9, 9)) for _ in range(c))
+            for _ in range(r)))
+    return pool
+
+
+def test_snf_json_bytes_pinned(capsys):
+    # U, D and V come from a fixed pivot rule, so their JSON bytes are pinned
+    h = hashlib.sha256()
+    for m in _snf_pool():
+        assert main(["snf", f"--matrix={m}", "--format", "json"]) == 0
+        h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == "f865612a425379409eb73d5735bef26b190078215fed8364ef98a4de25aff686"
