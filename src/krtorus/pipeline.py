@@ -19,8 +19,9 @@ from .partition import CellPartition, build_partition
 from .reeb import _UnionFind, branch_euler, compute_reeb, find_special_vertex
 from .surface import SurfaceField, dump_surface, validate_closed_orientable
 from .symmetry import enumerate_symmetries, group_structure, index_orbits
-from .wreath import (DirectProductGroup, WreathElement, WreathGroup, check_exact_sequence,
-                     check_group_axioms, corrupted_wreath, distinct_ranks)
+from .wreath import (KERNEL_ENUM_LIMIT, DirectProductGroup, WreathElement, WreathGroup,
+                     check_exact_sequence, check_group_axioms, corrupted_wreath,
+                     distinct_ranks)
 
 
 # ---------------------------------------------------------------- GroupExpr
@@ -357,8 +358,8 @@ def _check_lattice_sequence(n: int, nm: int):
     return None
 
 
-def verify_extension(report: AnalysisReport, atoms, corrupt_shift: bool = False,
-                     seed: int = 20260819) -> VerificationRecord:
+def verify_extension(report: AnalysisReport, atoms,
+                     corrupt_shift: bool = False) -> VerificationRecord:
     """Instantiate the wreath answer with finite atoms and test the extension.
 
     (a) group axioms and exactness of the map-part/shift-part sequence,
@@ -376,7 +377,7 @@ def verify_extension(report: AnalysisReport, atoms, corrupt_shift: bool = False,
                             f"report has {r} disk orbits, got {len(atoms)} atom groups")
     base = DirectProductGroup(atoms)
     wg = corrupted_wreath(base, n, nm) if corrupt_shift else WreathGroup(base, n, nm)
-    rng = random.Random(seed)
+    rng = random.Random(20260819)
     checks = []
 
     window = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
@@ -386,8 +387,7 @@ def verify_extension(report: AnalysisReport, atoms, corrupt_shift: bool = False,
     pool = [WreathElement(grid, sh) for grid in grids for sh in window]
     fail = check_group_axioms(wg, pool, rng=rng, samples=1500)
     if fail is None:
-        fail = check_exact_sequence(
-            wg, rng=rng if kernel > 10_000 else None)
+        fail = check_exact_sequence(wg, rng=rng if kernel > KERNEL_ENUM_LIMIT else None)
     checks.append(CheckResult(
         "wreath-axioms-exactness", fail is None,
         fail or f"group laws and ker(proj) = im(sigma) hold over {len(pool)} elements"))
@@ -397,17 +397,14 @@ def verify_extension(report: AnalysisReport, atoms, corrupt_shift: bool = False,
         "index-lattice-exactness", fail_b is None,
         fail_b or f"q(a,b) = ({n}a,{nm}b) splices with coordinate reduction exactly"))
 
-    expected = base.order ** (n * nm)
-    if expected <= 10_000:
-        seen = set()
-        for grid in wg.grids():
-            seen.add(grid)
-        ok = len(seen) == expected
+    if kernel <= KERNEL_ENUM_LIMIT:
+        seen = set(wg.grids())
+        ok = len(seen) == kernel
         detail = (f"kernel holds {len(seen)} distinct grids, "
-                  f"|{base.describe()}|^({n}*{nm}) = {expected}")
+                  f"|{base.describe()}|^({n}*{nm}) = {kernel}")
     else:
         ok = True
-        detail = f"kernel too large to enumerate ({expected}); size identity is definitional"
+        detail = f"kernel too large to enumerate ({kernel}); size identity is definitional"
     checks.append(CheckResult("kernel-size", ok, detail))
 
     return VerificationRecord(tuple(checks))

@@ -309,29 +309,33 @@ def check_group_axioms(wg: WreathGroup, pool, *, rng=None,
     return None
 
 
-def check_exact_sequence(wg: WreathGroup, *, max_enum=10_000, rng=None, samples=400):
+# the largest kernel that the verify checks enumerate grid by grid
+KERNEL_ENUM_LIMIT = 10_000
+
+
+def check_exact_sequence(wg: WreathGroup, *, rng=None):
     """The map part injects, the shift part projects, and they splice exactly.
 
     Checks: sigma lands in ker(proj) and is injective; sigma is a
     homomorphism (uses multiply, so a corrupted shift action surfaces
     here); proj is additive; the kernel count equals |base|^(rows*cols).
-    A kernel over max_enum grids is checked on `samples` distinct grids
-    drawn uniformly by rank; the homomorphism check reuses those grids'
-    sigma images. Returns None or the violated identity.
+    A kernel over KERNEL_ENUM_LIMIT grids is checked on 400 distinct
+    grids drawn uniformly by rank and 400 pairs of their sigma images.
+    Returns None or the violated identity.
     """
-    if wg.kernel_size() <= max_enum:
+    if wg.kernel_size() <= KERNEL_ENUM_LIMIT:
         grids = wg.grids()
     elif rng is None:
         raise ValueError("kernel too large to enumerate; pass rng")
     else:
-        grids = map(wg.grid_at, distinct_ranks(rng, wg.kernel_size(), samples))
+        grids = map(wg.grid_at, distinct_ranks(rng, wg.kernel_size(), 400))
     images = [wg.sigma(grid) for grid in grids]
     if any(wg.proj(x) != (0, 0) for x in images):
         return "sigma image escapes ker(proj)"
     distinct = len(set(images))
     if distinct != len(images):
         return "sigma is not injective"
-    if wg.kernel_size() <= max_enum and distinct != wg.kernel_size():
+    if wg.kernel_size() <= KERNEL_ENUM_LIMIT and distinct != wg.kernel_size():
         return (f"kernel count {distinct} differs from "
                 f"|base|^(rows*cols) = {wg.kernel_size()}")
     at = range(len(images))  # choice(at) draws what choice(images) would
@@ -339,7 +343,7 @@ def check_exact_sequence(wg: WreathGroup, *, max_enum=10_000, rng=None, samples=
         pairs = itertools.product(at, repeat=2) \
             if len(at) ** 2 <= 40_000 else zip(at, reversed(at))
     else:
-        pairs = [(rng.choice(at), rng.choice(at)) for _ in range(samples)]
+        pairs = [(rng.choice(at), rng.choice(at)) for _ in range(400)]
     for i, j in pairs:
         x, y = images[i], images[j]
         if wg.multiply(x, y) != wg.sigma(pointwise_product(wg.base, x.grid, y.grid)):

@@ -2,7 +2,7 @@
 
 ``DenseH1`` is the chain basis ``krtorus`` used before the tree-cotree
 route: the boundary matrices of a cell partition rebuilt from its arcs
-and boundary walks, a tracked Smith form of each, and the H1 action
+and boundary walks, a Smith form of each, and the H1 action
 read through them. It costs O(cells^3), so it only serves as the oracle
 for the differential tests of ``krtorus.homology.h1_action`` and of the
 partition's torus check.
@@ -12,7 +12,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from krtorus.errors import InternalInvariantError
-from krtorus.homology import HomologySummary, IntMatrix, smith_normal_form
+from krtorus.homology import (HomologySummary, IntMatrix, smith_normal_form,
+                              unimodular_inverse)
 
 import oracles
 
@@ -42,7 +43,8 @@ class DenseH1:
         self.d1, self.d2 = d1, d2
         self.s1 = smith_normal_form(d1)
         self.r1 = self.s1.rank
-        folded = self.s1.v_inv @ d2
+        self.v1_inv = unimodular_inverse(self.s1.v)
+        folded = self.v1_inv @ d2
         for i in range(self.r1):
             if any(folded.entries[i]):
                 raise InternalInvariantError("image of d2 leaks outside the kernel of d1")
@@ -67,13 +69,14 @@ class DenseH1:
         # V[:, r1:] @ U2^-1[:, r2:]: kernel basis times the free-class coefficients
         k = self.kernel_rank
         kernel = IntMatrix.from_rows((r[self.r1:] for r in self.s1.v.entries), cols=k)
-        coeff = IntMatrix.from_rows((r[self.r2:] for r in self.s2.u_inv.entries),
+        u2_inv = unimodular_inverse(self.s2.u)
+        coeff = IntMatrix.from_rows((r[self.r2:] for r in u2_inv.entries),
                                     cols=k - self.r2)
         return kernel @ coeff
 
     def h1_coords(self, chains: IntMatrix) -> IntMatrix:
         """Coordinates of cycle columns in the free H1 basis."""
-        folded = self.s1.v_inv @ chains
+        folded = self.v1_inv @ chains
         for i in range(self.r1):
             if any(folded.entries[i]):
                 raise InternalInvariantError("chain is not a cycle")

@@ -309,7 +309,7 @@ def test_distinct_ranks():
 
 
 def test_sampled_exact_sequence_catches_corrupted_shift():
-    # 12^4 = 20736 grids, over max_enum: 400 distinct ranks and 400 pairs drawn
+    # 12^4 = 20736 grids, over KERNEL_ENUM_LIMIT: 400 distinct ranks and 400 pairs drawn
     wg = corrupted_wreath(DirectProductGroup((CyclicGroup(3), CyclicGroup(4))), 2, 2)
     assert check_exact_sequence(wg, rng=random.Random(20260819)) == \
         "sigma is not a homomorphism under the installed shift action"
