@@ -102,12 +102,10 @@ def _smith(a: IntMatrix):
         vt[i], vt[j] = vt[j], vt[i]
 
     def row_sub(i, q, k):
-        # row i -= q * row k
         for x in (m, u):
             x[i] = [y - q * z for y, z in zip(x[i], x[k])]
 
     def col_sub(j, q, k):
-        # column j -= q * column k
         for r in m:
             r[j] -= q * r[k]
         vt[j] = [y - q * z for y, z in zip(vt[j], vt[k])]
