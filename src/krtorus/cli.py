@@ -204,6 +204,10 @@ def _run(args, stdout) -> int:
 def main(argv=None) -> int:
     stdout, stderr = sys.stdout, sys.stderr
     fmt = "text"
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["snf"] and "--matrix" in argv[:-1]:  # argparse reads "-1,2" as an option
+        i = argv.index("--matrix")
+        argv[i:i + 2] = [f"--matrix={argv[i + 1]}"]
     try:
         args = build_parser().parse_args(argv)
         fmt = getattr(args, "format", "text")

@@ -7,10 +7,10 @@ so that V becomes a subcomplex: every contour segment inside a triangle
 turns into real edges, crossing points on straddled edges become new
 vertices at the critical level.
 
-V is not swept again: ``reeb.level_structure`` reads its on-level
-vertices and the triangles it crosses or runs along off the cut maps
-that ``compute_reeb`` keeps, and only those triangles are cut into
-level pieces. Full-edge segments (both endpoints on the level) do occur
+V is not swept again: ``reeb.level_structure`` walks V alone, from its
+first critical vertex, for its on-level vertices and the triangles it
+crosses or runs along, and only those triangles are cut into level
+pieces. Full-edge segments (both endpoints on the level) do occur
 in the model fields and are handled as first-class V-edges, not as an
 error case.
 

@@ -1,50 +1,40 @@
 """Kronrod-Reeb graph of a generic PL field on a closed oriented surface.
 
 Nodes are connected components of critical level sets; edges are the
-annulus families of regular contours between them. Everything is
-combinatorial, and the work is proportional to the node components and
-the cuts they make, never to levels x triangles:
+annulus families of regular contours between them. The graph comes from
+one sweep over the vertices in rank order (by value, ties broken by
+index), after Cole-McLaughlin, Edelsbrunner, Harer, Natarajan and
+Pascucci, "Loops in Reeb graphs of 2-manifolds" (DCG 32, 2004):
 
-- a level set is a union of pieces (on-level vertices and edges whose
-  endpoints strictly straddle the level) glued by the segments that the
-  level cuts inside triangles; a triangle meets at most one component
-  of a given level, so gluing pieces within triangles is sound;
-- node components are found by a local traversal from their critical
-  vertices, through the triangles around each on-level vertex and the
-  two triangles of each crossing edge, all read off the surface's
-  ``left_triangles`` map (``vertex_classes`` has closed every fan, so it
-  names both triangles of each edge). A triangle met is read off its
-  corner values, with no piece list, and only crossing edges get a key.
-  Regular level components are never built;
-- graph edges are the connected components of the surface cut along
-  the node components. Each triangle splits into slabs at the node
-  levels that cross its interior. Each mesh edge is taken once from the
-  same map, and the slabs of its two triangles are glued once per
-  stretch of that edge between consecutive node crossings, each slab
-  found by its node's id in the triangle's cut list; a flat edge glues
-  its two sides unless it lies in a node component. A component's
-  lower and upper node are read off the
-  cuts and corner vertices that bound its slabs, and there must be
-  exactly one of each.
+- each mesh edge across the sweep level carries a label in a union-find
+  whose roots name the open arcs of the tie-broken graph: one label per
+  vertex for all its upper edges, and a small map for edges relabelled
+  later. A regular vertex passes its label on, a minimum opens an arc,
+  a maximum closes one, and a saddle closes its lower arcs under a new
+  one. Unless a simple saddle joins two contours, the contours above it
+  are walked from its upper runs in lockstep until all but one close,
+  and each closed one becomes a new arc, so no contour is walked whole;
+- the tie-broken level at a vertex of value c meets the same simplices
+  as the exact level c, so the nodes are the arcs contracted where both
+  ends have one value, every other arc is an edge, and a regular vertex
+  lies on a node when its arc ends at its own value;
+- a node's census is the sum over its on-level vertices of
+  1 - (level segments at the vertex) / 2;
+- a triangle maps onto a monotone path of the graph: it is filed under
+  its lowest corner's node, else under the node that corner's arc rises
+  to if the triangle reaches that level, else in the arc's band.
 
-Each node stores two independently computed Euler numbers: the census
-of its level component (pieces minus segments) and the sum of PL
-indices of its critical vertices. Downstream consumers compare them.
-Segments are counted, never stored: a flat segment (a mesh edge in the
-level) is met from both of its triangles and counted once, every other
-segment lies in one triangle. A node component is folded into the cut
-maps, by node id, as soon as its level is done. The graph keeps two of
-them: ``on_node``, the node of every on-level vertex of a node
-component, and ``tri_cuts``, the nodes that cut each triangle's
-interior. ``level_structure`` reads one node's component back off
-them, so the cell partition never sweeps a level again.
+Each node also stores the sum of PL indices of its critical vertices,
+which downstream consumers compare with its census. Node components are
+walked only to order the nodes of one level by their smallest piece, and
+in ``level_structure``. Edges with the same ends are ordered by the first
+triangle each meets, read off the contour just above their lower node.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, groupby
-from operator import itemgetter
+from itertools import groupby, islice, takewhile
 
 from .errors import InputRejected, InternalInvariantError
 from .surface import SurfaceField, format_scalar, vertex_classes
@@ -116,7 +106,7 @@ class Branch:
 
 
 class ReebGraph:
-    def __init__(self, nodes, edges, node_map, band_map, on_node, tri_cuts, surface_chi):
+    def __init__(self, nodes, edges, node_map, band_map, on_node, surface_chi):
         self.nodes: tuple[ReebNode, ...] = tuple(nodes)
         self.edges: tuple[ReebEdge, ...] = tuple(edges)
         # every triangle is filed once: under the lowest node meeting it, else its band's edge
@@ -124,8 +114,6 @@ class ReebGraph:
         self.band_map: dict[int, tuple[int, ...]] = dict(band_map)
         # the node of every vertex lying in a node component
         self.on_node: dict[int, int] = dict(on_node)
-        # the nodes cutting each triangle's interior, in level order
-        self.tri_cuts: dict[int, list[int]] = dict(tri_cuts)
         self.surface_chi = surface_chi
         adj: dict[int, list[int]] = {n.id: [] for n in self.nodes}
         for e in self.edges:
@@ -171,36 +159,24 @@ class ReebGraph:
 
 
 def level_structure(s: SurfaceField, g: ReebGraph, node_id: int):
-    """The level component of one node, read off the cut maps and its vertices' fans.
-
-    Returns (vertices, triangles): the component's on-level vertices,
-    and the triangles it crosses (the node cuts their interior) or runs
-    along (two of their corners lie in it), both in index order.
-    Triangles it only touches at a corner are left out.
-    """
-    verts = sorted(v for v, nid in g.on_node.items() if nid == node_id)
-    on = set(verts)
-    tris = {idx for idx, cuts in g.tri_cuts.items() if node_id in cuts}
-    tris.update(idx for v in verts for idx in s.left_triangles()[v].values()
-                if sum(u in on for u in s.triangles[idx]) >= 2)
-    return tuple(verts), tuple(sorted(tris))
+    """The level component of one node, walked from its first critical vertex:
+    its on-level vertices, and the triangles it crosses or runs along (two
+    corners in it) but does not only touch at a corner, both in index order."""
+    node = g.nodes[node_id]
+    _, verts, carried = _node_component(s, node.level, node.critical_vertices[0])
+    return tuple(sorted(verts)), tuple(sorted(carried))
 
 
-def _node_component(s: SurfaceField, level, start: int, classes, left):
+def _node_component(s: SurfaceField, level, start: int):
     """The component of one level set through vertex start, found locally.
 
     Pieces are reached through the triangles around them: all triangles
-    at an on-level vertex, the two triangles of a crossing edge. Each is
-    read off its corner values (it meets the level and is not flat): two
-    on-level corners make a flat segment, and a crossing edge an interior
-    one that cuts the triangle. Returns (sort key, census, critical
-    vertices, on-level vertices, crossing edge keys, triangles, cut
-    triangles); the sort key is the smallest piece.
+    at an on-level vertex, the two triangles of a crossing edge. Returns
+    (smallest piece, on-level vertices, triangles crossed or run along).
     """
-    values, triangles = s.values, s.triangles
-    verts, edges, tris, cut = {start}, set(), set(), []
+    values, triangles, left = s.values, s.triangles, s.left_triangles()
+    verts, edges, tris, carried = {start}, set(), set(), []
     stack = [left[start].values()]
-    segments = 0  # doubled: a flat segment is met from both of its triangles
     while stack:
         for idx in stack.pop():
             if idx in tris:
@@ -219,145 +195,208 @@ def _node_component(s: SurfaceField, level, start: int, classes, left):
                         verts.add(v)
                         stack.append(left[v].values())
                 x, w = (v for v in (a, b, c) if v != on[0])
-                if len(on) == 2 or (values[x] < level) == (values[w] < level):
-                    segments += len(on) - 1  # a flat segment, or none
+                if len(on) == 2:
+                    carried.append(idx)  # a flat segment
                     continue
+                if (values[x] < level) == (values[w] < level):
+                    continue  # touched at a corner
                 ends = (w,)
-            segments += 2
-            cut.append(idx)
+            carried.append(idx)
             for w in ends:
                 key = (x, w) if x < w else (w, x)
                 if key not in edges:
                     edges.add(key)
                     stack.append((left[x][w], left[w][x]))
-    crit = tuple(sorted(v for v in verts if classes[v].is_critical))
     key = ("e", *min(edges)) if edges else ("v", min(verts))
-    return key, len(verts) + len(edges) - segments // 2, crit, verts, edges, tris, cut
+    return key, verts, carried
+
+
+def _contour(s: SurfaceField, rank, r: int, x: int, y: int):
+    """The crossing edges (rank[x] <= r < rank[y]) after x -> y along its
+    contour at level r + 1/2, which leaves the triangle left of x -> y
+    through the other crossing edge."""
+    tris, left = s.triangles, s.left_triangles()
+    while True:
+        a, b, c = tris[left[x][y]]
+        z = c if a == x else a if b == x else b
+        if rank[z] <= r:
+            x = z
+        else:
+            y = z
+        yield x, y
 
 
 def compute_reeb(s: SurfaceField) -> ReebGraph:
     classes = vertex_classes(s)
-    values = s.values
-    crit = sorted((v for v, c in enumerate(classes) if c.is_critical), key=values.__getitem__)
+    order, rank = s.ranks
+    values, tris, fans, left = s.values, s.triangles, s.fans(), s.left_triangles()
+    n, limit = len(values), len(tris)  # no contour crosses more triangles than there are
+    crit = [v for v in order if classes[v].is_critical]
     if not crit:
         raise InternalInvariantError("closed surface field with no critical vertex")
     # a flat triangle at a critical level is rejected by triangle_level_pieces;
     # report the one on the lowest such level, lowest index first
     crit_level = {x: x for x, _ in groupby(crit, key=values.__getitem__)}
-    flat = min(((values[a], idx) for idx, (a, b, c) in enumerate(s.triangles)
+    flat = min(((values[a], idx) for idx, (a, b, c) in enumerate(tris)
                 if values[a] == values[b] == values[c] and values[a] in crit_level), default=None)
     if flat is not None:
-        triangle_level_pieces(s, s.triangles[flat[1]], crit_level[flat[0]])
+        triangle_level_pieces(s, tris[flat[1]], crit_level[flat[0]])
 
-    left = s.left_triangles()
+    # the sweep; arc a is union-find element a, a root while the arc is open
+    uf = _UnionFind(0)
+    parent, find = uf.parent, uf.find
+    low, high, via = [], [], []  # each arc's ends, and a lower neighbour of its upper end
+    lab = [-1] * n  # the label of every upper edge of a vertex, unless moved
+    moved: dict[tuple[int, int], int] = {}  # edges relabelled after their lower end
 
-    # node ids ascend with their levels, and a triangle meets at most one
-    # component of a level, so every cut list below is in level order
-    nodes = []
-    on_node: dict[int, int] = {}  # every vertex lying in a node component
-    tri_node: dict[int, int] = {}  # smallest node meeting each triangle
-    tri_cuts: dict[int, list[int]] = {}  # nodes with a segment across the interior
-    edge_cuts: dict[tuple[int, int], list[int]] = {}  # nodes crossing each edge
-    for level, group in groupby(crit, key=values.__getitem__):
-        comps = []
-        covered = set()
-        for v in group:
-            if v not in covered:
-                comp = _node_component(s, level, v, classes, left)
-                covered.update(comp[2])
-                comps.append(comp)
-        comps.sort(key=itemgetter(0))
-        for _, census, cv, verts, edges, tris, cut in comps:
-            nid = len(nodes)
-            nodes.append(ReebNode(nid, level, tuple(sorted(classes[v].label() for v in cv)),
-                                  cv, census, sum(classes[v].index for v in cv)))
-            on_node.update(dict.fromkeys(verts, nid))
-            for key in edges:  # not setdefault: most keys are hits, and it builds a list each call
-                cuts = edge_cuts.get(key)
-                if cuts is None:
-                    edge_cuts[key] = [nid]
+    def open_arc(v: int) -> int:
+        parent.append(len(low))
+        low.append(v)
+        high.append(-1)
+        via.append(-1)
+        return len(low) - 1
+
+    for v in order:
+        r, c, fan = rank[v], classes[v], fans[v]
+        if c.kind == "regular":
+            for u in fan:
+                if rank[u] < r:
+                    break
+            lab[v] = find(moved.get((u, v), lab[u]))
+            continue
+        if c.kind == "minimum":
+            lab[v] = open_arc(v)
+            continue
+        below = [rank[u] < r for u in fan]
+        # one edge of each lower run, or any edge at a maximum
+        firsts = [u for u, b, p in zip(fan, below, below[-1:] + below[:-1]) if b and not p]
+        ends = {find(moved.get((u, v), lab[u])): u for u in firsts or fan[:1]}
+        for a, u in ends.items():
+            if high[a] >= 0:
+                raise InternalInvariantError(f"arc from vertex {low[a]} closes twice")
+            high[a], via[a] = v, u
+        if c.kind == "maximum":
+            continue
+        lab[v] = top = open_arc(v)
+        for a in ends:
+            parent[a] = top
+        if c.multiplicity == 1 and len(ends) == 2:
+            continue  # two contours joined into one
+        k = below.index(True)
+        runs = [list(run) for up, run in groupby(fan[k:] + fan[:k], key=lambda u: rank[u] > r)
+                if up]
+        start = {run[0]: i for i, run in enumerate(runs)}
+        walks = [_contour(s, rank, r, v, run[-1]) for run in runs]
+        paths: list[list] = [[] for _ in runs]
+        nxt: dict[int, int] = {}  # run -> the run its contour reaches next
+        live = list(range(len(runs)))
+        for _ in range(limit):
+            for i in live:
+                x, y = next(walks[i])
+                if x == v:
+                    nxt[i] = start[y]
                 else:
-                    cuts.append(nid)
-            tri_node.update(dict.fromkeys(tris.difference(tri_node), nid))
-            for idx in cut:
-                cuts = tri_cuts.get(idx)
-                if cuts is None:
-                    tri_cuts[idx] = [nid]
-                else:
-                    cuts.append(nid)
-
-    # slabs: triangle idx is split at its cut levels into slabs base[idx] + i;
-    # only the few cut triangles have more than one
-    node_level = [n.level for n in nodes]
-    base = list(accumulate((len(tri_cuts.get(idx, ())) + 1
-                            for idx in range(s.triangle_count)), initial=0))
-
-    # glue slabs across each mesh edge, one cut-free stretch of it at a time;
-    # a crossed edge cuts both its triangles, so an edge between two uncut
-    # triangles is a single stretch. Each stretch starts above a node: the
-    # last one at or below the edge's lower end, then each node crossing
-    # it. Cut lists ascend in id as in level, so slabs are found by node id
-    uf = _UnionFind(base[-1])
-    for u, d in enumerate(left):
-        fu = values[u]
-        for w, t1 in d.items():
-            fw = values[w]
-            if w < u or fu == fw and u in on_node:
-                continue  # each edge once, from its smaller end; none across a node
-            t2 = left[w][u]
-            if t1 not in tri_cuts and t2 not in tri_cuts:
-                uf.union(base[t1], base[t2])
-                continue
-            c1, c2 = tri_cuts.get(t1, ()), tri_cuts.get(t2, ())
-            for n in [bisect_right(node_level, min(fu, fw)) - 1, *edge_cuts.get((u, w), ())]:
-                uf.union(base[t1] + bisect_right(c1, n), base[t2] + bisect_right(c2, n))
-
-    # each cut-surface component: its bounding nodes, smallest triangle and
-    # the uncut triangles it owns; node carriers own the rest
-    node_map: dict[int, list[int]] = {n.id: [] for n in nodes}
-    ends: dict = {}
-    for idx, tri in enumerate(s.triangles):
-        cuts = tri_cuts.get(idx, ())
-        # nodes at the lowest and highest corner, if any corner is on a node
-        bottom = top = None
-        if cuts or tri[0] in on_node or tri[1] in on_node or tri[2] in on_node:
-            bottom = on_node.get(min(tri, key=values.__getitem__))
-            top = on_node.get(max(tri, key=values.__getitem__))
-        for i in range(len(cuts) + 1):
-            root = uf.find(base[idx] + i)
-            entry = ends.get(root)
-            if entry is None:
-                entry = ends[root] = (set(), set(), idx, [])
-            lower = cuts[i - 1] if i else bottom
-            upper = cuts[i] if i < len(cuts) else top
-            if lower is not None:
-                entry[0].add(lower)
-            if upper is not None:
-                entry[1].add(upper)
-        if idx in tri_node:
-            node_map[tri_node[idx]].append(idx)
+                    paths[i].append((x, y))
+            live = [i for i in live if i not in nxt]
+            if len(live) < 2:
+                break
         else:
-            entry[3].append(idx)  # an uncut triangle's only slab
-    edge_raw = []
-    for lows, ups, first, owned in ends.values():
-        if len(lows) != 1 or len(ups) != 1:
-            raise InternalInvariantError(
-                "cut-surface component does not end at exactly one lower and one upper node")
-        edge_raw.append((lows.pop(), ups.pop(), first, owned))
-    edge_raw.sort(key=lambda r: r[:3])
-    edges = []
-    for eid, (a, b, _, _) in enumerate(edge_raw):
-        la, lb = node_level[a], node_level[b]
+            raise InternalInvariantError(f"contour walk at saddle {v} does not close")
+        for i in live:
+            nxt[i] = set(range(len(runs))).difference(nxt.values()).pop()
+        # the live walk's contour keeps top, every other contour is a new arc
+        done: set[int] = set()
+        for i in [*live, *range(len(runs))]:
+            a = open_arc(v) if done and i not in done else top
+            while i not in done:
+                done.add(i)
+                if a != top:
+                    moved.update(dict.fromkeys(paths[i] + [(v, w) for w in runs[i]], a))
+                i = nxt[i]
+    if -1 in high:
+        raise InternalInvariantError(f"arc from vertex {low[high.index(-1)]} is never closed")
+
+    # exact nodes: the arcs with both ends at one value contracted; a
+    # vertex lies on a node if its arc ends at its own value
+    nodes_uf = _UnionFind(n)
+    for p, q in zip(low, high):
+        if values[p] == values[q]:
+            nodes_uf.union(p, q)
+    at = {v: nodes_uf.find(v) for v in crit}
+    for v, a in enumerate(lab):
+        if a >= 0 and values[v] in (values[low[a]], values[high[a]]):
+            at[v] = nodes_uf.find(low[a] if values[low[a]] == values[v] else high[a])
+    groups: dict[int, list[int]] = {}
+    census: dict[int, int] = {}  # doubled: each vertex adds 2 - its level segments
+    for v, g in at.items():
+        level, fs = values[v], [values[u] for u in fans[v]]
+        segments = fs.count(level) + sum(p < level < q or q < level < p
+                                         for p, q in zip(fs, fs[1:] + fs[:1]))
+        census[g] = census.get(g, 0) + 2 - segments
+        if classes[v].is_critical:
+            groups.setdefault(g, []).append(v)
+    nodes, node_of = [], {}
+    for level, group in groupby(crit, key=values.__getitem__):
+        roots = list(dict.fromkeys(at[v] for v in group))
+        if len(roots) > 1:
+            roots.sort(key=lambda g: _node_component(s, level, groups[g][0])[0])
+        for g in roots:
+            cv = tuple(sorted(groups[g]))
+            node_of[g] = len(nodes)
+            nodes.append(ReebNode(len(nodes), level, tuple(sorted(classes[v].label() for v in cv)),
+                                  cv, census[g] // 2, sum(classes[v].index for v in cv)))
+    on_node = {v: node_of[g] for v, g in at.items()}
+    ordered = [values[v] for v in order]
+
+    def first_triangle(a: int) -> int:
+        # the smallest triangle meeting the arc's edge: those its contour
+        # crosses just above the lower level, and those around its
+        # vertices strictly between the two levels. The contour there
+        # runs through the lower edges of the arc's first vertex above
+        lo, hi = values[low[a]], values[high[a]]
+        r = bisect_right(ordered, lo) - 1
+        above = [v for v, b in enumerate(lab) if b == a and values[v] > lo]
+        w = min(above, key=rank.__getitem__, default=high[a])
+        x = next(u for u in fans[w] if rank[u] < rank[w]) if above else via[a]
+        walk = list(islice(takewhile((x, w).__ne__, _contour(s, rank, r, x, w)), limit))
+        if len(walk) == limit:
+            raise InternalInvariantError(f"contour walk above vertex {low[a]} does not close")
+        return min([left[p][q] for p, q in [(x, w), *walk]]
+                   + [t for v in above if values[v] < hi for t in left[v].values()])
+
+    ends_of: dict[tuple[int, int], list[int]] = {}
+    for a, (p, q) in enumerate(zip(low, high)):
+        if values[p] != values[q]:
+            ends_of.setdefault((on_node[p], on_node[q]), []).append(a)
+    edges, edge_of = [], {}
+    for (lower, upper), arcs in sorted(ends_of.items()):
+        la, lb = nodes[lower].level, nodes[upper].level
         if not la < lb:
             raise InternalInvariantError("edge interval is not increasing")
-        edges.append(ReebEdge(eid, a, b, (la, lb)))
+        for a in sorted(arcs, key=first_triangle) if len(arcs) > 1 else arcs:
+            edge_of[a] = len(edges)
+            edges.append(ReebEdge(len(edges), lower, upper, (la, lb)))
 
-    g = ReebGraph(nodes,
-                  edges,
-                  {k: tuple(v) for k, v in node_map.items()},
-                  {eid: tuple(r[3]) for eid, r in enumerate(edge_raw)},
-                  on_node,
-                  tri_cuts,
+    # file each triangle by its lowest corner: under its node, else under
+    # the node its arc rises to if the triangle reaches that level, else
+    # in the arc's band
+    node_map: dict[int, list[int]] = {nid: [] for nid in range(len(nodes))}
+    band_map: dict[int, list[int]] = {eid: [] for eid in range(len(edges))}
+    reach = [bisect_left(ordered, node.level) for node in nodes]  # first rank at each level
+    # per vertex: the node it lies on or rises to, the rank to reach, the band
+    rises = [(node_map[on_node[q]], reach[on_node[q]], band_map[edge_of[a]]) if a in edge_of
+             else None for a, q in enumerate(high)]
+    spot = list(map(rises.__getitem__, lab))  # a maximum's -1 is overwritten below
+    for v, nid in on_node.items():
+        spot[v] = (node_map[nid], 0, None)
+    for idx, (a, b, c) in enumerate(tris):
+        ra, rb, rc = rank[a], rank[b], rank[c]
+        lo, hi = (ra, rb) if ra < rb else (rb, ra)
+        filed, target, band = spot[order[rc if rc < lo else lo]]
+        (filed if rc >= target or hi >= target else band).append(idx)
+
+    g = ReebGraph(nodes, edges, {k: tuple(v) for k, v in node_map.items()},
+                  {k: tuple(v) for k, v in band_map.items()}, on_node,
                   surface_chi=s.vertex_count - sum(map(len, left)) // 2 + s.triangle_count)
 
     # connectivity of the graph itself

@@ -119,6 +119,7 @@ class SurfaceField:
         self._left = None
         self._fans: list | None = None
         self._classes = None
+        self.ranks: tuple[list[int], list[int]] | None = None  # set by vertex_classes
 
     @property
     def vertex_count(self) -> int:
@@ -243,6 +244,7 @@ def vertex_classes(s: SurfaceField) -> tuple[VertexClass, ...]:
         n, fans = s.vertex_count, s.fans()
         order = sorted(range(n), key=s.values.__getitem__)
         rank = sorted(range(n), key=order.__getitem__)
+        s.ranks = (order, rank)
         below = map(gt, chain.from_iterable(map(repeat, rank, map(len, fans))),
                     map(rank.__getitem__, chain.from_iterable(fans)))
         keys = list(map(tuple, map(islice, repeat(below), map(len, fans))))

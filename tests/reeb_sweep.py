@@ -99,7 +99,6 @@ def compute_reeb_sweep(s: SurfaceField) -> ReebGraph:
     nodes = []
     node_ref: dict[tuple[int, int], int] = {}
     on_node = {}
-    tri_cuts: dict[int, list[int]] = {}
     for t, (comps, _) in enumerate(per_level):
         for ci, comp in enumerate(comps):
             if not comp.is_node:
@@ -113,10 +112,6 @@ def compute_reeb_sweep(s: SurfaceField) -> ReebGraph:
             for p in comp.pieces:
                 if p[0] == "v":
                     on_node[p[1]] = nid
-            # the level cuts a triangle's interior iff it lies strictly inside
-            for idx in comp.triangles:
-                if tmin[idx] < comp.level < tmax[idx]:
-                    tri_cuts.setdefault(idx, []).append(nid)
 
     edge_tris: dict = {}
     for idx, (a, b, c) in enumerate(s.triangles):
@@ -220,7 +215,6 @@ def compute_reeb_sweep(s: SurfaceField) -> ReebGraph:
                   {k: tuple(v) for k, v in node_map.items()},
                   {k: tuple(v) for k, v in band_map.items()},
                   on_node,
-                  tri_cuts,
                   surface_chi=s.vertex_count - len(surface_edges(s.triangles)) + s.triangle_count)
 
     uf = UnionFind()

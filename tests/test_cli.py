@@ -149,6 +149,15 @@ def test_snf_json(capsys):
     assert sorted(data) == ["d", "diagonal", "u", "v"]
 
 
+def test_snf_matrix_with_leading_minus(capsys):
+    # the documented form: the value is a separate argument that starts with '-'
+    assert main(["snf", "--matrix", "-1,2;3,4", "--format", "json"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["snf", "--matrix=-1,2;3,4", "--format", "json"]) == 0
+    assert spaced == capsys.readouterr().out
+    assert json.loads(spaced)["diagonal"] == [1, 10]
+
+
 def test_snf_bad_matrix(capsys):
     assert main(["snf", "--matrix", "1,2;three,4"]) == 1
     assert "bad-request" in capsys.readouterr().err

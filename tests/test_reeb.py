@@ -183,7 +183,7 @@ def _hand_tree(pairs, census, index=None) -> ReebGraph:
     index = census if index is None else index
     nodes = [ReebNode(i, i, ("node",), (i,), c, x) for i, (c, x) in enumerate(zip(census, index))]
     edges = [ReebEdge(k, a, b, (a, b)) for k, (a, b) in enumerate(pairs)]
-    return ReebGraph(nodes, edges, {}, {}, {}, {}, surface_chi=sum(census))
+    return ReebGraph(nodes, edges, {}, {}, {}, surface_chi=sum(census))
 
 
 def test_special_vertex_rejects_a_tree_without_one():

@@ -1,9 +1,14 @@
-"""The cut-surface contour graph against the all-levels sweep.
+"""The sweep's contour graph against two references.
 
-Both constructions must agree on nodes, edges, triangle ownership and
-the two cut maps, and must reject the same inputs with the same code
-and message. The component that ``level_structure`` reads off the
-graph must be the sweep's component of the same node, for every node.
+``reeb_cut_surface.compute_reeb_cut_surface`` glues slabs of node
+components into the cut surface, and ``reeb_sweep.compute_reeb_sweep``
+rebuilds every critical level. The sweep must agree with both on nodes,
+edges (parallel ones in the same order), triangle ownership and the
+on-level vertices of every node, and must reject the same inputs with
+the same code and message. The cut maps are not kept on the graph: the
+component that ``level_structure`` walks for a node, its on-level
+vertices and the triangles it crosses or runs along, must be the all-
+levels sweep's component of the same node, for every node.
 The quantized grids carry exact value ties: flat edges, flat triangles
 at non-critical values, and flat triangles at critical values, which
 both reject as ``degenerate-level``. Hypothesis draws integer grids, and
@@ -12,6 +17,7 @@ their exact ``Fraction`` rescalings, with corners tied to the level.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,6 +31,7 @@ from krtorus.reeb import compute_reeb, level_structure, triangle_level_pieces
 from krtorus.surface import SurfaceField, vertex_classes
 
 from oracles import surface_edges
+from reeb_cut_surface import compute_reeb_cut_surface
 from reeb_sweep import compute_reeb_sweep, level_sweep
 from test_reeb import integer_grids
 
@@ -37,11 +44,21 @@ def outcome(build, s):
         g = build(s)
     except InputRejected as exc:
         return ("rejected", exc.code, str(exc), exc.details)
-    return (g.nodes, g.edges, g.node_map, g.band_map, g.on_node, g.tri_cuts)
+    return (g.nodes, g.edges, g.node_map, g.band_map, g.on_node)
 
 
 def agree(s) -> bool:
     return outcome(compute_reeb, s) == outcome(compute_reeb_sweep, s)
+
+
+def agrees_with_cut_surface(s) -> bool:
+    return outcome(compute_reeb, s) == outcome(compute_reeb_cut_surface, s)
+
+
+def bench_random_fields(seed: int = 0) -> list:
+    """The reeb-random fields of one benchmark seed (bench/workloads.reeb_random_seeds)."""
+    rng = random.Random(f"reeb-random/{seed}")
+    return [random_field(n, rng.randrange(2 ** 31)) for n in (16, 24, 32)]
 
 
 def misread_nodes(s) -> list[int]:
@@ -87,6 +104,53 @@ def quantized_grid(seed: int):
         rows = rise + [rise[-1] + fall - k for k in range(fall)]
     cols = [rng.randrange(q) if kind == 2 else 0 for _ in range(n)]
     return grid_field(n, lambda i, j: rows[j] + cols[i])
+
+
+@pytest.mark.parametrize("grid", (16, 32, 64))
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_agree_with_cut_surface(name, grid):
+    assert agrees_with_cut_surface(preset_field(name, grid))
+
+
+@pytest.mark.parametrize("mat,grid", PULLBACKS)
+def test_pullbacks_agree_with_cut_surface(mat, grid):
+    assert agrees_with_cut_surface(pullback_cosine_field(grid, mat))
+
+
+def test_random_fields_agree_with_cut_surface():
+    fields = {(n, seed): random_field(n, seed) for n in (16, 24, 32) for seed in range(1, 4)}
+    fields.update(((n, "bench"), s) for n, s in zip((16, 24, 32), bench_random_fields()))
+    assert [key for key, s in fields.items() if not agrees_with_cut_surface(s)] == []
+
+
+def test_tied_grids_agree_with_cut_surface():
+    # i.i.d. values in range(2-5) on grids of side 4-7: plateaus where a
+    # regular vertex lies on the node its arc rises to; most are rejected
+    agreed = accepted = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n, q = rng.randint(4, 7), rng.randint(2, 5)
+        vals = [rng.randrange(q) for _ in range(n * n)]
+        s = grid_field(n, lambda i, j: vals[j * n + i])
+        ours = outcome(compute_reeb, s)
+        agreed += ours == outcome(compute_reeb_cut_surface, s)
+        accepted += ours[0] != "rejected"
+    assert agreed == 300 and accepted >= 15
+
+
+@pytest.mark.parametrize("s,distinct", ((preset_field("cyclic-height", 16), True),
+                                        (random_field(12, 2), False)),
+                         ids=("cyclic-height@16", "random(12,2)"))
+def test_parallel_edges_in_cut_surface_order(s, distinct):
+    # two edges with the same ends are ordered by the first triangle each
+    # meets; on cyclic-height their bands differ, so a swap shows in
+    # band_map, while on random(12,2) both bands are empty
+    g, ref = compute_reeb(s), compute_reeb_cut_surface(s)
+    twins = [ends for ends, k in Counter((e.lower, e.upper) for e in g.edges).items() if k == 2]
+    assert len(twins) == 1
+    pair = [e.id for e in g.edges if (e.lower, e.upper) == twins[0]]
+    assert (g.band_map[pair[0]] != g.band_map[pair[1]]) == distinct
+    assert (g.edges, g.band_map, g.node_map) == (ref.edges, ref.band_map, ref.node_map)
 
 
 @pytest.mark.parametrize("grid", (8, 16, 32))
