@@ -21,9 +21,8 @@ from .reeb import (Branch, ReebEdge, ReebGraph, ReebNode, branch_euler,
                    compute_reeb, find_special_vertex, is_tree, reeb_to_dot)
 from .surface import (SurfaceField, VertexClass, classify_vertex, dump_surface,
                       load_surface, validate_closed_orientable, vertex_classes)
-from .symmetry import (CellAutomorphism, SymmetryGroup, compose,
-                       enumerate_symmetries, group_structure,
-                       identity_automorphism, index_orbits)
+from .symmetry import (CellAutomorphism, SymmetryGroup, enumerate_symmetries,
+                       group_structure, index_orbits)
 from .wreath import (BaseGroup, CyclicGroup, DirectProductGroup, WreathElement,
                      WreathGroup, check_exact_sequence, check_group_axioms,
                      corrupted_wreath, parse_atoms, tau_reindex)

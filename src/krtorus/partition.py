@@ -202,7 +202,7 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     branches = g.branches_at(node_id)
     nb = len(branches)
     owned = [list(chain.from_iterable([g.node_map[w] for w in br.nodes] + [
-        g.band_map[e.id] for e in g.edges if e.lower in br.nodes or e.upper in br.nodes]))
+        g.band_map[e] for e in dict.fromkeys(chain.from_iterable(map(g.edges_at, br.nodes)))]))
         for br in branches] + [g.node_map[node_id]]
     owner: list = [None] * nt  # the branch of each triangle, nb in the carrier
     for bi, ts in enumerate(owned):
@@ -306,13 +306,16 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         u = min(u for a, b in combinations(region_verts, 2) for u in a & b)
         raise InternalInvariantError(f"vertex {u} lies in two regions")
     crit_off_v = frozenset().union(*branch_crit)
-    region_crit = [vs & crit_off_v for vs in region_verts]
+    region_crit = [crit_off_v & vs for vs in region_verts]  # frozensets, to look up below
     if len(branches) != n_regions:
         raise InternalInvariantError(
             f"{n_regions} regions for {len(branches)} branches at node {node_id}")
+    crit_branches: dict[frozenset, list[int]] = {}
+    for bi, bc in enumerate(branch_crit):
+        crit_branches.setdefault(bc, []).append(bi)
     region_branch = [None] * n_regions
     for rid, crit in enumerate(region_crit):
-        hits = [bi for bi, bc in enumerate(branch_crit) if bc == crit]
+        hits = crit_branches.get(crit, [])
         if len(hits) != 1:
             raise InternalInvariantError(
                 f"region {rid} does not match exactly one branch (criticals {sorted(crit)})")

@@ -303,8 +303,8 @@ def analyze(s: SurfaceField) -> AnalysisReport:
                  "two_cells": len(p.two_cells),
                  "branch_chis": [int(c) for c in chis]},
         symmetry={"order": sg.order, "n": sg.n, "m": sg.m, "r": r,
-                  "generators": {"L": list(elements[sg.gen_l].perm2),
-                                 "M": list(elements[sg.gen_m].perm2)},
+                  "generators": {"L": list(elements[sg.gen_l]),
+                                 "M": list(elements[sg.gen_m])},
                   "orbit_table": [list(t) for t in table]},
         group={"expr": render_expr(expr), "atoms": atoms_json},
         disks=disks_json)

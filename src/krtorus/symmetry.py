@@ -6,15 +6,6 @@ over the matched branches agree), preserves the boundary walk
 orientation, acts as the identity on first homology, and moves every
 cell (freeness, vacuous for the identity).
 
-The H1 test is sparse: h1_action checks the chain map on arc
-endpoints and boundary walks, then reads the cocycles of the
-partition's tree-cotree basis on the images of its two cycles. On a
-free candidate it always gives the identity. Such a map moves every
-cell, so its trace is 0 on every chain group and its Lefschetz number
-1 - tr(H1) + 1 is 0 (Hatcher, Algebraic Topology, 2.C): tr(H1) = 2.
-It keeps orientation, so its H1 matrix is a finite-order element of
-SL(2, Z) with trace 2, which is the identity.
-
 Enumeration seeds on 2-cell number 0: a flag (t, r), an image t and a
 boundary rotation r, is propagated across shared arcs until the whole
 complex is matched or a contradiction appears, so a flag fixes its
@@ -22,13 +13,34 @@ automorphism. Orientation reversal never enters because boundary walks
 are only ever aligned forward. The automorphisms act regularly on the
 flags they reach, so the flags are closed as an orbit (Seress,
 Permutation Group Algorithms, 2.1 and 4.1): a flag that is reached
-already is never attempted, a success becomes a generator, and each
-newly reached flag costs one composition.
+already is never attempted, and a success becomes a generator.
+
+Only the generators are built whole. h1_action runs once on each: it
+checks the chain map on arc endpoints and boundary walks, then reads
+the cocycles of the partition's tree-cotree basis on the images of its
+two cycles. Every other automorphism is a product of generators, hence
+a chain map, and is kept as its 2-cell permutation and the product of
+its generators' H1 matrices (H1 is a homomorphism).
+
+Freeness is not tested; it follows from the H1 matrix. Let a be an
+automorphism other than the identity. Every arc lies on two walks with
+opposite signs, so an arc that a maps to itself with sign +1 fixes a
+(2-cell, position) flag, and a would be the identity. So the trace of a
+on 1-chains is minus the number of arcs it reverses, and the Hopf trace
+formula (Hatcher, Algebraic Topology, 2.C), 1 - tr H1(a) + 1 =
+tr C0(a) - tr C1(a) + tr C2(a), reads
+
+    2 - tr H1(a) = (fixed 0-cells) + (reversed arcs) + (fixed 2-cells).
+
+If H1(a) is the identity the left side is 0, so a moves every cell.
+Conversely, if a moves every cell, tr H1(a) = 2; a keeps orientation
+and has finite order, so H1(a) is a finite-order element of SL(2, Z)
+with trace 2, which is the identity.
 
 The group stage names each symmetry by its image of 2-cell 0. The
 action on 2-cells is free, so one cell is a base (Seress, Permutation
 Group Algorithms, ch. 4) and distinct symmetries have distinct names;
-group_structure checks that they do, and composes whole automorphisms
+group_structure checks that they do, and composes 2-cell permutations
 only on the Cayley edges to prove the set closed.
 """
 from __future__ import annotations
@@ -49,38 +61,6 @@ class CellAutomorphism:
     perm0: tuple[int, ...]
     perm1: tuple[tuple[int, int], ...]
     perm2: tuple[int, ...]
-
-    @property
-    def key(self):
-        return (self.perm2, self.perm1, self.perm0)
-
-    def is_identity(self) -> bool:
-        return (self.perm2 == tuple(range(len(self.perm2)))
-                and self.perm0 == tuple(range(len(self.perm0)))
-                and all(img == j and sg == 1
-                        for j, (img, sg) in enumerate(self.perm1)))
-
-    def fixes_some_cell(self) -> bool:
-        return (any(img == j for j, img in enumerate(self.perm0))
-                or any(img == j for j, (img, _) in enumerate(self.perm1))
-                or any(img == j for j, img in enumerate(self.perm2)))
-
-
-def identity_automorphism(p: CellPartition) -> CellAutomorphism:
-    return CellAutomorphism(tuple(range(len(p.zero_cells))),
-                            tuple((j, 1) for j in range(len(p.one_cells))),
-                            tuple(range(len(p.two_cells))))
-
-
-def compose(a: CellAutomorphism, b: CellAutomorphism) -> CellAutomorphism:
-    """a after b."""
-    p0 = tuple(a.perm0[x] for x in b.perm0)
-    p1 = []
-    for img, sg in b.perm1:
-        img2, sg2 = a.perm1[img]
-        p1.append((img2, sg * sg2))
-    p2 = tuple(a.perm2[x] for x in b.perm2)
-    return CellAutomorphism(p0, tuple(p1), p2)
 
 
 def _attempt(cells, occ, t0: int, r0: int):
@@ -163,12 +143,13 @@ def _finalize(p: CellPartition, classes, cell_map, arc_map):
     return CellAutomorphism(perm0, perm1, perm2)
 
 
-def _automorphisms(s: SurfaceField, p: CellPartition) -> list[CellAutomorphism]:
-    """Every automorphism of the partition, by flag-orbit closure from the identity.
+def _automorphisms(s: SurfaceField, p: CellPartition) -> dict:
+    """Every automorphism of the partition by flag, as (2-cell permutation, H1 matrix).
 
     Flag (t, r) names the automorphism that sends position 0 of 2-cell
     0's walk to position r of t's walk. A generator keeps the walk
-    rotation of every 2-cell, so it moves a flag in O(1).
+    rotation of every 2-cell, so it moves a flag in O(1), and it moves
+    the image of that position's (arc, sign) in O(1) through its perm1.
     """
     classes = vertex_classes(s)
     cells = p.two_cells
@@ -180,9 +161,10 @@ def _automorphisms(s: SurfaceField, p: CellPartition) -> list[CellAutomorphism]:
     sig0 = cells[0].level_signature
     ln0 = len(cells[0].boundary)
     arc0, sgn0 = cells[0].boundary[0]
-    elem = {(0, 0): identity_automorphism(p)}
+    elem = {(0, 0): (tuple(range(len(cells))), IntMatrix.identity(2))}
+    arc_img = {(0, 0): (arc0, 1)}  # each flag's image of arc0, with its sign
     reached = [(0, 0)]  # elem's flags in filing order; the closure walks it as it grows
-    gens = []  # (automorphism, walk rotation of each 2-cell)
+    gens = []  # (automorphism, walk rotation of each 2-cell, H1 matrix)
     for t in range(len(cells)):
         if cells[t].level_signature != sig0 or len(cells[t].boundary) != ln0:
             continue
@@ -193,41 +175,33 @@ def _automorphisms(s: SurfaceField, p: CellPartition) -> list[CellAutomorphism]:
             g = _finalize(p, classes, *cand) if cand is not None else None
             if g is None:
                 continue
-            gens.append((g, [cand[0][c][1] for c in range(len(cells))]))
+            gens.append((g, [cand[0][c][1] for c in range(len(cells))], h1_action(p, g)))
             for t1, r1 in reached:
-                for h, rot in gens:
+                perm, mat = elem[t1, r1]
+                img, eps = arc_img[t1, r1]
+                for h, rot, h_mat in gens:
                     flag = (h.perm2[t1], (r1 + rot[t1]) % ln0)
                     if flag in elem:
                         continue
-                    a = elem[flag] = compose(h, elem[t1, r1])
-                    # a must carry its flag: its image of 2-cell 0, and the
-                    # place of the image of that cell's first (arc, sign)
-                    img, eps = a.perm1[arc0]
-                    if a.perm2[0] != flag[0] or next(
-                            ((c, q) for c, q, sg in occ[img] if sg == sgn0 * eps), None) != flag:
+                    img2, eps2 = h.perm1[img][0], h.perm1[img][1] * eps
+                    # the image of 2-cell 0's first (arc, sign) must sit where the flag says
+                    if next(((c, q) for c, q, sg in occ[img2] if sg == sgn0 * eps2), None) != flag:
                         raise InternalInvariantError(
                             f"automorphism filed under flag {flag} carries another")
+                    elem[flag] = (tuple(map(h.perm2.__getitem__, perm)), h_mat @ mat)
+                    arc_img[flag] = (img2, eps2)
                     reached.append(flag)
-    return list(elem.values())
+    return elem
 
 
-def enumerate_symmetries(s: SurfaceField, p: CellPartition) -> tuple[CellAutomorphism, ...]:
-    """All symmetries of the partition, sorted by their permutation key."""
-    ident2 = IntMatrix.identity(2)
-    kept = []
-    for a in sorted(_automorphisms(s, p), key=lambda x: x.key):
-        # freeness is the cheap filter; h1_action only runs on its survivors
-        if not a.is_identity() and a.fixes_some_cell():
-            continue
-        if h1_action(p, a) != ident2:
-            continue
-        kept.append(a)
+def enumerate_symmetries(s: SurfaceField, p: CellPartition) -> tuple[tuple[int, ...], ...]:
+    """The 2-cell permutations of all symmetries of the partition, sorted.
 
-    # the names (images of 2-cell 0) must tell the symmetries apart, and the
-    # set must be closed under composition: group_structure checks both
-    if identity_automorphism(p).key not in {a.key for a in kept}:
-        raise InternalInvariantError("identity is missing from the symmetry set")
-    return tuple(kept)
+    A symmetry is an automorphism with identity H1 matrix. The action is
+    then free (module docstring), so its 2-cell permutation names it.
+    """
+    ident = IntMatrix.identity(2)
+    return tuple(sorted(perm for perm, mat in _automorphisms(s, p).values() if mat == ident))
 
 
 @dataclass(frozen=True)
@@ -235,11 +209,11 @@ class SymmetryGroup:
     """The full symmetry group with its two-factor abelian structure.
 
     The group is Z_n x Z_nm: gen_l generates the order-n factor, gen_m
-    the order-nm factor (indices into elements; gen_l is the identity
-    when n is 1).
+    the order-nm factor (indices into elements, the 2-cell permutations;
+    gen_l is the identity when n is 1).
     """
 
-    elements: tuple[CellAutomorphism, ...]
+    elements: tuple[tuple[int, ...], ...]
     n: int
     nm: int
     gen_l: int
@@ -266,20 +240,20 @@ def group_structure(elements) -> SymmetryGroup:
     the lattice unchanged. Route two: element orders (the exponent is
     nm, the order forces n). Disagreement is an internal error.
 
-    Each element is named by its image of 2-cell 0. On a free action
-    the names are distinct (if a and b shared one, b^-1 a would fix
-    2-cell 0), and that is checked. a b is the element named
-    a.perm2[name of b], and the cycle of 2-cell 0 under a.perm2 names
-    the powers of a. Whole automorphisms are composed only on the Cayley
+    Each element, a 2-cell permutation, is named by its image of 2-cell
+    0. On a free action the names are distinct (if a and b shared one,
+    b^-1 a would fix 2-cell 0), and that is checked. a b is the element
+    named a[name of b], and the cycle of 2-cell 0 under a names the
+    powers of a. Permutations are composed whole only on the Cayley
     edges (x, g_t), k*s compositions: the identity is in the set, every
     x g_t lands in it and the walk reaches every element, so
     a b = a g_1 ... g_j lies in the set. The g_t then generate the
     group, so it is abelian when they commute pairwise.
     """
     k = len(elements)
-    if not elements[0].is_identity():
+    if elements[0] != tuple(range(len(elements[0]))):
         raise InternalInvariantError("elements are not sorted with the identity first")
-    at = {a.perm2[0]: i for i, a in enumerate(elements)}
+    at = {a[0]: i for i, a in enumerate(elements)}
     if len(at) != k:
         raise InternalInvariantError("two distinct symmetries send 2-cell 0 to the same 2-cell")
 
@@ -289,16 +263,16 @@ def group_structure(elements) -> SymmetryGroup:
         return at[cell]
 
     def mul(i: int, j: int) -> int:
-        return named(elements[i].perm2[elements[j].perm2[0]])
+        return named(elements[i][elements[j][0]])
 
     powers = []  # powers[i]: the indices of 1, a, a^2, ... for a = elements[i]
     for a in elements:
-        cyc, cell = [0], a.perm2[0]
+        cyc, cell = [0], a[0]
         while cell != 0:
             if len(cyc) == k:
                 raise InternalInvariantError("element order exceeds the group order")
             cyc.append(named(cell))
-            cell = a.perm2[cell]
+            cell = a[cell]
         powers.append(cyc)
 
     gens = []
@@ -313,9 +287,9 @@ def group_structure(elements) -> SymmetryGroup:
     relations = set()
     for x in queue:
         for t, g in enumerate(gens):
-            xg = compose(elements[x], elements[g])
-            y = named(xg.perm2[0])
-            if xg.key != elements[y].key:
+            xg = tuple(map(elements[x].__getitem__, elements[g]))
+            y = named(xg[0])
+            if xg != elements[y]:
                 raise InternalInvariantError("symmetry set is not closed under composition")
             w = word[x][:t] + (word[x][t] + 1,) + word[x][t + 1:]
             if y not in word:
@@ -363,44 +337,28 @@ def group_structure(elements) -> SymmetryGroup:
     return SymmetryGroup(tuple(elements), n, nm, l_idx, m_idx)
 
 
-def _cell_orbits(elements, count: int) -> list[list[int]]:
-    """Orbits on 2-cells, sorted by least member: the elements form a group."""
-    seen: set[int] = set()
-    orbits = []
-    for c in range(count):
-        if c not in seen:
-            orbits.append(sorted({a.perm2[c] for a in elements}))
-            seen.update(orbits[-1])
-    return orbits
-
-
 def index_orbits(sg: SymmetryGroup, p: CellPartition):
     """Three-index naming of 2-cells: cell (i, j, k) is M^k(L^j(rep of orbit i)).
 
     Returns (table, r): table[cell id] = (i, j, k) with i in 1..r,
-    j in Z_n, k in Z_nm. Asserts the free-action sizes, the bijectivity
-    of the indexing, and the equivariance law: composing with L^a M^b
-    adds (a, b) to (j, k) componentwise mod (n, nm).
+    j in Z_n, k in Z_nm; each least cell not yet named is the rep of the
+    next orbit. Asserts the free-action sizes, the bijectivity of the
+    indexing, and the equivariance law for L and for M: each adds 1 to
+    its index, mod n or nm, so by induction L^a M^b adds (a, b).
     """
-    elements = sg.elements
     size = len(p.two_cells)
     for dim_count in (len(p.zero_cells), len(p.one_cells), size):
         if dim_count % sg.order:
             raise InternalInvariantError(
                 f"cell count {dim_count} is not divisible by the group order {sg.order}")
-    orbits = _cell_orbits(elements, size)
-    for orb in orbits:
-        if len(orb) != sg.order:
-            raise InternalInvariantError(
-                f"orbit {orb} has size {len(orb)}, group order is {sg.order}")
-    r = len(orbits)
-    if r * sg.n * sg.nm != size:
-        raise InternalInvariantError("orbit count times group order misses the 2-cell count")
 
-    gl, gm = elements[sg.gen_l].perm2, elements[sg.gen_m].perm2
+    gl, gm = sg.elements[sg.gen_l], sg.elements[sg.gen_m]
     table: dict[int, tuple[int, int, int]] = {}
-    for oi, orb in enumerate(orbits):
-        rep = orb[0]
+    r = 0
+    for rep in range(size):
+        if rep in table:
+            continue
+        r += 1
         cur_l = rep
         for j in range(sg.n):
             cur = cur_l
@@ -408,24 +366,13 @@ def index_orbits(sg: SymmetryGroup, p: CellPartition):
                 if cur in table:
                     raise InternalInvariantError(
                         "generator powers revisit a 2-cell; indexing is not bijective")
-                table[cur] = (oi + 1, j, k)
+                table[cur] = (r, j, k)
                 cur = gm[cur]
             cur_l = gl[cur_l]
-    if len(table) != size:
-        raise InternalInvariantError("orbit indexing does not cover every 2-cell")
 
-    # equivariance: L^a M^b sends (i, j, k) to (i, j+a mod n, k+b mod nm)
-    ga = tuple(range(size))
-    for a in range(sg.n):
-        gb = ga
-        for b in range(sg.nm):
-            for cell in range(size):
-                i, j, k = table[cell]
-                i2, j2, k2 = table[gb[cell]]
-                if (i2, j2, k2) != (i, (j + a) % sg.n, (k + b) % sg.nm):
-                    raise InternalInvariantError(
-                        f"equivariance fails for L^{a} M^{b} at cell {cell}")
-            gb = tuple(gm[x] for x in gb)
-        ga = tuple(gl[x] for x in ga)
-
-    return tuple(table[c] for c in range(size)), r
+    rows = tuple(table[c] for c in range(size))
+    for (a, b), g in (((0, 1), gm), ((1, 0), gl)):
+        for cell, (i, j, k) in enumerate(rows):
+            if rows[g[cell]] != (i, (j + a) % sg.n, (k + b) % sg.nm):
+                raise InternalInvariantError(f"equivariance fails for L^{a} M^{b} at cell {cell}")
+    return rows, r

@@ -1,9 +1,10 @@
 """Independent brute-force reference implementations.
 
 Everything here works on raw triangle/value data and never imports the
-package under test, except ``all_flag_automorphisms``: the plain
-every-flag search that the symmetry stage's orbit closure replaced,
-built on the package's own seed propagation. Expected values in the
+package under test, except the whole cell automorphisms: they use the
+package's ``CellAutomorphism`` record, and ``all_flag_automorphisms`` is
+the plain every-flag search that the symmetry stage's orbit closure
+replaced, built on the package's own seed propagation. Expected values in the
 suite are either computed against these functions or frozen from hand
 calculations that are spelled out at the point of use.
 """
@@ -522,13 +523,42 @@ def cut_disk(refined_triangles, refined_values, region, walk):
     return disk, [refined_values[u] for u in sources], boundary, sources
 
 
+def identity_automorphism(p):
+    from krtorus.symmetry import CellAutomorphism
+
+    return CellAutomorphism(tuple(range(len(p.zero_cells))),
+                            tuple((j, 1) for j in range(len(p.one_cells))),
+                            tuple(range(len(p.two_cells))))
+
+
+def compose(a, b):
+    """Whole automorphism a after b."""
+    from krtorus.symmetry import CellAutomorphism
+
+    return CellAutomorphism(tuple(a.perm0[x] for x in b.perm0),
+                            tuple((a.perm1[img][0], sg * a.perm1[img][1]) for img, sg in b.perm1),
+                            tuple(a.perm2[x] for x in b.perm2))
+
+
+def is_identity(a) -> bool:
+    return (a.perm2 == tuple(range(len(a.perm2)))
+            and a.perm0 == tuple(range(len(a.perm0)))
+            and all(img == j and sg == 1 for j, (img, sg) in enumerate(a.perm1)))
+
+
+def fixes_some_cell(a) -> bool:
+    return (any(img == j for j, img in enumerate(a.perm0))
+            or any(img == j for j, (img, _) in enumerate(a.perm1))
+            or any(img == j for j, img in enumerate(a.perm2)))
+
+
 def all_flag_automorphisms(s, p):
     """Every automorphism found by seeding each flag (t, r) of 2-cell 0.
 
     The reference for ``krtorus.symmetry._automorphisms``: one
     propagation per flag, in the order t, then r, with no flag skipped
-    for being reached already. Returns {key: automorphism}, before the
-    freeness and H1 filters.
+    for being reached already. Returns {flag: whole automorphism},
+    before the freeness and H1 filters.
     """
     from krtorus.surface import vertex_classes
     from krtorus.symmetry import _attempt, _finalize
@@ -545,8 +575,22 @@ def all_flag_automorphisms(s, p):
             cand = _attempt(cells, occ, t, r)
             a = _finalize(p, classes, *cand) if cand is not None else None
             if a is not None:
-                found[a.key] = a
+                found[t, r] = a
     return found
+
+
+def free_automorphisms(s, p):
+    """{2-cell permutation: whole automorphism} for the identity and every
+    automorphism of the every-flag search that moves every cell.
+
+    A free action is told apart by its 2-cell permutations, so no two
+    share a key.
+    """
+    free = [a for a in all_flag_automorphisms(s, p).values()
+            if is_identity(a) or not fixes_some_cell(a)]
+    out = {a.perm2: a for a in free}
+    assert len(out) == len(free), "two free automorphisms share a 2-cell permutation"
+    return out
 
 
 class Rejected(Exception):

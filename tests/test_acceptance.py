@@ -100,6 +100,10 @@ def pool(stage):
                                        mat=None, **vars(st)))
 
     assert sum(1 for e in entries if e.kind != "preset") >= 20
+    # each symmetry as a whole automorphism, from the every-flag oracle
+    for e in entries:
+        free = oracles.free_automorphisms(e.surface, e.part)
+        e.whole = [free[perm] for perm in e.elements]
     return entries
 
 
@@ -136,7 +140,7 @@ def test_criterion_01_structure_theorem_on_model_fields(stage, preset_reports):
         assert oracles.euler_characteristic(s.triangles) == 0
 
         # orbit oracle: r orbits of 2-cells, each of full group size
-        orbits = oracles.permutation_orbits([a.perm2 for a in st.elements],
+        orbits = oracles.permutation_orbits(list(st.elements),
                                             len(st.part.two_cells))
         assert len(orbits) == want["r"]
         assert all(len(o) == st.group.order for o in orbits)
@@ -180,7 +184,7 @@ def _perm_compose(x, y):
 
 def test_criterion_04_invariant_factor_pair(pool):
     for e in pool:
-        elems = [_perm_key(a) for a in e.elements]
+        elems = [_perm_key(a) for a in e.whole]
         ident = (tuple(range(len(e.part.zero_cells))),
                  tuple((j, 1) for j in range(len(e.part.one_cells))),
                  tuple(range(len(e.part.two_cells))))
@@ -302,7 +306,7 @@ def test_criterion_09_homology_and_h1_action(pool):
         hs = cellular_homology(e.part)
         assert hs.betti == (1, 2, 1), f"{e.name}: betti {hs.betti}"
         assert hs.torsion == ((), (), ()), f"{e.name}: torsion {hs.torsion}"
-        for a in e.elements:
+        for a in e.whole:
             assert h1_action(e.part, a).entries == ident.entries, e.name
             actions += 1
     print(f"criterion 9: pass - betti (1,2,1) torsion-free everywhere; "

@@ -2,9 +2,11 @@
 
 ``krtorus.symmetry._automorphisms`` attempts only the flags (t, r) of
 2-cell 0 that the automorphisms found so far do not reach, and fills the
-rest in by composition. ``oracles.all_flag_automorphisms`` seeds every
-flag. Both must give the same automorphisms, element by element, before
-the freeness and H1 filters.
+rest in by composing generators, keeping each automorphism as its 2-cell
+permutation and H1 matrix. ``oracles.all_flag_automorphisms`` seeds every
+flag and builds each automorphism whole. Both must file the same flags
+with the same 2-cell permutations, and the closure's matrices must be
+the H1 action of the whole automorphisms.
 """
 from __future__ import annotations
 
@@ -52,14 +54,16 @@ def _pullback(name):
 def _assert_closure_matches_every_flag(s, p):
     want = oracles.all_flag_automorphisms(s, p)
     got = krtorus.symmetry._automorphisms(s, p)
-    assert len(got) == len(want)
-    assert {a.key: a for a in got} == want
-    # the seed's filter, on the every-flag set
+    assert {flag: perm for flag, (perm, _) in got.items()} == {
+        flag: a.perm2 for flag, a in want.items()}
+    for flag, (_, mat) in got.items():
+        assert mat == h1_action(p, want[flag]), flag
+    # the definition's filter, free and H1-trivial, on the every-flag set
     ident = IntMatrix.identity(2)
-    kept = tuple(a for a in sorted(want.values(), key=lambda a: a.key)
-                 if (a.is_identity() or not a.fixes_some_cell())
-                 and h1_action(p, a) == ident)
-    assert enumerate_symmetries(s, p) == kept
+    kept = sorted(a.perm2 for a in want.values()
+                  if (oracles.is_identity(a) or not oracles.fixes_some_cell(a))
+                  and h1_action(p, a) == ident)
+    assert enumerate_symmetries(s, p) == tuple(kept)
 
 
 @pytest.mark.parametrize("name", TREE_PRESETS)
@@ -79,6 +83,28 @@ def test_closure_matches_every_flag_on_coverings(mat):
     _assert_closure_matches_every_flag(s, _partition(s))
 
 
+FIELDS = ([("preset", name) for name in TREE_PRESETS] + [("pullback", name) for name in PULLBACKS]
+          + [("covering", mat) for mat in _matrices()])
+
+
+@pytest.mark.parametrize("kind,key", FIELDS, ids=[str(key) for _, key in FIELDS])
+def test_h1_trivial_exactly_when_free(stage, kind, key):
+    # the module docstring's Hopf trace argument: an automorphism other
+    # than the identity acts as the identity on H1 exactly when it moves
+    # every cell, so the symmetry stage never tests freeness
+    if kind == "preset":
+        s, p = stage(key).surface, stage(key).part
+    elif kind == "pullback":
+        s, p = _pullback(key)
+    else:
+        s = SurfaceField(*oracles.covering_field(BASE, key))
+        p = _partition(s)
+    ident = IntMatrix.identity(2)
+    for a in oracles.all_flag_automorphisms(s, p).values():
+        if not oracles.is_identity(a):
+            assert (h1_action(p, a) == ident) == (not oracles.fixes_some_cell(a)), a.perm2
+
+
 def _count_calls(monkeypatch, name, counts, successes_only=False):
     fn = getattr(krtorus.symmetry, name)
 
@@ -95,16 +121,17 @@ def _count_calls(monkeypatch, name, counts, successes_only=False):
 def test_work_is_one_compose_per_automorphism(monkeypatch, name):
     s, p = _pullback(name)
     order = len(krtorus.symmetry._automorphisms(s, p))
-    counts = {"_attempt": 0, "_finalize": 0, "compose": 0}
+    counts = {"_attempt": 0, "_finalize": 0, "h1_action": 0}
     _count_calls(monkeypatch, "_attempt", counts)
     _count_calls(monkeypatch, "_finalize", counts, successes_only=True)
-    _count_calls(monkeypatch, "compose", counts)
+    _count_calls(monkeypatch, "h1_action", counts)
     enumerate_symmetries(s, p)
     # every success adds a generator outside the reached subgroup, which
-    # at least doubles it (Lagrange)
-    assert counts["_finalize"] <= math.log2(order)
+    # at least doubles it (Lagrange); h1_action runs on generators only,
+    # and every other automorphism is one composition of 2-cell
+    # permutations and one product of 2 x 2 matrices
+    assert counts["h1_action"] == counts["_finalize"] <= math.log2(order)
     assert counts["_attempt"] < order
-    assert counts["compose"] == order - 1
 
 
 def _corrupt_first_generator(monkeypatch, cell, shift):
@@ -131,16 +158,35 @@ def test_generator_with_a_wrong_image_of_cell_0_is_caught(stage, monkeypatch, na
     else:
         s, p = stage(name).surface, stage(name).part
     _corrupt_first_generator(monkeypatch, 0, 1)
-    # the generator is filed through compose with the identity under the
-    # flag its rotations name, and its image of 2-cell 0 disagrees
-    with pytest.raises(InternalInvariantError, match="carries another"):
+    # the generator's own chain-map check: 2-cell 0's walk does not map
+    # onto the walk of the 2-cell its perm2 names
+    with pytest.raises(InternalInvariantError, match="does not commute with boundary_2"):
         enumerate_symmetries(s, p)
+
+
+def test_generator_with_a_wrong_walk_rotation_is_caught(stage, monkeypatch):
+    # the walk rotations name the flag each automorphism is filed under;
+    # the image of 2-cell 0's first arc, read through perm1, names another
+    attempt = krtorus.symmetry._attempt
+
+    def turned(cells, occ, t, r):
+        cand = attempt(cells, occ, t, r)
+        if cand is None:
+            return None
+        cell_map, arc_map = cand
+        return {c: (t2, (rd + 1) % len(cells[c].boundary))
+                for c, (t2, rd) in cell_map.items()}, arc_map
+
+    monkeypatch.setattr(krtorus.symmetry, "_attempt", turned)
+    st_ = stage("z2xz2-sym")
+    with pytest.raises(InternalInvariantError, match="carries another"):
+        enumerate_symmetries(st_.surface, st_.part)
 
 
 def test_any_wrong_image_in_the_orbit_of_cell_0_raises(stage, monkeypatch):
     st_ = stage("z2xz2-sym")
     s, p = st_.surface, st_.part
-    orbit = sorted({a.perm2[0] for a in krtorus.symmetry._automorphisms(s, p)})
+    orbit = sorted({t for t, _ in krtorus.symmetry._automorphisms(s, p)})
     assert len(orbit) > 1
     for cell in orbit:
         for shift in range(1, len(p.two_cells)):

@@ -1,4 +1,4 @@
-"""Work growth of compute_reeb, counted without a stopwatch.
+"""Work growth of the pipeline stages, counted without a stopwatch.
 
 The count is the number of ``sys.settrace`` "line" events in the
 package's own files during one call on a fresh surface, so it does not
@@ -10,13 +10,16 @@ between Python versions.
 from __future__ import annotations
 
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import krtorus
-from krtorus.fields import PRESET_NAMES, preset_field, random_field
-from krtorus.reeb import compute_reeb
+from krtorus.fields import PRESET_NAMES, preset_field, pullback_cosine_field, random_field
+from krtorus.partition import build_partition
+from krtorus.reeb import compute_reeb, find_special_vertex
+from krtorus.symmetry import enumerate_symmetries, group_structure, index_orbits
 
 PACKAGE = str(Path(krtorus.__file__).resolve().parent)
 
@@ -56,3 +59,55 @@ def test_reeb_grows_near_linearly_on_random_fields():
     # the sweep meets x4.2-4.3 here (n log n: the split walks); the bound
     # is x5. Walking every critical contour whole grew x7.9 and x6.6
     assert max(growth(lambda n: random_field(n, 1))) <= 5
+
+
+@lru_cache(maxsize=None)
+def _diag(k: int, grid: int):
+    """The stage inputs of the pullback along diag(k, k), order k^2."""
+    s = pullback_cosine_field(grid, ((k, 0), (0, k)))
+    g = compute_reeb(s)
+    v = find_special_vertex(g)
+    p = build_partition(s, g, v)
+    elements = enumerate_symmetries(s, p)
+    return s, g, v, p, elements, group_structure(elements)
+
+
+STAGE_ARGS = {
+    build_partition: lambda s, g, v, p, els, sg: (s, g, v),
+    enumerate_symmetries: lambda s, g, v, p, els, sg: (s, p),
+    group_structure: lambda s, g, v, p, els, sg: (els,),
+    index_orbits: lambda s, g, v, p, els, sg: (sg, p),
+}
+
+
+def stage_growth(stage, ks, per_k) -> list[float]:
+    """Growth of one stage on diag(k,k)@(per_k * k) between consecutive ks."""
+    args = STAGE_ARGS[stage]
+    counts = [line_events(stage, *args(*_diag(k, per_k * k))) for k in ks]
+    return [b / a for a, b in zip(counts, counts[1:])]
+
+
+def test_orbits_grow_linearly():
+    # diag(k,k)@8k, k = 2, 4, 8 (order 4, 16, 64): x3.4 and x3.8. Checking
+    # equivariance for every L^a M^b grew x9.4 and x14.0
+    assert max(stage_growth(index_orbits, (2, 4, 8), 8)) <= 5
+
+
+def test_symmetries_grow_near_linearly():
+    # x3.8 and x3.9. Whole automorphisms with a freeness scan and an
+    # h1_action call each grew x8.5 and x12.5. Target x5. The 2-cell
+    # permutation composed per automorphism runs in C, so it adds no line
+    assert max(stage_growth(enumerate_symmetries, (2, 4, 8), 8)) <= 7
+
+
+def test_group_grows_near_linearly():
+    # x2.2 and x4.0. Composing whole automorphisms on the Cayley edges grew
+    # x8.1 and x13.9. Target x5. The 2-cell permutations composed there run
+    # in C, so they add no line
+    assert max(stage_growth(group_structure, (2, 4, 8), 8)) <= 10.5
+
+
+def test_partition_grows_linearly():
+    # diag(k,k)@4k, k = 4, 8, 16 (order 16, 64, 256): x4.0 and x4.0. The
+    # all-pairs branch scans grew x4.4 and x5.4
+    assert max(stage_growth(build_partition, (4, 8, 16), 4)) <= 5
