@@ -13,18 +13,17 @@ from .homology import (CokernelInvariants, HomologySummary, IntMatrix, SnfResult
                        smith_normal_form, unimodular_inverse)
 from .partition import (CellPartition, OneCell, TwoCell, branch_signature,
                         build_partition)
-from .pipeline import (AnalysisReport, Atom, DirectProduct, DiskField, FreeAbelian,
-                       TrivialGroup, VerificationRecord, WreathOver, analyze,
-                       build_group_expr, canonical_json, extract_disk_field,
-                       render_expr, report_group_expr, verify_extension)
+from .pipeline import (AnalysisReport, DiskField, VerificationRecord, analyze,
+                       canonical_json, extract_disk_field, group_expr,
+                       verify_extension)
 from .reeb import (Branch, ReebEdge, ReebGraph, ReebNode, branch_euler,
                    compute_reeb, find_special_vertex, is_tree, reeb_to_dot)
-from .surface import (SurfaceField, VertexClass, classify_vertex, dump_surface,
-                      load_surface, validate_closed_orientable, vertex_classes)
+from .surface import (SurfaceField, VertexClass, dump_surface, load_surface,
+                      validate_closed_orientable, vertex_classes)
 from .symmetry import (CellAutomorphism, SymmetryGroup, enumerate_symmetries,
                        group_structure, index_orbits)
 from .wreath import (BaseGroup, CyclicGroup, DirectProductGroup, WreathElement,
                      WreathGroup, check_exact_sequence, check_group_axioms,
-                     corrupted_wreath, parse_atoms, tau_reindex)
+                     parse_atoms, tau_reindex)
 
 __version__ = "0.1.0"

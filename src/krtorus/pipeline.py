@@ -1,10 +1,10 @@
 """End-to-end analysis: from a scalar field on a torus to the orbit group.
 
-The final answer is a symbolic expression: a direct product of one atom
-per disk orbit, wreathed over the index grid by the rank-2 free abelian
-group. Atom groups are never computed; each carries the branch subtree
-of the graph over its representative disk as metadata, and concrete
-finite groups can be substituted to verify the extension identities.
+The final answer is one string fixed by the orbit count r and the grid
+(n, nm): a direct product of one atom per disk orbit, wreathed over the
+index grid by the rank-2 free abelian group. Atom groups are never
+computed; the report lists each with the branch subtree over its disk,
+and verify_extension substitutes finite groups to test the extension.
 """
 from __future__ import annotations
 
@@ -20,72 +20,19 @@ from .reeb import _UnionFind, branch_euler, compute_reeb, find_special_vertex
 from .surface import SurfaceField, dump_surface, validate_closed_orientable
 from .symmetry import enumerate_symmetries, group_structure, index_orbits
 from .wreath import (KERNEL_ENUM_LIMIT, DirectProductGroup, WreathElement, WreathGroup,
-                     check_exact_sequence, check_group_axioms, corrupted_wreath,
-                     distinct_ranks)
+                     check_exact_sequence, check_group_axioms, distinct_ranks)
 
 
-# ---------------------------------------------------------------- GroupExpr
+def group_expr(r: int, n: int, nm: int) -> str:
+    """(A_1 x ... x A_r) wreathed over the (n, nm) grid by Z^2.
 
-@dataclass(frozen=True)
-class TrivialGroup:
-    pass
-
-
-@dataclass(frozen=True)
-class Atom:
-    """Symbolic per-disk factor; kr_subtree describes the field over the disk."""
-
-    index: int
-    kr_subtree: dict
-
-
-@dataclass(frozen=True)
-class DirectProduct:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class FreeAbelian:
-    rank: int
-
-
-@dataclass(frozen=True)
-class WreathOver:
-    base: object
-    n: int
-    nm: int
-    top: object
-
-
-def render_expr(e, top: bool = True) -> str:
-    if isinstance(e, TrivialGroup):
-        return "1"
-    if isinstance(e, Atom):
-        return f"A_{e.index}"
-    if isinstance(e, FreeAbelian):
-        return f"Z^{e.rank}"
-    if isinstance(e, DirectProduct):
-        if not e.factors:
-            return "1"
-        s = " x ".join(render_expr(f, top=False) for f in e.factors)
-        if top or len(e.factors) == 1:
-            return s
-        return f"({s})"
-    if isinstance(e, WreathOver):
-        return (f"{render_expr(e.base, top=False)} wr[Z_{e.n} x Z_{e.nm}] "
-                f"{render_expr(e.top, top=False)}")
-    raise TypeError(f"not a group expression: {e!r}")
-
-
-def build_group_expr(atoms, n: int, nm: int):
-    """(atom_1 x ... x atom_r) wreathed over the (n, nm) grid by Z^2.
-
-    Collapses to a plain direct product with Z^2 when the grid is trivial.
+    A plain direct product with Z^2 when the grid is trivial.
     """
-    prod = DirectProduct(tuple(atoms))
+    base = " x ".join(f"A_{i}" for i in range(1, r + 1))
+    base = base if r == 1 else f"({base})"
     if n == 1 and nm == 1:
-        return DirectProduct((prod, FreeAbelian(2)))
-    return WreathOver(prod, n, nm, FreeAbelian(2))
+        return f"{base} x Z^2"
+    return f"{base} wr[Z_{n} x Z_{nm}] Z^2"
 
 
 # ------------------------------------------------------------------ report
@@ -136,14 +83,6 @@ class AnalysisReport:
 
 def canonical_json(report: AnalysisReport) -> str:
     return json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))
-
-
-def report_group_expr(report: AnalysisReport):
-    """Rebuild the symbolic expression tree from a report."""
-    atoms = tuple(Atom(a["id"], a["kr_subtree"]) for a in report.group["atoms"])
-    n = report.symmetry["n"]
-    nm = n * report.symmetry["m"]
-    return build_group_expr(atoms, n, nm)
 
 
 # ------------------------------------------------------------------ analyze
@@ -278,19 +217,16 @@ def analyze(s: SurfaceField) -> AnalysisReport:
 
     branches = g.branches_at(v)
     chis = [branch_euler(g, v, br) for br in branches]
-    atom_objs = []
     atoms_json = []
     disks_json = []
     for i in range(1, r + 1):
         disk = extract_disk_field(p, table, i)
         subtree = _signature_json(p.two_cells[disk.cell].level_signature)
-        atom_objs.append(Atom(i, subtree))
         atoms_json.append({"id": i, "kr_subtree": subtree})
         disks_json.append({"id": i,
                            "cell": disk.cell,
                            "boundary": [int(b) for b in disk.boundary],
                            "field": dump_surface(disk.surface)})
-    expr = build_group_expr(atom_objs, sg.n, sg.nm)
 
     node = g.nodes[v]
     return AnalysisReport(
@@ -306,7 +242,7 @@ def analyze(s: SurfaceField) -> AnalysisReport:
                   "generators": {"L": list(elements[sg.gen_l]),
                                  "M": list(elements[sg.gen_m])},
                   "orbit_table": [list(t) for t in table]},
-        group={"expr": render_expr(expr), "atoms": atoms_json},
+        group={"expr": group_expr(r, sg.n, sg.nm), "atoms": atoms_json},
         disks=disks_json)
 
 
@@ -358,15 +294,13 @@ def _check_lattice_sequence(n: int, nm: int):
     return None
 
 
-def verify_extension(report: AnalysisReport, atoms,
-                     corrupt_shift: bool = False) -> VerificationRecord:
+def verify_extension(report: AnalysisReport, atoms) -> VerificationRecord:
     """Instantiate the wreath answer with finite atoms and test the extension.
 
     (a) group axioms and exactness of the map-part/shift-part sequence,
     (b) the index-lattice sequence q = diag(n, nm) into the reduction,
     (c) the kernel of the shift projection has exactly |base|^(n*nm)
-        elements. corrupt_shift installs an off-by-one shift action as a
-        negative control; it must break (a).
+        elements.
     """
     n = report.symmetry["n"]
     nm = n * report.symmetry["m"]
@@ -376,7 +310,7 @@ def verify_extension(report: AnalysisReport, atoms,
         raise InputRejected("bad-request",
                             f"report has {r} disk orbits, got {len(atoms)} atom groups")
     base = DirectProductGroup(atoms)
-    wg = corrupted_wreath(base, n, nm) if corrupt_shift else WreathGroup(base, n, nm)
+    wg = WreathGroup(base, n, nm)
     rng = random.Random(20260819)
     checks = []
 

@@ -8,11 +8,11 @@ values; only the local classification uses the tie-broken order.
 
 The mesh adjacency is built once per surface, by ``left_triangles``:
 left[u][w] is the triangle with u->w on its CCW boundary. Building it
-rejects a directed edge used twice. ``SurfaceField.fans`` walks all fans
-in one loop, once per surface; ``vertex_fan`` can also walk one vertex of
-a surface with boundary. The walks reject boundary and pinched vertices,
-which proves that each left[u][w] has its left[w][u]. The Reeb graph and
-the cell partition read this map and build no adjacency of their own.
+rejects a directed edge used twice. ``SurfaceField.fans`` walks every
+fan in one loop, once per surface, and keeps them. The walk rejects
+boundary and pinched vertices, which proves that each left[u][w] has its
+left[w][u]. The Reeb graph and the cell partition read this map and
+build no adjacency of their own.
 """
 from __future__ import annotations
 
@@ -146,19 +146,13 @@ class SurfaceField:
             self._left = left
         return self._left
 
-    def vertex_fan(self, v: int) -> tuple[int, ...]:
-        """Neighbors of v in CCW cyclic order. Rejects pinched or boundary vertices."""
-        return self._fans[v] if self._fans is not None else self.fans((v,))[0]
-
-    def fans(self, verts=None) -> list[tuple[int, ...]]:
-        """vertex_fan of each of verts in one loop; by default of all, walked once and kept."""
-        if verts is None:
-            if self._fans is None:
-                self._fans = self.fans(range(len(self.values)))
+    def fans(self) -> list[tuple[int, ...]]:
+        """Each vertex's neighbors in CCW cyclic order, walked once and kept."""
+        if self._fans is not None:
             return self._fans
         left, tris = self.left_triangles(), self.triangles
         out = []
-        for v in verts:
+        for v in range(len(self.values)):
             d = left[v]
             if not d:
                 raise InputRejected("not-a-surface", f"vertex {v} has no incident triangle")
@@ -180,6 +174,7 @@ class SurfaceField:
                 raise InputRejected("not-a-surface",
                                     f"vertex {v} is pinched: its link is not a single cycle")
             out.append(tuple(cyc))
+        self._fans = out
         return out
 
 
@@ -229,12 +224,6 @@ def _fan_class(v: int, below: tuple) -> VertexClass:
     if not c_minus:
         return _shared("maximum" if below[0] else "minimum")
     return _shared("regular") if c_minus == 1 else _shared("saddle", c_minus - 1)
-
-
-def classify_vertex(s: SurfaceField, v: int) -> VertexClass:
-    """PL type of vertex v: counts cyclic runs of below/above neighbors in the fan."""
-    key = (s.values[v], v)
-    return _fan_class(v, tuple([(s.values[u], u) < key for u in s.vertex_fan(v)]))
 
 
 def vertex_classes(s: SurfaceField) -> tuple[VertexClass, ...]:

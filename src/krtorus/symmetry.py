@@ -146,6 +146,8 @@ def _finalize(p: CellPartition, classes, cell_map, arc_map):
 def _automorphisms(s: SurfaceField, p: CellPartition) -> dict:
     """Every automorphism of the partition by flag, as (2-cell permutation, H1 matrix).
 
+    The matrices are plain ((a, b), (c, d)) row tuples, multiplied inline.
+
     Flag (t, r) names the automorphism that sends position 0 of 2-cell
     0's walk to position r of t's walk. A generator keeps the walk
     rotation of every 2-cell, so it moves a flag in O(1), and it moves
@@ -161,10 +163,10 @@ def _automorphisms(s: SurfaceField, p: CellPartition) -> dict:
     sig0 = cells[0].level_signature
     ln0 = len(cells[0].boundary)
     arc0, sgn0 = cells[0].boundary[0]
-    elem = {(0, 0): (tuple(range(len(cells))), IntMatrix.identity(2))}
+    elem = {(0, 0): (tuple(range(len(cells))), ((1, 0), (0, 1)))}
     arc_img = {(0, 0): (arc0, 1)}  # each flag's image of arc0, with its sign
     reached = [(0, 0)]  # elem's flags in filing order; the closure walks it as it grows
-    gens = []  # (automorphism, walk rotation of each 2-cell, H1 matrix)
+    gens = []  # (automorphism, walk rotation of each 2-cell, H1 matrix entries)
     for t in range(len(cells)):
         if cells[t].level_signature != sig0 or len(cells[t].boundary) != ln0:
             continue
@@ -175,11 +177,12 @@ def _automorphisms(s: SurfaceField, p: CellPartition) -> dict:
             g = _finalize(p, classes, *cand) if cand is not None else None
             if g is None:
                 continue
-            gens.append((g, [cand[0][c][1] for c in range(len(cells))], h1_action(p, g)))
+            gens.append((g, [cand[0][c][1] for c in range(len(cells))],
+                         h1_action(p, g).entries))
             for t1, r1 in reached:
-                perm, mat = elem[t1, r1]
+                perm, ((m00, m01), (m10, m11)) = elem[t1, r1]
                 img, eps = arc_img[t1, r1]
-                for h, rot, h_mat in gens:
+                for h, rot, ((h00, h01), (h10, h11)) in gens:
                     flag = (h.perm2[t1], (r1 + rot[t1]) % ln0)
                     if flag in elem:
                         continue
@@ -188,7 +191,9 @@ def _automorphisms(s: SurfaceField, p: CellPartition) -> dict:
                     if next(((c, q) for c, q, sg in occ[img2] if sg == sgn0 * eps2), None) != flag:
                         raise InternalInvariantError(
                             f"automorphism filed under flag {flag} carries another")
-                    elem[flag] = (tuple(map(h.perm2.__getitem__, perm)), h_mat @ mat)
+                    elem[flag] = (tuple(map(h.perm2.__getitem__, perm)),
+                                  ((h00 * m00 + h01 * m10, h00 * m01 + h01 * m11),
+                                   (h10 * m00 + h11 * m10, h10 * m01 + h11 * m11)))
                     arc_img[flag] = (img2, eps2)
                     reached.append(flag)
     return elem
@@ -200,8 +205,8 @@ def enumerate_symmetries(s: SurfaceField, p: CellPartition) -> tuple[tuple[int, 
     A symmetry is an automorphism with identity H1 matrix. The action is
     then free (module docstring), so its 2-cell permutation names it.
     """
-    ident = IntMatrix.identity(2)
-    return tuple(sorted(perm for perm, mat in _automorphisms(s, p).values() if mat == ident))
+    return tuple(sorted(perm for perm, mat in _automorphisms(s, p).values()
+                        if mat == ((1, 0), (0, 1))))
 
 
 @dataclass(frozen=True)

@@ -128,14 +128,15 @@ def parse_atoms(text: str):
     groups = []
     for tok in text.split(","):
         tok = tok.strip()
-        if tok == "1":
-            groups.append(CyclicGroup(1))
-            continue
-        if tok[:1] in ("Z", "z") and tok[1:].isdigit() and int(tok[1:]) >= 1:
-            groups.append(CyclicGroup(int(tok[1:])))
-            continue
-        raise InputRejected("bad-request",
-                            f"bad atom spec {tok!r}; expected '1' or 'Z<k>'")
+        digits = tok[1:] if tok[:1] in ("Z", "z") else ""
+        try:  # isdigit() passes '²', '①' and runs past int's digit limit; int() does not
+            k = 1 if tok == "1" else int(digits) if digits.isdigit() else 0
+        except ValueError:
+            k = 0
+        if k < 1:
+            raise InputRejected("bad-request",
+                                f"bad atom spec {tok!r}; expected '1' or 'Z<k>'")
+        groups.append(CyclicGroup(k))
     return tuple(groups)
 
 
@@ -148,17 +149,17 @@ class WreathElement:
 class WreathGroup:
     """Engine for one fixed base group and grid shape.
 
-    shift_rule exists so tests can install a deliberately wrong action;
-    every operation that moves a grid goes through it.
+    multiply and inverse move every grid through shift_action, so a
+    subclass that overrides it installs another action everywhere; the
+    tests install deliberately wrong ones as negative controls.
     """
 
-    def __init__(self, base: BaseGroup, rows: int, cols: int, shift_rule=None):
+    def __init__(self, base: BaseGroup, rows: int, cols: int):
         if rows < 1 or cols < 1:
             raise ValueError("grid shape must be at least 1 x 1")
         self.base = base
         self.rows = rows
         self.cols = cols
-        self._shift_rule = shift_rule if shift_rule is not None else self.shift_action
 
     def element(self, grid, shift=(0, 0)) -> WreathElement:
         grid = tuple(tuple(row) for row in grid)
@@ -181,7 +182,7 @@ class WreathGroup:
 
     def multiply(self, x: WreathElement, y: WreathElement) -> WreathElement:
         """Cellwise x.grid * (y.grid moved by x.shift), one base.op per cell; shifts add."""
-        moved = self._shift_rule(y.grid, x.shift)
+        moved = self.shift_action(y.grid, x.shift)
         op = self.base.op
         grid = tuple([tuple(map(op, ra, rb)) for ra, rb in zip(x.grid, moved)])
         return WreathElement(grid, (x.shift[0] + y.shift[0], x.shift[1] + y.shift[1]))
@@ -189,7 +190,7 @@ class WreathGroup:
     def inverse(self, x: WreathElement) -> WreathElement:
         inv_grid = tuple(tuple(self.base.inv(a) for a in row) for row in x.grid)
         neg = (-x.shift[0], -x.shift[1])
-        return WreathElement(self._shift_rule(inv_grid, neg), neg)
+        return WreathElement(self.shift_action(inv_grid, neg), neg)
 
     def sigma(self, grid) -> WreathElement:
         """Inclusion of the map part: grid -> (grid, (0, 0))."""
@@ -239,16 +240,6 @@ def distinct_ranks(rng, size: int, count: int) -> list:
     while len(picked) < count:
         picked[rng.randrange(size)] = None
     return list(picked)
-
-
-def corrupted_wreath(base: BaseGroup, rows: int, cols: int) -> WreathGroup:
-    """Engine whose shift action is off by one column: a negative control."""
-    reference = WreathGroup(base, rows, cols)
-
-    def bad(grid, shift):
-        return reference.shift_action(grid, (shift[0], shift[1] + 1))
-
-    return WreathGroup(base, rows, cols, shift_rule=bad)
 
 
 def pointwise_product(base: BaseGroup, g1, g2):

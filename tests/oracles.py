@@ -1,12 +1,14 @@
 """Independent brute-force reference implementations.
 
 Everything here works on raw triangle/value data and never imports the
-package under test, except the whole cell automorphisms: they use the
-package's ``CellAutomorphism`` record, and ``all_flag_automorphisms`` is
-the plain every-flag search that the symmetry stage's orbit closure
-replaced, built on the package's own seed propagation. Expected values in the
-suite are either computed against these functions or frozen from hand
-calculations that are spelled out at the point of use.
+package under test, except in two places. The whole cell automorphisms
+use the package's ``CellAutomorphism`` record, and
+``all_flag_automorphisms`` is the plain every-flag search that the
+symmetry stage's orbit closure replaced, built on the package's own seed
+propagation. ``CorruptedWreath`` is the package's wreath engine with a
+wrong shift action, the negative control of the verify checks. Expected
+values in the suite are either computed against these functions or
+frozen from hand calculations that are spelled out at the point of use.
 """
 from __future__ import annotations
 
@@ -14,6 +16,8 @@ import itertools
 import math
 from fractions import Fraction
 from math import gcd, lcm
+
+from krtorus.wreath import WreathGroup
 
 
 class UnionFind:
@@ -266,6 +270,13 @@ def shift_cells(grid, shift):
     k, l = shift
     return tuple(tuple(grid[(i + k) % rows][(j + l) % cols] for j in range(cols))
                  for i in range(rows))
+
+
+class CorruptedWreath(WreathGroup):
+    """Engine whose shift action is off by one column: a negative control."""
+
+    def shift_action(self, grid, shift):
+        return super().shift_action(grid, (shift[0], shift[1] + 1))
 
 
 def wreath_cells(op, x_grid, x_shift, y_grid):

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import krtorus.pipeline
 from krtorus.cli import main
 from krtorus.errors import InputRejected
 from krtorus.fields import preset_field, pullback_cosine_field, random_field
@@ -280,7 +281,7 @@ def test_criterion_07_tau_bijective_homomorphism():
     print("criterion 7: pass - tau bijective homomorphism over all 9 families")
 
 
-def test_criterion_08_extension_verification(preset_reports):
+def test_criterion_08_extension_verification(preset_reports, monkeypatch):
     menu = (CyclicGroup(1), CyclicGroup(2), CyclicGroup(3))
     names = ("wreath-axioms-exactness", "index-lattice-exactness", "kernel-size")
     combos = 0
@@ -291,8 +292,8 @@ def test_criterion_08_extension_verification(preset_reports):
             assert rec.passed, (name,
                                 [c.detail for c in rec.checks if not c.passed])
             combos += 1
-    rec = verify_extension(preset_reports["z2-sym"],
-                           (CyclicGroup(2), CyclicGroup(2)), corrupt_shift=True)
+    monkeypatch.setattr(krtorus.pipeline, "WreathGroup", oracles.CorruptedWreath)
+    rec = verify_extension(preset_reports["z2-sym"], (CyclicGroup(2), CyclicGroup(2)))
     assert not rec.passed
     assert [c.name for c in rec.checks if not c.passed] == ["wreath-axioms-exactness"]
     print(f"criterion 8: pass - {combos} atom instantiations verified; "

@@ -134,6 +134,16 @@ def test_verify_wrong_atom_count(two_cell_file, capsys):
     assert "bad-request" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["Z²", "Z①", "Z" + "9" * 5000],
+                         ids=["superscript-two", "circled-one", "5000-digits"])
+def test_verify_rejects_atom_digits_that_int_cannot_read(two_cell_file, capsys, token):
+    # each passes str.isdigit(); int() reads neither '²' nor '①', nor 5,000 digits
+    assert main(["verify", two_cell_file, "--atoms", f"Z2,{token}", "--format", "json"]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"code": "bad-request",
+                   "message": f"bad atom spec {token!r}; expected '1' or 'Z<k>'"}
+
+
 def test_snf_text(capsys):
     assert main(["snf", "--matrix", "2,2;0,4"]) == 0
     assert capsys.readouterr().out == "D=diag(2,4)\n"

@@ -57,7 +57,7 @@ def _assert_closure_matches_every_flag(s, p):
     assert {flag: perm for flag, (perm, _) in got.items()} == {
         flag: a.perm2 for flag, a in want.items()}
     for flag, (_, mat) in got.items():
-        assert mat == h1_action(p, want[flag]), flag
+        assert mat == h1_action(p, want[flag]).entries, flag
     # the definition's filter, free and H1-trivial, on the every-flag set
     ident = IntMatrix.identity(2)
     kept = sorted(a.perm2 for a in want.values()

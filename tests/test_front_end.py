@@ -12,7 +12,6 @@ per vertex across validation and classification.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,8 +20,8 @@ from hypothesis import strategies as st
 
 from krtorus.errors import InputRejected
 from krtorus.fields import grid_field, preset_field, pullback_cosine_field, random_field
-from krtorus.surface import (SurfaceField, classify_vertex, load_surface,
-                             validate_closed_orientable, vertex_classes)
+from krtorus.surface import (SurfaceField, load_surface, validate_closed_orientable,
+                             vertex_classes)
 
 import oracles
 
@@ -159,9 +158,6 @@ def assert_classes_match_oracle(s: SurfaceField) -> None:
     classes = vertex_classes(s)
     expected = oracles.vertex_classes(s.triangles, s.values)
     assert [(c.kind, c.multiplicity) for c in classes] == expected
-    # one vertex at a time, on a surface with no fans kept: the same shared instances
-    fresh = SurfaceField(s.triangles, s.values)
-    assert all(classify_vertex(fresh, v) is c for v, c in enumerate(classes))
 
 
 @pytest.mark.parametrize("name", ["two-cell", "z2-sym", "z2xz2-sym", "cyclic-height"])
@@ -189,40 +185,30 @@ def test_classes_are_shared_instances():
     assert len(set(map(id, classes))) == len(set(classes)) == 4  # min, max, regular, saddle
 
 
-def count_fan_walks(monkeypatch) -> Counter:
-    walked = Counter()
-    walk = SurfaceField.fans
-
-    def counting(self, verts=None):
-        if verts is not None:
-            verts = list(verts)
-            walked.update(verts)
-        return walk(self, verts)
-
-    monkeypatch.setattr(SurfaceField, "fans", counting)
-    return walked
-
-
 @pytest.mark.parametrize("first", ["validate", "classes"])
 def test_each_fan_is_walked_once(monkeypatch, first):
-    walked = count_fan_walks(monkeypatch)
+    results = []
+    walk = SurfaceField.fans
+
+    def recording(self):
+        results.append(walk(self))
+        return results[-1]
+
+    monkeypatch.setattr(SurfaceField, "fans", recording)
     s = preset_field("z2xz2-sym", 16)
     steps = [lambda: validate_closed_orientable(s), lambda: vertex_classes(s)]
     for step in steps if first == "validate" else steps[::-1]:
         step()
-    s.vertex_fan(7)
-    classify_vertex(s, 9)
-    assert walked == Counter(range(s.vertex_count))
+    s.fans()
+    # a walk builds a new list: every call hands back the one the first call walked
+    assert len(results) == 3 and all(f is results[0] for f in results)
+    assert len(results[0]) == s.vertex_count
 
 
-def test_vertex_fan_walks_one_vertex_of_a_surface_with_boundary(monkeypatch):
-    walked = count_fan_walks(monkeypatch)
-    s = SurfaceField(TETRA[:3], [0, 1, 2, 3])  # face (2, 3, 0) removed; vertex 1 is inside
-    assert s.vertex_fan(1) == (0, 3, 2)
-    assert classify_vertex(s, 1).kind == "regular"
+def test_fans_reject_a_surface_with_boundary():
+    s = SurfaceField(TETRA[:3], [0, 1, 2, 3])  # face (2, 3, 0) removed
     with pytest.raises(InputRejected, match=r"^boundary edge at vertex 0: the fan does not close$"):
-        s.vertex_fan(0)
-    assert walked == Counter({1: 2, 0: 1})
+        s.fans()
 
 
 def first_repeated_edge(triangles):

@@ -1,0 +1,66 @@
+"""Negation and positive affine rescaling of the field leave the analysis unchanged.
+
+The partition and its symmetries depend only on the order of the values,
+and negation reverses that order: it turns the Reeb tree upside down and
+keeps the special vertex, its cells and their symmetries. Each map must
+keep ``(n, m, r)``, the three cell counts and the group expression on
+the tree presets at grids 16 and 32 and on the pullbacks of the bench's
+``pullback-groups`` workload. Each map is first checked to be strictly
+monotone on the field's distinct values, so that two values merged by
+float rounding cannot pass as an invariance.
+"""
+from __future__ import annotations
+
+from functools import lru_cache
+
+import pytest
+
+from krtorus.fields import preset_field, pullback_cosine_field
+from krtorus.pipeline import analyze
+from krtorus.surface import SurfaceField
+
+FIELDS = {f"{name}@{grid}": (preset_field, name, grid)
+          for name in ("two-cell", "z2-sym", "z2xz2-sym") for grid in (16, 32)}
+FIELDS.update({
+    "diag(2,2)@32": (pullback_cosine_field, 32, ((2, 0), (0, 2))),
+    "diag(3,3)@48": (pullback_cosine_field, 48, ((3, 0), (0, 3))),
+    "((2,1),(-1,2))@40": (pullback_cosine_field, 40, ((2, 1), (-1, 2))),
+    "diag(4,4)@32": (pullback_cosine_field, 32, ((4, 0), (0, 4))),
+})
+
+# name -> (map, +1 if it keeps the order of values, -1 if it reverses it)
+MAPS = {
+    "-f": (lambda x: -x, -1),
+    "2f": (lambda x: 2 * x, 1),
+    "f/2+3": (lambda x: x / 2 + 3, 1),
+    "3f-1": (lambda x: 3 * x - 1, 1),
+}
+
+
+@lru_cache(maxsize=None)
+def _field(key) -> SurfaceField:
+    make, *args = FIELDS[key]
+    return make(*args)
+
+
+def _summary(s: SurfaceField) -> tuple:
+    rep = analyze(s)
+    return (tuple(rep.symmetry[k] for k in "nmr"),
+            tuple(rep.special[k] for k in ("zero_cells", "one_cells", "two_cells")),
+            rep.group["expr"])
+
+
+@lru_cache(maxsize=None)
+def _base_summary(key) -> tuple:
+    return _summary(_field(key))
+
+
+@pytest.mark.parametrize("map_name", sorted(MAPS))
+@pytest.mark.parametrize("key", sorted(FIELDS))
+def test_analysis_is_invariant(key, map_name):
+    fn, direction = MAPS[map_name]
+    s = _field(key)
+    mapped = tuple(map(fn, s.values))
+    images = [y for _, y in sorted(dict(zip(s.values, mapped)).items())]
+    assert all(direction * (b - a) > 0 for a, b in zip(images, images[1:]))
+    assert _summary(SurfaceField(s.triangles, mapped, s.coords)) == _base_summary(key)

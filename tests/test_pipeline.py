@@ -6,15 +6,13 @@ import json
 import pytest
 
 import krtorus.homology
+import krtorus.pipeline
 import krtorus.symmetry
 from krtorus.errors import InputRejected
 from krtorus.fields import pullback_cosine_field
-from krtorus.pipeline import (AnalysisReport, Atom, DirectProduct, FreeAbelian,
-                              TrivialGroup, WreathOver, analyze,
-                              build_group_expr, canonical_json,
-                              extract_disk_field, render_expr,
-                              report_group_expr, verify_extension)
-from krtorus.surface import SurfaceField, dump_surface, load_surface
+from krtorus.pipeline import (AnalysisReport, analyze, canonical_json,
+                              extract_disk_field, group_expr, verify_extension)
+from krtorus.surface import SurfaceField, dump_surface, load_surface, vertex_classes
 from krtorus.wreath import parse_atoms
 
 import oracles
@@ -48,7 +46,8 @@ def test_expressions_frozen(surface):
     for name, expr in EXPECTED_EXPR.items():
         rep = report_for(surface, name)
         assert rep.group["expr"] == expr
-        assert render_expr(report_group_expr(rep)) == expr
+        n, m, r = (rep.symmetry[k] for k in "nmr")
+        assert group_expr(r, n, n * m) == expr
 
 
 def test_symmetry_numbers(surface):
@@ -61,20 +60,14 @@ def test_symmetry_numbers(surface):
         assert len(rep.symmetry["orbit_table"]) == rep.special["two_cells"]
 
 
-def test_render_expr_cases():
-    atoms = (Atom(1, {}), Atom(2, {}))
-    prod = DirectProduct(atoms)
-    assert render_expr(WreathOver(prod, 2, 4, FreeAbelian(2))) == \
-        "(A_1 x A_2) wr[Z_2 x Z_4] Z^2"
-    assert render_expr(WreathOver(Atom(1, {}), 1, 3, FreeAbelian(2))) == \
-        "A_1 wr[Z_1 x Z_3] Z^2"
+def test_group_expr_cases():
+    assert group_expr(2, 2, 4) == "(A_1 x A_2) wr[Z_2 x Z_4] Z^2"
+    assert group_expr(1, 1, 3) == "A_1 wr[Z_1 x Z_3] Z^2"
+    assert group_expr(3, 3, 3) == "(A_1 x A_2 x A_3) wr[Z_3 x Z_3] Z^2"
     # trivial top symmetry collapses to a plain product
-    assert render_expr(build_group_expr(atoms, 1, 1)) == "(A_1 x A_2) x Z^2"
-    assert render_expr(build_group_expr((Atom(1, {}),), 1, 1)) == "A_1 x Z^2"
-    assert render_expr(build_group_expr(atoms, 2, 2)) == \
-        "(A_1 x A_2) wr[Z_2 x Z_2] Z^2"
-    assert render_expr(FreeAbelian(2)) == "Z^2"
-    assert render_expr(TrivialGroup()) == "1"
+    assert group_expr(2, 1, 1) == "(A_1 x A_2) x Z^2"
+    assert group_expr(1, 1, 1) == "A_1 x Z^2"
+    assert group_expr(2, 2, 2) == "(A_1 x A_2) wr[Z_2 x Z_2] Z^2"
 
 
 def test_json_round_trip(surface):
@@ -117,13 +110,23 @@ def test_disk_extraction(stage):
                 assert disk.surface.values[sub] == st.part.refined_values[rv]
 
 
+def interior_kinds(disk):
+    """Kinds of the disk's interior vertices, read on the closed-up disk.
+
+    The disk has a boundary, so its fans do not close. A cone over the
+    rim, one apex vertex above every value, closes it into a sphere
+    without changing any interior vertex's fan.
+    """
+    s = disk.surface
+    apex = s.vertex_count
+    rim = disk.boundary
+    cone = [(rim[k - 1], apex, rim[k]) for k in range(len(rim))]
+    closed = SurfaceField(s.triangles + tuple(cone), s.values + (max(s.values) + 1,))
+    inside = set(range(s.vertex_count)) - set(rim)
+    return [vertex_classes(closed)[v].kind for v in sorted(inside)]
+
+
 def test_disk_interiors_match_branch_kinds(stage):
-    from krtorus.surface import classify_vertex
-
-    def interior_kinds(disk):
-        inside = set(range(len(disk.source_vertices))) - set(disk.boundary)
-        return [classify_vertex(disk.surface, v).kind for v in sorted(inside)]
-
     # up disk of the plain model holds exactly one critical point, a maximum
     st = stage("two-cell")
     kinds = interior_kinds(extract_disk_field(st.part, st.table, 2))
@@ -174,20 +177,22 @@ def test_verify_extension_passes(surface):
     assert all(c["passed"] for c in data["checks"])
 
 
-def test_verify_extension_catches_corruption(surface):
+def test_verify_extension_catches_corruption(surface, monkeypatch):
     rep = report_for(surface, "z2-sym")
-    rec = verify_extension(rep, parse_atoms("Z2,Z3"), corrupt_shift=True)
+    monkeypatch.setattr(krtorus.pipeline, "WreathGroup", oracles.CorruptedWreath)
+    rec = verify_extension(rep, parse_atoms("Z2,Z3"))
     assert not rec.passed
     bad = {c.name for c in rec.checks if not c.passed}
     assert "wreath-axioms-exactness" in bad
 
 
-def test_verify_extension_catches_corruption_on_sampled_kernel(surface):
+def test_verify_extension_catches_corruption_on_sampled_kernel(surface, monkeypatch):
     # |Z3 x Z4|^(2*2) = 20736 grids: the pool holds 81 sampled grids, and the
     # identity law already fails on it; the sampled exactness branch is
     # covered by test_sampled_exact_sequence_catches_corrupted_shift
     rep = report_for(surface, "z2xz2-sym")
-    rec = verify_extension(rep, parse_atoms("Z3,Z4"), corrupt_shift=True)
+    monkeypatch.setattr(krtorus.pipeline, "WreathGroup", oracles.CorruptedWreath)
+    rec = verify_extension(rep, parse_atoms("Z3,Z4"))
     assert [c.name for c in rec.checks if not c.passed] == ["wreath-axioms-exactness"]
     assert "kernel too large" in rec.checks[2].detail
 

@@ -7,9 +7,8 @@ import pytest
 
 from krtorus.errors import InputRejected
 from krtorus.fields import grid_vertex
-from krtorus.surface import (SurfaceField, classify_vertex, dump_surface,
-                             format_scalar, load_surface, parse_scalar,
-                             validate_closed_orientable, vertex_classes)
+from krtorus.surface import (SurfaceField, dump_surface, format_scalar, load_surface,
+                             parse_scalar, validate_closed_orientable, vertex_classes)
 
 import oracles
 
@@ -71,7 +70,7 @@ def test_validate_names_a_pinched_torus_vertex(surface):
     # loses its partner, but the link of vertex 0 is now two cycles
     s0 = surface("two-cell")
     far = s0.vertex_count // 2 + 8
-    assert not set(s0.vertex_fan(0)) & set(s0.vertex_fan(far))
+    assert not set(s0.fans()[0]) & set(s0.fans()[far])
     tris = [tuple(0 if v == far else v for v in t) for t in s0.triangles]
     with pytest.raises(InputRejected) as exc:
         validate_closed_orientable(SurfaceField(tris, s0.values))
@@ -95,14 +94,14 @@ def test_validate_rejects_disconnected():
 
 def test_tetra_classification():
     s = tetra_field()
-    kinds = [classify_vertex(s, v).kind for v in range(4)]
+    kinds = [c.kind for c in vertex_classes(s)]
     assert kinds == ["minimum", "regular", "regular", "maximum"]
     assert total_index(s) == 2
 
 
 def test_fan_is_cyclic(surface):
     s = surface("two-cell")
-    fan = s.vertex_fan(grid_vertex(16, 5, 7))
+    fan = s.fans()[grid_vertex(16, 5, 7)]
     assert len(fan) == 6
     assert len(set(fan)) == 6
     edges = oracles.surface_edges(s.triangles)
@@ -133,8 +132,8 @@ def test_total_index_matches_chi(surface, twin_peaks):
 def test_ties_break_by_vertex_id():
     # equal values: the higher index counts as higher, so v3 is the unique max
     s = tetra_field((0, 1, 3, 3))
-    assert classify_vertex(s, 2).kind == "regular"
-    assert classify_vertex(s, 3).kind == "maximum"
+    assert vertex_classes(s)[2].kind == "regular"
+    assert vertex_classes(s)[3].kind == "maximum"
 
 
 def test_scalar_round_trip():

@@ -13,11 +13,14 @@ import io
 
 import pytest
 
+import krtorus.pipeline
 from krtorus.cli import main
 from krtorus.fields import preset_field
 from krtorus.pipeline import analyze, verify_extension
 from krtorus.surface import dump_surface
 from krtorus.wreath import CyclicGroup
+
+import oracles
 
 # (preset at grid 16, atoms) -> sha256 of the stdout bytes
 VERIFY_DIGESTS = {
@@ -43,9 +46,10 @@ def test_verify_json_bytes(name, atoms, tmp_path):
         VERIFY_DIGESTS[(name, atoms)]
 
 
-def test_corrupted_shift_detail(surface):
+def test_corrupted_shift_detail(surface, monkeypatch):
     rep = analyze(surface("z2-sym"))
-    rec = verify_extension(rep, (CyclicGroup(2), CyclicGroup(2)), corrupt_shift=True)
+    monkeypatch.setattr(krtorus.pipeline, "WreathGroup", oracles.CorruptedWreath)
+    rec = verify_extension(rep, (CyclicGroup(2), CyclicGroup(2)))
     assert [(c.name, c.passed, c.detail) for c in rec.checks] == [
         ("wreath-axioms-exactness", False,
          "identity law e*x = x fails at x = ((0, 0), (0, 1); (-1,-1))"),

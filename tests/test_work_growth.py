@@ -18,7 +18,9 @@ import pytest
 import krtorus
 from krtorus.fields import PRESET_NAMES, preset_field, pullback_cosine_field, random_field
 from krtorus.partition import build_partition
+from krtorus.pipeline import extract_disk_field
 from krtorus.reeb import compute_reeb, find_special_vertex
+from krtorus.surface import validate_closed_orientable
 from krtorus.symmetry import enumerate_symmetries, group_structure, index_orbits
 
 PACKAGE = str(Path(krtorus.__file__).resolve().parent)
@@ -44,8 +46,8 @@ def line_events(fn, *args) -> int:
     return count
 
 
-def growth(make, sizes=(16, 32, 64)) -> list[float]:
-    counts = [line_events(compute_reeb, make(n)) for n in sizes]
+def growth(make, sizes=(16, 32, 64), stage=compute_reeb) -> list[float]:
+    counts = [line_events(stage, make(n)) for n in sizes]
     return [b / a for a, b in zip(counts, counts[1:])]
 
 
@@ -73,6 +75,7 @@ def _diag(k: int, grid: int):
 
 
 STAGE_ARGS = {
+    find_special_vertex: lambda s, g, v, p, els, sg: (g,),
     build_partition: lambda s, g, v, p, els, sg: (s, g, v),
     enumerate_symmetries: lambda s, g, v, p, els, sg: (s, p),
     group_structure: lambda s, g, v, p, els, sg: (els,),
@@ -111,3 +114,33 @@ def test_partition_grows_linearly():
     # diag(k,k)@4k, k = 4, 8, 16 (order 16, 64, 256): x4.0 and x4.0. The
     # all-pairs branch scans grew x4.4 and x5.4
     assert max(stage_growth(build_partition, (4, 8, 16), 4)) <= 5
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_validate_grows_linearly(name):
+    # x3.99 and x4.00 on each preset
+    assert max(growth(lambda n: preset_field(name, n), stage=validate_closed_orientable)) <= 5
+
+
+def test_special_vertex_grows_linearly():
+    # the preset graphs keep their size as the grid grows, so the pullbacks
+    # diag(k,k)@8k, k = 2, 4, 8 (9, 33, 129 nodes): x3.71 and x3.92
+    assert max(stage_growth(find_special_vertex, (2, 4, 8), 8)) <= 5
+
+
+def _every_disk(p, table, r):
+    for i in range(1, r + 1):
+        extract_disk_field(p, table, i)
+
+
+@pytest.mark.parametrize("name", ("two-cell", "z2-sym", "z2xz2-sym"))
+def test_disks_grow_linearly(name):
+    # every orbit's disk of the tree presets at 16, 32 and 64: x2.5-3.2
+    def stage_inputs(n):
+        s = preset_field(name, n)
+        g = compute_reeb(s)
+        p = build_partition(s, g, find_special_vertex(g))
+        return (p, *index_orbits(group_structure(enumerate_symmetries(s, p)), p))
+
+    counts = [line_events(_every_disk, *stage_inputs(n)) for n in (16, 32, 64)]
+    assert max(b / a for a, b in zip(counts, counts[1:])) <= 5

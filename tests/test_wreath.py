@@ -10,10 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krtorus.errors import InputRejected
-from krtorus.wreath import (BaseGroup, CyclicGroup, DirectProductGroup, WreathElement,
-                            WreathGroup, check_exact_sequence, check_group_axioms,
-                            corrupted_wreath, distinct_ranks, parse_atoms,
-                            pointwise_product, tau_reindex)
+from krtorus.wreath import (CyclicGroup, DirectProductGroup, WreathElement, WreathGroup,
+                            check_exact_sequence, check_group_axioms, distinct_ranks,
+                            parse_atoms, pointwise_product, tau_reindex)
 
 
 def small_pool(wg, shifts=(-1, 0, 1)):
@@ -53,7 +52,7 @@ def test_shift_action_matches_cell_formula(case):
     wg = WreathGroup(CyclicGroup(rows * cols), rows, cols)
     assert wg.shift_action(grid, shift) == oracles.shift_cells(grid, shift)
     # the corrupted engine moves y by one column more than x.shift says
-    bad = corrupted_wreath(wg.base, rows, cols)
+    bad = oracles.CorruptedWreath(wg.base, rows, cols)
     x = bad.element(bad.identity().grid, shift)
     moved = bad.multiply(x, bad.element(grid)).grid
     assert moved == oracles.shift_cells(grid, (shift[0], shift[1] + 1))
@@ -120,35 +119,32 @@ def test_axioms_sampled_large():
 
 
 def test_corrupted_engine_fails_axioms():
-    wg = corrupted_wreath(CyclicGroup(2), 1, 2)
+    wg = oracles.CorruptedWreath(CyclicGroup(2), 1, 2)
     msg = check_group_axioms(wg, small_pool(wg))
     assert msg is not None and "law" in msg
 
 
 def test_corrupted_engine_invisible_on_single_cell():
     # a 1 x 1 grid cannot see a column shift: the control needs cols > 1
-    wg = corrupted_wreath(CyclicGroup(2), 1, 1)
+    wg = oracles.CorruptedWreath(CyclicGroup(2), 1, 1)
     assert check_group_axioms(wg, small_pool(wg)) is None
 
 
-def cubic_wreath(base: BaseGroup, rows: int, cols: int) -> WreathGroup:
+class CubicWreath(WreathGroup):
     """Translates by (k, l + k**3): identity and inverse laws hold, associativity not.
 
     Composing the moves for shifts k1 and k2 translates the columns by
     k1**3 + k2**3, not (k1 + k2)**3, so the action is no homomorphism
     once cols does not divide 3*k1*k2*(k1 + k2).
     """
-    reference = WreathGroup(base, rows, cols)
 
-    def rule(grid, shift):
+    def shift_action(self, grid, shift):
         k, l = shift
-        return reference.shift_action(grid, (k, l + k ** 3))
-
-    return WreathGroup(base, rows, cols, shift_rule=rule)
+        return super().shift_action(grid, (k, l + k ** 3))
 
 
 WINDOW = list(itertools.product((-1, 0, 1), repeat=2))
-ENGINES = {"correct": WreathGroup, "corrupted": corrupted_wreath, "cubic": cubic_wreath}
+ENGINES = {"correct": WreathGroup, "corrupted": oracles.CorruptedWreath, "cubic": CubicWreath}
 
 
 def _both_routes(wg, pool, seed=20260819, **kw):
@@ -310,7 +306,7 @@ def test_distinct_ranks():
 
 def test_sampled_exact_sequence_catches_corrupted_shift():
     # 12^4 = 20736 grids, over KERNEL_ENUM_LIMIT: 400 distinct ranks and 400 pairs drawn
-    wg = corrupted_wreath(DirectProductGroup((CyclicGroup(3), CyclicGroup(4))), 2, 2)
+    wg = oracles.CorruptedWreath(DirectProductGroup((CyclicGroup(3), CyclicGroup(4))), 2, 2)
     assert check_exact_sequence(wg, rng=random.Random(20260819)) == \
         "sigma is not a homomorphism under the installed shift action"
     good = WreathGroup(wg.base, 2, 2)
@@ -341,7 +337,7 @@ def test_one_wrong_cell_product_breaks_homomorphism(base, rows, cols, pair, seed
 
 def test_exact_sequence_good_and_bad():
     assert check_exact_sequence(WreathGroup(CyclicGroup(3), 1, 2)) is None
-    msg = check_exact_sequence(corrupted_wreath(CyclicGroup(3), 1, 2))
+    msg = check_exact_sequence(oracles.CorruptedWreath(CyclicGroup(3), 1, 2))
     assert msg is not None
 
 
