@@ -22,8 +22,8 @@ from .surface import (SurfaceField, VertexClass, dump_surface, load_surface,
                       validate_closed_orientable, vertex_classes)
 from .symmetry import (CellAutomorphism, SymmetryGroup, enumerate_symmetries,
                        group_structure, index_orbits)
-from .wreath import (BaseGroup, CyclicGroup, DirectProductGroup, WreathElement,
-                     WreathGroup, check_exact_sequence, check_group_axioms,
-                     parse_atoms, tau_reindex)
+from .wreath import (CyclicGroup, DirectProductGroup, WreathElement, WreathGroup,
+                     check_exact_sequence, check_group_axioms, parse_atoms,
+                     tau_reindex)
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from .fields import PRESET_NAMES, preset_field
 from .homology import IntMatrix, smith_normal_form
 from .pipeline import _scalar_json, analyze, canonical_json, verify_extension
 from .reeb import compute_reeb, is_tree, reeb_to_dot
-from .surface import dump_surface, load_surface, validate_closed_orientable
+from .surface import dump_surface, format_scalar, load_surface, validate_closed_orientable
 from .wreath import parse_atoms
 
 
@@ -140,7 +140,7 @@ def _run(args, stdout) -> int:
             lines = [f"nodes={len(g.nodes)} edges={len(g.edges)} "
                      f"is_tree={'true' if is_tree(g) else 'false'}"]
             for n in g.nodes:
-                lines.append(f"node {n.id}: level={_scalar_json(n.level)} "
+                lines.append(f"node {n.id}: level={format_scalar(n.level)} "
                              f"kinds={','.join(n.kinds)}")
             for e in g.edges:
                 lines.append(f"edge {e.id}: {e.lower}--{e.upper}")

@@ -17,7 +17,7 @@ from itertools import chain, compress, count
 from .errors import InputRejected, InternalInvariantError
 from .partition import CellPartition, build_partition
 from .reeb import _UnionFind, branch_euler, compute_reeb, find_special_vertex
-from .surface import SurfaceField, dump_surface, validate_closed_orientable
+from .surface import SurfaceField, dump_surface, format_scalar, validate_closed_orientable
 from .symmetry import enumerate_symmetries, group_structure, index_orbits
 from .wreath import (KERNEL_ENUM_LIMIT, DirectProductGroup, WreathElement, WreathGroup,
                      check_exact_sequence, check_group_axioms, distinct_ranks)
@@ -38,9 +38,7 @@ def group_expr(r: int, n: int, nm: int) -> str:
 # ------------------------------------------------------------------ report
 
 def _scalar_json(x):
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    return x
+    return format_scalar(x) if isinstance(x, Fraction) else x
 
 
 def _sig_node_json(node) -> dict:
@@ -311,11 +309,14 @@ def verify_extension(report: AnalysisReport, atoms) -> VerificationRecord:
                             f"report has {r} disk orbits, got {len(atoms)} atom groups")
     base = DirectProductGroup(atoms)
     wg = WreathGroup(base, n, nm)
+    kernel = wg.kernel_size()
+    if kernel >= 10 ** 4000:  # past int's 4,300-digit str() limit, so never formatted
+        raise InputRejected("bad-request",
+                            "atom orders give a kernel of 10^4000 grids or more")
     rng = random.Random(20260819)
     checks = []
 
     window = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
-    kernel = wg.kernel_size()
     # each grid is decoded and shape-checked once, then paired with every shift
     grids = [wg.element(wg.grid_at(rank)).grid for rank in distinct_ranks(rng, kernel, 81)]
     pool = [WreathElement(grid, sh) for grid in grids for sh in window]

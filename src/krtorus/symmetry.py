@@ -39,14 +39,13 @@ with trace 2, which is the identity.
 
 The group stage names each symmetry by its image of 2-cell 0. The
 action on 2-cells is free, so one cell is a base (Seress, Permutation
-Group Algorithms, ch. 4) and distinct symmetries have distinct names;
-group_structure checks that they do, and composes 2-cell permutations
-only on the Cayley edges to prove the set closed.
+Group Algorithms, ch. 4) and distinct symmetries have distinct names.
+group_structure presents the group on the generator pair that element
+orders select, composing whole permutations only on its Cayley edges.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm, prod
 
 from .errors import InternalInvariantError
 from .homology import IntMatrix, cokernel_invariants, h1_action
@@ -234,26 +233,24 @@ class SymmetryGroup:
 
 
 def group_structure(elements) -> SymmetryGroup:
-    """Invariant factors (n, nm) by two routes, plus canonical generators.
+    """Invariant factors (n, nm) by two routes on one canonical generator pair.
 
-    Route one: Smith form of the Cayley-graph presentation on greedy
-    generators. An element is a generator when the earlier generators do
-    not span it. A breadth-first spanning tree of the Cayley graph on
-    those generators gives every element a word in Z^s, and each
-    non-tree edge (x, g_t) the relation word(x) + e_t - word(x g_t)
-    (Schreier); zero and repeated relations are dropped, as they leave
-    the lattice unchanged. Route two: element orders (the exponent is
-    nm, the order forces n). Disagreement is an internal error.
+    Route one: element orders. The exponent is nm and n = k / nm; M
+    (gen_m) is the first element of order nm, L (gen_l) the first of
+    order n whose powers meet <M> only in the identity. Route two: the
+    Smith form of the Cayley-graph presentation on (L, M). A
+    breadth-first spanning tree gives every element a word in Z^2, and
+    each non-tree edge (x, g_t) the relation word(x) + e_t - word(x g_t)
+    (Schreier); zero and repeated relations are dropped.
 
     Each element, a 2-cell permutation, is named by its image of 2-cell
     0. On a free action the names are distinct (if a and b shared one,
     b^-1 a would fix 2-cell 0), and that is checked. a b is the element
     named a[name of b], and the cycle of 2-cell 0 under a names the
-    powers of a. Permutations are composed whole only on the Cayley
-    edges (x, g_t), k*s compositions: the identity is in the set, every
-    x g_t lands in it and the walk reaches every element, so
-    a b = a g_1 ... g_j lies in the set. The g_t then generate the
-    group, so it is abelian when they commute pairwise.
+    powers of a. Permutations are composed whole only on the 2k Cayley
+    edges: the identity is in the set, every x g_t lands in it and the
+    walk reaches every element, so a b = a g_1 ... g_j lies in the set
+    and L, M generate it; it is abelian when L M = M L.
     """
     k = len(elements)
     if elements[0] != tuple(range(len(elements[0]))):
@@ -280,18 +277,20 @@ def group_structure(elements) -> SymmetryGroup:
             cell = a[cell]
         powers.append(cyc)
 
-    gens = []
-    span = {0}
-    for i in range(k):
-        if i not in span:
-            gens.append(i)
-            span = {mul(x, y) for x in span for y in powers[i]}
-    s = len(gens)
-    word = {0: (0,) * s}
+    orders = [len(cyc) for cyc in powers]
+    exponent = max(orders)  # the lcm of the orders once the group is shown abelian
+    m_idx = orders.index(exponent)
+    m_cyc = set(powers[m_idx])
+    l_idx = next((i for i in range(k)
+                  if orders[i] == k // exponent and m_cyc.isdisjoint(powers[i][1:])), None)
+    if l_idx is None:
+        raise InternalInvariantError("no order-n complement to the maximal cyclic factor")
+
+    word = {0: (0, 0)}
     queue = [0]
     relations = set()
     for x in queue:
-        for t, g in enumerate(gens):
+        for t, g in enumerate((l_idx, m_idx)):
             xg = tuple(map(elements[x].__getitem__, elements[g]))
             y = named(xg[0])
             if xg != elements[y]:
@@ -304,41 +303,19 @@ def group_structure(elements) -> SymmetryGroup:
                 relations.add(tuple(a - b for a, b in zip(w, word[y])))
     if len(word) != k:
         raise InternalInvariantError(
-            f"Cayley graph on {s} generators reaches {len(word)} of {k} elements")
-    if any(mul(g, h) != mul(h, g) for t, g in enumerate(gens) for h in gens[t + 1:]):
+            f"Cayley graph on 2 generators reaches {len(word)} of {k} elements")
+    if mul(l_idx, m_idx) != mul(m_idx, l_idx):
         raise InternalInvariantError("symmetry group is not abelian")
     cols = sorted(relations)
-    rel = IntMatrix.from_rows([[c[t] for c in cols] for t in range(s)], cols=len(cols))
+    rel = IntMatrix.from_rows([[c[t] for c in cols] for t in (0, 1)], cols=len(cols))
     inv = cokernel_invariants(rel)
     if inv.free_rank:
         raise InternalInvariantError("finite symmetry group presented an infinite lattice")
-    order = prod(inv.factors)
-    if order != k:
-        raise InternalInvariantError(f"presentation gives order {order} for {k} elements")
-    try:
-        n, nm = inv.pair_nm()
-    except ValueError as exc:
-        raise InternalInvariantError(f"more than two invariant factors: {exc}")
-
-    orders = [len(cyc) for cyc in powers]
-    exponent = lcm(*orders)
+    n, nm = inv.pair_nm()
     if exponent != nm or n * nm != k:
         raise InternalInvariantError(
             f"element orders give ({k // exponent}, {exponent}), "
             f"Smith form gives ({n}, {nm})")
-
-    m_idx = orders.index(nm)
-    if n == 1:
-        l_idx = 0
-    else:
-        m_cyc = set(powers[m_idx])
-        l_idx = next((i for i in range(k)
-                      if orders[i] == n and m_cyc.isdisjoint(powers[i][1:])), None)
-        if l_idx is None:
-            raise InternalInvariantError("no order-n complement to the maximal cyclic factor")
-        span = {mul(a, b) for a in powers[l_idx] for b in m_cyc}
-        if len(span) != k:
-            raise InternalInvariantError("chosen generators do not span the group")
     return SymmetryGroup(tuple(elements), n, nm, l_idx, m_idx)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from abc import ABC, abstractmethod
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -19,35 +18,7 @@ from .errors import InputRejected
 call = getattr(operator, "call", lambda f, *args: f(*args))  # operator.call: Python 3.11+
 
 
-class BaseGroup(ABC):
-    """Finite group with hashable elements."""
-
-    @property
-    @abstractmethod
-    def identity(self): ...
-
-    @abstractmethod
-    def op(self, a, b): ...
-
-    @abstractmethod
-    def inv(self, a): ...
-
-    @abstractmethod
-    def elements(self): ...
-
-    @abstractmethod
-    def element_at(self, rank: int):
-        """The element at position rank of elements()."""
-
-    @property
-    @abstractmethod
-    def order(self) -> int: ...
-
-    @abstractmethod
-    def describe(self) -> str: ...
-
-
-class CyclicGroup(BaseGroup):
+class CyclicGroup:
     def __init__(self, k: int):
         if not isinstance(k, int) or k < 1:
             raise ValueError(f"cyclic group order must be a positive integer, got {k!r}")
@@ -80,7 +51,7 @@ class CyclicGroup(BaseGroup):
         return f"CyclicGroup({self.k})"
 
 
-class DirectProductGroup(BaseGroup):
+class DirectProductGroup:
     """Componentwise product; elements are tuples, one slot per factor."""
 
     def __init__(self, factors):
@@ -149,12 +120,14 @@ class WreathElement:
 class WreathGroup:
     """Engine for one fixed base group and grid shape.
 
-    multiply and inverse move every grid through shift_action, so a
-    subclass that overrides it installs another action everywhere; the
-    tests install deliberately wrong ones as negative controls.
+    The base, a finite group with hashable elements, provides identity,
+    op, inv, elements(), element_at(rank), order and describe(). multiply
+    and inverse move every grid through shift_action, so a subclass that
+    overrides it installs another action everywhere; the tests install
+    deliberately wrong ones as negative controls.
     """
 
-    def __init__(self, base: BaseGroup, rows: int, cols: int):
+    def __init__(self, base, rows: int, cols: int):
         if rows < 1 or cols < 1:
             raise ValueError("grid shape must be at least 1 x 1")
         self.base = base
@@ -242,7 +215,7 @@ def distinct_ranks(rng, size: int, count: int) -> list:
     return list(picked)
 
 
-def pointwise_product(base: BaseGroup, g1, g2):
+def pointwise_product(base, g1, g2):
     return tuple(tuple(map(base.op, r1, r2)) for r1, r2 in zip(g1, g2))
 
 

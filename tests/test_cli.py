@@ -129,6 +129,28 @@ def test_verify_large_atoms(tmp_path, capsys):
     assert data["passed"] is True
 
 
+@pytest.fixture(scope="module")
+def z2_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fields") / "z2-sym.tf"
+    path.write_text(dump_surface(preset_field("z2-sym")))
+    return str(path)
+
+
+def test_verify_rejects_a_kernel_past_int_str_limit(z2_file, capsys):
+    # |Z(10^2200 - 1) x Z2|^2 has 4,401 digits, past what str(int) prints
+    atoms = f"Z{'9' * 2200},Z2"
+    assert main(["verify", z2_file, "--atoms", atoms, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "bad-request"
+
+
+def test_verify_huge_kernel_below_the_limit(z2_file, capsys):
+    # |Z(10^1200 - 1) x Z2|^2 has 2,401 digits: sampled and reported in full
+    atoms = f"Z{'9' * 1200},Z2"
+    assert main(["verify", z2_file, "--atoms", atoms, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["passed"] is True and all(c["passed"] for c in data["checks"])
+
+
 def test_verify_wrong_atom_count(two_cell_file, capsys):
     assert main(["verify", two_cell_file, "--atoms", "Z2"]) == 1
     assert "bad-request" in capsys.readouterr().err

@@ -1,21 +1,24 @@
-"""Negation and positive affine rescaling of the field leave the analysis unchanged.
+"""Negation, positive affine rescaling and lattice translation leave the analysis unchanged.
 
 The partition and its symmetries depend only on the order of the values,
 and negation reverses that order: it turns the Reeb tree upside down and
-keeps the special vertex, its cells and their symmetries. Each map must
+keeps the special vertex, its cells and their symmetries. A lattice
+translation f(i + di, j + dj) is a simplicial automorphism of the grid
+torus, so it relabels the cells and keeps everything else. Each map must
 keep ``(n, m, r)``, the three cell counts and the group expression on
 the tree presets at grids 16 and 32 and on the pullbacks of the bench's
-``pullback-groups`` workload. Each map is first checked to be strictly
-monotone on the field's distinct values, so that two values merged by
-float rounding cannot pass as an invariance.
+``pullback-groups`` workload. Each value map is first checked to be
+strictly monotone on the field's distinct values, so that two values
+merged by float rounding cannot pass as an invariance.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import pytest
 
-from krtorus.fields import preset_field, pullback_cosine_field
+from krtorus.fields import grid_field, grid_vertex, preset_field, pullback_cosine_field
 from krtorus.pipeline import analyze
 from krtorus.surface import SurfaceField
 
@@ -34,6 +37,16 @@ MAPS = {
     "2f": (lambda x: 2 * x, 1),
     "f/2+3": (lambda x: x / 2 + 3, 1),
     "3f-1": (lambda x: 3 * x - 1, 1),
+}
+
+# name -> the shift (di, dj) on an N x N grid
+SHIFTS = {
+    "(1,0)": lambda n: (1, 0),
+    "(0,1)": lambda n: (0, 1),
+    "(3,5)": lambda n: (3, 5),
+    "(7,2)": lambda n: (7, 2),
+    "(N/2,N/4)": lambda n: (n // 2, n // 4),
+    "(N-1,N-1)": lambda n: (n - 1, n - 1),
 }
 
 
@@ -64,3 +77,13 @@ def test_analysis_is_invariant(key, map_name):
     images = [y for _, y in sorted(dict(zip(s.values, mapped)).items())]
     assert all(direction * (b - a) > 0 for a, b in zip(images, images[1:]))
     assert _summary(SurfaceField(s.triangles, mapped, s.coords)) == _base_summary(key)
+
+
+@pytest.mark.parametrize("shift", sorted(SHIFTS))
+@pytest.mark.parametrize("key", sorted(FIELDS))
+def test_analysis_is_translation_invariant(key, shift):
+    s = _field(key)
+    n = math.isqrt(len(s.values))
+    di, dj = SHIFTS[shift](n)
+    moved = grid_field(n, lambda i, j: s.values[grid_vertex(n, i + di, j + dj)])
+    assert _summary(moved) == _base_summary(key)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
@@ -228,7 +229,7 @@ def test_presentation_matches_cayley_table(monkeypatch, a, b):
     seen = _record_presentations(monkeypatch)
     sg = group_structure(els)
     assert (sg.n, sg.nm) == (a, b)
-    (_, inv), = seen
+    (m, inv), = seen
     mul = _table(els)
     assert inv.factors == _table_factors(mul)
     # the generators fix the orbit table: gen_m is the first element of
@@ -237,6 +238,11 @@ def test_presentation_matches_cayley_table(monkeypatch, a, b):
     assert sg.gen_m == min(i for i, p in enumerate(powers) if len(p) == b)
     assert len(powers[sg.gen_l]) == a
     assert set(powers[sg.gen_l]) & set(powers[sg.gen_m]) == {0}
+    # the presentation is on (gen_l, gen_m): every relation column (x, y)
+    # has L^x M^y equal to the identity
+    pl, pm = powers[sg.gen_l], powers[sg.gen_m]
+    assert m.shape[0] == 2
+    assert all(mul[pl[x % a]][pm[y % b]] == 0 for x, y in zip(*m.entries))
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -245,7 +251,8 @@ def test_pool_presentation_matches_cayley_table(monkeypatch, stage, name):
     seen = _record_presentations(monkeypatch)
     sg = group_structure(els)
     assert (sg.n, sg.m) == (EXPECTED[name]["n"], EXPECTED[name]["m"])
-    (_, inv), = seen
+    (m, inv), = seen
+    assert m.shape[0] == 2
     assert inv.factors == _table_factors(_table(els))
 
 
@@ -256,7 +263,7 @@ def test_presentation_size_is_linear_in_the_order(monkeypatch):
     group_structure(els)
     (m, _), = seen
     rows, cols = m.shape
-    assert rows <= 3 and cols <= 3 * len(els)
+    assert rows == 2 and cols <= 3 * len(els)
 
 
 def test_dropped_relation_is_caught(monkeypatch):
@@ -278,6 +285,23 @@ def test_element_orders_catch_a_wrong_split(monkeypatch):
     with pytest.raises(InternalInvariantError,
                        match=r"element orders give \(8, 8\), Smith form gives \(4, 16\)"):
         group_structure(regular_representation(8, 8))
+
+
+def test_non_abelian_group_is_caught():
+    # S3 acting on itself: a 3-cycle and a swap generate it but do not commute
+    s3 = sorted(permutations(range(3)))
+    at = {p: i for i, p in enumerate(s3)}
+    els = tuple(sorted(tuple(at[tuple(g[h[c]] for c in range(3))] for h in s3) for g in s3))
+    with pytest.raises(InternalInvariantError, match="symmetry group is not abelian"):
+        group_structure(els)
+
+
+def test_three_invariant_factors_are_caught():
+    # Z2^3 has exponent 2, so n would be 4, and no element has order 4
+    els = tuple(sorted(tuple(c ^ x for c in range(8)) for x in range(8)))
+    with pytest.raises(InternalInvariantError,
+                       match="no order-n complement to the maximal cyclic factor"):
+        group_structure(els)
 
 
 def test_missing_product_is_caught():
