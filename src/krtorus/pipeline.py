@@ -110,10 +110,16 @@ def extract_disk_field(p: CellPartition, orbit_table, i: int) -> DiskField:
     two walk vertices stay cut, so each walk visit gets its own copy of
     u. Disk vertices are numbered in order of their first corner.
 
-    The edges at walk vertices must each have one region triangle on
-    either side, and the cut must be a disk (Euler characteristic 1)
-    whose rim is one simple cycle and, read back in refined vertices, a
-    rotation of the cell's walk.
+    The cut is checked at its walk alone. Each edge at a walk vertex must
+    have one region triangle on either side. Then a disk dart with an end
+    x off the walk has its reverse in the disk: every triangle around x
+    is in the region, and a walk corner across an edge from x is glued to
+    its twin on the other side. Disk darts are distinct: a disk vertex
+    has one refined source, so two equal ones would be one refined dart
+    in two triangles. So the rim is the walk-to-walk darts (none may
+    repeat) without a reverse, the F triangles have (3F + |rim|) / 2
+    edges, and the disk must have Euler characteristic 1 and a rim that
+    is one simple cycle and, in refined vertices, a rotation of the walk.
     """
     table = [tuple(t) for t in orbit_table]
     r = max(t[0] for t in table)
@@ -130,10 +136,13 @@ def extract_disk_field(p: CellPartition, orbit_table, i: int) -> DiskField:
     at_walk = list(compress(range(len(corners)), map(walkset.__contains__, corners)))
     after: dict[tuple[int, int], int] = {}
     before: dict[tuple[int, int], int] = {}
+    inner = []  # walk corners whose next corner is at the walk too
     for n, k in enumerate(at_walk):
         j = k - k % 3
         u, x, y = corners[k], corners[j + (k + 1) % 3], corners[j + (k + 2) % 3]
-        if x not in walkset and after.setdefault((u, x), n) != n:
+        if x in walkset:
+            inner.append(k)
+        elif after.setdefault((u, x), n) != n:
             raise InternalInvariantError(
                 f"directed edge {u}->{x} repeats in cut cell {rep}")
         if y not in walkset and before.setdefault((y, u), n) != n:
@@ -157,25 +166,26 @@ def extract_disk_field(p: CellPartition, orbit_table, i: int) -> DiskField:
     sources = [key if key >= 0 else walk_vertex[~key] for key in number]
     numbered = map(number.__getitem__, corners)
     tris = list(zip(numbered, numbered, numbered))
-    del corners  # three entries per triangle; the checks below build their own
+    del corners  # three entries per triangle
     values = [p.refined_values[u] for u in sources]
     coords = ([p.refined_coords[u] for u in sources]
               if p.refined_coords is not None else None)
     sub = SurfaceField(tris, values, coords)
 
-    # the cut must be an honest closed disk; interior edges appear in
-    # both directions, rim edges in one
-    directed = {(u, w) for a, b, c in tris for u, w in ((a, b), (b, c), (c, a))}
-    rim = [(u, w) for u, w in directed if (w, u) not in directed]
-    if len(sources) - (len(directed) + len(rim)) // 2 + len(tris) != 1:
+    darts: dict[tuple[int, int], int] = {}
+    for k in inner:
+        a, b = tris[k // 3][k % 3], tris[k // 3][(k + 1) % 3]
+        if darts.setdefault((a, b), k) != k:
+            raise InternalInvariantError(
+                f"directed edge {sources[a]}->{sources[b]} repeats in cut cell {rep}")
+    rim = [(u, w) for u, w in darts if (w, u) not in darts]
+    if len(sources) - (3 * len(tris) + len(rim)) // 2 + len(tris) != 1:
         raise InternalInvariantError(f"cut cell {rep} is not a disk")
 
     # boundary cycle of the cut mesh, disk kept on the left
-    step = {}
-    for u, w in rim:
-        if u in step:
-            raise InternalInvariantError("cut boundary is not a simple cycle")
-        step[u] = w
+    step = dict(rim)
+    if len(step) != len(rim):
+        raise InternalInvariantError("cut boundary is not a simple cycle")
     start = min(step)
     cycle = [start]
     cur = step[start]
@@ -190,8 +200,8 @@ def extract_disk_field(p: CellPartition, orbit_table, i: int) -> DiskField:
     # same walk as on the torus, up to a rotation
     walk = [sources[x] for x in cycle]
     original = list(cell.boundary_vertices)
-    if len(walk) != len(original) or \
-            not any(walk == original[k:] + original[:k] for k in range(len(original))):
+    if len(walk) != len(original) or not any(
+            walk == original[k:] + original[:k] for k, u in enumerate(original) if u == walk[0]):
         raise InternalInvariantError("cut boundary disagrees with the cell walk")
 
     return DiskField(sub, tuple(cycle), tuple(sources), rep)

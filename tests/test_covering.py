@@ -9,8 +9,11 @@ cells, and the deck group Z^2 / AZ^2 acts freely on them in two orbits:
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krtorus.pipeline import analyze
 from krtorus.surface import SurfaceField
@@ -60,11 +63,16 @@ _rng = random.Random(13)
 LEFT_FACTOR_CASES = [(mat, _left_factor(_rng, mat)) for mat in _matrices()[:8]]
 
 
-def _group_summary(mat):
-    report = analyze(SurfaceField(*oracles.covering_field(BASE, mat)))
+def _summary(s):
+    report = analyze(s)
     sym = report.symmetry
-    return ((sym["n"], sym["m"], sym["r"]), sym["order"],
-            report.special["two_cells"], report.group["expr"])
+    cells = tuple(report.special[k] for k in ("zero_cells", "one_cells", "two_cells"))
+    return (sym["n"], sym["m"], sym["r"]), sym["order"], cells, report.group["expr"]
+
+
+@lru_cache(maxsize=None)
+def _group_summary(mat):
+    return _summary(SurfaceField(*oracles.covering_field(BASE, mat)))
 
 
 def test_covering_field_is_a_torus_of_the_right_size():
@@ -98,3 +106,16 @@ def test_unimodular_left_factor_keeps_the_group(mat, u):
     ua = _product(u, mat)
     assert ua != mat
     assert _group_summary(ua) == _group_summary(mat)
+
+
+@pytest.mark.parametrize("mat", _matrices()[:8], ids=str)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_triangle_rotation_and_order_keep_the_group(mat, seed):
+    # renumbering the triangles renumbers the cells, their orbits and the
+    # corners of every disk cut, so each disk is checked afresh at its walk
+    tris, values = oracles.covering_field(BASE, mat)
+    rng = random.Random(seed)
+    tris = [tri[k:] + tri[:k] for tri in tris for k in [rng.randrange(3)]]
+    rng.shuffle(tris)
+    assert _summary(SurfaceField(tris, values)) == _group_summary(mat)

@@ -90,6 +90,71 @@ def test_cell_with_reversed_walk_is_rejected(stage):
         extract_disk_field(broken, st.table, 2)
 
 
+def test_cell_with_a_stray_triangle_off_the_walk_is_rejected(stage):
+    # a triangle of the other cell that meets no vertex of this one: every
+    # walk-to-walk dart is as before, so only the count of 3F darts sees it
+    st = stage("two-cell")
+    rep = _representative(st.table, 1)
+    cell = st.part.two_cells[rep]
+    mine = {u for ti in cell.refined_triangles for u in st.part.refined_triangles[ti]}
+    stray = next(ti for ti in st.part.two_cells[1 - rep].refined_triangles
+                 if mine.isdisjoint(st.part.refined_triangles[ti]))
+    broken = _with_cell(st.part, rep, refined_triangles=(*cell.refined_triangles, stray))
+    with pytest.raises(InternalInvariantError, match="is not a disk"):
+        extract_disk_field(broken, st.table, 1)
+
+
+@pytest.mark.parametrize("name", ["two-cell", "z2xz2-sym"])
+def test_cell_walk_through_its_interior_is_rejected(stage, name):
+    # the walk detours u1 -> x -> u2 around its rim triangle (u1, u2, x),
+    # so the corners at u1, u2 and x are cut apart along u1-x and x-u2:
+    # the triangle comes off as a second piece, seen by the rim darts alone
+    st = stage(name)
+    rep = _representative(st.table, 1)
+    cell = st.part.two_cells[rep]
+    walk = cell.boundary_vertices
+    left = {}  # directed edge -> the third vertex of the region triangle left of it
+    for ti in cell.refined_triangles:
+        a, b, c = st.part.refined_triangles[ti]
+        left.update({(a, b): c, (b, c): a, (c, a): b})
+    k = next(k for k in range(len(walk)) if left[walk[k - 1], walk[k]] not in walk)
+    x = left[walk[k - 1], walk[k]]
+    broken = _with_cell(st.part, rep, boundary_vertices=(*walk[:k], x, *walk[k:]))
+    with pytest.raises(InternalInvariantError, match="is not a disk"):
+        extract_disk_field(broken, st.table, 1)
+
+
+def _fields(disk):
+    return (disk.surface.triangles, disk.surface.values, disk.boundary,
+            disk.source_vertices, disk.cell)
+
+
+def test_walk_through_a_vertex_twice_is_read_at_every_rotation(stage):
+    # two-cell disk 1 starts its rim at a vertex its walk visits twice;
+    # either visit may come first in the stored walk
+    st = stage("two-cell")
+    rep = _representative(st.table, 1)
+    walk = st.part.two_cells[rep].boundary_vertices
+    disk = extract_disk_field(st.part, st.table, 1)
+    start = disk.source_vertices[disk.boundary[0]]
+    visits = [k for k, u in enumerate(walk) if u == start]
+    assert len(visits) == 2
+    for k in range(len(walk)):
+        turned = _with_cell(st.part, rep, boundary_vertices=walk[k:] + walk[:k])
+        assert _fields(extract_disk_field(turned, st.table, 1)) == _fields(disk)
+
+    # the same vertices in the same number, but the arcs after the two
+    # visits of the start swapped: no rotation of the rim
+    a, b = visits
+    tail = next(j for j in range(a + 1, b) if walk[j] in walk[b + 1:])
+    c = walk.index(walk[tail], b + 1)
+    swapped = walk[:a + 1] + walk[b + 1:c] + walk[tail:b + 1] + walk[a + 1:tail] + walk[c:]
+    assert sorted(swapped) == sorted(walk) and swapped != walk
+    broken = _with_cell(st.part, rep, boundary_vertices=swapped)
+    with pytest.raises(InternalInvariantError, match="disagrees with the cell walk"):
+        extract_disk_field(broken, st.table, 1)
+
+
 def _torus_embedding(n, big=2.0, small=1.0):
     # vertex j*n + i of the grid torus at angles 2 pi i / n and 2 pi j / n
     out = []

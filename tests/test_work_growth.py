@@ -135,7 +135,9 @@ def _every_disk(p, table, r):
 
 @pytest.mark.parametrize("name", ("two-cell", "z2-sym", "z2xz2-sym"))
 def test_disks_grow_linearly(name):
-    # every orbit's disk of the tree presets at 16, 32 and 64: x2.5-3.2
+    # every orbit's disk of the tree presets at 16, 32 and 64: x2.2-2.5.
+    # The mesh grows x4 per step but its walk only x2, and the cut's own
+    # checks follow the walk; a set of every disk dart grew x2.5-3.2
     def stage_inputs(n):
         s = preset_field(name, n)
         g = compute_reeb(s)
@@ -143,4 +145,4 @@ def test_disks_grow_linearly(name):
         return (p, *index_orbits(group_structure(enumerate_symmetries(s, p)), p))
 
     counts = [line_events(_every_disk, *stage_inputs(n)) for n in (16, 32, 64)]
-    assert max(b / a for a, b in zip(counts, counts[1:])) <= 5
+    assert max(b / a for a, b in zip(counts, counts[1:])) <= 2.6
