@@ -23,7 +23,6 @@ from .surface import (SurfaceField, VertexClass, dump_surface, load_surface,
 from .symmetry import (CellAutomorphism, SymmetryGroup, enumerate_symmetries,
                        group_structure, index_orbits)
 from .wreath import (CyclicGroup, DirectProductGroup, WreathElement, WreathGroup,
-                     check_exact_sequence, check_group_axioms, parse_atoms,
-                     tau_reindex)
+                     check_exact_sequence, check_group_axioms, parse_atoms)
 
 __version__ = "0.1.0"

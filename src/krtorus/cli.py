@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 input rejected (bad file, bad arguments,
-non-torus surface, graph with a cycle), 2 internal invariant failure.
+non-torus surface, graph with a cycle, ``gen`` grid past 2048), 2 a
+failed internal invariant or ``verify`` check, a defect: every internal
+check is fired by a test or allowlisted in tests/test_internal_checks.py.
 Diagnostics go to stderr; with --format json they are machine readable.
 """
 from __future__ import annotations
@@ -11,7 +13,7 @@ import json
 import sys
 
 from .errors import InputRejected, InternalInvariantError
-from .fields import PRESET_NAMES, preset_field
+from .fields import MAX_PRESET_GRID, PRESET_NAMES, preset_field
 from .homology import IntMatrix, smith_normal_form
 from .pipeline import _scalar_json, analyze, canonical_json, verify_extension
 from .reeb import compute_reeb, is_tree, reeb_to_dot
@@ -60,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gn = sub.add_parser("gen", help="emit a torus-field v1 file for a model preset")
     gn.add_argument("--preset", required=True, choices=list(PRESET_NAMES))
-    gn.add_argument("--grid", type=int, default=16, metavar="N")
+    gn.add_argument("--grid", type=int, default=16, metavar="N",
+                    help=f"grid size, a multiple of 4 from 8 to {MAX_PRESET_GRID}")
     gn.add_argument("--out", default=None)
     return p
 
@@ -193,12 +196,9 @@ def _run(args, stdout) -> int:
             stdout.write("D=diag(" + ",".join(str(d) for d in res.diagonal) + ")\n")
         return 0
 
-    if args.command == "gen":
-        s = preset_field(args.preset, args.grid)
-        _write_text(dump_surface(s), args.out, stdout)
-        return 0
-
-    raise InputRejected("bad-request", f"unknown command {args.command!r}")
+    s = preset_field(args.preset, args.grid)  # gen: argparse refused any other command
+    _write_text(dump_surface(s), args.out, stdout)
+    return 0
 
 
 def main(argv=None) -> int:

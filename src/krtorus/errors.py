@@ -5,6 +5,9 @@ analyze (bad files, surfaces outside the supported class, fields whose
 graph fails a structural hypothesis) and internal cross-checks that
 failed, which indicate a defect rather than a bad input. The CLI maps
 the first family to exit code 1 and the second to exit code 2.
+Every internal check is made to fire by a test or allowlisted with a
+reason in ``tests/test_internal_checks.py``; a check that cannot fire
+is removed, with its proof left where it was.
 """
 from __future__ import annotations
 

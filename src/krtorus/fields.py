@@ -18,6 +18,7 @@ from .errors import InputRejected
 from .surface import SurfaceField
 
 PRESET_NAMES = ("two-cell", "z2-sym", "z2xz2-sym", "cyclic-height")
+MAX_PRESET_GRID = 2048  # memory grows as N^2: 0.75 GiB at N = 1024, ~3 GiB at 2048
 
 
 def cosine_table(n: int) -> tuple[float, ...]:
@@ -68,6 +69,8 @@ def grid_field(n: int, sample) -> SurfaceField:
 def _check_preset_grid(n: int) -> None:
     if n < 8:
         raise InputRejected("bad-request", f"preset grid size {n} must be at least 8")
+    if n > MAX_PRESET_GRID:
+        raise InputRejected("bad-request", f"preset grid size {n} must be at most {MAX_PRESET_GRID}")
     if n % 4:
         # model critical points must land on lattice vertices
         raise InputRejected("bad-request", f"preset grid size {n} must be a multiple of 4")

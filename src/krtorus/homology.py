@@ -309,9 +309,9 @@ def tree_cotree(zero_cells, one_cells, walks):
     tree_arcs = {aid for _, aid in tree}
     cotree = _spanning_tree(len(walks), [(c1, c2) for (c1, _), (c2, _) in occ],
                             [aid for aid in arcs if aid not in tree_arcs])
-    for span, count, what in ((tree, len(zero_cells), "0-cells"), (cotree, len(walks), "2-cells")):
+    for span, count, dim in ((tree, len(zero_cells), 0), (cotree, len(walks), 2)):
         if len(span) != count:
-            raise InternalInvariantError(f"spanning tree reaches {len(span)} of {count} {what}")
+            raise InternalInvariantError(f"spanning tree reaches {len(span)} of {count} {dim}-cells")
     left = sorted(set(arcs) - tree_arcs - {aid for _, aid in cotree})
     if len(left) != 2:
         raise InternalInvariantError(

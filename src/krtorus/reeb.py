@@ -231,9 +231,8 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
     order, rank = s.ranks
     values, tris, fans, left = s.values, s.triangles, s.fans(), s.left_triangles()
     n, limit = len(values), len(tris)  # no contour crosses more triangles than there are
+    # never empty: the last vertex in rank order has every neighbor below it
     crit = [v for v in order if classes[v].is_critical]
-    if not crit:
-        raise InternalInvariantError("closed surface field with no critical vertex")
     # a flat triangle at a critical level is rejected by triangle_level_pieces;
     # report the one on the lowest such level, lowest index first
     crit_level = {x: x for x, _ in groupby(crit, key=values.__getitem__)}
@@ -369,10 +368,10 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
         if values[p] != values[q]:
             ends_of.setdefault((on_node[p], on_node[q]), []).append(a)
     edges, edge_of = [], {}
+    # an arc closes above its low vertex in the rank order, so its ends,
+    # unequal in value, make the levels of its edge increase
     for (lower, upper), arcs in sorted(ends_of.items()):
         la, lb = nodes[lower].level, nodes[upper].level
-        if not la < lb:
-            raise InternalInvariantError("edge interval is not increasing")
         for a in sorted(arcs, key=first_triangle) if len(arcs) > 1 else arcs:
             edge_of[a] = len(edges)
             edges.append(ReebEdge(len(edges), lower, upper, (la, lb)))

@@ -267,12 +267,12 @@ def group_structure(elements) -> SymmetryGroup:
     def mul(i: int, j: int) -> int:
         return named(elements[i][elements[j][0]])
 
+    # a permutation's cycle through 2-cell 0 visits distinct cells, and
+    # named() refuses any past the k that have names, so each loop ends
     powers = []  # powers[i]: the indices of 1, a, a^2, ... for a = elements[i]
     for a in elements:
         cyc, cell = [0], a[0]
         while cell != 0:
-            if len(cyc) == k:
-                raise InternalInvariantError("element order exceeds the group order")
             cyc.append(named(cell))
             cell = a[cell]
         powers.append(cyc)

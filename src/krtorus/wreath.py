@@ -319,29 +319,3 @@ def check_exact_sequence(wg: WreathGroup, *, rng=None):
         if wg.proj(wg.multiply(x, y)) != (a1 + b1, a2 + b2):
             return "proj is not additive on shifts"
     return None
-
-
-def tau_reindex(rows: int, cols: int, atom_count: int, family: dict, transports: dict):
-    """Assemble per-disk elements into one grid over the index torus.
-
-    family[(i, j, k)] is an element attached to disk orbit i at grid
-    position (j, k), i running 1..atom_count; transports[(i, j, k)] maps
-    it into the reference copy for orbit i. The output grid holds, at
-    (j, k), the tuple of transported values across i. Missing entries
-    are an error.
-    """
-    grid = []
-    for j in range(rows):
-        row = []
-        for k in range(cols):
-            entry = []
-            for i in range(1, atom_count + 1):
-                key = (i, j, k)
-                if key not in family:
-                    raise ValueError(f"family is missing entry {key}")
-                if key not in transports:
-                    raise ValueError(f"transports are missing entry {key}")
-                entry.append(transports[key](family[key]))
-            row.append(tuple(entry))
-        grid.append(tuple(row))
-    return tuple(grid)

@@ -6,7 +6,9 @@ use the package's ``CellAutomorphism`` record, and
 ``all_flag_automorphisms`` is the plain every-flag search that the
 symmetry stage's orbit closure replaced, built on the package's own seed
 propagation. ``CorruptedWreath`` is the package's wreath engine with a
-wrong shift action, the negative control of the verify checks. Expected
+wrong shift action, the negative control of the verify checks.
+``tau_reindex`` is the paper's family reindexing, which no stage of the
+package uses; only the tests build its grids. Expected
 values in the suite are either computed against these functions or
 frozen from hand calculations that are spelled out at the point of use.
 """
@@ -765,3 +767,29 @@ def vertex_classes(triangles, values):
         else:
             out.append(("regular", 0) if c_minus == 1 else ("saddle", c_minus - 1))
     return out
+
+
+def tau_reindex(rows: int, cols: int, atom_count: int, family: dict, transports: dict):
+    """Assemble per-disk elements into one grid over the index torus.
+
+    family[(i, j, k)] is an element attached to disk orbit i at grid
+    position (j, k), i running 1..atom_count; transports[(i, j, k)] maps
+    it into the reference copy for orbit i. The output grid holds, at
+    (j, k), the tuple of transported values across i. Missing entries
+    are an error.
+    """
+    grid = []
+    for j in range(rows):
+        row = []
+        for k in range(cols):
+            entry = []
+            for i in range(1, atom_count + 1):
+                key = (i, j, k)
+                if key not in family:
+                    raise ValueError(f"family is missing entry {key}")
+                if key not in transports:
+                    raise ValueError(f"transports are missing entry {key}")
+                entry.append(transports[key](family[key]))
+            row.append(tuple(entry))
+        grid.append(tuple(row))
+    return tuple(grid)

@@ -9,7 +9,8 @@ import random
 import pytest
 
 from krtorus.cli import main
-from krtorus.fields import preset_field
+from krtorus.errors import InputRejected
+from krtorus.fields import MAX_PRESET_GRID, _check_preset_grid, preset_field
 from krtorus.surface import dump_surface
 
 
@@ -212,6 +213,20 @@ def test_gen_grid_size(tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate", str(field)]) == 0
     assert "vertices=64" in capsys.readouterr().out
+
+
+def test_gen_refuses_a_grid_past_the_bound(capsys):
+    # this grid asked for one list of 10^10 values and ended in a MemoryError traceback
+    assert main(["gen", "--preset", "two-cell", "--grid", "100000"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error[bad-request]: preset grid size 100000 must be at most 2048\n"
+
+
+def test_gen_grid_bound_is_the_largest_accepted_grid():
+    # checked on the bound alone: a grid past it that got through would fill gigabytes
+    _check_preset_grid(MAX_PRESET_GRID)
+    with pytest.raises(InputRejected, match="must be at most 2048"):
+        _check_preset_grid(MAX_PRESET_GRID + 4)
 
 
 def test_gen_rejects_unknown_preset(capsys):

@@ -67,8 +67,11 @@ def _with_cell(p, rep, **changes):
     return dataclasses.replace(p, two_cells=tuple(cells))
 
 
-@pytest.mark.parametrize("at_walk", [False, True], ids=["off-walk", "at-walk"])
-def test_cell_missing_a_triangle_is_rejected(stage, at_walk):
+@pytest.mark.parametrize("at_walk, message", [
+    (False, r"cut cell \d+ is not a disk"),
+    (True, r"interior edge \d+-\d+ at the walk of cut cell \d+ has one triangle")],
+    ids=["off-walk", "at-walk"])
+def test_cell_missing_a_triangle_is_rejected(stage, at_walk, message):
     st = stage("two-cell")
     rep = _representative(st.table, 1)
     cell = st.part.two_cells[rep]
@@ -77,8 +80,29 @@ def test_cell_missing_a_triangle_is_rejected(stage, at_walk):
                 if any(u in walk for u in st.part.refined_triangles[ti]) == at_walk)
     kept = tuple(ti for ti in cell.refined_triangles if ti != lost)
     broken = _with_cell(st.part, rep, refined_triangles=kept)
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(InternalInvariantError, match=message):
         extract_disk_field(broken, st.table, 1)
+
+
+@pytest.mark.parametrize("flags, dart", [
+    # its walk corner's next corner is off the walk: the dart out of it repeats
+    ((True, False, False), (0, 1)),
+    # its first walk corner's next is on the walk, its previous is not: the dart into it repeats
+    ((True, True, False), (2, 0))], ids=["out-dart", "in-dart"])
+def test_cell_listing_a_triangle_twice_is_rejected(stage, flags, dart):
+    st = stage("two-cell")
+    rep = _representative(st.table, 1)
+    cell = st.part.two_cells[rep]
+    walk = set(cell.boundary_vertices)
+    ti = next(ti for ti in cell.refined_triangles
+              if tuple(u in walk for u in st.part.refined_triangles[ti]) == flags)
+    tri = st.part.refined_triangles[ti]
+    broken = _with_cell(st.part, rep, refined_triangles=cell.refined_triangles + (ti,))
+    with pytest.raises(InternalInvariantError,
+                       match=r"^directed edge \d+->\d+ repeats in cut cell \d+$") as exc:
+        extract_disk_field(broken, st.table, 1)
+    a, b = (tri[k] for k in dart)
+    assert str(exc.value) == f"directed edge {a}->{b} repeats in cut cell {rep}"
 
 
 def test_cell_with_reversed_walk_is_rejected(stage):

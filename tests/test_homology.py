@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import krtorus.homology
 from krtorus.errors import InternalInvariantError
 from krtorus.fields import pullback_cosine_field
 from krtorus.homology import (CokernelInvariants, IntMatrix, chain_homology,
@@ -235,3 +236,18 @@ def test_h1_action_rejects_mismatched_two_cells(stage):
     assert DenseH1.of(p).action(bad) is None
     with pytest.raises(InternalInvariantError, match="boundary_2"):
         h1_action(p, bad)
+
+
+@pytest.mark.parametrize("d, message", [
+    ([[1, 1], [0, 1]], "Smith form is not diagonal"),
+    ([[0, 0], [0, 1]], "zero before nonzero on the Smith diagonal"),
+    ([[2, 0], [0, 3]], "Smith diagonal is not a divisibility chain"),
+    ([[1, 0], [0, -1]], "negative Smith diagonal entry"),
+    ([[1, 0], [0, 2]], "Smith factorization identity failed"),
+])
+def test_smith_postconditions_catch_a_wrong_reduction(monkeypatch, d, message):
+    # each D breaks one postcondition and passes the ones checked before it;
+    # U = V = 1 on A = 1, so only the last D fails U A V = D alone
+    monkeypatch.setattr(krtorus.homology, "_smith", lambda a: (d, [[1, 0], [0, 1]], [[1, 0], [0, 1]]))
+    with pytest.raises(InternalInvariantError, match=message):
+        smith_normal_form(IntMatrix.identity(2))

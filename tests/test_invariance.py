@@ -1,4 +1,5 @@
-"""Negation, positive affine rescaling and lattice translation leave the analysis unchanged.
+"""Negation, positive affine rescaling, lattice translation and vertex
+relabeling leave the analysis unchanged.
 
 The partition and its symmetries depend only on the order of the values,
 and negation reverses that order: it turns the Reeb tree upside down and
@@ -9,7 +10,10 @@ keep ``(n, m, r)``, the three cell counts and the group expression on
 the tree presets at grids 16 and 32 and on the pullbacks of the bench's
 ``pullback-groups`` workload. Each value map is first checked to be
 strictly monotone on the field's distinct values, so that two values
-merged by float rounding cannot pass as an invariance.
+merged by float rounding cannot pass as an invariance. A vertex
+relabeling renames the vertices of the mesh and moves their values
+along; it keeps the index order within each set of equal values, since
+ties are broken by index, and is drawn by hypothesis.
 """
 from __future__ import annotations
 
@@ -17,6 +21,8 @@ import math
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krtorus.fields import grid_field, grid_vertex, preset_field, pullback_cosine_field
 from krtorus.pipeline import analyze
@@ -86,4 +92,36 @@ def test_analysis_is_translation_invariant(key, shift):
     n = math.isqrt(len(s.values))
     di, dj = SHIFTS[shift](n)
     moved = grid_field(n, lambda i, j: s.values[grid_vertex(n, i + di, j + dj)])
+    assert _summary(moved) == _base_summary(key)
+
+
+def _relabeled(s: SurfaceField, perm) -> SurfaceField:
+    """s with vertex v renamed, after equal values get their new names in index order."""
+    by_value: dict = {}
+    for v in range(len(s.values)):
+        by_value.setdefault(s.values[v], []).append(v)
+    name = [0] * len(perm)
+    for group in by_value.values():
+        for v, w in zip(group, sorted(perm[v] for v in group)):
+            name[v] = w
+    values, coords = [None] * len(name), None if s.coords is None else [None] * len(name)
+    for v, w in enumerate(name):
+        values[w] = s.values[v]
+        if coords is not None:
+            coords[w] = s.coords[v]
+    tris = [(name[a], name[b], name[c]) for a, b, c in s.triangles]
+    return SurfaceField(tris, values, coords)
+
+
+RELABELED = ("two-cell@16", "z2-sym@32", "z2xz2-sym@16", "diag(2,2)@32", "diag(4,4)@32")
+
+
+@pytest.mark.parametrize("key", RELABELED)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_analysis_is_relabeling_invariant(key, data):
+    s = _field(key)
+    perm = data.draw(st.permutations(range(len(s.values))), label="perm")
+    moved = _relabeled(s, perm)
+    assert sorted(moved.values) == sorted(s.values)
     assert _summary(moved) == _base_summary(key)

@@ -1,11 +1,13 @@
 """The special level set as a CW structure on the torus."""
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 import krtorus.homology
+import krtorus.partition
 from krtorus.errors import InputRejected, InternalInvariantError
 from krtorus.fields import preset_field, pullback_cosine_field, random_field
 from krtorus.homology import IntMatrix, tree_cotree
@@ -495,4 +497,50 @@ def test_flipped_level_pieces_lose_their_seams(monkeypatch):
     _, tris = level_structure(s, g, node)
     monkeypatch.setattr(s, "triangles", _flipped(s, set(tris)))
     with pytest.raises(InternalInvariantError, match=r"refined edge \(\d+, \d+\) is not shared"):
+        build_partition(s, g, node)
+
+
+def test_branch_that_owns_nothing_is_caught():
+    # branch 0's triangles all filed under branch 1: its unit owns no
+    # triangle and glues to no piece, so one region goes missing
+    s = preset_field("two-cell", 16)
+    g, node = _graph_and_node(s)
+    b0, b1 = g.branches_at(node)
+    (w0,), (w1,) = b0.nodes, b1.nodes
+    g.node_map[w1] += g.node_map[w0]
+    g.node_map[w0] = ()
+    g.band_map[b1.root_edge] += g.band_map[b0.root_edge]
+    g.band_map[b0.root_edge] = ()
+    with pytest.raises(InternalInvariantError, match=r"^1 regions for 2 branches at node \d+$"):
+        build_partition(s, g, node)
+
+
+@pytest.mark.parametrize("extra, message", [
+    # the minimum is a critical vertex that is not on the level
+    (0, "level component of node 1 does not hold exactly its critical vertices"),
+    # an off-level vertex taken for V: its region loses it and reads as an annulus
+    (1, "region 0 has open Euler characteristic 0, not a disk")])
+def test_level_component_with_a_vertex_off_the_level_is_caught(monkeypatch, extra, message):
+    s = preset_field("two-cell", 16)
+    g, node = _graph_and_node(s)
+    verts, tris = level_structure(s, g, node)
+    assert extra not in verts
+    monkeypatch.setattr(krtorus.partition, "level_structure",
+                        lambda *_: (tuple(sorted(verts + (extra,))), tris))
+    with pytest.raises(InternalInvariantError, match=message):
+        build_partition(s, g, node)
+
+
+def test_region_whose_criticals_no_branch_has_is_caught():
+    # the minimum's node also claims the maximum: the maximum's region
+    # still matches the other branch, the minimum's region matches none
+    s = preset_field("two-cell", 16)
+    g, node = _graph_and_node(s)
+    (w0,), (w1,) = (b.nodes for b in g.branches_at(node))
+    nodes = list(g.nodes)
+    nodes[w0] = dataclasses.replace(
+        nodes[w0], critical_vertices=nodes[w0].critical_vertices + nodes[w1].critical_vertices)
+    g.nodes = tuple(nodes)
+    with pytest.raises(InternalInvariantError,
+                       match=r"^region \d+ does not match exactly one branch \(criticals \[\d+\]\)$"):
         build_partition(s, g, node)

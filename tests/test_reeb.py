@@ -1,6 +1,8 @@
 """Contour graph construction, the tree test and branch decompositions."""
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -8,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import krtorus.reeb
 from krtorus.errors import InputRejected, InternalInvariantError
-from krtorus.fields import grid_field, random_field
+from krtorus.fields import grid_field, preset_field, random_field
 from krtorus.pipeline import extract_disk_field
 from krtorus.reeb import (ReebEdge, ReebGraph, ReebNode, _UnionFind, branch_euler, compute_reeb,
                           find_special_vertex, is_tree, reeb_to_dot)
-from krtorus.surface import SurfaceField, vertex_classes
+from krtorus.surface import SurfaceField, VertexClass, vertex_classes
 
 import oracles
 from reeb_sweep import level_sweep
@@ -196,17 +199,16 @@ def test_special_vertex_rejects_a_tree_without_one():
 
 def test_special_vertex_refuses_two_winners():
     g = _hand_tree([(0, 1)], [1, 1])
-    with pytest.raises(InternalInvariantError) as exc:
+    with pytest.raises(InternalInvariantError, match=r"^multiple special vertices \[0, 1\]$"):
         find_special_vertex(g)
-    assert str(exc.value) == "multiple special vertices [0, 1]"
 
 
 def test_special_vertex_refuses_disagreeing_routes():
     # node 2's census says 1, its index sum 0: node 0's one branch disagrees first
     g = _hand_tree([(0, 1), (1, 2)], [1, -1, 1], [1, -1, 0])
-    with pytest.raises(InternalInvariantError) as exc:
+    with pytest.raises(InternalInvariantError,
+                       match="^branch Euler computations disagree at node 0: census 0 vs index sum -1$"):
         find_special_vertex(g)
-    assert str(exc.value) == "branch Euler computations disagree at node 0: census 0 vs index sum -1"
 
 
 def test_special_vertex_search_builds_no_branches(stage, monkeypatch):
@@ -373,3 +375,70 @@ def test_union_find_matches_oracle(case):
         else:
             assert uf.find(op[1]) == ref.find(op[1])
     assert [uf.find(x) for x in range(n)] == [ref.find(x) for x in range(n)]
+
+
+def _with_class(monkeypatch, s, v, kind):
+    """compute_reeb sees vertex v of s as kind; every other class is the true one."""
+    classes = list(vertex_classes(s))
+    classes[v] = VertexClass(kind)
+    monkeypatch.setattr(krtorus.reeb, "vertex_classes", lambda _: tuple(classes))
+
+
+def test_sweep_catches_a_maximum_read_as_regular(monkeypatch):
+    # the top vertex passes its label on, so its arc is never closed
+    s = preset_field("two-cell", 16)
+    vertex_classes(s)
+    order, _ = s.ranks
+    _with_class(monkeypatch, s, order[-1], "regular")
+    with pytest.raises(InternalInvariantError, match=r"arc from vertex \d+ is never closed"):
+        compute_reeb(s)
+
+
+def test_sweep_catches_a_regular_vertex_read_as_a_maximum(monkeypatch):
+    # the arc closes there, and again at the true maximum its contour rises to
+    s = preset_field("two-cell", 16)
+    classes = vertex_classes(s)
+    order, _ = s.ranks
+    regular = [v for v in order if classes[v].kind == "regular"]
+    _with_class(monkeypatch, s, regular[len(regular) // 2], "maximum")
+    with pytest.raises(InternalInvariantError, match=r"arc from vertex \d+ closes twice"):
+        compute_reeb(s)
+
+
+def test_saddle_walk_that_never_returns_is_caught(monkeypatch):
+    # contours that never come back to the saddle: the walk stops at its bound
+    monkeypatch.setattr(krtorus.reeb, "_contour", lambda *args: itertools.repeat((-1, -1)))
+    with pytest.raises(InternalInvariantError, match=r"contour walk at saddle \d+ does not close"):
+        compute_reeb(preset_field("two-cell", 16))
+
+
+def test_first_triangle_walk_that_never_returns_is_caught(monkeypatch):
+    # cyclic-height has two edges between one pair of nodes, so their order is
+    # read off a contour walk; without its stop the walk reaches its bound
+    monkeypatch.setattr(krtorus.reeb, "takewhile", lambda pred, it: it)
+    with pytest.raises(InternalInvariantError, match=r"contour walk above vertex \d+ does not close"):
+        compute_reeb(preset_field("cyclic-height", 16))
+
+
+@pytest.mark.parametrize("field, message", [
+    ("census_euler", "node census does not add up to the surface Euler number"),
+    ("index_sum", "index sum does not add up to the surface Euler number")])
+def test_euler_routes_are_checked_against_the_surface(monkeypatch, field, message):
+    # node 0 carries one more on one route: the sums over the nodes miss chi
+    def off_by_one(*args):
+        node = ReebNode(*args)
+        return dataclasses.replace(node, **{field: getattr(node, field) + 1}) if node.id == 0 else node
+
+    monkeypatch.setattr(krtorus.reeb, "ReebNode", off_by_one)
+    with pytest.raises(InternalInvariantError, match=message):
+        compute_reeb(preset_field("two-cell", 16))
+
+
+def test_graph_cut_in_two_is_caught(monkeypatch):
+    # edge 0 leaves its upper node for a loop at its lower one: a tree falls apart
+    def loop_first(eid, lower, upper, interval):
+        return ReebEdge(eid, lower, lower if eid == 0 else upper, interval)
+
+    monkeypatch.setattr(krtorus.reeb, "ReebEdge", loop_first)
+    with pytest.raises(InternalInvariantError, match="graph is disconnected for a connected surface"):
+        compute_reeb(preset_field("two-cell", 16))

@@ -10,7 +10,7 @@ import pytest
 import krtorus.symmetry
 from krtorus.errors import InternalInvariantError
 from krtorus.homology import CokernelInvariants, IntMatrix
-from krtorus.partition import build_partition
+from krtorus.partition import OneCell, build_partition
 from krtorus.reeb import compute_reeb, find_special_vertex
 from krtorus.symmetry import SymmetryGroup, enumerate_symmetries, group_structure, index_orbits
 
@@ -180,14 +180,17 @@ def test_asymmetric_field_is_trivial(twin_peaks):
     assert r == 2 and table == ((1, 0, 0), (2, 0, 0))
 
 
-@pytest.mark.parametrize("n,nm,gen,name", [(1, 2, "gen_m", "L^0 M^1"), (2, 1, "gen_l", "L^1 M^0")])
-def test_equivariance_is_checked_on_the_generators(n, nm, gen, name):
+@pytest.mark.parametrize("n,nm,gen,message", [
+    (1, 2, "gen_m", "equivariance fails for L^0 M^1 at cell 1"),
+    (2, 1, "gen_l", "equivariance fails for L^1 M^0 at cell 1")],
+    ids=["1-2-gen_m-L^0 M^1", "2-1-gen_l-L^1 M^0"])
+def test_equivariance_is_checked_on_the_generators(n, nm, gen, message):
     # the generator's cycles do not close after its order: the walk names
     # cells 0, 1 and 2, 3 without a revisit, but it sends cell 1 to 2
     turn = (1, 2, 3, 0)
     sg = SymmetryGroup(((0, 1, 2, 3), turn), n, nm, **{"gen_l": 0, "gen_m": 0, gen: 1})
     cells = SimpleNamespace(zero_cells=range(2), one_cells=range(2), two_cells=range(4))
-    with pytest.raises(InternalInvariantError, match=re.escape(f"equivariance fails for {name} at cell 1")):
+    with pytest.raises(InternalInvariantError, match=re.escape(message)):
         index_orbits(sg, cells)
 
 
@@ -274,7 +277,8 @@ def test_dropped_relation_is_caught(monkeypatch):
         return smith(IntMatrix.from_rows([r[:-1] for r in m.entries], cols=cols - 1))
 
     monkeypatch.setattr(krtorus.symmetry, "cokernel_invariants", drop_last_relation)
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(InternalInvariantError,
+                       match="finite symmetry group presented an infinite lattice"):
         group_structure(regular_representation(8, 8))
 
 
@@ -330,3 +334,43 @@ def test_symmetry_fixing_two_cell_zero_is_caught():
     # identity's, but it fixes 2-cell 0, so the two share a name
     with pytest.raises(InternalInvariantError, match="send 2-cell 0 to the same 2-cell"):
         group_structure(((0, 1, 2), (0, 2, 1)))
+
+
+def test_elements_without_the_identity_first_are_caught():
+    with pytest.raises(InternalInvariantError,
+                       match="elements are not sorted with the identity first"):
+        group_structure(((1, 0), (0, 1)))
+
+
+def test_group_order_must_divide_every_cell_count():
+    sg = SymmetryGroup(((0, 1, 2), (1, 2, 0)), 1, 2, 0, 1)
+    cells = SimpleNamespace(zero_cells=range(2), one_cells=range(2), two_cells=range(3))
+    with pytest.raises(InternalInvariantError,
+                       match="cell count 3 is not divisible by the group order 2"):
+        index_orbits(sg, cells)
+
+
+def test_generator_powers_that_revisit_a_cell_are_caught():
+    # M is named the identity, so its powers stay on cell 0 where nm = 2 asks for two cells
+    sg = SymmetryGroup(((0, 1), (1, 0)), 1, 2, 0, 0)
+    cells = SimpleNamespace(zero_cells=range(2), one_cells=range(2), two_cells=range(2))
+    with pytest.raises(InternalInvariantError,
+                       match="generator powers revisit a 2-cell; indexing is not bijective"):
+        index_orbits(sg, cells)
+
+
+def test_arc_map_that_splits_a_vertex_is_caught():
+    # arcs 0 -> 1 and 0 -> 2 share their tail; arc 0 is kept and arc 1
+    # reversed, so vertex 0 would go to 0 by the first and to 2 by the second
+    p = SimpleNamespace(two_cells=range(1), one_cells=(OneCell(0, 0, 1, (0, 1)), OneCell(1, 0, 2, (0, 2))))
+    with pytest.raises(InternalInvariantError,
+                       match="consistent arc map induced conflicting vertex images"):
+        krtorus.symmetry._finalize(p, None, {0: (0, 0)}, {0: (0, 1), 1: (1, -1)})
+
+
+def test_element_the_generators_miss_is_caught():
+    # two transpositions through 2-cell 0: orders 1, 2, 2 give exponent 2 and
+    # L the identity, so L and M reach only the identity and M itself
+    with pytest.raises(InternalInvariantError,
+                       match="Cayley graph on 2 generators reaches 2 of 3 elements"):
+        group_structure(((0, 1, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3)))
