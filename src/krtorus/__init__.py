@@ -16,8 +16,8 @@ from .partition import (CellPartition, OneCell, TwoCell, branch_signature,
 from .pipeline import (AnalysisReport, DiskField, VerificationRecord, analyze,
                        canonical_json, extract_disk_field, group_expr,
                        verify_extension)
-from .reeb import (Branch, ReebEdge, ReebGraph, ReebNode, branch_euler,
-                   compute_reeb, find_special_vertex, is_tree, reeb_to_dot)
+from .reeb import (Branch, ReebEdge, ReebGraph, ReebNode, compute_reeb,
+                   find_special_vertex, is_tree, reeb_to_dot)
 from .surface import (SurfaceField, VertexClass, dump_surface, load_surface,
                       validate_closed_orientable, vertex_classes)
 from .symmetry import (CellAutomorphism, SymmetryGroup, enumerate_symmetries,

@@ -8,11 +8,12 @@ turns into real edges, crossing points on straddled edges become new
 vertices at the critical level.
 
 V is not swept again: ``reeb.level_structure`` walks V alone, from its
-first critical vertex, for its on-level vertices and the triangles it
-crosses or runs along, and only those triangles are cut into level
-pieces. Full-edge segments (both endpoints on the level) do occur
-in the model fields and are handled as first-class V-edges, not as an
-error case.
+first critical vertex, for its on-level vertices, the edges it crosses
+(one new vertex each) and the triangles it crosses or runs along, each
+with its apex, the corner V separates from the other two. Only those
+triangles are cut, from the apex and the corner values alone.
+Full-edge segments (both endpoints on the level) do occur in the model
+fields and are handled as first-class V-edges, not as an error case.
 
 The 2-cells are read off the graph: each branch at the chosen vertex
 owns what ``compute_reeb`` files under its nodes and edges. Only V's
@@ -37,7 +38,7 @@ from itertools import chain, combinations, compress, filterfalse, repeat
 from .errors import InputRejected, InternalInvariantError
 # chain_homology stays bound here because bench/tracer.py wraps this binding
 from .homology import chain_homology, tree_cotree  # noqa: F401
-from .reeb import Branch, ReebGraph, _UnionFind, level_structure, triangle_level_pieces
+from .reeb import Branch, ReebGraph, _UnionFind, level_structure
 from .surface import SurfaceField, vertex_classes
 
 
@@ -128,40 +129,32 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     classes = vertex_classes(s)
     node = g.nodes[node_id]
     level = node.level
-    verts, tris = level_structure(s, g, node_id)
+    verts, cut, xlist = level_structure(s, g, node_id)
     if tuple(v for v in verts if classes[v].is_critical) != node.critical_vertices:
         raise InternalInvariantError(
             f"level component of node {node_id} does not hold exactly its critical vertices")
-    tri_pieces = {idx: triangle_level_pieces(s, s.triangles[idx], level) for idx in tris}
 
     vset = set(verts)
-    xlist = sorted({(p[1], p[2]) for pieces in tri_pieces.values() for p in pieces
-                    if p[0] == "e"})
     nv = s.vertex_count
     xid = {e: nv + k for k, e in enumerate(xlist)}
 
-    # level_structure keeps two corners on the level, or one and the crossed
-    # edge opposite it, or two crossed edges, which share a corner
+    # the apex is on the level and the level crosses the edge opposite it,
+    # or the level runs along that edge, or it crosses both edges at the apex
     split: dict[int, list[tuple[int, int, int]]] = {}  # V's triangles cut into pieces
     vedges: set[tuple[int, int]] = set()
-    for idx, pieces in tri_pieces.items():
+    for idx, apex in cut:
         tri = s.triangles[idx]
-        vparts = [p[1] for p in pieces if p[0] == "v"]
-        eparts = [(p[1], p[2]) for p in pieces if p[0] == "e"]
-        if len(vparts) == 2:
-            vedges.add(_norm(*vparts))
+        p_, q_ = _after(tri, apex)
+        if s.values[apex] == level:
+            x = xid[_norm(p_, q_)]
+            split[idx] = [(apex, p_, x), (apex, x, q_)]
+            vedges.add(_norm(apex, x))
+        elif s.values[p_] == level:
+            vedges.add(_norm(p_, q_))
             split[idx] = [tri]
-        elif vparts:
-            v0, x = vparts[0], xid[eparts[0]]
-            p_, q_ = _after(tri, v0)
-            split[idx] = [(v0, p_, x), (v0, x, q_)]
-            vedges.add(_norm(v0, x))
         else:
-            a0 = (set(eparts[0]) & set(eparts[1])).pop()
-            p_, q_ = _after(tri, a0)
-            x1 = xid[_norm(a0, p_)]
-            x2 = xid[_norm(a0, q_)]
-            split[idx] = [(a0, x1, x2), (x1, p_, q_), (x1, q_, x2)]
+            x1, x2 = xid[_norm(apex, p_)], xid[_norm(apex, q_)]
+            split[idx] = [(apex, x1, x2), (x1, p_, q_), (x1, q_, x2)]
             vedges.add(_norm(x1, x2))
     # the untouched triangles are copied in slices between V's triangles
     nt = s.triangle_count
@@ -204,19 +197,19 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             owner[t] = bi
     if sum(map(len, owned)) != nt or None in owner:
         raise InternalInvariantError("the graph does not file every triangle exactly once")
-    for t in tris:
+    for t in split:
         owner[t] = nb
 
     # refined topology: a directed-edge map of V's pieces and their seams
     left = s.left_triangles()
     directed_tri: dict[tuple[int, int], int] = {}
-    for idx in tri_pieces:
+    for idx in split:
         a, b, c = s.triangles[idx]
         for x, y in ((a, b), (b, c), (c, a)):
-            if left[y][x] not in tri_pieces:
+            if left[y][x] not in split:
                 directed_tri[(y, x)] = first[left[y][x]]
     succ: dict[int, dict[int, int]] = {w: {} for w in vv}
-    for idx in tri_pieces:
+    for idx in split:
         for ti in range(first[idx], first[idx + 1]):
             a, b, c = refined[ti]
             for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
@@ -227,7 +220,7 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
                     succ[x][y] = z
     for w in verts:
         for y, t in left[w].items():
-            if t not in tri_pieces:
+            if t not in split:
                 succ[w][y] = sum(s.triangles[t]) - w - y
     # glue the carrier across its edges off V: a carrier triangle to itself,
     # an owned one to its branch's unit, numbered after the refined triangles
@@ -245,10 +238,10 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         if x < y and (x, y) not in vedges:
             ruf.union(unit(ti), unit(other))
     for t in owned[nb]:
-        if t not in tri_pieces:
+        if t not in split:
             a, b, c = s.triangles[t]
             for x, y in ((a, b), (b, c), (c, a)):
-                if left[y][x] not in tri_pieces:
+                if left[y][x] not in split:
                     ruf.union(first[t], unit(first[left[y][x]]))
 
     fan_of: dict[int, tuple[int, ...]] = {}
@@ -270,7 +263,7 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     # carrier pieces glued to it, or pieces alone where the branch owns no
     # triangle off the carrier; numbered by their smallest refined triangle
     members: dict[int, list[int]] = {}
-    for t in sorted(set(owned[nb]).union(tri_pieces)):
+    for t in sorted(set(owned[nb]).union(split)):
         for ti in range(first[t], first[t + 1]):
             members.setdefault(ruf.find(ti), []).append(ti)
     roots = [ruf.find(nr + bi) for bi in range(nb)]

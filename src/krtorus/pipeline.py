@@ -16,7 +16,7 @@ from itertools import chain, compress, count
 
 from .errors import InputRejected, InternalInvariantError
 from .partition import CellPartition, build_partition
-from .reeb import _UnionFind, branch_euler, compute_reeb, find_special_vertex
+from .reeb import _UnionFind, compute_reeb, find_special_vertex
 from .surface import SurfaceField, dump_surface, format_scalar, validate_closed_orientable
 from .symmetry import enumerate_symmetries, group_structure, index_orbits
 from .wreath import (KERNEL_ENUM_LIMIT, DirectProductGroup, WreathElement, WreathGroup,
@@ -219,8 +219,6 @@ def analyze(s: SurfaceField) -> AnalysisReport:
     sg = group_structure(elements)
     table, r = index_orbits(sg, p)
 
-    branches = g.branches_at(v)
-    chis = [branch_euler(g, v, br) for br in branches]
     atoms_json = []
     disks_json = []
     for i in range(1, r + 1):
@@ -241,7 +239,8 @@ def analyze(s: SurfaceField) -> AnalysisReport:
         special={"node": v, "level": _scalar_json(node.level),
                  "zero_cells": len(p.zero_cells), "one_cells": len(p.one_cells),
                  "two_cells": len(p.two_cells),
-                 "branch_chis": [int(c) for c in chis]},
+                 # find_special_vertex checked 1 on each branch; one 2-cell per branch
+                 "branch_chis": [1] * len(p.two_cells)},
         symmetry={"order": sg.order, "n": sg.n, "m": sg.m, "r": r,
                   "generators": {"L": list(elements[sg.gen_l]),
                                  "M": list(elements[sg.gen_m])},

@@ -27,8 +27,10 @@ Pascucci, "Loops in Reeb graphs of 2-manifolds" (DCG 32, 2004):
 Each node also stores the sum of PL indices of its critical vertices,
 which downstream consumers compare with its census. Node components are
 walked only to order the nodes of one level by their smallest piece, and
-in ``level_structure``. Edges with the same ends are ordered by the first
-triangle each meets, read off the contour just above their lower node.
+in ``level_structure``, which also hands the partition each triangle
+the component cuts, with its apex, and the edges it crosses.
+Edges with the same ends are ordered by the first triangle each meets,
+read off the contour just above their lower node.
 """
 from __future__ import annotations
 
@@ -61,21 +63,6 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
-
-
-def triangle_level_pieces(s: SurfaceField, tri: tuple[int, int, int], level) -> list:
-    a, b, c = tri
-    pieces = [("v", v) for v in tri if s.values[v] == level]
-    if len(pieces) == 3:
-        raise InputRejected(
-            "degenerate-level",
-            f"triangle {tri} lies entirely in critical level {format_scalar(level)}; "
-            "the tie-broken order cannot repair a flat triangle")
-    for u, w in ((a, b), (b, c), (c, a)):
-        fu, fw = s.values[u], s.values[w]
-        if (fu < level < fw) or (fw < level < fu):
-            pieces.append(("e", min(u, w), max(u, w)))
-    return pieces
 
 
 @dataclass(frozen=True)
@@ -160,22 +147,27 @@ class ReebGraph:
 
 def level_structure(s: SurfaceField, g: ReebGraph, node_id: int):
     """The level component of one node, walked from its first critical vertex:
-    its on-level vertices, and the triangles it crosses or runs along (two
-    corners in it) but does not only touch at a corner, both in index order."""
+    its on-level vertices, the (triangle, apex) pairs of the triangles it
+    crosses or runs along (two corners in it) but does not only touch at a
+    corner, and the edges it crosses, all in index order."""
     node = g.nodes[node_id]
-    _, verts, carried = _node_component(s, node.level, node.critical_vertices[0])
-    return tuple(sorted(verts)), tuple(sorted(carried))
+    _, verts, cut, crossed = _node_component(s, node.level, node.critical_vertices[0])
+    return tuple(sorted(verts)), tuple(sorted(cut)), tuple(sorted(crossed))
 
 
 def _node_component(s: SurfaceField, level, start: int):
     """The component of one level set through vertex start, found locally.
 
     Pieces are reached through the triangles around them: all triangles
-    at an on-level vertex, the two triangles of a crossing edge. Returns
-    (smallest piece, on-level vertices, triangles crossed or run along).
+    at an on-level vertex, the two triangles of a crossing edge. Each
+    triangle crossed or run along is kept with its apex, the corner the
+    level separates from the other two: the on-level corner when the
+    level crosses the opposite edge, the off-level corner of a flat
+    segment, or the corner between two crossed edges. Returns (smallest
+    piece, on-level vertices, (triangle, apex) pairs, crossed edges).
     """
     values, triangles, left = s.values, s.triangles, s.left_triangles()
-    verts, edges, tris, carried = {start}, set(), set(), []
+    verts, edges, tris, cut = {start}, set(), set(), []
     stack = [left[start].values()]
     while stack:
         for idx in stack.pop():
@@ -188,6 +180,7 @@ def _node_component(s: SurfaceField, level, start: int):
                 # the corner alone on its side ends both crossing edges
                 x, ends = ((c, (a, b)) if (fa < level) == (fb < level) else
                            (b, (a, c)) if (fa < level) == (fc < level) else (a, (b, c)))
+                apex = x
             else:
                 on = [v for v in (a, b, c) if values[v] == level]
                 for v in on:
@@ -196,19 +189,19 @@ def _node_component(s: SurfaceField, level, start: int):
                         stack.append(left[v].values())
                 x, w = (v for v in (a, b, c) if v != on[0])
                 if len(on) == 2:
-                    carried.append(idx)  # a flat segment
+                    cut.append((idx, w if x == on[1] else x))  # a flat segment
                     continue
                 if (values[x] < level) == (values[w] < level):
                     continue  # touched at a corner
-                ends = (w,)
-            carried.append(idx)
+                apex, ends = on[0], (w,)
+            cut.append((idx, apex))
             for w in ends:
                 key = (x, w) if x < w else (w, x)
                 if key not in edges:
                     edges.add(key)
                     stack.append((left[x][w], left[w][x]))
     key = ("e", *min(edges)) if edges else ("v", min(verts))
-    return key, verts, carried
+    return key, verts, cut, edges
 
 
 def _contour(s: SurfaceField, rank, r: int, x: int, y: int):
@@ -233,13 +226,15 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
     n, limit = len(values), len(tris)  # no contour crosses more triangles than there are
     # never empty: the last vertex in rank order has every neighbor below it
     crit = [v for v in order if classes[v].is_critical]
-    # a flat triangle at a critical level is rejected by triangle_level_pieces;
+    # a flat triangle at a critical level cannot be cut into level pieces;
     # report the one on the lowest such level, lowest index first
     crit_level = {x: x for x, _ in groupby(crit, key=values.__getitem__)}
     flat = min(((values[a], idx) for idx, (a, b, c) in enumerate(tris)
                 if values[a] == values[b] == values[c] and values[a] in crit_level), default=None)
     if flat is not None:
-        triangle_level_pieces(s, tris[flat[1]], crit_level[flat[0]])
+        raise InputRejected("degenerate-level", f"triangle {tris[flat[1]]} lies entirely in "
+                            f"critical level {format_scalar(crit_level[flat[0]])}; the tie-broken "
+                            "order cannot repair a flat triangle")
 
     # the sweep; arc a is union-find element a, a root while the arc is open
     uf = _UnionFind(0)
@@ -436,19 +431,6 @@ def _agreed_euler(node_id: int, census: int, index: int) -> int:
             f"branch Euler computations disagree at node {node_id}: "
             f"census {census} vs index sum {index}")
     return index
-
-
-def branch_euler(g: ReebGraph, node_id: int, branch: Branch) -> int:
-    """Euler characteristic of the part of the surface over one branch.
-
-    Computed two independent ways: summing level-census Euler numbers of
-    the branch nodes (regular contour families are annuli and contribute
-    zero), and summing PL indices of the critical vertices over the
-    branch. A mismatch is an internal error, never silently resolved.
-    """
-    return _agreed_euler(node_id,
-                         sum(g.nodes[w].census_euler for w in branch.nodes),
-                         sum(g.nodes[w].index_sum for w in branch.nodes))
 
 
 def find_special_vertex(g: ReebGraph) -> int:

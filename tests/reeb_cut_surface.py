@@ -17,8 +17,9 @@ from itertools import accumulate, groupby
 from operator import itemgetter
 
 from krtorus.errors import InternalInvariantError
-from krtorus.reeb import ReebEdge, ReebGraph, ReebNode, _UnionFind, triangle_level_pieces
+from krtorus.reeb import ReebEdge, ReebGraph, ReebNode, _UnionFind
 from krtorus.surface import SurfaceField, vertex_classes
+from reeb_sweep import flat_triangle
 
 
 def _node_component(s: SurfaceField, level, start: int, classes, left):
@@ -76,13 +77,13 @@ def compute_reeb_cut_surface(s: SurfaceField) -> ReebGraph:
     crit = sorted((v for v, c in enumerate(classes) if c.is_critical), key=values.__getitem__)
     if not crit:
         raise InternalInvariantError("closed surface field with no critical vertex")
-    # a flat triangle at a critical level is rejected by triangle_level_pieces;
-    # report the one on the lowest such level, lowest index first
+    # a flat triangle at a critical level is rejected; report the one on
+    # the lowest such level, lowest index first
     crit_level = {x: x for x, _ in groupby(crit, key=values.__getitem__)}
     flat = min(((values[a], idx) for idx, (a, b, c) in enumerate(s.triangles)
                 if values[a] == values[b] == values[c] and values[a] in crit_level), default=None)
     if flat is not None:
-        triangle_level_pieces(s, s.triangles[flat[1]], crit_level[flat[0]])
+        raise flat_triangle(s.triangles[flat[1]], crit_level[flat[0]])
 
     left = s.left_triangles()
 

@@ -13,10 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from krtorus.errors import InternalInvariantError
-from krtorus.reeb import ReebEdge, ReebGraph, ReebNode, triangle_level_pieces
-from krtorus.surface import SurfaceField, vertex_classes
-from oracles import UnionFind, surface_edges
+from krtorus.errors import InputRejected, InternalInvariantError
+from krtorus.reeb import ReebEdge, ReebGraph, ReebNode
+from krtorus.surface import SurfaceField, format_scalar, vertex_classes
+from oracles import UnionFind, surface_edges, triangle_level_pieces
+
+
+def flat_triangle(tri, level) -> InputRejected:
+    """The package's rejection of a triangle lying entirely in a critical level."""
+    return InputRejected(
+        "degenerate-level",
+        f"triangle {tri} lies entirely in critical level {format_scalar(level)}; "
+        "the tie-broken order cannot repair a flat triangle")
 
 
 @dataclass(frozen=True)
@@ -49,7 +57,10 @@ def level_sweep(s: SurfaceField, level, classes):
     tri_pieces = {}
     uf = UnionFind()
     for idx, tri in enumerate(s.triangles):
-        pieces = triangle_level_pieces(s, tri, level)
+        try:
+            pieces = triangle_level_pieces(tri, s.values, level)
+        except ValueError:
+            raise flat_triangle(tri, level) from None
         if not pieces:
             continue
         tri_pieces[idx] = pieces

@@ -82,9 +82,25 @@ def test_covering_field_is_a_torus_of_the_right_size():
         assert len(values) == BASE * BASE * det
         assert len(tris) == 2 * len(values)
         assert oracles.euler_characteristic(tris) == 0
-    # A and AV span the same lattice when V is unimodular: the same field
-    assert (oracles.covering_field(BASE, ((3, -4), (0, 2)))
-            == oracles.covering_field(BASE, ((3, -1), (0, 2))))
+
+
+def _unimodular(steps):
+    """The product of the elementary matrices [[1, t], [0, 1]] ("u"),
+    [[1, 0], [t, 1]] ("l") and [[1, 0], [0, -1]] ("f", t unused)."""
+    v = ((1, 0), (0, 1))
+    for kind, t in steps:
+        v = _product(v, {"u": ((1, t), (0, 1)), "l": ((1, 0), (t, 1)),
+                         "f": ((1, 0), (0, -1))}[kind])
+    return v
+
+
+@pytest.mark.parametrize("mat", _matrices()[:8], ids=str)
+@settings(max_examples=10, deadline=None)
+@given(steps=st.lists(st.tuples(st.sampled_from("ulf"), st.integers(-3, 3)), max_size=4))
+def test_unimodular_right_factor_keeps_the_covering_field(mat, steps):
+    # A V Z^2 = A Z^2 when V is unimodular: the same lattice, so the same field
+    av = _product(mat, _unimodular(steps))
+    assert oracles.covering_field(BASE, av) == oracles.covering_field(BASE, mat)
 
 
 @pytest.mark.parametrize("mat", _matrices(), ids=str)

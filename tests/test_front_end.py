@@ -135,6 +135,16 @@ def test_load_names_bad_values(token, message):
     assert (exc.value.code, str(exc.value)) == ("malformed-input", message)
 
 
+@pytest.mark.parametrize("counts", ["0 2", "3 0"])
+def test_load_refuses_counts_that_are_not_positive(counts):
+    text = f"torus-field v1\n{counts}\n0\n1\n"
+    with pytest.raises(InputRejected) as exc:
+        load_surface(text)
+    assert (exc.value.code, str(exc.value)) == (
+        "malformed-input", "vertex and triangle counts must be positive")
+    assert loaded(text) == loaded_by_oracle(text)
+
+
 def test_load_reads_any_whitespace_between_tokens():
     text = ("torus-field v1\n4 4\n0\t1.0 2.0  3.0\n1 0 0 0\n2 0 0 0\n3 0 0 0\n"
             "0\t1 2\n0  3 1\n1 3\t\t2\n2 3 0\n")

@@ -465,7 +465,8 @@ def test_partition_glues_only_the_carrier(monkeypatch):
 
     monkeypatch.setattr(_UnionFind, "union", counting)
     p = build_partition(s, g, node)
-    _, tris = level_structure(s, g, node)
+    _, cut, _ = level_structure(s, g, node)
+    tris = [t for t, _ in cut]
     carrier = len(set(g.node_map[node]).union(tris))
     pieces = len(p.refined_triangles) - (s.triangle_count - len(tris))
     assert 0 < unions <= 3 * (carrier + pieces)
@@ -483,8 +484,8 @@ def test_flipped_piece_repeats_a_directed_edge(monkeypatch):
     # and each repeats a directed edge of a neighboring piece
     s = preset_field("z2-sym", 16)
     g, node = _graph_and_node(s)
-    _, tris = level_structure(s, g, node)
-    monkeypatch.setattr(s, "triangles", _flipped(s, {tris[0]}))
+    _, cut, _ = level_structure(s, g, node)
+    monkeypatch.setattr(s, "triangles", _flipped(s, {cut[0][0]}))
     with pytest.raises(InternalInvariantError, match="refined complex repeats a directed edge"):
         build_partition(s, g, node)
 
@@ -494,8 +495,8 @@ def test_flipped_level_pieces_lose_their_seams(monkeypatch):
     # not with the untouched triangles across their seams
     s = preset_field("z2-sym", 16)
     g, node = _graph_and_node(s)
-    _, tris = level_structure(s, g, node)
-    monkeypatch.setattr(s, "triangles", _flipped(s, set(tris)))
+    _, cut, _ = level_structure(s, g, node)
+    monkeypatch.setattr(s, "triangles", _flipped(s, {t for t, _ in cut}))
     with pytest.raises(InternalInvariantError, match=r"refined edge \(\d+, \d+\) is not shared"):
         build_partition(s, g, node)
 
@@ -523,10 +524,10 @@ def test_branch_that_owns_nothing_is_caught():
 def test_level_component_with_a_vertex_off_the_level_is_caught(monkeypatch, extra, message):
     s = preset_field("two-cell", 16)
     g, node = _graph_and_node(s)
-    verts, tris = level_structure(s, g, node)
+    verts, cut, crossed = level_structure(s, g, node)
     assert extra not in verts
     monkeypatch.setattr(krtorus.partition, "level_structure",
-                        lambda *_: (tuple(sorted(verts + (extra,))), tris))
+                        lambda *_: (tuple(sorted(verts + (extra,))), cut, crossed))
     with pytest.raises(InternalInvariantError, match=message):
         build_partition(s, g, node)
 

@@ -14,7 +14,7 @@ import krtorus.reeb
 from krtorus.errors import InputRejected, InternalInvariantError
 from krtorus.fields import grid_field, preset_field, random_field
 from krtorus.pipeline import extract_disk_field
-from krtorus.reeb import (ReebEdge, ReebGraph, ReebNode, _UnionFind, branch_euler, compute_reeb,
+from krtorus.reeb import (ReebEdge, ReebGraph, ReebNode, _UnionFind, compute_reeb,
                           find_special_vertex, is_tree, reeb_to_dot)
 from krtorus.surface import SurfaceField, VertexClass, vertex_classes
 
@@ -157,12 +157,20 @@ def test_special_vertex_rejects_cycles(surface):
     assert exc.value.details["b1"] == 1
 
 
+def branch_euler(g, branch) -> int:
+    """Euler number of a branch by the census and the index route, which must agree."""
+    census = sum(g.nodes[w].census_euler for w in branch.nodes)
+    index = sum(g.nodes[w].index_sum for w in branch.nodes)
+    assert census == index
+    return index
+
+
 def test_branches(stage, twin_peaks):
     st = stage("two-cell")
     branches = st.graph.branches_at(st.node)
     assert [b.side for b in branches] == ["down", "up"]
     for b in branches:
-        assert branch_euler(st.graph, st.node, b) == 1
+        assert branch_euler(st.graph, b) == 1
 
     g = compute_reeb(twin_peaks)
     node = find_special_vertex(g)
@@ -170,7 +178,7 @@ def test_branches(stage, twin_peaks):
     assert len(up) == 1
     kinds = sorted(k for nid in up[0].nodes for k in g.nodes[nid].kinds)
     assert kinds == ["maximum", "maximum", "saddle"]
-    assert branch_euler(g, node, up[0]) == 1
+    assert branch_euler(g, up[0]) == 1
 
 
 def test_branch_euler_multi_node_subtree(twin_peaks):
@@ -179,7 +187,7 @@ def test_branch_euler_multi_node_subtree(twin_peaks):
     assert len(g.nodes) == 5 and is_tree(g)
     node = find_special_vertex(g)
     for b in g.branches_at(node):
-        assert branch_euler(g, node, b) == 1
+        assert branch_euler(g, b) == 1
 
 
 def _hand_tree(pairs, census, index=None) -> ReebGraph:
@@ -231,7 +239,7 @@ def test_special_vertex_on_a_long_path():
     assert find_special_vertex(g) == n // 2
     branches = g.branches_at(n // 2)
     assert [b.root_edge for b in branches] == [n // 2 - 1, n // 2]
-    assert [branch_euler(g, n // 2, b) for b in branches] == [1, 1]
+    assert [branch_euler(g, b) for b in branches] == [1, 1]
 
 
 def _prufer_pairs(seq, n):

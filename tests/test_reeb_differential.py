@@ -7,8 +7,9 @@ edges (parallel ones in the same order), triangle ownership and the
 on-level vertices of every node, and must reject the same inputs with
 the same code and message. The cut maps are not kept on the graph: the
 component that ``level_structure`` walks for a node, its on-level
-vertices and the triangles it crosses or runs along, must be the all-
-levels sweep's component of the same node, for every node.
+vertices, the triangles it crosses or runs along with their apexes and
+the edges it crosses, must be the all-levels sweep's component of the
+same node, for every node.
 The quantized grids carry exact value ties: flat edges, flat triangles
 at non-critical values, and flat triangles at critical values, which
 both reject as ``degenerate-level``. Hypothesis draws integer grids, and
@@ -27,10 +28,10 @@ from hypothesis import strategies as st
 from krtorus.errors import InputRejected
 from krtorus.fields import (PRESET_NAMES, grid_field, preset_field, pullback_cosine_field,
                             random_field)
-from krtorus.reeb import compute_reeb, level_structure, triangle_level_pieces
+from krtorus.reeb import compute_reeb, level_structure
 from krtorus.surface import SurfaceField, vertex_classes
 
-from oracles import surface_edges
+from oracles import surface_edges, triangle_level_pieces
 from reeb_cut_surface import compute_reeb_cut_surface
 from reeb_sweep import compute_reeb_sweep, level_sweep
 from test_reeb import integer_grids
@@ -61,11 +62,27 @@ def bench_random_fields(seed: int = 0) -> list:
     return [random_field(n, rng.randrange(2 ** 31)) for n in (16, 24, 32)]
 
 
-def misread_nodes(s) -> list[int]:
+def apex_of(tri, pieces) -> tuple[str, int]:
+    """(case, apex) of a triangle with two level pieces, decoded from the pieces.
+
+    The apex is the corner the level separates from the other two.
+    """
+    on = [p[1] for p in pieces if p[0] == "v"]
+    if len(on) == 2:
+        return "flat segment", (set(tri) - set(on)).pop()
+    if on:
+        return "on-level corner", on[0]
+    (_, *e1), (_, *e2) = pieces
+    return "two crossed edges", (set(e1) & set(e2)).pop()
+
+
+def misread_nodes(s, apex_cases: Counter | None = None) -> list[int]:
     """Nodes whose level_structure differs from the sweep's component of that node.
 
-    The sweep's side is the component's on-level vertices and its
-    triangles with two or more pieces, both in index order.
+    The sweep's side is the component's on-level vertices, its triangles
+    with two or more pieces, each with the apex decoded from its pieces,
+    and its crossed edges, all in index order. The apex cases met are
+    counted into apex_cases when it is given.
     """
     g = compute_reeb(s)
     classes = vertex_classes(s)
@@ -74,10 +91,18 @@ def misread_nodes(s) -> list[int]:
         comps, _ = level_sweep(s, level, classes)
         for comp in comps:
             if comp.is_node:
+                cut = []
+                for idx in comp.triangles:
+                    pieces = triangle_level_pieces(s.triangles[idx], s.values, level)
+                    if len(pieces) >= 2:
+                        case, apex = apex_of(s.triangles[idx], pieces)
+                        cut.append((idx, apex))
+                        if apex_cases is not None:
+                            apex_cases[case] += 1
                 swept[comp.critical_vertices] = (
                     tuple(sorted(p[1] for p in comp.pieces if p[0] == "v")),
-                    tuple(idx for idx in comp.triangles
-                          if len(triangle_level_pieces(s, s.triangles[idx], level)) >= 2))
+                    tuple(cut),
+                    tuple(sorted(p[1:] for p in comp.pieces if p[0] == "e")))
     return [n.id for n in g.nodes
             if level_structure(s, g, n.id) != swept[n.critical_vertices]]
 
@@ -223,12 +248,15 @@ def test_random_fields_read_every_node_component():
 def test_quantized_grids_read_every_node_component():
     misread = {}
     read = 0
+    apex_cases = Counter()
     for seed in range(160):
         s = quantized_grid(seed)
         try:
-            misread[seed] = misread_nodes(s)
+            misread[seed] = misread_nodes(s, apex_cases)
         except InputRejected:
             continue
         read += 1
     assert {seed: ids for seed, ids in misread.items() if ids} == {}
     assert read >= 40
+    # the pool reaches every way a level cuts a triangle
+    assert set(apex_cases) == {"flat segment", "on-level corner", "two crossed edges"}
