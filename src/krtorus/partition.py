@@ -28,12 +28,15 @@ one). Repeated directed edges and edges with one triangle are checked on
 the pieces and their seams only: validation and the fan walks of
 ``vertex_classes`` proved the untouched triangles closed and
 consistently oriented, and a piece edge between two original vertices is
-an edge of its own triangle.
+an edge of its own triangle. A region's boundary walk turns around each
+vertex of V on this map, and on ``left_triangles`` off it, one triangle
+at a time to the next edge of V: the "next edge around a vertex" step of
+a doubly-connected edge list. No fan at V is walked whole.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, filterfalse, repeat
+from itertools import chain, combinations, compress, filterfalse
 
 from .errors import InputRejected, InternalInvariantError
 # chain_homology stays bound here because bench/tracer.py wraps this binding
@@ -64,7 +67,6 @@ class TwoCell:
     level_signature: tuple
     boundary: tuple[tuple[int, int], ...]  # (one-cell id, +-1) in walk order
     boundary_vertices: tuple[int, ...]  # refined vertex cycle under the walk
-    support: tuple[int, ...]  # original triangles meeting the closed cell
     refined_triangles: tuple[int, ...]
 
 
@@ -83,9 +85,7 @@ class CellPartition:
     # refined complex data, used by disk extraction
     refined_values: tuple
     refined_triangles: tuple[tuple[int, int, int], ...]
-    refined_parent: tuple[int, ...]
     refined_coords: tuple | None
-    vertex_sources: tuple  # ("v", id) for originals, ("x", u, w) for crossings
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -173,7 +173,6 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
 
     vv = vset | set(xid.values())
     refined_values = list(s.values) + [level] * len(xlist)
-    vertex_sources = (*zip(repeat("v"), range(nv)), *(("x", u, w) for (u, w) in xlist))
     refined_coords = None
     if s.coords is not None:
         ext = []
@@ -208,20 +207,13 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         for x, y in ((a, b), (b, c), (c, a)):
             if left[y][x] not in split:
                 directed_tri[(y, x)] = first[left[y][x]]
-    succ: dict[int, dict[int, int]] = {w: {} for w in vv}
     for idx in split:
         for ti in range(first[idx], first[idx + 1]):
             a, b, c = refined[ti]
-            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for x, y in ((a, b), (b, c), (c, a)):
                 if (x, y) in directed_tri:
                     raise InternalInvariantError("refined complex repeats a directed edge")
                 directed_tri[(x, y)] = ti
-                if x in vv:
-                    succ[x][y] = z
-    for w in verts:
-        for y, t in left[w].items():
-            if t not in split:
-                succ[w][y] = sum(s.triangles[t]) - w - y
     # glue the carrier across its edges off V: a carrier triangle to itself,
     # an owned one to its branch's unit, numbered after the refined triangles
     nr = len(refined)
@@ -243,21 +235,6 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             for x, y in ((a, b), (b, c), (c, a)):
                 if left[y][x] not in split:
                     ruf.union(first[t], unit(first[left[y][x]]))
-
-    fan_of: dict[int, tuple[int, ...]] = {}
-    for w in vv:
-        d = succ[w]
-        start = min(d)
-        cyc = [start]
-        cur = d[start]
-        while cur != start:
-            cyc.append(cur)
-            if len(cyc) > len(d):
-                raise InternalInvariantError(f"refined fan at {w} does not close")
-            cur = d[cur]
-        if len(cyc) != len(d):
-            raise InternalInvariantError(f"refined fan at {w} is not a single cycle")
-        fan_of[w] = tuple(cyc)
 
     # complement regions: the classes of the gluing, a unit with the
     # carrier pieces glued to it, or pieces alone where the branch owns no
@@ -300,16 +277,15 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     crit_branches: dict[frozenset, list[int]] = {}
     for bi, bc in enumerate(branch_crit):
         crit_branches.setdefault(bc, []).append(bi)
-    region_branch = [None] * n_regions
+    # region -> branch is a bijection: there are nb regions, and disjoint regions
+    # hold disjoint, non-empty sets of criticals (every node has one)
+    cell_region = [None] * nb
     for rid, crit in enumerate(region_crit):
         hits = crit_branches.get(crit, [])
         if len(hits) != 1:
             raise InternalInvariantError(
                 f"region {rid} does not match exactly one branch (criticals {sorted(crit)})")
-        region_branch[rid] = hits[0]
-    # region_branch is a bijection: there are nb regions, and disjoint regions
-    # hold disjoint, non-empty sets of criticals (every node has one)
-    cell_region = [region_branch.index(bi) for bi in range(len(branches))]
+        cell_region[hits[0]] = rid
     for bi, root in enumerate(roots):
         if region_id.get(root, cell_region[bi]) != cell_region[bi]:
             raise InternalInvariantError(
@@ -382,9 +358,19 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             dart_info[(p[t], p[t + 1])] = (cell.id, 1, t)
             dart_info[(p[t + 1], p[t])] = (cell.id, -1, t)
 
-    # boundary walk of each region, region kept on the left: a step turns
-    # around w to the next edge of V, which the reverse turn undoes, so
-    # steps permute V's darts; inside an arc the turn follows the arc
+    def turn(x: int, w: int) -> int:
+        """The third corner of the refined triangle left of x->w."""
+        ti = directed_tri.get((x, w))  # a piece or a seam, else an untouched triangle
+        return sum(refined[ti] if ti is not None else s.triangles[left[x][w]]) - x - w
+
+    # boundary walk of each region, region kept on the left: a step u->w
+    # turns around w, one refined triangle at a time, to the next edge of V.
+    # Each refined dart has one triangle on its left (the repeated-edge check
+    # on the pieces, left_triangles elsewhere) and each refined edge one on
+    # either side (the shared-edge check on pieces and seams, closed fans
+    # elsewhere), so the turn permutes w's neighbours and stops at u at the
+    # latest, since w-u is on V. The reverse turn undoes a step, so steps
+    # permute V's darts; inside an arc the turn follows the arc
     def walk(rid: int) -> list[tuple[int, int]]:
         darts = region_darts[rid]
         start = min(darts)
@@ -392,14 +378,11 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         cur = start
         while True:
             u, w = cur
-            fan = fan_of[w]
-            i = fan.index(u)
-            for off in range(1, len(fan) + 1):
-                z = fan[(i - off) % len(fan)]
-                if _norm(w, z) in vedges:
-                    nxt = (w, z)
-                    break
-            if nxt not in darts:  # the turn stops at u itself if nowhere before
+            z = turn(u, w)
+            while _norm(w, z) not in vedges:
+                z = turn(z, w)
+            nxt = (w, z)
+            if nxt not in darts:
                 raise InternalInvariantError(f"boundary walk left region {rid}")
             if nxt == start:
                 break
@@ -436,7 +419,6 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             level_signature=branch_signature(g, node_id, br),
             boundary=to_items(cycle),
             boundary_vertices=tuple(d[0] for d in cycle),
-            support=tuple(dict.fromkeys(map(parent.__getitem__, region_tris[rid]))),
             refined_triangles=tuple(region_tris[rid])))
     cycles, cocycles = tree_cotree(zero_cells, one_cells, [c.boundary for c in two_cells])
     return CellPartition(
@@ -449,6 +431,4 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         cocycles=cocycles,
         refined_values=tuple(refined_values),
         refined_triangles=tuple(refined),
-        refined_parent=tuple(parent),
-        refined_coords=refined_coords,
-        vertex_sources=vertex_sources)
+        refined_coords=refined_coords)

@@ -101,10 +101,11 @@ def extract_disk_field(p: CellPartition, orbit_table, i: int) -> DiskField:
     In the torus the closure self-identifies along the level graph; the
     cut undoes that at the cell's boundary walk only. A region corner at
     a vertex off the walk keeps its refined vertex: ``vertex_classes``
-    closed every original fan, and ``build_partition`` closed every
-    refined fan at V, put each vertex off V in one region and walked all
-    of the region's darts on V. So every vertex of V in the cell is on
-    the walk, and all the corners at a vertex off it make one disk
+    closed every original fan, the pieces of ``build_partition``
+    subdivide closed fans with every on-level corner as an apex, and
+    ``build_partition`` put each vertex off V in one region and walked
+    all of the region's darts on V. So every vertex of V in the cell is
+    on the walk, and all the corners at a vertex off it make one disk
     vertex. A corner at a walk vertex u is glued only across an edge u-x
     with x off the walk, to u's corner on the other side; edges between
     two walk vertices stay cut, so each walk visit gets its own copy of

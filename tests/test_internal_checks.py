@@ -33,12 +33,6 @@ TESTS = ROOT / "tests"
 
 # message (formatted values as "{}") -> why it is kept without a test
 ALLOWLIST = {
-    "refined fan at {} does not close":
-        "loop bound of the refined fan walk at V, which stays apart from SurfaceField.fans; "
-        "no corrupted graph or level structure gets past the refined edge checks to it",
-    "refined fan at {} is not a single cycle":
-        "the refined link at V is one cycle only if the level pieces subdivide closed fans; "
-        "the region walks rely on it, and no corrupted input gets past the edge checks to it",
     "boundary walk left region {}":
         "the turn around w crosses edges off V, which glue one region, unless the graph "
         "filed a triangle of that sector elsewhere in a way the region checks above miss",

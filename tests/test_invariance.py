@@ -10,10 +10,13 @@ keep ``(n, m, r)``, the three cell counts and the group expression on
 the tree presets at grids 16 and 32 and on the pullbacks of the bench's
 ``pullback-groups`` workload. Each value map is first checked to be
 strictly monotone on the field's distinct values, so that two values
-merged by float rounding cannot pass as an invariance. A vertex
-relabeling renames the vertices of the mesh and moves their values
-along; it keeps the index order within each set of equal values, since
-ties are broken by index, and is drawn by hypothesis.
+merged by float rounding cannot pass as an invariance. Besides four
+fixed maps, hypothesis draws a * f + b with a != 0, on those fields and
+on three covering fields of ``test_covering.py``, and skips a draw that
+is not strictly monotone there. A vertex relabeling renames the
+vertices of the mesh and moves their values along; it keeps the index
+order within each set of equal values, since ties are broken by index,
+and is drawn by hypothesis.
 """
 from __future__ import annotations
 
@@ -21,12 +24,14 @@ import math
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from krtorus.fields import grid_field, grid_vertex, preset_field, pullback_cosine_field
 from krtorus.pipeline import analyze
 from krtorus.surface import SurfaceField
+
+import oracles
 
 FIELDS = {f"{name}@{grid}": (preset_field, name, grid)
           for name in ("two-cell", "z2-sym", "z2xz2-sym") for grid in (16, 32)}
@@ -36,6 +41,10 @@ FIELDS.update({
     "((2,1),(-1,2))@40": (pullback_cosine_field, 40, ((2, 1), (-1, 2))),
     "diag(4,4)@32": (pullback_cosine_field, 32, ((4, 0), (0, 4))),
 })
+
+# the head of test_covering._matrices(), lifted from its base grid 8
+COVERING = {f"covering {mat}": (lambda mat: SurfaceField(*oracles.covering_field(8, mat)), mat)
+            for mat in (((2, 0), (0, 2)), ((2, 0), (0, 4)), ((2, 2), (-2, 2)))}
 
 # name -> (map, +1 if it keeps the order of values, -1 if it reverses it)
 MAPS = {
@@ -58,7 +67,7 @@ SHIFTS = {
 
 @lru_cache(maxsize=None)
 def _field(key) -> SurfaceField:
-    make, *args = FIELDS[key]
+    make, *args = FIELDS[key] if key in FIELDS else COVERING[key]
     return make(*args)
 
 
@@ -82,6 +91,18 @@ def test_analysis_is_invariant(key, map_name):
     mapped = tuple(map(fn, s.values))
     images = [y for _, y in sorted(dict(zip(s.values, mapped)).items())]
     assert all(direction * (b - a) > 0 for a, b in zip(images, images[1:]))
+    assert _summary(SurfaceField(s.triangles, mapped, s.coords)) == _base_summary(key)
+
+
+@pytest.mark.parametrize("key", sorted(FIELDS) + sorted(COVERING))
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(a=st.one_of(st.floats(-64, -1 / 64), st.floats(1 / 64, 64)), b=st.floats(-1e3, 1e3))
+def test_analysis_is_invariant_under_drawn_affine_maps(key, a, b):
+    s = _field(key)
+    mapped = tuple(a * x + b for x in s.values)
+    images = [y for _, y in sorted(dict(zip(s.values, mapped)).items())]
+    # rounding can merge two values under a map that is monotone on the reals
+    assume(all(a * (y - x) > 0 for x, y in zip(images, images[1:])))
     assert _summary(SurfaceField(s.triangles, mapped, s.coords)) == _base_summary(key)
 
 
