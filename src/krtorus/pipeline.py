@@ -16,7 +16,7 @@ from itertools import chain, compress, count
 
 from .errors import InputRejected, InternalInvariantError
 from .partition import CellPartition, build_partition
-from .reeb import _UnionFind, compute_reeb, find_special_vertex
+from .reeb import compute_reeb, find_special_vertex
 from .surface import SurfaceField, dump_surface, format_scalar, validate_closed_orientable
 from .symmetry import enumerate_symmetries, group_structure, index_orbits
 from .wreath import (KERNEL_ENUM_LIMIT, DirectProductGroup, WreathElement, WreathGroup,
@@ -98,34 +98,20 @@ class DiskField:
 def extract_disk_field(p: CellPartition, orbit_table, i: int) -> DiskField:
     """The representative 2-cell of orbit i, cut free of the torus as a closed disk.
 
-    In the torus the closure self-identifies along the level graph; the
-    cut undoes that at the cell's boundary walk only. A region corner at
-    a vertex off the walk keeps its refined vertex: ``vertex_classes``
-    closed every original fan, the pieces of ``build_partition``
-    subdivide closed fans with every on-level corner as an apex, and
-    ``build_partition`` put each vertex off V in one region and walked
-    all of the region's darts on V. So every vertex of V in the cell is
-    on the walk, and all the corners at a vertex off it make one disk
-    vertex. A corner at a walk vertex u is glued only across an edge u-x
-    with x off the walk, to u's corner on the other side; edges between
-    two walk vertices stay cut, so each walk visit gets its own copy of
-    u. Disk vertices are numbered in order of their first corner.
+    The cut is made at the walk only. Visit n, at u = walk[n], turns
+    around u as ``build_partition``'s walk does, from the region triangle
+    holding walk[n-1]->u to the one whose corner after u is walk[n+1], and
+    makes u's corners there disk vertex ~n; corners off the walk keep their
+    refined vertex. Numbered by first corner, the visits are the boundary.
 
-    The cut is checked at its walk alone. Each edge at a walk vertex must
-    have one region triangle on either side. Then a disk dart with an end
-    x off the walk has its reverse in the disk: every triangle around x
-    is in the region, and a walk corner across an edge from x is glued to
-    its twin on the other side. Disk darts are distinct: a disk vertex
-    has one refined source, so two equal ones would be one refined dart
-    in two triangles. The unions join a corner's out-dart u->x to the
-    in-dart x->u of another corner of u, each at most once, so the
-    corners of a walk copy form a chain with one walk-to-walk out-dart and
-    one in-dart: those darts permute the walk copies and never repeat. So
-    the rim, the walk-to-walk darts without a reverse, is a permutation
-    too, whose walk from any dart closes; the F triangles have
-    (3F + |rim|) / 2 edges, and the disk must have Euler characteristic 1
-    and a rim that is one cycle and, in refined vertices, a rotation of
-    the walk.
+    Each edge a turn crosses is off V, since the walk's own step turns to
+    the first edge of V, so its dart is in a region triangle. Closed fans
+    off the walk lie in the region: one disk vertex each. The edges of V
+    at u cut u's region corners into sectors, in-dart to next out-dart of
+    the walk, which covers every region dart: so each sector is one visit,
+    each corner is taken once, and the rim is the steps ~(n-1)->~n, one
+    cycle copying the walk. Connected across the edges off V, the cut is a
+    disk if its Euler characteristic is 1.
     """
     table = [tuple(t) for t in orbit_table]
     r = max(t[0] for t in table)
@@ -133,75 +119,44 @@ def extract_disk_field(p: CellPartition, orbit_table, i: int) -> DiskField:
         raise ValueError(f"disk index {i} out of range 1..{r}")
     rep = next(c for c, t in enumerate(table) if t == (i, 0, 0))
     cell = p.two_cells[rep]
-    walkset = set(cell.boundary_vertices)
+    walk = cell.boundary_vertices
     corners = list(chain.from_iterable(map(p.refined_triangles.__getitem__,
                                             cell.refined_triangles)))
 
-    # The corners at walk vertices, numbered in corner order: u's corner
-    # in the triangle left of u->x and in the one left of x->u, x off the walk.
-    at_walk = list(compress(range(len(corners)), map(walkset.__contains__, corners)))
-    after: dict[tuple[int, int], int] = {}
-    before: dict[tuple[int, int], int] = {}
-    inner = []  # walk corners whose next corner is at the walk too
-    for n, k in enumerate(at_walk):
+    # into[(x, u)] = (u's corner in the region triangle holding x->u, the corner after it)
+    at_walk = list(compress(range(len(corners)), map(set(walk).__contains__, corners)))
+    into = {}
+    for k in at_walk:
         j = k - k % 3
-        u, x, y = corners[k], corners[j + (k + 1) % 3], corners[j + (k + 2) % 3]
-        if x in walkset:
-            inner.append(k)
-        elif after.setdefault((u, x), n) != n:
-            raise InternalInvariantError(
-                f"directed edge {u}->{x} repeats in cut cell {rep}")
-        if y not in walkset and before.setdefault((y, u), n) != n:
-            raise InternalInvariantError(
-                f"directed edge {y}->{u} repeats in cut cell {rep}")
-    unpaired = after.keys() ^ {(u, y) for y, u in before}
-    if unpaired:
-        u, x = min(unpaired)
-        raise InternalInvariantError(
-            f"interior edge {u}-{x} at the walk of cut cell {rep} has one triangle")
-    uf = _UnionFind(len(at_walk))
-    for (u, x), corner in after.items():
-        uf.union(corner, before[(x, u)])
+        into[corners[j + (k + 2) % 3], corners[k]] = k, corners[j + (k + 1) % 3]
+    for n, u in enumerate(walk):
+        x, last = walk[n - 1], walk[n + 1 - len(walk)]
+        while True:  # one triangle at least; a retaken corner ends a turn round u
+            if (x, u) not in into:
+                raise InternalInvariantError(f"visit {n} of cut cell {rep} misses dart {x}->{u}")
+            k, x = into[x, u]
+            if corners[k] < 0:
+                raise InternalInvariantError(f"visit {n} of cut cell {rep} retakes a corner")
+            corners[k] = ~n
+            if x == last:
+                break
+    if (u := max(map(corners.__getitem__, at_walk))) >= 0:
+        raise InternalInvariantError(f"corner at {u} on the walk of cut cell {rep} is in no visit")
 
-    # a disk vertex is keyed by its refined vertex off the walk, and by
-    # ~root of its glued corners at the walk, numbered by first corner
-    walk_vertex = list(map(corners.__getitem__, at_walk))
-    for n, k in enumerate(at_walk):
-        corners[k] = ~uf.find(n)
     number = dict(zip(dict.fromkeys(corners), count()))
-    sources = [key if key >= 0 else walk_vertex[~key] for key in number]
+    sources = list(number)
+    boundary = list(map(number.__getitem__, range(-1, -len(walk) - 1, -1)))  # ~0, ~1, ...
+    for b, u in zip(boundary, walk):
+        sources[b] = u
     numbered = map(number.__getitem__, corners)
     tris = list(zip(numbered, numbered, numbered))
-    del corners  # three entries per triangle
-    values = [p.refined_values[u] for u in sources]
-    coords = ([p.refined_coords[u] for u in sources]
-              if p.refined_coords is not None else None)
-    sub = SurfaceField(tris, values, coords)
-
-    darts = {(tris[k // 3][k % 3], tris[k // 3][(k + 1) % 3]) for k in inner}
-    rim = [(u, w) for u, w in darts if (w, u) not in darts]
-    if len(sources) - (3 * len(tris) + len(rim)) // 2 + len(tris) != 1:
+    del corners, into, at_walk  # per region corner, or per walk corner
+    if len(sources) - (3 * len(tris) + len(walk)) // 2 + len(tris) != 1:
         raise InternalInvariantError(f"cut cell {rep} is not a disk")
-
-    # boundary cycle of the cut mesh, disk kept on the left
-    step = dict(rim)
-    start = min(step)
-    cycle = [start]
-    cur = step[start]
-    while cur != start:
-        cycle.append(cur)
-        cur = step[cur]
-    if len(cycle) != len(step):
-        raise InternalInvariantError("cut boundary has several cycles")
-
-    # same walk as on the torus, up to a rotation
-    walk = [sources[x] for x in cycle]
-    original = list(cell.boundary_vertices)
-    if len(walk) != len(original) or not any(
-            walk == original[k:] + original[:k] for k, u in enumerate(original) if u == walk[0]):
-        raise InternalInvariantError("cut boundary disagrees with the cell walk")
-
-    return DiskField(sub, tuple(cycle), tuple(sources), rep)
+    coords = None if p.refined_coords is None else list(map(p.refined_coords.__getitem__, sources))
+    sub = SurfaceField(tris, list(map(p.refined_values.__getitem__, sources)), coords)
+    k = boundary.index(min(boundary))
+    return DiskField(sub, tuple(boundary[k:] + boundary[:k]), tuple(sources), rep)
 
 
 def analyze(s: SurfaceField) -> AnalysisReport:

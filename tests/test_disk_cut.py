@@ -1,18 +1,22 @@
 """Disk extraction: the cut against a whole-region oracle, broken cells, coordinates.
 
 ``extract_disk_field`` cuts each orbit representative 2-cell free of the
-torus. ``oracles.cut_disk`` makes the same cut from the raw refined
-triangles by gluing corners across every region edge that does not join
-two walk vertices; the two must agree on every field of the disk.
+torus by one turn around each walk visit: the corners a visit passes
+become one disk vertex, and the visits in walk order are the rim.
+``oracles.cut_disk`` makes the same cut from the raw refined triangles by
+gluing corners across every region edge that does not join two walk
+vertices, and reads the rim off the darts without a reverse; the two must
+agree on every field of the disk, for every 2-cell and walk rotation.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+import random
 
 import pytest
 
-from krtorus.errors import InternalInvariantError
+from krtorus.errors import InputRejected, InternalInvariantError
 from krtorus.fields import preset_field, pullback_cosine_field
 from krtorus.partition import build_partition
 from krtorus.pipeline import analyze, extract_disk_field
@@ -21,6 +25,7 @@ from krtorus.surface import SurfaceField, dump_surface
 from krtorus.symmetry import enumerate_symmetries, group_structure, index_orbits
 
 import oracles
+from test_partition import DIFFERENTIAL_FIELDS, _coarse_pool
 
 CASES = (
     [(f"{name}@{n}", lambda name=name, n=n: preset_field(name, n))
@@ -67,9 +72,38 @@ def _with_cell(p, rep, **changes):
     return dataclasses.replace(p, two_cells=tuple(cells))
 
 
+def _cut_every_cell(s, rng) -> int:
+    # each 2-cell as orbit 1's representative, its walk as stored and turned
+    # by a seeded offset; the oracle's rim starts at its smallest vertex
+    try:
+        g = compute_reeb(s)
+        p = build_partition(s, g, find_special_vertex(g))
+    except InputRejected:
+        return 0  # cyclic graph or tie degeneracy, as the tool rejects it
+    for c, cell in enumerate(p.two_cells):
+        table = [(1, 0, 0) if d == c else (1, 1, 0) for d in range(len(p.two_cells))]
+        want = oracles.cut_disk(p.refined_triangles, p.refined_values,
+                                cell.refined_triangles, cell.boundary_vertices)
+        walk = cell.boundary_vertices
+        k = rng.randrange(len(walk))
+        for q in (p, _with_cell(p, c, boundary_vertices=walk[k:] + walk[:k])):
+            disk = extract_disk_field(q, table, 1)
+            assert disk.cell == c
+            assert (list(disk.surface.triangles), list(disk.surface.values),
+                    list(disk.boundary), list(disk.source_vertices)) == want
+    return len(p.two_cells)
+
+
+def test_every_cell_matches_whole_region_cut_at_a_drawn_rotation():
+    rng = random.Random(20261019)
+    fields = [make() for _, make in DIFFERENTIAL_FIELDS]
+    fields += [*_coarse_pool("pullback"), *_coarse_pool("random")]
+    assert sum(_cut_every_cell(s, rng) for s in fields) >= 298  # 42 fields are accepted
+
+
 @pytest.mark.parametrize("at_walk, message", [
     (False, r"cut cell \d+ is not a disk"),
-    (True, r"interior edge \d+-\d+ at the walk of cut cell \d+ has one triangle")],
+    (True, r"visit \d+ of cut cell \d+ misses dart \d+->\d+")],
     ids=["off-walk", "at-walk"])
 def test_cell_missing_a_triangle_is_rejected(stage, at_walk, message):
     st = stage("two-cell")
@@ -84,12 +118,14 @@ def test_cell_missing_a_triangle_is_rejected(stage, at_walk, message):
         extract_disk_field(broken, st.table, 1)
 
 
-@pytest.mark.parametrize("flags, dart", [
-    # its walk corner's next corner is off the walk: the dart out of it repeats
-    ((True, False, False), (0, 1)),
-    # its first walk corner's next is on the walk, its previous is not: the dart into it repeats
-    ((True, True, False), (2, 0))], ids=["out-dart", "in-dart"])
-def test_cell_listing_a_triangle_twice_is_rejected(stage, flags, dart):
+@pytest.mark.parametrize("flags", [
+    # one corner at the walk, whose darts out of and into it are keyed twice
+    (True, False, False),
+    # two corners at the walk, the dart into the first from off the walk
+    (True, True, False)], ids=["out-dart", "in-dart"])
+def test_cell_listing_a_triangle_twice_is_rejected(stage, flags):
+    # the second copy's walk corners take the keys of the first's, which
+    # no visit then reaches
     st = stage("two-cell")
     rep = _representative(st.table, 1)
     cell = st.part.two_cells[rep]
@@ -99,10 +135,10 @@ def test_cell_listing_a_triangle_twice_is_rejected(stage, flags, dart):
     tri = st.part.refined_triangles[ti]
     broken = _with_cell(st.part, rep, refined_triangles=cell.refined_triangles + (ti,))
     with pytest.raises(InternalInvariantError,
-                       match=r"^directed edge \d+->\d+ repeats in cut cell \d+$") as exc:
+                       match=r"^corner at \d+ on the walk of cut cell \d+ is in no visit$") as exc:
         extract_disk_field(broken, st.table, 1)
-    a, b = (tri[k] for k in dart)
-    assert str(exc.value) == f"directed edge {a}->{b} repeats in cut cell {rep}"
+    u = max(u for u in tri if u in walk)
+    assert str(exc.value) == f"corner at {u} on the walk of cut cell {rep} is in no visit"
 
 
 def test_cell_with_reversed_walk_is_rejected(stage):
@@ -110,8 +146,19 @@ def test_cell_with_reversed_walk_is_rejected(stage):
     rep = _representative(st.table, 2)
     walk = st.part.two_cells[rep].boundary_vertices
     broken = _with_cell(st.part, rep, boundary_vertices=tuple(reversed(walk)))
-    with pytest.raises(InternalInvariantError, match="disagrees with the cell walk"):
+    with pytest.raises(InternalInvariantError, match=r"visit 0 of cut cell \d+ misses dart"):
         extract_disk_field(broken, st.table, 2)
+
+
+def test_cell_walking_its_rim_twice_is_rejected(stage):
+    # each sector of the walk is visited twice: the second visit finds its
+    # corners taken by the first
+    st = stage("two-cell")
+    rep = _representative(st.table, 1)
+    walk = st.part.two_cells[rep].boundary_vertices
+    broken = _with_cell(st.part, rep, boundary_vertices=walk + walk)
+    with pytest.raises(InternalInvariantError, match=r"visit \d+ of cut cell \d+ retakes a corner"):
+        extract_disk_field(broken, st.table, 1)
 
 
 def test_cell_with_a_stray_triangle_off_the_walk_is_rejected(stage):
@@ -130,9 +177,10 @@ def test_cell_with_a_stray_triangle_off_the_walk_is_rejected(stage):
 
 @pytest.mark.parametrize("name", ["two-cell", "z2xz2-sym"])
 def test_cell_walk_through_its_interior_is_rejected(stage, name):
-    # the walk detours u1 -> x -> u2 around its rim triangle (u1, u2, x),
-    # so the corners at u1, u2 and x are cut apart along u1-x and x-u2:
-    # the triangle comes off as a second piece, seen by the rim darts alone
+    # the walk detours u1 -> x -> u2 around its rim triangle (u1, u2, x):
+    # the visit at u1 now stops before that triangle, the one at u2 starts
+    # after it, and the one at x turns the long way round, so none of its
+    # corners is taken
     st = stage(name)
     rep = _representative(st.table, 1)
     cell = st.part.two_cells[rep]
@@ -144,7 +192,8 @@ def test_cell_walk_through_its_interior_is_rejected(stage, name):
     k = next(k for k in range(len(walk)) if left[walk[k - 1], walk[k]] not in walk)
     x = left[walk[k - 1], walk[k]]
     broken = _with_cell(st.part, rep, boundary_vertices=(*walk[:k], x, *walk[k:]))
-    with pytest.raises(InternalInvariantError, match="is not a disk"):
+    with pytest.raises(InternalInvariantError,
+                       match=r"corner at \d+ on the walk of cut cell \d+ is in no visit"):
         extract_disk_field(broken, st.table, 1)
 
 
@@ -168,14 +217,15 @@ def test_walk_through_a_vertex_twice_is_read_at_every_rotation(stage):
         assert _fields(extract_disk_field(turned, st.table, 1)) == _fields(disk)
 
     # the same vertices in the same number, but the arcs after the two
-    # visits of the start swapped: no rotation of the rim
+    # visits of the start swapped: a visit turns from a dart into the
+    # wrong sector, which no region triangle holds
     a, b = visits
     tail = next(j for j in range(a + 1, b) if walk[j] in walk[b + 1:])
     c = walk.index(walk[tail], b + 1)
     swapped = walk[:a + 1] + walk[b + 1:c] + walk[tail:b + 1] + walk[a + 1:tail] + walk[c:]
     assert sorted(swapped) == sorted(walk) and swapped != walk
     broken = _with_cell(st.part, rep, boundary_vertices=swapped)
-    with pytest.raises(InternalInvariantError, match="disagrees with the cell walk"):
+    with pytest.raises(InternalInvariantError, match=r"visit \d+ of cut cell \d+ misses dart"):
         extract_disk_field(broken, st.table, 1)
 
 

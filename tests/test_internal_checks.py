@@ -39,9 +39,6 @@ ALLOWLIST = {
     "region {} boundary is not a single closed walk":
         "Euler characteristic 1 makes a region a disk with one boundary walk only if the "
         "region is a surface, which nothing before the walk checks",
-    "cut boundary has several cycles":
-        "Euler characteristic 1 forces one rim cycle only if the cut disk is connected, "
-        "which nothing checks; a rim whose first cycle matches the walk passes the rotation check",
 }
 
 

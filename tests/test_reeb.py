@@ -92,9 +92,9 @@ def test_compute_reeb_memory_stays_compact():
 
 
 def test_extract_disk_field_memory_stays_compact(stage):
-    # the cut glues corners at the boundary walk only and checks the disk
-    # at its walk, so it keeps nothing per region corner or dart beyond the
-    # disk it returns. About 1.0 MiB; a set of every disk dart took 1.8 MiB
+    # the cut turns at the boundary walk only and checks the disk at its
+    # walk, so it keeps nothing per region corner or dart beyond the disk
+    # it returns. About 0.9 MiB; a set of every disk dart took 1.8 MiB
     st = stage("two-cell", 64)
     tracemalloc.start()
     try:

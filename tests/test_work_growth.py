@@ -135,9 +135,10 @@ def _every_disk(p, table, r):
 
 @pytest.mark.parametrize("name", ("two-cell", "z2-sym", "z2xz2-sym"))
 def test_disks_grow_linearly(name):
-    # every orbit's disk of the tree presets at 16, 32 and 64: x2.2-2.5.
-    # The mesh grows x4 per step but its walk only x2, and the cut's own
-    # checks follow the walk; a set of every disk dart grew x2.5-3.2
+    # every orbit's disk of the tree presets at 16, 32 and 64: x2.1-2.5
+    # (two-cell x2.28, x2.50). The mesh grows x4 per step but its walk only
+    # x2, and the cut turns once per walk visit; a set of every disk dart
+    # grew x2.5-3.2
     def stage_inputs(n):
         s = preset_field(name, n)
         g = compute_reeb(s)
