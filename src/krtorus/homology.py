@@ -38,10 +38,6 @@ class IntMatrix:
         return cls.from_rows(tuple(tuple(1 if i == j else 0 for j in range(n))
                                    for i in range(n)), cols=n)
 
-    @classmethod
-    def zeros(cls, r: int, c: int) -> "IntMatrix":
-        return cls(tuple(tuple(0 for _ in range(c)) for _ in range(r)), (r, c))
-
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self.entries[i][j]

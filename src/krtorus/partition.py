@@ -31,10 +31,14 @@ consistently oriented, and a piece edge between two original vertices is
 an edge of its own triangle. A region's boundary walk turns around each
 vertex of V on this map, and on ``left_triangles`` off it, one triangle
 at a time to the next edge of V: the "next edge around a vertex" step of
-a doubly-connected edge list. No fan at V is walked whole.
+a doubly-connected edge list. No fan at V is walked whole. V's arcs are
+not traced apart: the walks cut at the 0-cells are the 1-cells, each
+met once in each direction, and a 2-cell's pieces are its signed
+boundary, as a face's edges are read off its boundary cycle.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, filterfalse
 
@@ -53,10 +57,6 @@ class OneCell:
     tail: int
     head: int
     path: tuple[int, ...]  # refined vertex ids, tail first
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.path) - 1
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,6 @@ class CellPartition:
     refined_values: tuple
     refined_triangles: tuple[tuple[int, int, int], ...]
     refined_coords: tuple | None
-
-    @property
-    def counts(self) -> tuple[int, int, int]:
-        return (len(self.zero_cells), len(self.one_cells), len(self.two_cells))
 
 
 def branch_signature(g: ReebGraph, node_id: int, branch: Branch) -> tuple:
@@ -301,18 +297,14 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
                 f"region {rid} has open Euler characteristic {chi}, not a disk")
     del owned, owner, region_verts  # per-triangle and per-vertex state, no longer read
 
-    # V as a graph: arcs between critical vertices
-    vadj: dict[int, set[int]] = {w: set() for w in vv}
-    for (u, w) in vedges:
-        vadj[u].add(w)
-        vadj[w].add(u)
     zero_cells = tuple(sorted(node.critical_vertices))
     zset = set(zero_cells)
     # A disagreement between the tie-broken classification and the exact
     # level geometry means value ties collapsed or split level rays; the
     # sample is too coarse, so reject it rather than flag an internal bug.
+    degree = Counter(chain.from_iterable(vedges))
     for w in vv:
-        deg = len(vadj[w])
+        deg = degree[w]
         if w in zset:
             kind = classes[w]
             if kind.kind == "saddle" and deg != 2 * (kind.multiplicity + 1):
@@ -331,32 +323,6 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
                 "degenerate-level",
                 f"on-level vertex {w} has {deg} exact level rays where a regular "
                 "point has 2; the sample is too degenerate at its critical level")
-
-    # V is one level component with a critical vertex, and its other
-    # vertices have two rays, so arcs from its criticals cover it
-    visited: set[tuple[int, int]] = set()
-    raw_paths: list[tuple[int, ...]] = []
-    for z in zero_cells:
-        for nb in sorted(vadj[z]):
-            if _norm(z, nb) in visited:
-                continue
-            path = [z, nb]
-            visited.add(_norm(z, nb))
-            while path[-1] not in zset:
-                cur, prev = path[-1], path[-2]
-                nxt = next(x for x in vadj[cur] if x != prev)
-                path.append(nxt)
-                visited.add(_norm(cur, nxt))
-            raw_paths.append(tuple(path))
-
-    canon_paths = sorted(min(p, tuple(reversed(p))) for p in raw_paths)
-    one_cells = tuple(OneCell(i, p[0], p[-1], p) for i, p in enumerate(canon_paths))
-    dart_info: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for cell in one_cells:
-        p = cell.path
-        for t in range(len(p) - 1):
-            dart_info[(p[t], p[t + 1])] = (cell.id, 1, t)
-            dart_info[(p[t + 1], p[t])] = (cell.id, -1, t)
 
     def turn(x: int, w: int) -> int:
         """The third corner of the refined triangle left of x->w."""
@@ -393,33 +359,32 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
                 f"region {rid} boundary is not a single closed walk")
         return cycle
 
-    arc_len = {c.id: c.edge_count for c in one_cells}
-
-    def to_items(cycle: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-        def is_start(dart):
-            aid, sign, pos = dart_info[dart]
-            return pos == 0 if sign > 0 else pos == arc_len[aid] - 1
-
-        k = next(i for i, d in enumerate(cycle) if is_start(d))
-        cyc = cycle[k:] + cycle[:k]
-        items = []
-        i = 0
-        while i < len(cyc):
-            aid, sign, _ = dart_info[cyc[i]]
-            items.append((aid, sign))
-            i += arc_len[aid]
-        return tuple(items)
-
-    two_cells = []
-    for cell_id, br in enumerate(branches):
-        rid = cell_region[cell_id]
-        cycle = walk(rid)
-        two_cells.append(TwoCell(
-            id=cell_id,
-            level_signature=branch_signature(g, node_id, br),
-            boundary=to_items(cycle),
-            boundary_vertices=tuple(d[0] for d in cycle),
-            refined_triangles=tuple(region_tris[rid])))
+    # the 1-cells are the walks cut at the 0-cells. The region darts split
+    # V's darts and each walk covers its region's darts, so the cut meets
+    # each arc once in each direction. V is connected and holds a 0-cell,
+    # and its other vertices have two rays, so every walk passes a 0-cell
+    walks, pieces = [], []
+    for bi in range(nb):
+        cycle = walk(cell_region[bi])
+        k = next(i for i, (u, _) in enumerate(cycle) if u in zset)
+        paths: list[list[int]] = []
+        for u, w in cycle[k:] + cycle[:k]:
+            if u in zset:
+                paths.append([u])
+            paths[-1].append(w)
+        walks.append(tuple(u for u, _ in cycle))
+        pieces.append(list(map(tuple, paths)))
+    canon_paths = sorted({min(q, q[::-1]) for q in chain.from_iterable(pieces)})
+    one_cells = tuple(OneCell(i, q[0], q[-1], q) for i, q in enumerate(canon_paths))
+    arc_id = {q: i for i, q in enumerate(canon_paths)}
+    two_cells = [TwoCell(
+        id=bi,
+        level_signature=branch_signature(g, node_id, br),
+        boundary=tuple((arc_id[q], 1) if q in arc_id else (arc_id[q[::-1]], -1)
+                       for q in pieces[bi]),
+        boundary_vertices=walks[bi],
+        refined_triangles=tuple(region_tris[cell_region[bi]]))
+        for bi, br in enumerate(branches)]
     cycles, cocycles = tree_cotree(zero_cells, one_cells, [c.boundary for c in two_cells])
     return CellPartition(
         node=node_id,

@@ -70,14 +70,6 @@ class AnalysisReport:
                 "special": self.special, "symmetry": self.symmetry,
                 "group": self.group, "disks": self.disks}
 
-    @classmethod
-    def from_json(cls, data) -> "AnalysisReport":
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls(format=data["format"], surface=data["surface"], reeb=data["reeb"],
-                   special=data["special"], symmetry=data["symmetry"],
-                   group=data["group"], disks=data["disks"])
-
 
 def canonical_json(report: AnalysisReport) -> str:
     return json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))

@@ -1,8 +1,10 @@
 """Independent brute-force reference implementations.
 
 Everything here works on raw triangle/value data and never imports the
-package under test, except in two places. The whole cell automorphisms
-use the package's ``CellAutomorphism`` record, and
+package under test, except in these places. ``zeros`` and
+``report_from_json`` build the package's ``IntMatrix`` and
+``AnalysisReport`` records, which only tests build that way. The whole
+cell automorphisms use the package's ``CellAutomorphism`` record, and
 ``all_flag_automorphisms`` is the plain every-flag search that the
 symmetry stage's orbit closure replaced, built on the package's own seed
 propagation. ``CorruptedWreath`` is the package's wreath engine with a
@@ -15,6 +17,7 @@ frozen from hand calculations that are spelled out at the point of use.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from math import gcd, lcm
@@ -115,6 +118,50 @@ def cut_regions(triangles, cut_edges):
                     edges.add(key)
         out.append((tris, (len(verts), len(edges), len(tris)), darts))
     return out
+
+
+def level_component_edges(triangles, values, level, seeds):
+    """Edges of a complex with both ends at the level, kept to the component
+    of the level graph that holds the seed vertices (pairs, smaller end first)."""
+    edges = {e for e in surface_edges(triangles) if values[e[0]] == level == values[e[1]]}
+    uf = UnionFind()
+    for u, w in edges:
+        uf.union(u, w)
+    (root,) = {uf.find(v) for v in seeds}
+    return {e for e in edges if uf.find(e[0]) == root}
+
+
+def trace_arcs(v_edges, zero_cells):
+    """The arcs of a graph between its 0-cells, traced from each 0-cell.
+
+    Every vertex off zero_cells must have two edges. Returns the vertex
+    paths, each as the smaller of its two directions, sorted.
+    """
+    adj = {}
+    for u, w in v_edges:
+        adj.setdefault(u, set()).add(w)
+        adj.setdefault(w, set()).add(u)
+    zset = set(zero_cells)
+    visited = set()
+    paths = []
+    for z in sorted(zero_cells):
+        for nb in sorted(adj.get(z, ())):
+            if (min(z, nb), max(z, nb)) in visited:
+                continue
+            path = [z, nb]
+            visited.add((min(z, nb), max(z, nb)))
+            while path[-1] not in zset:
+                cur, prev = path[-1], path[-2]
+                (nxt,) = adj[cur] - {prev}
+                path.append(nxt)
+                visited.add((min(cur, nxt), max(cur, nxt)))
+            paths.append(tuple(path))
+    return sorted(min(q, q[::-1]) for q in paths)
+
+
+def cell_counts(p):
+    """(0-cells, 1-cells, 2-cells) of a cell partition."""
+    return (len(p.zero_cells), len(p.one_cells), len(p.two_cells))
 
 
 def triangle_level_pieces(tri, values, level):
@@ -534,6 +581,20 @@ def cut_disk(refined_triangles, refined_values, region, walk):
     while step[boundary[-1]] != boundary[0]:
         boundary.append(step[boundary[-1]])
     return disk, [refined_values[u] for u in sources], boundary, sources
+
+
+def zeros(r, c):
+    """The r x c zero matrix as the package's IntMatrix."""
+    from krtorus.homology import IntMatrix
+    return IntMatrix.from_rows(tuple((0,) * c for _ in range(r)), cols=c)
+
+
+def report_from_json(data):
+    """An AnalysisReport back from its JSON text or parsed dict."""
+    from krtorus.pipeline import AnalysisReport
+    if isinstance(data, str):
+        data = json.loads(data)
+    return AnalysisReport(**data)
 
 
 def identity_automorphism(p):

@@ -119,7 +119,7 @@ def test_criterion_01_structure_theorem_on_model_fields(stage, preset_reports):
         s = st.surface
         assert is_tree(st.graph)
         assert (st.group.n, st.group.m, st.r) == (want["n"], want["m"], want["r"])
-        assert st.part.counts == want["counts"]
+        assert oracles.cell_counts(st.part) == want["counts"]
         assert preset_reports[name].group["expr"] == want["expr"]
 
         # contour oracle: the edge set reproduces brute-force contour

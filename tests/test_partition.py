@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,7 @@ import krtorus.homology
 import krtorus.partition
 from krtorus.errors import InputRejected, InternalInvariantError
 from krtorus.fields import preset_field, pullback_cosine_field, random_field
-from krtorus.homology import IntMatrix, tree_cotree
+from krtorus.homology import tree_cotree
 from krtorus.partition import OneCell, branch_signature, build_partition
 from krtorus.reeb import (Branch, ReebEdge, ReebGraph, ReebNode, _UnionFind, compute_reeb,
                           find_special_vertex, level_structure)
@@ -28,12 +29,12 @@ EXPECTED_COUNTS = {
 
 def test_cell_counts(stage):
     for name, counts in EXPECTED_COUNTS.items():
-        assert stage(name).part.counts == counts
+        assert oracles.cell_counts(stage(name).part) == counts
 
 
 def test_euler_characteristic_from_cells(stage):
     for name in EXPECTED_COUNTS:
-        z, o, t = stage(name).part.counts
+        z, o, t = oracles.cell_counts(stage(name).part)
         assert z - o + t == 0
 
 
@@ -55,7 +56,6 @@ def test_one_cell_endpoints_and_paths(stage):
         for arc in p.one_cells:
             assert arc.path[0] == arc.tail and arc.path[-1] == arc.head
             assert arc.tail in zset and arc.head in zset
-            assert arc.edge_count == len(arc.path) - 1
             # interior points are on-level but not 0-cells
             for rv in arc.path[1:-1]:
                 assert rv not in zset
@@ -65,9 +65,9 @@ def test_one_cell_endpoints_and_paths(stage):
 def test_boundary_composition_vanishes(stage):
     for name in EXPECTED_COUNTS:
         p = stage(name).part
-        z, o, t = p.counts
+        z, o, t = oracles.cell_counts(p)
         d1, d2 = dense_boundaries(p)
-        assert (d1 @ d2).to_lists() == IntMatrix.zeros(z, t).to_lists()
+        assert (d1 @ d2).to_lists() == oracles.zeros(z, t).to_lists()
 
 
 def test_cocycles_pair_with_cycles(stage):
@@ -289,7 +289,7 @@ def test_twin_peaks_partition(twin_peaks):
     g = compute_reeb(twin_peaks)
     node = find_special_vertex(g)
     p = build_partition(twin_peaks, g, node)
-    assert p.counts == (2, 4, 2)
+    assert oracles.cell_counts(p) == (2, 4, 2)
     up = [c for c in p.two_cells if c.level_signature[0] == "up"]
     down = [c for c in p.two_cells if c.level_signature[0] == "down"]
     assert len(up) == len(down) == 1
@@ -346,8 +346,24 @@ def _check_against_whole_mesh_rebuild(s: SurfaceField, g: ReebGraph, node: int) 
     # the region walks turn around V on the refined complex; its every
     # link, at V too, must be one cycle, or this raises not-a-surface
     SurfaceField(p.refined_triangles, p.refined_values).fans()
-    v_edges = {(min(x, y), max(x, y))
-               for cell in p.one_cells for x, y in zip(cell.path, cell.path[1:])}
+    # V on its own: the refined edges at the level, in the 0-cells' component.
+    # The 1-cells are the walks cut at the 0-cells; they must cover V, each
+    # edge once, and be the arcs that a tracer from the 0-cells finds
+    v_edges = oracles.level_component_edges(
+        p.refined_triangles, p.refined_values, p.level, p.zero_cells)
+    arc_edges = Counter((min(x, y), max(x, y))
+                        for cell in p.one_cells for x, y in zip(cell.path, cell.path[1:]))
+    assert set(arc_edges) == v_edges and set(arc_edges.values()) == {1}
+    arcs = oracles.trace_arcs(v_edges, p.zero_cells)
+    assert [cell.path for cell in p.one_cells] == arcs
+    # each 2-cell's boundary, laid out on the reference arcs, is its walk
+    # from the first 0-cell on it
+    zset = set(p.zero_cells)
+    for cell in p.two_cells:
+        walk = cell.boundary_vertices
+        k = next(i for i, v in enumerate(walk) if v in zset)
+        laid = [v for a, sign in cell.boundary for v in arcs[a][::sign][:-1]]
+        assert laid == list(walk[k:] + walk[:k])
     on_v = {v for e in v_edges for v in e}
     regions = oracles.cut_regions(p.refined_triangles, v_edges)
     cells = sorted(p.two_cells, key=lambda c: c.refined_triangles[0])

@@ -1,11 +1,13 @@
-"""Every module-level function and class of the package has a user.
+"""Every module-level function and class of the package, and every method, has a user.
 
 A stdlib stand-in for a dead-code finder. A top-level ``def`` or
 ``class`` in ``src/krtorus`` must be read somewhere in ``src/`` outside
 its own body, be exported from the package ``__init__``, or be named in
 ``bench/tracer.py``'s ``TARGETS``, which wraps module bindings from
-outside the program. A helper that only tests call belongs in
-``tests/oracles.py``.
+outside the program. A method, property or classmethod of a top-level
+class, dunders aside, must be read as an attribute in ``src/`` outside
+its own body, or be listed in ``HOOKS`` with the reason something else
+calls it. A helper that only tests call belongs in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -17,6 +19,11 @@ from test_unused_imports import _annotation_names
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "krtorus"
+
+# methods that code outside the package calls, by 'module.Class.method'
+HOOKS = {
+    "cli._Parser.error": "argparse calls it on a usage error, so that one exits 1",
+}
 
 
 def _reads(node) -> Counter:
@@ -46,6 +53,29 @@ def unused_definitions(sources: dict[str, str], kept: set[str]) -> list[str]:
             and node.name not in kept and reads[node.name] <= _reads(node)[node.name]]
 
 
+def _attributes(node) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def unused_methods(sources: dict[str, str], hooks) -> list[str]:
+    """'module.Class.method' for each method of a top-level class, dunders
+    aside, that no module reads as an attribute outside its own body and
+    that is not in hooks."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum(map(_attributes, trees.values()), Counter())
+    return [f"{module}.{cls.name}.{fn.name}" for module, tree in sorted(trees.items())
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))
+            and f"{module}.{cls.name}.{fn.name}" not in hooks
+            and reads[fn.name] <= _attributes(fn)[fn.name]]
+
+
+def _sources() -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))
+            if p.name != "__init__.py"}
+
+
 def _exported() -> set[str]:
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     return {alias.asname or alias.name for node in tree.body
@@ -67,6 +97,21 @@ def test_checker_flags_a_helper_left_without_a_caller():
     assert unused_definitions(sources, {"kept"}) == ["a.left", "a.C"]
 
 
+def test_checker_flags_a_method_left_without_a_caller():
+    sources = {"a": "class C:\n"
+                    "    def __init__(self): pass\n"
+                    "    def used(self): pass\n"
+                    "    def hook(self): pass\n"
+                    "    def left(self): return self.left()\n"
+                    "    @property\n"
+                    "    def size(self): return 0\n"
+                    "    @classmethod\n"
+                    "    def make(cls): return cls()\n",
+               "b": "from .a import C\nC.make().used()\nsize = 1\nprint(size)\n"}
+    # a plain name 'size' is not an attribute read, so the property stays flagged
+    assert unused_methods(sources, {"a.C.hook"}) == ["a.C.left", "a.C.size"]
+
+
 def test_checker_reads_attributes_and_quoted_annotations():
     sources = {"a": "def f(): pass\nclass K: pass\n",
                "b": "import a\na.f()\ndef g(x: 'list[K]'): pass\ng(1)\n"}
@@ -79,6 +124,10 @@ def test_kept_names_come_from_the_exports_and_the_tracer():
 
 
 def test_every_definition_has_a_user():
-    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))
-               if p.name != "__init__.py"}
-    assert unused_definitions(sources, _exported() | _traced()) == []
+    assert unused_definitions(_sources(), _exported() | _traced()) == []
+
+
+def test_every_method_has_a_user_or_is_a_hook():
+    # without the hooks, exactly the hooks are flagged: none is stale
+    assert unused_methods(_sources(), HOOKS) == []
+    assert unused_methods(_sources(), ()) == sorted(HOOKS)
