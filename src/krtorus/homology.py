@@ -33,11 +33,6 @@ class IntMatrix:
             cols = 0
         return cls(rows, (len(rows), cols))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls.from_rows(tuple(tuple(1 if i == j else 0 for j in range(n))
-                                   for i in range(n)), cols=n)
-
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self.entries[i][j]

@@ -24,14 +24,15 @@ by its critical vertices; on coarse samples it may hold pieces alone.
 
 Only the pieces get a directed-edge map, which also holds the untouched
 side of each seam (an edge between one of V's triangles and an untouched
-one). Repeated directed edges and edges with one triangle are checked on
-the pieces and their seams only: validation and the fan walks of
-``vertex_classes`` proved the untouched triangles closed and
-consistently oriented, and a piece edge between two original vertices is
-an edge of its own triangle. A region's boundary walk turns around each
-vertex of V on this map, and on ``left_triangles`` off it, one triangle
-at a time to the next edge of V: the "next edge around a vertex" step of
-a doubly-connected edge list. No fan at V is walked whole. V's arcs are
+one), read off the twins of the cut triangles' half-edges. Repeated
+directed edges and edges with one triangle are checked on the pieces and
+their seams only: validation and the fan swings of the half-edge table
+proved the untouched triangles closed and consistently oriented, and a
+piece edge between two original vertices is an edge of its own
+triangle. A region's boundary walk turns around each vertex of V on
+this map, and on the half-edge table off it, one triangle at a time to
+the next edge of V: the "next edge around a vertex" step of a
+doubly-connected edge list. No fan at V is walked whole. V's arcs are
 not traced apart: the walks cut at the 0-cells are the 1-cells, each
 met once in each direction, and a 2-cell's pieces are its signed
 boundary, as a face's edges are read off its boundary cycle.
@@ -115,12 +116,6 @@ def _norm(u: int, w: int) -> tuple[int, int]:
     return (u, w) if u < w else (w, u)
 
 
-def _after(tri: tuple[int, int, int], v: int) -> tuple[int, int]:
-    """The two corners that follow corner v of tri in CCW order."""
-    a, b, c = tri
-    return (b, c) if v == a else (c, a) if v == b else (a, b)
-
-
 def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartition:
     classes = vertex_classes(s)
     node = g.nodes[node_id]
@@ -140,7 +135,7 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     vedges: set[tuple[int, int]] = set()
     for idx, apex in cut:
         tri = s.triangles[idx]
-        p_, q_ = _after(tri, apex)
+        p_, q_ = tri[tri.index(apex) - 2], tri[tri.index(apex) - 1]  # the corners after it
         if s.values[apex] == level:
             x = xid[_norm(p_, q_)]
             split[idx] = [(apex, p_, x), (apex, x, q_)]
@@ -196,13 +191,13 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         owner[t] = nb
 
     # refined topology: a directed-edge map of V's pieces and their seams
-    left = s.left_triangles()
+    twin = s.twins()
     directed_tri: dict[tuple[int, int], int] = {}
     for idx in split:
-        a, b, c = s.triangles[idx]
-        for x, y in ((a, b), (b, c), (c, a)):
-            if left[y][x] not in split:
-                directed_tri[(y, x)] = first[left[y][x]]
+        tri = s.triangles[idx]
+        for k in range(3):
+            if (o := twin[3 * idx + k] // 3) not in split:
+                directed_tri[(tri[k - 2], tri[k])] = first[o]
     for idx in split:
         for ti in range(first[idx], first[idx + 1]):
             a, b, c = refined[ti]
@@ -227,10 +222,9 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
             ruf.union(unit(ti), unit(other))
     for t in owned[nb]:
         if t not in split:
-            a, b, c = s.triangles[t]
-            for x, y in ((a, b), (b, c), (c, a)):
-                if left[y][x] not in split:
-                    ruf.union(first[t], unit(first[left[y][x]]))
+            for h in range(3 * t, 3 * t + 3):
+                if (o := twin[h] // 3) not in split:
+                    ruf.union(first[t], unit(first[o]))
 
     # complement regions: the classes of the gluing, a unit with the
     # carrier pieces glued to it, or pieces alone where the branch owns no
@@ -327,12 +321,12 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     def turn(x: int, w: int) -> int:
         """The third corner of the refined triangle left of x->w."""
         ti = directed_tri.get((x, w))  # a piece or a seam, else an untouched triangle
-        return sum(refined[ti] if ti is not None else s.triangles[left[x][w]]) - x - w
+        return sum(refined[ti] if ti is not None else s.triangles[s.half_edge(x, w) // 3]) - x - w
 
     # boundary walk of each region, region kept on the left: a step u->w
     # turns around w, one refined triangle at a time, to the next edge of V.
     # Each refined dart has one triangle on its left (the repeated-edge check
-    # on the pieces, left_triangles elsewhere) and each refined edge one on
+    # on the pieces, the twin table elsewhere) and each refined edge one on
     # either side (the shared-edge check on pieces and seams, closed fans
     # elsewhere), so the turn permutes w's neighbours and stops at u at the
     # latest, since w-u is on V. The reverse turn undoes a step, so steps

@@ -159,70 +159,76 @@ def _node_component(s: SurfaceField, level, start: int):
     """The component of one level set through vertex start, found locally.
 
     Pieces are reached through the triangles around them: all triangles
-    at an on-level vertex, the two triangles of a crossing edge. Each
-    triangle crossed or run along is kept with its apex, the corner the
-    level separates from the other two: the on-level corner when the
-    level crosses the opposite edge, the off-level corner of a flat
-    segment, or the corner between two crossed edges. Returns (smallest
-    piece, on-level vertices, (triangle, apex) pairs, crossed edges).
+    at an on-level vertex, swung around it, and the triangle across a
+    crossing edge, through the edge's twin. Each triangle crossed or run
+    along is kept with its apex, the corner the level separates from the
+    other two: the on-level corner when the level crosses the opposite
+    edge, the off-level corner of a flat segment, or the corner between
+    two crossed edges. Returns (smallest piece, on-level vertices,
+    (triangle, apex) pairs, crossed edges).
     """
-    values, triangles, left = s.values, s.triangles, s.left_triangles()
+    values, triangles, twin = s.values, s.triangles, s.twins()
     verts, edges, tris, cut = {start}, set(), set(), []
-    stack = [left[start].values()]
+    stack = [[h // 3 for h in s.out_edges(start)]]
     while stack:
         for idx in stack.pop():
             if idx in tris:
                 continue
             tris.add(idx)
-            a, b, c = triangles[idx]
+            a, b, c = tri = triangles[idx]
             fa, fb, fc = values[a], values[b], values[c]
             if fa != level and fb != level and fc != level:
-                # the corner alone on its side ends both crossing edges
-                x, ends = ((c, (a, b)) if (fa < level) == (fb < level) else
-                           (b, (a, c)) if (fa < level) == (fc < level) else (a, (b, c)))
-                apex = x
+                # the corner alone on its side ends both crossing half-edges
+                k = 2 if (fa < level) == (fb < level) else 1 if (fa < level) == (fc < level) else 0
+                apex = tri[k]
+                crossing = (3 * idx + k, 3 * idx + k - 1 if k else 3 * idx + 2)
             else:
-                on = [v for v in (a, b, c) if values[v] == level]
-                for v in on:
-                    if v not in verts:
-                        verts.add(v)
-                        stack.append(left[v].values())
-                x, w = (v for v in (a, b, c) if v != on[0])
+                on = [k for k in range(3) if values[tri[k]] == level]
+                for k in on:
+                    if tri[k] not in verts:
+                        verts.add(tri[k])
+                        stack.append([h // 3 for h in s.out_edges(tri[k])])
+                k = on[0]
+                x, w = tri[k - 2], tri[k - 1]  # the edge opposite on[0], as x->w
                 if len(on) == 2:
-                    cut.append((idx, w if x == on[1] else x))  # a flat segment
+                    cut.append((idx, tri[3 - k - on[1]]))  # a flat segment
                     continue
                 if (values[x] < level) == (values[w] < level):
                     continue  # touched at a corner
-                apex, ends = on[0], (w,)
+                apex, crossing = tri[k], (3 * idx + (k + 1) % 3,)
             cut.append((idx, apex))
-            for w in ends:
+            for h in crossing:
+                x, w = tri[h % 3], tri[h % 3 - 2]
                 key = (x, w) if x < w else (w, x)
                 if key not in edges:
                     edges.add(key)
-                    stack.append((left[x][w], left[w][x]))
+                    stack.append((twin[h] // 3,))
     key = ("e", *min(edges)) if edges else ("v", min(verts))
     return key, verts, cut, edges
 
 
-def _contour(s: SurfaceField, rank, r: int, x: int, y: int):
-    """The crossing edges (rank[x] <= r < rank[y]) after x -> y along its
-    contour at level r + 1/2, which leaves the triangle left of x -> y
-    through the other crossing edge."""
-    tris, left = s.triangles, s.left_triangles()
+def _contour(s: SurfaceField, rank, r: int, h: int):
+    """The crossing half-edges x -> y (rank[x] <= r < rank[y]) after h on its
+    contour at level r + 1/2, as (x, y, half-edge): the contour leaves
+    triangle h // 3 through the twin of next(h) or of prev(h)."""
+    tris, twin = s.triangles, s.twins()
+    x, y = tris[h // 3][h % 3], tris[h // 3][h % 3 - 2]
     while True:
-        a, b, c = tris[left[x][y]]
-        z = c if a == x else a if b == x else b
+        k = h % 3
+        z = tris[h // 3][k - 1]
         if rank[z] <= r:
             x = z
+            h = twin[h + 1 if k < 2 else h - 2]
         else:
             y = z
-        yield x, y
+            h = twin[h - 1 if k else h + 2]
+        yield x, y, h
 
 
 def compute_reeb(s: SurfaceField) -> ReebGraph:
     classes = vertex_classes(s)
     order, rank = s.ranks
-    values, tris, fans, left = s.values, s.triangles, s.fans(), s.left_triangles()
+    values, tris, fans = s.values, s.triangles, s.fans()
     n, limit = len(values), len(tris)  # no contour crosses more triangles than there are
     # never empty: the last vertex in rank order has every neighbor below it
     crit = [v for v in order if classes[v].is_critical]
@@ -280,13 +286,14 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
         runs = [list(run) for up, run in groupby(fan[k:] + fan[:k], key=lambda u: rank[u] > r)
                 if up]
         start = {run[0]: i for i, run in enumerate(runs)}
-        walks = [_contour(s, rank, r, v, run[-1]) for run in runs]
+        out = s.out_edges(v)  # in fan order
+        walks = [_contour(s, rank, r, out[fan.index(run[-1])]) for run in runs]
         paths: list[list] = [[] for _ in runs]
         nxt: dict[int, int] = {}  # run -> the run its contour reaches next
         live = list(range(len(runs)))
         for _ in range(limit):
             for i in live:
-                x, y = next(walks[i])
+                x, y, _ = next(walks[i])
                 if x == v:
                     nxt[i] = start[y]
                 else:
@@ -352,11 +359,12 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
         above = [v for v, b in enumerate(lab) if b == a and values[v] > lo]
         w = min(above, key=rank.__getitem__, default=high[a])
         x = next(u for u in fans[w] if rank[u] < rank[w]) if above else via[a]
-        walk = list(islice(takewhile((x, w).__ne__, _contour(s, rank, r, x, w)), limit))
+        h = s.half_edge(x, w)
+        walk = list(islice(takewhile((x, w, h).__ne__, _contour(s, rank, r, h)), limit))
         if len(walk) == limit:
             raise InternalInvariantError(f"contour walk above vertex {low[a]} does not close")
-        return min([left[p][q] for p, q in [(x, w), *walk]]
-                   + [t for v in above if values[v] < hi for t in left[v].values()])
+        return min([h // 3 for _, _, h in [(x, w, h), *walk]]
+                   + [g // 3 for v in above if values[v] < hi for g in s.out_edges(v)])
 
     ends_of: dict[tuple[int, int], list[int]] = {}
     for a, (p, q) in enumerate(zip(low, high)):
@@ -391,7 +399,7 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
 
     g = ReebGraph(nodes, edges, {k: tuple(v) for k, v in node_map.items()},
                   {k: tuple(v) for k, v in band_map.items()}, on_node,
-                  surface_chi=s.vertex_count - sum(map(len, left)) // 2 + s.triangle_count)
+                  surface_chi=s.vertex_count - s.triangle_count // 2)
 
     # connectivity of the graph itself
     uf = _UnionFind(len(g.nodes))

@@ -6,20 +6,23 @@ value ties by vertex index, which makes the vertex order strictly total.
 Level-set geometry (which edges a contour crosses) always compares raw
 values; only the local classification uses the tie-broken order.
 
-The mesh adjacency is built once per surface, by ``left_triangles``:
-left[u][w] is the triangle with u->w on its CCW boundary. Building it
-rejects a directed edge used twice. ``SurfaceField.fans`` walks every
-fan in one loop, once per surface, and keeps them. The walk rejects
-boundary and pinched vertices, which proves that each left[u][w] has its
-left[w][u]. The Reeb graph and the cell partition read this map and
-build no adjacency of their own.
+The mesh adjacency is one half-edge table, built once per surface by
+``SurfaceField.twins``: half-edge h = 3t + i runs from triangles[t][i] to
+triangles[t][(i + 1) % 3], so next and prev are arithmetic, and twin[h]
+runs back along it. One swing around each vertex (h to twin[prev(h)])
+fills the table and the fans; a directed edge used twice, and isolated,
+boundary and pinched vertices are rejected, so every half-edge has its
+twin. The Reeb graph and the cell partition walk this table and build
+no adjacency of their own (Rossignac, Safonova and Szymczak,
+"Edgebreaker on a corner-table", SMI 2001).
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from math import isfinite
 from operator import gt
 
@@ -87,10 +90,12 @@ class SurfaceField:
         nv = len(vals)
         tris = list(map(tuple, triangles))
         flat = list(chain.from_iterable(tris))
-        if not (set(map(len, tris)) == {3} and set(map(type, flat)) == {int}
-                and 0 <= min(flat) and max(flat) < nv
-                and all(a != b != c != a for a, b, c in tris)
-                and len(set(map(tuple, map(sorted, tris)))) == len(tris)):
+        ids = list(range(nv))  # one int object per vertex id, shared by every corner
+        shared = ([(ids[a], ids[b], ids[c]) for a, b, c in tris if a != b != c != a]
+                  if set(map(len, tris)) == {3} and set(map(type, flat)) == {int}
+                  and 0 <= min(flat) and max(flat) < nv
+                  and len(set(map(tuple, map(sorted, tris)))) == len(tris) else [])
+        if len(shared) != len(tris):  # a check failed, or a triangle repeats a vertex
             seen: set[frozenset] = set()
             for t in tris:
                 if len(t) != 3:
@@ -104,6 +109,7 @@ class SurfaceField:
                 if key in seen:
                     raise InputRejected("malformed-input", f"duplicate triangle {sorted(t)}")
                 seen.add(key)
+            shared = [(ids[a], ids[b], ids[c]) for a, b, c in tris]  # int subclasses, say
         if not tris:
             raise InputRejected("malformed-input", "surface has no triangles")
         if coords is not None:
@@ -113,11 +119,10 @@ class SurfaceField:
             for xyz in coords:
                 if len(xyz) != 3:
                     raise InputRejected("malformed-input", "coordinates must be x y z triples")
-        self.triangles: tuple[tuple[int, int, int], ...] = tuple(tris)
+        self.triangles: tuple[tuple[int, int, int], ...] = tuple(shared)
         self.values = vals
         self.coords = coords
-        self._left = None
-        self._fans: list | None = None
+        self._twin = self._out = self._fans = None  # set by twins, with _fault if a fan fails
         self._classes = None
         self.ranks: tuple[list[int], list[int]] | None = None  # set by vertex_classes
 
@@ -129,84 +134,111 @@ class SurfaceField:
     def triangle_count(self) -> int:
         return len(self.triangles)
 
-    def left_triangles(self) -> list[dict[int, int]]:
-        """left[u][w]: the triangle with u->w on its CCW boundary, built once."""
-        if self._left is None:
-            left = [{} for _ in self.values]
-            for idx, (a, b, c) in enumerate(self.triangles):
-                left[a][b] = left[b][c] = left[c][a] = idx
-            if sum(map(len, left)) != 3 * len(self.triangles):  # an edge was overwritten
+    def twins(self) -> array:
+        """twin[h]: the half-edge back along h, -1 if none, built once with
+        the fans and one half-edge out of each vertex. Per-vertex dicts,
+        v -> {w: v->w}, live only while the swing around each v goes from
+        v->w to v->x, the twin of x->v before it, read off the dict. A
+        vertex in no triangle, or with an open or pinched fan, stops the
+        swings and leaves its fault for ``fans``; the dicts then give each twin."""
+        if self._twin is None:
+            tris = self.triangles
+            left: list[dict[int, int]] = [{} for _ in self.values]
+            for h, (a, b, c) in zip(count(0, 3), tris):
+                left[a][b] = h
+                left[b][c] = h + 1
+                left[c][a] = h + 2
+            m = 3 * len(tris)
+            if sum(map(len, left)) != m:  # an edge was overwritten
                 seen = set()  # the first edge met a second time; set.add returns None
-                x, y = next(e for a, b, c in self.triangles for e in ((a, b), (b, c), (c, a))
+                x, y = next(e for a, b, c in tris for e in ((a, b), (b, c), (c, a))
                             if e in seen or seen.add(e))
                 raise InputRejected(
                     "not-a-surface",
                     f"directed edge {x}->{y} used by two triangles; "
                     "orientations are inconsistent or the gluing is not orientable")
-            self._left = left
-        return self._left
+            third = list(chain.from_iterable(tris))  # each (a, b, c) to (c, a, b): tail of prev(h)
+            third[::3], third[1::3], third[2::3] = third[2::3], third[::3], third[1::3]
+            # swung[h]: the twin of the half-edge before h, the next one out of h's tail
+            swung, out, fans = [-1] * m, [-1] * len(left), []
+            for v, d in enumerate(left):
+                if not d:
+                    self._fault = f"vertex {v} has no incident triangle"
+                    break
+                w = min(d)
+                out[v] = h = d[w]
+                cyc = [w]
+                x = third[h]
+                try:
+                    while x != w:
+                        swung[h] = h = d[x]
+                        cyc.append(x)
+                        x = third[h]
+                except KeyError:  # no half-edge v->x
+                    self._fault = f"boundary edge at vertex {v}: the fan does not close"
+                    break
+                if len(cyc) != len(d):
+                    self._fault = f"vertex {v} is pinched: its link is not a single cycle"
+                    break
+                swung[h] = out[v]
+                fans.append(tuple(cyc))
+            else:
+                self._fans = fans
+            if self._fans is None:
+                swung = [left[tris[h // 3][h % 3 - 2]].get(tris[h // 3][h % 3], -1)
+                         for h in range(m)]
+            else:  # the half-edge before 3t + i is 3t + (i + 2) % 3
+                swung[2::3], swung[::3], swung[1::3] = swung[::3], swung[1::3], swung[2::3]
+            self._twin, self._out = array("l", swung), array("l", out)
+        return self._twin
+
+    def out_edges(self, v: int) -> list[int]:
+        """The half-edges out of v to its ``fans`` neighbors. Fans must be closed."""
+        twin, h = self._twin, self._out[v]
+        out, g = [h], h
+        while (g := twin[g - 1 if g % 3 else g + 2]) != h:
+            out.append(g)
+        return out
+
+    def half_edge(self, u: int, w: int) -> int:
+        """The half-edge u->w. Fans must be closed."""
+        return self.out_edges(u)[self._fans[u].index(w)]
 
     def fans(self) -> list[tuple[int, ...]]:
-        """Each vertex's neighbors in CCW cyclic order, walked once and kept.
-
-        A step goes from w to the third corner x of the triangle left of
-        v->w, which holds x->v. No directed edge repeats, so no two w step
-        to one x, and a walk that stays in v's fan returns to its start."""
-        if self._fans is not None:
-            return self._fans
-        left, tris = self.left_triangles(), self.triangles
-        out = []
-        for v in range(len(self.values)):
-            d = left[v]
-            if not d:
-                raise InputRejected("not-a-surface", f"vertex {v} has no incident triangle")
-            start = min(d)
-            cyc = [start]
-            # the triangle left of v->w is a rotation of (v, w, next)
-            a, b, c = tris[d[start]]
-            cur = c if a == v else a if b == v else b
-            while cur != start:
-                if cur not in d:
-                    raise InputRejected("not-a-surface",
-                                        f"boundary edge at vertex {v}: the fan does not close")
-                cyc.append(cur)
-                a, b, c = tris[d[cur]]
-                cur = c if a == v else a if b == v else b
-            if len(cyc) != len(d):
-                raise InputRejected("not-a-surface",
-                                    f"vertex {v} is pinched: its link is not a single cycle")
-            out.append(tuple(cyc))
-        self._fans = out
-        return out
+        """Each vertex's neighbors in CCW order from the least, or the fault."""
+        if self._fans is None:
+            self.twins()
+            if self._fans is None:
+                raise InputRejected("not-a-surface", self._fault)
+        return self._fans
 
 
 def validate_closed_orientable(s: SurfaceField) -> dict:
     """Check that the complex is a closed connected consistently oriented surface.
 
     Returns {"chi": ..., "genus": ...} on success, raises InputRejected otherwise.
-    Closed fans pair up the 3T directed edges, and a closed connected
-    orientable surface has chi = 2 - 2 genus, so neither needs a check.
+    Closed fans pair up the 3T half-edges, so chi = V - T/2, and a closed
+    connected orientable surface has chi = 2 - 2 genus: neither needs a check.
     """
-    left = s.left_triangles()
+    twin, tris = s.twins(), s.triangles
     try:
-        s.fans()  # closed fans give every directed edge its reverse
-    except InputRejected:  # name the first boundary edge, if there is one
-        edge = next(((u, w) for u, d in enumerate(left) for w in d if u not in left[w]), None)
+        fans = s.fans()
+    except InputRejected:  # name the first boundary edge by its tail, if there is one
+        edge = min(((tris[h // 3][h % 3], h, tris[h // 3][h % 3 - 2])
+                    for h, g in enumerate(twin) if g < 0), default=None)
         if edge:
-            u, w = edge
-            raise InputRejected("not-a-surface", f"boundary edge {u}-{w}: no opposite triangle")
+            raise InputRejected("not-a-surface",
+                                f"boundary edge {edge[0]}-{edge[2]}: no opposite triangle")
         raise
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in left[v]:
+    seen, order = {0}, [0]
+    for v in order:  # breadth-first over the fans
+        for w in fans[v]:
             if w not in seen:
                 seen.add(w)
-                stack.append(w)
+                order.append(w)
     if len(seen) != s.vertex_count:
         raise InputRejected("not-a-surface", "surface is disconnected")
-    chi = s.vertex_count - 3 * s.triangle_count // 2 + s.triangle_count
+    chi = s.vertex_count - s.triangle_count // 2
     return {"chi": chi, "genus": (2 - chi) // 2}
 
 
@@ -319,6 +351,7 @@ def load_surface(source) -> SurfaceField:
                 flat += map(int, toks)
             except ValueError:
                 raise InputRejected("malformed-input", f"bad triangle indices in line {ln!r}")
+    del lines, body, vertex_lines, tri_lines  # the text, held no longer than the parse
     return SurfaceField(list(zip(*[iter(flat)] * 3)), values, coords if width == 4 else None)
 
 

@@ -1,7 +1,7 @@
 """Independent brute-force reference implementations.
 
 Everything here works on raw triangle/value data and never imports the
-package under test, except in these places. ``zeros`` and
+package under test, except in these places. ``zeros``, ``identity`` and
 ``report_from_json`` build the package's ``IntMatrix`` and
 ``AnalysisReport`` records, which only tests build that way. The whole
 cell automorphisms use the package's ``CellAutomorphism`` record, and
@@ -74,6 +74,67 @@ def triangle_component_count(triangles):
             else:
                 owner[key] = idx
     return len({uf.find(i) for i in range(len(triangles))})
+
+
+def left_triangles(triangles, vertex_count):
+    """left[u][w]: the triangle with u->w on its CCW boundary, one dict per
+    vertex, as the mesh kept its adjacency before the half-edge table. A
+    directed edge met a second time, in triangle order, raises ValueError
+    with the package's not-a-surface message."""
+    left = [{} for _ in range(vertex_count)]
+    for idx, (a, b, c) in enumerate(triangles):
+        for x, y in ((a, b), (b, c), (c, a)):
+            if y in left[x]:
+                raise ValueError(f"directed edge {x}->{y} used by two triangles; "
+                                 "orientations are inconsistent or the gluing is not orientable")
+            left[x][y] = idx
+    return left
+
+
+def fan_walk(triangles, left):
+    """Each vertex's neighbors in CCW order from the least, walked on the
+    left dicts: from w to the third corner of the triangle left of v->w.
+    The first vertex in no triangle, or with an open or pinched fan,
+    raises ValueError with the package's message."""
+    out = []
+    for v, d in enumerate(left):
+        if not d:
+            raise ValueError(f"vertex {v} has no incident triangle")
+        start = min(d)
+        cyc = [start]
+        cur = sum(triangles[d[start]]) - v - start
+        while cur != start:
+            if cur not in d:
+                raise ValueError(f"boundary edge at vertex {v}: the fan does not close")
+            cyc.append(cur)
+            cur = sum(triangles[d[cur]]) - v - cur
+        if len(cyc) != len(d):
+            raise ValueError(f"vertex {v} is pinched: its link is not a single cycle")
+        out.append(tuple(cyc))
+    return out
+
+
+def surface_rejection(triangles, vertex_count):
+    """The first message of the closed-surface check on the left dicts,
+    None for a closed connected oriented surface: a repeated directed
+    edge, else, if a fan fails, the first edge without its reverse (by
+    tail, then triangle order) or the fan's own message, else
+    disconnection."""
+    try:
+        left = left_triangles(triangles, vertex_count)
+        fans = fan_walk(triangles, left)
+    except ValueError as exc:
+        if str(exc).startswith("directed edge"):
+            return str(exc)
+        edge = next(((u, w) for u, d in enumerate(left) for w in d if u not in left[w]), None)
+        return f"boundary edge {edge[0]}-{edge[1]}: no opposite triangle" if edge else str(exc)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in fans[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return None if len(seen) == vertex_count else "surface is disconnected"
 
 
 def cut_regions(triangles, cut_edges):
@@ -587,6 +648,12 @@ def zeros(r, c):
     """The r x c zero matrix as the package's IntMatrix."""
     from krtorus.homology import IntMatrix
     return IntMatrix.from_rows(tuple((0,) * c for _ in range(r)), cols=c)
+
+
+def identity(n):
+    """The n x n identity matrix as the package's IntMatrix."""
+    from krtorus.homology import IntMatrix
+    return IntMatrix.from_rows(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), cols=n)
 
 
 def report_from_json(data):

@@ -19,6 +19,7 @@ from operator import itemgetter
 from krtorus.errors import InternalInvariantError
 from krtorus.reeb import ReebEdge, ReebGraph, ReebNode, _UnionFind
 from krtorus.surface import SurfaceField, vertex_classes
+from oracles import left_triangles
 from reeb_sweep import flat_triangle
 
 
@@ -85,7 +86,7 @@ def compute_reeb_cut_surface(s: SurfaceField) -> ReebGraph:
     if flat is not None:
         raise flat_triangle(s.triangles[flat[1]], crit_level[flat[0]])
 
-    left = s.left_triangles()
+    left = left_triangles(s.triangles, s.vertex_count)
 
     # node ids ascend with their levels, and a triangle meets at most one
     # component of a level, so every cut list below is in level order

@@ -301,7 +301,7 @@ def test_criterion_08_extension_verification(preset_reports, monkeypatch):
 
 
 def test_criterion_09_homology_and_h1_action(pool):
-    ident = IntMatrix.identity(2)
+    ident = oracles.identity(2)
     actions = 0
     for e in pool:
         hs = cellular_homology(e.part)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import krtorus.symmetry
 from krtorus.errors import InternalInvariantError
 from krtorus.fields import preset_field, pullback_cosine_field
-from krtorus.homology import IntMatrix, h1_action
+from krtorus.homology import h1_action
 from krtorus.partition import build_partition
 from krtorus.pipeline import analyze
 from krtorus.reeb import compute_reeb, find_special_vertex
@@ -59,7 +59,7 @@ def _assert_closure_matches_every_flag(s, p):
     for flag, (_, mat) in got.items():
         assert mat == h1_action(p, want[flag]).entries, flag
     # the definition's filter, free and H1-trivial, on the every-flag set
-    ident = IntMatrix.identity(2)
+    ident = oracles.identity(2)
     kept = sorted(a.perm2 for a in want.values()
                   if (oracles.is_identity(a) or not oracles.fixes_some_cell(a))
                   and h1_action(p, a) == ident)
@@ -99,7 +99,7 @@ def test_h1_trivial_exactly_when_free(stage, kind, key):
     else:
         s = SurfaceField(*oracles.covering_field(BASE, key))
         p = _partition(s)
-    ident = IntMatrix.identity(2)
+    ident = oracles.identity(2)
     for a in oracles.all_flag_automorphisms(s, p).values():
         if not oracles.is_identity(a):
             assert (h1_action(p, a) == ident) == (not oracles.fixes_some_cell(a)), a.perm2

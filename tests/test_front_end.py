@@ -197,22 +197,26 @@ def test_classes_are_shared_instances():
 
 @pytest.mark.parametrize("first", ["validate", "classes"])
 def test_each_fan_is_walked_once(monkeypatch, first):
-    results = []
-    walk = SurfaceField.fans
+    # the fans are walked with the twin table, which every caller reaches
+    # through fans() or twins()
+    results = {"fans": [], "twins": []}
+    for name in results:
+        def recording(self, walk=getattr(SurfaceField, name), name=name):
+            results[name].append(walk(self))
+            return results[name][-1]
 
-    def recording(self):
-        results.append(walk(self))
-        return results[-1]
-
-    monkeypatch.setattr(SurfaceField, "fans", recording)
+        monkeypatch.setattr(SurfaceField, name, recording)
     s = preset_field("z2xz2-sym", 16)
     steps = [lambda: validate_closed_orientable(s), lambda: vertex_classes(s)]
     for step in steps if first == "validate" else steps[::-1]:
         step()
     s.fans()
-    # a walk builds a new list: every call hands back the one the first call walked
-    assert len(results) == 3 and all(f is results[0] for f in results)
-    assert len(results[0]) == s.vertex_count
+    # a walk builds a new list and a new table: every call hands back the
+    # ones the first call built
+    fans, twins = results["fans"], results["twins"]
+    assert len(fans) == 3 and all(f is fans[0] for f in fans)
+    assert twins and all(t is twins[0] for t in twins)
+    assert len(fans[0]) == s.vertex_count and len(twins[0]) == 3 * s.triangle_count
 
 
 def test_fans_reject_a_surface_with_boundary():
@@ -234,16 +238,18 @@ def first_repeated_edge(triangles):
 @settings(max_examples=200, deadline=None)
 @given(tris=st.lists(st.permutations(range(6)).map(lambda p: tuple(p[:3])),
                      min_size=1, max_size=12, unique_by=lambda t: frozenset(t)))
-def test_left_triangles_names_the_first_repeated_directed_edge(tris):
+def test_twins_name_the_first_repeated_directed_edge(tris):
     s = SurfaceField(tris, list(range(6)))
     repeat = first_repeated_edge(tris)
     if repeat is None:
-        left = s.left_triangles()
-        assert {(u, w): i for u, d in enumerate(left) for w, i in d.items()} == {
-            e: i for i, (a, b, c) in enumerate(tris) for e in ((a, b), (b, c), (c, a))}
+        # twin[h] // 3 is the triangle that holds h's edge the other way
+        edges = [e for a, b, c in tris for e in ((a, b), (b, c), (c, a))]
+        holder = {e: h // 3 for h, e in enumerate(edges)}
+        assert [g // 3 if g >= 0 else None for g in s.twins()] == [
+            holder.get((y, x)) for x, y in edges]
         return
     with pytest.raises(InputRejected) as exc:
-        s.left_triangles()
+        s.twins()
     assert exc.value.code == "not-a-surface"
     assert str(exc.value).startswith(f"directed edge {repeat[0]}->{repeat[1]} used by two triangles")
 

@@ -58,16 +58,16 @@ def test_snf_negative_entries():
 def test_det_and_identity():
     a = IntMatrix.from_rows([[2, 2], [0, 4]])
     assert oracles.det(a.to_lists()) == 8
-    i3 = IntMatrix.identity(3)
+    i3 = oracles.identity(3)
     assert oracles.det(i3.to_lists()) == 1
-    assert (a @ IntMatrix.identity(2)).to_lists() == a.to_lists()
+    assert (a @ oracles.identity(2)).to_lists() == a.to_lists()
 
 
 def test_unimodular_inverse():
     u = IntMatrix.from_rows([[2, 1], [1, 1]])
     w = unimodular_inverse(u)
-    assert (u @ w).to_lists() == IntMatrix.identity(2).to_lists()
-    assert (w @ u).to_lists() == IntMatrix.identity(2).to_lists()
+    assert (u @ w).to_lists() == oracles.identity(2).to_lists()
+    assert (w @ u).to_lists() == oracles.identity(2).to_lists()
     with pytest.raises(ValueError):
         unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
     with pytest.raises(ValueError):
@@ -106,7 +106,7 @@ def test_snf_transforms_are_unimodular(a):
     for w, n in ((res.u, nr), (res.v, nc)):
         assert abs(oracles.det(w.to_lists())) == 1
         w_inv = unimodular_inverse(w)
-        ident = IntMatrix.identity(n).entries
+        ident = oracles.identity(n).entries
         assert (w @ w_inv).entries == ident
         assert (w_inv @ w).entries == ident
 
@@ -179,7 +179,7 @@ def test_cellular_homology_of_partitions(stage):
 def test_h1_action_identity(stage):
     st = stage("z2xz2-sym")
     a = oracles.identity_automorphism(st.part)
-    assert h1_action(st.part, a).to_lists() == IntMatrix.identity(2).to_lists()
+    assert h1_action(st.part, a).to_lists() == oracles.identity(2).to_lists()
 
 
 PULLBACKS = {"pullback-2-2": ((2, 0), (0, 2)), "pullback-4-4": ((4, 0), (0, 4))}
@@ -250,4 +250,4 @@ def test_smith_postconditions_catch_a_wrong_reduction(monkeypatch, d, message):
     # U = V = 1 on A = 1, so only the last D fails U A V = D alone
     monkeypatch.setattr(krtorus.homology, "_smith", lambda a: (d, [[1, 0], [0, 1]], [[1, 0], [0, 1]]))
     with pytest.raises(InternalInvariantError, match=message):
-        smith_normal_form(IntMatrix.identity(2))
+        smith_normal_form(oracles.identity(2))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -497,13 +498,22 @@ def test_flipped_piece_repeats_a_directed_edge(monkeypatch):
         build_partition(s, g, node)
 
 
-def test_flipped_level_pieces_lose_their_seams(monkeypatch):
-    # all of V's triangles reversed: the pieces agree with each other, but
-    # not with the untouched triangles across their seams
+def test_seam_lost_from_the_twin_table_is_caught(monkeypatch):
+    # a half-edge of one of V's triangles, off the level at both ends and
+    # with an untouched triangle across it, is made its own twin: the seam
+    # there is lost, so the piece edge has a triangle on one side only.
+    # Neither walk of V reads that twin: it is not crossed, and it does not
+    # end at a vertex on the level
     s = preset_field("z2-sym", 16)
     g, node = _graph_and_node(s)
     _, cut, _ = level_structure(s, g, node)
-    monkeypatch.setattr(s, "triangles", _flipped(s, {t for t, _ in cut}))
+    split = {t for t, _ in cut}
+    twin, level = array("l", s.twins()), g.nodes[node].level
+    h = next(h for t in sorted(split) for h in range(3 * t, 3 * t + 3)
+             if twin[h] // 3 not in split and level not in (
+                 s.values[s.triangles[t][h % 3]], s.values[s.triangles[t][h % 3 - 2]]))
+    twin[h] = h
+    monkeypatch.setattr(s, "_twin", twin)
     with pytest.raises(InternalInvariantError, match=r"refined edge \(\d+, \d+\) is not shared"):
         build_partition(s, g, node)
 

@@ -415,7 +415,7 @@ def test_sweep_catches_a_regular_vertex_read_as_a_maximum(monkeypatch):
 
 def test_saddle_walk_that_never_returns_is_caught(monkeypatch):
     # contours that never come back to the saddle: the walk stops at its bound
-    monkeypatch.setattr(krtorus.reeb, "_contour", lambda *args: itertools.repeat((-1, -1)))
+    monkeypatch.setattr(krtorus.reeb, "_contour", lambda *args: itertools.repeat((-1, -1, -1)))
     with pytest.raises(InternalInvariantError, match=r"contour walk at saddle \d+ does not close"):
         compute_reeb(preset_field("two-cell", 16))
 
