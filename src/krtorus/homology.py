@@ -207,20 +207,6 @@ class CokernelInvariants:
     diagonal: tuple[int, ...]
     free_rank: int
 
-    @property
-    def factors(self) -> tuple[int, ...]:
-        return tuple(d for d in self.diagonal if d > 1)
-
-    def pair_nm(self) -> tuple[int, int]:
-        """(n, nm) for a finite cokernel with at most two invariant factors."""
-        if self.free_rank:
-            raise ValueError("cokernel is infinite")
-        fs = self.factors
-        if len(fs) > 2:
-            raise ValueError(f"more than two invariant factors: {fs}")
-        padded = (1,) * (2 - len(fs)) + fs
-        return padded
-
 
 def cokernel_invariants(a: IntMatrix) -> CokernelInvariants:
     res = smith_normal_form(a)

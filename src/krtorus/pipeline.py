@@ -12,13 +12,13 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, count
+from itertools import chain, compress, count, product
 
 from .errors import InputRejected, InternalInvariantError
 from .partition import CellPartition, build_partition
 from .reeb import compute_reeb, find_special_vertex
 from .surface import SurfaceField, dump_surface, format_scalar, validate_closed_orientable
-from .symmetry import enumerate_symmetries, group_structure, index_orbits
+from .symmetry import enumerate_symmetries, equivariance_break, group_structure, index_orbits
 from .wreath import (KERNEL_ENUM_LIMIT, DirectProductGroup, WreathElement, WreathGroup,
                      check_exact_sequence, check_group_axioms, distinct_ranks)
 
@@ -220,42 +220,18 @@ class VerificationRecord:
                            for c in self.checks]}
 
 
-def _check_lattice_sequence(n: int, nm: int):
-    def q(lam, mu):
-        return (n * lam, nm * mu)
-
-    def bnd(x, y):
-        return (x % n, y % nm)
-
-    for lam in range(-3, 4):
-        for mu in range(-3, 4):
-            if bnd(*q(lam, mu)) != (0, 0):
-                return f"composite of q and the reduction is nonzero at ({lam},{mu})"
-    image = {q(lam, mu) for lam in range(-2, 3) for mu in range(-2, 3)}
-    if len(image) != 25:
-        return "q is not injective on the test window"
-    kernel = {(x, y)
-              for x in range(-2 * n, 2 * n + 1)
-              for y in range(-2 * nm, 2 * nm + 1)
-              if bnd(x, y) == (0, 0)}
-    if kernel != image:
-        return "ker(reduction) differs from im(q) on the test window"
-    if len({bnd(x, y) for x in range(n) for y in range(nm)}) != n * nm:
-        return "reduction is not surjective onto the grid"
-    return None
-
-
 def verify_extension(report: AnalysisReport, atoms) -> VerificationRecord:
     """Instantiate the wreath answer with finite atoms and test the extension.
 
     (a) group axioms and exactness of the map-part/shift-part sequence,
-    (b) the index-lattice sequence q = diag(n, nm) into the reduction,
-    (c) the kernel of the shift projection has exactly |base|^(n*nm)
-        elements.
+    (b) the report's orbit_table is {1..r} x Z_n x Z_nm, each row once, on
+        which its L and M add 1 to j and to k (index_orbits' check),
+    (c) the kernel of the shift projection has K = |base|^(n*nm) grids:
+        grid_at and rank_of invert each other on ranks 0, K - 1 and 400
+        drawn uniformly (every rank when K is that small).
     """
-    n = report.symmetry["n"]
-    nm = n * report.symmetry["m"]
-    r = report.symmetry["r"]
+    sym = report.symmetry
+    n, nm, r = sym["n"], sym["n"] * sym["m"], sym["r"]
     atoms = tuple(atoms)
     if len(atoms) != r:
         raise InputRejected("bad-request",
@@ -280,19 +256,23 @@ def verify_extension(report: AnalysisReport, atoms) -> VerificationRecord:
         "wreath-axioms-exactness", fail is None,
         fail or f"group laws and ker(proj) = im(sigma) hold over {len(pool)} elements"))
 
-    fail_b = _check_lattice_sequence(n, nm)
+    rows, grid = list(map(tuple, sym["orbit_table"])), f"{{1..{r}}} x Z_{n} x Z_{nm}"
+    if sorted(rows) != list(product(range(1, r + 1), range(n), range(nm))):
+        fail_b = f"orbit_table rows are not {grid}, each once"
+    elif bad := equivariance_break(rows, sym["generators"]["L"], sym["generators"]["M"], n, nm):
+        fail_b = "L^{0} M^{1} does not add (0,{0},{1}) to the index of cell {2}".format(*bad)
+    else:
+        fail_b = None
     checks.append(CheckResult(
         "index-lattice-exactness", fail_b is None,
-        fail_b or f"q(a,b) = ({n}a,{nm}b) splices with coordinate reduction exactly"))
+        fail_b or f"orbit_table is {grid}, each row once; L, M add (0,1,0), (0,0,1)"))
 
-    if kernel <= KERNEL_ENUM_LIMIT:
-        seen = set(wg.grids())
-        ok = len(seen) == kernel
-        detail = (f"kernel holds {len(seen)} distinct grids, "
-                  f"|{base.describe()}|^({n}*{nm}) = {kernel}")
-    else:
-        ok = True
-        detail = f"kernel too large to enumerate ({kernel}); size identity is definitional"
-    checks.append(CheckResult("kernel-size", ok, detail))
+    ranks = dict.fromkeys([0, kernel - 1, *distinct_ranks(rng, kernel, 400)])
+    miss = next((k for k in ranks if wg.rank_of(wg.grid_at(k)) != k), None)
+    checks.append(CheckResult(
+        "kernel-size", miss is None,
+        f"rank {miss} does not survive grid_at and rank_of" if miss is not None else
+        f"grid_at and rank_of invert each other on {len(ranks)} of the "
+        f"|{base.describe()}|^({n}*{nm}) = {kernel} grids"))
 
     return VerificationRecord(tuple(checks))

@@ -40,15 +40,16 @@ with trace 2, which is the identity.
 The group stage names each symmetry by its image of 2-cell 0. The
 action on 2-cells is free, so one cell is a base (Seress, Permutation
 Group Algorithms, ch. 4) and distinct symmetries have distinct names.
-group_structure presents the group on the generator pair that element
-orders select, composing whole permutations only on its Cayley edges.
+group_structure selects a generator pair (L, M) by element orders, and
+the orbit grid that index_orbits builds on it proves the group Z_n x Z_nm.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError
-from .homology import IntMatrix, cokernel_invariants, h1_action
+from .homology import cokernel_invariants  # noqa: F401  bench/tracer.py wraps this binding
+from .homology import h1_action
 from .partition import CellPartition
 from .surface import SurfaceField, vertex_classes
 
@@ -212,9 +213,9 @@ def enumerate_symmetries(s: SurfaceField, p: CellPartition) -> tuple[tuple[int, 
 class SymmetryGroup:
     """The full symmetry group with its two-factor abelian structure.
 
-    The group is Z_n x Z_nm: gen_l generates the order-n factor, gen_m
-    the order-nm factor (indices into elements, the 2-cell permutations;
-    gen_l is the identity when n is 1).
+    The group is Z_n x Z_nm, as index_orbits proves: gen_l generates the
+    order-n factor, gen_m the order-nm factor (indices into elements, the
+    2-cell permutations; gen_l is the identity when n is 1).
     """
 
     elements: tuple[tuple[int, ...], ...]
@@ -233,24 +234,16 @@ class SymmetryGroup:
 
 
 def group_structure(elements) -> SymmetryGroup:
-    """Invariant factors (n, nm) by two routes on one canonical generator pair.
-
-    Route one: element orders. The exponent is nm and n = k / nm; M
-    (gen_m) is the first element of order nm, L (gen_l) the first of
-    order n whose powers meet <M> only in the identity. Route two: the
-    Smith form of the Cayley-graph presentation on (L, M). A
-    breadth-first spanning tree gives every element a word in Z^2, and
-    each non-tree edge (x, g_t) the relation word(x) + e_t - word(x g_t)
-    (Schreier); zero and repeated relations are dropped.
+    """The generator pair (L, M) and the grid (n, nm) that element orders select.
 
     Each element, a 2-cell permutation, is named by its image of 2-cell
     0. On a free action the names are distinct (if a and b shared one,
-    b^-1 a would fix 2-cell 0), and that is checked. a b is the element
-    named a[name of b], and the cycle of 2-cell 0 under a names the
-    powers of a. Permutations are composed whole only on the 2k Cayley
-    edges: the identity is in the set, every x g_t lands in it and the
-    walk reaches every element, so a b = a g_1 ... g_j lies in the set
-    and L, M generate it; it is abelian when L M = M L.
+    b^-1 a would fix 2-cell 0), and that is checked. The cycle of 2-cell
+    0 under a names the powers of a, so its length is a's order. The
+    exponent is nm and n = k / nm; M (gen_m) is the first element of
+    order nm, L (gen_l) the first of order n whose powers meet <M> only
+    in the identity. No permutation is composed here: index_orbits
+    proves that L and M generate the group as Z_n x Z_nm.
     """
     k = len(elements)
     if elements[0] != tuple(range(len(elements[0]))):
@@ -259,64 +252,35 @@ def group_structure(elements) -> SymmetryGroup:
     if len(at) != k:
         raise InternalInvariantError("two distinct symmetries send 2-cell 0 to the same 2-cell")
 
-    def named(cell: int) -> int:
-        if cell not in at:
-            raise InternalInvariantError("symmetry set is not closed under composition")
-        return at[cell]
-
-    def mul(i: int, j: int) -> int:
-        return named(elements[i][elements[j][0]])
-
-    # a permutation's cycle through 2-cell 0 visits distinct cells, and
-    # named() refuses any past the k that have names, so each loop ends
+    # a permutation's cycle through 2-cell 0 visits distinct cells, so each loop ends
     powers = []  # powers[i]: the indices of 1, a, a^2, ... for a = elements[i]
     for a in elements:
         cyc, cell = [0], a[0]
         while cell != 0:
-            cyc.append(named(cell))
+            if cell not in at:
+                raise InternalInvariantError("symmetry set is not closed under composition")
+            cyc.append(at[cell])
             cell = a[cell]
         powers.append(cyc)
 
     orders = [len(cyc) for cyc in powers]
-    exponent = max(orders)  # the lcm of the orders once the group is shown abelian
+    exponent = max(orders)
     m_idx = orders.index(exponent)
     m_cyc = set(powers[m_idx])
     l_idx = next((i for i in range(k)
                   if orders[i] == k // exponent and m_cyc.isdisjoint(powers[i][1:])), None)
     if l_idx is None:
         raise InternalInvariantError("no order-n complement to the maximal cyclic factor")
+    return SymmetryGroup(tuple(elements), k // exponent, exponent, l_idx, m_idx)
 
-    word = {0: (0, 0)}
-    queue = [0]
-    relations = set()
-    for x in queue:
-        for t, g in enumerate((l_idx, m_idx)):
-            xg = tuple(map(elements[x].__getitem__, elements[g]))
-            y = named(xg[0])
-            if xg != elements[y]:
-                raise InternalInvariantError("symmetry set is not closed under composition")
-            w = word[x][:t] + (word[x][t] + 1,) + word[x][t + 1:]
-            if y not in word:
-                word[y] = w
-                queue.append(y)
-            elif w != word[y]:
-                relations.add(tuple(a - b for a, b in zip(w, word[y])))
-    if len(word) != k:
-        raise InternalInvariantError(
-            f"Cayley graph on 2 generators reaches {len(word)} of {k} elements")
-    if mul(l_idx, m_idx) != mul(m_idx, l_idx):
-        raise InternalInvariantError("symmetry group is not abelian")
-    cols = sorted(relations)
-    rel = IntMatrix.from_rows([[c[t] for c in cols] for t in (0, 1)], cols=len(cols))
-    inv = cokernel_invariants(rel)
-    if inv.free_rank:
-        raise InternalInvariantError("finite symmetry group presented an infinite lattice")
-    n, nm = inv.pair_nm()
-    if exponent != nm or n * nm != k:
-        raise InternalInvariantError(
-            f"element orders give ({k // exponent}, {exponent}), "
-            f"Smith form gives ({n}, {nm})")
-    return SymmetryGroup(tuple(elements), n, nm, l_idx, m_idx)
+
+def equivariance_break(rows, gl, gm, n: int, nm: int):
+    """The first (a, b, cell) where L^a M^b does not add (a, b) to rows[cell] = (i, j, k)."""
+    for (a, b), g in (((0, 1), gm), ((1, 0), gl)):
+        for cell, (i, j, k) in enumerate(rows):
+            if rows[g[cell]] != (i, (j + a) % n, (k + b) % nm):
+                return a, b, cell
+    return None
 
 
 def index_orbits(sg: SymmetryGroup, p: CellPartition):
@@ -326,7 +290,11 @@ def index_orbits(sg: SymmetryGroup, p: CellPartition):
     j in Z_n, k in Z_nm; each least cell not yet named is the rep of the
     next orbit. Asserts the free-action sizes, the bijectivity of the
     indexing, and the equivariance law for L and for M: each adds 1 to
-    its index, mod n or nm, so by induction L^a M^b adds (a, b).
+    its index, mod n or nm, so by induction L^a M^b adds (a, b). So <L, M>
+    is Z_n x Z_nm acting freely on whole permutations. It lies in the free
+    symmetry group, and orbit 1, the images of 2-cell 0, must be exactly
+    the symmetries' names, so <L, M> is the whole group. Then n | nm, as
+    nm, the largest element order, is lcm(n, nm).
     """
     size = len(p.two_cells)
     for dim_count in (len(p.zero_cells), len(p.one_cells), size):
@@ -353,8 +321,9 @@ def index_orbits(sg: SymmetryGroup, p: CellPartition):
             cur_l = gl[cur_l]
 
     rows = tuple(table[c] for c in range(size))
-    for (a, b), g in (((0, 1), gm), ((1, 0), gl)):
-        for cell, (i, j, k) in enumerate(rows):
-            if rows[g[cell]] != (i, (j + a) % sg.n, (k + b) % sg.nm):
-                raise InternalInvariantError(f"equivariance fails for L^{a} M^{b} at cell {cell}")
+    if bad := equivariance_break(rows, gl, gm, sg.n, sg.nm):
+        raise InternalInvariantError(
+            f"equivariance fails for L^{bad[0]} M^{bad[1]} at cell {bad[2]}")
+    if {c for c, (i, _, _) in enumerate(rows) if i == 1} != {a[0] for a in sg.elements}:
+        raise InternalInvariantError("orbit 1 is not the set of symmetry names: <L, M> misses one")
     return rows, r

@@ -40,6 +40,9 @@ class CyclicGroup:
     def element_at(self, rank: int):
         return rank
 
+    def rank_of(self, a) -> int:
+        return range(self.k).index(a)  # ValueError off the group
+
     @property
     def order(self) -> int:
         return self.k
@@ -79,6 +82,12 @@ class DirectProductGroup:
             rank, digit = divmod(rank, f.order)
             slots.append(f.element_at(digit))
         return tuple(reversed(slots))
+
+    def rank_of(self, a) -> int:
+        rank = 0
+        for f, x in zip(self.factors, a, strict=True):
+            rank = rank * f.order + f.rank_of(x)
+        return rank
 
     @property
     def order(self) -> int:
@@ -121,10 +130,11 @@ class WreathGroup:
     """Engine for one fixed base group and grid shape.
 
     The base, a finite group with hashable elements, provides identity,
-    op, inv, elements(), element_at(rank), order and describe(). multiply
-    and inverse move every grid through shift_action, so a subclass that
-    overrides it installs another action everywhere; the tests install
-    deliberately wrong ones as negative controls.
+    op, inv, elements(), element_at(rank), its inverse rank_of(element),
+    order and describe(). multiply and inverse move every grid through
+    shift_action, so a subclass that overrides it installs another action
+    everywhere; the tests install deliberately wrong ones as negative
+    controls.
     """
 
     def __init__(self, base, rows: int, cols: int):
@@ -192,6 +202,13 @@ class WreathGroup:
             flat.append(self.base.element_at(digit))
         flat.reverse()  # grids() varies the last cell fastest
         return self._rows(flat)
+
+    def rank_of(self, grid) -> int:
+        """The position of grid in grids(), grid_at's inverse."""
+        rank = 0
+        for a in itertools.chain.from_iterable(grid):
+            rank = rank * self.base.order + self.base.rank_of(a)
+        return rank
 
     def kernel_size(self) -> int:
         return self.base.order ** (self.rows * self.cols)

@@ -309,6 +309,11 @@ def cokernel_pair(mat2):
     return (d1, d2)
 
 
+def invariant_factors(diagonal):
+    """The invariant factors > 1 of a Smith diagonal."""
+    return tuple(d for d in diagonal if d > 1)
+
+
 def permutation_orbits(perms, count):
     """Orbits of {0..count-1} under a list of permutations (given as tuples)."""
     uf = UnionFind()

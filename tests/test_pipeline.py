@@ -7,7 +7,7 @@ import pytest
 
 import krtorus.homology
 import krtorus.pipeline
-import krtorus.symmetry
+import krtorus.wreath
 from krtorus.errors import InputRejected
 from krtorus.fields import pullback_cosine_field
 from krtorus.pipeline import (analyze, canonical_json, extract_disk_field, group_expr,
@@ -194,7 +194,7 @@ def test_verify_extension_catches_corruption_on_sampled_kernel(surface, monkeypa
     monkeypatch.setattr(krtorus.pipeline, "WreathGroup", oracles.CorruptedWreath)
     rec = verify_extension(rep, parse_atoms("Z3,Z4"))
     assert [c.name for c in rec.checks if not c.passed] == ["wreath-axioms-exactness"]
-    assert "kernel too large" in rec.checks[2].detail
+    assert rec.checks[2].detail.startswith("grid_at and rank_of invert each other on 402 of")
 
 
 def test_verify_extension_large_atoms(surface):
@@ -204,8 +204,41 @@ def test_verify_extension_large_atoms(surface):
     assert rec.passed
     assert rec.checks[0].detail == \
         "group laws and ker(proj) = im(sigma) hold over 729 elements"
-    assert rec.checks[2].detail == ("kernel too large to enumerate "
-                                    f"({10 ** 24}); size identity is definitional")
+    assert rec.checks[2].detail == ("grid_at and rank_of invert each other on 402 of the "
+                                    f"|Z1000 x Z1000|^(2*2) = {10 ** 24} grids")
+
+
+class MisrankedWreath(krtorus.wreath.WreathGroup):
+    """Engine whose grid_at decodes the next rank: a negative control."""
+
+    def grid_at(self, rank):
+        return super().grid_at((rank + 1) % self.kernel_size())
+
+
+@pytest.mark.parametrize("atoms", ["Z2,Z3", "Z1000,Z1000"])
+def test_kernel_size_catches_a_wrong_grid_at(surface, monkeypatch, atoms):
+    # every grid it decodes is a valid grid, so only the round trip sees it
+    rep = report_for(surface, "z2xz2-sym")
+    monkeypatch.setattr(krtorus.pipeline, "WreathGroup", MisrankedWreath)
+    rec = verify_extension(rep, parse_atoms(atoms))
+    assert [(c.name, c.detail) for c in rec.checks if not c.passed] == [
+        ("kernel-size", "rank 0 does not survive grid_at and rank_of")]
+
+
+@pytest.mark.parametrize("edit,detail", [
+    ("row", "orbit_table rows are not {1..2} x Z_2 x Z_2, each once"),
+    ("swap", "L^1 M^0 does not add (0,1,0) to the index of cell 0")],
+    ids=["row", "swap"])
+def test_index_lattice_reads_the_orbit_table(surface, edit, detail):
+    rep = report_for(surface, "z2xz2-sym")
+    table = rep.symmetry["orbit_table"]
+    if edit == "row":  # one cell named twice, another not at all
+        table[1] = list(table[0])
+    else:  # two cells of one orbit trade names: still a bijection, no longer equivariant
+        table[0], table[1] = table[1], table[0]
+    rec = verify_extension(rep, parse_atoms("Z2,Z3"))
+    assert [(c.name, c.detail) for c in rec.checks if not c.passed] == [
+        ("index-lattice-exactness", detail)]
 
 
 def test_verify_extension_checks_atom_count(surface):
@@ -216,24 +249,16 @@ def test_verify_extension_checks_atom_count(surface):
 
 
 def test_smith_calls_per_analyze(monkeypatch):
-    # the torus check and the H1 action take no Smith form: the only one
-    # left is the cokernel of the group presentation in group_structure
-    inside, calls = [], []
-    smith, cokernel = krtorus.homology.smith_normal_form, krtorus.symmetry.cokernel_invariants
+    # the torus check, the H1 action and the group stage take no Smith form:
+    # index_orbits proves the group on the orbit grid
+    calls = []
+    smith = krtorus.homology.smith_normal_form
 
     def counting_smith(a):
-        calls.append(bool(inside))
+        calls.append(a.shape)
         return smith(a)
 
-    def marking_cokernel(a):
-        inside.append(a)
-        try:
-            return cokernel(a)
-        finally:
-            inside.pop()
-
     monkeypatch.setattr(krtorus.homology, "smith_normal_form", counting_smith)
-    monkeypatch.setattr(krtorus.symmetry, "cokernel_invariants", marking_cokernel)
     report = analyze(pullback_cosine_field(32, ((2, 0), (0, 2))))
     assert (report.symmetry["n"], report.symmetry["m"]) == (2, 1)
-    assert calls == [True]
+    assert calls == []

@@ -9,7 +9,6 @@ import pytest
 
 import krtorus.symmetry
 from krtorus.errors import InternalInvariantError
-from krtorus.homology import CokernelInvariants, IntMatrix
 from krtorus.partition import OneCell, build_partition
 from krtorus.reeb import compute_reeb, find_special_vertex
 from krtorus.symmetry import SymmetryGroup, enumerate_symmetries, group_structure, index_orbits
@@ -209,95 +208,61 @@ def regular_representation(a, b):
 FACTOR_PAIRS = [(a, b) for a in range(1, 9) for b in range(a, 65, a) if a * b <= 64]
 
 
-def _record_presentations(monkeypatch):
-    seen = []
-    smith = krtorus.symmetry.cokernel_invariants
-
-    def recording(m):
-        inv = smith(m)
-        seen.append((m, inv))
-        return inv
-
-    monkeypatch.setattr(krtorus.symmetry, "cokernel_invariants", recording)
-    return seen
+def _cells(k: int):
+    """A partition stand-in with k cells in each dimension."""
+    return SimpleNamespace(zero_cells=range(k), one_cells=range(k), two_cells=range(k))
 
 
 def _table_factors(mul):
     return oracles.cokernel_factors(oracles.cayley_relation_matrix(mul))
 
 
+def _check_selection(els, sg):
+    """(n, nm) are the Cayley table's invariant factors, L and M follow the
+    selection rule, and index_orbits proves the group on the regular
+    representation, the table's rows, where it is one orbit."""
+    mul = _table(els)
+    assert _table_factors(mul) == tuple(d for d in (sg.n, sg.nm) if d > 1)
+    # gen_m is the first element of order nm, gen_l has order n and meets
+    # <gen_m> only in the identity
+    powers = [_powers(mul, i) for i in range(len(els))]
+    assert sg.gen_m == min(i for i, p in enumerate(powers) if len(p) == sg.nm)
+    assert len(powers[sg.gen_l]) == sg.n
+    assert set(powers[sg.gen_l]) & set(powers[sg.gen_m]) == {0}
+    regular = tuple(map(tuple, mul))  # element i sends j to i j; row i starts with i
+    rg = group_structure(regular)
+    assert (rg.n, rg.nm, rg.gen_l, rg.gen_m) == (sg.n, sg.nm, sg.gen_l, sg.gen_m)
+    table, r = index_orbits(rg, _cells(len(els)))
+    assert r == 1 and sorted(table) == [(1, j, k) for j in range(sg.n) for k in range(sg.nm)]
+
+
 @pytest.mark.parametrize("a,b", FACTOR_PAIRS, ids=[f"Z{a}xZ{b}" for a, b in FACTOR_PAIRS])
-def test_presentation_matches_cayley_table(monkeypatch, a, b):
+def test_presentation_matches_cayley_table(a, b):
     els = regular_representation(a, b)
-    seen = _record_presentations(monkeypatch)
     sg = group_structure(els)
     assert (sg.n, sg.nm) == (a, b)
-    (m, inv), = seen
-    mul = _table(els)
-    assert inv.factors == _table_factors(mul)
-    # the generators fix the orbit table: gen_m is the first element of
-    # order nm, gen_l has order n and meets <gen_m> only in the identity
-    powers = [_powers(mul, i) for i in range(len(els))]
-    assert sg.gen_m == min(i for i, p in enumerate(powers) if len(p) == b)
-    assert len(powers[sg.gen_l]) == a
-    assert set(powers[sg.gen_l]) & set(powers[sg.gen_m]) == {0}
-    # the presentation is on (gen_l, gen_m): every relation column (x, y)
-    # has L^x M^y equal to the identity
-    pl, pm = powers[sg.gen_l], powers[sg.gen_m]
-    assert m.shape[0] == 2
-    assert all(mul[pl[x % a]][pm[y % b]] == 0 for x, y in zip(*m.entries))
+    _check_selection(els, sg)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
-def test_pool_presentation_matches_cayley_table(monkeypatch, stage, name):
+def test_pool_presentation_matches_cayley_table(stage, name):
     els = stage(name).elements
-    seen = _record_presentations(monkeypatch)
     sg = group_structure(els)
     assert (sg.n, sg.m) == (EXPECTED[name]["n"], EXPECTED[name]["m"])
-    (m, inv), = seen
-    assert m.shape[0] == 2
-    assert inv.factors == _table_factors(_table(els))
-
-
-def test_presentation_size_is_linear_in_the_order(monkeypatch):
-    # a size bound, not a timing bound: the Cayley table gave 64 x 4097
-    els = regular_representation(8, 8)
-    seen = _record_presentations(monkeypatch)
-    group_structure(els)
-    (m, _), = seen
-    rows, cols = m.shape
-    assert rows == 2 and cols <= 3 * len(els)
-
-
-def test_dropped_relation_is_caught(monkeypatch):
-    smith = krtorus.symmetry.cokernel_invariants
-
-    def drop_last_relation(m):
-        rows, cols = m.shape
-        return smith(IntMatrix.from_rows([r[:-1] for r in m.entries], cols=cols - 1))
-
-    monkeypatch.setattr(krtorus.symmetry, "cokernel_invariants", drop_last_relation)
-    with pytest.raises(InternalInvariantError,
-                       match="finite symmetry group presented an infinite lattice"):
-        group_structure(regular_representation(8, 8))
-
-
-def test_element_orders_catch_a_wrong_split(monkeypatch):
-    # right order, wrong invariant factors: only the element-order route sees it
-    monkeypatch.setattr(krtorus.symmetry, "cokernel_invariants",
-                        lambda m: CokernelInvariants((4, 16), free_rank=0))
-    with pytest.raises(InternalInvariantError,
-                       match=r"element orders give \(8, 8\), Smith form gives \(4, 16\)"):
-        group_structure(regular_representation(8, 8))
+    _check_selection(els, sg)
 
 
 def test_non_abelian_group_is_caught():
-    # S3 acting on itself: a 3-cycle and a swap generate it but do not commute
+    # S3 acting on itself: M a 3-cycle and L a swap index its six cells
+    # without a revisit, but L M = M^-1 L, so L does not add (1, 0)
     s3 = sorted(permutations(range(3)))
     at = {p: i for i, p in enumerate(s3)}
     els = tuple(sorted(tuple(at[tuple(g[h[c]] for c in range(3))] for h in s3) for g in s3))
-    with pytest.raises(InternalInvariantError, match="symmetry group is not abelian"):
-        group_structure(els)
+    sg = group_structure(els)
+    assert (sg.n, sg.nm) == (2, 3)
+    with pytest.raises(InternalInvariantError,
+                       match=re.escape("equivariance fails for L^1 M^0 at cell")):
+        index_orbits(sg, _cells(6))
 
 
 def test_three_invariant_factors_are_caught():
@@ -318,10 +283,11 @@ def test_missing_product_is_caught():
 
 def test_closure_is_checked_on_whole_permutations():
     # a swaps 2-cells 0 and 1, so its names give Z2, but a composed with
-    # itself turns 2-cells 2, 3, 4 by a 3-cycle squared, not the identity
+    # itself turns 2-cells 2, 3, 4, 5 by a 4-cycle squared, not the identity
+    sg = group_structure(((0, 1, 2, 3, 4, 5), (1, 0, 3, 4, 5, 2)))
     with pytest.raises(InternalInvariantError,
-                       match="symmetry set is not closed under composition"):
-        group_structure(((0, 1, 2, 3, 4), (1, 0, 3, 4, 2)))
+                       match=re.escape("equivariance fails for L^0 M^1 at cell 3")):
+        index_orbits(sg, _cells(6))
 
 
 def test_shared_two_cell_permutation_is_caught():
@@ -370,7 +336,21 @@ def test_arc_map_that_splits_a_vertex_is_caught():
 
 def test_element_the_generators_miss_is_caught():
     # two transpositions through 2-cell 0: orders 1, 2, 2 give exponent 2 and
-    # L the identity, so L and M reach only the identity and M itself
+    # L the identity, so L and M reach only the identity's name and M's
+    sg = group_structure(((0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4), (2, 4, 0, 5, 1, 3)))
     with pytest.raises(InternalInvariantError,
-                       match="Cayley graph on 2 generators reaches 2 of 3 elements"):
-        group_structure(((0, 1, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3)))
+                       match="orbit 1 is not the set of symmetry names: <L, M> misses one"):
+        index_orbits(sg, _cells(6))
+
+
+def test_third_name_the_generators_miss_is_caught():
+    # L and M make Z2 x Z2 act freely on eight cells in two orbits, so orbit
+    # 1 has as many cells as there are names, but the name 4 of the element
+    # after L lies in orbit 2
+    els = ((0, 1, 2, 3, 4, 5, 6, 7), (1, 0, 3, 2, 5, 4, 7, 6), (2, 3, 0, 1, 6, 7, 4, 5),
+           (4, 5, 6, 7, 0, 1, 2, 3))
+    sg = group_structure(els)
+    assert (sg.n, sg.nm, sg.gen_l, sg.gen_m) == (2, 2, 2, 1)
+    with pytest.raises(InternalInvariantError,
+                       match="orbit 1 is not the set of symmetry names: <L, M> misses one"):
+        index_orbits(sg, _cells(8))

@@ -1,7 +1,8 @@
 """Byte-level snapshot of `krtorus verify --format json` on the tree presets.
 
-The digests were frozen from the output the wreath checks produced before
-the axiom check was reworked; any change to a verify byte on these inputs
+The digests were frozen from the output of the verify checks once the
+index-lattice check read the orbit grid and the kernel-size check the
+grid_at/rank_of round trip; any change to a verify byte on these inputs
 fails here. The corrupted-shift detail pins which element the negative
 control trips on, not just that it fails.
 """
@@ -25,13 +26,13 @@ import oracles
 # (preset at grid 16, atoms) -> sha256 of the stdout bytes
 VERIFY_DIGESTS = {
     ("two-cell", "Z2,Z3"):
-        "8c96a94354372b278f27ff21fef18845fcfe85cfa12a20f8e630fe49d01c82c7",
+        "770b6b2bd2bef7ed1f215fa2cdda1f3c77263c5573fabeea51bfa63b35923f6f",
     ("z2-sym", "Z2,Z3"):
-        "d269c6301d033e50c159762b3c19279ee512762a417558c81d80b36d86cb5a33",
+        "833bd2a6bae63f4dbd29b38a4f0568b9fe226b9416a6634a1afae8e648034938",
     ("z2xz2-sym", "Z2,Z3"):
-        "09376e7960a804589032f8da9e496844ff42fac788061c748d7dcf36008acf3c",
+        "166b3e203528f8bdec8ef1e8dad557ceffd7b96f63eef210336a1281c311b9e1",
     ("z2xz2-sym", "Z3,Z4"):
-        "c7d9d8a88ed9e944c5104c9f7a0c68fa14a1b33619b64dc6f8eb82b725bee590",
+        "d9f180fee4820da8a0fcfda806debc5f24d5eed598c040c7d82c8b549f2159aa",
 }
 
 
@@ -54,6 +55,7 @@ def test_corrupted_shift_detail(surface, monkeypatch):
         ("wreath-axioms-exactness", False,
          "identity law e*x = x fails at x = ((0, 0), (0, 1); (-1,-1))"),
         ("index-lattice-exactness", True,
-         "q(a,b) = (1a,2b) splices with coordinate reduction exactly"),
-        ("kernel-size", True, "kernel holds 16 distinct grids, |Z2 x Z2|^(1*2) = 16"),
+         "orbit_table is {1..2} x Z_1 x Z_2, each row once; L, M add (0,1,0), (0,0,1)"),
+        ("kernel-size", True,
+         "grid_at and rank_of invert each other on 16 of the |Z2 x Z2|^(1*2) = 16 grids"),
     ]

@@ -278,6 +278,20 @@ def test_multiply_matches_cell_reference(case):
 def test_grid_at_decodes_grids_order(base, rows, cols):
     wg = WreathGroup(base, rows, cols)
     assert [wg.grid_at(i) for i in range(wg.kernel_size())] == list(wg.grids())
+    assert [wg.rank_of(grid) for grid in wg.grids()] == list(range(wg.kernel_size()))
+
+
+@pytest.mark.parametrize("base,value", [
+    (CyclicGroup(3), 3), (CyclicGroup(3), -1),
+    (DirectProductGroup((CyclicGroup(2), CyclicGroup(3))), (1, 3)),
+    (DirectProductGroup((CyclicGroup(2), CyclicGroup(3))), (1,)),
+], ids=["past-k", "negative", "slot-past-k", "short-tuple"])
+def test_rank_of_refuses_values_off_the_base(base, value):
+    # a value outside the base has no rank, so it cannot pass for another grid's
+    with pytest.raises(ValueError):
+        base.rank_of(value)
+    with pytest.raises(ValueError):
+        WreathGroup(base, 1, 2).rank_of(((base.identity, value),))
 
 
 def test_grid_at_does_not_list_the_base(monkeypatch):
@@ -290,6 +304,8 @@ def test_grid_at_does_not_list_the_base(monkeypatch):
     assert wg.grid_at(0) == (((0, 0), (0, 0)),)
     assert wg.grid_at(last) == (((10 ** 9 - 1, 1), (10 ** 9 - 1, 1)),)
     assert wg.grid_at(2 * 10 ** 9 + 3) == (((0, 1), (1, 1)),)
+    assert [wg.rank_of(wg.grid_at(k)) for k in (0, last, 2 * 10 ** 9 + 3)] == \
+        [0, last, 2 * 10 ** 9 + 3]
 
 
 def test_distinct_ranks():
