@@ -120,6 +120,10 @@ def parse_atoms(text: str):
     return tuple(groups)
 
 
+# entries in each engine's memo of base.op and of base.inv: every pair of a base of order <= 64
+CELL_MEMO_SIZE = 4096
+
+
 @dataclass(frozen=True, slots=True)
 class WreathElement:
     grid: tuple  # rows x cols nested tuples of base elements
@@ -131,10 +135,12 @@ class WreathGroup:
 
     The base, a finite group with hashable elements, provides identity,
     op, inv, elements(), element_at(rank), its inverse rank_of(element),
-    order and describe(). multiply and inverse move every grid through
-    shift_action, so a subclass that overrides it installs another action
-    everywhere; the tests install deliberately wrong ones as negative
-    controls.
+    order and describe(). op and inv must be pure functions of hashable
+    elements: each engine memoises each of them in a least-recently-used
+    memo of CELL_MEMO_SIZE (4,096) entries. multiply and inverse move
+    every grid through shift_action, so a subclass that overrides it
+    installs another action everywhere; the tests install deliberately
+    wrong ones as negative controls.
     """
 
     def __init__(self, base, rows: int, cols: int):
@@ -143,10 +149,13 @@ class WreathGroup:
         self.base = base
         self.rows = rows
         self.cols = cols
+        # bounded: a base of order 10^6 would otherwise keep one entry per pair met
+        self._op = functools.lru_cache(maxsize=CELL_MEMO_SIZE)(base.op)
+        self._inv = functools.lru_cache(maxsize=CELL_MEMO_SIZE)(base.inv)
 
     def element(self, grid, shift=(0, 0)) -> WreathElement:
-        grid = tuple(tuple(row) for row in grid)
-        if len(grid) != self.rows or any(len(r) != self.cols for r in grid):
+        grid = tuple(map(tuple, grid))
+        if len(grid) != self.rows or set(map(len, grid)) != {self.cols}:
             raise ValueError(f"grid is not {self.rows} x {self.cols}")
         k, l = shift
         return WreathElement(grid, (int(k), int(l)))
@@ -164,14 +173,18 @@ class WreathGroup:
         return tuple([row[l:] + row[:l] for row in grid[k:] + grid[:k]]) if k or l else grid
 
     def multiply(self, x: WreathElement, y: WreathElement) -> WreathElement:
-        """Cellwise x.grid * (y.grid moved by x.shift), one base.op per cell; shifts add."""
+        """Cellwise x.grid * (y.grid moved by x.shift); shifts add.
+
+        A cell pair reaches base.op once while it stays among the engine's
+        CELL_MEMO_SIZE most recently used pairs."""
         moved = self.shift_action(y.grid, x.shift)
-        op = self.base.op
+        op = self._op
         grid = tuple([tuple(map(op, ra, rb)) for ra, rb in zip(x.grid, moved)])
         return WreathElement(grid, (x.shift[0] + y.shift[0], x.shift[1] + y.shift[1]))
 
     def inverse(self, x: WreathElement) -> WreathElement:
-        inv_grid = tuple(tuple(self.base.inv(a) for a in row) for row in x.grid)
+        """Cellwise base.inv through the engine's memo, moved by the negated shift."""
+        inv_grid = tuple([tuple(map(self._inv, row)) for row in x.grid])
         neg = (-x.shift[0], -x.shift[1])
         return WreathElement(self.shift_action(inv_grid, neg), neg)
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -208,6 +209,33 @@ def test_verify_extension_large_atoms(surface):
                                     f"|Z1000 x Z1000|^(2*2) = {10 ** 24} grids")
 
 
+def test_cell_memo_stays_bounded_on_a_large_base(monkeypatch):
+    # a base of order 10^6 on a 4 x 4 grid: almost every cell pair is new. Without
+    # a memo the peak is 10.5 MiB, so the bound allows 2 MiB for the memo; an
+    # unbounded one peaks at 23.7 MiB
+    engines = []
+
+    class Kept(krtorus.wreath.WreathGroup):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(krtorus.pipeline, "WreathGroup", Kept)
+    rep = analyze(pullback_cosine_field(32, ((4, 0), (0, 4))))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rec = verify_extension(rep, parse_atoms("Z1000,Z1000"))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    (wg,) = engines
+    assert rec.passed and (wg.rows, wg.cols) == (4, 4)
+    assert wg._op.cache_info().currsize <= 4096
+    assert wg._inv.cache_info().currsize <= 4096
+    assert peak <= 12.5 * 2 ** 20
+
+
 class MisrankedWreath(krtorus.wreath.WreathGroup):
     """Engine whose grid_at decodes the next rank: a negative control."""
 
@@ -236,6 +264,23 @@ def test_index_lattice_reads_the_orbit_table(surface, edit, detail):
         table[1] = list(table[0])
     else:  # two cells of one orbit trade names: still a bijection, no longer equivariant
         table[0], table[1] = table[1], table[0]
+    rec = verify_extension(rep, parse_atoms("Z2,Z3"))
+    assert [(c.name, c.detail) for c in rec.checks if not c.passed] == [
+        ("index-lattice-exactness", detail)]
+
+
+@pytest.mark.parametrize("edit,detail", [
+    ("cut", "generators.L is not a permutation of the 8 2-cells"),
+    ("negative", "generators.M is not a permutation of the 8 2-cells")],
+    ids=["cut", "negative"])
+def test_index_lattice_needs_permutations(surface, edit, detail):
+    # a short L used to raise IndexError, and a -1 in M wrapped to the last cell
+    rep = report_for(surface, "z2xz2-sym")
+    gens = rep.symmetry["generators"]
+    if edit == "cut":
+        gens["L"] = gens["L"][:2]
+    else:
+        gens["M"][gens["M"].index(len(gens["M"]) - 1)] = -1
     rec = verify_extension(rep, parse_atoms("Z2,Z3"))
     assert [(c.name, c.detail) for c in rec.checks if not c.passed] == [
         ("index-lattice-exactness", detail)]

@@ -226,26 +226,38 @@ def test_axioms_multiply_each_product_once():
     assert len(triple_calls) < len(pool) ** 3
 
 
-def test_multiply_calls_base_op_once_per_cell():
+def test_multiply_reaches_base_op_once_per_pair():
     # the verify pool shape: 81 seeded grid ranks x 9 shifts, sampled triples
-    ops, products = [], []
+    ops, products, reference = [], [], []
 
     class RecordingProduct(DirectProductGroup):
         def op(self, a, b):
             ops.append((a, b))
             return super().op(a, b)
 
-    class Recording(WreathGroup):
-        def multiply(self, x, y):
-            products.append((x, y))
-            return super().multiply(x, y)
+    def recording(calls):
+        class Recording(WreathGroup):
+            def multiply(self, x, y):
+                calls.append((x, y))
+                return super().multiply(x, y)
+        return Recording
 
-    wg = Recording(RecordingProduct((CyclicGroup(3), CyclicGroup(4))), 1, 2)
+    base = RecordingProduct((CyclicGroup(3), CyclicGroup(4)))
+    wg = recording(products)(base, 1, 2)
     rng = random.Random(20260819)
     pool = _pool(wg, distinct_ranks(rng, wg.kernel_size(), 81))
     assert len(pool) == 729
+    state = rng.getstate()
     assert check_group_axioms(wg, pool, rng=rng, samples=1500) is None
-    assert len(ops) == 2 * len(products)
+    # the memo holds all 12 x 12 pairs, so each reaches base.op at most once
+    assert len(set(ops)) == len(ops) <= base.order ** 2
+    # the recomputing reference, replayed on the same draws, names the distinct products
+    rng.setstate(state)
+    plain = DirectProductGroup(base.factors)
+    assert oracles.group_axioms(recording(reference)(plain, 1, 2), pool,
+                                rng=rng, samples=1500) is None
+    laws = 4 * len(pool)  # e*x, x*e, x*x^-1, x^-1*x, each computed
+    assert len(products) == laws + len(set(reference[laws:]))
 
 
 @st.composite
