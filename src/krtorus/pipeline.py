@@ -225,8 +225,8 @@ def verify_extension(report: AnalysisReport, atoms) -> VerificationRecord:
 
     (a) group axioms and exactness of the map-part/shift-part sequence,
     (b) the report's orbit_table is {1..r} x Z_n x Z_nm, each row once, its
-        L and M are permutations of the 2-cells, and they add 1 to j and
-        to k (index_orbits' check),
+        L and M are permutations of the 2-cells as lists of int, and they
+        add 1 to j and to k (index_orbits' check),
     (c) the kernel of the shift projection has K = |base|^(n*nm) grids:
         grid_at and rank_of invert each other on ranks 0, K - 1 and 400
         drawn uniformly (every rank when K is that small).
@@ -261,7 +261,9 @@ def verify_extension(report: AnalysisReport, atoms) -> VerificationRecord:
     gens, cells = sym["generators"], list(range(len(rows)))
     if sorted(rows) != list(product(range(1, r + 1), range(n), range(nm))):
         fail_b = f"orbit_table rows are not {grid}, each once"
-    elif off := [name for name in "LM" if sorted(gens[name]) != cells]:
+    # a float or bool that sorts equal to a cell id is not one
+    elif off := [name for name in "LM" if any(type(x) is not int for x in gens[name])
+                 or sorted(gens[name]) != cells]:
         fail_b = f"generators.{off[0]} is not a permutation of the {len(rows)} 2-cells"
     elif bad := equivariance_break(rows, gens["L"], gens["M"], n, nm):
         fail_b = "L^{0} M^{1} does not add (0,{0},{1}) to the index of cell {2}".format(*bad)

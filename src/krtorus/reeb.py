@@ -93,14 +93,12 @@ class Branch:
 
 
 class ReebGraph:
-    def __init__(self, nodes, edges, node_map, band_map, on_node, surface_chi):
+    def __init__(self, nodes, edges, node_map, band_map, surface_chi):
         self.nodes: tuple[ReebNode, ...] = tuple(nodes)
         self.edges: tuple[ReebEdge, ...] = tuple(edges)
         # every triangle is filed once: under the lowest node meeting it, else its band's edge
         self.node_map: dict[int, tuple[int, ...]] = dict(node_map)
         self.band_map: dict[int, tuple[int, ...]] = dict(band_map)
-        # the node of every vertex lying in a node component
-        self.on_node: dict[int, int] = dict(on_node)
         self.surface_chi = surface_chi
         adj: dict[int, list[int]] = {n.id: [] for n in self.nodes}
         for e in self.edges:
@@ -398,7 +396,7 @@ def compute_reeb(s: SurfaceField) -> ReebGraph:
         (filed if rc >= target or hi >= target else band).append(idx)
 
     g = ReebGraph(nodes, edges, {k: tuple(v) for k, v in node_map.items()},
-                  {k: tuple(v) for k, v in band_map.items()}, on_node,
+                  {k: tuple(v) for k, v in band_map.items()},
                   surface_chi=s.vertex_count - s.triangle_count // 2)
 
     # connectivity of the graph itself

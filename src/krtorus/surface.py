@@ -28,8 +28,6 @@ from operator import gt
 
 from .errors import InputRejected
 
-Scalar = "float | Fraction | int"
-
 HEADER = "torus-field v1"
 
 

@@ -6,14 +6,15 @@ over the matched branches agree), preserves the boundary walk
 orientation, acts as the identity on first homology, and moves every
 cell (freeness, vacuous for the identity).
 
-Enumeration seeds on 2-cell number 0: a flag (t, r), an image t and a
-boundary rotation r, is propagated across shared arcs until the whole
-complex is matched or a contradiction appears, so a flag fixes its
-automorphism. Orientation reversal never enters because boundary walks
-are only ever aligned forward. The automorphisms act regularly on the
-flags they reach, so the flags are closed as an orbit (Seress,
-Permutation Group Algorithms, 2.1 and 4.1): a flag that is reached
-already is never attempted, and a success becomes a generator.
+Enumeration seeds on 2-cell number 0: _attempt propagates a flag (t, r),
+an image t and a boundary rotation r, across shared arcs until the whole
+complex is matched or one of three tests fails, so a flag fixes its
+automorphism; the tree-cotree check makes every other test redundant
+(_attempt's docstring). Orientation reversal never enters because
+boundary walks are only ever aligned forward. The automorphisms act
+regularly on the flags they reach, so the flags are closed as an orbit
+(Seress, Permutation Group Algorithms, 2.1 and 4.1): a flag that is
+reached already is never attempted, and a success becomes a generator.
 
 Only the generators are built whole. h1_action runs once on each: it
 checks the chain map on arc endpoints and boundary walks, then reads
@@ -63,12 +64,29 @@ class CellAutomorphism:
     perm2: tuple[int, ...]
 
 
-def _attempt(cells, occ, t0: int, r0: int):
-    """Propagate the seed (cell 0 -> t0, rotation r0) across shared arcs.
+def _attempt(p: CellPartition, classes, occ, t0: int, r0: int):
+    """The automorphism of flag (t0, r0) and the walk rotation of each 2-cell, or None.
 
-    The partition passed the tree-cotree check: every arc lies on two
-    walks, shared arcs connect all 2-cells, and every 0-cell ends an arc.
+    The seed (2-cell 0 -> t0, rotation r0) is propagated across shared
+    arcs: position pos of c's walk goes to position pos + r of its image
+    t's walk, and the arc's other side to the image arc's other side. It
+    fails on a walk length or level signature that differs, a 2-cell met
+    again with another image or rotation, or a 0-cell whose vertex class
+    differs from its image's. Nothing else can fail: tree_cotree proved
+    that every arc lies on two walk positions with opposite signs, that
+    shared arcs connect the 2-cells and that walks close up, and every
+    0-cell ends an arc. Sides of signs s, -s go to sides of signs s2, -s2,
+    so both give the arc the sign s * s2, and the second side is read
+    through its 2-cell's image, which the conflict test fixed. Each 2-cell
+    is popped, and its length tested, once. The sides over a position of
+    t's walk correspond one to one with those over the arc's other side,
+    so neighbouring 2-cells have equally many preimages, k each, and
+    k * n2 = n2 gives k = 1: the 2-cell, side and arc maps are bijections.
+    The corners at a 0-cell form one cycle, linked by arcs' two sides,
+    which the side map keeps; so it maps the cycle onto one corner cycle,
+    every arc end at v goes to the same w, and v -> w is a bijection.
     """
+    cells = p.two_cells
     cell_map = {0: (t0, r0)}
     arc_map: dict[int, tuple[int, int]] = {}
     work = [0]
@@ -79,68 +97,30 @@ def _attempt(cells, occ, t0: int, r0: int):
         ln = len(bc)
         if len(bt) != ln or cells[c].level_signature != cells[t].level_signature:
             return None
-        for pos in range(ln):
-            a, s = bc[pos]
+        for pos, (a, s) in enumerate(bc):
             ipos = (pos + r) % ln
             a2, s2 = bt[ipos]
-            eps = s * s2
-            prev = arc_map.get(a)
-            if prev is None:
-                arc_map[a] = (a2, eps)
-            elif prev != (a2, eps):
-                return None
-            me = (c, pos, s)
-            ime = (t, ipos, s2)
+            arc_map[a] = (a2, s * s2)
             oa, oa2 = occ[a], occ[a2]
-            other = oa[1] if oa[0] == me else oa[0]
-            iother = oa2[1] if oa2[0] == ime else oa2[0]
-            d, q, sd = other
-            t2, q2, sd2 = iother
-            if sd * sd2 != eps:
-                return None
-            lnd = len(cells[d].boundary)
-            if len(cells[t2].boundary) != lnd:
-                return None
-            rd = (q2 - q) % lnd
-            prevc = cell_map.get(d)
-            if prevc is None:
+            d, q, _ = oa[1] if oa[0] == (c, pos, s) else oa[0]
+            t2, q2, _ = oa2[1] if oa2[0] == (t, ipos, s2) else oa2[0]
+            rd = (q2 - q) % len(cells[d].boundary)
+            prev = cell_map.get(d)
+            if prev is None:
                 cell_map[d] = (t2, rd)
                 work.append(d)
-            elif prevc != (t2, rd):
+            elif prev != (t2, rd):
                 return None
-    return cell_map, arc_map
-
-
-def _finalize(p: CellPartition, classes, cell_map, arc_map):
-    """Turn a propagated assignment into an automorphism, or reject it."""
-    n2 = len(p.two_cells)
-    n1 = len(p.one_cells)
-    if sorted(t for t, _ in cell_map.values()) != list(range(n2)):
-        return None
-    if len(arc_map) != n1 or sorted(a2 for a2, _ in arc_map.values()) != list(range(n1)):
-        return None
+    perm1 = tuple(arc_map[a] for a in range(len(p.one_cells)))
     vmap: dict[int, int] = {}
-    for aid, (a2, eps) in arc_map.items():
-        src, dst = p.one_cells[aid], p.one_cells[a2]
-        pairs = (((src.tail, dst.tail), (src.head, dst.head)) if eps > 0
-                 else ((src.tail, dst.head), (src.head, dst.tail)))
-        for v, w in pairs:
-            prev = vmap.get(v)
-            if prev is None:
-                vmap[v] = w
-            elif prev != w:
-                raise InternalInvariantError(
-                    "consistent arc map induced conflicting vertex images")
-    if sorted(vmap.values()) != sorted(vmap):
+    for src, (a2, eps) in zip(p.one_cells, perm1):
+        dst = p.one_cells[a2]
+        vmap[src.tail], vmap[src.head] = (dst.tail, dst.head) if eps > 0 else (dst.head, dst.tail)
+    if any(classes[v].label() != classes[w].label() for v, w in vmap.items()):
         return None
-    for v, w in vmap.items():
-        if classes[v].label() != classes[w].label():
-            return None
     zc = {v: i for i, v in enumerate(p.zero_cells)}
-    perm0 = tuple(zc[vmap[v]] for v in p.zero_cells)
-    perm1 = tuple(arc_map[a] for a in range(n1))
-    perm2 = tuple(cell_map[c][0] for c in range(n2))
-    return CellAutomorphism(perm0, perm1, perm2)
+    perm2, rot = zip(*(cell_map[c] for c in range(len(cells))))
+    return CellAutomorphism(tuple(zc[vmap[v]] for v in p.zero_cells), perm1, perm2), rot
 
 
 def _automorphisms(s: SurfaceField, p: CellPartition) -> dict:
@@ -171,14 +151,9 @@ def _automorphisms(s: SurfaceField, p: CellPartition) -> dict:
         if cells[t].level_signature != sig0 or len(cells[t].boundary) != ln0:
             continue
         for r in range(ln0):
-            if (t, r) in elem:
+            if (t, r) in elem or (found := _attempt(p, classes, occ, t, r)) is None:
                 continue
-            cand = _attempt(cells, occ, t, r)
-            g = _finalize(p, classes, *cand) if cand is not None else None
-            if g is None:
-                continue
-            gens.append((g, [cand[0][c][1] for c in range(len(cells))],
-                         h1_action(p, g).entries))
+            gens.append((*found, h1_action(p, found[0]).entries))
             for t1, r1 in reached:
                 perm, ((m00, m01), (m10, m11)) = elem[t1, r1]
                 img, eps = arc_img[t1, r1]

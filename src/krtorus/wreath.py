@@ -189,8 +189,9 @@ class WreathGroup:
         return WreathElement(self.shift_action(inv_grid, neg), neg)
 
     def sigma(self, grid) -> WreathElement:
-        """Inclusion of the map part: grid -> (grid, (0, 0))."""
-        return self.element(grid, (0, 0))
+        """Inclusion of the map part: grid -> (grid, (0, 0)), for the row-tuple
+        grids of this shape that grids(), grid_at and pointwise_product build."""
+        return WreathElement(grid, (0, 0))
 
     def proj(self, x: WreathElement) -> tuple[int, int]:
         """Projection onto the shift part."""

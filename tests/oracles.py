@@ -707,7 +707,7 @@ def all_flag_automorphisms(s, p):
     before the freeness and H1 filters.
     """
     from krtorus.surface import vertex_classes
-    from krtorus.symmetry import _attempt, _finalize
+    from krtorus.symmetry import _attempt
 
     classes = vertex_classes(s)
     cells = p.two_cells
@@ -718,10 +718,8 @@ def all_flag_automorphisms(s, p):
     found = {}
     for t in range(len(cells)):
         for r in range(len(cells[0].boundary)):
-            cand = _attempt(cells, occ, t, r)
-            a = _finalize(p, classes, *cand) if cand is not None else None
-            if a is not None:
-                found[t, r] = a
+            if (a := _attempt(p, classes, occ, t, r)) is not None:
+                found[t, r] = a[0]
     return found
 
 

@@ -1,4 +1,4 @@
-"""Which ``raise`` sites in ``src/krtorus`` does the test suite execute?
+"""Which ``raise`` sites and statements in ``src/krtorus`` does the test suite execute?
 
 Runs pytest in this process under a ``sys.settrace`` line tracer that
 only traces frames of modules in ``src/krtorus``, then prints, per
@@ -6,21 +6,23 @@ module, how many ``raise InternalInvariantError(...)`` and
 ``raise InputRejected(...)`` statements ran at least once. Run it from
 the repository root:
 
-    python tests/raise_reachability.py [--list] [pytest args]
+    python tests/raise_reachability.py [--list] [--statements] [pytest args]
 
 With no pytest arguments it runs the tier-1 suite (``tests`` and
 ``bench``, as in ``pyproject.toml``); ``--list`` also prints each site
-that did not run. The tracer is put back before every test, because
-``tests/test_work_growth.py`` installs its own and clears it. Code run
-in subprocesses (the bench tests) is not traced. The whole suite takes
-several minutes under the tracer, so this is a tool to run by hand, not
-a test; pytest does not collect it (its name does not start with
-``test_``).
+that did not run, and ``--statements`` every statement of the package,
+docstrings aside, that compiles to code and did not run. The tracer is
+put back before every test, because ``tests/test_work_growth.py``
+installs its own and clears it. Code run in subprocesses (the bench
+tests) is not traced. The whole suite takes several minutes under the
+tracer, so this is a tool to run by hand, not a test; pytest does not
+collect it (its name does not start with ``test_``).
 """
 from __future__ import annotations
 
 import ast
 import sys
+import types
 from collections import defaultdict
 from pathlib import Path
 
@@ -39,6 +41,45 @@ def raise_sites(path: Path) -> dict[int, str]:
                 and isinstance(node.exc.func, ast.Name) and node.exc.func.id in KINDS):
             sites[node.lineno] = node.exc.func.id
     return sites
+
+
+def statements(path: Path) -> dict[int, tuple[int, ...]]:
+    """{first line: its head lines} for every statement that compiles to code.
+
+    A statement's head runs from its first decorator to the line before
+    its first inner statement, or to its end if it has none. Docstrings
+    and heads that compile to no line of code are left out.
+    """
+    source = path.read_text(encoding="utf-8")
+    code_lines, todo = set(), [compile(source, str(path), "exec")]
+    while todo:
+        co = todo.pop()
+        code_lines.update(line for _, _, line in co.co_lines() if line is not None)
+        todo += [c for c in co.co_consts if isinstance(c, types.CodeType)]
+    heads = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.stmt) or (
+                isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)):
+            continue
+        inner = [c.lineno for field in ("body", "handlers", "orelse", "finalbody")
+                 for c in getattr(node, field, [])]
+        first = min([d.lineno for d in getattr(node, "decorator_list", [])] + [node.lineno])
+        head = range(first, min(inner) if inner else node.end_lineno + 1)
+        if code_lines.intersection(head):
+            heads[node.lineno] = tuple(head)
+    return heads
+
+
+def unrun_statements(hits: set) -> list[str]:
+    """'module.py:line source' for each statement whose head never ran."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        out += [f"  {path.name}:{first} {lines[first - 1].strip()}"
+                for first, head in sorted(statements(path).items())
+                if not any((str(path), line) in hits for line in head)]
+    return out
 
 
 class LineTracer:
@@ -99,8 +140,9 @@ def report(hits: set, show_unreached: bool) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    show_unreached = "--list" in argv
-    args = [a for a in argv if a != "--list"] or [str(ROOT / "tests"), str(ROOT / "bench")]
+    show_unreached, show_statements = "--list" in argv, "--statements" in argv
+    args = ([a for a in argv if a not in ("--list", "--statements")]
+            or [str(ROOT / "tests"), str(ROOT / "bench")])
     sys.path.insert(0, str(ROOT / "src"))
     tracer = LineTracer(str(PACKAGE) + "/")
     sys.settrace(tracer.enter)
@@ -109,6 +151,9 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
     print("\n".join(report(tracer.hits, show_unreached)))
+    if show_statements:
+        unrun = unrun_statements(tracer.hits)
+        print("\n".join([f"statements not run: {len(unrun)}", *unrun]))
     return int(status)
 
 

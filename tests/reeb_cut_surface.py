@@ -193,7 +193,6 @@ def compute_reeb_cut_surface(s: SurfaceField) -> ReebGraph:
                   edges,
                   {k: tuple(v) for k, v in node_map.items()},
                   {eid: tuple(r[3]) for eid, r in enumerate(edge_raw)},
-                  on_node,
                   surface_chi=s.vertex_count - sum(map(len, left)) // 2 + s.triangle_count)
 
     # connectivity of the graph itself

@@ -109,7 +109,6 @@ def compute_reeb_sweep(s: SurfaceField) -> ReebGraph:
     tmax = [max(s.values[v] for v in tri) for tri in s.triangles]
     nodes = []
     node_ref: dict[tuple[int, int], int] = {}
-    on_node = {}
     for t, (comps, _) in enumerate(per_level):
         for ci, comp in enumerate(comps):
             if not comp.is_node:
@@ -120,9 +119,6 @@ def compute_reeb_sweep(s: SurfaceField) -> ReebGraph:
             idx_sum = sum(classes[v].index for v in comp.critical_vertices)
             nodes.append(ReebNode(nid, comp.level, kinds, comp.critical_vertices,
                                   comp.census_euler, idx_sum))
-            for p in comp.pieces:
-                if p[0] == "v":
-                    on_node[p[1]] = nid
 
     edge_tris: dict = {}
     for idx, (a, b, c) in enumerate(s.triangles):
@@ -225,7 +221,6 @@ def compute_reeb_sweep(s: SurfaceField) -> ReebGraph:
                   edges,
                   {k: tuple(v) for k, v in node_map.items()},
                   {k: tuple(v) for k, v in band_map.items()},
-                  on_node,
                   surface_chi=s.vertex_count - len(surface_edges(s.triangles)) + s.triangle_count)
 
     uf = UnionFind()

@@ -8,8 +8,9 @@ import random
 
 import pytest
 
+import krtorus.cli
 from krtorus.cli import main
-from krtorus.errors import InputRejected
+from krtorus.errors import InputRejected, InternalInvariantError
 from krtorus.fields import MAX_PRESET_GRID, _check_preset_grid, preset_field
 from krtorus.surface import dump_surface
 
@@ -194,6 +195,37 @@ def test_snf_matrix_with_leading_minus(capsys):
 def test_snf_bad_matrix(capsys):
     assert main(["snf", "--matrix", "1,2;three,4"]) == 1
     assert "bad-request" in capsys.readouterr().err
+
+
+def test_snf_ragged_matrix(capsys):
+    assert main(["snf", "--matrix", "1,2;3"]) == 1
+    assert capsys.readouterr().err == "error[bad-request]: bad --matrix value: ragged matrix\n"
+
+
+def test_header_without_count_line(tmp_path, capsys):
+    path = tmp_path / "header.tf"
+    path.write_text("torus-field v1\n")
+    assert main(["analyze", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": {"code": "malformed-input", "message": "missing count line"}}
+
+
+def test_analyze_text_rejection_carries_its_details(cyclic_file, capsys):
+    assert main(["analyze", cyclic_file, "--format", "text"]) == 1
+    assert capsys.readouterr().err == (
+        'error[not-a-tree]: graph has first Betti number 1, expected a tree {"b1": 1}\n')
+
+
+def test_internal_invariant_exits_two(two_cell_file, capsys, monkeypatch):
+    def broken(s):
+        raise InternalInvariantError("planted defect")
+
+    monkeypatch.setattr(krtorus.cli, "analyze", broken)
+    assert main(["analyze", two_cell_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": {"code": "internal-invariant", "message": "planted defect"}}
 
 
 def test_gen_then_analyze(tmp_path, capsys):

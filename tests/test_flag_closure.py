@@ -105,50 +105,50 @@ def test_h1_trivial_exactly_when_free(stage, kind, key):
             assert (h1_action(p, a) == ident) == (not oracles.fixes_some_cell(a)), a.perm2
 
 
-def _count_calls(monkeypatch, name, counts, successes_only=False):
-    fn = getattr(krtorus.symmetry, name)
-
-    def counted(*args):
-        out = fn(*args)
-        if not successes_only or out is not None:
-            counts[name] += 1
-        return out
-
-    monkeypatch.setattr(krtorus.symmetry, name, counted)
-
-
 @pytest.mark.parametrize("name", PULLBACKS)
 def test_work_is_one_compose_per_automorphism(monkeypatch, name):
     s, p = _pullback(name)
     order = len(krtorus.symmetry._automorphisms(s, p))
-    counts = {"_attempt": 0, "_finalize": 0, "h1_action": 0}
-    _count_calls(monkeypatch, "_attempt", counts)
-    _count_calls(monkeypatch, "_finalize", counts, successes_only=True)
-    _count_calls(monkeypatch, "h1_action", counts)
+    calls = {"attempts": 0, "successes": 0, "h1_action": 0}
+    attempt, h1 = krtorus.symmetry._attempt, krtorus.symmetry.h1_action
+
+    def counted_attempt(*args):
+        out = attempt(*args)
+        calls["attempts"] += 1
+        calls["successes"] += out is not None
+        return out
+
+    def counted_h1(*args):
+        calls["h1_action"] += 1
+        return h1(*args)
+
+    monkeypatch.setattr(krtorus.symmetry, "_attempt", counted_attempt)
+    monkeypatch.setattr(krtorus.symmetry, "h1_action", counted_h1)
     enumerate_symmetries(s, p)
     # every success adds a generator outside the reached subgroup, which
     # at least doubles it (Lagrange); h1_action runs on generators only,
     # and every other automorphism is one composition of 2-cell
     # permutations and one product of 2 x 2 matrices
-    assert counts["h1_action"] == counts["_finalize"] <= math.log2(order)
-    assert counts["_attempt"] < order
+    assert calls["h1_action"] == calls["successes"] <= math.log2(order)
+    assert calls["attempts"] < order
 
 
 def _corrupt_first_generator(monkeypatch, cell, shift):
-    """Make the first automorphism _finalize returns send `cell` `shift` cells off."""
-    finalize = krtorus.symmetry._finalize
+    """Make the first automorphism _attempt returns send `cell` `shift` cells off."""
+    attempt = krtorus.symmetry._attempt
     done = []
 
-    def corrupted(p, *args):
-        a = finalize(p, *args)
-        if a is None or done:
-            return a
-        done.append(a)
+    def corrupted(*args):
+        found = attempt(*args)
+        if found is None or done:
+            return found
+        done.append(found)
+        a, rot = found
         perm2 = list(a.perm2)
         perm2[cell] = (perm2[cell] + shift) % len(perm2)
-        return CellAutomorphism(a.perm0, a.perm1, tuple(perm2))
+        return CellAutomorphism(a.perm0, a.perm1, tuple(perm2)), rot
 
-    monkeypatch.setattr(krtorus.symmetry, "_finalize", corrupted)
+    monkeypatch.setattr(krtorus.symmetry, "_attempt", corrupted)
 
 
 @pytest.mark.parametrize("name", ["z2-sym", "z2xz2-sym", "diag(2,2)@32", "diag(4,4)@32"])
@@ -169,13 +169,12 @@ def test_generator_with_a_wrong_walk_rotation_is_caught(stage, monkeypatch):
     # the image of 2-cell 0's first arc, read through perm1, names another
     attempt = krtorus.symmetry._attempt
 
-    def turned(cells, occ, t, r):
-        cand = attempt(cells, occ, t, r)
-        if cand is None:
+    def turned(p, *args):
+        found = attempt(p, *args)
+        if found is None:
             return None
-        cell_map, arc_map = cand
-        return {c: (t2, (rd + 1) % len(cells[c].boundary))
-                for c, (t2, rd) in cell_map.items()}, arc_map
+        a, rot = found
+        return a, [(rd + 1) % len(cell.boundary) for cell, rd in zip(p.two_cells, rot)]
 
     monkeypatch.setattr(krtorus.symmetry, "_attempt", turned)
     st_ = stage("z2xz2-sym")

@@ -222,7 +222,7 @@ def _path_graph(n: int) -> ReebGraph:
     nodes = [ReebNode(i, i, ("minimum",) if i == 0 else ("node",), (i,), 0, 0)
              for i in range(n)]
     edges = [ReebEdge(i, i, i + 1, (i, i + 1)) for i in range(n - 1)]
-    return ReebGraph(nodes, edges, {}, {}, {}, surface_chi=0)
+    return ReebGraph(nodes, edges, {}, {}, surface_chi=0)
 
 
 @pytest.mark.parametrize("name", ["two-cell", "z2-sym", "z2xz2-sym", "twin-peaks"])
@@ -257,7 +257,7 @@ def test_signature_of_deep_path():
 def _triangle_graph() -> ReebGraph:
     nodes = [ReebNode(i, i, ("node",), (i,), 0, 0) for i in range(3)]
     edges = [ReebEdge(0, 0, 1, (0, 1)), ReebEdge(1, 0, 2, (0, 2)), ReebEdge(2, 1, 2, (1, 2))]
-    return ReebGraph(nodes, edges, {}, {}, {}, surface_chi=0)
+    return ReebGraph(nodes, edges, {}, {}, surface_chi=0)
 
 
 def test_signature_rejects_a_cyclic_branch():
@@ -279,7 +279,7 @@ def test_branches_at_rejects_a_cycle_out_of_reach():
     nodes = [ReebNode(i, i, ("node",), (i,), 0, 0) for i in range(5)]
     edges = [ReebEdge(0, 0, 1, (0, 1)), ReebEdge(1, 2, 3, (2, 3)),
              ReebEdge(2, 2, 4, (2, 4)), ReebEdge(3, 3, 4, (3, 4))]
-    g = ReebGraph(nodes, edges, {}, {}, {}, surface_chi=0)
+    g = ReebGraph(nodes, edges, {}, {}, surface_chi=0)
     with pytest.raises(InternalInvariantError, match="is not a tree"):
         g.branches_at(0)
     with pytest.raises(InternalInvariantError, match="disconnected"):

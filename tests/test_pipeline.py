@@ -271,16 +271,23 @@ def test_index_lattice_reads_the_orbit_table(surface, edit, detail):
 
 @pytest.mark.parametrize("edit,detail", [
     ("cut", "generators.L is not a permutation of the 8 2-cells"),
-    ("negative", "generators.M is not a permutation of the 8 2-cells")],
-    ids=["cut", "negative"])
+    ("negative", "generators.M is not a permutation of the 8 2-cells"),
+    ("float", "generators.L is not a permutation of the 8 2-cells"),
+    ("bool", "generators.M is not a permutation of the 8 2-cells")],
+    ids=["cut", "negative", "float", "bool"])
 def test_index_lattice_needs_permutations(surface, edit, detail):
-    # a short L used to raise IndexError, and a -1 in M wrapped to the last cell
+    # a short L used to raise IndexError, a -1 in M wrapped to the last
+    # cell, and a float L passed the sorted comparison and raised TypeError
     rep = report_for(surface, "z2xz2-sym")
     gens = rep.symmetry["generators"]
     if edit == "cut":
         gens["L"] = gens["L"][:2]
-    else:
+    elif edit == "negative":
         gens["M"][gens["M"].index(len(gens["M"]) - 1)] = -1
+    elif edit == "float":
+        gens["L"] = list(map(float, gens["L"]))
+    else:
+        gens["M"] = [bool(x) if x < 2 else x for x in gens["M"]]
     rec = verify_extension(rep, parse_atoms("Z2,Z3"))
     assert [(c.name, c.detail) for c in rec.checks if not c.passed] == [
         ("index-lattice-exactness", detail)]

@@ -195,7 +195,7 @@ def _hand_tree(pairs, census, index=None) -> ReebGraph:
     index = census if index is None else index
     nodes = [ReebNode(i, i, ("node",), (i,), c, x) for i, (c, x) in enumerate(zip(census, index))]
     edges = [ReebEdge(k, a, b, (a, b)) for k, (a, b) in enumerate(pairs)]
-    return ReebGraph(nodes, edges, {}, {}, {}, surface_chi=sum(census))
+    return ReebGraph(nodes, edges, {}, {}, surface_chi=sum(census))
 
 
 def test_special_vertex_rejects_a_tree_without_one():
@@ -337,7 +337,7 @@ def shape(s):
     return ([(n.id, n.kinds, n.critical_vertices, n.census_euler, n.index_sum)
              for n in g.nodes],
             [(e.id, e.lower, e.upper) for e in g.edges],
-            g.node_map, g.band_map, g.on_node), [n.level for n in g.nodes]
+            g.node_map, g.band_map), [n.level for n in g.nodes]
 
 
 @settings(max_examples=150, deadline=None)

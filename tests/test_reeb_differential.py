@@ -45,7 +45,7 @@ def outcome(build, s):
         g = build(s)
     except InputRejected as exc:
         return ("rejected", exc.code, str(exc), exc.details)
-    return (g.nodes, g.edges, g.node_map, g.band_map, g.on_node)
+    return (g.nodes, g.edges, g.node_map, g.band_map)
 
 
 def agree(s) -> bool:

@@ -7,9 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-import krtorus.symmetry
 from krtorus.errors import InternalInvariantError
-from krtorus.partition import OneCell, build_partition
+from krtorus.partition import build_partition
 from krtorus.reeb import compute_reeb, find_special_vertex
 from krtorus.symmetry import SymmetryGroup, enumerate_symmetries, group_structure, index_orbits
 
@@ -323,15 +322,6 @@ def test_generator_powers_that_revisit_a_cell_are_caught():
     with pytest.raises(InternalInvariantError,
                        match="generator powers revisit a 2-cell; indexing is not bijective"):
         index_orbits(sg, cells)
-
-
-def test_arc_map_that_splits_a_vertex_is_caught():
-    # arcs 0 -> 1 and 0 -> 2 share their tail; arc 0 is kept and arc 1
-    # reversed, so vertex 0 would go to 0 by the first and to 2 by the second
-    p = SimpleNamespace(two_cells=range(1), one_cells=(OneCell(0, 0, 1, (0, 1)), OneCell(1, 0, 2, (0, 2))))
-    with pytest.raises(InternalInvariantError,
-                       match="consistent arc map induced conflicting vertex images"):
-        krtorus.symmetry._finalize(p, None, {0: (0, 0)}, {0: (0, 1), 1: (1, -1)})
 
 
 def test_element_the_generators_miss_is_caught():

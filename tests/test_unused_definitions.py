@@ -1,15 +1,16 @@
-"""Every module-level function and class of the package, and every method, has a user.
+"""Every module-level function, class and name of the package, and every method, has a user.
 
-A stdlib stand-in for a dead-code finder. A top-level ``def`` or
-``class`` in ``src/krtorus`` must be read somewhere in ``src/`` outside
-its own body, be exported from the package ``__init__``, or be named in
-``bench/tracer.py``'s ``TARGETS``, which wraps module bindings from
-outside the program. A method, property or classmethod of a top-level
-class, dunders aside, must be read as an attribute in ``src/`` outside
-its own body on a receiver that can be an instance of that class (see
-``_Receivers``), or be listed in ``HOOKS`` with the reason something else
-calls it: a method of the same name on another class is no user. A
-helper that only tests call belongs in ``tests/oracles.py``.
+A stdlib stand-in for a dead-code finder. A top-level ``def``,
+``class`` or assigned name (dunders aside) in ``src/krtorus`` must be
+read somewhere in ``src/`` outside its own statement, be exported from
+the package ``__init__``, or be named in ``bench/tracer.py``'s
+``TARGETS``, which wraps module bindings from outside the program. A
+method, property or classmethod of a top-level class, dunders aside,
+must be read as an attribute in ``src/`` outside its own body on a
+receiver that can be an instance of that class (see ``_Receivers``), or
+be listed in ``HOOKS`` with the reason something else calls it: a method
+of the same name on another class is no user. A helper that only tests
+call belongs in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -46,15 +47,26 @@ def _reads(node) -> Counter:
     return reads
 
 
+def _top_level_names(node) -> list[str]:
+    """The names a top-level statement defines: a def or class, or assignment targets."""
+    if isinstance(node, _DEFS):
+        return [node.name]
+    targets = getattr(node, "targets", [node.target] if isinstance(node, ast.AnnAssign) else [])
+    names = [n for t in targets
+             for n in ([t] if isinstance(t, ast.Name) else getattr(t, "elts", []))]
+    return [n.id for n in names
+            if isinstance(n, ast.Name) and not (n.id.startswith("__") and n.id.endswith("__"))]
+
+
 def unused_definitions(sources: dict[str, str], kept: set[str]) -> list[str]:
-    """'module.name' for each top-level function or class that no module reads
-    outside its own body and that is not in kept."""
+    """'module.name' for each top-level function, class or assigned name,
+    dunders aside, that no module reads outside its own statement and
+    that is not in kept."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     reads = sum(map(_reads, trees.values()), Counter())
-    return [f"{module}.{node.name}" for module, tree in sorted(trees.items())
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name not in kept and reads[node.name] <= _reads(node)[node.name]]
+    return [f"{module}.{name}" for module, tree in sorted(trees.items())
+            for node in tree.body for name in _top_level_names(node)
+            if name not in kept and reads[name] <= _reads(node)[name]]
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -216,6 +228,13 @@ def test_checker_flags_a_helper_left_without_a_caller():
                     "class C:\n    def m(self) -> 'C': return C\n",
                "b": "from .a import used\nused()\n"}
     assert unused_definitions(sources, {"kept"}) == ["a.left", "a.C"]
+
+
+def test_checker_flags_an_assignment_left_without_a_reader():
+    sources = {"a": "__all__ = ['read']\nread = 1\nleft: int = 2\nmore, read2 = 3, 4\n"
+                    "Alias = 'int | None'\n",
+               "b": "from .a import read, read2\nprint(read + read2)\n"}
+    assert unused_definitions(sources, set()) == ["a.left", "a.more", "a.Alias"]
 
 
 def test_checker_flags_a_method_left_without_a_caller():

@@ -369,6 +369,61 @@ def test_exact_sequence_good_and_bad():
     assert msg is not None
 
 
+class RightProjection(CyclicGroup):
+    """op(a, b) = b: the identity is a left identity only."""
+
+    def op(self, a, b):
+        return b
+
+
+class SelfInverse(CyclicGroup):
+    """inv(a) = a, which inverts only 0 in Z3."""
+
+    def inv(self, a):
+        return a
+
+
+@pytest.mark.parametrize("base,message", [
+    (RightProjection(2), "identity law x*e = x fails at x = (0, 1; (-1,-1))"),
+    (SelfInverse(3), "inverse law fails at x = (0, 1; (-1,-1))")],
+    ids=["right-identity", "inverse"])
+def test_axioms_name_the_failing_law(base, message):
+    wg = WreathGroup(base, 1, 2)
+    assert check_group_axioms(wg, small_pool(wg)) == message
+
+
+class ShiftedSigma(WreathGroup):
+    def sigma(self, grid):
+        return WreathElement(grid, (1, 0))
+
+
+class ConstantSigma(WreathGroup):
+    def sigma(self, grid):
+        return self.identity()
+
+
+class OverCountedKernel(WreathGroup):
+    def kernel_size(self):
+        return super().kernel_size() + 1
+
+
+class ParityProj(WreathGroup):
+    """Reads the first shift mod 2: zero on sigma's images, not additive."""
+
+    def proj(self, x):
+        return x.shift[0] % 2, x.shift[1]
+
+
+@pytest.mark.parametrize("engine,message", [
+    (ShiftedSigma, "sigma image escapes ker(proj)"),
+    (ConstantSigma, "sigma is not injective"),
+    (OverCountedKernel, "kernel count 9 differs from |base|^(rows*cols) = 10"),
+    (ParityProj, "proj is not additive on shifts")],
+    ids=["escapes", "not-injective", "kernel-count", "proj"])
+def test_exact_sequence_names_the_failing_identity(engine, message):
+    assert check_exact_sequence(engine(CyclicGroup(3), 1, 2)) == message
+
+
 def test_kernel_size():
     assert WreathGroup(CyclicGroup(3), 1, 2).kernel_size() == 9
     base = DirectProductGroup((CyclicGroup(2), CyclicGroup(3)))
