@@ -1,10 +1,9 @@
 """Exact integer linear algebra: Smith normal form, cokernels, H1 of a partition.
 
-All arithmetic is arbitrary-precision int. The Smith reduction uses a
-fixed pivot rule, smallest nonzero absolute value with row-major tie
-break, so results are reproducible bit for bit. H1 takes no Smith
-form: a tree-cotree decomposition gives its basis, and a cell map's
-action is read off it.
+All arithmetic is arbitrary-precision int. The Smith reduction takes
+Bezout steps in a fixed order, so U and V are reproducible bit for
+bit. H1 takes no Smith form: a tree-cotree decomposition gives its
+basis, and a cell map's action is read off it.
 """
 from __future__ import annotations
 
@@ -29,16 +28,11 @@ class IntMatrix:
             if cols is not None and cols != width:
                 raise ValueError("explicit column count disagrees with rows")
             cols = width
-        elif cols is None:
-            cols = 0
-        return cls(rows, (len(rows), cols))
+        return cls(rows, (len(rows), cols or 0))
 
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self.entries[i][j]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.entries)
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
@@ -48,7 +42,7 @@ class IntMatrix:
         k2, c = other.shape
         if k != k2:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        cols = [other.column(j) for j in range(c)]
+        cols = [tuple(e[j] for e in other.entries) for j in range(c)]
         return IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in cols)
                                for row in self.entries), (r, c))
 
@@ -73,91 +67,71 @@ class SnfResult:
         return sum(1 for x in self.diagonal if x != 0)
 
 
+def _bezout(p: int, q: int) -> tuple[int, int, int, int]:
+    """(x, y, p/g, q/g) with g = x*p + y*q = +-gcd(p, q), for q != 0.
+
+    The step (s, z) -> (x*s + y*z, (p/g)*z - (q/g)*s) has determinant 1
+    and sends (p, q) to (g, 0); it is a plain subtraction when p divides q.
+    """
+    if p and q % p == 0:
+        return 1, 0, 1, q // p
+    g, h, x, y, x1, y1 = p, q, 1, 0, 0, 1
+    while h:
+        k = g // h
+        g, h, x, y, x1, y1 = h, g - k * h, x1, y1, x - k * x1, y - k * y1
+    return x, y, p // g, q // g
+
+
 def _smith(a: IntMatrix):
+    """Reduce A to D by Bezout steps; returns (D, U, V transposed) as lists.
+
+    At pivot t, the first column with a nonzero entry in the trailing
+    block is swapped in. Row steps on D and U clear column t below the
+    pivot, which is then nonzero, and column steps on D and on the rows
+    of V^T clear row t. A step that is not a plain subtraction leaves a
+    proper divisor of the pivot in its place, so the two passes
+    alternate only while |pivot| falls. Then a row holding an entry the
+    pivot does not divide is added to row t, and the next column step
+    lowers |pivot| again; so the loop ends (Kannan and Bachem, SIAM J.
+    Comput. 8(4), 1979). Last, rows with a negative pivot are negated.
+    """
     nr, nc = a.shape
     m = [list(r) for r in a.entries]
+    u, vt = ([[int(i == j) for j in range(n)] for i in range(n)] for n in (nr, nc))
 
-    def eye(n):
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    def step(ws, s, z, x, y, p, q):  # on rows s, z of each matrix in ws
+        for w in ws:
+            rs, rz = w[s], w[z]
+            if (x, y) != (1, 0):  # not a plain subtraction
+                w[s] = [x * e + y * f for e, f in zip(rs, rz)]
+            w[z] = [p * f - q * e for e, f in zip(rs, rz)]
 
-    # V is stored transposed (vt), so column ops on A are row ops on vt
-    u, vt = eye(nr), eye(nc)
-
-    def row_swap(i, j):
-        for x in (m, u):
-            x[i], x[j] = x[j], x[i]
-
-    def col_swap(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        vt[i], vt[j] = vt[j], vt[i]
-
-    def row_sub(i, q, k):
-        for x in (m, u):
-            x[i] = [y - q * z for y, z in zip(x[i], x[k])]
-
-    def col_sub(j, q, k):
-        for r in m:
-            r[j] -= q * r[k]
-        vt[j] = [y - q * z for y, z in zip(vt[j], vt[k])]
-
-    t = 0
-    while True:
-        # pivot: smallest nonzero absolute value, row-major tie break
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                e = m[i][j]
-                if e and (best is None or abs(e) < abs(best[0])):
-                    best = (e, i, j)
-        if best is None:
+    for t in range(min(nr, nc)):
+        j = next((j for j in range(t, nc) if any(r[j] for r in m[t:])), None)
+        if j is None:
             break
-        _, bi, bj = best
-        if bi != t:
-            row_swap(t, bi)
-        if bj != t:
-            col_swap(t, bj)
+        for r in m:
+            r[t], r[j] = r[j], r[t]
+        vt[t], vt[j] = vt[j], vt[t]
         while True:
-            dirty = False
             for i in range(t + 1, nr):
                 if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    row_sub(i, q, t)
-                    if m[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-            if dirty:
-                # finish the column before the row: column ops taken while
-                # entries remain below the pivot multiply them into the
-                # rest of the matrix, and dense 6x6 inputs then grow to
-                # millions of bits
-                continue
+                    step((m, u), t, i, *_bezout(m[t][t], m[i][t]))
             for j in range(t + 1, nc):
                 if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    col_sub(j, q, t)
-                    if m[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if dirty:
+                    c = x, y, p, q = _bezout(m[t][t], m[t][j])
+                    for r in m[t:]:  # in place: rows above t are zero here
+                        r[t], r[j] = x * r[t] + y * r[j], p * r[j] - q * r[t]
+                    step((vt,), t, j, *c)
+            if any(r[t] for r in m[t + 1:]):
                 continue
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if m[i][j] % m[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            i = next((i for i in range(t + 1, nr) if any(e % m[t][t] for e in m[i][t + 1:])), None)
+            if i is None:
                 break
-            # pull a non-divisible entry into the working row and repeat
-            row_sub(t, -1, offender)
-        t += 1
+            step((m, u), i, t, 1, 0, 1, -1)  # row t += row i
     for i in range(min(nr, nc)):
         if m[i][i] < 0:
-            for row in (m[i], u[i]):
-                row[:] = [-x for x in row]
+            m[i], u[i] = [-x for x in m[i]], [-x for x in u[i]]
     return m, u, vt
 
 

@@ -50,9 +50,6 @@ class CyclicGroup:
     def describe(self) -> str:
         return "1" if self.k == 1 else f"Z{self.k}"
 
-    def __repr__(self):
-        return f"CyclicGroup({self.k})"
-
 
 class DirectProductGroup:
     """Componentwise product; elements are tuples, one slot per factor."""
@@ -98,9 +95,6 @@ class DirectProductGroup:
 
     def describe(self) -> str:
         return " x ".join(f.describe() for f in self.factors)
-
-    def __repr__(self):
-        return f"DirectProductGroup({self.factors!r})"
 
 
 def parse_atoms(text: str):

@@ -4,7 +4,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -12,7 +15,10 @@ import krtorus.cli
 from krtorus.cli import main
 from krtorus.errors import InputRejected, InternalInvariantError
 from krtorus.fields import MAX_PRESET_GRID, _check_preset_grid, preset_field
+from krtorus.homology import IntMatrix, smith_normal_form
 from krtorus.surface import dump_surface
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -370,9 +376,50 @@ def _snf_pool():
 
 
 def test_snf_json_bytes_pinned(capsys):
-    # U, D and V come from a fixed pivot rule, so their JSON bytes are pinned
+    # U and V come from a fixed order of Bezout steps, so the JSON bytes are pinned
     h = hashlib.sha256()
     for m in _snf_pool():
         assert main(["snf", f"--matrix={m}", "--format", "json"]) == 0
         h.update(capsys.readouterr().out.encode())
-    assert h.hexdigest() == "f865612a425379409eb73d5735bef26b190078215fed8364ef98a4de25aff686"
+    assert h.hexdigest() == "a0101f0b4cfc2aa1242190c8ec67a9d817bdc8a7cdad9ae4d499a1750707044c"
+
+
+def test_snf_diagonal_bytes_pinned(capsys):
+    # D alone is unique, so its bytes hold under any correct reduction
+    h = hashlib.sha256()
+    for m in _snf_pool():
+        assert main(["snf", f"--matrix={m}", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        h.update(json.dumps([data["diagonal"], data["d"]]).encode())
+    assert h.hexdigest() == "0595362665fac48e1cdf0ce7488f68ee2c123db36c31e74666af24b880bc4bb7"
+
+
+def test_snf_transforms_stay_small_on_the_pool():
+    # Bezout steps keep these near 105 bits; a reduction that lets the
+    # transforms blow up reaches hundreds
+    bits = 0
+    for m in _snf_pool():
+        res = smith_normal_form(IntMatrix.from_rows(
+            [[int(x) for x in r.split(",")] for r in m.split(";")]))
+        bits = max(bits, *(abs(x).bit_length() for w in (res.u, res.v)
+                           for r in w.entries for x in r))
+    assert bits <= 128
+
+
+@pytest.mark.parametrize("k", range(12, 21))
+def test_snf_finishes_dense_matrices(k):
+    # a fresh process under a hard timeout, so a reduction that hangs fails
+    # here instead of stalling the suite; huge transforms also fail, as JSON
+    # output refuses ints over 4,300 digits
+    rng = random.Random(k)
+    rows = [[rng.randint(-9, 9) for _ in range(k + 1)] for _ in range(k)]
+    arg = ";".join(",".join(map(str, r)) for r in rows)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(krtorus.cli.__file__)))
+    out = subprocess.run([sys.executable, "-m", "krtorus", "snf", f"--matrix={arg}",
+                          "--format", "json"], capture_output=True, text=True, env=env,
+                         timeout=15)
+    assert out.returncode == 0, out.stderr
+    data = json.loads(out.stdout)
+    u, v = IntMatrix.from_rows(data["u"]), IntMatrix.from_rows(data["v"])
+    assert (u @ IntMatrix.from_rows(rows) @ v).to_lists() == data["d"]
+    assert abs(oracles.det(data["u"])) == abs(oracles.det(data["v"])) == 1

@@ -143,6 +143,18 @@ def test_pair_nm_requires_two_factors_dividing():
         assert oracles.cokernel_pair(rows) == pair
 
 
+def test_matrix_arguments_are_checked():
+    assert IntMatrix.from_rows([]).shape == (0, 0)
+    assert IntMatrix.from_rows([], cols=3).shape == (0, 3)
+    with pytest.raises(ValueError, match="explicit column count disagrees with rows"):
+        IntMatrix.from_rows([[1, 2]], cols=3)
+    with pytest.raises(ValueError, match=r"shape mismatch \(1, 2\) @ \(1, 2\)"):
+        IntMatrix.from_rows([[1, 2]]) @ IntMatrix.from_rows([[1, 2]])
+    # a segment whose one edge bounds a face: d1 @ d2 = (-1, 1)
+    with pytest.raises(ValueError, match="d1 @ d2 is not zero"):
+        chain_homology(IntMatrix.from_rows([[-1], [1]]), IntMatrix.from_rows([[1]]))
+
+
 def test_chain_homology_circle():
     # one 0-cell, one 1-cell, no 2-cells: d1 = 0
     d1 = oracles.zeros(1, 1)

@@ -156,6 +156,11 @@ def test_dump_load_round_trip(surface):
     assert dump_surface(s2) == text
 
 
+def test_load_accepts_bytes():
+    text = dump_surface(tetra_field())
+    assert dump_surface(load_surface(text.encode("utf-8"))) == text
+
+
 def test_load_accepts_comments_and_blank_lines():
     text = dump_surface(tetra_field())
     lines = text.splitlines()

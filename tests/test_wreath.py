@@ -440,6 +440,17 @@ def test_direct_product_base():
     assert base.describe() == "Z2 x Z3"
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: CyclicGroup(0), "cyclic group order must be a positive integer, got 0"),
+    (lambda: DirectProductGroup(()), "direct product needs at least one factor"),
+    (lambda: check_exact_sequence(WreathGroup(CyclicGroup(101), 1, 2)),
+     "kernel too large to enumerate; pass rng"),
+], ids=["cyclic-order-0", "empty-product", "large-kernel-without-rng"])
+def test_bad_arguments_are_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_parse_atoms():
     atoms = parse_atoms("Z2, Z3, 1")
     assert [a.describe() for a in atoms] == ["Z2", "Z3", "1"]
