@@ -116,6 +116,9 @@ def parse_atoms(text: str):
 
 # entries in each engine's memo of base.op and of base.inv: every pair of a base of order <= 64
 CELL_MEMO_SIZE = 4096
+# product cells in each engine's memo of row products (its key rows hold twice as many):
+# every row pair of a 1-column grid over order <= 32
+ROW_MEMO_CELLS = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,10 +134,13 @@ class WreathGroup:
     op, inv, elements(), element_at(rank), its inverse rank_of(element),
     order and describe(). op and inv must be pure functions of hashable
     elements: each engine memoises each of them in a least-recently-used
-    memo of CELL_MEMO_SIZE (4,096) entries. multiply and inverse move
-    every grid through shift_action, so a subclass that overrides it
-    installs another action everywhere; the tests install deliberately
-    wrong ones as negative controls.
+    memo of CELL_MEMO_SIZE (4,096) entries. Over the op memo sits a
+    least-recently-used memo of row products of ROW_MEMO_CELLS // cols
+    row pairs: ROW_MEMO_CELLS (1,024) product cells, and each entry
+    also keeps its two key rows, so at most 3,072 cell references.
+    multiply and inverse move every grid through shift_action, so a
+    subclass that overrides it installs another action everywhere; the
+    tests install deliberately wrong ones as negative controls.
     """
 
     def __init__(self, base, rows: int, cols: int):
@@ -144,8 +150,12 @@ class WreathGroup:
         self.rows = rows
         self.cols = cols
         # bounded: a base of order 10^6 would otherwise keep one entry per pair met
-        self._op = functools.lru_cache(maxsize=CELL_MEMO_SIZE)(base.op)
+        op = self._op = functools.lru_cache(maxsize=CELL_MEMO_SIZE)(base.op)
         self._inv = functools.lru_cache(maxsize=CELL_MEMO_SIZE)(base.inv)
+        # closes over op, not self: a cycle through self would keep the engine
+        # and its memos alive past its call, until the cycle collector runs
+        self._row_op = functools.lru_cache(maxsize=ROW_MEMO_CELLS // cols)(
+            lambda ra, rb: tuple(map(op, ra, rb)))
 
     def element(self, grid, shift=(0, 0)) -> WreathElement:
         grid = tuple(map(tuple, grid))
@@ -169,11 +179,12 @@ class WreathGroup:
     def multiply(self, x: WreathElement, y: WreathElement) -> WreathElement:
         """Cellwise x.grid * (y.grid moved by x.shift); shifts add.
 
-        A cell pair reaches base.op once while it stays among the engine's
+        One lookup per row: a pair of rows is multiplied cell by cell only
+        when it is not among the engine's recently used row pairs, and a
+        cell pair reaches base.op once while it stays among the
         CELL_MEMO_SIZE most recently used pairs."""
         moved = self.shift_action(y.grid, x.shift)
-        op = self._op
-        grid = tuple([tuple(map(op, ra, rb)) for ra, rb in zip(x.grid, moved)])
+        grid = tuple(map(self._row_op, x.grid, moved))
         return WreathElement(grid, (x.shift[0] + y.shift[0], x.shift[1] + y.shift[1]))
 
     def inverse(self, x: WreathElement) -> WreathElement:
@@ -240,8 +251,8 @@ def distinct_ranks(rng, size: int, count: int) -> list:
     return list(picked)
 
 
-def pointwise_product(base, g1, g2):
-    return tuple(tuple(map(base.op, r1, r2)) for r1, r2 in zip(g1, g2))
+def pointwise_product(op, g1, g2):
+    return tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(g1, g2))
 
 
 def check_group_axioms(wg: WreathGroup, pool, *, rng=None,
@@ -251,10 +262,13 @@ def check_group_axioms(wg: WreathGroup, pool, *, rng=None,
     Associativity runs over all pool triples when that fits the budget,
     otherwise over seeded random triples. Elements are interned as ids
     keyed by shift and grid, and products memoised by id pair, so each
-    distinct product goes through wg.multiply once; x*y is looked up once
-    per (x, y) run of triples. The triples, their order and the rng draws
-    are those of recomputing both sides of every triple. Returns None
-    when every law holds, else a description of the first violated one.
+    distinct product goes through wg.multiply once. Each (x, y) run of
+    triples is compared as two rows of ids, (x*y)*z and x*(y*z) over its
+    z; the exhaustive branch keeps the row y*pool for every y. The
+    triples, their order, the rng draws and, when every law holds, the
+    distinct products are those of recomputing both sides of every
+    triple. Returns None when every law holds, else a description of
+    the first violated one.
     """
     pool = list(pool)
     e = wg.identity()
@@ -266,14 +280,6 @@ def check_group_axioms(wg: WreathGroup, pool, *, rng=None,
         ix = wg.inverse(x)
         if wg.multiply(x, ix) != e or wg.multiply(ix, x) != e:
             return f"inverse law fails at x = {wg.render(x)}"
-    n = len(pool)
-    if n ** 3 <= triple_budget:  # (i, j, every k), in product order
-        runs = itertools.product(range(n), range(n), [range(n)])
-    elif rng is None:
-        raise ValueError("pool too large for exhaustive triples; pass rng")
-    else:  # randrange(n) draws exactly what choice(pool) would
-        runs = [(rng.randrange(n), rng.randrange(n), (rng.randrange(n),))
-                for _ in range(samples)]
     ids, elements = defaultdict(dict), []  # ids[shift][grid] = position in elements
 
     def intern(x) -> int:
@@ -287,14 +293,25 @@ def check_group_axioms(wg: WreathGroup, pool, *, rng=None,
         return intern(wg.multiply(elements[a], elements[b]))
 
     pool_ids = [intern(x) for x in pool]
-    for i, j, ks in runs:
-        x, y = pool_ids[i], pool_ids[j]
-        xy = mul(x, y)
-        for k in ks:
-            z = pool_ids[k]
-            if mul(xy, z) != mul(x, mul(y, z)):
-                return ("associativity fails at "
-                        f"{wg.render(pool[i])}, {wg.render(pool[j])}, {wg.render(pool[k])}")
+    n = len(pool)
+    if n ** 3 <= triple_budget:  # (i, j, every k), in product order
+        every = range(n)
+        y_pool = [list(map(mul, itertools.repeat(y), pool_ids)) for y in pool_ids]
+        runs = ((i, j, every, pool_ids, y_pool[j]) for i in every for j in every)
+    elif rng is None:
+        raise ValueError("pool too large for exhaustive triples; pass rng")
+    else:  # randrange(n) draws exactly what choice(pool) would
+        draws = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
+        runs = ((i, j, (k,), (pool_ids[k],), (mul(pool_ids[j], pool_ids[k]),))
+                for i, j, k in draws)
+    for i, j, ks, zs, yzs in runs:  # zs = pool_ids[ks], yzs = y*zs
+        x = pool_ids[i]
+        left = list(map(mul, itertools.repeat(mul(x, pool_ids[j])), zs))
+        right = list(map(mul, itertools.repeat(x), yzs))
+        if left != right:
+            k = ks[list(map(operator.eq, left, right)).index(False)]
+            return ("associativity fails at "
+                    f"{wg.render(pool[i])}, {wg.render(pool[j])}, {wg.render(pool[k])}")
     return None
 
 
@@ -307,7 +324,10 @@ def check_exact_sequence(wg: WreathGroup, *, rng=None):
 
     Checks: sigma lands in ker(proj) and is injective; sigma is a
     homomorphism (uses multiply, so a corrupted shift action surfaces
-    here); proj is additive; the kernel count equals |base|^(rows*cols).
+    here, against cellwise base.op in a memo of CELL_MEMO_SIZE entries
+    made for the call, never the engine's, so a corrupted memo does
+    too); proj is
+    additive; the kernel count equals |base|^(rows*cols).
     A kernel over KERNEL_ENUM_LIMIT grids is checked on 400 distinct
     grids drawn uniformly by rank and 400 pairs of their sigma images.
     Returns None or the violated identity.
@@ -333,9 +353,11 @@ def check_exact_sequence(wg: WreathGroup, *, rng=None):
             if len(at) ** 2 <= 40_000 else zip(at, reversed(at))
     else:
         pairs = [(rng.choice(at), rng.choice(at)) for _ in range(400)]
+    # one bounded memo per call, freed on return; never the engine's
+    op = functools.lru_cache(maxsize=CELL_MEMO_SIZE)(wg.base.op)
     for i, j in pairs:
         x, y = images[i], images[j]
-        if wg.multiply(x, y) != wg.sigma(pointwise_product(wg.base, x.grid, y.grid)):
+        if wg.multiply(x, y) != wg.sigma(pointwise_product(op, x.grid, y.grid)):
             return "sigma is not a homomorphism under the installed shift action"
     probe = [(0, 0), (1, 0), (0, 1), (2, -3), (-1, 4)]
     for (a1, a2), (b1, b2) in itertools.product(probe, repeat=2):

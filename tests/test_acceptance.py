@@ -274,7 +274,7 @@ def test_criterion_07_tau_bijective_homomorphism():
         for f, g in itertools.product(families, repeat=2):
             prod_fam = {k: (f[k] + g[k]) % 3 for k in f}
             lhs = oracles.tau_reindex(1, 2, 1, prod_fam, transports)
-            rhs = pointwise_product(base,
+            rhs = pointwise_product(base.op,
                                     oracles.tau_reindex(1, 2, 1, f, transports),
                                     oracles.tau_reindex(1, 2, 1, g, transports))
             assert lhs == rhs, f"{label}: homomorphism law fails"

@@ -40,6 +40,14 @@ def test_grid_field_is_closed_torus():
     assert oracles.euler_characteristic(s.triangles) == 0
 
 
+@pytest.mark.parametrize("n", [2, 0, -3])
+def test_grid_field_refuses_a_grid_below_3(n):
+    with pytest.raises(InputRejected) as exc:
+        grid_field(n, lambda i, j: 0)
+    assert exc.value.code == "bad-request"
+    assert str(exc.value) == f"grid size {n} is too small"
+
+
 def test_preset_values_exact():
     s = preset_field("two-cell", 8)
     t = cosine_table(8)

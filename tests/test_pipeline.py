@@ -233,6 +233,7 @@ def test_cell_memo_stays_bounded_on_a_large_base(monkeypatch):
     assert rec.passed and (wg.rows, wg.cols) == (4, 4)
     assert wg._op.cache_info().currsize <= 4096
     assert wg._inv.cache_info().currsize <= 4096
+    assert wg._row_op.cache_info().currsize * wg.cols <= 1024  # product cells held
     assert peak <= 12.5 * 2 ** 20
 
 

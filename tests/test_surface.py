@@ -224,6 +224,19 @@ def test_constructor_names_the_first_bad_triangle(tris, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("coords, message", [
+    ([(0, 0, 0)] * 3, "coordinate count does not match vertex count"),
+    ([(0, 0, 0)] * 5, "coordinate count does not match vertex count"),
+    ([(0, 0, 0), (1, 0, 0), (0, 1), (0, 0, 1)], "coordinates must be x y z triples"),
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1, 1)], "coordinates must be x y z triples"),
+])
+def test_constructor_checks_the_coordinates(coords, message):
+    with pytest.raises(InputRejected) as exc:
+        SurfaceField(TETRA, [0, 1, 2, 3], coords=coords)
+    assert exc.value.code == "malformed-input"
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("values, message", [
     ((0, True, 2, 3), "unsupported scalar True"),
     ((0, 1, "2", 3), "unsupported scalar '2'"),

@@ -9,8 +9,9 @@ between Python versions.
 """
 from __future__ import annotations
 
+import itertools
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from krtorus.pipeline import extract_disk_field
 from krtorus.reeb import compute_reeb, find_special_vertex
 from krtorus.surface import validate_closed_orientable
 from krtorus.symmetry import enumerate_symmetries, group_structure, index_orbits
+from krtorus.wreath import CyclicGroup, WreathGroup, check_group_axioms
 
 PACKAGE = str(Path(krtorus.__file__).resolve().parent)
 
@@ -147,3 +149,18 @@ def test_disks_grow_linearly(name):
 
     counts = [line_events(_every_disk, *stage_inputs(n)) for n in (16, 32, 64)]
     assert max(b / a for a, b in zip(counts, counts[1:])) <= 2.6
+
+
+def test_associativity_grows_with_the_pairs():
+    # exhaustive pools of 18, 36 and 72 elements (Z2, Z4, Z8 on a 1 x 1 grid
+    # times the 9 shifts of the verify window), every triple: x3.90 and x3.95,
+    # since each (x, y) run is compared as two rows of ids. Stepping through
+    # the triples one at a time grew x5.81 and x6.55
+    def every_triple(k):
+        wg = WreathGroup(CyclicGroup(k), 1, 1)
+        pool = [wg.element(g, s) for g in wg.grids()
+                for s in itertools.product((-1, 0, 1), repeat=2)]
+        return partial(check_group_axioms, wg, pool, triple_budget=len(pool) ** 3)
+
+    counts = [line_events(every_triple(k)) for k in (2, 4, 8)]
+    assert max(b / a for a, b in zip(counts, counts[1:])) <= 5

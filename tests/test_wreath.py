@@ -1,8 +1,10 @@
 """Grid-with-shift product engine and its exactness checks."""
 from __future__ import annotations
 
+import copy
 import itertools
 import random
+import tracemalloc
 
 import oracles
 import pytest
@@ -347,7 +349,8 @@ def test_sampled_exact_sequence_catches_corrupted_shift():
      ((1, 1), (1, 1)), 20260819),
 ])
 def test_one_wrong_cell_product_breaks_homomorphism(base, rows, cols, pair, seed):
-    # the reference side, pointwise_product, does not go through multiply
+    # the reference side, pointwise_product, goes through neither multiply
+    # nor the engine's memos: it memoises base.op per call
     class OneWrongProduct(WreathGroup):
         def multiply(self, x, y):
             xy = super().multiply(x, y)
@@ -356,11 +359,36 @@ def test_one_wrong_cell_product_breaks_homomorphism(base, rows, cols, pair, seed
             first = (base.inv(xy.grid[0][0]),) + xy.grid[0][1:]
             return WreathElement((first,) + xy.grid[1:], xy.shift)
 
+    class WrongMemo(WreathGroup):
+        """Engine whose memos are built over an op with one wrong product."""
+
+        def __init__(self, *shape):
+            wrong = copy.copy(base)
+            wrong.op = lambda a, b: base.inv(base.op(a, b)) if (a, b) == pair else base.op(a, b)
+            super().__init__(wrong, *shape)
+            self.base = base
+
     rng = lambda: None if seed is None else random.Random(seed)
     assert base.op(*pair) != base.inv(base.op(*pair))
+    assert WrongMemo(rows, cols)._op(*pair) != base.op(*pair)
     assert check_exact_sequence(WreathGroup(base, rows, cols), rng=rng()) is None
-    assert check_exact_sequence(OneWrongProduct(base, rows, cols), rng=rng()) == \
-        "sigma is not a homomorphism under the installed shift action"
+    for engine in (OneWrongProduct(base, rows, cols), WrongMemo(rows, cols)):
+        assert check_exact_sequence(engine, rng=rng()) == \
+            "sigma is not a homomorphism under the installed shift action"
+
+
+def test_exactness_reference_memo_stays_bounded():
+    # a 1 x 1 grid over Z14 x Z14: every one of the 196^2 = 38,416 enumerated
+    # pairs is a new cell pair. Without a reference memo the peak is 1.5 MiB
+    # and with one of 4,096 entries 2.5 MiB; an unbounded one peaks at 6.5 MiB
+    wg = WreathGroup(DirectProductGroup((CyclicGroup(14), CyclicGroup(14))), 1, 1)
+    tracemalloc.start()
+    try:
+        assert check_exact_sequence(wg) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def test_exact_sequence_good_and_bad():
@@ -465,7 +493,7 @@ def test_pointwise_product():
     base = CyclicGroup(4)
     g1 = ((1, 2), (3, 0))
     g2 = ((3, 3), (1, 1))
-    assert pointwise_product(base, g1, g2) == ((0, 1), (0, 1))
+    assert pointwise_product(base.op, g1, g2) == ((0, 1), (0, 1))
 
 
 def test_tau_reindex_frozen():
