@@ -191,7 +191,12 @@ def _run(args, stdout) -> int:
         if args.format == "json":
             out = {"diagonal": list(res.diagonal),
                    "u": res.u.to_lists(), "d": res.d.to_lists(), "v": res.v.to_lists()}
-            stdout.write(json.dumps(out, sort_keys=True) + "\n")
+            try:
+                text = json.dumps(out, sort_keys=True)
+            except ValueError:  # an entry past int's str() digit limit
+                raise InputRejected("bad-request", "a U or V entry passes int's limit of "
+                                    f"{sys.get_int_max_str_digits()} digits; --format text prints D")
+            stdout.write(text + "\n")
         else:
             stdout.write("D=diag(" + ",".join(str(d) for d in res.diagonal) + ")\n")
         return 0

@@ -84,11 +84,10 @@ class DiskField:
     surface: SurfaceField
     boundary: tuple[int, ...]  # boundary walk in submesh indices
     source_vertices: tuple[int, ...]  # submesh index -> refined vertex id
-    cell: int  # the representative 2-cell id
 
 
-def extract_disk_field(p: CellPartition, orbit_table, i: int) -> DiskField:
-    """The representative 2-cell of orbit i, cut free of the torus as a closed disk.
+def extract_disk_field(p: CellPartition, rep: int) -> DiskField:
+    """2-cell rep cut free of the torus as a closed disk; analyze cuts each orbit's rep.
 
     The cut is made at the walk only. Visit n, at u = walk[n], turns
     around u as ``build_partition``'s walk does, from the region triangle
@@ -105,11 +104,6 @@ def extract_disk_field(p: CellPartition, orbit_table, i: int) -> DiskField:
     cycle copying the walk. Connected across the edges off V, the cut is a
     disk if its Euler characteristic is 1.
     """
-    table = [tuple(t) for t in orbit_table]
-    r = max(t[0] for t in table)
-    if not 1 <= i <= r:
-        raise ValueError(f"disk index {i} out of range 1..{r}")
-    rep = next(c for c, t in enumerate(table) if t == (i, 0, 0))
     cell = p.two_cells[rep]
     walk = cell.boundary_vertices
     corners = list(chain.from_iterable(map(p.refined_triangles.__getitem__,
@@ -148,7 +142,7 @@ def extract_disk_field(p: CellPartition, orbit_table, i: int) -> DiskField:
     coords = None if p.refined_coords is None else list(map(p.refined_coords.__getitem__, sources))
     sub = SurfaceField(tris, list(map(p.refined_values.__getitem__, sources)), coords)
     k = boundary.index(min(boundary))
-    return DiskField(sub, tuple(boundary[k:] + boundary[:k]), tuple(sources), rep)
+    return DiskField(sub, tuple(boundary[k:] + boundary[:k]), tuple(sources))
 
 
 def analyze(s: SurfaceField) -> AnalysisReport:
@@ -165,17 +159,15 @@ def analyze(s: SurfaceField) -> AnalysisReport:
     p = build_partition(s, g, v)
     elements = enumerate_symmetries(s, p)
     sg = group_structure(elements)
-    table, r = index_orbits(sg, p)
+    table, reps = index_orbits(sg, p)
+    r = len(reps)
 
-    atoms_json = []
-    disks_json = []
-    for i in range(1, r + 1):
-        disk = extract_disk_field(p, table, i)
-        subtree = _signature_json(p.two_cells[disk.cell].level_signature)
+    atoms_json, disks_json = [], []
+    for i, rep in enumerate(reps, 1):
+        disk = extract_disk_field(p, rep)
+        subtree = _signature_json(p.two_cells[rep].level_signature)
         atoms_json.append({"id": i, "kr_subtree": subtree})
-        disks_json.append({"id": i,
-                           "cell": disk.cell,
-                           "boundary": [int(b) for b in disk.boundary],
+        disks_json.append({"id": i, "cell": rep, "boundary": list(disk.boundary),
                            "field": dump_surface(disk.surface)})
 
     node = g.nodes[v]

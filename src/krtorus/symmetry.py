@@ -261,15 +261,16 @@ def equivariance_break(rows, gl, gm, n: int, nm: int):
 def index_orbits(sg: SymmetryGroup, p: CellPartition):
     """Three-index naming of 2-cells: cell (i, j, k) is M^k(L^j(rep of orbit i)).
 
-    Returns (table, r): table[cell id] = (i, j, k) with i in 1..r,
-    j in Z_n, k in Z_nm; each least cell not yet named is the rep of the
-    next orbit. Asserts the free-action sizes, the bijectivity of the
-    indexing, and the equivariance law for L and for M: each adds 1 to
-    its index, mod n or nm, so by induction L^a M^b adds (a, b). So <L, M>
-    is Z_n x Z_nm acting freely on whole permutations. It lies in the free
-    symmetry group, and orbit 1, the images of 2-cell 0, must be exactly
-    the symmetries' names, so <L, M> is the whole group. Then n | nm, as
-    nm, the largest element order, is lcm(n, nm).
+    Returns (table, reps): table[cell id] = (i, j, k) with i in 1..r,
+    j in Z_n, k in Z_nm; each least cell not yet named is reps[i - 1], the
+    rep of the next orbit i, named (i, 0, 0), and r = len(reps). Asserts
+    the free-action sizes, the bijectivity of the indexing, and the
+    equivariance law for L and for M: each adds 1 to its index, mod n or
+    nm, so by induction L^a M^b adds (a, b). So <L, M> is Z_n x Z_nm
+    acting freely on whole permutations. It lies in the free symmetry
+    group, and orbit 1, the images of 2-cell 0, must be exactly the
+    symmetries' names, so <L, M> is the whole group. Then n | nm, as nm,
+    the largest element order, is lcm(n, nm).
     """
     size = len(p.two_cells)
     for dim_count in (len(p.zero_cells), len(p.one_cells), size):
@@ -279,12 +280,12 @@ def index_orbits(sg: SymmetryGroup, p: CellPartition):
 
     gl, gm = sg.elements[sg.gen_l], sg.elements[sg.gen_m]
     table: dict[int, tuple[int, int, int]] = {}
-    r = 0
+    reps = []
     for rep in range(size):
         if rep in table:
             continue
-        r += 1
-        cur_l = rep
+        reps.append(rep)
+        r, cur_l = len(reps), rep
         for j in range(sg.n):
             cur = cur_l
             for k in range(sg.nm):
@@ -301,4 +302,4 @@ def index_orbits(sg: SymmetryGroup, p: CellPartition):
             f"equivariance fails for L^{bad[0]} M^{bad[1]} at cell {bad[2]}")
     if {c for c, (i, _, _) in enumerate(rows) if i == 1} != {a[0] for a in sg.elements}:
         raise InternalInvariantError("orbit 1 is not the set of symmetry names: <L, M> misses one")
-    return rows, r
+    return rows, reps

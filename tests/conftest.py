@@ -34,10 +34,10 @@ def _stage(name: str, n: int = 16) -> SimpleNamespace:
         p = build_partition(s, g, node)
         elements = enumerate_symmetries(s, p)
         sg = group_structure(elements)
-        table, r = index_orbits(sg, p)
+        table, reps = index_orbits(sg, p)
         _stages[key] = SimpleNamespace(
             surface=s, graph=g, node=node, part=p,
-            elements=elements, group=sg, table=table, r=r)
+            elements=elements, group=sg, table=table, reps=reps, r=len(reps))
     return _stages[key]
 
 

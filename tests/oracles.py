@@ -10,7 +10,9 @@ symmetry stage's orbit closure replaced, built on the package's own seed
 propagation. ``CorruptedWreath`` is the package's wreath engine with a
 wrong shift action, the negative control of the verify checks.
 ``tau_reindex`` is the paper's family reindexing, which no stage of the
-package uses; only the tests build its grids. Expected
+package uses; only the tests build its grids. ``bump_field`` raises one
+minimum of a package pullback field, and ``grid_translations`` reads the
+regions of a package cell partition, never its symmetries. Expected
 values in the suite are either computed against these functions or
 frozen from hand calculations that are spelled out at the point of use.
 """
@@ -603,6 +605,54 @@ def covering_field(n, mat):
             triangles.append((va, vb, vc))
             triangles.append((va, vc, vd))
     return triangles, values
+
+
+def bump_field(k):
+    """diag(k, k)@4k with 0.3 added to the minimum at grid point (2 + k, 2 + k).
+
+    The pullback's Z_k x Z_k is broken to order 1, so r = 2k^2, while half
+    of its 2k^2 2-cells keep 2-cell 0's signature and walk length. k is a
+    multiple of 4, so that the grid point is a minimum.
+    """
+    from krtorus.fields import grid_vertex, pullback_cosine_field
+    from krtorus.surface import SurfaceField
+
+    s = pullback_cosine_field(4 * k, ((k, 0), (0, k)))
+    values = list(s.values)
+    values[grid_vertex(4 * k, 2 + k, 2 + k)] += 0.3
+    return SurfaceField(s.triangles, values)
+
+
+def grid_translations(n, values, p):
+    """The 2-cell permutations of the value-preserving translations of a grid field.
+
+    values are those of the n x n grid torus, vertex j*n + i at (i, j) as
+    ``krtorus.fields.grid_field`` numbers it, and p is its cell partition.
+    A translation (i, j) -> (i + a, j + b) that keeps every value is
+    isotopic to the identity and moves every cell, so its 2-cell
+    permutation should be a symmetry. Each 2-cell goes through an original
+    vertex inside it off the special level: such a vertex lies in one
+    2-cell only. Only translations that keep the value of vertex 0 are
+    tried in full.
+    """
+    size = n * n
+
+    def moved(v, a, b):
+        return (v // n + b) % n * n + (v % n + a) % n
+
+    home = {u: c for c, cell in enumerate(p.two_cells) for ti in cell.refined_triangles
+            for u in p.refined_triangles[ti] if u < size and values[u] != p.level}
+    inside = {c: u for u, c in home.items()}
+    perms = []
+    for a, b in itertools.product(range(n), repeat=2):
+        if values[moved(0, a, b)] != values[0] or any(
+                values[moved(v, a, b)] != values[v] for v in range(size)):
+            continue
+        perm = tuple(home[moved(inside[c], a, b)] for c in range(len(p.two_cells)))
+        if sorted(perm) != list(range(len(perm))):
+            raise ValueError(f"translation ({a}, {b}) does not permute the 2-cells")
+        perms.append(perm)
+    return perms
 
 
 def cut_disk(refined_triangles, refined_values, region, walk):

@@ -47,9 +47,8 @@ def stages(text: str):
         run("group", lambda: group_structure(kept["symmetries"])),
         run("orbits", lambda: index_orbits(kept["group"], kept["partition"])),
         # as in analyze, each disk is cut, written out and dropped
-        run("disks", lambda: [dump_surface(extract_disk_field(kept["partition"], kept["orbits"][0],
-                                                              i).surface)
-                              for i in range(1, kept["orbits"][1] + 1)]),
+        run("disks", lambda: [dump_surface(extract_disk_field(kept["partition"], rep).surface)
+                              for rep in kept["orbits"][1]]),
     ]
 
 

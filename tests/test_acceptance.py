@@ -57,9 +57,9 @@ def _full_stage(s, g=None):
     p = build_partition(s, g, node)
     elements = enumerate_symmetries(s, p)
     sg = group_structure(elements)
-    table, r = index_orbits(sg, p)
+    table, reps = index_orbits(sg, p)
     return SimpleNamespace(surface=s, graph=g, node=node, part=p,
-                           elements=elements, group=sg, table=table, r=r)
+                           elements=elements, group=sg, table=table, reps=reps, r=len(reps))
 
 
 @pytest.fixture(scope="module")

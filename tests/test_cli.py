@@ -406,14 +406,19 @@ def test_snf_transforms_stay_small_on_the_pool():
     assert bits <= 128
 
 
+def _dense_matrix(k):
+    """A seeded dense k x (k+1) matrix, entries in [-9, 9], and its --matrix text."""
+    rng = random.Random(k)
+    rows = [[rng.randint(-9, 9) for _ in range(k + 1)] for _ in range(k)]
+    return rows, ";".join(",".join(map(str, r)) for r in rows)
+
+
 @pytest.mark.parametrize("k", range(12, 21))
 def test_snf_finishes_dense_matrices(k):
     # a fresh process under a hard timeout, so a reduction that hangs fails
     # here instead of stalling the suite; huge transforms also fail, as JSON
     # output refuses ints over 4,300 digits
-    rng = random.Random(k)
-    rows = [[rng.randint(-9, 9) for _ in range(k + 1)] for _ in range(k)]
-    arg = ";".join(",".join(map(str, r)) for r in rows)
+    rows, arg = _dense_matrix(k)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(krtorus.cli.__file__)))
     out = subprocess.run([sys.executable, "-m", "krtorus", "snf", f"--matrix={arg}",
                           "--format", "json"], capture_output=True, text=True, env=env,
@@ -423,3 +428,14 @@ def test_snf_finishes_dense_matrices(k):
     u, v = IntMatrix.from_rows(data["u"]), IntMatrix.from_rows(data["v"])
     assert (u @ IntMatrix.from_rows(rows) @ v).to_lists() == data["d"]
     assert abs(oracles.det(data["u"])) == abs(oracles.det(data["v"])) == 1
+
+
+def test_snf_transforms_past_the_digit_limit_are_refused(capsys):
+    # at k = 22 a transform entry has 23,481 bits, more than the 4,300
+    # decimal digits an int may print; an error that escapes main fails here
+    assert main(["snf", f"--matrix={_dense_matrix(22)[1]}", "--format", "json"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    error = json.loads(out.err)["error"]  # stderr holds this one JSON object and no traceback
+    assert error["code"] == "bad-request"
+    assert "4300 digits" in error["message"] and "--format text prints D" in error["message"]

@@ -40,26 +40,19 @@ CASES = (
 def _partition(s):
     g = compute_reeb(s)
     p = build_partition(s, g, find_special_vertex(g))
-    table, r = index_orbits(group_structure(enumerate_symmetries(s, p)), p)
-    return p, table, r
-
-
-def _representative(table, i):
-    return [tuple(t) for t in table].index((i, 0, 0))
+    return p, index_orbits(group_structure(enumerate_symmetries(s, p)), p)[1]
 
 
 @pytest.mark.parametrize("make", [m for _, m in CASES], ids=[k for k, _ in CASES])
 def test_disk_matches_whole_region_cut(make):
     s = make()
-    p, table, r = _partition(s)
-    for i in range(1, r + 1):
-        disk = extract_disk_field(p, table, i)
-        rep = _representative(table, i)
+    p, reps = _partition(s)
+    for rep in reps:
+        disk = extract_disk_field(p, rep)
         cell = p.two_cells[rep]
         tris, values, boundary, sources = oracles.cut_disk(
             p.refined_triangles, p.refined_values, cell.refined_triangles,
             cell.boundary_vertices)
-        assert disk.cell == rep
         assert list(disk.surface.triangles) == tris
         assert list(disk.surface.values) == values
         assert list(disk.boundary) == boundary
@@ -73,22 +66,20 @@ def _with_cell(p, rep, **changes):
 
 
 def _cut_every_cell(s, rng) -> int:
-    # each 2-cell as orbit 1's representative, its walk as stored and turned
-    # by a seeded offset; the oracle's rim starts at its smallest vertex
+    # each 2-cell, its walk as stored and turned by a seeded offset; the
+    # oracle's rim starts at its smallest vertex
     try:
         g = compute_reeb(s)
         p = build_partition(s, g, find_special_vertex(g))
     except InputRejected:
         return 0  # cyclic graph or tie degeneracy, as the tool rejects it
     for c, cell in enumerate(p.two_cells):
-        table = [(1, 0, 0) if d == c else (1, 1, 0) for d in range(len(p.two_cells))]
         want = oracles.cut_disk(p.refined_triangles, p.refined_values,
                                 cell.refined_triangles, cell.boundary_vertices)
         walk = cell.boundary_vertices
         k = rng.randrange(len(walk))
         for q in (p, _with_cell(p, c, boundary_vertices=walk[k:] + walk[:k])):
-            disk = extract_disk_field(q, table, 1)
-            assert disk.cell == c
+            disk = extract_disk_field(q, c)
             assert (list(disk.surface.triangles), list(disk.surface.values),
                     list(disk.boundary), list(disk.source_vertices)) == want
     return len(p.two_cells)
@@ -107,7 +98,7 @@ def test_every_cell_matches_whole_region_cut_at_a_drawn_rotation():
     ids=["off-walk", "at-walk"])
 def test_cell_missing_a_triangle_is_rejected(stage, at_walk, message):
     st = stage("two-cell")
-    rep = _representative(st.table, 1)
+    rep = st.reps[0]
     cell = st.part.two_cells[rep]
     walk = set(cell.boundary_vertices)
     lost = next(ti for ti in cell.refined_triangles
@@ -115,7 +106,7 @@ def test_cell_missing_a_triangle_is_rejected(stage, at_walk, message):
     kept = tuple(ti for ti in cell.refined_triangles if ti != lost)
     broken = _with_cell(st.part, rep, refined_triangles=kept)
     with pytest.raises(InternalInvariantError, match=message):
-        extract_disk_field(broken, st.table, 1)
+        extract_disk_field(broken, rep)
 
 
 @pytest.mark.parametrize("flags", [
@@ -127,7 +118,7 @@ def test_cell_listing_a_triangle_twice_is_rejected(stage, flags):
     # the second copy's walk corners take the keys of the first's, which
     # no visit then reaches
     st = stage("two-cell")
-    rep = _representative(st.table, 1)
+    rep = st.reps[0]
     cell = st.part.two_cells[rep]
     walk = set(cell.boundary_vertices)
     ti = next(ti for ti in cell.refined_triangles
@@ -136,43 +127,43 @@ def test_cell_listing_a_triangle_twice_is_rejected(stage, flags):
     broken = _with_cell(st.part, rep, refined_triangles=cell.refined_triangles + (ti,))
     with pytest.raises(InternalInvariantError,
                        match=r"^corner at \d+ on the walk of cut cell \d+ is in no visit$") as exc:
-        extract_disk_field(broken, st.table, 1)
+        extract_disk_field(broken, rep)
     u = max(u for u in tri if u in walk)
     assert str(exc.value) == f"corner at {u} on the walk of cut cell {rep} is in no visit"
 
 
 def test_cell_with_reversed_walk_is_rejected(stage):
     st = stage("z2-sym")
-    rep = _representative(st.table, 2)
+    rep = st.reps[1]
     walk = st.part.two_cells[rep].boundary_vertices
     broken = _with_cell(st.part, rep, boundary_vertices=tuple(reversed(walk)))
     with pytest.raises(InternalInvariantError, match=r"visit 0 of cut cell \d+ misses dart"):
-        extract_disk_field(broken, st.table, 2)
+        extract_disk_field(broken, rep)
 
 
 def test_cell_walking_its_rim_twice_is_rejected(stage):
     # each sector of the walk is visited twice: the second visit finds its
     # corners taken by the first
     st = stage("two-cell")
-    rep = _representative(st.table, 1)
+    rep = st.reps[0]
     walk = st.part.two_cells[rep].boundary_vertices
     broken = _with_cell(st.part, rep, boundary_vertices=walk + walk)
     with pytest.raises(InternalInvariantError, match=r"visit \d+ of cut cell \d+ retakes a corner"):
-        extract_disk_field(broken, st.table, 1)
+        extract_disk_field(broken, rep)
 
 
 def test_cell_with_a_stray_triangle_off_the_walk_is_rejected(stage):
     # a triangle of the other cell that meets no vertex of this one: every
     # walk-to-walk dart is as before, so only the count of 3F darts sees it
     st = stage("two-cell")
-    rep = _representative(st.table, 1)
+    rep = st.reps[0]
     cell = st.part.two_cells[rep]
     mine = {u for ti in cell.refined_triangles for u in st.part.refined_triangles[ti]}
     stray = next(ti for ti in st.part.two_cells[1 - rep].refined_triangles
                  if mine.isdisjoint(st.part.refined_triangles[ti]))
     broken = _with_cell(st.part, rep, refined_triangles=(*cell.refined_triangles, stray))
     with pytest.raises(InternalInvariantError, match="is not a disk"):
-        extract_disk_field(broken, st.table, 1)
+        extract_disk_field(broken, rep)
 
 
 @pytest.mark.parametrize("name", ["two-cell", "z2xz2-sym"])
@@ -182,7 +173,7 @@ def test_cell_walk_through_its_interior_is_rejected(stage, name):
     # after it, and the one at x turns the long way round, so none of its
     # corners is taken
     st = stage(name)
-    rep = _representative(st.table, 1)
+    rep = st.reps[0]
     cell = st.part.two_cells[rep]
     walk = cell.boundary_vertices
     left = {}  # directed edge -> the third vertex of the region triangle left of it
@@ -194,27 +185,27 @@ def test_cell_walk_through_its_interior_is_rejected(stage, name):
     broken = _with_cell(st.part, rep, boundary_vertices=(*walk[:k], x, *walk[k:]))
     with pytest.raises(InternalInvariantError,
                        match=r"corner at \d+ on the walk of cut cell \d+ is in no visit"):
-        extract_disk_field(broken, st.table, 1)
+        extract_disk_field(broken, rep)
 
 
 def _fields(disk):
     return (disk.surface.triangles, disk.surface.values, disk.boundary,
-            disk.source_vertices, disk.cell)
+            disk.source_vertices)
 
 
 def test_walk_through_a_vertex_twice_is_read_at_every_rotation(stage):
     # two-cell disk 1 starts its rim at a vertex its walk visits twice;
     # either visit may come first in the stored walk
     st = stage("two-cell")
-    rep = _representative(st.table, 1)
+    rep = st.reps[0]
     walk = st.part.two_cells[rep].boundary_vertices
-    disk = extract_disk_field(st.part, st.table, 1)
+    disk = extract_disk_field(st.part, rep)
     start = disk.source_vertices[disk.boundary[0]]
     visits = [k for k, u in enumerate(walk) if u == start]
     assert len(visits) == 2
     for k in range(len(walk)):
         turned = _with_cell(st.part, rep, boundary_vertices=walk[k:] + walk[:k])
-        assert _fields(extract_disk_field(turned, st.table, 1)) == _fields(disk)
+        assert _fields(extract_disk_field(turned, rep)) == _fields(disk)
 
     # the same vertices in the same number, but the arcs after the two
     # visits of the start swapped: a visit turns from a dart into the
@@ -226,7 +217,7 @@ def test_walk_through_a_vertex_twice_is_read_at_every_rotation(stage):
     assert sorted(swapped) == sorted(walk) and swapped != walk
     broken = _with_cell(st.part, rep, boundary_vertices=swapped)
     with pytest.raises(InternalInvariantError, match=r"visit \d+ of cut cell \d+ misses dart"):
-        extract_disk_field(broken, st.table, 1)
+        extract_disk_field(broken, rep)
 
 
 def _torus_embedding(n, big=2.0, small=1.0):
@@ -250,10 +241,10 @@ def test_coordinates_ride_along_to_the_disks():
     fields = [disk.pop("field") for disk in placed["disks"]]
     assert placed == plain
 
-    p, table, r = _partition(s)
+    p, reps = _partition(s)
     crossings = 0
-    for i, text in zip(range(1, r + 1), fields, strict=True):
-        disk = extract_disk_field(p, table, i)
+    for rep, text in zip(reps, fields, strict=True):
+        disk = extract_disk_field(p, rep)
         assert text == dump_surface(disk.surface)
         assert disk.surface.coords == tuple(p.refined_coords[u] for u in disk.source_vertices)
         crossings += sum(u >= s.vertex_count for u in disk.source_vertices)

@@ -20,6 +20,7 @@ from krtorus.surface import SurfaceField, vertex_classes
 
 import oracles
 from dense_h1 import dense_boundaries
+from test_reeb_differential import quantized_grid
 
 EXPECTED_COUNTS = {
     "two-cell": (2, 4, 2),
@@ -322,6 +323,20 @@ def test_coarse_sample_with_collapsed_rays_rejected():
         build_partition(s, g, node)
     assert exc.value.code == "degenerate-level"
     assert "level rays" in str(exc.value)
+
+
+@pytest.mark.parametrize("seed", [22, 128])
+def test_on_level_vertex_with_three_rays_rejected(seed):
+    # integer ties on the special level give a regular on-level vertex a
+    # third exact level ray
+    s = quantized_grid(seed)
+    g = compute_reeb(s)
+    with pytest.raises(InputRejected) as exc:
+        build_partition(s, g, find_special_vertex(g))
+    assert exc.value.code == "degenerate-level"
+    assert str(exc.value) == (
+        "on-level vertex 1 has 3 exact level rays where a regular point has 2; "
+        "the sample is too degenerate at its critical level")
 
 
 def _graph_and_node(s: SurfaceField):

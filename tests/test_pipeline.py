@@ -97,12 +97,11 @@ def test_analysis_rejects_sphere():
 def test_disk_extraction(stage):
     for name in EXPECTED_EXPR:
         st = stage(name)
-        for i in (1, 2):
-            disk = extract_disk_field(st.part, st.table, i)
+        for rep in st.reps:
+            disk = extract_disk_field(st.part, rep)
             tris = disk.surface.triangles
             assert oracles.euler_characteristic(tris) == 1
             assert oracles.triangle_component_count(tris) == 1
-            assert st.table[disk.cell] == (i, 0, 0)
             # boundary walk vertices sit at the special level
             for u in disk.boundary:
                 assert disk.surface.values[u] == st.part.level
@@ -130,31 +129,24 @@ def interior_kinds(disk):
 def test_disk_interiors_match_branch_kinds(stage):
     # up disk of the plain model holds exactly one critical point, a maximum
     st = stage("two-cell")
-    kinds = interior_kinds(extract_disk_field(st.part, st.table, 2))
+    kinds = interior_kinds(extract_disk_field(st.part, st.reps[1]))
     assert kinds.count("maximum") == 1
     assert set(kinds) <= {"maximum", "regular"}
 
     # min-orbit representative of the doubled model: one interior minimum
     st2 = stage("z2-sym")
-    kinds = interior_kinds(extract_disk_field(st2.part, st2.table, 1))
+    kinds = interior_kinds(extract_disk_field(st2.part, st2.reps[0]))
     assert kinds.count("minimum") == 1
     assert set(kinds) <= {"minimum", "regular"}
 
 
 def test_disk_fields_serialize(stage):
     st = stage("two-cell")
-    disk = extract_disk_field(st.part, st.table, 1)
+    disk = extract_disk_field(st.part, st.reps[0])
     text = dump_surface(disk.surface)
     again = load_surface(text)
     assert again.values == disk.surface.values
     assert again.triangles == disk.surface.triangles
-
-
-def test_disk_index_out_of_range(stage):
-    st = stage("two-cell")
-    for bad in (0, 3, -1):
-        with pytest.raises(ValueError):
-            extract_disk_field(st.part, st.table, bad)
 
 
 def test_report_embeds_disks(surface):

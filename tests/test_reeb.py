@@ -98,7 +98,7 @@ def test_extract_disk_field_memory_stays_compact(stage):
     st = stage("two-cell", 64)
     tracemalloc.start()
     try:
-        extract_disk_field(st.part, st.table, 2)
+        extract_disk_field(st.part, st.reps[1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

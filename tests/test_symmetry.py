@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import re
+from functools import partial
 from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
 
 from krtorus.errors import InternalInvariantError
+from krtorus.fields import preset_field, pullback_cosine_field
 from krtorus.partition import build_partition
 from krtorus.reeb import compute_reeb, find_special_vertex
 from krtorus.symmetry import SymmetryGroup, enumerate_symmetries, group_structure, index_orbits
@@ -130,8 +132,10 @@ def test_generators(stage):
 
 def test_orbit_tables_frozen(stage):
     for name, want in FROZEN_TABLES.items():
-        assert stage(name).table == want
-        assert stage(name).r == 2
+        st = stage(name)
+        assert st.table == want
+        # reps[i - 1] is the cell named (i, 0, 0)
+        assert [st.table[c] for c in st.reps] == [(1, 0, 0), (2, 0, 0)]
 
 
 def test_orbit_count_matches_permutation_oracle(stage):
@@ -166,6 +170,29 @@ def test_orbit_labels_respect_signatures(stage):
             assert len(sigs) == 1
 
 
+TRANSLATED = (
+    [(f"{name}@{n}", partial(preset_field, name, n), n, EXPECTED[name]["order"])
+     for name in EXPECTED for n in (16, 32)]
+    + [(f"pullback {mat}@{n}", partial(pullback_cosine_field, n, mat), n, order)
+       for mat, n, order in ((((2, 0), (0, 2)), 16, 4), (((3, 0), (0, 3)), 24, 9),
+                             (((4, 0), (0, 4)), 32, 16), (((8, 0), (0, 8)), 32, 64),
+                             (((2, 1), (-1, 2)), 20, 5))])
+
+
+@pytest.mark.parametrize("make, n, order", [t[1:] for t in TRANSLATED],
+                         ids=[t[0] for t in TRANSLATED])
+def test_grid_translations_are_the_symmetries(make, n, order):
+    # an oracle for S that reads no symmetry code: each value-preserving
+    # translation of the grid is a symmetry, and they are all of them
+    s = make()
+    g = compute_reeb(s)
+    p = build_partition(s, g, find_special_vertex(g))
+    elements = enumerate_symmetries(s, p)
+    moves = oracles.grid_translations(n, s.values, p)
+    assert set(moves) <= set(elements)
+    assert len(moves) == len(elements) == order
+
+
 def test_asymmetric_field_is_trivial(twin_peaks):
     g = compute_reeb(twin_peaks)
     node = find_special_vertex(g)
@@ -174,8 +201,7 @@ def test_asymmetric_field_is_trivial(twin_peaks):
     assert els == (tuple(range(len(p.two_cells))),)
     sg = group_structure(els)
     assert (sg.n, sg.m) == (1, 1)
-    table, r = index_orbits(sg, p)
-    assert r == 2 and table == ((1, 0, 0), (2, 0, 0))
+    assert index_orbits(sg, p) == (((1, 0, 0), (2, 0, 0)), [0, 1])
 
 
 @pytest.mark.parametrize("n,nm,gen,message", [
@@ -231,8 +257,8 @@ def _check_selection(els, sg):
     regular = tuple(map(tuple, mul))  # element i sends j to i j; row i starts with i
     rg = group_structure(regular)
     assert (rg.n, rg.nm, rg.gen_l, rg.gen_m) == (sg.n, sg.nm, sg.gen_l, sg.gen_m)
-    table, r = index_orbits(rg, _cells(len(els)))
-    assert r == 1 and sorted(table) == [(1, j, k) for j in range(sg.n) for k in range(sg.nm)]
+    table, reps = index_orbits(rg, _cells(len(els)))
+    assert reps == [0] and sorted(table) == [(1, j, k) for j in range(sg.n) for k in range(sg.nm)]
 
 
 @pytest.mark.parametrize("a,b", FACTOR_PAIRS, ids=[f"Z{a}xZ{b}" for a, b in FACTOR_PAIRS])

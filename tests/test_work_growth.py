@@ -25,6 +25,8 @@ from krtorus.surface import validate_closed_orientable
 from krtorus.symmetry import enumerate_symmetries, group_structure, index_orbits
 from krtorus.wreath import CyclicGroup, WreathGroup, check_group_axioms
 
+import oracles
+
 PACKAGE = str(Path(krtorus.__file__).resolve().parent)
 
 
@@ -130,9 +132,16 @@ def test_special_vertex_grows_linearly():
     assert max(stage_growth(find_special_vertex, (2, 4, 8), 8)) <= 5
 
 
-def _every_disk(p, table, r):
-    for i in range(1, r + 1):
-        extract_disk_field(p, table, i)
+def _every_disk(p, reps):
+    for rep in reps:
+        extract_disk_field(p, rep)
+
+
+def _disk_inputs(s):
+    """The partition of s and its orbit representatives."""
+    g = compute_reeb(s)
+    p = build_partition(s, g, find_special_vertex(g))
+    return p, index_orbits(group_structure(enumerate_symmetries(s, p)), p)[1]
 
 
 @pytest.mark.parametrize("name", ("two-cell", "z2-sym", "z2xz2-sym"))
@@ -141,14 +150,19 @@ def test_disks_grow_linearly(name):
     # (two-cell x2.28, x2.50). The mesh grows x4 per step but its walk only
     # x2, and the cut turns once per walk visit; a set of every disk dart
     # grew x2.5-3.2
-    def stage_inputs(n):
-        s = preset_field(name, n)
-        g = compute_reeb(s)
-        p = build_partition(s, g, find_special_vertex(g))
-        return (p, *index_orbits(group_structure(enumerate_symmetries(s, p)), p))
-
-    counts = [line_events(_every_disk, *stage_inputs(n)) for n in (16, 32, 64)]
+    counts = [line_events(_every_disk, *_disk_inputs(preset_field(name, n)))
+              for n in (16, 32, 64)]
     assert max(b / a for a, b in zip(counts, counts[1:])) <= 2.6
+
+
+def test_disks_grow_linearly_with_the_orbits():
+    # the bump field at k = 4, 8, 16 has order 1, so every one of its 2k^2
+    # 2-cells is a representative, and they grow x4 per step: x4.0 and
+    # x4.0. Finding each representative by a scan of the orbit table grew
+    # x6.0 and x9.3
+    counts = [line_events(_every_disk, *_disk_inputs(oracles.bump_field(k)))
+              for k in (4, 8, 16)]
+    assert max(b / a for a, b in zip(counts, counts[1:])) <= 5
 
 
 def test_associativity_grows_with_the_pairs():
