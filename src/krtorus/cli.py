@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .errors import InputRejected, InternalInvariantError
 from .fields import MAX_PRESET_GRID, PRESET_NAMES, preset_field
@@ -28,6 +29,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputRejected("bad-request", message)
 
 
+@cache  # built on the first main() call, then shared by every later one
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="krtorus",
                 description="Scalar-field topology on the triangulated torus: "

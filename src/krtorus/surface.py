@@ -85,15 +85,16 @@ class SurfaceField:
                     raise InputRejected("malformed-input", f"out-of-range scalar {x!r}")
                 if not finite:
                     raise InputRejected("malformed-input", f"non-finite scalar {x!r}")
-        nv = len(vals)
+        k = nv = len(vals)
+        kk = nv * nv
         tris = list(map(tuple, triangles))
         flat = list(chain.from_iterable(tris))
-        ids = list(range(nv))  # one int object per vertex id, shared by every corner
-        shared = ([(ids[a], ids[b], ids[c]) for a, b, c in tris if a != b != c != a]
-                  if set(map(len, tris)) == {3} and set(map(type, flat)) == {int}
-                  and 0 <= min(flat) and max(flat) < nv
-                  and len(set(map(tuple, map(sorted, tris)))) == len(tris) else [])
-        if len(shared) != len(tris):  # a check failed, or a triangle repeats a vertex
+        # one int key per triangle, its corners in sorted order as base-nv digits;
+        # a repeated vertex leaves its triangle out, so a repeat or a duplicate
+        # leaves fewer keys. One line: tests/test_work_growth.py counts line events
+        if not (set(map(len, tris)) == {3} and set(map(type, flat)) == {int}
+                and 0 <= min(flat) and max(flat) < nv
+                and len({(a*kk+b*k+c if b < c else a*kk+c*k+b if a < c else c*kk+a*k+b) if a < b else (b*kk+a*k+c if a < c else b*kk+c*k+a if b < c else c*kk+b*k+a) for a, b, c in tris if a != b != c != a}) == len(tris)):
             seen: set[frozenset] = set()
             for t in tris:
                 if len(t) != 3:
@@ -107,7 +108,6 @@ class SurfaceField:
                 if key in seen:
                     raise InputRejected("malformed-input", f"duplicate triangle {sorted(t)}")
                 seen.add(key)
-            shared = [(ids[a], ids[b], ids[c]) for a, b, c in tris]  # int subclasses, say
         if not tris:
             raise InputRejected("malformed-input", "surface has no triangles")
         if coords is not None:
@@ -117,7 +117,8 @@ class SurfaceField:
             for xyz in coords:
                 if len(xyz) != 3:
                     raise InputRejected("malformed-input", "coordinates must be x y z triples")
-        self.triangles: tuple[tuple[int, int, int], ...] = tuple(shared)
+        corners = map(list(range(nv)).__getitem__, flat)  # one int object per vertex id
+        self.triangles: tuple[tuple[int, int, int], ...] = tuple(zip(corners, corners, corners))
         self.values = vals
         self.coords = coords
         self._twin = self._out = self._fans = None  # set by twins, with _fault if a fan fails
@@ -355,12 +356,9 @@ def load_surface(source) -> SurfaceField:
 
 def dump_surface(s: SurfaceField) -> str:
     """Serialize back to the torus-field v1 text format (lossless for load_surface)."""
-    out = [HEADER, f"{s.vertex_count} {s.triangle_count}"]
-    for v in range(s.vertex_count):
-        line = format_scalar(s.values[v])
-        if s.coords is not None:
-            line += " " + " ".join(repr(c) for c in s.coords[v])
-        out.append(line)
-    for a, b, c in s.triangles:
-        out.append(f"{a} {b} {c}")
-    return "\n".join(out) + "\n"
+    vals = s.values
+    lines = map(repr if set(map(type, vals)) <= {float, int} else format_scalar, vals)
+    if s.coords is not None:
+        lines = map("{} {!r} {!r} {!r}".format, lines, *zip(*s.coords))
+    head = "\n".join(chain((HEADER, f"{s.vertex_count} {s.triangle_count}"), lines))
+    return f"{head}\n" + ("%d %d %d\n" * s.triangle_count) % tuple(chain.from_iterable(s.triangles))

@@ -915,6 +915,59 @@ def parse_field_text(text):
     return triangles, values, coords if have_coords else None
 
 
+def checked_triangles(triangles, vertex_count):
+    """The surface constructor's triangle check with one sorted tuple per
+    triangle for the duplicate test: whole-sequence checks first, then,
+    if any fails, one loop naming the first bad triangle or index.
+
+    Returns the triangles as tuples of plain ints, or raises Rejected
+    with the constructor's message.
+    """
+    tris = list(map(tuple, triangles))
+    flat = list(itertools.chain.from_iterable(tris))
+    ids = list(range(vertex_count))
+    shared = ([(ids[a], ids[b], ids[c]) for a, b, c in tris if a != b != c != a]
+              if set(map(len, tris)) == {3} and set(map(type, flat)) == {int}
+              and 0 <= min(flat) and max(flat) < vertex_count
+              and len(set(map(tuple, map(sorted, tris)))) == len(tris) else [])
+    if len(shared) != len(tris):
+        seen = set()
+        for t in tris:
+            if len(t) != 3:
+                raise Rejected("malformed-input", f"triangle {t} does not have 3 vertices")
+            for i in t:
+                if not isinstance(i, int) or isinstance(i, bool) or i < 0 or i >= vertex_count:
+                    raise Rejected("malformed-input", f"vertex index {i!r} out of range")
+            key = frozenset(t)
+            if len(key) != 3:
+                raise Rejected("malformed-input", f"triangle {t} repeats a vertex")
+            if key in seen:
+                raise Rejected("malformed-input", f"duplicate triangle {sorted(t)}")
+            seen.add(key)
+        shared = [(ids[a], ids[b], ids[c]) for a, b, c in tris]
+    if not tris:
+        raise Rejected("malformed-input", "surface has no triangles")
+    return tuple(shared)
+
+
+def field_text(values, coords, triangles):
+    """The torus-field v1 text, written one line at a time: values as
+    ``n/d`` for a Fraction, ``repr`` for a float, ``str`` otherwise, and
+    each coordinate by ``repr``."""
+    out = ["torus-field v1", f"{len(values)} {len(triangles)}"]
+    for v, x in enumerate(values):
+        if isinstance(x, Fraction):
+            line = f"{x.numerator}/{x.denominator}"
+        else:
+            line = repr(x) if isinstance(x, float) else str(x)
+        if coords is not None:
+            line += " " + " ".join(repr(c) for c in coords[v])
+        out.append(line)
+    for a, b, c in triangles:
+        out.append(f"{a} {b} {c}")
+    return "\n".join(out) + "\n"
+
+
 def order_key(values, v):
     """Strict total order simulating genericity: value first, index breaks ties."""
     return (values[v], v)

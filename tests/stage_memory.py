@@ -2,10 +2,15 @@
 
 Writes the preset in the torus-field v1 text format, then runs the
 stages of ``pipeline.analyze`` one at a time under ``tracemalloc``:
-load, validate, reeb, special, partition, symmetries, group, orbits and
-disks (each orbit representative cut and written out in turn). After each stage it
-prints the traced memory still held and the peak reached while the stage
-ran, both in MiB. The text of the field is made before tracing starts,
+load, validate, classes (``vertex_classes``, which ``reeb`` would
+otherwise run), reeb, special, partition, symmetries, group, orbits,
+disks (every orbit representative cut, the disks kept) and dump (each
+disk written out and dropped, its text kept as the report keeps it).
+After each stage it prints the traced memory still held and the peak
+reached while the stage ran, both in MiB, and the number of
+generation-0 garbage collections the stage set off, which counts the
+container objects it allocated in steps of the collector's threshold
+(700 by default). The text of the field is made before tracing starts,
 so ``load`` counts the parse and the surface only. Run it from the
 repository root:
 
@@ -18,13 +23,15 @@ not collect it (its name does not start with ``test_``).
 from __future__ import annotations
 
 import argparse
+import gc
 import tracemalloc
 
 from krtorus.fields import preset_field
 from krtorus.partition import build_partition
 from krtorus.pipeline import extract_disk_field
 from krtorus.reeb import compute_reeb, find_special_vertex
-from krtorus.surface import dump_surface, load_surface, validate_closed_orientable
+from krtorus.surface import (dump_surface, load_surface, validate_closed_orientable,
+                             vertex_classes)
 from krtorus.symmetry import enumerate_symmetries, group_structure, index_orbits
 
 MIB = 1024 * 1024
@@ -40,15 +47,16 @@ def stages(text: str):
     return [
         run("load", lambda: load_surface(text)),
         run("validate", lambda: validate_closed_orientable(kept["load"])),
+        run("classes", lambda: vertex_classes(kept["load"])),
         run("reeb", lambda: compute_reeb(kept["load"])),
         run("special", lambda: find_special_vertex(kept["reeb"])),
         run("partition", lambda: build_partition(kept["load"], kept["reeb"], kept["special"])),
         run("symmetries", lambda: enumerate_symmetries(kept["load"], kept["partition"])),
         run("group", lambda: group_structure(kept["symmetries"])),
         run("orbits", lambda: index_orbits(kept["group"], kept["partition"])),
-        # as in analyze, each disk is cut, written out and dropped
-        run("disks", lambda: [dump_surface(extract_disk_field(kept["partition"], rep).surface)
+        run("disks", lambda: [extract_disk_field(kept["partition"], rep).surface
                               for rep in kept["orbits"][1]]),
+        run("dump", lambda: [dump_surface(d) for d in kept.pop("disks")]),
     ]
 
 
@@ -61,12 +69,15 @@ def main(argv=None) -> None:
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
     print(f"{args.preset}@{args.grid}: traced MiB above the field text")
-    print(f"{'stage':<11} {'held':>8} {'peak':>8}")
+    print(f"{'stage':<11} {'held':>8} {'peak':>8} {'gen0':>6}")
     for name, thunk in stages(text):
+        gc.collect()
         tracemalloc.reset_peak()
+        gen0 = gc.get_stats()[0]["collections"]
         thunk()
+        gen0 = gc.get_stats()[0]["collections"] - gen0
         current, peak = tracemalloc.get_traced_memory()
-        print(f"{name:<11} {(current - base) / MIB:8.2f} {(peak - base) / MIB:8.2f}")
+        print(f"{name:<11} {(current - base) / MIB:8.2f} {(peak - base) / MIB:8.2f} {gen0:6}")
     tracemalloc.stop()
 
 

@@ -1,11 +1,13 @@
 """Command line behavior: formats, files, exit codes."""
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 
@@ -439,3 +441,36 @@ def test_snf_transforms_past_the_digit_limit_are_refused(capsys):
     error = json.loads(out.err)["error"]  # stderr holds this one JSON object and no traceback
     assert error["code"] == "bad-request"
     assert "4300 digits" in error["message"] and "--format text prints D" in error["message"]
+
+
+@pytest.mark.parametrize("module", ["krtorus", "krtorus.cli"])
+def test_module_entry_points_exit_with_mains_code(module, two_cell_file, tmp_path, capsys,
+                                                  monkeypatch):
+    # python -m krtorus runs krtorus/__main__.py, and python -m krtorus.cli
+    # the module's own __main__ block; both hand main's return to sys.exit.
+    # runpy warns that krtorus.cli, imported with the package, runs again
+    def run(*argv):
+        monkeypatch.setattr(sys, "argv", [module, *argv])
+        warns = (pytest.warns(RuntimeWarning, match="found in sys.modules")
+                 if module == "krtorus.cli" else contextlib.nullcontext())
+        with warns, pytest.raises(SystemExit) as exc:
+            runpy.run_module(module, run_name="__main__")
+        return exc.value.code, capsys.readouterr()
+
+    code, out = run("validate", two_cell_file)
+    assert (code, out.out, out.err) == (0, "chi=0 genus=1 vertices=256 triangles=512\n", "")
+    code, out = run("validate", str(tmp_path / "missing.tf"), "--format", "json")
+    assert (code, out.out) == (1, "")
+    assert json.loads(out.err)["error"]["code"] == "bad-request"
+
+
+def test_parser_is_built_once_per_process(two_cell_file, capsys, monkeypatch):
+    # the top parser and its six subcommands, on the first call only
+    built = []
+    init = krtorus.cli._Parser.__init__
+    monkeypatch.setattr(krtorus.cli._Parser, "__init__",
+                        lambda self, *a, **kw: built.append(init(self, *a, **kw)))
+    krtorus.cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["validate", two_cell_file]) == 0
+    assert len(built) == 7
