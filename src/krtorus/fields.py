@@ -92,10 +92,10 @@ def preset_field(name: str, n: int = 16) -> SurfaceField:
                         f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}")
 
 
-def pullback_cosine_field(n: int, mat, scale: float = 1.0, offset: float = 0.0) -> SurfaceField:
+def pullback_cosine_field(n: int, mat) -> SurfaceField:
     """Two-argument cosine model field pulled back along an integer matrix.
 
-    Samples scale*(cos 2 pi u + cos 2 pi v) + offset at (u, v) = mat @ (x, y).
+    Samples cos 2 pi u + cos 2 pi v at (u, v) = mat @ (x, y).
     A nonsingular matrix gives a finite covering of the smooth two-argument
     model, whose graph is a tree. The PL sample need not keep that: many
     sheared matrices give degenerate saddles, flat critical triangles or a
@@ -106,8 +106,7 @@ def pullback_cosine_field(n: int, mat, scale: float = 1.0, offset: float = 0.0) 
         raise InputRejected("bad-request", "pullback matrix must be nonsingular")
     _check_preset_grid(n)
     t = cosine_table(n)
-    return grid_field(
-        n, lambda i, j: scale * (t[(a * i + b * j) % n] + t[(c * i + d * j) % n]) + offset)
+    return grid_field(n, lambda i, j: t[(a * i + b * j) % n] + t[(c * i + d * j) % n])
 
 
 def random_field(n: int, seed: int) -> SurfaceField:

@@ -296,6 +296,9 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     # A disagreement between the tie-broken classification and the exact
     # level geometry means value ties collapsed or split level rays; the
     # sample is too coarse, so reject it rather than flag an internal bug.
+    # A 0-cell extremum has a ray: V gains each vertex but its start by a
+    # flat segment or a crossed triangle at it, and a start with neither is V
+    # alone, whose region (the torus less a point) failed the Euler check
     degree = Counter(chain.from_iterable(vedges))
     for w in vv:
         deg = degree[w]
@@ -307,11 +310,6 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
                     f"saddle {w} has {deg} exact level rays where the tie-broken "
                     f"order predicts {2 * (kind.multiplicity + 1)}; the sample is "
                     "too degenerate at its critical level")
-            if deg < 1:
-                raise InputRejected(
-                    "degenerate-level",
-                    f"critical vertex {w} is isolated in its exact level set; "
-                    "the sample is too degenerate at its critical level")
         elif deg != 2:
             raise InputRejected(
                 "degenerate-level",
@@ -330,24 +328,24 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     # either side (the shared-edge check on pieces and seams, closed fans
     # elsewhere), so the turn permutes w's neighbours and stops at u at the
     # latest, since w-u is on V. The reverse turn undoes a step, so steps
-    # permute V's darts; inside an arc the turn follows the arc
+    # permute V's darts; inside an arc the turn follows the arc. The turn
+    # crosses only edges w-z with z off V (V holds its on-level neighbours and,
+    # as flat critical triangles are rejected, every edge between two of its
+    # vertices), and z lies in one region, so a walk keeps to its region. Cut
+    # along V, a region is an orientable surface with its walks as boundary:
+    # a disk with one walk by its Euler characteristic if it is connected,
+    # which a graph with too few branches at the node breaks
     def walk(rid: int) -> list[tuple[int, int]]:
         darts = region_darts[rid]
-        start = min(darts)
-        cycle = [start]
-        cur = start
+        cycle = [min(darts)]
         while True:
-            u, w = cur
+            u, w = cycle[-1]
             z = turn(u, w)
             while _norm(w, z) not in vedges:
                 z = turn(z, w)
-            nxt = (w, z)
-            if nxt not in darts:
-                raise InternalInvariantError(f"boundary walk left region {rid}")
-            if nxt == start:
+            if (w, z) == cycle[0]:
                 break
-            cycle.append(nxt)
-            cur = nxt
+            cycle.append((w, z))
         if len(cycle) != len(darts):
             raise InternalInvariantError(
                 f"region {rid} boundary is not a single closed walk")

@@ -10,11 +10,12 @@ The mesh adjacency is one half-edge table, built once per surface by
 ``SurfaceField.twins``: half-edge h = 3t + i runs from triangles[t][i] to
 triangles[t][(i + 1) % 3], so next and prev are arithmetic, and twin[h]
 runs back along it. One swing around each vertex (h to twin[prev(h)])
-fills the table and the fans; a directed edge used twice, and isolated,
-boundary and pinched vertices are rejected, so every half-edge has its
-twin. The Reeb graph and the cell partition walk this table and build
-no adjacency of their own (Rossignac, Safonova and Szymczak,
-"Edgebreaker on a corner-table", SMI 2001).
+fills the table and the fans. The build rejects a directed edge used
+twice, an edge with one triangle, and isolated and pinched vertices, so
+a table exists only with every twin and every fan closed. The Reeb
+graph and the cell partition walk this table and build no adjacency of
+their own (Rossignac, Safonova and Szymczak, "Edgebreaker on a
+corner-table", SMI 2001).
 """
 from __future__ import annotations
 
@@ -62,8 +63,9 @@ class SurfaceField:
 
     triangles: CCW vertex triples indexing into values.
     coords: optional embedding, never consulted by the algorithms.
-    Construction validates local well-formedness only; the global
-    closed/oriented/connected checks live in validate_closed_orientable.
+    Construction validates local well-formedness only; twins checks that
+    the mesh is closed and oriented, validate_closed_orientable that it
+    is connected.
     """
 
     def __init__(self, triangles, values, coords=None):
@@ -121,7 +123,7 @@ class SurfaceField:
         self.triangles: tuple[tuple[int, int, int], ...] = tuple(zip(corners, corners, corners))
         self.values = vals
         self.coords = coords
-        self._twin = self._out = self._fans = None  # set by twins, with _fault if a fan fails
+        self._twin = self._out = self._fans = None  # set by twins
         self._classes = None
         self.ranks: tuple[list[int], list[int]] | None = None  # set by vertex_classes
 
@@ -134,12 +136,13 @@ class SurfaceField:
         return len(self.triangles)
 
     def twins(self) -> array:
-        """twin[h]: the half-edge back along h, -1 if none, built once with
-        the fans and one half-edge out of each vertex. Per-vertex dicts,
-        v -> {w: v->w}, live only while the swing around each v goes from
-        v->w to v->x, the twin of x->v before it, read off the dict. A
-        vertex in no triangle, or with an open or pinched fan, stops the
-        swings and leaves its fault for ``fans``; the dicts then give each twin."""
+        """twin[h]: the half-edge back along h, built once with the fans and
+        one half-edge out of each vertex. Per-vertex dicts, v -> {w: v->w},
+        live only while the swing around each v goes from v->w to v->x, the
+        twin of x->v before it, read off the dict. A vertex in no triangle,
+        or with an open or pinched fan, stops the swings and rejects the
+        mesh: its first edge u->w with no w->u, by tail and then half-edge,
+        else that vertex. So once this returns, every fan is closed."""
         if self._twin is None:
             tris = self.triangles
             left: list[dict[int, int]] = [{} for _ in self.values]
@@ -159,10 +162,10 @@ class SurfaceField:
             third = list(chain.from_iterable(tris))  # each (a, b, c) to (c, a, b): tail of prev(h)
             third[::3], third[1::3], third[2::3] = third[2::3], third[::3], third[1::3]
             # swung[h]: the twin of the half-edge before h, the next one out of h's tail
-            swung, out, fans = [-1] * m, [-1] * len(left), []
+            swung, out, fans, fault = [-1] * m, [-1] * len(left), [], None
             for v, d in enumerate(left):
                 if not d:
-                    self._fault = f"vertex {v} has no incident triangle"
+                    fault = f"vertex {v} has no incident triangle"
                     break
                 w = min(d)
                 out[v] = h = d[w]
@@ -173,26 +176,24 @@ class SurfaceField:
                         swung[h] = h = d[x]
                         cyc.append(x)
                         x = third[h]
-                except KeyError:  # no half-edge v->x
-                    self._fault = f"boundary edge at vertex {v}: the fan does not close"
+                except KeyError:  # no half-edge v->x, so x->v has no twin
                     break
                 if len(cyc) != len(d):
-                    self._fault = f"vertex {v} is pinched: its link is not a single cycle"
+                    fault = f"vertex {v} is pinched: its link is not a single cycle"
                     break
                 swung[h] = out[v]
                 fans.append(tuple(cyc))
-            else:
-                self._fans = fans
-            if self._fans is None:
-                swung = [left[tris[h // 3][h % 3 - 2]].get(tris[h // 3][h % 3], -1)
-                         for h in range(m)]
-            else:  # the half-edge before 3t + i is 3t + (i + 2) % 3
-                swung[2::3], swung[::3], swung[1::3] = swung[::3], swung[1::3], swung[2::3]
-            self._twin, self._out = array("l", swung), array("l", out)
+            if len(fans) < len(left):  # an edge with no twin outranks the vertex; dicts keep h order
+                edge = next(((u, w) for u, d in enumerate(left) for w in d if u not in left[w]), None)
+                raise InputRejected("not-a-surface", fault if edge is None else
+                                    f"boundary edge {edge[0]}-{edge[1]}: no opposite triangle")
+            # the half-edge before 3t + i is 3t + (i + 2) % 3
+            swung[2::3], swung[::3], swung[1::3] = swung[::3], swung[1::3], swung[2::3]
+            self._twin, self._out, self._fans = array("l", swung), array("l", out), fans
         return self._twin
 
     def out_edges(self, v: int) -> list[int]:
-        """The half-edges out of v to its ``fans`` neighbors. Fans must be closed."""
+        """The half-edges out of v to its ``fans`` neighbors, once ``twins`` has returned."""
         twin, h = self._twin, self._out[v]
         out, g = [h], h
         while (g := twin[g - 1 if g % 3 else g + 2]) != h:
@@ -200,15 +201,12 @@ class SurfaceField:
         return out
 
     def half_edge(self, u: int, w: int) -> int:
-        """The half-edge u->w. Fans must be closed."""
+        """The half-edge u->w, once ``twins`` has returned."""
         return self.out_edges(u)[self._fans[u].index(w)]
 
     def fans(self) -> list[tuple[int, ...]]:
-        """Each vertex's neighbors in CCW order from the least, or the fault."""
-        if self._fans is None:
-            self.twins()
-            if self._fans is None:
-                raise InputRejected("not-a-surface", self._fault)
+        """Each vertex's neighbors in CCW order from the least."""
+        self.twins()
         return self._fans
 
 
@@ -219,16 +217,7 @@ def validate_closed_orientable(s: SurfaceField) -> dict:
     Closed fans pair up the 3T half-edges, so chi = V - T/2, and a closed
     connected orientable surface has chi = 2 - 2 genus: neither needs a check.
     """
-    twin, tris = s.twins(), s.triangles
-    try:
-        fans = s.fans()
-    except InputRejected:  # name the first boundary edge by its tail, if there is one
-        edge = min(((tris[h // 3][h % 3], h, tris[h // 3][h % 3 - 2])
-                    for h, g in enumerate(twin) if g < 0), default=None)
-        if edge:
-            raise InputRejected("not-a-surface",
-                                f"boundary edge {edge[0]}-{edge[2]}: no opposite triangle")
-        raise
+    fans = s.fans()
     seen, order = {0}, [0]
     for v in order:  # breadth-first over the fans
         for w in fans[v]:

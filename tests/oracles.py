@@ -97,7 +97,8 @@ def fan_walk(triangles, left):
     """Each vertex's neighbors in CCW order from the least, walked on the
     left dicts: from w to the third corner of the triangle left of v->w.
     The first vertex in no triangle, or with an open or pinched fan,
-    raises ValueError with the package's message."""
+    raises ValueError: with the package's message, save for an open fan,
+    which the package names by an edge (``surface_rejection``)."""
     out = []
     for v, d in enumerate(left):
         if not d:
@@ -107,7 +108,7 @@ def fan_walk(triangles, left):
         cur = sum(triangles[d[start]]) - v - start
         while cur != start:
             if cur not in d:
-                raise ValueError(f"boundary edge at vertex {v}: the fan does not close")
+                raise ValueError(f"the fan of vertex {v} does not close")
             cyc.append(cur)
             cur = sum(triangles[d[cur]]) - v - cur
         if len(cyc) != len(d):

@@ -77,13 +77,6 @@ def test_pullback_rejects_singular():
         pullback_cosine_field(8, ((1, 2), (2, 4)))
 
 
-def test_pullback_scale_offset():
-    plain = pullback_cosine_field(8, ((1, 0), (0, 1)))
-    moved = pullback_cosine_field(8, ((1, 0), (0, 1)), scale=0.5, offset=3.0)
-    for u, v in zip(plain.values, moved.values):
-        assert v == 0.5 * u + 3.0
-
-
 def test_random_field_deterministic():
     a = random_field(8, 7)
     b = random_field(8, 7)

@@ -32,14 +32,7 @@ PACKAGE = ROOT / "src" / "krtorus"
 TESTS = ROOT / "tests"
 
 # message (formatted values as "{}") -> why it is kept without a test
-ALLOWLIST = {
-    "boundary walk left region {}":
-        "the turn around w crosses edges off V, which glue one region, unless the graph "
-        "filed a triangle of that sector elsewhere in a way the region checks above miss",
-    "region {} boundary is not a single closed walk":
-        "Euler characteristic 1 makes a region a disk with one boundary walk only if the "
-        "region is a surface, which nothing before the walk checks",
-}
+ALLOWLIST: dict[str, str] = {}
 
 
 def _template(node) -> tuple:

@@ -11,11 +11,11 @@ import pytest
 import krtorus.homology
 import krtorus.partition
 from krtorus.errors import InputRejected, InternalInvariantError
-from krtorus.fields import preset_field, pullback_cosine_field, random_field
+from krtorus.fields import grid_vertex, preset_field, pullback_cosine_field, random_field
 from krtorus.homology import tree_cotree
 from krtorus.partition import OneCell, branch_signature, build_partition
-from krtorus.reeb import (Branch, ReebEdge, ReebGraph, ReebNode, _UnionFind, compute_reeb,
-                          find_special_vertex, level_structure)
+from krtorus.reeb import (Branch, ReebEdge, ReebGraph, ReebNode, _node_component, _UnionFind,
+                          compute_reeb, find_special_vertex, level_structure)
 from krtorus.surface import SurfaceField, vertex_classes
 
 import oracles
@@ -561,6 +561,31 @@ def test_level_component_with_a_vertex_off_the_level_is_caught(monkeypatch, extr
     monkeypatch.setattr(krtorus.partition, "level_structure",
                         lambda *_: (tuple(sorted(verts + (extra,))), cut, crossed))
     with pytest.raises(InternalInvariantError, match=message):
+        build_partition(s, g, node)
+
+
+def test_region_of_two_components_is_caught(monkeypatch):
+    # a dip to -1 inside the maximum's disk, ringed by -0.5 and one vertex
+    # at 0, leaves a regular circle at V's level there. Passed off as part
+    # of V, it cuts the disk into an annulus and a disk that one branch
+    # owns: the region is a surface of Euler characteristic 0 + 1 = 1 that
+    # passes every check before the walk, but has two boundary walks
+    s = preset_field("two-cell", 32)
+    values, dip = list(s.values), grid_vertex(32, 3, 3)
+    ring = s.fans()[dip]
+    values[dip] = -1.0
+    for w in ring:
+        values[w] = -0.5 if w != ring[0] else 0.0
+    s = SurfaceField(s.triangles, values)
+    g, node = _graph_and_node(s)
+    assert g.nodes[node].level == 0.0
+    build_partition(s, g, node)  # the true V is accepted
+    _, circle, circle_cut, circle_crossed = _node_component(s, 0.0, ring[0])
+    forged = [tuple(sorted(set(part).union(extra))) for part, extra in zip(
+        level_structure(s, g, node), (circle, circle_cut, circle_crossed))]
+    monkeypatch.setattr(krtorus.partition, "level_structure", lambda *_: forged)
+    with pytest.raises(InternalInvariantError,
+                       match=r"^region \d+ boundary is not a single closed walk$"):
         build_partition(s, g, node)
 
 

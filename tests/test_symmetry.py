@@ -176,7 +176,9 @@ TRANSLATED = (
     + [(f"pullback {mat}@{n}", partial(pullback_cosine_field, n, mat), n, order)
        for mat, n, order in ((((2, 0), (0, 2)), 16, 4), (((3, 0), (0, 3)), 24, 9),
                              (((4, 0), (0, 4)), 32, 16), (((8, 0), (0, 8)), 32, 64),
-                             (((2, 1), (-1, 2)), 20, 5))])
+                             (((2, 1), (-1, 2)), 20, 5))]
+    # order 1, with half of the 2-cells alike to 2-cell 0 in signature and walk length
+    + [(f"bump k={k}@{4 * k}", partial(oracles.bump_field, k), 4 * k, 1) for k in (4, 8)])
 
 
 @pytest.mark.parametrize("make, n, order", [t[1:] for t in TRANSLATED],
