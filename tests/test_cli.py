@@ -474,3 +474,100 @@ def test_parser_is_built_once_per_process(two_cell_file, capsys, monkeypatch):
     for _ in range(3):
         assert main(["validate", two_cell_file]) == 0
     assert len(built) == 7
+
+
+# (id, argv, exit code, sha256 of stdout, sha256 of the --out file or None
+# for a command without --out); {field} is the two-cell@16 file. A file
+# written by --out holds the text alone, and stdout adds one newline when
+# the text does not end in one
+_OUTPUT_BYTES = [
+    ("validate-text", ["validate", "{field}"], 0,
+     "c1bef671886d12498de0573c66e86036321cf81af39284950d3c93456643a9f9", None),
+    ("validate-json", ["validate", "{field}", "--format", "json"], 0,
+     "c4d119798c095be281bc1ff0451c263018ff22ce1567f5f4b70688685b5d04e1", None),
+    ("reeb-text", ["reeb", "{field}"], 0,
+     "520c4beafad10ef7d2bcf0fabf045ed3f2ac8940c372a4aa1c5035e5177472dd",
+     "0193c5e1e7e3a5e2692abbf6b438ebe550d1f75344f4672afc5d1ce5e044f95f"),
+    ("reeb-dot", ["reeb", "{field}", "--format", "dot"], 0,
+     "2c0aba0a963d57e1a84e943bbff9026571c99bc7a2ccf8d8bd184b2b44cc65c3",
+     "2c0aba0a963d57e1a84e943bbff9026571c99bc7a2ccf8d8bd184b2b44cc65c3"),
+    ("reeb-json", ["reeb", "{field}", "--format", "json"], 0,
+     "feb234bf31e50a78caeae29d4e62ada375dcf279f97e92d2fa1fcf99c67b8ead",
+     "8bc0610b0d88273c22520810b9ee8ba464fde457a77185e0f2782320dcd04a05"),
+    ("analyze-json", ["analyze", "{field}", "--format", "json"], 0,
+     "c6581b4248900672d94f478369f453d6e425cbb9430238f0689125a96e2838c7",
+     "e3a3a094fccdd29a2752ae8c203ce81e4c286fae8ef6cc432af97ba1dea91cbe"),
+    ("analyze-text", ["analyze", "{field}", "--format", "text"], 0,
+     "720d8e8f5da3327afd5471b21b6b2dc45c404e4df7a744b02ffd83c6427fc180",
+     "899d1dfeea22f04f81756e71764d273eece4431fb75d8532122363bc400a8d44"),
+    ("verify-text", ["verify", "{field}", "--atoms", "Z2,Z3"], 0,
+     "d0304ec923c0fd5a43094a18aa82ead687680c17783467f9604daaa4eccb8607", None),
+    ("verify-json", ["verify", "{field}", "--atoms", "Z2,Z3", "--format", "json"], 0,
+     "770b6b2bd2bef7ed1f215fa2cdda1f3c77263c5573fabeea51bfa63b35923f6f", None),
+    ("snf-text", ["snf", "--matrix", "2,2;0,4"], 0,
+     "b3e433ebf354c96736233cadfcf76d14216bc62e1ece825958faf497519e1cb2", None),
+    ("snf-json", ["snf", "--matrix", "2,2;0,4", "--format", "json"], 0,
+     "8a90f7742741040d007709858d78453a0b25f2dc71f11be78e916b2b5c7d2184", None),
+    ("gen", ["gen", "--preset", "two-cell", "--grid", "16"], 0,
+     "cfba9a40dd5d9ec496cc01baf556b289719b3bd791b855571c2346ac9fd46b4d",
+     "cfba9a40dd5d9ec496cc01baf556b289719b3bd791b855571c2346ac9fd46b4d"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout_sha, out_sha",
+                         [row[1:] for row in _OUTPUT_BYTES], ids=[row[0] for row in _OUTPUT_BYTES])
+def test_output_bytes_pinned(argv, code, stdout_sha, out_sha, two_cell_file, tmp_path, capsys):
+    argv = [a.format(field=two_cell_file) for a in argv]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (hashlib.sha256(out.encode()).hexdigest(), err) == (stdout_sha, "")
+    if out_sha is not None:
+        target = tmp_path / "out"
+        assert main(argv + ["--out", str(target)]) == code
+        assert capsys.readouterr() == ("", "")
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == out_sha
+
+
+_MISSING = "cannot read <missing>: [Errno 2] No such file or directory: '<missing>'"
+_TREE = "graph has first Betti number 1, expected a tree"
+
+# (id, argv, stderr); <missing> is a file that does not exist and
+# <cyclic> the cyclic-height@16 file. verify's atoms are bad too, so the
+# row also pins that the graph is checked before the atoms are read.
+# gen has no --format, and a usage error is found before --format is read
+_REJECTION_BYTES = [
+    ("validate-missing-text", ["validate", "<missing>"], f"error[bad-request]: {_MISSING}\n"),
+    ("validate-missing-json", ["validate", "<missing>", "--format", "json"],
+     '{"error": {"code": "bad-request", "message": "' + _MISSING + '"}}\n'),
+    ("reeb-missing-text", ["reeb", "<missing>"], f"error[bad-request]: {_MISSING}\n"),
+    ("reeb-missing-json", ["reeb", "<missing>", "--format", "json"],
+     '{"error": {"code": "bad-request", "message": "' + _MISSING + '"}}\n'),
+    ("analyze-cycle-json", ["analyze", "<cyclic>"],
+     '{"error": {"b1": 1, "code": "not-a-tree", "message": "' + _TREE + '"}}\n'),
+    ("analyze-cycle-text", ["analyze", "<cyclic>", "--format", "text"],
+     f'error[not-a-tree]: {_TREE} {{"b1": 1}}\n'),
+    ("verify-cycle-text", ["verify", "<cyclic>", "--atoms", "Z2,x"],
+     f'error[not-a-tree]: {_TREE} {{"b1": 1}}\n'),
+    ("verify-cycle-json", ["verify", "<cyclic>", "--atoms", "Z2,x", "--format", "json"],
+     '{"error": {"b1": 1, "code": "not-a-tree", "message": "' + _TREE + '"}}\n'),
+    ("snf-ragged-text", ["snf", "--matrix", "1,2;3"],
+     "error[bad-request]: bad --matrix value: ragged matrix\n"),
+    ("snf-ragged-json", ["snf", "--matrix", "1,2;3", "--format", "json"],
+     '{"error": {"code": "bad-request", "message": "bad --matrix value: ragged matrix"}}\n'),
+    ("gen-grid", ["gen", "--preset", "two-cell", "--grid", "2052"],
+     "error[bad-request]: preset grid size 2052 must be at most 2048\n"),
+    ("validate-out-text", ["validate", "<field>", "--out", "x"],
+     "error[bad-request]: unrecognized arguments: --out x\n"),
+    ("validate-out-json", ["validate", "<field>", "--out", "x", "--format", "json"],
+     "error[bad-request]: unrecognized arguments: --out x\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stderr", [row[1:] for row in _REJECTION_BYTES],
+                         ids=[row[0] for row in _REJECTION_BYTES])
+def test_rejection_bytes_pinned(argv, stderr, two_cell_file, cyclic_file, tmp_path, capsys):
+    names = {"<missing>": str(tmp_path / "missing.tf"), "<cyclic>": cyclic_file,
+             "<field>": two_cell_file}
+    argv = [names.get(a, a) for a in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", stderr.replace("<missing>", names["<missing>"]))
