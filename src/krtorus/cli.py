@@ -1,5 +1,6 @@
 """Command line front end.
 
+Each command's text is written once, by ``main``, to stdout or --out.
 Exit codes: 0 success, 1 input rejected (bad file, bad arguments,
 non-torus surface, graph with a cycle, ``gen`` grid past 2048), 2 a
 failed internal invariant or ``verify`` check, a defect: every internal
@@ -120,67 +121,10 @@ def _reeb_json(g) -> dict:
     }
 
 
-def _run(args, stdout) -> int:
-    if args.command == "validate":
-        s = load_surface(_read_text(args.input))
-        info = validate_closed_orientable(s)
-        if args.format == "json":
-            out = {"chi": info["chi"], "genus": info["genus"],
-                   "vertices": s.vertex_count, "triangles": s.triangle_count}
-            stdout.write(json.dumps(out, sort_keys=True) + "\n")
-        else:
-            stdout.write(f"chi={info['chi']} genus={info['genus']} "
-                         f"vertices={s.vertex_count} triangles={s.triangle_count}\n")
-        return 0
-
-    if args.command == "reeb":
-        s = load_surface(_read_text(args.input))
-        validate_closed_orientable(s)
-        g = compute_reeb(s)
-        if args.format == "dot":
-            _write_text(reeb_to_dot(g), args.out, stdout)
-        elif args.format == "json":
-            _write_text(json.dumps(_reeb_json(g), sort_keys=True), args.out, stdout)
-        else:
-            lines = [f"nodes={len(g.nodes)} edges={len(g.edges)} "
-                     f"is_tree={'true' if is_tree(g) else 'false'}"]
-            for n in g.nodes:
-                lines.append(f"node {n.id}: level={format_scalar(n.level)} "
-                             f"kinds={','.join(n.kinds)}")
-            for e in g.edges:
-                lines.append(f"edge {e.id}: {e.lower}--{e.upper}")
-            _write_text("\n".join(lines), args.out, stdout)
-        return 0
-
-    if args.command == "analyze":
-        s = load_surface(_read_text(args.input))
-        report = analyze(s)
-        if args.format == "json":
-            _write_text(canonical_json(report), args.out, stdout)
-        else:
-            sp, sym = report.special, report.symmetry
-            lines = [
-                f"group: {report.group['expr']}",
-                f"n={sym['n']} m={sym['m']} r={sym['r']} order={sym['order']}",
-                f"special node {sp['node']} at level {sp['level']}",
-                f"cells: {sp['zero_cells']} vertices, {sp['one_cells']} arcs, "
-                f"{sp['two_cells']} disks",
-            ]
-            _write_text("\n".join(lines), args.out, stdout)
-        return 0
-
-    if args.command == "verify":
-        s = load_surface(_read_text(args.input))
-        report = analyze(s)
-        atoms = parse_atoms(args.atoms)
-        rec = verify_extension(report, atoms)
-        if args.format == "json":
-            stdout.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
-        else:
-            for c in rec.checks:
-                stdout.write(f"check {c.name}: {'pass' if c.passed else 'FAIL'} "
-                             f"({c.detail})\n")
-        return 0 if rec.passed else 2
+def _run(args) -> tuple[str, int]:
+    """The command's text and exit code; ``main`` writes the text."""
+    if args.command == "gen":
+        return dump_surface(preset_field(args.preset, args.grid)), 0
 
     if args.command == "snf":
         try:
@@ -190,22 +134,64 @@ def _run(args, stdout) -> int:
         except ValueError as exc:
             raise InputRejected("bad-request", f"bad --matrix value: {exc}")
         res = smith_normal_form(mat)
-        if args.format == "json":
-            out = {"diagonal": list(res.diagonal),
-                   "u": res.u.to_lists(), "d": res.d.to_lists(), "v": res.v.to_lists()}
-            try:
-                text = json.dumps(out, sort_keys=True)
-            except ValueError:  # an entry past int's str() digit limit
-                raise InputRejected("bad-request", "a U or V entry passes int's limit of "
-                                    f"{sys.get_int_max_str_digits()} digits; --format text prints D")
-            stdout.write(text + "\n")
-        else:
-            stdout.write("D=diag(" + ",".join(str(d) for d in res.diagonal) + ")\n")
-        return 0
+        if args.format == "text":
+            return "D=diag(" + ",".join(str(d) for d in res.diagonal) + ")", 0
+        out = {"diagonal": list(res.diagonal),
+               "u": res.u.to_lists(), "d": res.d.to_lists(), "v": res.v.to_lists()}
+        try:
+            return json.dumps(out, sort_keys=True), 0
+        except ValueError:  # an entry past int's str() digit limit
+            raise InputRejected("bad-request", "a U or V entry passes int's limit of "
+                                f"{sys.get_int_max_str_digits()} digits; --format text prints D")
 
-    s = preset_field(args.preset, args.grid)  # gen: argparse refused any other command
-    _write_text(dump_surface(s), args.out, stdout)
-    return 0
+    s = load_surface(_read_text(args.input))
+    if args.command == "validate":
+        info = validate_closed_orientable(s)
+        if args.format == "json":
+            out = {"chi": info["chi"], "genus": info["genus"],
+                   "vertices": s.vertex_count, "triangles": s.triangle_count}
+            return json.dumps(out, sort_keys=True), 0
+        return (f"chi={info['chi']} genus={info['genus']} "
+                f"vertices={s.vertex_count} triangles={s.triangle_count}"), 0
+
+    if args.command == "reeb":
+        validate_closed_orientable(s)
+        g = compute_reeb(s)
+        if args.format == "dot":
+            return reeb_to_dot(g), 0
+        if args.format == "json":
+            return json.dumps(_reeb_json(g), sort_keys=True), 0
+        lines = [f"nodes={len(g.nodes)} edges={len(g.edges)} "
+                 f"is_tree={'true' if is_tree(g) else 'false'}"]
+        for n in g.nodes:
+            lines.append(f"node {n.id}: level={format_scalar(n.level)} "
+                         f"kinds={','.join(n.kinds)}")
+        for e in g.edges:
+            lines.append(f"edge {e.id}: {e.lower}--{e.upper}")
+        return "\n".join(lines), 0
+
+    report = analyze(s)  # analyze or verify: argparse refused any other command
+    if args.command == "analyze":
+        if args.format == "json":
+            return canonical_json(report), 0
+        sp, sym = report.special, report.symmetry
+        lines = [
+            f"group: {report.group['expr']}",
+            f"n={sym['n']} m={sym['m']} r={sym['r']} order={sym['order']}",
+            f"special node {sp['node']} at level {sp['level']}",
+            f"cells: {sp['zero_cells']} vertices, {sp['one_cells']} arcs, "
+            f"{sp['two_cells']} disks",
+        ]
+        return "\n".join(lines), 0
+
+    atoms = parse_atoms(args.atoms)
+    rec = verify_extension(report, atoms)
+    code = 0 if rec.passed else 2
+    if args.format == "json":
+        return json.dumps(rec.to_json(), sort_keys=True), code
+    lines = [f"check {c.name}: {'pass' if c.passed else 'FAIL'} ({c.detail})"
+             for c in rec.checks]
+    return "\n".join(lines), code
 
 
 def main(argv=None) -> int:
@@ -218,7 +204,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         fmt = getattr(args, "format", "text")
-        return _run(args, stdout)
+        text, code = _run(args)
+        _write_text(text, getattr(args, "out", None), stdout)
+        return code
     except InputRejected as exc:
         _emit_error(exc.payload(), fmt, stderr)
         return 1
