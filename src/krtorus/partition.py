@@ -334,9 +334,15 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     # vertices), and z lies in one region, so a walk keeps to its region. Cut
     # along V, a region is an orientable surface with its walks as boundary:
     # a disk with one walk by its Euler characteristic if it is connected,
-    # which a graph with too few branches at the node breaks
+    # which a graph with too few branches at the node breaks. A region with no
+    # dart meets no edge of V, so V, connected, is one vertex: an extremum at a
+    # leaf, as a saddle with no ray failed the ray count. Its one region, the
+    # surface less a point, passed the open Euler check with 1: chi is 2
     def walk(rid: int) -> list[tuple[int, int]]:
         darts = region_darts[rid]
+        if not darts:
+            raise InputRejected("not-a-torus", f"node {node_id} is a lone extremum, so the "
+                                "surface has Euler characteristic 2, not 0", chi=2)
         cycle = [min(darts)]
         while True:
             u, w = cycle[-1]

@@ -16,7 +16,7 @@ from krtorus.homology import tree_cotree
 from krtorus.partition import OneCell, branch_signature, build_partition
 from krtorus.reeb import (Branch, ReebEdge, ReebGraph, ReebNode, _node_component, _UnionFind,
                           compute_reeb, find_special_vertex, level_structure)
-from krtorus.surface import SurfaceField, vertex_classes
+from krtorus.surface import SurfaceField, validate_closed_orientable, vertex_classes
 
 import oracles
 from dense_h1 import dense_boundaries
@@ -587,6 +587,22 @@ def test_region_of_two_components_is_caught(monkeypatch):
     with pytest.raises(InternalInvariantError,
                        match=r"^region \d+ boundary is not a single closed walk$"):
         build_partition(s, g, node)
+
+
+@pytest.mark.parametrize("node", [0, 1])
+def test_sphere_leaf_is_not_a_torus(node):
+    # the tetrahedron with values 0-3 validates with chi = 2 and its graph is
+    # one edge; at either node V is a lone extremum, and its one region, the
+    # sphere less a point, passes the open Euler check with 1
+    s = SurfaceField([(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)], [0, 1, 2, 3])
+    assert validate_closed_orientable(s)["chi"] == 2
+    g = compute_reeb(s)
+    assert (len(g.nodes), len(g.edges)) == (2, 1)
+    with pytest.raises(InputRejected) as exc:
+        build_partition(s, g, node)
+    assert exc.value.payload() == {
+        "code": "not-a-torus", "chi": 2,
+        "message": f"node {node} is a lone extremum, so the surface has Euler characteristic 2, not 0"}
 
 
 def test_region_whose_criticals_no_branch_has_is_caught():
