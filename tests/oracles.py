@@ -10,9 +10,10 @@ symmetry stage's orbit closure replaced, built on the package's own seed
 propagation. ``CorruptedWreath`` is the package's wreath engine with a
 wrong shift action, the negative control of the verify checks.
 ``tau_reindex`` is the paper's family reindexing, which no stage of the
-package uses; only the tests build its grids. ``bump_field`` raises one
-minimum of a package pullback field, and ``grid_translations`` reads the
-regions of a package cell partition, never its symmetries. Expected
+package uses; only the tests build its grids. ``bump_field`` and
+``decorated_field`` raise minima of a package pullback field, and
+``grid_translations`` reads the regions of a package cell partition,
+never its symmetries. Expected
 values in the suite are either computed against these functions or
 frozen from hand calculations that are spelled out at the point of use.
 """
@@ -621,6 +622,37 @@ def bump_field(k):
     s = pullback_cosine_field(4 * k, ((k, 0), (0, k)))
     values = list(s.values)
     values[grid_vertex(4 * k, 2 + k, 2 + k)] += 0.3
+    return SurfaceField(s.triangles, values)
+
+
+def subgroup(k, gens):
+    """The subgroup of Z_k x Z_k that gens generate, closed by adding generators."""
+    elements, todo = {(0, 0)}, [(0, 0)]
+    while todo:
+        a, b = todo.pop()
+        for c, d in gens:
+            x = ((a + c) % k, (b + d) % k)
+            if x not in elements:
+                elements.add(x)
+                todo.append(x)
+    return elements
+
+
+def decorated_field(k, gens):
+    """diag(k, k)@4k with 0.3 added to the minimum at (2 + 4a, 2 + 4b) for (a, b) in H.
+
+    H is ``subgroup(k, gens)``. The pullback's deck translations by
+    (4a, 4b) form Z_k x Z_k, and those that keep the raised minima are
+    the ones by H, so the symmetry group should be H and r = 2k^2 / |H|.
+    ``bump_field(k)`` is the case H = 1, moved by a deck translation.
+    """
+    from krtorus.fields import grid_vertex, pullback_cosine_field
+    from krtorus.surface import SurfaceField
+
+    s = pullback_cosine_field(4 * k, ((k, 0), (0, k)))
+    values = list(s.values)
+    for a, b in subgroup(k, gens):
+        values[grid_vertex(4 * k, 2 + 4 * a, 2 + 4 * b)] += 0.3
     return SurfaceField(s.triangles, values)
 
 

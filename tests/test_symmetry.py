@@ -195,6 +195,34 @@ def test_grid_translations_are_the_symmetries(make, n, order):
     assert len(moves) == len(elements) == order
 
 
+# (k, generators of H in Z_k x Z_k, (order, n, m, r) worked out by hand)
+DECORATED = [(4, (), (1, 1, 1, 32)), (4, ((2, 0),), (2, 1, 2, 16)), (4, ((1, 0),), (4, 1, 4, 8)),
+             (4, ((1, 1),), (4, 1, 4, 8)), (4, ((1, 2),), (4, 1, 4, 8)),
+             (4, ((2, 0), (0, 2)), (4, 2, 1, 8)), (4, ((1, 0), (0, 1)), (16, 4, 1, 2)),
+             (8, ((2, 0), (0, 4)), (8, 2, 2, 16)), (8, ((1, 3),), (8, 1, 8, 16)),
+             (8, ((4, 4),), (2, 1, 2, 64))]
+
+
+@pytest.mark.parametrize("k, gens, expected", DECORATED,
+                         ids=[f"k={k} H=<{' '.join(f'{a},{b}' for a, b in gens) or '1'}>"
+                              for k, gens, _ in DECORATED])
+def test_decorated_fields_have_the_group_of_their_decoration(k, gens, expected):
+    # S should be H, read from H alone: H is Z_n x Z_nm with nm its exponent,
+    # the largest order of an element, and the 2k^2 2-cells fall in |H|-orbits
+    h = oracles.subgroup(k, gens)
+    exponent = max(next(t for t in range(1, k + 1) if t * a % k == t * b % k == 0) for a, b in h)
+    n = len(h) // exponent
+    assert (len(h), n, exponent // n, 2 * k * k // len(h)) == expected
+    s = oracles.decorated_field(k, gens)
+    g = compute_reeb(s)
+    p = build_partition(s, g, find_special_vertex(g))
+    elements = enumerate_symmetries(s, p)
+    sg = group_structure(elements)
+    assert (len(elements), sg.n, sg.nm // sg.n, len(index_orbits(sg, p)[1])) == expected
+    moves = oracles.grid_translations(4 * k, s.values, p)
+    assert len(moves) == len(h) and set(moves) <= set(elements)
+
+
 def test_asymmetric_field_is_trivial(twin_peaks):
     g = compute_reeb(twin_peaks)
     node = find_special_vertex(g)
