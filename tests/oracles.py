@@ -13,9 +13,9 @@ wrong shift action, the negative control of the verify checks.
 package uses; only the tests build its grids. ``bump_field`` and
 ``decorated_field`` raise minima of a package pullback field, and
 ``grid_translations`` reads the regions of a package cell partition,
-never its symmetries. Expected
-values in the suite are either computed against these functions or
-frozen from hand calculations that are spelled out at the point of use.
+never its symmetries. Expected values in the suite are either computed
+against these functions or frozen from hand calculations that are
+spelled out at the point of use.
 """
 from __future__ import annotations
 

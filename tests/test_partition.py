@@ -600,9 +600,8 @@ def test_sphere_leaf_is_not_a_torus(node):
     assert (len(g.nodes), len(g.edges)) == (2, 1)
     with pytest.raises(InputRejected) as exc:
         build_partition(s, g, node)
-    assert exc.value.payload() == {
-        "code": "not-a-torus", "chi": 2,
-        "message": f"node {node} is a lone extremum, so the surface has Euler characteristic 2, not 0"}
+    message = f"node {node} is a lone extremum, so the surface has Euler characteristic 2, not 0"
+    assert exc.value.payload() == {"code": "not-a-torus", "chi": 2, "message": message}
 
 
 def test_region_whose_criticals_no_branch_has_is_caught():
