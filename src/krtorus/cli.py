@@ -1,11 +1,13 @@
 """Command line front end.
 
-Each command's text is written once, by ``main``, to stdout or --out.
+Each command's text is written once, by ``main``: to --out FILE as it
+is, or to stdout with one newline added if it does not end in one.
 Exit codes: 0 success, 1 input rejected (bad file, bad arguments,
 non-torus surface, graph with a cycle, ``gen`` grid past 2048), 2 a
 failed internal invariant or ``verify`` check, a defect: every internal
 check is fired by a test or allowlisted in tests/test_internal_checks.py.
-Diagnostics go to stderr; with --format json they are machine readable.
+Diagnostics go to stderr; with --format json they are machine readable,
+usage errors too, as the format is read before the full parse.
 """
 from __future__ import annotations
 
@@ -28,6 +30,14 @@ class _Parser(argparse.ArgumentParser):
     # that every input-side problem maps to exit 1
     def error(self, message):
         raise InputRejected("bad-request", message)
+
+
+@cache
+def _format_parser() -> argparse.ArgumentParser:
+    # --format alone, abbreviations included, for a usage error's diagnostic
+    p = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    p.add_argument("--format", default="text")
+    return p
 
 
 @cache  # built on the first main() call, then shared by every later one
@@ -201,6 +211,10 @@ def main(argv=None) -> int:
     if argv[:1] == ["snf"] and "--matrix" in argv[:-1]:  # argparse reads "-1,2" as an option
         i = argv.index("--matrix")
         argv[i:i + 2] = [f"--matrix={argv[i + 1]}"]
+    try:
+        fmt = _format_parser().parse_known_args(argv)[0].format
+    except argparse.ArgumentError:  # --format with no value: the full parse names it
+        pass
     try:
         args = build_parser().parse_args(argv)
         fmt = getattr(args, "format", "text")

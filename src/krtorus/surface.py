@@ -19,11 +19,12 @@ corner-table", SMI 2001).
 """
 from __future__ import annotations
 
+import json
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, count, islice, repeat
+from itertools import accumulate, chain, repeat
 from math import isfinite
 from operator import gt
 
@@ -137,19 +138,18 @@ class SurfaceField:
 
     def twins(self) -> array:
         """twin[h]: the half-edge back along h, built once with the fans and
-        one half-edge out of each vertex. Per-vertex dicts, v -> {w: v->w},
-        live only while the swing around each v goes from v->w to v->x, the
-        twin of x->v before it, read off the dict. A vertex in no triangle,
-        or with an open or pinched fan, stops the swings and rejects the
-        mesh: its first edge u->w with no w->u, by tail and then half-edge,
-        else that vertex. So once this returns, every fan is closed."""
+        one half-edge out of each vertex. Per-vertex dicts, v -> {w: t} for
+        the triangle t holding v->w, live only while the swing around each v
+        goes from v->w to v->x, the twin of x->v before it in t: v's corner
+        of t gives both the half-edge and x. A vertex in no triangle, or
+        with an open or pinched fan, stops the swings and rejects the mesh:
+        its first edge u->w with no w->u, by tail and then half-edge, else
+        that vertex. So once this returns, every fan is closed."""
         if self._twin is None:
             tris = self.triangles
-            left: list[dict[int, int]] = [{} for _ in self.values]
-            for h, (a, b, c) in zip(count(0, 3), tris):
-                left[a][b] = h
-                left[b][c] = h + 1
-                left[c][a] = h + 2
+            left: list[dict[int, int] | None] = [{} for _ in self.values]
+            for t, (a, b, c) in enumerate(tris):
+                left[a][b] = left[b][c] = left[c][a] = t
             m = 3 * len(tris)
             if sum(map(len, left)) != m:  # an edge was overwritten
                 seen = set()  # the first edge met a second time; set.add returns None
@@ -159,37 +159,48 @@ class SurfaceField:
                     "not-a-surface",
                     f"directed edge {x}->{y} used by two triangles; "
                     "orientations are inconsistent or the gluing is not orientable")
-            third = list(chain.from_iterable(tris))  # each (a, b, c) to (c, a, b): tail of prev(h)
-            third[::3], third[1::3], third[2::3] = third[2::3], third[::3], third[1::3]
-            # swung[h]: the twin of the half-edge before h, the next one out of h's tail
-            swung, out, fans, fault = [-1] * m, [-1] * len(left), [], None
+            # swung[h]: the twin of the half-edge before h, the next one out of
+            # h's tail; slot m holds each swing's first half-edge
+            swung, out, fans, fault = array("l", [-1]) * (m + 1), array("l", [-1]) * len(left), [], None
             for v, d in enumerate(left):
                 if not d:
                     fault = f"vertex {v} has no incident triangle"
                     break
-                w = min(d)
-                out[v] = h = d[w]
-                cyc = [w]
-                x = third[h]
+                x = w = min(d)
+                h, cyc = m, []
                 try:
-                    while x != w:
-                        swung[h] = h = d[x]
+                    while True:
                         cyc.append(x)
-                        x = third[h]
+                        t = d[x]
+                        a, b, c = tris[t]
+                        if a == v:
+                            swung[h] = h = 3 * t
+                            x = c
+                        elif b == v:
+                            swung[h] = h = 3 * t + 1
+                            x = a
+                        else:
+                            swung[h] = h = 3 * t + 2
+                            x = b
+                        if x == w:
+                            break
                 except KeyError:  # no half-edge v->x, so x->v has no twin
                     break
                 if len(cyc) != len(d):
                     fault = f"vertex {v} is pinched: its link is not a single cycle"
                     break
-                swung[h] = out[v]
+                out[v] = swung[h] = swung[m]
                 fans.append(tuple(cyc))
+                left[v] = None  # a closed fan: every edge into or out of v has its twin
             if len(fans) < len(left):  # an edge with no twin outranks the vertex; dicts keep h order
-                edge = next(((u, w) for u, d in enumerate(left) for w in d if u not in left[w]), None)
+                edge = next(((u, w) for u, d in enumerate(left) if d for w in d
+                             if left[w] is not None and u not in left[w]), None)
                 raise InputRejected("not-a-surface", fault if edge is None else
                                     f"boundary edge {edge[0]}-{edge[1]}: no opposite triangle")
             # the half-edge before 3t + i is 3t + (i + 2) % 3
+            del swung[m]
             swung[2::3], swung[::3], swung[1::3] = swung[::3], swung[1::3], swung[2::3]
-            self._twin, self._out, self._fans = array("l", swung), array("l", out), fans
+            self._twin, self._out, self._fans = swung, out, fans
         return self._twin
 
     def out_edges(self, v: int) -> list[int]:
@@ -233,7 +244,7 @@ def validate_closed_orientable(s: SurfaceField) -> dict:
 _shared = cache(VertexClass)  # one instance per class, e.g. _shared("saddle", 2)
 
 
-def _fan_class(below: tuple) -> VertexClass:
+def _fan_class(below: bytes) -> VertexClass:
     """Class of a vertex from its fan's below flags: counts their cyclic
     runs by their falls (a cyclic sequence has as many rises as falls)."""
     c_minus = sum(map(gt, below, below[-1:] + below[:-1]))
@@ -244,15 +255,17 @@ def _fan_class(below: tuple) -> VertexClass:
 
 def vertex_classes(s: SurfaceField) -> tuple[VertexClass, ...]:
     """Every vertex's class against one rank array: a stable sort by value
-    breaks ties by index. Equal below flags share one class."""
+    breaks ties by index. Each fan's key is its slice of one buffer of
+    below flags, and equal keys share one class."""
     if s._classes is None:
         n, fans = s.vertex_count, s.fans()
         order = sorted(range(n), key=s.values.__getitem__)
         rank = sorted(range(n), key=order.__getitem__)
         s.ranks = (order, rank)
-        below = map(gt, chain.from_iterable(map(repeat, rank, map(len, fans))),
-                    map(rank.__getitem__, chain.from_iterable(fans)))
-        keys = list(map(tuple, map(islice, repeat(below), map(len, fans))))
+        below = bytes(map(gt, chain.from_iterable(map(repeat, rank, map(len, fans))),
+                          map(rank.__getitem__, chain.from_iterable(fans))))
+        ends = list(accumulate(map(len, fans)))
+        keys = list(map(below.__getitem__, map(slice, [0, *ends], ends)))
         memo = {key: _fan_class(key) for key in dict.fromkeys(keys)}
         s._classes = tuple(map(memo.__getitem__, keys))
     return s._classes
@@ -283,6 +296,13 @@ def load_surface(source) -> SurfaceField:
     Then one line per vertex ("value" or "value x y z") and one line per
     triangle (three 0-based CCW indices). Lines starting with '#' are
     comments. Accepts a string, bytes, or a readable object.
+
+    Single-spaced, the index block and a bare value column go through the
+    JSON scanner, whose numbers int() and float() read alike. A token it
+    refuses or reads as another type (+5, 01, 1., 1_000, a non-ASCII
+    digit, a fraction, inf, a digit run past int's limit; a float, NaN
+    or true as an index) sends the text to the per-line path: int(),
+    then n/d, then float(). Non-finite values are refused either way.
     """
     text = source.read() if hasattr(source, "read") else source
     if isinstance(text, bytes):
@@ -304,20 +324,26 @@ def load_surface(source) -> SurfaceField:
         raise InputRejected("malformed-input",
                             f"expected {nv + nt} data lines, found {len(body)}")
     # whole columns if all lines are single-spaced and all tokens parse; else the
-    # per-line loops name the first bad line, or read other spacings and inf, nan
-    # or very long digit runs, which only int-then-float accepts
+    # per-line loops name the first bad line or read what the scanner does not.
+    # A token it reads as another type or as more numbers fails the checks
     vertex_lines, tri_lines = body[:nv], body[nv:]
     width = vertex_lines[0].count(" ") + 1
     try:
         if not (width in (1, 4) and set(map(str.count, vertex_lines, repeat(" "))) == {width - 1}
                 and set(map(str.count, tri_lines, repeat(" "))) == {2}):
             raise ValueError("not single-spaced")
-        toks = " ".join(vertex_lines).split(" ")
-        values = [Fraction(t) if "/" in t else float(t) if "." in t or "e" in t or "E" in t
-                  else int(t) for t in toks[::width]]
-        coords = list(zip(*(map(float, toks[k::width]) for k in range(1, width))))
-        flat = list(map(int, " ".join(tri_lines).split(" ")))
-    except (ValueError, ZeroDivisionError):
+        if width == 1:
+            values, coords = json.loads(f"[{','.join(vertex_lines)}]"), []
+        else:
+            toks = " ".join(vertex_lines).split(" ")
+            values = [Fraction(t) if "/" in t else float(t) if "." in t or "e" in t or "E" in t
+                      else int(t) for t in toks[::width]]
+            coords = list(zip(*(map(float, toks[k::width]) for k in range(1, width))))
+        flat = json.loads(f"[{','.join(tri_lines).replace(' ', ',')}]")
+        if not (len(values) == nv and len(flat) == 3 * nt and set(map(type, flat)) == {int}
+                and set(map(type, values)) <= {int, float, Fraction}):
+            raise ValueError("a token the scanner reads otherwise")
+    except (ValueError, ZeroDivisionError, RecursionError):
         values, coords, flat = [], [], []
         width = len(vertex_lines[0].split())
         for ln in vertex_lines:

@@ -625,6 +625,22 @@ def bump_field(k):
     return SurfaceField(s.triangles, values)
 
 
+def monkey_field(n):
+    """The n x n grid torus, 7 | n, lifted from a 7-vertex torus with a monkey saddle.
+
+    Vertex (i, j) takes (0, 1, 2, -1, 3, -2, -3)[(i + 2j) % 7]. On the
+    7-vertex torus (triangles {i, i+1, i+3} and {i, i+3, i+2} mod 7) these
+    values give one maximum, one minimum and a 2-fold saddle at value 0,
+    whose level is one 0-cell with 3 arcs cutting 2 disks. The grid field
+    is its lift by the lattice {(a, b) : a + 2b = 0 mod 7}, so the deck
+    group is that lattice mod nZ^2: (n/7, n) = cokernel_pair of
+    ((n/7, 2n/7), (0, n)), m = 7, r = 2 and order n^2 / 7.
+    """
+    from krtorus.fields import grid_field
+
+    return grid_field(n, lambda i, j: (0, 1, 2, -1, 3, -2, -3)[(i + 2 * j) % 7])
+
+
 def subgroup(k, gens):
     """The subgroup of Z_k x Z_k that gens generate, closed by adding generators."""
     elements, todo = {(0, 0)}, [(0, 0)]

@@ -7,12 +7,15 @@ otherwise run), reeb, special, partition, symmetries, group, orbits,
 disks (every orbit representative cut, the disks kept) and dump (each
 disk written out and dropped, its text kept as the report keeps it).
 After each stage it prints the traced memory still held and the peak
-reached while the stage ran, both in MiB, and the number of
+reached while the stage ran, both in MiB, the number of
 generation-0 garbage collections the stage set off, which counts the
 container objects it allocated in steps of the collector's threshold
-(700 by default). The text of the field is made before tracing starts,
-so ``load`` counts the parse and the surface only. Run it from the
-repository root:
+(700 by default), and the process's peak resident set so far
+(``ru_maxrss``, in MiB, tracing's own memory included). Traced peaks do
+not predict the resident peak: the allocator keeps freed pages, so a
+stage can raise its traced peak and still leave the resident peak
+lower. The text of the field is made before tracing starts, so ``load``
+counts the parse and the surface only. Run it from the repository root:
 
     PYTHONPATH=src python tests/stage_memory.py --preset two-cell --grid 128
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import resource
 import tracemalloc
 
 from krtorus.fields import preset_field
@@ -69,7 +73,7 @@ def main(argv=None) -> None:
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
     print(f"{args.preset}@{args.grid}: traced MiB above the field text")
-    print(f"{'stage':<11} {'held':>8} {'peak':>8} {'gen0':>6}")
+    print(f"{'stage':<11} {'held':>8} {'peak':>8} {'gen0':>6} {'maxrss':>8}")
     for name, thunk in stages(text):
         gc.collect()
         tracemalloc.reset_peak()
@@ -77,7 +81,9 @@ def main(argv=None) -> None:
         thunk()
         gen0 = gc.get_stats()[0]["collections"] - gen0
         current, peak = tracemalloc.get_traced_memory()
-        print(f"{name:<11} {(current - base) / MIB:8.2f} {(peak - base) / MIB:8.2f} {gen0:6}")
+        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        print(f"{name:<11} {(current - base) / MIB:8.2f} {(peak - base) / MIB:8.2f} {gen0:6} "
+              f"{maxrss:8.2f}")
     tracemalloc.stop()
 
 

@@ -528,13 +528,34 @@ def test_output_bytes_pinned(argv, code, stdout_sha, out_sha, two_cell_file, tmp
         assert hashlib.sha256(target.read_bytes()).hexdigest() == out_sha
 
 
+@pytest.mark.parametrize("argv, adds_newline", [
+    (["reeb", "{field}"], True), (["reeb", "{field}", "--format", "json"], True),
+    (["reeb", "{field}", "--format", "dot"], False), (["analyze", "{field}"], True),
+    (["analyze", "{field}", "--format", "text"], True),
+    (["gen", "--preset", "two-cell", "--grid", "8"], False),
+], ids=["reeb-text", "reeb-json", "reeb-dot", "analyze-json", "analyze-text", "gen"])
+def test_out_file_is_stdout_without_the_added_newline(argv, adds_newline, two_cell_file,
+                                                       tmp_path, capsys):
+    # --out FILE gets the text as it is; stdout adds one newline when the
+    # text does not end in one (bench/pins.json hashes the --out files)
+    argv = [a.format(field=two_cell_file) for a in argv]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    target = tmp_path / "out"
+    assert main(argv + ["--out", str(target)]) == 0
+    text = target.read_bytes()
+    assert out == (text + b"\n" if adds_newline else text)
+    assert out.endswith(b"\n") and not out.endswith(b"\n\n")
+
+
 _MISSING = "cannot read <missing>: [Errno 2] No such file or directory: '<missing>'"
 _TREE = "graph has first Betti number 1, expected a tree"
 
 # (id, argv, stderr); <missing> is a file that does not exist and
 # <cyclic> the cyclic-height@16 file. verify's atoms are bad too, so the
 # row also pins that the graph is checked before the atoms are read.
-# gen has no --format, and a usage error is found before --format is read
+# gen has no --format; a usage error is written in the --format on the
+# command line, which is read before the full parse
 _REJECTION_BYTES = [
     ("validate-missing-text", ["validate", "<missing>"], f"error[bad-request]: {_MISSING}\n"),
     ("validate-missing-json", ["validate", "<missing>", "--format", "json"],
@@ -559,7 +580,7 @@ _REJECTION_BYTES = [
     ("validate-out-text", ["validate", "<field>", "--out", "x"],
      "error[bad-request]: unrecognized arguments: --out x\n"),
     ("validate-out-json", ["validate", "<field>", "--out", "x", "--format", "json"],
-     "error[bad-request]: unrecognized arguments: --out x\n"),
+     '{"error": {"code": "bad-request", "message": "unrecognized arguments: --out x"}}\n'),
 ]
 
 

@@ -11,6 +11,7 @@ per vertex across validation and classification.
 """
 from __future__ import annotations
 
+import gc
 import random
 import re
 from fractions import Fraction
@@ -29,19 +30,29 @@ import oracles
 TETRA = [(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0)]
 ARABIC_INDIC = "٠١٢٣"  # the digits 0-3, which int() reads
 
+# The whole-column pass reads bare values and indices with the JSON scanner.
+# The tokens it reads as int() and float() do are mixed with those that int()
+# and float() read and it does not (01, 1., .5, +5, 1_000, non-ASCII digits),
+# and with those it reads and they do not (true, null, Infinity, 1,5 as two
+# numbers, nesting past its depth limit) or read otherwise (NaN, and 1e1,
+# 1.0 as indices)
 GOOD_VALUES = ("0", "7", "+5", "-0", "1_000", "1e5", "1E-3", "2.5", "-1.75", "3/7",
-               "-2/6", ARABIC_INDIC[3], "12345678901234567890")
+               "-2/6", ARABIC_INDIC[3], "12345678901234567890", "01", "1.", ".5")
 BAD_VALUES = ("1/0", "inf", "-inf", "nan", "²", "1__0", "_1", "x", "0x10", "1.5/2",
-              "9" * 400, "-" + "9" * 400, "9" * 400 + "/7", "9" * 5000, "1e400")
-GOOD_COORDS = ("0.0", "1", "-2.5", "1e3", "+0.5", "nan", "inf")
-BAD_COORDS = ("x", "1/2", "1,5")
-BAD_INDICES = ("x", "1.0", "-1", "4", "9", "1/1", "²", "1__0")
+              "9" * 400, "-" + "9" * 400, "9" * 400 + "/7", "9" * 5000, "1e400",
+              "NaN", "Infinity", "-Infinity", "true", "null", "1,5", "[" * 2000)
+GOOD_COORDS = ("0.0", "1", "-2.5", "1e3", "+0.5", "nan", "inf", "NaN", "Infinity",
+               "-Infinity", "01", "1.", ".5")
+BAD_COORDS = ("x", "1/2", "1,5", "true", "null")
+BAD_INDICES = ("x", "1.0", "-1", "4", "9", "1/1", "²", "1__0", "1e1", "true", "null",
+               "NaN", "Infinity", "1,2", "[" * 2000)
 ODD_SEPARATORS = ("\t", "  ", " \t ")
 FAULTS = ("value", "coord", "vertex-count", "form", "index", "triangle-count")
 
 
 def good_index(i: int):
-    return st.sampled_from((str(i), str(i), f"+{i}", f"0{i}", ARABIC_INDIC[i]))
+    return st.sampled_from((str(i), str(i), f"+{i}", f"0{i}", f"-{i}" if i == 0 else str(i),
+                            ARABIC_INDIC[i]))
 
 
 @st.composite
@@ -113,6 +124,7 @@ def tetra_text(value_lines) -> str:
 @pytest.mark.parametrize("token, value", [
     ("3", 3), ("+5", 5), ("1_000", 1000), (ARABIC_INDIC[3], 3), ("-0", 0),
     ("2.5", 2.5), ("1e5", 1e5), ("1E-3", 1e-3), ("3/7", Fraction(3, 7)), ("-2/6", Fraction(-1, 3)),
+    ("01", 1), ("1.", 1.0), (".5", 0.5), ("1e1", 10.0), ("12345678901234567890", 12345678901234567890),
 ])
 def test_load_keeps_token_types(token, value):
     text = tetra_text([token, 1, 2, 3])
@@ -128,12 +140,45 @@ def test_load_keeps_token_types(token, value):
     ("inf", "non-finite scalar inf"),
     ("1/0", "bad rational literal '1/0'"),
     ("²", "bad scalar literal '²'"),
-], ids=["huge-int", "huge-fraction", "over-digit-limit", "inf", "zero-denominator", "superscript"])
+    ("NaN", "non-finite scalar nan"),
+    ("-Infinity", "non-finite scalar -inf"),
+    ("true", "bad scalar literal 'true'"),
+    ("null", "bad scalar literal 'null'"),
+    ("1,5", "bad scalar literal '1,5'"),  # two numbers to the scanner
+    ("[" * 2000, f"bad scalar literal {'[' * 2000!r}"),  # past the scanner's depth limit
+], ids=["huge-int", "huge-fraction", "over-digit-limit", "inf", "zero-denominator", "superscript",
+        "json-nan", "json-infinity", "json-true", "json-null", "json-two-numbers", "json-deep"])
 def test_load_names_bad_values(token, message):
     text = tetra_text([0, token, 2, 3])
     with pytest.raises(InputRejected) as exc:
         load_surface(text)
     assert (exc.value.code, str(exc.value)) == ("malformed-input", message)
+
+
+@pytest.mark.parametrize("value_lines, values", [
+    (["01", "1.", ".5", "-0"], [(int, 1), (float, 1.0), (float, 0.5), (int, 0)]),
+    (["01 NaN 1. .5", "1. Infinity 0 0", ".5 -Infinity 01 1", "-0 1e1 1.0 -0"],
+     [(int, 1), (float, 1.0), (float, 0.5), (int, 0)]),
+], ids=["bare-column", "coordinate-column"])
+def test_tokens_the_scanner_refuses_load_as_the_line_parse_reads_them(value_lines, values):
+    # indices -0 and 01 and values int() and float() read but JSON does not
+    text = ("torus-field v1\n4 4\n" + "".join(f"{ln}\n" for ln in value_lines)
+            + "-0 01 2\n0 3 1\n01 3 2\n2 3 -0\n")
+    s = load_surface(text)
+    assert [(type(x), x) for x in s.values] == values
+    assert s.triangles == tuple(TETRA)
+    assert loaded(text) == loaded_by_oracle(text)
+
+
+@pytest.mark.parametrize("index", ["1.0", "1e1", "true", "null", "NaN", "Infinity", "1,2", "[" * 2000],
+                         ids=["1.0", "1e1", "true", "null", "NaN", "Infinity", "two-numbers", "deep"])
+def test_load_refuses_an_index_the_scanner_reads_as_no_int(index):
+    text = f"torus-field v1\n4 4\n0\n1\n2\n3\n0 {index} 2\n0 3 1\n1 3 2\n2 3 0\n"
+    with pytest.raises(InputRejected) as exc:
+        load_surface(text)
+    assert (exc.value.code, str(exc.value)) == (
+        "malformed-input", f"bad triangle indices in line '0 {index} 2'")
+    assert loaded(text) == loaded_by_oracle(text)
 
 
 @pytest.mark.parametrize("counts", ["0 2", "3 0"])
@@ -163,6 +208,17 @@ def tie_field(n: int, seed: int, kind: str) -> SurfaceField:
     if kind == "int3":
         return grid_field(n, lambda i, j: rng.randrange(3))
     return grid_field(n, lambda i, j: Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)))
+
+
+def test_classification_sets_off_no_collection():
+    # one bytes slice per fan as its key, where a tuple per vertex set off
+    # 22 generation-0 collections on two-cell@128
+    s = preset_field("two-cell", 128)
+    s.fans()
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    vertex_classes(s)
+    assert gc.get_stats()[0]["collections"] == before
 
 
 def assert_classes_match_oracle(s: SurfaceField) -> None:

@@ -4,9 +4,11 @@ Beside ``test_fuzz_input.py``, which mutates input files, this draws the
 arguments themselves: ``gen --grid`` (sizes up to 64, sizes past the
 bound, and text), ``snf --matrix`` (integer matrices up to 4 x 4, and
 text) and ``verify --atoms`` on ``z2-sym`` at grid 16 (atom lists of any
-length, with good and bad tokens). The only allowed outcomes are exit 0,
-or exit 1 with one error line on stderr: JSON under ``--format json``,
-``error[code]: message`` otherwise. A grid the strategies can draw and
+length, with good and bad tokens), and usage errors (an unknown option,
+a missing input or option, ``--out`` where there is none) with
+``--format`` spelled in full, with ``=`` or abbreviated. The only allowed
+outcomes are exit 0, or exit 1 with one error line on stderr: JSON under
+``--format json``, ``error[code]: message`` otherwise. A grid the strategies can draw and
 the tool accepts is at most 64, so every case is small. The draws are
 derandomized: every run tries the same command lines.
 """
@@ -105,3 +107,28 @@ ATOMS = st.one_of(
 @given(atoms=ATOMS, fmt=FORMATS)
 def test_verify_atoms_exits_cleanly(z2_sym_file, atoms, fmt):
     _check_outcome(["verify", z2_sym_file, "--atoms", atoms, *fmt])
+
+
+# each a usage error whatever --format is added after the command or at the end
+USAGE_ERRORS = (["validate", "{field}", "--out", "x"], ["verify", "{field}", "--atoms", "Z2",
+                 "--out", "x"], ["snf", "--matrix", "1", "--out", "x"], ["analyze"],
+                ["reeb", "{field}", "--bogus"], ["verify", "{field}"], ["snf"],
+                ["validate", "{field}", "extra"], ["frobnicate"], [])
+FORMAT_SPELLINGS = ([], ["--format", "json"], ["--format=json"], ["--form", "json"],
+                    ["--format", "text"], ["--fo=text"])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=st.sampled_from(USAGE_ERRORS), fmt=st.sampled_from(FORMAT_SPELLINGS),
+       at_end=st.booleans())
+def test_usage_errors_are_written_in_the_format_asked_for(z2_sym_file, argv, fmt, at_end):
+    argv = [a.format(field=z2_sym_file) for a in argv]
+    at = len(argv) if at_end else min(1, len(argv))
+    argv = argv[:at] + fmt + argv[at:]
+    code, out, err = _run(argv)
+    assert (code, out) == (1, ""), argv
+    assert _check_outcome(argv) == 1
+    if "json" in "".join(fmt):
+        assert json.loads(err)["error"]["code"] == "bad-request", argv
+    else:
+        assert err.startswith("error[bad-request]: "), argv

@@ -6,9 +6,10 @@ vertex, ``left[u][w]`` the triangle with u->w on its boundary.
 ``oracles.surface_rejection`` is the closed-surface check on them. On
 valid meshes the table must give the same triangle across every
 directed edge and the same fans; on meshes broken in one of six ways,
-building the table must raise the same first not-a-surface message. Two
-memory bounds pin what the table saves: the validated mesh and the
-loaded surface.
+building the table must raise the same first not-a-surface message.
+Traced-memory bounds pin what the table and the parse save: the memory
+the validated mesh and the loaded surface hold, and the peaks of the
+parse and of the table's build.
 """
 from __future__ import annotations
 
@@ -162,3 +163,22 @@ def test_loaded_surface_holds_little_memory():
         tracemalloc.stop()
     assert s.triangle_count == 2 * 128 * 128
     assert held <= 4 * MIB
+
+
+def test_parse_and_table_build_peak_little_above_the_text():
+    # MiB above the field text on two-cell@128: the parse peaked at 14.98
+    # with one str per token and one int per index, and the table's build
+    # at 16.01 with one int per half-edge in the per-vertex dicts
+    text = dump_surface(preset_field("two-cell", 128))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        s = load_surface(text)
+        load_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        validate_closed_orientable(s)
+        validate_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert load_peak <= 12 * MIB
+    assert validate_peak <= 12 * MIB

@@ -12,6 +12,7 @@ from krtorus.errors import InternalInvariantError
 from krtorus.fields import preset_field, pullback_cosine_field
 from krtorus.partition import build_partition
 from krtorus.reeb import compute_reeb, find_special_vertex
+from krtorus.surface import vertex_classes
 from krtorus.symmetry import SymmetryGroup, enumerate_symmetries, group_structure, index_orbits
 
 import oracles
@@ -221,6 +222,26 @@ def test_decorated_fields_have_the_group_of_their_decoration(k, gens, expected):
     assert (len(elements), sg.n, sg.nm // sg.n, len(index_orbits(sg, p)[1])) == expected
     moves = oracles.grid_translations(4 * k, s.values, p)
     assert len(moves) == len(h) and set(moves) <= set(elements)
+
+
+@pytest.mark.parametrize("n", [7, 14, 21, 28])
+def test_monkey_saddle_lift_has_its_deck_group(n):
+    # the one tier-1 field with a k-fold saddle, here 2-fold, on its special
+    # level; its group comes from the lattice, not from the symmetry code
+    s = oracles.monkey_field(n)
+    labels = {c.label() for c in vertex_classes(s) if c.is_critical}
+    assert labels == {"saddle:2", "minimum", "maximum"}
+    g = compute_reeb(s)
+    node = find_special_vertex(g)
+    assert g.nodes[node].level == 0 and "saddle:2" in g.nodes[node].kinds
+    p = build_partition(s, g, node)
+    elements = enumerate_symmetries(s, p)
+    sg = group_structure(elements)
+    order = n * n // 7
+    assert (len(elements), sg.n, sg.nm // sg.n, len(index_orbits(sg, p)[1])) == (order, n // 7, 7, 2)
+    assert (sg.n, sg.nm) == oracles.cokernel_pair(((n // 7, 2 * n // 7), (0, n)))
+    moves = oracles.grid_translations(n, s.values, p)
+    assert len(moves) == order and set(moves) <= set(elements)
 
 
 def test_asymmetric_field_is_trivial(twin_peaks):
