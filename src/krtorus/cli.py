@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 input rejected (bad file, bad arguments,
 non-torus surface, graph with a cycle, ``gen`` grid past 2048), 2 a
 failed internal invariant or ``verify`` check, a defect: every internal
 check is fired by a test or allowlisted in tests/test_internal_checks.py.
-Diagnostics go to stderr; with --format json they are machine readable,
-usage errors too, as the format is read before the full parse.
+Diagnostics go to stderr; in the json format (--format json, and the
+default of ``analyze``) they are machine readable, usage errors too, as
+the format is read before the full parse.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 def _format_parser() -> argparse.ArgumentParser:
     # --format alone, abbreviations included, for a usage error's diagnostic
     p = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    p.add_argument("--format", default="text")
+    p.add_argument("--format")
     return p
 
 
@@ -206,13 +207,13 @@ def _run(args) -> tuple[str, int]:
 
 def main(argv=None) -> int:
     stdout, stderr = sys.stdout, sys.stderr
-    fmt = "text"
     argv = list(sys.argv[1:] if argv is None else argv)
+    fmt = "json" if argv[:1] == ["analyze"] else "text"  # each command's --format default
     if argv[:1] == ["snf"] and "--matrix" in argv[:-1]:  # argparse reads "-1,2" as an option
         i = argv.index("--matrix")
         argv[i:i + 2] = [f"--matrix={argv[i + 1]}"]
     try:
-        fmt = _format_parser().parse_known_args(argv)[0].format
+        fmt = _format_parser().parse_known_args(argv)[0].format or fmt
     except argparse.ArgumentError:  # --format with no value: the full parse names it
         pass
     try:

@@ -3,15 +3,16 @@
 An element is a rows x cols grid of base-group values plus an integer
 shift pair. Shifts act on grids by cyclic translation (indices reduce
 mod the grid shape) but add among themselves without reduction: the top
-factor is the free abelian group of rank 2, not the finite grid.
+factor is the free abelian group of rank 2, not the finite grid. Hot paths
+run in C builtins: an element is a tuple, grids are built with map and zip,
+and check_group_axioms looks its products up in one dict.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import operator
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InputRejected
 
@@ -114,17 +115,15 @@ def parse_atoms(text: str):
     return tuple(groups)
 
 
-# entries in each engine's memo of base.op and of base.inv: every pair of a base of order <= 64
+# entries in each engine's memo of a base method: every pair of a base of order <= 64
 CELL_MEMO_SIZE = 4096
 # product cells in each engine's memo of row products (its key rows hold twice as many):
 # every row pair of a 1-column grid over order <= 32
 ROW_MEMO_CELLS = 1024
 
 
-@dataclass(frozen=True, slots=True)
-class WreathElement:
-    grid: tuple  # rows x cols nested tuples of base elements
-    shift: tuple[int, int]
+WreathElement = namedtuple("WreathElement", "grid shift")
+WreathElement.__doc__ = "(grid, shift), a tuple: rows x cols nested tuples of base elements, two ints."
 
 
 class WreathGroup:
@@ -134,7 +133,8 @@ class WreathGroup:
     op, inv, elements(), element_at(rank), its inverse rank_of(element),
     order and describe(). op and inv must be pure functions of hashable
     elements: each engine memoises each of them in a least-recently-used
-    memo of CELL_MEMO_SIZE (4,096) entries. Over the op memo sits a
+    memo of CELL_MEMO_SIZE (4,096) entries, and so too element_at and
+    rank_of for grid_at and rank_of. Over the op memo sits a
     least-recently-used memo of row products of ROW_MEMO_CELLS // cols
     row pairs: ROW_MEMO_CELLS (1,024) product cells, and each entry
     also keeps its two key rows, so at most 3,072 cell references.
@@ -152,6 +152,8 @@ class WreathGroup:
         # bounded: a base of order 10^6 would otherwise keep one entry per pair met
         op = self._op = functools.lru_cache(maxsize=CELL_MEMO_SIZE)(base.op)
         self._inv = functools.lru_cache(maxsize=CELL_MEMO_SIZE)(base.inv)
+        self._element_at = functools.lru_cache(maxsize=CELL_MEMO_SIZE)(base.element_at)
+        self._rank_of = functools.lru_cache(maxsize=CELL_MEMO_SIZE)(base.rank_of)
         # closes over op, not self: a cycle through self would keep the engine
         # and its memos alive past its call, until the cycle collector runs
         self._row_op = functools.lru_cache(maxsize=ROW_MEMO_CELLS // cols)(
@@ -183,15 +185,16 @@ class WreathGroup:
         when it is not among the engine's recently used row pairs, and a
         cell pair reaches base.op once while it stays among the
         CELL_MEMO_SIZE most recently used pairs."""
-        moved = self.shift_action(y.grid, x.shift)
-        grid = tuple(map(self._row_op, x.grid, moved))
-        return WreathElement(grid, (x.shift[0] + y.shift[0], x.shift[1] + y.shift[1]))
+        (x_grid, x_shift), (y_grid, (k, l)) = x, y
+        grid = tuple(map(self._row_op, x_grid, self.shift_action(y_grid, x_shift)))
+        # WreathElement(grid, shift), without namedtuple's Python-level __new__
+        return tuple.__new__(WreathElement, (grid, (x_shift[0] + k, x_shift[1] + l)))
 
     def inverse(self, x: WreathElement) -> WreathElement:
         """Cellwise base.inv through the engine's memo, moved by the negated shift."""
-        inv_grid = tuple([tuple(map(self._inv, row)) for row in x.grid])
-        neg = (-x.shift[0], -x.shift[1])
-        return WreathElement(self.shift_action(inv_grid, neg), neg)
+        grid, (k, l) = x
+        neg = (-k, -l)
+        return WreathElement(self.shift_action(pointwise_product(self._inv, grid), neg), neg)
 
     def sigma(self, grid) -> WreathElement:
         """Inclusion of the map part: grid -> (grid, (0, 0)), for the row-tuple
@@ -203,9 +206,8 @@ class WreathGroup:
         return x.shift
 
     def _rows(self, flat):
-        """Cut a row-major sequence of cell values into the grid's rows."""
-        return tuple(tuple(flat[i * self.cols:(i + 1) * self.cols])
-                     for i in range(self.rows))
+        """Cut a row-major sequence of rows * cols cell values into the grid's rows."""
+        return tuple(zip(*[iter(flat)] * self.cols))
 
     def grids(self):
         """All grids over a finite base, deterministic order."""
@@ -215,18 +217,18 @@ class WreathGroup:
 
     def grid_at(self, rank: int):
         """The grid at position rank of grids(), decoded without enumerating."""
-        flat = []
+        order, digits = self.base.order, []
         for _ in range(self.rows * self.cols):
-            rank, digit = divmod(rank, self.base.order)
-            flat.append(self.base.element_at(digit))
-        flat.reverse()  # grids() varies the last cell fastest
-        return self._rows(flat)
+            rank, digit = divmod(rank, order)
+            digits.append(digit)
+        digits.reverse()  # grids() varies the last cell fastest
+        return self._rows(list(map(self._element_at, digits)))
 
     def rank_of(self, grid) -> int:
         """The position of grid in grids(), grid_at's inverse."""
-        rank = 0
-        for a in itertools.chain.from_iterable(grid):
-            rank = rank * self.base.order + self.base.rank_of(a)
+        order, rank = self.base.order, 0
+        for digit in map(self._rank_of, itertools.chain.from_iterable(grid)):
+            rank = rank * order + digit
         return rank
 
     def kernel_size(self) -> int:
@@ -251,8 +253,30 @@ def distinct_ranks(rng, size: int, count: int) -> list:
     return list(picked)
 
 
-def pointwise_product(op, g1, g2):
-    return tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(g1, g2))
+def pointwise_product(op, *grids):
+    """op cell by cell across grids of one shape: cell (i, j) is op(g1[i][j], g2[i][j], ...)."""
+    return tuple(map(tuple, map(map, itertools.repeat(op), *grids)))
+
+
+class _ProductTable(dict):
+    """table[a, b] = id of elements[a] * elements[b]; an id indexes elements, one per value.
+
+    At module level: a class made per call is a reference cycle, and if its methods close
+    over the call's elements it keeps every product alive until the collector runs."""
+
+    def __init__(self, multiply):
+        self.multiply, self.ids, self.elements = multiply, {}, []
+
+    def intern(self, x) -> int:
+        i = self.ids.setdefault(x, len(self.elements))
+        if i == len(self.elements):  # first seen
+            self.elements.append(x)
+        return i
+
+    def __missing__(self, pair):
+        a, b = pair
+        i = self[pair] = self.intern(self.multiply(self.elements[a], self.elements[b]))
+        return i
 
 
 def check_group_axioms(wg: WreathGroup, pool, *, rng=None,
@@ -260,15 +284,15 @@ def check_group_axioms(wg: WreathGroup, pool, *, rng=None,
     """Identity, inverse, and associativity laws over a pool of elements.
 
     Associativity runs over all pool triples when that fits the budget,
-    otherwise over seeded random triples. Elements are interned as ids
-    keyed by shift and grid, and products memoised by id pair, so each
-    distinct product goes through wg.multiply once. Each (x, y) run of
-    triples is compared as two rows of ids, (x*y)*z and x*(y*z) over its
-    z; the exhaustive branch keeps the row y*pool for every y. The
-    triples, their order, the rng draws and, when every law holds, the
-    distinct products are those of recomputing both sides of every
-    triple. Returns None when every law holds, else a description of
-    the first violated one.
+    otherwise over seeded random triples. Elements are interned as ids,
+    and products live in one table keyed by id pair, so each distinct
+    product goes through wg.multiply once and a repeat is one dict
+    lookup. The exhaustive branch compares each (x, y) run of triples as
+    two rows of ids: (x*y)*pool, built once per distinct x*y, and
+    x*(y*pool), over y*pool built once per y. The triples, their order,
+    the rng draws and, when every law holds, the distinct products are
+    those of recomputing both sides of every triple. Returns None when
+    every law holds, else a description of the first violated one.
     """
     pool = list(pool)
     e = wg.identity()
@@ -280,38 +304,34 @@ def check_group_axioms(wg: WreathGroup, pool, *, rng=None,
         ix = wg.inverse(x)
         if wg.multiply(x, ix) != e or wg.multiply(ix, x) != e:
             return f"inverse law fails at x = {wg.render(x)}"
-    ids, elements = defaultdict(dict), []  # ids[shift][grid] = position in elements
+    mul = _ProductTable(wg.multiply)
+    at, repeat = mul.__getitem__, itertools.repeat
+    ids = list(map(mul.intern, pool))
+    n = len(ids)
 
-    def intern(x) -> int:
-        i = ids[x.shift].setdefault(x.grid, len(elements))
-        if i == len(elements):  # first seen
-            elements.append(x)
-        return i
+    def fails(i, j, k):
+        return ("associativity fails at "
+                f"{wg.render(pool[i])}, {wg.render(pool[j])}, {wg.render(pool[k])}")
 
-    @functools.cache  # one cache per call, freed on return
-    def mul(a: int, b: int) -> int:  # id of elements[a] * elements[b]
-        return intern(wg.multiply(elements[a], elements[b]))
-
-    pool_ids = [intern(x) for x in pool]
-    n = len(pool)
     if n ** 3 <= triple_budget:  # (i, j, every k), in product order
-        every = range(n)
-        y_pool = [list(map(mul, itertools.repeat(y), pool_ids)) for y in pool_ids]
-        runs = ((i, j, every, pool_ids, y_pool[j]) for i in every for j in every)
-    elif rng is None:
+        y_pool = [list(map(at, zip(repeat(y), ids))) for y in ids]
+        rows = {}  # rows[x*y] = (x*y)*pool
+        for (i, x), (j, y) in itertools.product(enumerate(ids), repeat=2):
+            xy = mul[x, y]
+            if xy not in rows:
+                rows[xy] = list(map(at, zip(repeat(xy), ids)))
+            right = list(map(at, zip(repeat(x), y_pool[j])))
+            if rows[xy] != right:
+                return fails(i, j, list(map(operator.eq, rows[xy], right)).index(False))
+        return None
+    if rng is None:
         raise ValueError("pool too large for exhaustive triples; pass rng")
-    else:  # randrange(n) draws exactly what choice(pool) would
-        draws = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
-        runs = ((i, j, (k,), (pool_ids[k],), (mul(pool_ids[j], pool_ids[k]),))
-                for i, j, k in draws)
-    for i, j, ks, zs, yzs in runs:  # zs = pool_ids[ks], yzs = y*zs
-        x = pool_ids[i]
-        left = list(map(mul, itertools.repeat(mul(x, pool_ids[j])), zs))
-        right = list(map(mul, itertools.repeat(x), yzs))
-        if left != right:
-            k = ks[list(map(operator.eq, left, right)).index(False)]
-            return ("associativity fails at "
-                    f"{wg.render(pool[i])}, {wg.render(pool[j])}, {wg.render(pool[k])}")
+    # randrange(n) draws exactly what choice(pool) would, all before the first check
+    draws = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
+    for i, j, k in draws:
+        x, y, z = ids[i], ids[j], ids[k]
+        if mul[mul[x, y], z] != mul[x, mul[y, z]]:
+            return fails(i, j, k)
     return None
 
 

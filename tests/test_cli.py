@@ -555,7 +555,8 @@ _TREE = "graph has first Betti number 1, expected a tree"
 # <cyclic> the cyclic-height@16 file. verify's atoms are bad too, so the
 # row also pins that the graph is checked before the atoms are read.
 # gen has no --format; a usage error is written in the --format on the
-# command line, which is read before the full parse
+# command line, which is read before the full parse, or else in the
+# command's default: json for analyze, text for the rest
 _REJECTION_BYTES = [
     ("validate-missing-text", ["validate", "<missing>"], f"error[bad-request]: {_MISSING}\n"),
     ("validate-missing-json", ["validate", "<missing>", "--format", "json"],
@@ -581,6 +582,14 @@ _REJECTION_BYTES = [
      "error[bad-request]: unrecognized arguments: --out x\n"),
     ("validate-out-json", ["validate", "<field>", "--out", "x", "--format", "json"],
      '{"error": {"code": "bad-request", "message": "unrecognized arguments: --out x"}}\n'),
+    ("analyze-bogus-json", ["analyze", "<field>", "--bogus"],  # analyze's default format
+     '{"error": {"code": "bad-request", "message": "unrecognized arguments: --bogus"}}\n'),
+    ("analyze-bogus-text", ["analyze", "<field>", "--bogus", "--format", "text"],
+     "error[bad-request]: unrecognized arguments: --bogus\n"),
+    ("validate-format-no-value", ["validate", "<field>", "--format"],
+     "error[bad-request]: argument --format: expected one argument\n"),
+    ("analyze-format-no-value", ["analyze", "<field>", "--format"],
+     '{"error": {"code": "bad-request", "message": "argument --format: expected one argument"}}\n'),
 ]
 
 

@@ -8,7 +8,8 @@ length, with good and bad tokens), and usage errors (an unknown option,
 a missing input or option, ``--out`` where there is none) with
 ``--format`` spelled in full, with ``=`` or abbreviated. The only allowed
 outcomes are exit 0, or exit 1 with one error line on stderr: JSON under
-``--format json``, ``error[code]: message`` otherwise. A grid the strategies can draw and
+``--format json`` and under ``analyze`` without ``--format``,
+``error[code]: message`` otherwise. A grid the strategies can draw and
 the tool accepts is at most 64, so every case is small. The draws are
 derandomized: every run tries the same command lines.
 """
@@ -112,8 +113,9 @@ def test_verify_atoms_exits_cleanly(z2_sym_file, atoms, fmt):
 # each a usage error whatever --format is added after the command or at the end
 USAGE_ERRORS = (["validate", "{field}", "--out", "x"], ["verify", "{field}", "--atoms", "Z2",
                  "--out", "x"], ["snf", "--matrix", "1", "--out", "x"], ["analyze"],
-                ["reeb", "{field}", "--bogus"], ["verify", "{field}"], ["snf"],
-                ["validate", "{field}", "extra"], ["frobnicate"], [])
+                ["analyze", "{field}", "--bogus"], ["reeb", "{field}", "--bogus"],
+                ["verify", "{field}"], ["snf"], ["validate", "{field}", "extra"],
+                ["frobnicate"], [])
 FORMAT_SPELLINGS = ([], ["--format", "json"], ["--format=json"], ["--form", "json"],
                     ["--format", "text"], ["--fo=text"])
 
@@ -128,7 +130,7 @@ def test_usage_errors_are_written_in_the_format_asked_for(z2_sym_file, argv, fmt
     code, out, err = _run(argv)
     assert (code, out) == (1, ""), argv
     assert _check_outcome(argv) == 1
-    if "json" in "".join(fmt):
+    if "json" in "".join(fmt) or (argv[:1] == ["analyze"] and not fmt):  # analyze's default
         assert json.loads(err)["error"]["code"] == "bad-request", argv
     else:
         assert err.startswith("error[bad-request]: "), argv

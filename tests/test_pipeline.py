@@ -229,6 +229,25 @@ def test_cell_memo_stays_bounded_on_a_large_base(monkeypatch):
     assert peak <= 12.5 * 2 ** 20
 
 
+@pytest.mark.parametrize("name,atoms,calls", [
+    ("two-cell", "Z2,Z3", 13_561),  # 1 x 1 grids over Z2 x Z3: 54 elements, every triple
+    ("z2xz2-sym", "Z3,Z3", 15_489),  # 2 x 2 grids over Z3 x Z3: 729 elements, drawn triples
+])
+def test_verify_multiplies_as_many_times_as_before(surface, monkeypatch, name, atoms, calls):
+    # counts recorded before products moved to one table: a speed-up must
+    # neither drop a product nor compute one twice
+    count = []
+
+    class Counting(krtorus.wreath.WreathGroup):
+        def multiply(self, x, y):
+            count.append(None)
+            return super().multiply(x, y)
+
+    monkeypatch.setattr(krtorus.pipeline, "WreathGroup", Counting)
+    assert verify_extension(report_for(surface, name), parse_atoms(atoms)).passed
+    assert len(count) == calls
+
+
 class MisrankedWreath(krtorus.wreath.WreathGroup):
     """Engine whose grid_at decodes the next rank: a negative control."""
 
