@@ -236,29 +236,29 @@ def tree_cotree(zero_cells, one_cells, walks):
     dual graph on the arcs outside T must leave exactly two arcs over.
     Contracting T and eliminating 2-cells at the leaves of C are
     unimodular steps, so H1 = Z^2 on the leftover arcs, with no torsion
-    (Erickson and Whittlesey, SODA 2005). Returns (cycles, cocycles):
-    gamma_j closes leftover arc j in T, and phi_i is 0 on T, 1 on
-    leftover arc i, 0 on the other, and is solved leaves-first in C on
-    the cotree arcs; the equation at C's root is checked.
+    (Erickson and Whittlesey, SODA 2005). Returns (cycles, cocycles,
+    sides): gamma_j closes leftover arc j in T, phi_i is 0 on T, 1 on
+    leftover arc i, 0 on the other, solved leaves-first in C on the
+    cotree arcs and checked at C's root, and sides[a] is arc a's two
+    (2-cell, walk position, sign) uses, the +1 use first.
     """
-    zc = {v: i for i, v in enumerate(zero_cells)}
-    ends = [(zc[c.tail], zc[c.head]) for c in one_cells]
-    occ: list[list[tuple[int, int]]] = [[] for _ in one_cells]
+    ends = [(c.tail, c.head) for c in one_cells]
+    sides: list[list[tuple[int, int, int]]] = [[] for _ in one_cells]
     for cid, walk in enumerate(walks):
         for k, (aid, sign) in enumerate(walk):
-            occ[aid].append((cid, sign))
+            sides[aid].append((cid, k, sign))
             a2, s2 = walk[(k + 1) % len(walk)]
             # the head of this arc, after its sign, is the tail of the next
             if ends[aid][sign > 0] != ends[a2][s2 < 0]:
                 raise InternalInvariantError(f"boundary walk of 2-cell {cid} does not close up")
-    for aid, uses in enumerate(occ):
-        if len(uses) != 2 or uses[0][1] + uses[1][1]:
+    for aid, uses in enumerate(sides):
+        if len(uses) != 2 or uses[0][2] + uses[1][2]:
             raise InternalInvariantError(
                 f"arc {aid} is not traversed twice with opposite signs: {uses}")
     arcs = range(len(one_cells))
     tree = _spanning_tree(len(zero_cells), ends, arcs)
     tree_arcs = {aid for _, aid in tree}
-    cotree = _spanning_tree(len(walks), [(c1, c2) for (c1, _), (c2, _) in occ],
+    cotree = _spanning_tree(len(walks), [(c1, c2) for (c1, _, _), (c2, _, _) in sides],
                             [aid for aid in arcs if aid not in tree_arcs])
     for span, count, dim in ((tree, len(zero_cells), 0), (cotree, len(walks), 2)):
         if len(span) != count:
@@ -282,12 +282,12 @@ def tree_cotree(zero_cells, one_cells, walks):
         phi = [0] * len(one_cells)
         phi[j] = 1
         for c, aid in reversed(cotree[1:]):
-            phi[aid] = -dict(occ[aid])[c] * _pairing(walks[c], phi)
+            phi[aid] = -next(s for d, _, s in sides[aid] if d == c) * _pairing(walks[c], phi)
         if _pairing(walks[0], phi):
             raise InternalInvariantError(
                 f"cocycle of leftover arc {j} fails the equation at the cotree root")
         cocycles.append(tuple(phi))
-    return tuple(cycles), tuple(cocycles)
+    return tuple(cycles), tuple(cocycles), tuple((u, w) if u[2] > 0 else (w, u) for u, w in sides)
 
 
 def h1_action(p, a) -> IntMatrix:
@@ -299,12 +299,11 @@ def h1_action(p, a) -> IntMatrix:
     to rotation (the boundary_2 square). Entry (i, j) is the cocycle
     phi_i read on the image of the cycle gamma_j.
     """
-    zc = {v: i for i, v in enumerate(p.zero_cells)}
     arcs, p0, p1 = p.one_cells, a.perm0, a.perm1
     for arc, (img, sg) in zip(arcs, p1):
         dst = arcs[img]
         want = (dst.tail, dst.head) if sg > 0 else (dst.head, dst.tail)
-        if (p0[zc[arc.tail]], p0[zc[arc.head]]) != (zc[want[0]], zc[want[1]]):
+        if (p0[arc.tail], p0[arc.head]) != want:
             raise InternalInvariantError("automorphism does not commute with boundary_1")
     cells = p.two_cells
     for cell, t in zip(cells, a.perm2):

@@ -52,12 +52,12 @@ from .surface import SurfaceField, vertex_classes
 
 @dataclass(frozen=True)
 class OneCell:
-    """A maximal arc of V between critical vertices; loops have tail == head."""
+    """A maximal arc of V between 0-cells, by number; loops have tail == head."""
 
     id: int
     tail: int
     head: int
-    path: tuple[int, ...]  # refined vertex ids, tail first
+    path: tuple[int, ...]  # refined vertex ids, from zero_cells[tail] to zero_cells[head]
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,14 @@ class TwoCell:
 
 @dataclass(frozen=True)
 class CellPartition:
-    node: int
+    """The cells of the torus cut along V; a 0-cell's number is its place in zero_cells."""
+
     level: object
-    zero_cells: tuple[int, ...]
+    zero_cells: tuple[int, ...]  # V's critical vertices, sorted
+    zero_labels: tuple[str, ...]  # each 0-cell's VertexClass.label()
     one_cells: tuple[OneCell, ...]
     two_cells: tuple[TwoCell, ...]
+    sides: tuple  # per arc, its two (2-cell, walk position, sign) uses from tree_cotree, +1 first
     # H1 = Z^2: gamma_j is the cycle of leftover arc j closed up in the
     # spanning tree, as (arc id, +-1) pairs; cocycle phi_i reads 1 on
     # gamma_i and 0 on gamma_j (one integer per arc)
@@ -292,7 +295,7 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     del owned, owner, region_verts  # per-triangle and per-vertex state, no longer read
 
     zero_cells = tuple(sorted(node.critical_vertices))
-    zset = set(zero_cells)
+    number = {v: i for i, v in enumerate(zero_cells)}  # the one 0-cell numbering
     # A disagreement between the tie-broken classification and the exact
     # level geometry means value ties collapsed or split level rays; the
     # sample is too coarse, so reject it rather than flag an internal bug.
@@ -302,7 +305,7 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     degree = Counter(chain.from_iterable(vedges))
     for w in vv:
         deg = degree[w]
-        if w in zset:
+        if w in number:
             kind = classes[w]
             if kind.kind == "saddle" and deg != 2 * (kind.multiplicity + 1):
                 raise InputRejected(
@@ -364,16 +367,16 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     walks, pieces = [], []
     for bi in range(nb):
         cycle = walk(cell_region[bi])
-        k = next(i for i, (u, _) in enumerate(cycle) if u in zset)
+        k = next(i for i, (u, _) in enumerate(cycle) if u in number)
         paths: list[list[int]] = []
         for u, w in cycle[k:] + cycle[:k]:
-            if u in zset:
+            if u in number:
                 paths.append([u])
             paths[-1].append(w)
         walks.append(tuple(u for u, _ in cycle))
         pieces.append(list(map(tuple, paths)))
     canon_paths = sorted({min(q, q[::-1]) for q in chain.from_iterable(pieces)})
-    one_cells = tuple(OneCell(i, q[0], q[-1], q) for i, q in enumerate(canon_paths))
+    one_cells = tuple(OneCell(i, number[q[0]], number[q[-1]], q) for i, q in enumerate(canon_paths))
     arc_id = {q: i for i, q in enumerate(canon_paths)}
     two_cells = [TwoCell(
         id=bi,
@@ -383,13 +386,14 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
         boundary_vertices=walks[bi],
         refined_triangles=tuple(region_tris[cell_region[bi]]))
         for bi, br in enumerate(branches)]
-    cycles, cocycles = tree_cotree(zero_cells, one_cells, [c.boundary for c in two_cells])
+    cycles, cocycles, sides = tree_cotree(zero_cells, one_cells, [c.boundary for c in two_cells])
     return CellPartition(
-        node=node_id,
         level=level,
         zero_cells=zero_cells,
+        zero_labels=tuple(classes[v].label() for v in zero_cells),
         one_cells=one_cells,
         two_cells=tuple(two_cells),
+        sides=sides,
         cycles=cycles,
         cocycles=cocycles,
         refined_values=tuple(refined_values),

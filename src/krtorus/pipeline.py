@@ -19,8 +19,8 @@ from .partition import CellPartition, build_partition
 from .reeb import compute_reeb, find_special_vertex
 from .surface import SurfaceField, dump_surface, format_scalar, validate_closed_orientable
 from .symmetry import enumerate_symmetries, equivariance_break, group_structure, index_orbits
-from .wreath import (KERNEL_ENUM_LIMIT, DirectProductGroup, WreathElement, WreathGroup,
-                     check_exact_sequence, check_group_axioms, distinct_ranks)
+from .wreath import (DirectProductGroup, WreathElement, WreathGroup, check_exact_sequence,
+                     check_group_axioms, distinct_ranks)
 
 
 def group_expr(r: int, n: int, nm: int) -> str:
@@ -157,7 +157,7 @@ def analyze(s: SurfaceField) -> AnalysisReport:
     g = compute_reeb(s)
     v = find_special_vertex(g)
     p = build_partition(s, g, v)
-    elements = enumerate_symmetries(s, p)
+    elements = enumerate_symmetries(p)
     sg = group_structure(elements)
     table, reps = index_orbits(sg, p)
     r = len(reps)
@@ -244,7 +244,7 @@ def verify_extension(report: AnalysisReport, atoms) -> VerificationRecord:
     pool = [WreathElement(grid, sh) for grid in grids for sh in window]
     fail = check_group_axioms(wg, pool, rng=rng, samples=1500)
     if fail is None:
-        fail = check_exact_sequence(wg, rng=rng if kernel > KERNEL_ENUM_LIMIT else None)
+        fail = check_exact_sequence(wg, rng=rng)
     checks.append(CheckResult(
         "wreath-axioms-exactness", fail is None,
         fail or f"group laws and ker(proj) = im(sigma) hold over {len(pool)} elements"))

@@ -297,12 +297,12 @@ def load_surface(source) -> SurfaceField:
     triangle (three 0-based CCW indices). Lines starting with '#' are
     comments. Accepts a string, bytes, or a readable object.
 
-    Single-spaced, the index block and a bare value column go through the
-    JSON scanner, whose numbers int() and float() read alike. A token it
-    refuses or reads as another type (+5, 01, 1., 1_000, a non-ASCII
-    digit, a fraction, inf, a digit run past int's limit; a float, NaN
-    or true as an index) sends the text to the per-line path: int(),
-    then n/d, then float(). Non-finite values are refused either way.
+    Single-spaced, the index and vertex blocks go through the JSON scanner,
+    whose numbers int() and float() read alike. A token it refuses or reads
+    as another type (+5, 01, 1., 1_000, a non-ASCII digit, a fraction, inf,
+    a digit run past int's limit; a float, NaN or true as an index; an int
+    as a coordinate, since -0 reads -0.0) sends the text to the per-line path:
+    int(), then n/d, then float(). Non-finite values are refused either way.
     """
     text = source.read() if hasattr(source, "read") else source
     if isinstance(text, bytes):
@@ -332,17 +332,14 @@ def load_surface(source) -> SurfaceField:
         if not (width in (1, 4) and set(map(str.count, vertex_lines, repeat(" "))) == {width - 1}
                 and set(map(str.count, tri_lines, repeat(" "))) == {2}):
             raise ValueError("not single-spaced")
-        if width == 1:
-            values, coords = json.loads(f"[{','.join(vertex_lines)}]"), []
-        else:
-            toks = " ".join(vertex_lines).split(" ")
-            values = [Fraction(t) if "/" in t else float(t) if "." in t or "e" in t or "E" in t
-                      else int(t) for t in toks[::width]]
-            coords = list(zip(*(map(float, toks[k::width]) for k in range(1, width))))
+        toks = json.loads(f"[{','.join(vertex_lines).replace(' ', ',')}]")
+        values, coords = toks[::width], list(zip(*(toks[k::width] for k in range(1, width))))
         flat = json.loads(f"[{','.join(tri_lines).replace(' ', ',')}]")
-        if not (len(values) == nv and len(flat) == 3 * nt and set(map(type, flat)) == {int}
-                and set(map(type, values)) <= {int, float, Fraction}):
+        if not (len(toks) == nv * width and len(flat) == 3 * nt and set(map(type, flat)) == {int}
+                and set(map(type, values)) <= {int, float}
+                and set(map(type, chain.from_iterable(coords))) <= {float}):
             raise ValueError("a token the scanner reads otherwise")
+        del toks
     except (ValueError, ZeroDivisionError, RecursionError):
         values, coords, flat = [], [], []
         width = len(vertex_lines[0].split())

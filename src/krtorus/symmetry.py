@@ -52,7 +52,7 @@ from .errors import InternalInvariantError
 from .homology import cokernel_invariants  # noqa: F401  bench/tracer.py wraps this binding
 from .homology import h1_action
 from .partition import CellPartition
-from .surface import SurfaceField, vertex_classes
+from .surface import vertex_classes  # noqa: F401  bench/tracer.py wraps this binding
 
 
 @dataclass(frozen=True)
@@ -64,27 +64,29 @@ class CellAutomorphism:
     perm2: tuple[int, ...]
 
 
-def _attempt(p: CellPartition, classes, occ, t0: int, r0: int):
+def _attempt(p: CellPartition, t0: int, r0: int):
     """The automorphism of flag (t0, r0) and the walk rotation of each 2-cell, or None.
 
     The seed (2-cell 0 -> t0, rotation r0) is propagated across shared
     arcs: position pos of c's walk goes to position pos + r of its image
-    t's walk, and the arc's other side to the image arc's other side. It
-    fails on a walk length or level signature that differs, a 2-cell met
-    again with another image or rotation, or a 0-cell whose vertex class
-    differs from its image's. Nothing else can fail: tree_cotree proved
-    that every arc lies on two walk positions with opposite signs, that
-    shared arcs connect the 2-cells and that walks close up, and every
-    0-cell ends an arc. Sides of signs s, -s go to sides of signs s2, -s2,
-    so both give the arc the sign s * s2, and the second side is read
-    through its 2-cell's image, which the conflict test fixed. Each 2-cell
-    is popped, and its length tested, once. The sides over a position of
-    t's walk correspond one to one with those over the arc's other side,
-    so neighbouring 2-cells have equally many preimages, k each, and
-    k * n2 = n2 gives k = 1: the 2-cell, side and arc maps are bijections.
-    The corners at a 0-cell form one cycle, linked by arcs' two sides,
-    which the side map keeps; so it maps the cycle onto one corner cycle,
-    every arc end at v goes to the same w, and v -> w is a bijection.
+    t's walk, and the arc's other side in p.sides to the image arc's
+    other side. It fails on a walk length or level signature that
+    differs, a 2-cell met again with another image or rotation, or a
+    0-cell whose p.zero_labels entry differs from its image's. Nothing
+    else can fail: tree_cotree proved p.sides, two walk positions with
+    opposite signs on every arc, that shared arcs connect the 2-cells
+    and that walks close up, and every 0-cell ends an arc, so perm0,
+    written from the arc map, is whole. Sides of signs s, -s go to sides
+    of signs s2, -s2, so both give the arc the sign s * s2, and the
+    second side is read through its 2-cell's image, which the conflict
+    test fixed. Each 2-cell is popped, and its length tested, once. The
+    sides over a position of t's walk correspond one to one with those
+    over the arc's other side, so neighbouring 2-cells have equally many
+    preimages, k each, and k * n2 = n2 gives k = 1: the 2-cell, side and
+    arc maps are bijections. The corners at a 0-cell form one cycle,
+    linked by arcs' two sides, which the side map keeps; so it maps the
+    cycle onto one corner cycle, every arc end at v goes to the same w,
+    and v -> w is a bijection.
     """
     cells = p.two_cells
     cell_map = {0: (t0, r0)}
@@ -101,9 +103,8 @@ def _attempt(p: CellPartition, classes, occ, t0: int, r0: int):
             ipos = (pos + r) % ln
             a2, s2 = bt[ipos]
             arc_map[a] = (a2, s * s2)
-            oa, oa2 = occ[a], occ[a2]
-            d, q, _ = oa[1] if oa[0] == (c, pos, s) else oa[0]
-            t2, q2, _ = oa2[1] if oa2[0] == (t, ipos, s2) else oa2[0]
+            d, q, _ = p.sides[a][s > 0]  # the side of sign -s
+            t2, q2, _ = p.sides[a2][s2 > 0]
             rd = (q2 - q) % len(cells[d].boundary)
             prev = cell_map.get(d)
             if prev is None:
@@ -112,34 +113,28 @@ def _attempt(p: CellPartition, classes, occ, t0: int, r0: int):
             elif prev != (t2, rd):
                 return None
     perm1 = tuple(arc_map[a] for a in range(len(p.one_cells)))
-    vmap: dict[int, int] = {}
+    perm0 = [0] * len(p.zero_cells)
     for src, (a2, eps) in zip(p.one_cells, perm1):
         dst = p.one_cells[a2]
-        vmap[src.tail], vmap[src.head] = (dst.tail, dst.head) if eps > 0 else (dst.head, dst.tail)
-    if any(classes[v].label() != classes[w].label() for v, w in vmap.items()):
+        perm0[src.tail], perm0[src.head] = (dst.tail, dst.head) if eps > 0 else (dst.head, dst.tail)
+    if tuple(map(p.zero_labels.__getitem__, perm0)) != p.zero_labels:
         return None
-    zc = {v: i for i, v in enumerate(p.zero_cells)}
     perm2, rot = zip(*(cell_map[c] for c in range(len(cells))))
-    return CellAutomorphism(tuple(zc[vmap[v]] for v in p.zero_cells), perm1, perm2), rot
+    return CellAutomorphism(tuple(perm0), perm1, perm2), rot
 
 
-def _automorphisms(s: SurfaceField, p: CellPartition) -> dict:
+def _automorphisms(p: CellPartition) -> dict:
     """Every automorphism of the partition by flag, as (2-cell permutation, H1 matrix).
 
     The matrices are plain ((a, b), (c, d)) row tuples, multiplied inline.
 
     Flag (t, r) names the automorphism that sends position 0 of 2-cell
     0's walk to position r of t's walk. A generator keeps the walk
-    rotation of every 2-cell, so it moves a flag in O(1), and it moves
-    the image of that position's (arc, sign) in O(1) through its perm1.
+    rotation of every 2-cell, so it moves a flag in O(1), and the image
+    of that position's (arc, sign) through its perm1, whose p.sides entry
+    of that sign must be the flag it reaches.
     """
-    classes = vertex_classes(s)
     cells = p.two_cells
-    occ: dict[int, list] = {c.id: [] for c in p.one_cells}
-    for cell in cells:
-        for pos, (aid, sgn) in enumerate(cell.boundary):
-            occ[aid].append((cell.id, pos, sgn))
-
     sig0 = cells[0].level_signature
     ln0 = len(cells[0].boundary)
     arc0, sgn0 = cells[0].boundary[0]
@@ -151,7 +146,7 @@ def _automorphisms(s: SurfaceField, p: CellPartition) -> dict:
         if cells[t].level_signature != sig0 or len(cells[t].boundary) != ln0:
             continue
         for r in range(ln0):
-            if (t, r) in elem or (found := _attempt(p, classes, occ, t, r)) is None:
+            if (t, r) in elem or (found := _attempt(p, t, r)) is None:
                 continue
             gens.append((*found, h1_action(p, found[0]).entries))
             for t1, r1 in reached:
@@ -163,7 +158,7 @@ def _automorphisms(s: SurfaceField, p: CellPartition) -> dict:
                         continue
                     img2, eps2 = h.perm1[img][0], h.perm1[img][1] * eps
                     # the image of 2-cell 0's first (arc, sign) must sit where the flag says
-                    if next(((c, q) for c, q, sg in occ[img2] if sg == sgn0 * eps2), None) != flag:
+                    if p.sides[img2][sgn0 * eps2 < 0][:2] != flag:
                         raise InternalInvariantError(
                             f"automorphism filed under flag {flag} carries another")
                     elem[flag] = (tuple(map(h.perm2.__getitem__, perm)),
@@ -174,13 +169,13 @@ def _automorphisms(s: SurfaceField, p: CellPartition) -> dict:
     return elem
 
 
-def enumerate_symmetries(s: SurfaceField, p: CellPartition) -> tuple[tuple[int, ...], ...]:
+def enumerate_symmetries(p: CellPartition) -> tuple[tuple[int, ...], ...]:
     """The 2-cell permutations of all symmetries of the partition, sorted.
 
     A symmetry is an automorphism with identity H1 matrix. The action is
     then free (module docstring), so its 2-cell permutation names it.
     """
-    return tuple(sorted(perm for perm, mat in _automorphisms(s, p).values()
+    return tuple(sorted(perm for perm, mat in _automorphisms(p).values()
                         if mat == ((1, 0), (0, 1))))
 
 

@@ -346,13 +346,13 @@ def check_exact_sequence(wg: WreathGroup, *, rng=None):
     homomorphism (uses multiply, so a corrupted shift action surfaces
     here, against cellwise base.op in a memo of CELL_MEMO_SIZE entries
     made for the call, never the engine's, so a corrupted memo does
-    too); proj is
-    additive; the kernel count equals |base|^(rows*cols).
+    too); proj is additive; the kernel count equals |base|^(rows*cols).
     A kernel over KERNEL_ENUM_LIMIT grids is checked on 400 distinct
-    grids drawn uniformly by rank and 400 pairs of their sigma images.
-    Returns None or the violated identity.
+    grids drawn uniformly by rank and 400 pairs of their sigma images,
+    the only draws from rng. Returns None or the violated identity.
     """
-    if wg.kernel_size() <= KERNEL_ENUM_LIMIT:
+    enumerated = wg.kernel_size() <= KERNEL_ENUM_LIMIT
+    if enumerated:
         grids = wg.grids()
     elif rng is None:
         raise ValueError("kernel too large to enumerate; pass rng")
@@ -364,11 +364,11 @@ def check_exact_sequence(wg: WreathGroup, *, rng=None):
     distinct = len(set(images))
     if distinct != len(images):
         return "sigma is not injective"
-    if wg.kernel_size() <= KERNEL_ENUM_LIMIT and distinct != wg.kernel_size():
+    if enumerated and distinct != wg.kernel_size():
         return (f"kernel count {distinct} differs from "
                 f"|base|^(rows*cols) = {wg.kernel_size()}")
     at = range(len(images))  # choice(at) draws what choice(images) would
-    if rng is None:
+    if enumerated:
         pairs = itertools.product(at, repeat=2) \
             if len(at) ** 2 <= 40_000 else zip(at, reversed(at))
     else:

@@ -32,7 +32,7 @@ def _stage(name: str, n: int = 16) -> SimpleNamespace:
         g = compute_reeb(s)
         node = find_special_vertex(g)
         p = build_partition(s, g, node)
-        elements = enumerate_symmetries(s, p)
+        elements = enumerate_symmetries(p)
         sg = group_structure(elements)
         table, reps = index_orbits(sg, p)
         _stages[key] = SimpleNamespace(

@@ -21,11 +21,10 @@ import oracles
 def dense_boundaries(p) -> tuple[IntMatrix, IntMatrix]:
     """boundary_1 (0-cells x arcs) and boundary_2 (arcs x 2-cells) of a partition."""
     n1, n2 = len(p.one_cells), len(p.two_cells)
-    zc = {v: i for i, v in enumerate(p.zero_cells)}
     d1 = [[0] * n1 for _ in p.zero_cells]
     for arc in p.one_cells:
-        d1[zc[arc.head]][arc.id] += 1
-        d1[zc[arc.tail]][arc.id] -= 1
+        d1[arc.head][arc.id] += 1
+        d1[arc.tail][arc.id] -= 1
     d2 = [[0] * n2 for _ in p.one_cells]
     for cell in p.two_cells:
         for aid, sign in cell.boundary:

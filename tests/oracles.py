@@ -672,6 +672,27 @@ def decorated_field(k, gens):
     return SurfaceField(s.triangles, values)
 
 
+def decorated_monkey_field(n, gens):
+    """monkey_field(n) with 1 added to the maximum at (4 + a, b) for (a, b) in H.
+
+    H is ``subgroup(n, gens)``; gens lie in the lattice {(a, b) : a + 2b
+    = 0 mod 7}, so H is a subgroup of the deck group and moves the
+    maximum at (4, 0) onto maxima. The deck translations that keep the
+    raised maxima are those by H, so the symmetry group should be H and
+    r = 2n^2 / (7|H|).
+    """
+    from krtorus.fields import grid_vertex
+    from krtorus.surface import SurfaceField
+
+    if any((a + 2 * b) % 7 for a, b in gens):
+        raise ValueError(f"generators {gens} are not deck translations")
+    s = monkey_field(n)
+    values = list(s.values)
+    for a, b in subgroup(n, gens):
+        values[grid_vertex(n, 4 + a, b)] += 1
+    return SurfaceField(s.triangles, values)
+
+
 def grid_translations(n, values, p):
     """The 2-cell permutations of the value-preserving translations of a grid field.
 
@@ -797,7 +818,7 @@ def fixes_some_cell(a) -> bool:
             or any(img == j for j, img in enumerate(a.perm2)))
 
 
-def all_flag_automorphisms(s, p):
+def all_flag_automorphisms(p):
     """Every automorphism found by seeding each flag (t, r) of 2-cell 0.
 
     The reference for ``krtorus.symmetry._automorphisms``: one
@@ -805,31 +826,25 @@ def all_flag_automorphisms(s, p):
     for being reached already. Returns {flag: whole automorphism},
     before the freeness and H1 filters.
     """
-    from krtorus.surface import vertex_classes
     from krtorus.symmetry import _attempt
 
-    classes = vertex_classes(s)
     cells = p.two_cells
-    occ = {c.id: [] for c in p.one_cells}
-    for cell in cells:
-        for pos, (aid, sgn) in enumerate(cell.boundary):
-            occ[aid].append((cell.id, pos, sgn))
     found = {}
     for t in range(len(cells)):
         for r in range(len(cells[0].boundary)):
-            if (a := _attempt(p, classes, occ, t, r)) is not None:
+            if (a := _attempt(p, t, r)) is not None:
                 found[t, r] = a[0]
     return found
 
 
-def free_automorphisms(s, p):
+def free_automorphisms(p):
     """{2-cell permutation: whole automorphism} for the identity and every
     automorphism of the every-flag search that moves every cell.
 
     A free action is told apart by its 2-cell permutations, so no two
     share a key.
     """
-    free = [a for a in all_flag_automorphisms(s, p).values()
+    free = [a for a in all_flag_automorphisms(p).values()
             if is_identity(a) or not fixes_some_cell(a)]
     out = {a.perm2: a for a in free}
     assert len(out) == len(free), "two free automorphisms share a 2-cell permutation"

@@ -55,7 +55,7 @@ def stages(text: str):
         run("reeb", lambda: compute_reeb(kept["load"])),
         run("special", lambda: find_special_vertex(kept["reeb"])),
         run("partition", lambda: build_partition(kept["load"], kept["reeb"], kept["special"])),
-        run("symmetries", lambda: enumerate_symmetries(kept["load"], kept["partition"])),
+        run("symmetries", lambda: enumerate_symmetries(kept["partition"])),
         run("group", lambda: group_structure(kept["symmetries"])),
         run("orbits", lambda: index_orbits(kept["group"], kept["partition"])),
         run("disks", lambda: [extract_disk_field(kept["partition"], rep).surface

@@ -55,7 +55,7 @@ def _full_stage(s, g=None):
         g = compute_reeb(s)
     node = find_special_vertex(g)
     p = build_partition(s, g, node)
-    elements = enumerate_symmetries(s, p)
+    elements = enumerate_symmetries(p)
     sg = group_structure(elements)
     table, reps = index_orbits(sg, p)
     return SimpleNamespace(surface=s, graph=g, node=node, part=p,
@@ -103,7 +103,7 @@ def pool(stage):
     assert sum(1 for e in entries if e.kind != "preset") >= 20
     # each symmetry as a whole automorphism, from the every-flag oracle
     for e in entries:
-        free = oracles.free_automorphisms(e.surface, e.part)
+        free = oracles.free_automorphisms(e.part)
         e.whole = [free[perm] for perm in e.elements]
     return entries
 

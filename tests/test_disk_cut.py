@@ -40,7 +40,7 @@ CASES = (
 def _partition(s):
     g = compute_reeb(s)
     p = build_partition(s, g, find_special_vertex(g))
-    return p, index_orbits(group_structure(enumerate_symmetries(s, p)), p)[1]
+    return p, index_orbits(group_structure(enumerate_symmetries(p)), p)[1]
 
 
 @pytest.mark.parametrize("make", [m for _, m in CASES], ids=[k for k, _ in CASES])

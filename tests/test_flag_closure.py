@@ -10,6 +10,7 @@ the H1 action of the whole automorphisms.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from functools import lru_cache
@@ -51,9 +52,9 @@ def _pullback(name):
     return s, _partition(s)
 
 
-def _assert_closure_matches_every_flag(s, p):
-    want = oracles.all_flag_automorphisms(s, p)
-    got = krtorus.symmetry._automorphisms(s, p)
+def _assert_closure_matches_every_flag(p):
+    want = oracles.all_flag_automorphisms(p)
+    got = krtorus.symmetry._automorphisms(p)
     assert {flag: perm for flag, (perm, _) in got.items()} == {
         flag: a.perm2 for flag, a in want.items()}
     for flag, (_, mat) in got.items():
@@ -63,24 +64,23 @@ def _assert_closure_matches_every_flag(s, p):
     kept = sorted(a.perm2 for a in want.values()
                   if (oracles.is_identity(a) or not oracles.fixes_some_cell(a))
                   and h1_action(p, a) == ident)
-    assert enumerate_symmetries(s, p) == tuple(kept)
+    assert enumerate_symmetries(p) == tuple(kept)
 
 
 @pytest.mark.parametrize("name", TREE_PRESETS)
 def test_closure_matches_every_flag_on_presets(stage, name):
-    st_ = stage(name)
-    _assert_closure_matches_every_flag(st_.surface, st_.part)
+    _assert_closure_matches_every_flag(stage(name).part)
 
 
 @pytest.mark.parametrize("name", PULLBACKS)
 def test_closure_matches_every_flag_on_pullbacks(name):
-    _assert_closure_matches_every_flag(*_pullback(name))
+    _assert_closure_matches_every_flag(_pullback(name)[1])
 
 
 @pytest.mark.parametrize("mat", _matrices(), ids=str)
 def test_closure_matches_every_flag_on_coverings(mat):
     s = SurfaceField(*oracles.covering_field(BASE, mat))
-    _assert_closure_matches_every_flag(s, _partition(s))
+    _assert_closure_matches_every_flag(_partition(s))
 
 
 FIELDS = ([("preset", name) for name in TREE_PRESETS] + [("pullback", name) for name in PULLBACKS]
@@ -100,7 +100,7 @@ def test_h1_trivial_exactly_when_free(stage, kind, key):
         s = SurfaceField(*oracles.covering_field(BASE, key))
         p = _partition(s)
     ident = oracles.identity(2)
-    for a in oracles.all_flag_automorphisms(s, p).values():
+    for a in oracles.all_flag_automorphisms(p).values():
         if not oracles.is_identity(a):
             assert (h1_action(p, a) == ident) == (not oracles.fixes_some_cell(a)), a.perm2
 
@@ -108,7 +108,7 @@ def test_h1_trivial_exactly_when_free(stage, kind, key):
 @pytest.mark.parametrize("name", PULLBACKS)
 def test_work_is_one_compose_per_automorphism(monkeypatch, name):
     s, p = _pullback(name)
-    order = len(krtorus.symmetry._automorphisms(s, p))
+    order = len(krtorus.symmetry._automorphisms(p))
     calls = {"attempts": 0, "successes": 0, "h1_action": 0}
     attempt, h1 = krtorus.symmetry._attempt, krtorus.symmetry.h1_action
 
@@ -124,7 +124,7 @@ def test_work_is_one_compose_per_automorphism(monkeypatch, name):
 
     monkeypatch.setattr(krtorus.symmetry, "_attempt", counted_attempt)
     monkeypatch.setattr(krtorus.symmetry, "h1_action", counted_h1)
-    enumerate_symmetries(s, p)
+    enumerate_symmetries(p)
     # every success adds a generator outside the reached subgroup, which
     # at least doubles it (Lagrange); h1_action runs on generators only,
     # and every other automorphism is one composition of 2-cell
@@ -161,7 +161,7 @@ def test_generator_with_a_wrong_image_of_cell_0_is_caught(stage, monkeypatch, na
     # the generator's own chain-map check: 2-cell 0's walk does not map
     # onto the walk of the 2-cell its perm2 names
     with pytest.raises(InternalInvariantError, match="does not commute with boundary_2"):
-        enumerate_symmetries(s, p)
+        enumerate_symmetries(p)
 
 
 def test_generator_with_a_wrong_walk_rotation_is_caught(stage, monkeypatch):
@@ -177,22 +177,34 @@ def test_generator_with_a_wrong_walk_rotation_is_caught(stage, monkeypatch):
         return a, [(rd + 1) % len(cell.boundary) for cell, rd in zip(p.two_cells, rot)]
 
     monkeypatch.setattr(krtorus.symmetry, "_attempt", turned)
-    st_ = stage("z2xz2-sym")
     with pytest.raises(InternalInvariantError, match="carries another"):
-        enumerate_symmetries(st_.surface, st_.part)
+        enumerate_symmetries(stage("z2xz2-sym").part)
 
 
 def test_any_wrong_image_in_the_orbit_of_cell_0_raises(stage, monkeypatch):
-    st_ = stage("z2xz2-sym")
-    s, p = st_.surface, st_.part
-    orbit = sorted({t for t, _ in krtorus.symmetry._automorphisms(s, p)})
+    p = stage("z2xz2-sym").part
+    orbit = sorted({t for t, _ in krtorus.symmetry._automorphisms(p)})
     assert len(orbit) > 1
     for cell in orbit:
         for shift in range(1, len(p.two_cells)):
             with monkeypatch.context() as m:
                 _corrupt_first_generator(m, cell, shift)
                 with pytest.raises(InternalInvariantError):
-                    group_structure(enumerate_symmetries(s, p))
+                    group_structure(enumerate_symmetries(p))
+
+
+@pytest.mark.parametrize("name, order", [("z2xz2-sym", 4), ("diag(4,4)@32", 16)])
+def test_a_zero_cell_with_a_label_of_its_own_stays_put(stage, name, order):
+    # forged labels: 0-cell 0 alone is "marked", so _attempt's label test must
+    # reject every automorphism that moves it; the symmetries move every cell,
+    # so the identity is the one left
+    p = _pullback(name)[1] if name in PULLBACKS else stage(name).part
+    assert len(enumerate_symmetries(p)) == order
+    forged = dataclasses.replace(p, zero_labels=("marked", *p.zero_labels[1:]))
+    assert len(enumerate_symmetries(forged)) == 1
+    kept = oracles.all_flag_automorphisms(forged)
+    assert kept and all(a.perm0[0] == 0 for a in kept.values())
+    assert len(kept) < len(oracles.all_flag_automorphisms(p))
 
 
 INVARIANCE_FIELDS = (*TREE_PRESETS, "diag(2,2)@32", "diag(4,4)@32")

@@ -13,6 +13,7 @@ parse and of the table's build.
 """
 from __future__ import annotations
 
+import math
 import re
 import tracemalloc
 
@@ -182,3 +183,25 @@ def test_parse_and_table_build_peak_little_above_the_text():
         tracemalloc.stop()
     assert load_peak <= 12 * MIB
     assert validate_peak <= 12 * MIB
+
+
+def test_coordinate_form_parse_peaks_little_above_the_text():
+    # MiB above the field text on two-cell@128 with torus coordinates: one
+    # str per token, each read by float(), peaked at 18.18; one JSON scan of
+    # the vertex block peaks at 13.43, and the bare form at 10.32
+    s = preset_field("two-cell", 128)
+    angles = [(2 * math.pi * (v % 128) / 128, 2 * math.pi * (v // 128) / 128)
+              for v in range(s.vertex_count)]
+    coords = [((2 + math.cos(b)) * math.cos(a), (2 + math.cos(b)) * math.sin(a), math.sin(b))
+              for a, b in angles]
+    text = dump_surface(SurfaceField(s.triangles, s.values, coords))
+    del s, angles
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = load_surface(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert loaded.coords == tuple(coords)
+    assert peak <= 16 * MIB

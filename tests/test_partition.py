@@ -49,6 +49,7 @@ def test_zero_cells_are_saddles_on_level(stage):
             assert rv < st.surface.vertex_count  # crossing points never end up as 0-cells
             assert classes[rv].kind == "saddle"
             assert p.refined_values[rv] == p.level
+        assert p.zero_labels == tuple(classes[rv].label() for rv in p.zero_cells)
 
 
 def test_one_cell_endpoints_and_paths(stage):
@@ -56,8 +57,8 @@ def test_one_cell_endpoints_and_paths(stage):
         p = stage(name).part
         zset = set(p.zero_cells)
         for arc in p.one_cells:
-            assert arc.path[0] == arc.tail and arc.path[-1] == arc.head
-            assert arc.tail in zset and arc.head in zset
+            assert {arc.tail, arc.head} <= set(range(len(p.zero_cells)))  # 0-cell numbers
+            assert arc.path[0] == p.zero_cells[arc.tail] and arc.path[-1] == p.zero_cells[arc.head]
             # interior points are on-level but not 0-cells
             for rv in arc.path[1:-1]:
                 assert rv not in zset
@@ -94,9 +95,11 @@ def _loops(count):
 
 
 def test_tree_cotree_of_the_square_torus():
-    cycles, cocycles = tree_cotree((0,), _loops(2), [((0, 1), (1, 1), (0, -1), (1, -1))])
+    cycles, cocycles, sides = tree_cotree((0,), _loops(2), [((0, 1), (1, 1), (0, -1), (1, -1))])
     assert cycles == (((0, 1),), ((1, 1),))
     assert cocycles == ((1, 0), (0, 1))
+    # each arc's (2-cell, walk position, sign) uses, the +1 use first
+    assert sides == (((0, 0, 1), (0, 2, -1)), ((0, 1, 1), (0, 3, -1)))
 
 
 @pytest.mark.parametrize("zero_cells, arcs, walks, message", [
@@ -122,7 +125,7 @@ def test_tree_cotree_rejects(zero_cells, arcs, walks, message):
 def test_corrupted_cotree_value_fails_the_root_equation(stage, monkeypatch):
     p = stage("z2xz2-sym").part
     walks = [c.boundary for c in p.two_cells]
-    assert tree_cotree(p.zero_cells, p.one_cells, walks) == (p.cycles, p.cocycles)
+    assert tree_cotree(p.zero_cells, p.one_cells, walks) == (p.cycles, p.cocycles, p.sides)
     pairing = krtorus.homology._pairing
     calls = []
 

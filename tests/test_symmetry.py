@@ -37,7 +37,7 @@ def _table(elements):
 
 def _whole(st):
     """The stage's symmetries as whole automorphisms, from the every-flag oracle."""
-    free = oracles.free_automorphisms(st.surface, st.part)
+    free = oracles.free_automorphisms(st.part)
     return [free[perm] for perm in st.elements]
 
 
@@ -190,7 +190,7 @@ def test_grid_translations_are_the_symmetries(make, n, order):
     s = make()
     g = compute_reeb(s)
     p = build_partition(s, g, find_special_vertex(g))
-    elements = enumerate_symmetries(s, p)
+    elements = enumerate_symmetries(p)
     moves = oracles.grid_translations(n, s.values, p)
     assert set(moves) <= set(elements)
     assert len(moves) == len(elements) == order
@@ -217,7 +217,7 @@ def test_decorated_fields_have_the_group_of_their_decoration(k, gens, expected):
     s = oracles.decorated_field(k, gens)
     g = compute_reeb(s)
     p = build_partition(s, g, find_special_vertex(g))
-    elements = enumerate_symmetries(s, p)
+    elements = enumerate_symmetries(p)
     sg = group_structure(elements)
     assert (len(elements), sg.n, sg.nm // sg.n, len(index_orbits(sg, p)[1])) == expected
     moves = oracles.grid_translations(4 * k, s.values, p)
@@ -235,7 +235,7 @@ def test_monkey_saddle_lift_has_its_deck_group(n):
     node = find_special_vertex(g)
     assert g.nodes[node].level == 0 and "saddle:2" in g.nodes[node].kinds
     p = build_partition(s, g, node)
-    elements = enumerate_symmetries(s, p)
+    elements = enumerate_symmetries(p)
     sg = group_structure(elements)
     order = n * n // 7
     assert (len(elements), sg.n, sg.nm // sg.n, len(index_orbits(sg, p)[1])) == (order, n // 7, 7, 2)
@@ -244,11 +244,39 @@ def test_monkey_saddle_lift_has_its_deck_group(n):
     assert len(moves) == order and set(moves) <= set(elements)
 
 
+# (N, generators of H in the deck group, (order, n, m, r) worked out by hand);
+# the deck group has order N^2 / 7 and the partition 2N^2 / 7 2-cells
+DECORATED_MONKEY = [(14, ((7, 0),), (2, 1, 2, 28)), (14, ((2, 6),), (7, 1, 7, 8)),
+                    (14, ((7, 0), (0, 7)), (4, 2, 1, 14)), (14, ((7, 0), (2, 6)), (14, 1, 14, 4)),
+                    (28, ((4, 12),), (7, 1, 7, 32)), (28, ((14, 0), (2, 6)), (28, 2, 7, 8))]
+
+
+@pytest.mark.parametrize("n, gens, expected", DECORATED_MONKEY,
+                         ids=[f"N={n} H=<{' '.join(f'{a},{b}' for a, b in gens)}>"
+                              for n, gens, _ in DECORATED_MONKEY])
+def test_decorated_monkey_fields_have_the_group_of_their_decoration(n, gens, expected):
+    # monkey saddles with m > 1 and a group strictly between 1 and the deck
+    # group; S should be H, read from H alone as for the decorated pullbacks
+    h = oracles.subgroup(n, gens)
+    exponent = max(next(t for t in range(1, n + 1) if t * a % n == t * b % n == 0) for a, b in h)
+    order = len(h)
+    assert (order, order // exponent, exponent * exponent // order, 2 * n * n // (7 * order)) \
+        == expected
+    s = oracles.decorated_monkey_field(n, gens)
+    g = compute_reeb(s)
+    p = build_partition(s, g, find_special_vertex(g))
+    elements = enumerate_symmetries(p)
+    sg = group_structure(elements)
+    assert (len(elements), sg.n, sg.nm // sg.n, len(index_orbits(sg, p)[1])) == expected
+    moves = oracles.grid_translations(n, s.values, p)
+    assert len(moves) == order and set(moves) <= set(elements)
+
+
 def test_asymmetric_field_is_trivial(twin_peaks):
     g = compute_reeb(twin_peaks)
     node = find_special_vertex(g)
     p = build_partition(twin_peaks, g, node)
-    els = enumerate_symmetries(twin_peaks, p)
+    els = enumerate_symmetries(p)
     assert els == (tuple(range(len(p.two_cells))),)
     sg = group_structure(els)
     assert (sg.n, sg.m) == (1, 1)

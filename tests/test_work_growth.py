@@ -74,14 +74,14 @@ def _diag(k: int, grid: int):
     g = compute_reeb(s)
     v = find_special_vertex(g)
     p = build_partition(s, g, v)
-    elements = enumerate_symmetries(s, p)
+    elements = enumerate_symmetries(p)
     return s, g, v, p, elements, group_structure(elements)
 
 
 STAGE_ARGS = {
     find_special_vertex: lambda s, g, v, p, els, sg: (g,),
     build_partition: lambda s, g, v, p, els, sg: (s, g, v),
-    enumerate_symmetries: lambda s, g, v, p, els, sg: (s, p),
+    enumerate_symmetries: lambda s, g, v, p, els, sg: (p,),
     group_structure: lambda s, g, v, p, els, sg: (els,),
     index_orbits: lambda s, g, v, p, els, sg: (sg, p),
 }
@@ -141,7 +141,7 @@ def _disk_inputs(s):
     """The partition of s and its orbit representatives."""
     g = compute_reeb(s)
     p = build_partition(s, g, find_special_vertex(g))
-    return p, index_orbits(group_structure(enumerate_symmetries(s, p)), p)[1]
+    return p, index_orbits(group_structure(enumerate_symmetries(p)), p)[1]
 
 
 @pytest.mark.parametrize("name", ("two-cell", "z2-sym", "z2xz2-sym"))
