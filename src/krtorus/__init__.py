@@ -11,8 +11,7 @@ from .fields import (PRESET_NAMES, grid_field, preset_field,
 from .homology import (CokernelInvariants, HomologySummary, IntMatrix, SnfResult,
                        chain_homology, cokernel_invariants, h1_action,
                        smith_normal_form, unimodular_inverse)
-from .partition import (CellPartition, OneCell, TwoCell, branch_signature,
-                        build_partition)
+from .partition import CellPartition, OneCell, TwoCell, build_partition
 from .pipeline import (AnalysisReport, DiskField, VerificationRecord, analyze,
                        canonical_json, extract_disk_field, group_expr,
                        verify_extension)

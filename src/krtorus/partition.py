@@ -46,7 +46,7 @@ from itertools import chain, combinations, compress, filterfalse
 from .errors import InputRejected, InternalInvariantError
 # chain_homology stays bound here because bench/tracer.py wraps this binding
 from .homology import chain_homology, tree_cotree  # noqa: F401
-from .reeb import Branch, ReebGraph, _UnionFind, level_structure
+from .reeb import ReebGraph, _UnionFind, level_structure
 from .surface import SurfaceField, vertex_classes
 
 
@@ -90,29 +90,6 @@ class CellPartition:
     refined_values: tuple
     refined_triangles: tuple[tuple[int, int, int], ...]
     refined_coords: tuple | None
-
-
-def branch_signature(g: ReebGraph, node_id: int, branch: Branch) -> tuple:
-    """Canonical rooted form of a branch subtree, labeled by levels and kinds.
-
-    Equal signatures mean the branches look identical to any level
-    preserving symmetry; the signature is the f-data attached to 2-cells.
-    """
-    eid = branch.root_edge
-    e = g.edges[eid]
-    root = e.upper if e.lower == node_id else e.lower
-    # the forms are built in reverse walk order, so children come before
-    # parents and the depth of the tree never reaches the interpreter stack
-    form: dict[int, tuple] = {}  # edge -> canonical form of the subtree it reaches
-    for w, via in reversed(g.walk(root, eid)):
-        subs = []
-        for eid2 in g.edges_at(w):
-            if eid2 != via:
-                direction = "up" if g.edges[eid2].lower == w else "down"
-                subs.append((direction, form.pop(eid2)))
-        node = g.nodes[w]
-        form[via] = (node.level, node.kinds, tuple(sorted(subs)))
-    return (branch.side, form[eid])
 
 
 def _norm(u: int, w: int) -> tuple[int, int]:
@@ -380,7 +357,7 @@ def build_partition(s: SurfaceField, g: ReebGraph, node_id: int) -> CellPartitio
     arc_id = {q: i for i, q in enumerate(canon_paths)}
     two_cells = [TwoCell(
         id=bi,
-        level_signature=branch_signature(g, node_id, br),
+        level_signature=br.signature,
         boundary=tuple((arc_id[q], 1) if q in arc_id else (arc_id[q[::-1]], -1)
                        for q in pieces[bi]),
         boundary_vertices=walks[bi],

@@ -85,11 +85,15 @@ class ReebEdge:
 
 @dataclass(frozen=True)
 class Branch:
-    """One component of the tree minus a vertex, with the edge that attaches it."""
+    """One component of the tree minus a vertex, with the edge that attaches it.
+
+    Equal signatures mean branches that look alike to any level-preserving symmetry.
+    """
 
     root_edge: int
     nodes: frozenset
     side: str  # "up" or "down" relative to the removed vertex
+    signature: tuple  # (side, form), form = (level, kinds, sorted (direction, form) children)
 
 
 class ReebGraph:
@@ -131,13 +135,21 @@ class ReebGraph:
         return order
 
     def branches_at(self, node_id: int) -> tuple[Branch, ...]:
-        """The branches of a tree at one vertex, one per edge, in edge-id order."""
+        """The branches of a tree at one vertex, one per edge, in edge-id order.
+
+        One walk gives each branch its nodes and its signature; the forms are built
+        children first, in reverse walk order, so they need no recursion."""
         branches = []
         for eid in self._adj[node_id]:
             e = self.edges[eid]
-            up = e.lower == node_id
-            nodes = frozenset(w for w, _ in self.walk(e.upper if up else e.lower, eid))
-            branches.append(Branch(eid, nodes, "up" if up else "down"))
+            side = "up" if e.lower == node_id else "down"
+            order = self.walk(e.upper if side == "up" else e.lower, eid)
+            form: dict[int, tuple] = {}  # edge -> canonical form of the subtree it reaches
+            for w, via in reversed(order):
+                subs = sorted(("up" if self.edges[x].lower == w else "down", form.pop(x))
+                              for x in self._adj[w] if x != via)
+                form[via] = (self.nodes[w].level, self.nodes[w].kinds, tuple(subs))
+            branches.append(Branch(eid, frozenset(w for w, _ in order), side, (side, form[eid])))
         if sum(len(b.nodes) for b in branches) != len(self.nodes) - 1:
             raise InternalInvariantError(f"graph at node {node_id} is not a tree")
         return tuple(branches)

@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from krtorus.wreath import WreathGroup
 

@@ -5,6 +5,7 @@ import dataclasses
 import random
 from array import array
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -13,8 +14,8 @@ import krtorus.partition
 from krtorus.errors import InputRejected, InternalInvariantError
 from krtorus.fields import grid_vertex, preset_field, pullback_cosine_field, random_field
 from krtorus.homology import tree_cotree
-from krtorus.partition import OneCell, branch_signature, build_partition
-from krtorus.reeb import (Branch, ReebEdge, ReebGraph, ReebNode, _node_component, _UnionFind,
+from krtorus.partition import OneCell, build_partition
+from krtorus.reeb import (ReebEdge, ReebGraph, ReebNode, _node_component, _UnionFind,
                           compute_reeb, find_special_vertex, level_structure)
 from krtorus.surface import SurfaceField, validate_closed_orientable, vertex_classes
 
@@ -194,14 +195,14 @@ def test_refinement_bookkeeping(stage):
 def test_signatures_label_two_cells(stage):
     st = stage("z2-sym")
     branches = st.graph.branches_at(st.node)
-    sigs = {branch_signature(st.graph, st.node, b) for b in branches}
+    sigs = {b.signature for b in branches}
     assert {c.level_signature for c in st.part.two_cells} == sigs
     sides = sorted(c.level_signature[0] for c in st.part.two_cells)
     assert sides == ["down", "down", "up", "up"]
 
 
 def recursive_signature(g, node_id, branch):
-    """The recursive form of branch_signature, kept as the reference."""
+    """The recursive form of Branch.signature, kept as the reference."""
     eid = branch.root_edge
     e = g.edges[eid]
     root = e.upper if e.lower == node_id else e.lower
@@ -237,7 +238,7 @@ def test_signature_matches_recursive_form(stage, twin_peaks, name):
     else:
         g, node = stage(name).graph, stage(name).node
     for b in g.branches_at(node):
-        assert branch_signature(g, node, b) == recursive_signature(g, node, b)
+        assert b.signature == recursive_signature(g, node, b)
 
 
 def test_signature_of_deep_path():
@@ -245,7 +246,7 @@ def test_signature_of_deep_path():
     n = 3000
     g = _path_graph(n)
     (branch,) = g.branches_at(0)
-    side, form = branch_signature(g, 0, branch)
+    side, form = branch.signature
     assert side == "up"
     # walk the nested form with a loop: comparing it whole would recurse in C
     for level in range(1, n):
@@ -258,17 +259,30 @@ def test_signature_of_deep_path():
             assert direction == "up"
 
 
+@pytest.mark.parametrize("make, walks", [
+    (partial(preset_field, "z2xz2-sym", 16), 8),
+    (partial(pullback_cosine_field, 32, ((4, 0), (0, 4))), 32)],
+    ids=["z2xz2-sym@16", "diag(4,4)@32"])
+def test_each_branch_is_walked_once(monkeypatch, make, walks):
+    # one walk per branch gives both its nodes and its signature
+    s = make()
+    g, node = _graph_and_node(s)
+    calls = []
+    walk = ReebGraph.walk
+
+    def counted(self, *args):
+        calls.append(args)
+        return walk(self, *args)
+
+    monkeypatch.setattr(ReebGraph, "walk", counted)
+    p = build_partition(s, g, node)
+    assert len(calls) == len(p.two_cells) == walks
+
+
 def _triangle_graph() -> ReebGraph:
     nodes = [ReebNode(i, i, ("node",), (i,), 0, 0) for i in range(3)]
     edges = [ReebEdge(0, 0, 1, (0, 1)), ReebEdge(1, 0, 2, (0, 2)), ReebEdge(2, 1, 2, (1, 2))]
     return ReebGraph(nodes, edges, {}, {}, surface_chi=0)
-
-
-def test_signature_rejects_a_cyclic_branch():
-    # branches_at refuses this graph, so the branch is built by hand
-    branch = Branch(0, frozenset({1, 2}), "up")
-    with pytest.raises(InternalInvariantError, match="is not a tree"):
-        branch_signature(_triangle_graph(), 0, branch)
 
 
 @pytest.mark.parametrize("node", [0, 1, 2])

@@ -3,19 +3,20 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from itertools import permutations
+from itertools import chain, combinations, permutations, product
 from types import SimpleNamespace
 
 import pytest
 
-from krtorus.errors import InternalInvariantError
+from krtorus.errors import InputRejected, InternalInvariantError
 from krtorus.fields import preset_field, pullback_cosine_field
 from krtorus.partition import build_partition
 from krtorus.reeb import compute_reeb, find_special_vertex
-from krtorus.surface import vertex_classes
+from krtorus.surface import validate_closed_orientable, vertex_classes
 from krtorus.symmetry import SymmetryGroup, enumerate_symmetries, group_structure, index_orbits
 
 import oracles
+from test_partition import _coarse_pool
 
 EXPECTED = {
     "two-cell": dict(order=1, n=1, m=1),
@@ -196,6 +197,30 @@ def test_grid_translations_are_the_symmetries(make, n, order):
     assert len(moves) == len(elements) == order
 
 
+def test_grid_translations_are_the_symmetries_on_the_coarse_pool():
+    # every grid-8 field of the acceptance pool that the tool accepts, none of
+    # them in TRANSLATED; sorted, the translations are exactly the symmetries
+    checked = 0
+    for s in chain(_coarse_pool("pullback"), _coarse_pool("random")):
+        try:
+            validate_closed_orientable(s)
+            g = compute_reeb(s)
+            p = build_partition(s, g, find_special_vertex(g))
+        except InputRejected:
+            continue
+        assert sorted(oracles.grid_translations(8, s.values, p)) == list(enumerate_symmetries(p))
+        checked += 1
+    assert checked == 28
+
+
+def _decoration_invariants(k, h):
+    """(order, n, m, r) read from H alone: H is Z_n x Z_nm with nm its exponent,
+    the largest order of an element, and the 2k^2 2-cells fall in |H|-orbits."""
+    exponent = max(next(t for t in range(1, k + 1) if t * a % k == t * b % k == 0) for a, b in h)
+    n = len(h) // exponent
+    return (len(h), n, exponent // n, 2 * k * k // len(h))
+
+
 # (k, generators of H in Z_k x Z_k, (order, n, m, r) worked out by hand)
 DECORATED = [(4, (), (1, 1, 1, 32)), (4, ((2, 0),), (2, 1, 2, 16)), (4, ((1, 0),), (4, 1, 4, 8)),
              (4, ((1, 1),), (4, 1, 4, 8)), (4, ((1, 2),), (4, 1, 4, 8)),
@@ -204,16 +229,32 @@ DECORATED = [(4, (), (1, 1, 1, 32)), (4, ((2, 0),), (2, 1, 2, 16)), (4, ((1, 0),
              (8, ((4, 4),), (2, 1, 2, 64))]
 
 
+def _every_subgroup(ks, known):
+    """(k, gens, invariants) for each subgroup H of Z_k x Z_k, k in ks, not in
+    known: every H is generated by at most two vectors, the first gens kept."""
+    seen = {(k, frozenset(oracles.subgroup(k, gens))) for k, gens, _ in known}
+    rows = []
+    for k in ks:
+        vectors = list(product(range(k), repeat=2))[1:]
+        for gens in chain([()], combinations(vectors, 1), combinations(vectors, 2)):
+            h = frozenset(oracles.subgroup(k, gens))
+            if (k, h) not in seen:
+                seen.add((k, h))
+                rows.append((k, gens, _decoration_invariants(k, h)))
+    return rows
+
+
+# the hand-worked rows, then the rest of the 5, 6 and 15 subgroups at k = 2, 3, 4
+DECORATED += _every_subgroup((2, 3, 4), DECORATED)
+
+
 @pytest.mark.parametrize("k, gens, expected", DECORATED,
                          ids=[f"k={k} H=<{' '.join(f'{a},{b}' for a, b in gens) or '1'}>"
                               for k, gens, _ in DECORATED])
 def test_decorated_fields_have_the_group_of_their_decoration(k, gens, expected):
-    # S should be H, read from H alone: H is Z_n x Z_nm with nm its exponent,
-    # the largest order of an element, and the 2k^2 2-cells fall in |H|-orbits
+    # S should be H, read from H alone
     h = oracles.subgroup(k, gens)
-    exponent = max(next(t for t in range(1, k + 1) if t * a % k == t * b % k == 0) for a, b in h)
-    n = len(h) // exponent
-    assert (len(h), n, exponent // n, 2 * k * k // len(h)) == expected
+    assert _decoration_invariants(k, h) == expected
     s = oracles.decorated_field(k, gens)
     g = compute_reeb(s)
     p = build_partition(s, g, find_special_vertex(g))

@@ -1,4 +1,4 @@
-"""No module of the package imports a name that it never uses.
+"""No module of the package or of the tests imports a name that it never uses.
 
 A stdlib stand-in for a linter's unused-import rule (F401). The package
 ``__init__`` re-exports by importing, so it is skipped. An import that is
@@ -13,6 +13,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "krtorus"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
 
 
 def _annotation_names(node) -> set:
@@ -67,3 +69,8 @@ def test_checker_reads_attribute_roots_and_quoted_annotations():
 @pytest.mark.parametrize("name", MODULES)
 def test_module_uses_every_import(name):
     assert unused_imports((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("name", TEST_MODULES)
+def test_test_module_uses_every_import(name):
+    assert unused_imports((TESTS / name).read_text(encoding="utf-8")) == []
